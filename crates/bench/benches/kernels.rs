@@ -7,7 +7,8 @@ use comm::{run_ranks, ReduceOrder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use krylov::kernels::{
     axpy3_inplace, axpy_dot, axpy_inplace, dot, residual_p_update_fused, residual_update_fused,
-    INFO_BICGS2, INFO_BICGS2F, INFO_BICGS5, INFO_BICGS56, INFO_BICGS6, INFO_DOT,
+    INFO_BICGS2, INFO_BICGS2F, INFO_BICGS5, INFO_BICGS56, INFO_BICGS6, INFO_CI1, INFO_CI2,
+    INFO_DOT,
 };
 use krylov::{global_bounds, ChebyMode, ChebyshevIteration, RankCtx};
 use stencil::{apply_physical_bcs, Laplacian, INFO_APPLY};
@@ -56,6 +57,19 @@ fn bench_stencil(c: &mut Criterion) {
                 b.iter(|| lap.apply_fused_dot2(&dev, INFO_APPLY, &u, &mut w, &r0t));
             },
         );
+        let z = filled(&dev, &g, 3);
+        group.bench_with_input(BenchmarkId::new("combine(KernelCI1)", n), &n, |b, _| {
+            b.iter(|| lap.apply_combine(&dev, INFO_CI1, &u, &mut w, -0.1, [(&u, 1.5)]));
+        });
+        group.bench_with_input(BenchmarkId::new("combine(KernelCI2)", n), &n, |b, _| {
+            b.iter(|| {
+                let terms = [(&u, 1.5), (&r0t, -0.5), (&z, 0.25)];
+                lap.apply_combine(&dev, INFO_CI2, &u, &mut w, -0.1, terms)
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("physical_bcs", n), &n, |b, _| {
+            b.iter(|| apply_physical_bcs(&g, &mut u, &Recorder::disabled(), true));
+        });
     }
     group.finish();
 }

@@ -522,6 +522,63 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "wall-clock ratio: run with --release (CI fusion-suite does)"]
+    fn combine_sweep_costs_at_most_2_5x_plain_apply() {
+        // KernelCI2 (stencil + 3 terms) streams 5 fields where the plain
+        // apply streams 2, so at the memory roof it costs <= 2.5x per
+        // cell. A ratio of two kernels on the same host, alternated and
+        // taken at each one's best, holds on a noisy runner where an
+        // absolute time does not. The indexed body it replaced read 3.9x.
+        use accel::Serial;
+        use blockgrid::{BlockGrid, Field, GlobalGrid};
+        use stencil::{apply_physical_bcs, Laplacian, INFO_APPLY};
+
+        let n = 63;
+        let grid = BlockGrid::new(
+            GlobalGrid::dirichlet([n, n, n], [0.1; 3], [0.0; 3]),
+            Decomp::single(),
+            0,
+        );
+        let dev = Serial::new(Recorder::disabled());
+        let lap = Laplacian::new(&grid);
+        let field = |seed: usize| {
+            let vals: Vec<f64> = (0..n * n * n)
+                .map(|i| ((i * 31 + seed) % 97) as f64 / 97.0)
+                .collect();
+            let mut f = Field::from_interior(&dev, &grid, &vals);
+            apply_physical_bcs(&grid, &mut f, &Recorder::disabled(), false);
+            f
+        };
+        let (u, f1, f2) = (field(1), field(2), field(3));
+        let mut w = Field::zeros(&dev, &grid);
+        let mean_of_5 = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            for _ in 0..5 {
+                f();
+            }
+            t.elapsed().as_secs_f64() / 5.0
+        };
+        let (mut apply, mut combine) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..12 {
+            apply = apply.min(mean_of_5(&mut || lap.apply(&dev, INFO_APPLY, &u, &mut w)));
+            combine = combine.min(mean_of_5(&mut || {
+                let terms = [(&u, 1.5), (&f1, -0.5), (&f2, 0.25)];
+                lap.apply_combine(&dev, INFO_APPLY, &u, &mut w, -0.1, terms)
+            }));
+        }
+        let ratio = combine / apply;
+        println!(
+            "apply {:.0} us, combine(3 terms) {:.0} us, ratio {ratio:.2}",
+            apply * 1e6,
+            combine * 1e6
+        );
+        assert!(
+            ratio <= 2.5,
+            "apply_combine with 3 terms costs {ratio:.2}x plain apply per cell (bound 2.5x)"
+        );
+    }
+
+    #[test]
     fn bench_json_lands_at_repo_root() {
         #[derive(Serialize)]
         struct Payload {

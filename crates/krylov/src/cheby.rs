@@ -142,8 +142,11 @@ impl<T: Scalar> ChebyshevIteration<T> {
 
     /// Run `iterMax` sweeps of Algorithm 4, writing `x ≈ A⁻¹ b`.
     ///
-    /// `b`'s ghost layers are refreshed (its interior is unchanged);
-    /// returns the number of sweeps performed.
+    /// The last sweep writes straight into `x`'s interior — no trailing
+    /// full-field copy — so `x`'s ghost layers are left as they were
+    /// (like every sweep output, they are the caller's to refresh before
+    /// a stencil reads them). `b`'s ghost layers are refreshed (its
+    /// interior is unchanged); returns the number of sweeps performed.
     pub fn solve<D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
@@ -165,24 +168,32 @@ impl<T: Scalar> ChebyshevIteration<T> {
         let c1 = T::from_f64(4.0 * rho_cur / delta);
         let ca = T::from_f64(-2.0 * rho_cur / (delta * theta));
         let inv_theta = T::from_f64(1.0 / theta);
+        let y1 = if self.iterations == 1 {
+            &mut *x
+        } else {
+            &mut self.y
+        };
         if overlap {
             let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, b);
             apply_physical_bcs(&ctx.grid, b, &ctx.recorder, false);
             crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine_interior(&ctx.dev, INFO_CI1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine_interior(&ctx.dev, INFO_CI1, b, y1, ca, [(b, c1)]);
             ctx.halo.finish(&ctx.dev, &ctx.comm, pending, b);
             ctx.lap
-                .apply_combine_shell(&ctx.dev, INFO_CI1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine_shell(&ctx.dev, INFO_CI1, b, y1, ca, [(b, c1)]);
         } else {
             // MPI1 + KernelNeumannBCs on b
             refresh_ghosts(self.mode, ctx, b);
             crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine(&ctx.dev, INFO_CI1, b, &mut self.y, ca, &[(b, c1)]);
+                .apply_combine(&ctx.dev, INFO_CI1, b, y1, ca, [(b, c1)]);
         }
 
-        for _i in 2..=self.iterations {
+        for i in 2..=self.iterations {
+            // the last sweep lands in `x`, the others in the scratch `w`
+            let last = i == self.iterations;
+            let w_mut = if last { &mut *x } else { &mut self.w };
             // host-side ρ recurrence (the only CPU work in the CI loop)
             rho_old = rho_cur;
             rho_cur = 1.0 / (2.0 * sigma - rho_old);
@@ -195,44 +206,44 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 // MPI2 in flight behind BCs + the deep-interior sweep
                 let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &self.y);
                 apply_physical_bcs(&ctx.grid, &mut self.y, &ctx.recorder, false);
-                let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
+                let (y_ref, z_ref) = (&self.y, &self.z);
                 ctx.lap.apply_combine_interior(
                     &ctx.dev,
                     INFO_CI2,
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b, cb), (z_ref, cz)],
                 );
                 ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut self.y);
-                let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
+                let (y_ref, z_ref) = (&self.y, &self.z);
                 ctx.lap.apply_combine_shell(
                     &ctx.dev,
                     INFO_CI2,
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b, cb), (z_ref, cz)],
                 );
             } else {
                 // MPI2 + KernelNeumannBCs on y
                 refresh_ghosts(self.mode, ctx, &mut self.y);
-                // borrow juggling: compute into `w` from (y, b, z)
-                let (y_ref, z_ref, w_mut) = (&self.y, &self.z, &mut self.w);
+                let (y_ref, z_ref) = (&self.y, &self.z);
                 ctx.lap.apply_combine(
                     &ctx.dev,
                     INFO_CI2,
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b, cb), (z_ref, cz)],
                 );
             }
-            // pointer rotation: z ← y, y ← w (w's old storage becomes scratch)
-            self.z.swap(&mut self.y);
-            self.y.swap(&mut self.w);
+            if !last {
+                // pointer rotation: z ← y, y ← w (w's old storage becomes scratch)
+                self.z.swap(&mut self.y);
+                self.y.swap(&mut self.w);
+            }
         }
-        x.copy_from(&self.y);
         self.iterations
     }
 }

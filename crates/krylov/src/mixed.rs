@@ -171,7 +171,7 @@ impl MixedChebyshev {
                 &self.b32,
                 &mut self.y,
                 ca,
-                &[(&self.b32, c1)],
+                [(&self.b32, c1)],
             );
             ctx.halo
                 .finish_f32(&ctx.dev, &ctx.comm, pending, &mut self.b32);
@@ -181,7 +181,7 @@ impl MixedChebyshev {
                 &self.b32,
                 &mut self.y,
                 ca,
-                &[(&self.b32, c1)],
+                [(&self.b32, c1)],
             );
         } else {
             refresh_ghosts_f32(self.mode, ctx, &mut self.b32);
@@ -199,7 +199,7 @@ impl MixedChebyshev {
                 &self.b32,
                 &mut self.y,
                 ca,
-                &[(&self.b32, c1)],
+                [(&self.b32, c1)],
             );
         }
 
@@ -222,7 +222,7 @@ impl MixedChebyshev {
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b_ref, cb), (z_ref, cz)],
                 );
                 ctx.halo
                     .finish_f32(&ctx.dev, &ctx.comm, pending, &mut self.y);
@@ -233,7 +233,7 @@ impl MixedChebyshev {
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b_ref, cb), (z_ref, cz)],
                 );
             } else {
                 refresh_ghosts_f32(self.mode, ctx, &mut self.y);
@@ -244,14 +244,16 @@ impl MixedChebyshev {
                     y_ref,
                     w_mut,
                     ca,
-                    &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
+                    [(y_ref, cy), (b_ref, cb), (z_ref, cz)],
                 );
             }
             // pointer rotation: z ← y, y ← w
             self.z.swap(&mut self.y);
             self.y.swap(&mut self.w);
         }
-        // Exact widening on exit: every f32 is representable in f64.
+        // Exact widening on exit: every f32 is representable in f64. (The
+        // f64 iteration writes its last sweep straight into `x`; here `y`
+        // and `x` differ in element type, so this sweep has to stay.)
         cast_up(&ctx.dev, INFO_CAST_UP, &ctx.grid, x, &self.y);
         self.iterations
     }

@@ -99,7 +99,7 @@ impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for Richa
                 z_ref,
                 scratch_mut,
                 -tau,
-                &[(z_ref, T::ONE), (rhs, tau)],
+                [(z_ref, T::ONE), (rhs, tau)],
             );
             self.z.swap(&mut self.scratch);
         }

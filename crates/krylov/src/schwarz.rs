@@ -166,7 +166,7 @@ impl<T: Scalar> RasPrec<T> {
         let ca = T::from_f64(-2.0 * rho_cur / (delta * theta));
         let (b_ref, y_mut) = (&self.b_ext, &mut self.y);
         self.ext_lap
-            .apply_combine(&ctx.dev, INFO_CI1, b_ref, y_mut, ca, &[(b_ref, c1)]);
+            .apply_combine(&ctx.dev, INFO_CI1, b_ref, y_mut, ca, [(b_ref, c1)]);
         for _ in 2..=self.iterations {
             rho_old = rho_cur;
             rho_cur = 1.0 / (2.0 * sigma - rho_old);
@@ -182,7 +182,7 @@ impl<T: Scalar> RasPrec<T> {
                 y_ref,
                 w_mut,
                 ca,
-                &[(y_ref, cy), (b_ref, cb), (z_ref, cz)],
+                [(y_ref, cy), (b_ref, cb), (z_ref, cz)],
             );
             self.z.swap(&mut self.y);
             self.y.swap(&mut self.w);

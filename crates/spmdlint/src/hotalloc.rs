@@ -48,6 +48,10 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "apply_combine_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_combine_shell"),
     ("crates/stencil/src/laplacian.rs", "combine_on_map"),
+    // The 7-point row core every sweep above runs through.
+    ("crates/stencil/src/laplacian.rs", "row_core"),
+    ("crates/stencil/src/laplacian.rs", "stencil_row"),
+    ("crates/stencil/src/laplacian.rs", "apply_row"),
     ("crates/stencil/src/laplacian.rs", "apply_interior_dot"),
     ("crates/stencil/src/laplacian.rs", "apply_shell_dot"),
     ("crates/stencil/src/laplacian.rs", "fold"),

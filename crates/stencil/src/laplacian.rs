@@ -32,6 +32,52 @@ pub struct Laplacian {
     grid: BlockGrid,
 }
 
+/// The 7-point row core: per-axis `1/h²` and the padded strides — all a
+/// row of the stencil needs besides its input. Every sweep of
+/// [`Laplacian`] computes its rows through [`RowCore::stencil_row`], the
+/// only copy of the stencil arithmetic.
+#[derive(Clone, Copy)]
+struct RowCore<T> {
+    c: [T; 3],
+    sy: usize,
+    sz: usize,
+}
+
+impl<T: Scalar> RowCore<T> {
+    /// `row[i] = post(i, (A u)[b + i])` for the row of `u` starting at
+    /// padded offset `b`.
+    ///
+    /// The seven input windows are sliced once per row (one bounds check
+    /// each, so a window reaching outside `us` still panics), all to the
+    /// row's length; the loop over `0..n` is then unit-stride with no
+    /// index check or branch left in it, which is what lets the compiler
+    /// vectorise it. `post` must keep that property: index only windows
+    /// pre-sliced to `row.len()`.
+    #[inline(always)]
+    fn stencil_row(&self, us: &[T], b: usize, row: &mut [T], post: impl Fn(usize, T) -> T) {
+        let n = row.len();
+        let [cx, cy, cz] = self.c;
+        let two = T::from_f64(2.0);
+        let win = |start: usize| &us[start..start + n];
+        let (uc, xm, xp) = (win(b), win(b - 1), win(b + 1));
+        let (ym, yp) = (win(b - self.sy), win(b + self.sy));
+        let (zm, zp) = (win(b - self.sz), win(b + self.sz));
+        for (i, out) in row.iter_mut().enumerate() {
+            let c = uc[i];
+            let au = cx * (two * c - xm[i] - xp[i])
+                + cy * (two * c - ym[i] - yp[i])
+                + cz * (two * c - zm[i] - zp[i]);
+            *out = post(i, au);
+        }
+    }
+
+    /// `row = (A u)[b..b + row.len()]`.
+    #[inline(always)]
+    fn apply_row(&self, us: &[T], b: usize, row: &mut [T]) {
+        self.stencil_row(us, b, row, |_, au| au);
+    }
+}
+
 impl Laplacian {
     /// Build the operator for a subdomain.
     ///
@@ -84,11 +130,14 @@ impl Laplacian {
     }
 
     #[inline(always)]
-    fn coeffs<T: Scalar>(&self) -> ([T; 3], usize, usize) {
+    fn row_core<T: Scalar>(&self) -> RowCore<T> {
         let h = self.grid.global.h;
-        let c: [T; 3] = std::array::from_fn(|a| T::from_f64(1.0 / (h[a] * h[a])));
         let p = self.grid.padded();
-        (c, p[0], p[0] * p[1])
+        RowCore {
+            c: std::array::from_fn(|a| T::from_f64(1.0 / (h[a] * h[a]))),
+            sy: p[0],
+            sz: p[0] * p[1],
+        }
     }
 
     /// `w = A u` over the interior. `u`'s ghosts must be current.
@@ -118,19 +167,11 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let us = u.as_slice();
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_rows(info, map, w.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
-            }
+            let b = map.row_offset(j, k);
+            core.apply_row(us, b, row);
         });
     }
 
@@ -187,22 +228,14 @@ impl Laplacian {
         w: &mut Field<T>,
         g: &Field<T>,
     ) -> T {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let us = u.as_slice();
         let gs = g.as_slice();
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         let [dot] = dev.launch_rows_reduce(info, map, w.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
-            }
+            let b = map.row_offset(j, k);
+            core.apply_row(us, b, row);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i])]
         });
@@ -210,34 +243,35 @@ impl Laplacian {
     }
 
     /// Fused affine stencil sweep: `out = ca * (A u) + sum_i c_i * f_i`
-    /// over the interior, with up to three extra fields.
+    /// over the interior; the number of extra fields is part of the type,
+    /// so the term loop unrolls at compile time.
     ///
     /// This is the shape of the Chebyshev kernels of Algorithm 4:
     /// `KernelCI1` is `y = c1*b + ca*(A b)` and `KernelCI2` is
     /// `w = c1*y + c2*b + c3*z + ca*(A y)` — one stencil sweep each, no
     /// reductions (the iteration is reduction-free by construction).
-    pub fn apply_combine<T: Scalar, D: Device>(
+    pub fn apply_combine<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
         self.combine_on_map(dev, info, self.grid.interior_map(), u, out, ca, terms);
     }
 
     /// [`Laplacian::apply_combine`] over the deep interior only (see
     /// [`Laplacian::apply_interior`] for the overlap contract).
-    pub fn apply_combine_interior<T: Scalar, D: Device>(
+    pub fn apply_combine_interior<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
         if let Some(map) = RowMap::halo_deep_interior(self.local_extent()) {
             self.combine_on_map(dev, info, map, u, out, ca, terms);
@@ -246,14 +280,14 @@ impl Laplacian {
 
     /// [`Laplacian::apply_combine`] over the ghost-adjacent shell (see
     /// [`Laplacian::apply_shell`] for the overlap contract).
-    pub fn apply_combine_shell<T: Scalar, D: Device>(
+    pub fn apply_combine_shell<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
         for map in RowMap::halo_shell(self.local_extent()) {
             self.combine_on_map(dev, info, map, u, out, ca, terms);
@@ -261,7 +295,7 @@ impl Laplacian {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn combine_on_map<T: Scalar, D: Device>(
+    fn combine_on_map<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
@@ -269,40 +303,21 @@ impl Laplacian {
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
-        terms: &[(&Field<T>, T)],
+        terms: [(&Field<T>, T); N],
     ) {
-        assert!(
-            terms.len() <= 3,
-            "apply_combine supports at most 3 extra terms"
-        );
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let us = u.as_slice();
-        // At most 3 terms (asserted above): resolve the slices into fixed
-        // stack storage — this runs per shell piece in the preconditioner
-        // hot loop, where a heap `collect` would violate the solver's
-        // steady-state zero-allocation guarantee.
-        let empty: &[T] = &[];
-        let mut resolved = [(empty, T::ZERO); 3];
-        for (slot, (f, c)) in resolved.iter_mut().zip(terms) {
-            *slot = (f.as_slice(), *c);
-        }
-        let term_slices = &resolved[..terms.len()];
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
+        let fs = terms.map(|(f, c)| (f.as_slice(), c));
         dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            for (i, o) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                let au = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
+            let b = map.row_offset(j, k);
+            let ws = fs.map(|(f, c)| (&f[b..b + row.len()], c));
+            core.stencil_row(us, b, row, |i, au| {
                 let mut v = ca * au;
-                for (f, coeff) in term_slices {
-                    v += *coeff * f[c];
+                for (f, c) in &ws {
+                    v += *c * f[i];
                 }
-                *o = v;
-            }
+                v
+            });
         });
     }
 
@@ -318,22 +333,14 @@ impl Laplacian {
         t: &mut Field<T>,
         r: &Field<T>,
     ) -> (T, T) {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let us = u.as_slice();
         let rs = r.as_slice();
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         let [tr, tt] = dev.launch_rows_reduce(info, map, t.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
-            }
+            let b = map.row_offset(j, k);
+            core.apply_row(us, b, row);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [
                 fold_row_edge_last(row.len(), mid, |i| row[i] * rs[b + i]),
@@ -358,23 +365,15 @@ impl Laplacian {
         r: &Field<T>,
         g: &Field<T>,
     ) -> (T, T, T) {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
         let us = u.as_slice();
         let rs = r.as_slice();
         let gs = g.as_slice();
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         let [tr, tt, gt] = dev.launch_rows_reduce(info, map, t.as_mut_slice(), |j, k, row| {
-            let b = base0 + j * sy + k * sz;
-            for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = us[c];
-                *out = cx * (two * uc - us[c - 1] - us[c + 1])
-                    + cy * (two * uc - us[c - sy] - us[c + sy])
-                    + cz * (two * uc - us[c - sz] - us[c + sz]);
-            }
+            let b = map.row_offset(j, k);
+            core.apply_row(us, b, row);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [
                 fold_row_edge_last(row.len(), mid, |i| row[i] * rs[b + i]),
@@ -404,21 +403,13 @@ impl Laplacian {
     ) {
         assert_eq!(us.len(), ws.len(), "lane count mismatch");
         assert_eq!(us.len(), gs.len(), "lane count mismatch");
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_lanes_reduce(info, map, ws, accs, |s, j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let b = map.row_offset(j, k);
             let (usl, gsl) = (us[s], gs[s]);
-            for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = usl[c];
-                *out = cx * (two * uc - usl[c - 1] - usl[c + 1])
-                    + cy * (two * uc - usl[c - sy] - usl[c + sy])
-                    + cz * (two * uc - usl[c - sz] - usl[c + sz]);
-            }
+            core.apply_row(usl, b, row);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
         });
@@ -443,21 +434,13 @@ impl Laplacian {
         assert_eq!(us.len(), ts.len(), "lane count mismatch");
         assert_eq!(us.len(), rs.len(), "lane count mismatch");
         assert_eq!(us.len(), gs.len(), "lane count mismatch");
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_lanes_reduce(info, map, ts, accs, |s, j, k, row| {
-            let b = base0 + j * sy + k * sz;
+            let b = map.row_offset(j, k);
             let (usl, rsl, gsl) = (us[s], rs[s], gs[s]);
-            for (i, out) in row.iter_mut().enumerate() {
-                let c = b + i;
-                let uc = usl[c];
-                *out = cx * (two * uc - usl[c - 1] - usl[c + 1])
-                    + cy * (two * uc - usl[c - sy] - usl[c + sy])
-                    + cz * (two * uc - usl[c - sz] - usl[c + sz]);
-            }
+            core.apply_row(usl, b, row);
             let mid = row_has_deep_middle(nx, ny, nz, j, k);
             [
                 fold_row_edge_last(row.len(), mid, |i| row[i] * rsl[b + i]),
@@ -489,10 +472,8 @@ impl Laplacian {
     ) where
         F: Fn(usize, T) -> [T; NR] + Sync,
     {
-        let ([cx, cy, cz], sy, sz) = self.coeffs::<T>();
+        let core = self.row_core::<T>();
         let us = u.as_slice();
-        let base0 = map.base;
-        let two = T::from_f64(2.0);
         dev.launch_rows2(
             info,
             map,
@@ -500,16 +481,11 @@ impl Laplacian {
             slot_map,
             slots,
             |j, k, row, slot| {
-                let b = base0 + j * sy + k * sz;
+                let b = map.row_offset(j, k);
+                core.apply_row(us, b, row);
                 let mut acc = [T::ZERO; NR];
-                for (i, out) in row.iter_mut().enumerate() {
-                    let c = b + i;
-                    let uc = us[c];
-                    let v = cx * (two * uc - us[c - 1] - us[c + 1])
-                        + cy * (two * uc - us[c - sy] - us[c + sy])
-                        + cz * (two * uc - us[c - sz] - us[c + sz]);
-                    *out = v;
-                    acc = accel::add_partials(acc, terms(c, v));
+                for (i, &v) in row.iter().enumerate() {
+                    acc = accel::add_partials(acc, terms(b + i, v));
                 }
                 if accumulate {
                     for (s, a) in slot.iter_mut().zip(acc) {
@@ -659,59 +635,50 @@ pub fn apply_physical_bcs<T: Scalar>(
     restricted: bool,
 ) {
     let n = grid.local_n;
+    let [px, py, _] = grid.padded();
+    let stride = [1, px, px * py];
+    let data = field.as_mut_slice();
     let mut ghost_elems = 0usize;
     for axis in 0..3 {
         for side in 0..2 {
-            enum Action {
-                Mirror,
-                Zero,
-                Skip,
-            }
-            let action = match (grid.boundary(axis, side), restricted) {
-                (LocalBoundary::Physical(BcKind::Neumann), _) => Action::Mirror,
-                (LocalBoundary::Physical(BcKind::Dirichlet), _) => Action::Zero,
-                (LocalBoundary::Interface { .. }, true) => Action::Zero,
-                (LocalBoundary::Interface { .. }, false) => Action::Skip,
+            let mirror = match (grid.boundary(axis, side), restricted) {
+                (LocalBoundary::Physical(BcKind::Neumann), _) => true,
+                (LocalBoundary::Physical(BcKind::Dirichlet), _) => false,
+                (LocalBoundary::Interface { .. }, true) => false,
+                (LocalBoundary::Interface { .. }, false) => continue,
             };
-            if matches!(action, Action::Skip) {
-                continue;
-            }
             // ghost plane coordinate and its mirror (one-in from the
             // boundary node, i.e. two steps from the ghost)
-            let (ghost, mirror) = if side == 0 {
+            let (ghost, source) = if side == 0 {
                 (0, 2)
             } else {
                 (n[axis] + 1, n[axis] - 1)
             };
-            let (pa, pb) = match axis {
-                0 => (n[1], n[2]),
-                1 => (n[0], n[2]),
-                _ => (n[0], n[1]),
-            };
-            ghost_elems += pa * pb;
-            let data = field.as_mut_slice();
-            for b in 1..=pb {
-                for a in 1..=pa {
-                    let (gi, mi) = match axis {
-                        0 => (field_idx(grid, ghost, a, b), field_idx(grid, mirror, a, b)),
-                        1 => (field_idx(grid, a, ghost, b), field_idx(grid, a, mirror, b)),
-                        _ => (field_idx(grid, a, b, ghost), field_idx(grid, a, b, mirror)),
-                    };
-                    data[gi] = match action {
-                        Action::Mirror => data[mi],
-                        Action::Zero => T::ZERO,
-                        Action::Skip => unreachable!(),
-                    };
+            let (g, m) = (ghost * stride[axis], source * stride[axis]);
+            ghost_elems += n[(axis + 1) % 3] * n[(axis + 2) % 3];
+            if axis == 0 {
+                // one cell per (j, k) row, a padded row apart
+                for k in 1..=n[2] {
+                    for j in 1..=n[1] {
+                        let r = j * stride[1] + k * stride[2];
+                        data[r + g] = if mirror { data[r + m] } else { T::ZERO };
+                    }
+                }
+            } else {
+                // one unit-stride row of n[0] cells per line of the face
+                let other = 3 - axis;
+                for t in 1..=n[other] {
+                    let r = 1 + t * stride[other];
+                    if mirror {
+                        data.copy_within(r + m..r + m + n[0], r + g);
+                    } else {
+                        data[r + g..r + g + n[0]].fill(T::ZERO);
+                    }
                 }
             }
         }
     }
     recorder.kernel(INFO_NEUMANN_BCS, ghost_elems);
-}
-
-#[inline(always)]
-fn field_idx(grid: &BlockGrid, i: usize, j: usize, k: usize) -> usize {
-    grid.idx(i, j, k)
 }
 
 #[cfg(test)]
@@ -902,7 +869,7 @@ mod tests {
         let f2 = Field::from_interior(&dev, &grid, &f2v);
         let mut out = Field::zeros(&dev, &grid);
         let (ca, c1, c2) = (0.25, -1.5, 2.0);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, ca, &[(&f1, c1), (&f2, c2)]);
+        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, ca, [(&f1, c1), (&f2, c2)]);
         // reference: separate apply then axpys
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
@@ -926,7 +893,7 @@ mod tests {
         let mut u = Field::from_interior(&dev, &grid, &uv);
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let mut out = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, -1.0, &[]);
+        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, -1.0, []);
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
         let a = out.interior_to_host(&grid);
@@ -1109,11 +1076,318 @@ mod tests {
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let f1 = Field::from_interior(&dev, &grid, &f1v);
         let mut full = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut full, 0.5, &[(&f1, -2.0)]);
+        lap.apply_combine(&dev, INFO_APPLY, &u, &mut full, 0.5, [(&f1, -2.0)]);
         let mut split = Field::zeros(&dev, &grid);
-        lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.5, &[(&f1, -2.0)]);
-        lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.5, &[(&f1, -2.0)]);
+        lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.5, [(&f1, -2.0)]);
+        lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.5, [(&f1, -2.0)]);
         assert_eq!(full.interior_to_host(&grid), split.interior_to_host(&grid));
+    }
+
+    /// The indexed scalar body the row core replaced, kept as the oracle:
+    /// per-element `us[c ± s]` indexing and a runtime-length term loop
+    /// over the interior rows, no device, no windows.
+    fn oracle_combine<T: Scalar>(
+        lap: &Laplacian,
+        u: &Field<T>,
+        out: &mut Field<T>,
+        ca: T,
+        terms: &[(&Field<T>, T)],
+    ) {
+        let map = lap.grid().interior_map();
+        let RowCore {
+            c: [cx, cy, cz],
+            sy,
+            sz,
+        } = lap.row_core::<T>();
+        let us = u.as_slice();
+        let two = T::from_f64(2.0);
+        for k in 0..map.nz {
+            for j in 0..map.ny {
+                let b = map.row_offset(j, k);
+                for c in b..b + map.len {
+                    let uc = us[c];
+                    let au = cx * (two * uc - us[c - 1] - us[c + 1])
+                        + cy * (two * uc - us[c - sy] - us[c + sy])
+                        + cz * (two * uc - us[c - sz] - us[c + sz]);
+                    let mut v = ca * au;
+                    for (f, coeff) in terms {
+                        v += *coeff * f.as_slice()[c];
+                    }
+                    out.as_mut_slice()[c] = v;
+                }
+            }
+        }
+    }
+
+    /// A field whose *whole* padded array (ghosts included) is random.
+    fn random_padded<T: Scalar, D: Device>(dev: &D, grid: &BlockGrid, seed: u64) -> Field<T> {
+        let mut f = Field::zeros(dev, grid);
+        for (d, v) in f
+            .as_mut_slice()
+            .iter_mut()
+            .zip(rng_values(grid.padded_len(), seed))
+        {
+            *d = T::from_f64(v);
+        }
+        f
+    }
+
+    fn assert_bitwise<T: Scalar>(got: &Field<T>, want: &Field<T>, what: &str) {
+        for (c, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                g.to_f64().to_bits(),
+                w.to_f64().to_bits(),
+                "{what}: padded cell {c}: {g} vs oracle {w}"
+            );
+        }
+    }
+
+    /// Monolithic and interior+shell `apply_combine` with `N` terms
+    /// against the oracle, whole padded array (so a write outside the
+    /// interior shows too).
+    fn check_combine<T: Scalar, D: Device, const N: usize>(
+        dev: &D,
+        lap: &Laplacian,
+        fields: &[Field<T>; 4],
+        what: &str,
+    ) {
+        let grid = lap.grid();
+        let coef = [1.75, -0.375, 0.0625].map(T::from_f64);
+        let ca = T::from_f64(-0.3125);
+        let terms: [(&Field<T>, T); N] = std::array::from_fn(|i| (&fields[i + 1], coef[i]));
+        let mut want = random_padded::<T, D>(dev, grid, 99);
+        let (mut mono, mut split) = (want.clone(), want.clone());
+        oracle_combine(lap, &fields[0], &mut want, ca, &terms);
+        lap.apply_combine(dev, INFO_APPLY, &fields[0], &mut mono, ca, terms);
+        lap.apply_combine_interior(dev, INFO_APPLY, &fields[0], &mut split, ca, terms);
+        lap.apply_combine_shell(dev, INFO_APPLY, &fields[0], &mut split, ca, terms);
+        assert_bitwise(&mono, &want, &format!("{what} N={N} monolithic"));
+        assert_bitwise(&split, &want, &format!("{what} N={N} split"));
+    }
+
+    /// Every sweep of the operator against the oracle on one back-end.
+    fn check_row_core<T: Scalar, D: Device>(dev: &D, n: [usize; 3], seed: u64, what: &str) {
+        let grid = single_rank_grid(n, [[BcKind::Dirichlet; 2]; 3]);
+        let lap = Laplacian::new(&grid);
+        let fields: [Field<T>; 4] =
+            std::array::from_fn(|i| random_padded::<T, D>(dev, &grid, seed + i as u64));
+        check_combine::<T, D, 0>(dev, &lap, &fields, what);
+        check_combine::<T, D, 1>(dev, &lap, &fields, what);
+        check_combine::<T, D, 2>(dev, &lap, &fields, what);
+        check_combine::<T, D, 3>(dev, &lap, &fields, what);
+
+        // the plain and dot-fused sweeps write the same field: 1 * (A u)
+        let [u, r, g, _] = &fields;
+        let mut want = random_padded::<T, D>(dev, &grid, 99);
+        let mut got: [Field<T>; 6] = std::array::from_fn(|_| want.clone());
+        oracle_combine(&lap, u, &mut want, T::ONE, &[]);
+        let [plain, split, dot1, dot2, dot3, split_dot] = &mut got;
+        lap.apply(dev, INFO_APPLY, u, plain);
+        lap.apply_interior(dev, INFO_APPLY, u, split);
+        lap.apply_shell(dev, INFO_APPLY, u, split);
+        let _ = lap.apply_fused_dot(dev, INFO_APPLY, u, dot1, g);
+        let _ = lap.apply_fused_dot2(dev, INFO_APPLY, u, dot2, r);
+        let _ = lap.apply_fused_dot3(dev, INFO_APPLY, u, dot3, r, g);
+        let mut slots = vec![T::ZERO; lap.slot_len(1)];
+        let terms = |c: usize, v: T| [g.as_slice()[c] * v];
+        lap.apply_interior_dot(dev, INFO_APPLY, u, split_dot, &mut slots, &terms);
+        let _ = lap
+            .apply_shell_dot(dev, INFO_APPLY, u, split_dot, &mut slots, &terms)
+            .fold(dev, INFO_APPLY, &slots);
+        for (f, name) in got.iter().zip([
+            "apply",
+            "apply split",
+            "fused_dot",
+            "fused_dot2",
+            "fused_dot3",
+            "split dot",
+        ]) {
+            assert_bitwise(f, &want, &format!("{what} {name}"));
+        }
+    }
+
+    mod row_core_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Extents that stress the windows: 1- and 2-cell-thick blocks
+        /// (no deep interior, x-shell rows of length 1), the first primes,
+        /// and whatever else 1..14 draws; the three axes independently,
+        /// so boxes are non-cubic.
+        fn extent() -> impl Strategy<Value = usize> {
+            prop_oneof![
+                Just(1usize),
+                Just(2),
+                Just(3),
+                Just(5),
+                Just(7),
+                Just(11),
+                Just(13),
+                1usize..14
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn row_core_bitwise_matches_scalar_oracle(
+                nx in extent(), ny in extent(), nz in extent(), seed in 1u64..1 << 40,
+            ) {
+                let n = [nx, ny, nz];
+                let serial = Serial::new(Recorder::disabled());
+                let threads = Threads::new(3, Recorder::disabled());
+                let gpu = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
+                check_row_core::<f64, _>(&serial, n, seed, &format!("{n:?} f64 serial"));
+                check_row_core::<f32, _>(&serial, n, seed, &format!("{n:?} f32 serial"));
+                check_row_core::<f64, _>(&threads, n, seed, &format!("{n:?} f64 threads"));
+                check_row_core::<f32, _>(&threads, n, seed, &format!("{n:?} f32 threads"));
+                check_row_core::<f64, _>(&gpu, n, seed, &format!("{n:?} f64 simgpu"));
+                check_row_core::<f32, _>(&gpu, n, seed, &format!("{n:?} f32 simgpu"));
+            }
+        }
+    }
+
+    #[test]
+    fn windows_read_exactly_the_seven_point_neighbourhood() {
+        // Poison everything a 7-point sweep over the interior must not
+        // touch: the edge and corner ghosts of `u` (two or more padded
+        // coordinates on the boundary) and every ghost of the term
+        // fields. One NaN read would surface in the output; the output's
+        // own ghosts must come back as they went in.
+        for n in [[4usize, 3, 5], [1, 1, 7], [2, 6, 1], [3, 3, 3]] {
+            let grid = single_rank_grid(n, [[BcKind::Dirichlet; 2]; 3]);
+            let dev = Serial::new(Recorder::disabled());
+            let lap = Laplacian::new(&grid);
+            let p = grid.padded();
+            let poison = |f: &mut Field<f64>, min_faces: usize| {
+                for k in 0..p[2] {
+                    for j in 0..p[1] {
+                        for i in 0..p[0] {
+                            let faces = [(i, p[0]), (j, p[1]), (k, p[2])]
+                                .iter()
+                                .filter(|(c, pc)| *c == 0 || *c == pc - 1)
+                                .count();
+                            if faces >= min_faces {
+                                let c = grid.idx(i, j, k);
+                                f.as_mut_slice()[c] = f64::NAN;
+                            }
+                        }
+                    }
+                }
+            };
+            let run = |poisoned: bool| {
+                let mut u = random_padded::<f64, _>(&dev, &grid, 5);
+                let mut f1 = random_padded::<f64, _>(&dev, &grid, 6);
+                let mut out = random_padded::<f64, _>(&dev, &grid, 7);
+                if poisoned {
+                    poison(&mut u, 2);
+                    poison(&mut f1, 1);
+                    poison(&mut out, 1);
+                }
+                let mut split = out.clone();
+                let terms = [(&u, 0.5), (&f1, -2.0)];
+                lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, 0.25, terms);
+                lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.25, terms);
+                lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.25, terms);
+                (out, split)
+            };
+            let (clean, _) = run(false);
+            let (mono, split) = run(true);
+            let want = clean.interior_to_host(&grid);
+            for got in [&mono, &split] {
+                let interior = got.interior_to_host(&grid);
+                assert!(
+                    interior.iter().all(|v| v.is_finite()),
+                    "{n:?}: a window read a poisoned ghost"
+                );
+                assert_eq!(interior, want, "{n:?}");
+                let nans = got.as_slice().iter().filter(|v| v.is_nan()).count();
+                assert_eq!(
+                    nans,
+                    grid.padded_len() - grid.global.unknowns(),
+                    "{n:?}: the sweep wrote outside the interior"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn physical_bcs_match_per_cell_reference() {
+        // The row-wise ghost update against the per-cell definition, on
+        // the whole padded array: same cells written, same values, same
+        // recorded element count.
+        let bcs = [
+            [
+                [BcKind::Dirichlet, BcKind::Neumann],
+                [BcKind::Neumann, BcKind::Dirichlet],
+                [BcKind::Neumann, BcKind::Neumann],
+            ],
+            [[BcKind::Neumann, BcKind::Dirichlet]; 3],
+        ];
+        for (n, bc) in [
+            ([4usize, 3, 5], bcs[0]),
+            ([2, 7, 2], bcs[1]),
+            ([5, 2, 3], bcs[0]),
+        ] {
+            for (decomp, rank, restricted) in [
+                (Decomp::single(), 0, false),
+                (Decomp::new([2, 1, 1]), 0, true),
+                (Decomp::new([1, 2, 1]), 1, false),
+                (Decomp::new([1, 1, 2]), 1, true),
+            ] {
+                let mut g = GlobalGrid::dirichlet(
+                    std::array::from_fn(|a| n[a] * decomp.ns[a]),
+                    [0.3, 0.5, 0.7],
+                    [0.0; 3],
+                );
+                g.bc = bc;
+                let grid = BlockGrid::new(g, decomp, rank);
+                let dev = Serial::new(Recorder::disabled());
+                let mut got = random_padded::<f64, _>(&dev, &grid, 31);
+                let mut want = got.clone();
+                let rec = Recorder::enabled();
+                apply_physical_bcs(&grid, &mut got, &rec, restricted);
+
+                let ln = grid.local_n;
+                let mut elems = 0;
+                for axis in 0..3 {
+                    for side in 0..2 {
+                        let mirror = match (grid.boundary(axis, side), restricted) {
+                            (LocalBoundary::Physical(BcKind::Neumann), _) => true,
+                            (LocalBoundary::Interface { .. }, false) => continue,
+                            _ => false,
+                        };
+                        let (ghost, src) = [(0, 2), (ln[axis] + 1, ln[axis] - 1)][side];
+                        let (a1, a2) = ((axis + 1) % 3, (axis + 2) % 3);
+                        for q in 1..=ln[a2] {
+                            for p in 1..=ln[a1] {
+                                let at = |plane: usize| {
+                                    let mut ijk = [0; 3];
+                                    (ijk[axis], ijk[a1], ijk[a2]) = (plane, p, q);
+                                    grid.idx(ijk[0], ijk[1], ijk[2])
+                                };
+                                let v = if mirror {
+                                    want.as_slice()[at(src)]
+                                } else {
+                                    0.0
+                                };
+                                want.as_mut_slice()[at(ghost)] = v;
+                                elems += 1;
+                            }
+                        }
+                    }
+                }
+                assert_bitwise(&got, &want, &format!("{n:?} rank {rank} bcs"));
+                let events = rec.drain();
+                assert_eq!(events.len(), 1);
+                assert!(
+                    matches!(&events[0], accel::Event::Kernel { elems: e, .. } if *e as usize == elems),
+                    "{:?} vs {elems} ghost cells",
+                    events[0]
+                );
+            }
+        }
     }
 
     #[test]
