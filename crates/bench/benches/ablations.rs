@@ -336,274 +336,173 @@ fn ablation_halo_overlap(c: &mut Criterion) {
     .expect("write BENCH_halo_overlap.json");
 }
 
-/// Split-phase batched reductions vs the blocking per-stage schedule, on
-/// a full 8-rank Bi-CGSTAB solve recorded live on the Threads back-end.
+/// The schedule ablation: the historical "paper" schedule
+/// ([`bench::run_reference`] — eleven unfused sweeps, blocking halo
+/// exchanges, three blocking reductions per iteration) against the one
+/// production schedule (five fused sweeps, split-phase halos, two
+/// batched reductions with compute posted under the first), on a full
+/// 8-rank Bi-CGSTAB solve recorded live on the Threads back-end.
 ///
 /// Same methodology as [`ablation_halo_overlap`]: the in-process
 /// communicator cannot expose allreduce latency in wall time, so the
-/// real 8-rank event streams — with their `ReduceOverlap` windows and
-/// per-message reduction counts measured, not synthesized — are replayed
-/// through the LUMI-G machine model. The model is replayed at growing
-/// *model* rank counts (its allreduce term scales with `ceil(log2 P)`
-/// software-tree stages), which is where the 3-to-2 message cut and the
-/// compute posted under each window pay off: reduction latency grows
-/// with P while the measured local compute stays fixed, exactly the
-/// strong-scaling regime of the paper's Fig. 6.
-fn ablation_reduce_overlap(c: &mut Criterion) {
+/// real per-rank event streams — sweep footprints, overlap windows and
+/// reduction messages measured, not synthesized — are replayed through
+/// the LUMI-G machine model on two grids:
+///
+/// * **model ranks 8–512** at the recorded 16³ block: the allreduce term
+///   grows with `ceil(log2 P)` while the local compute stays fixed, the
+///   strong-scaling regime of the paper's Fig. 6, where the 3-to-2
+///   message cut and the window pay off (bar: ≥ 1.15× at ≥ 256 ranks);
+/// * **local blocks 64³–320³** at 8 ranks (kernel footprints scaled by
+///   volume, halos by face area): the bandwidth-bound regime where
+///   264 → 200 B/elem of streaming traffic pays off (bar: ≥ 1.25× at
+///   ≥ 256³ per rank).
+fn ablation_schedule(c: &mut Criterion) {
     use accel::Event;
     use perfmodel::{CostBreakdown, MachineModel};
     use std::time::Duration;
 
     const RANKS: usize = 8;
+    // nodes = 33 under a 2x2x2 decomp: each rank owns a 16^3 block —
+    // the strong-scaling limit where the per-iteration dots rival the
+    // kernels.
+    const RECORDED_LOCAL: f64 = 16.0;
+    const MODEL_RANKS: [usize; 4] = [8, 64, 256, 512];
+    const LOCALS: [usize; 4] = [64, 128, 256, 320];
 
-    // Record one full solve's event stream per rank, live on Threads.
-    let record = |overlap_reduce: bool| -> (usize, Vec<Vec<Event>>) {
+    // One full solve's event stream per rank, live on Threads.
+    let record = |run: fn(&bench::RunConfig) -> bench::RunResult| -> (usize, Vec<Vec<Event>>) {
         let workers = std::thread::available_parallelism()
             .map_or(1, |p| p.get() / RANKS)
             .max(1);
         let mut cfg = bench::RunConfig::small(SolverKind::BiCgs);
-        // Global 32³ (local 16³): the strong-scaling limit where the
-        // per-iteration dots rival the kernels — the regime Fig. 6's
-        // high-rank bars show reduction latency dominating.
         cfg.nodes = 33;
         cfg.decomp = [2, 2, 2];
         cfg.device = format!("threads:{workers}");
         cfg.record_events = true;
         cfg.tol = 1e-8;
-        cfg.opts.overlap_reduce = overlap_reduce;
-        let res = bench::run_once(&cfg);
+        let res = run(&cfg);
         assert!(res.outcome.converged, "{:?}", res.outcome);
         (res.outcome.iterations, res.events)
     };
-
-    let (iters_sync, sync_streams) = record(false);
-    let (iters_over, over_streams) = record(true);
+    let (iters_ref, ref_streams) = record(bench::run_reference);
+    let (iterations, prod_streams) = record(bench::run_once);
     assert_eq!(
-        iters_sync, iters_over,
-        "batching must not change the iteration count"
+        iters_ref, iterations,
+        "the schedule must not change the iteration count"
+    );
+
+    // What separates the arms, read off the streams rather than assumed.
+    let allreduces_per_iteration = |streams: &[Vec<Event>]| {
+        bench::first_iteration_profile(&streams[0])
+            .iter()
+            .filter(|e| matches!(e, Event::AllReduce { .. }))
+            .count()
+    };
+    let allreduces = [&ref_streams, &prod_streams].map(|s| allreduces_per_iteration(s));
+    assert_eq!(allreduces, [3, 2], "allreduces per iteration");
+    let sweeps = [
+        bench::sweeps_per_iteration(bench::run_reference),
+        bench::sweeps_per_iteration(bench::run_once),
+    ];
+    assert!(
+        (sweeps[0] - 11.0).abs() < 0.01 && (sweeps[1] - 5.0).abs() < 0.01,
+        "expected 11 -> 5 sweeps per iteration, measured {sweeps:?}"
     );
 
     let machine = MachineModel::mi250x();
-    let worst = |streams: &[Vec<Event>], model_ranks: usize| -> CostBreakdown {
-        bench::worst_rank_replay(streams, &machine, model_ranks)
+    // Slowest rank's modeled solve time at `model_ranks`, with the
+    // recorded 16^3-per-rank streams scaled to a `local`^3 block.
+    let worst = |streams: &[Vec<Event>], model_ranks: usize, local: usize| -> CostBreakdown {
+        let r = local as f64 / RECORDED_LOCAL;
+        bench::worst_rank_replay_scaled(streams, &machine, model_ranks, r.powi(3), r.powi(2))
     };
+    let grid: Vec<(usize, usize)> = MODEL_RANKS
+        .iter()
+        .map(|&p| (p, RECORDED_LOCAL as usize))
+        .chain(LOCALS.iter().map(|&n| (RANKS, n)))
+        .collect();
 
-    let mut group = c.benchmark_group("ablation_reduce_overlap");
+    let mut group = c.benchmark_group("ablation_schedule");
     group.sample_size(10);
-    for model_ranks in [8usize, 64, 256, 512] {
-        group.bench_with_input(
-            BenchmarkId::new("synchronous", model_ranks),
-            &model_ranks,
-            |b, &p| b.iter_custom(|_| Duration::from_secs_f64(worst(&sync_streams, p).total_s())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("overlapped", model_ranks),
-            &model_ranks,
-            |b, &p| b.iter_custom(|_| Duration::from_secs_f64(worst(&over_streams, p).total_s())),
-        );
+    for &(p, n) in &grid {
+        let id = format!("{p}ranks_{n}cubed");
+        for (arm, streams) in [("reference", &ref_streams), ("production", &prod_streams)] {
+            group.bench_with_input(BenchmarkId::new(arm, &id), &(p, n), |b, &(p, n)| {
+                b.iter_custom(|_| Duration::from_secs_f64(worst(streams, p, n).total_s()))
+            });
+        }
     }
     group.finish();
 
     #[derive(serde::Serialize)]
     struct Row {
         model_ranks: usize,
-        synchronous: CostBreakdown,
-        overlapped: CostBreakdown,
-        speedup: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct ReduceRecord {
-        recorded_ranks: usize,
-        machine: &'static str,
-        iterations: usize,
-        rows: Vec<Row>,
-    }
-    let rows: Vec<Row> = [8usize, 64, 256, 512]
-        .iter()
-        .map(|&p| {
-            let s = worst(&sync_streams, p);
-            let o = worst(&over_streams, p);
-            let speedup = s.total_s() / o.total_s();
-            // The headline claim: at high model rank counts the batched
-            // split-phase schedule must model >= 1.15x faster.
-            if p >= 256 {
-                assert!(
-                    speedup >= 1.15,
-                    "reduce overlap below the 1.15x bar at {p} model ranks: {speedup:.3}"
-                );
-            }
-            Row {
-                model_ranks: p,
-                synchronous: s,
-                overlapped: o,
-                speedup,
-            }
-        })
-        .collect();
-    bench::write_bench_json(
-        "reduce_overlap",
-        &ReduceRecord {
-            recorded_ranks: RANKS,
-            machine: "mi250x",
-            iterations: iters_sync,
-            rows,
-        },
-    )
-    .expect("write BENCH_reduce_overlap.json");
-}
-
-/// The tentpole kernel-fusion ablation: record 8-rank Threads solves
-/// with the fused and unfused schedules, scale the per-rank streams to
-/// production-size local blocks, and replay both through the LUMI-G
-/// node model. Fusion cuts the hot path from 11 full-grid sweeps per
-/// iteration to 5 (264 B → 200 B of streaming traffic per element per
-/// iteration), so at memory-bandwidth-bound sizes the modeled
-/// per-iteration time must drop by at least the 1.25x bar.
-fn ablation_fused_kernels(c: &mut Criterion) {
-    use accel::Event;
-    use perfmodel::{CostBreakdown, MachineModel};
-    use std::time::Duration;
-
-    const RANKS: usize = 8;
-    // nodes = 33 under a 2x2x2 decomp: each rank owns a 16^3 block.
-    const RECORDED_LOCAL: f64 = 16.0;
-    const LOCALS: [usize; 4] = [64, 128, 256, 320];
-
-    let record = |fuse: bool| -> (usize, u64, Vec<Vec<Event>>) {
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get() / RANKS)
-            .max(1);
-        let mut cfg = bench::RunConfig::small(SolverKind::BiCgs);
-        cfg.nodes = 33;
-        cfg.decomp = [2, 2, 2];
-        cfg.device = format!("threads:{workers}");
-        cfg.record_events = true;
-        cfg.tol = 1e-8;
-        cfg.opts.fuse_kernels = fuse;
-        let res = bench::run_once(&cfg);
-        assert!(res.outcome.converged, "{:?}", res.outcome);
-        (
-            res.outcome.iterations,
-            res.comm_stats.allreduces,
-            res.events,
-        )
-    };
-
-    let (iters_unfused, msgs_unfused, unfused_streams) = record(false);
-    let (iters_fused, msgs_fused, fused_streams) = record(true);
-    assert_eq!(
-        iters_unfused, iters_fused,
-        "fusion must not change the iteration count"
-    );
-    assert_eq!(
-        msgs_unfused, msgs_fused,
-        "fusion must not change the reduction message count"
-    );
-
-    let machine = MachineModel::mi250x();
-    // Scale the recorded 16^3-per-rank streams to an n^3 local block
-    // (volume ratio for kernels/transfers, face ratio for halos) and
-    // take the slowest rank's modeled solve time.
-    let worst = |streams: &[Vec<Event>], local: usize| -> CostBreakdown {
-        let r = local as f64 / RECORDED_LOCAL;
-        bench::worst_rank_replay_scaled(streams, &machine, RANKS, r.powi(3), r.powi(2))
-    };
-
-    let mut group = c.benchmark_group("ablation_fused_kernels");
-    group.sample_size(10);
-    for local in LOCALS {
-        group.bench_with_input(BenchmarkId::new("unfused", local), &local, |b, &n| {
-            b.iter_custom(|_| Duration::from_secs_f64(worst(&unfused_streams, n).total_s()))
-        });
-        group.bench_with_input(BenchmarkId::new("fused", local), &local, |b, &n| {
-            b.iter_custom(|_| Duration::from_secs_f64(worst(&fused_streams, n).total_s()))
-        });
-    }
-    group.finish();
-
-    // Sweep counts from dedicated fixed-cap serial runs (the difference
-    // of two caps removes setup and drain), using the same counting
-    // rule the bench library's regression test pins to 11 -> 5.
-    let sweeps = |fuse: bool| -> f64 {
-        let run = |iters: usize| {
-            let mut cfg = bench::RunConfig::small(SolverKind::BiCgs);
-            cfg.nodes = 17;
-            cfg.tol = 1e-300;
-            cfg.max_iters = iters;
-            cfg.record_events = true;
-            cfg.opts.fuse_kernels = fuse;
-            bench::hot_sweep_elems(&bench::run_once(&cfg).events[0])
-        };
-        let (lo, interior) = run(3);
-        let (hi, _) = run(6);
-        (hi - lo) as f64 / (3 * interior) as f64
-    };
-    let sweeps_unfused = sweeps(false);
-    let sweeps_fused = sweeps(true);
-
-    #[derive(serde::Serialize)]
-    struct Row {
         local_nodes: usize,
-        unfused: CostBreakdown,
-        fused: CostBreakdown,
-        unfused_iter_s: f64,
-        fused_iter_s: f64,
+        reference: CostBreakdown,
+        production: CostBreakdown,
+        reference_iter_s: f64,
+        production_iter_s: f64,
         model_speedup: f64,
     }
     #[derive(serde::Serialize)]
-    struct FusedRecord {
+    struct ScheduleRecord {
         schema_version: u32,
         recorded_ranks: usize,
         machine: &'static str,
         iterations: usize,
-        allreduce_messages: u64,
-        sweeps_per_iteration_unfused: f64,
-        sweeps_per_iteration_fused: f64,
-        bytes_per_elem_per_iteration_unfused: u32,
-        bytes_per_elem_per_iteration_fused: u32,
+        sweeps_per_iteration: [f64; 2],
+        allreduces_per_iteration: [usize; 2],
+        bytes_per_elem_per_iteration: [u32; 2],
         rows: Vec<Row>,
     }
-    let rows: Vec<Row> = LOCALS
+    let rows: Vec<Row> = grid
         .iter()
-        .map(|&n| {
-            let u = worst(&unfused_streams, n);
-            let f = worst(&fused_streams, n);
-            let model_speedup = u.total_s() / f.total_s();
-            // The headline claim: once the local block is big enough to
-            // be bandwidth-bound, fusion must model >= 1.25x faster.
+        .map(|&(p, n)| {
+            let reference = worst(&ref_streams, p, n);
+            let production = worst(&prod_streams, p, n);
+            let model_speedup = reference.total_s() / production.total_s();
+            // The two headline claims, unchanged from the single-factor
+            // ablations this one replaces.
+            if p >= 256 {
+                assert!(
+                    model_speedup >= 1.15,
+                    "production schedule below the 1.15x bar at {p} model ranks: \
+                     {model_speedup:.3}"
+                );
+            }
             if n >= 256 {
                 assert!(
                     model_speedup >= 1.25,
-                    "kernel fusion below the 1.25x bar at {n}^3/rank: {model_speedup:.3}"
+                    "production schedule below the 1.25x bar at {n}^3/rank: {model_speedup:.3}"
                 );
             }
             Row {
+                model_ranks: p,
                 local_nodes: n,
-                unfused_iter_s: u.total_s() / iters_unfused as f64,
-                fused_iter_s: f.total_s() / iters_fused as f64,
-                unfused: u,
-                fused: f,
+                reference_iter_s: reference.total_s() / iterations as f64,
+                production_iter_s: production.total_s() / iterations as f64,
+                reference,
+                production,
                 model_speedup,
             }
         })
         .collect();
-    let record = FusedRecord {
+    let record = ScheduleRecord {
         schema_version: 1,
         recorded_ranks: RANKS,
         machine: "mi250x",
-        iterations: iters_fused,
-        allreduce_messages: msgs_fused,
-        sweeps_per_iteration_unfused: sweeps_unfused,
-        sweeps_per_iteration_fused: sweeps_fused,
-        bytes_per_elem_per_iteration_unfused: 264,
-        bytes_per_elem_per_iteration_fused: 200,
+        iterations,
+        sweeps_per_iteration: sweeps,
+        allreduces_per_iteration: allreduces,
+        bytes_per_elem_per_iteration: [264, 200],
         rows,
     };
-    bench::write_bench_json("fused_kernels", &record).expect("write BENCH_fused_kernels.json");
+    bench::write_bench_json("schedule", &record).expect("write BENCH_schedule.json");
 
     // Refresh the committed stable-schema summary artifact at the
     // repository root, so the headline figures travel with the tree.
-    bench::update_summary("fused_kernels", serde::Serialize::to_value(&record));
+    bench::update_summary("schedule", serde::Serialize::to_value(&record));
 }
 
 /// Batched multi-RHS solves: B independent single-lane solves vs one
@@ -616,7 +515,7 @@ fn ablation_fused_kernels(c: &mut Criterion) {
 /// per-launch and per-message fixed costs amortize across lanes while
 /// the streamed bytes stay proportional to B. Wall time is measured
 /// live (criterion re-runs the world per sample); the headline claim is
-/// modeled, same methodology as [`ablation_fused_kernels`]: replay the
+/// modeled, same methodology as [`ablation_schedule`]: replay the
 /// recorded per-rank event streams through the MI250X node model in the
 /// strong-scaling regime (16³ per rank) where those fixed costs
 /// dominate, and require the B=4 batched aggregate throughput to model
@@ -862,7 +761,7 @@ fn ablation_batched_rhs(c: &mut Criterion) {
 /// and halo wire words under the f64 outer recurrence, vs the all-f64
 /// baseline, on real 8-rank Threads `G(CI)` solves.
 ///
-/// Same methodology as [`ablation_fused_kernels`]: record the
+/// Same methodology as [`ablation_schedule`]: record the
 /// 16³-per-rank event streams live — the halved kernel footprints of
 /// the f32 sweeps and the half-width wire words of the f32 halo band
 /// are measured, not synthesized — scale them to production-size local
@@ -981,44 +880,6 @@ fn ablation_mixed_precision(c: &mut Criterion) {
     bench::update_summary("mixed_precision", serde::Serialize::to_value(&record));
 }
 
-/// Algorithm 1's mid-loop convergence check vs Algorithm 3 (the paper's
-/// implementation) — one extra reduction per iteration vs a potentially
-/// saved half-iteration.
-fn ablation_early_exit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_early_exit");
-    group.sample_size(10);
-    let opts = SolverOptions {
-        eig_min_factor: 10.0,
-        ..Default::default()
-    };
-    for (label, early) in [("alg3_no_check", false), ("alg1_mid_loop_check", true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &early, |b, &early| {
-            b.iter(|| {
-                let mut solver: PoissonSolver<f64, _, _> = PoissonSolver::new(
-                    paper_problem(17),
-                    Decomp::single(),
-                    Serial::new(Recorder::disabled()),
-                    comm::SelfComm::default(),
-                );
-                let out = solver.solve(
-                    SolverKind::BiCgsGNoCommCi,
-                    &opts,
-                    &SolveParams {
-                        tol: 1e-10,
-                        max_iters: 20_000,
-                        record_history: false,
-                        early_exit_check: early,
-                        ..Default::default()
-                    },
-                );
-                assert!(out.converged);
-                out.iterations
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Deterministic (rank-order) vs arrival-order allreduce.
 fn ablation_reduction(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_reduction");
@@ -1047,6 +908,6 @@ fn ablation_reduction(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction, ablation_polynomial, ablation_early_exit, ablation_overlap, ablation_halo_overlap, ablation_reduce_overlap, ablation_fused_kernels, ablation_batched_rhs, ablation_mixed_precision
+    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction, ablation_polynomial, ablation_overlap, ablation_halo_overlap, ablation_schedule, ablation_batched_rhs, ablation_mixed_precision
 );
 criterion_main!(benches);

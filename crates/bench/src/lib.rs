@@ -17,9 +17,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use accel::{AnyDevice, Event, Recorder};
-use blockgrid::Decomp;
+use blockgrid::{Decomp, Field};
 use comm::{run_ranks_recorded, CommStats, Communicator, ReduceOrder};
-use krylov::{SolveOutcome, SolveParams, SolverKind, SolverOptions};
+use krylov::reference::bicgstab_reference;
+use krylov::{Scope, SolveOutcome, SolveParams, SolverKind, SolverOptions, Workspace};
+use poisson::assemble::local_rhs;
 use poisson::{paper_problem, PoissonSolver};
 use serde::Serialize;
 
@@ -27,6 +29,9 @@ use serde::Serialize;
 pub struct Args {
     map: HashMap<String, String>,
     flags: Vec<String>,
+    /// Stray positionals (arguments that are neither an `--option` nor
+    /// its value), in command-line order.
+    positionals: Vec<String>,
 }
 
 impl Args {
@@ -34,6 +39,7 @@ impl Args {
     pub fn parse() -> Self {
         let mut map = HashMap::new();
         let mut flags = Vec::new();
+        let mut positionals = Vec::new();
         let mut it = std::env::args().skip(1).peekable();
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
@@ -43,9 +49,31 @@ impl Args {
                     }
                     _ => flags.push(key.to_owned()),
                 }
+            } else {
+                positionals.push(arg);
             }
         }
-        Self { map, flags }
+        Self {
+            map,
+            flags,
+            positionals,
+        }
+    }
+
+    /// The first argument a front-end that understands exactly the
+    /// `known` option names cannot use: a stray positional, or an
+    /// `--option` outside the list (alphabetically first, so the message
+    /// is reproducible). `None` when the command line is clean.
+    pub fn unrecognized(&self, known: &[&str]) -> Option<String> {
+        if let Some(stray) = self.positionals.first() {
+            return Some(stray.clone());
+        }
+        self.map
+            .keys()
+            .chain(&self.flags)
+            .filter(|k| !known.contains(&k.as_str()))
+            .min()
+            .map(|k| format!("--{k}"))
     }
 
     /// Typed lookup with default.
@@ -119,16 +147,14 @@ pub struct RunConfig {
     pub order: ReduceOrder,
     /// Capture the per-rank event streams.
     pub record_events: bool,
-    /// Extra solver options (mid-loop exit, true-residual monitoring,
-    /// restart budget) threaded through to [`SolveParams`].
+    /// Extra solver options (true-residual monitoring, restart budget)
+    /// threaded through to [`SolveParams`].
     pub params_extra: ParamsExtra,
 }
 
 /// The optional [`SolveParams`] features exposed on [`RunConfig`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParamsExtra {
-    /// Algorithm 1's mid-loop convergence check.
-    pub early_exit_check: bool,
     /// True-residual recomputation period (0 = off).
     pub true_residual_every: usize,
     /// Shadow-residual restart budget on breakdown.
@@ -177,12 +203,26 @@ pub struct RunResult {
     pub events: Vec<Vec<Event>>,
     /// Rank-0 communication counters.
     pub comm_stats: CommStats,
-    /// Global relative L2 error vs. the manufactured solution.
+    /// Global relative L2 error vs. the manufactured solution (NaN from
+    /// [`run_reference`], whose iterate lives outside the facade).
     pub l2_error: f64,
 }
 
 /// Run one solver experiment on the paper problem.
 pub fn run_once(cfg: &RunConfig) -> RunResult {
+    run_world(cfg, false)
+}
+
+/// [`run_once`] on the historical schedule
+/// ([`krylov::reference::bicgstab_reference`]: eleven unfused sweeps,
+/// blocking exchanges, three blocking reductions per iteration) — the
+/// "paper schedule" arm of the schedule ablation. The facade's setup
+/// (grid, normalised RHS) is shared; `cfg.params_extra` does not apply.
+pub fn run_reference(cfg: &RunConfig) -> RunResult {
+    run_world(cfg, true)
+}
+
+fn run_world(cfg: &RunConfig, reference: bool) -> RunResult {
     let ranks = cfg.ranks();
     let recorders: Vec<Recorder> = (0..ranks)
         .map(|_| {
@@ -201,22 +241,42 @@ pub fn run_once(cfg: &RunConfig) -> RunResult {
         let dev = AnyDevice::from_spec(&cfg2.device, rec).expect("bad device spec");
         let problem = paper_problem(cfg2.nodes);
         let mut solver: PoissonSolver<f64, _, _> = PoissonSolver::new(problem, decomp, dev, comm);
-        let params = SolveParams {
-            tol: cfg2.tol,
-            max_iters: cfg2.max_iters,
-            record_history: true,
-            early_exit_check: cfg2.params_extra.early_exit_check,
-            true_residual_every: cfg2.params_extra.true_residual_every,
-            max_restarts: cfg2.params_extra.max_restarts,
-            overlap_halo: cfg2.opts.overlap_halo,
-            overlap_reduce: cfg2.opts.overlap_reduce,
-            fuse_kernels: cfg2.opts.fuse_kernels,
-            cancel: None,
+        let (outcome, wall, l2) = if reference {
+            let ctx = solver.ctx();
+            let b_host: Vec<f64> = local_rhs(solver.problem(), &ctx.grid)
+                .iter()
+                .map(|v| v / solver.rhs_norm())
+                .collect();
+            let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
+            let mut x = ctx.field();
+            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+            let mut prec = cfg2.kind.build_preconditioner(ctx, &cfg2.opts);
+            let t0 = Instant::now();
+            let outcome = bicgstab_reference(
+                ctx,
+                Scope::Global,
+                &b,
+                &mut x,
+                &mut *prec,
+                &mut ws,
+                cfg2.tol,
+                cfg2.max_iters,
+            );
+            (outcome, t0.elapsed().as_secs_f64(), f64::NAN)
+        } else {
+            let params = SolveParams {
+                tol: cfg2.tol,
+                max_iters: cfg2.max_iters,
+                record_history: true,
+                true_residual_every: cfg2.params_extra.true_residual_every,
+                max_restarts: cfg2.params_extra.max_restarts,
+                cancel: None,
+            };
+            let t0 = Instant::now();
+            let outcome = solver.solve(cfg2.kind, &cfg2.opts, &params);
+            let wall = t0.elapsed().as_secs_f64();
+            (outcome, wall, solver.error_vs_exact().0)
         };
-        let t0 = Instant::now();
-        let outcome = solver.solve(cfg2.kind, &cfg2.opts, &params);
-        let wall = t0.elapsed().as_secs_f64();
-        let (l2, _linf) = solver.error_vs_exact();
         let stats = solver.ctx().comm.stats();
         (outcome, wall, stats, l2)
     });
@@ -240,8 +300,8 @@ pub fn run_once(cfg: &RunConfig) -> RunResult {
 /// recorded stream: everything from the first `Begin("Preconditioner")`
 /// to just before the second one... more precisely, one full cycle —
 /// two preconditioner stages, the kernels and the reduction messages
-/// (two batched ones under the overlapped schedule, three blocking ones
-/// otherwise).
+/// (two batched ones on a multi-rank world, three blocking ones from
+/// the reference schedule).
 pub fn first_iteration_profile(events: &[Event]) -> Vec<Event> {
     let starts: Vec<usize> = events
         .iter()
@@ -345,9 +405,7 @@ pub fn worst_rank_replay_scaled(
 /// Merge one ablation's headline record into the committed
 /// `results/bench_summary.json` at the repository root. The summary is a
 /// `{schema_version, sections: {<ablation>: ...}}` document so several
-/// ablations can contribute rows without clobbering each other; a legacy
-/// v1 file (the flat fused-kernels record) is migrated into its section
-/// on first contact.
+/// ablations can contribute rows without clobbering each other.
 pub fn update_summary(section: &str, value: serde::Value) {
     use serde::Value;
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -360,16 +418,9 @@ pub fn update_summary(section: &str, value: serde::Value) {
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok());
     let mut sections: Vec<(String, Value)> = match prior {
-        Some(Value::Object(entries)) => match entries.iter().position(|(k, _)| k == "sections") {
-            Some(i) => match entries.into_iter().nth(i) {
-                Some((_, Value::Object(secs))) => secs,
-                _ => Vec::new(),
-            },
-            // a legacy v1 flat file is the fused-kernels record
-            None if entries.iter().any(|(k, _)| k == "rows") => {
-                vec![("fused_kernels".into(), Value::Object(entries))]
-            }
-            None => Vec::new(),
+        Some(Value::Object(entries)) => match entries.into_iter().find(|(k, _)| k == "sections") {
+            Some((_, Value::Object(secs))) => secs,
+            _ => Vec::new(),
         },
         _ => Vec::new(),
     };
@@ -397,9 +448,8 @@ pub fn update_summary(section: &str, value: serde::Value) {
 /// record their *row* count as `elems`, but each launch streams the
 /// whole grid once — so a dot launch counts as one interior.
 ///
-/// Returns `(total_hot_elems, interior_elems)`; dividing the difference
-/// of two runs at different iteration caps by `caps_delta * interior`
-/// yields the sweeps-per-iteration figure the fusion ablation reports.
+/// Returns `(total_hot_elems, interior_elems)`; see
+/// [`sweeps_per_iteration`] for the figure the schedule ablation reports.
 pub fn hot_sweep_elems(events: &[Event]) -> (u64, u64) {
     let interior = events
         .iter()
@@ -429,6 +479,25 @@ pub fn hot_sweep_elems(events: &[Event]) -> (u64, u64) {
         }
     }
     (total, interior)
+}
+
+/// Full-grid sweeps per outer Bi-CGSTAB iteration of `run`
+/// ([`run_once`] or [`run_reference`]), measured on real event streams
+/// with [`hot_sweep_elems`]: two unpreconditioned solves at fixed
+/// iteration caps (the tolerance is unreachable), whose difference
+/// removes setup and drain.
+pub fn sweeps_per_iteration(run: impl Fn(&RunConfig) -> RunResult) -> f64 {
+    let elems = |iters: usize| {
+        let mut cfg = RunConfig::small(SolverKind::BiCgs);
+        cfg.nodes = 17;
+        cfg.tol = 1e-300;
+        cfg.max_iters = iters;
+        cfg.record_events = true;
+        hot_sweep_elems(&run(&cfg).events[0])
+    };
+    let (lo, interior) = elems(3);
+    let (hi, _) = elems(6);
+    (hi - lo) as f64 / (3 * interior) as f64
 }
 
 #[cfg(test)]
@@ -480,40 +549,25 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, Event::AllReduce { .. }))
             .count();
-        // reduction overlap is on by default on >1 rank: the iteration's
-        // dots travel as the two batched messages M1 and M2
+        // on >1 rank the iteration's dots travel as the two batched
+        // messages M1 and M2
         assert_eq!(allreduces, 2, "M1 [σ, ‖r‖²_prev] and M2 [σ₁..σ₄]");
     }
 
     #[test]
     fn fusion_cuts_sweeps_per_iteration_from_eleven_to_five() {
-        // The tentpole traffic claim, asserted on real event streams: the
-        // unfused overlapped schedule runs 11 full-grid sweeps per outer
-        // iteration, the fused one 5. Two solves at different iteration
-        // caps difference away setup and drain.
-        let sweeps = |fuse: bool| {
-            let run = |iters: usize| {
-                let mut cfg = RunConfig::small(SolverKind::BiCgs);
-                cfg.nodes = 17;
-                cfg.tol = 1e-300; // never reached: fixed iteration count
-                cfg.max_iters = iters;
-                cfg.record_events = true;
-                cfg.opts.fuse_kernels = fuse;
-                hot_sweep_elems(&run_once(&cfg).events[0])
-            };
-            let (lo, interior) = run(3);
-            let (hi, _) = run(6);
-            (hi - lo) as f64 / (3 * interior) as f64
-        };
-        let unfused = sweeps(false);
-        let fused = sweeps(true);
+        // The traffic claim of the fused schedule, asserted on real event
+        // streams: the reference schedule runs 11 full-grid sweeps per
+        // outer iteration, the production one 5.
+        let unfused = sweeps_per_iteration(run_reference);
+        let fused = sweeps_per_iteration(run_once);
         assert!(
             unfused >= 10.0,
-            "unfused schedule should sweep >=10x/iter, measured {unfused}"
+            "reference schedule should sweep >=10x/iter, measured {unfused}"
         );
         assert!(
             fused <= 6.0,
-            "fused schedule should sweep <=6x/iter, measured {fused}"
+            "production schedule should sweep <=6x/iter, measured {fused}"
         );
         assert!(
             (unfused - 11.0).abs() < 0.01 && (fused - 5.0).abs() < 0.01,

@@ -1,13 +1,9 @@
-//! Preconditioned Bi-CGSTAB exactly as implemented in the paper (Alg. 3).
+//! Preconditioned Bi-CGSTAB exactly as implemented in the paper (Alg. 3),
+//! on the one production schedule.
 //!
-//! One outer iteration is the device kernels, two preconditioner
-//! applications and two halo exchanges of Alg. 3, but both the reduction
-//! schedule and the kernel grouping are restructured. With
-//! [`SolveParams::overlap_reduce`] on (the default) each iteration ships
-//! exactly **two** batched reduction messages posted split-phase
-//! ([`Communicator::iall_reduce`]), and with
-//! [`SolveParams::fuse_kernels`] on (also the default) the memory-bound
-//! vector work collapses from eleven full-grid sweeps to **five**:
+//! One outer iteration is two preconditioner applications, two halo
+//! exchanges and **five** full-grid sweeps; on a multi-rank world its
+//! scalars travel in exactly **two** batched reduction messages:
 //!
 //! ```text
 //! Preconditioner  MPI1+BCs  KernelBiCGS1 (w = A p̂ ⊕ σ = r̃ᵀw)
@@ -18,20 +14,33 @@
 //! KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
-//! Unfused (`fuse_kernels: false`) the schedule is the historical one —
-//! separate dot sweeps, the x-update split into its 4a/4b halves hidden
-//! under M2 and M1 respectively, and a separate KernelBiCGS5/6 pair.
-//! Fusion regroups *which loop* computes each value, never the order of
-//! the float operations inside a row or the reduction tree that merges
-//! row partials, so fused and unfused runs are bitwise-identical under a
-//! deterministic [`comm::ReduceOrder`]. Fused overlap defers the whole
-//! merged x-update into the next M1 window (there is no 4a half left to
-//! hide under M2, which therefore blocks) — the p̂ it needs survives the
-//! next preconditioner application in a ping-pong buffer
-//! (`Workspace::p_hat_prev`).
+//! Nothing about the schedule is selectable — the driver derives it from
+//! the world it is handed:
 //!
-//! Two tricks make ≤2 messages possible (both active in the synchronous
-//! path too, so the flag only changes message *grouping*, never values):
+//! * **Halo.** The two operator applications run split-phase
+//!   (`begin → BCs → interior sweep → finish → shell sweep → row fold`)
+//!   exactly when [`RankCtx::split_phase_halo`] says so: the scope
+//!   communicates *and* this rank has an interface face. Otherwise one
+//!   monolithic fused sweep does the same arithmetic in one launch.
+//! * **Reductions.** In [`Scope::Global`] on more than one rank M1 is
+//!   posted split-phase with the previous iteration's merged x-update
+//!   computing under it (its `p̂` survives the next preconditioner
+//!   application in the `Workspace::p_hat_prev` ping-pong buffer) and
+//!   the stopping decision is read one message late. Elsewhere
+//!   reductions are free, so each stage reduces in place and nothing
+//!   lags.
+//!
+//! Every arm produces the same bits: fusion and splitting regroup *which
+//! loop* computes a value, never the order of the float operations
+//! inside a row or the tree that merges row partials; batching regroups
+//! which scalars share a message, and the element-wise rank-ordered fold
+//! is oblivious to grouping. The historical schedule — eleven unfused
+//! sweeps, blocking exchanges, one blocking reduction per stage — lives
+//! on as [`crate::reference::bicgstab_reference`], the bitwise oracle
+//! this driver is property-tested against.
+//!
+//! Two tricks make ≤2 messages possible (the reference uses both too, so
+//! the schedules differ in message *grouping*, never in values):
 //!
 //! * **ρ by recurrence.** `ρ_{i+1} = r̃ᵀr_{i+1} = r̃ᵀs − ω r̃ᵀt`
 //!   (`s = r − αw` is the half-updated residual). The two extra dots
@@ -60,11 +69,10 @@ use stencil::apply_physical_bcs;
 use crate::cancel::CancelToken;
 use crate::ctx::{BatchWorkspace, RankCtx, Workspace};
 use crate::kernels::{
-    axpy2_chained_batch, axpy2_chained_inplace, axpy3_inplace, axpy_dot, axpy_dot_batch,
-    axpy_inplace, diff_norm2, dot, dot2, norm2_axpy, norm2_axpy_batch, residual_p_update_fused,
-    residual_p_update_fused_batch, residual_update_fused, INFO_BICGS1, INFO_BICGS2, INFO_BICGS2F,
-    INFO_BICGS3, INFO_BICGS3F, INFO_BICGS4, INFO_BICGS4A, INFO_BICGS4B, INFO_BICGS5, INFO_BICGS56,
-    INFO_BICGS6, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
+    axpy2_chained_batch, axpy2_chained_inplace, axpy_dot, axpy_dot_batch, diff_norm2, norm2_axpy,
+    norm2_axpy_batch, residual_p_update_fused, residual_p_update_fused_batch,
+    residual_update_fused, INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_BICGS4, INFO_BICGS5,
+    INFO_BICGS56, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
 };
 use crate::precond::Preconditioner;
 
@@ -88,11 +96,6 @@ pub struct SolveParams {
     pub max_iters: usize,
     /// Record the residual-norm history (Figs. 2–4).
     pub record_history: bool,
-    /// Check convergence mid-loop after the α update (Algorithm 1 lines
-    /// 9–11). The paper's implementation (Algorithm 3) omits this check,
-    /// saving one reduction per iteration at the cost of potentially one
-    /// superfluous half-iteration — this flag is the ablation switch.
-    pub early_exit_check: bool,
     /// Every `k` outer iterations recompute the *true* residual
     /// `‖b − A x‖` (one extra exchange + sweep + reduction) and use it
     /// for the convergence decision; `0` disables. Guards against the
@@ -103,42 +106,12 @@ pub struct SolveParams {
     /// (`r̃ = r`, recomputed true residual) up to this many times before
     /// reporting the breakdown.
     pub max_restarts: usize,
-    /// Overlap halo exchanges with the deep-interior stencil sweep
-    /// (split-phase `begin → apply_interior → finish → apply_shell`).
-    /// The iterate sequence is bitwise-identical either way (the split
-    /// sweep covers each cell once with the same arithmetic, and the
-    /// replacement reductions keep the fused kernels' fold order); the
-    /// flag exists as the ablation switch for the overlap cost model.
-    pub overlap_halo: bool,
-    /// Ship the per-iteration scalar reductions as two split-phase
-    /// batched messages with compute posted under each (see the module
-    /// docs), instead of blocking per stage. Under a deterministic
-    /// reduction order the reduced *values* — and hence the iterates,
-    /// residual history and stopping decisions — are bitwise-identical
-    /// either way: batching only regroups which scalars share a message,
-    /// and the element-wise rank-ordered fold is oblivious to grouping.
-    /// Effective only in [`Scope::Global`] on >1 rank (elsewhere
-    /// reductions are free and lagging would waste a preconditioner
-    /// application on the final iteration).
-    pub overlap_reduce: bool,
     /// Cooperative cancellation flag, polled collectively once per outer
     /// iteration (see [`CancelToken`]). `None` adds no messages and no
-    /// polling. With `overlap_reduce` active the poll adds no messages
-    /// either: the flag rides the M1 batch as one extra scalar rather
-    /// than a dedicated blocking reduction.
+    /// polling; on a multi-rank world an installed token adds no
+    /// messages either — the flag rides the M1 batch as one extra
+    /// scalar rather than a dedicated blocking reduction.
     pub cancel: Option<CancelToken>,
-    /// Run the hot loop on the fused kernel schedule: `KernelBiCGS2F`
-    /// (axpy + dot), `KernelBiCGS3F` (apply + three dots),
-    /// `KernelBiCGS56` (residual + p-update) and the merged deferred
-    /// x-update (`KernelBiCGS4`), cutting the full-grid sweeps per
-    /// iteration from 11 to 5 (264 → 200 B/elem of model traffic).
-    /// Under a deterministic reduction order the iterate sequence,
-    /// residual history and stopping decisions are bitwise identical to
-    /// the unfused schedule — every fused sweep keeps the grouping and
-    /// fold order of the kernels it replaces. With `early_exit_check`
-    /// the α-step falls back to the unfused sweeps (the mid-loop exit
-    /// must observe `‖r‖` before σ₃ is worth computing).
-    pub fuse_kernels: bool,
 }
 
 impl Default for SolveParams {
@@ -147,13 +120,9 @@ impl Default for SolveParams {
             tol: 1e-10,
             max_iters: 10_000,
             record_history: true,
-            early_exit_check: false,
             true_residual_every: 0,
             max_restarts: 0,
-            overlap_halo: true,
-            overlap_reduce: true,
             cancel: None,
-            fuse_kernels: true,
         }
     }
 }
@@ -209,7 +178,7 @@ impl SolveOutcome {
 }
 
 /// Refresh ghost layers for an operator application in `scope`.
-fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
+pub(crate) fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
     stage: &'static str,
@@ -229,8 +198,8 @@ fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
 
 /// `w = A u` with ghosts refreshed in `scope`.
 ///
-/// When `overlap` is set (Global scope only) the halo exchange is
-/// split-phase and hidden behind the ghost-independent work:
+/// When `split` is set the halo exchange is split-phase and hidden
+/// behind the ghost-independent work:
 /// `begin → KernelNeumannBCs → apply_interior → finish → apply_shell`.
 /// The boundary-condition kernel and the deep-interior sweep touch no
 /// interface ghost, so they run while the messages are in flight; the
@@ -241,12 +210,12 @@ fn refresh_and_apply<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
     stage: &'static str,
-    overlap: bool,
-    info: accel::KernelInfo,
+    split: bool,
     u: &mut Field<T>,
     w: &mut Field<T>,
 ) {
-    if overlap && scope == Scope::Global {
+    let info = stencil::INFO_APPLY;
+    if split {
         let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, u);
         apply_physical_bcs(&ctx.grid, u, &ctx.recorder, false);
         ctx.lap.apply_interior(&ctx.dev, info, u, w);
@@ -261,9 +230,8 @@ fn refresh_and_apply<T: Scalar, D: Device, C: Communicator<T>>(
 /// Sum `vals` across ranks in [`Scope::Global`]; local identity otherwise.
 ///
 /// Routed through [`Communicator::reduce_batch`] so the blocking call
-/// sites share the same pack/fold path as the split-phase batches of the
-/// reduction-overlap schedule.
-fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
+/// sites share the same pack/fold path as the split-phase M1 batch.
+pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
     stage: &'static str,
@@ -273,6 +241,17 @@ fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
         ctx.recorder
             .stage(stage, || ctx.comm.reduce_batch(&mut [vals], ReduceOp::Sum));
     }
+}
+
+/// Whether the scalars of a solve in `scope` take the lagged two-message
+/// schedule: only a real multi-rank world pays for reductions; on one
+/// rank (and in the reduction-local [`Scope::Local`]) they are free and
+/// the lag would only spend an extra preconditioner application.
+fn lagged_reductions<T: Scalar, D: Device, C: Communicator<T>>(
+    ctx: &RankCtx<T, D, C>,
+    scope: Scope,
+) -> bool {
+    scope == Scope::Global && ctx.comm.size() > 1
 }
 
 /// Solve `A x = b` with preconditioned Bi-CGSTAB (Alg. 3).
@@ -300,41 +279,24 @@ where
     let mut history = Vec::new();
     let mut prec_iterations = 0u64;
 
-    let overlap = params.overlap_halo && scope == Scope::Global;
-    let fuse = params.fuse_kernels;
+    let split = ctx.split_phase_halo(scope == Scope::Global);
+    let lag = lagged_reductions(ctx, scope);
 
-    // r_0 = b − A x_0, ρ_0 = r̃ᵀ r_0 = ‖r_0‖² (r̃ = r_0 elementwise, so
-    // the fused norm is the same sequence of products as the dot below)
-    refresh_and_apply(
-        ctx,
-        scope,
-        "MPI0",
-        overlap,
-        stencil::INFO_APPLY,
-        x,
-        &mut ws.w,
-    );
-    let mut sums = if fuse {
-        // KernelNorm2Axpy: residual formation and its norm in one sweep
-        [norm2_axpy(
-            &ctx.dev,
-            INFO_NORM2AXPY,
-            &ctx.grid,
-            &mut ws.r,
-            b,
-            &ws.w,
-        )]
-    } else {
-        ws.r.copy_from(b);
-        axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, &mut ws.r, &ws.w, -T::ONE);
-        [T::ZERO]
-    };
+    // r_0 = b − A x_0 and ρ_0 = r̃ᵀ r_0 = ‖r_0‖² in one sweep
+    // (KernelNorm2Axpy; r̃ = r_0 elementwise, so the fused norm is the
+    // same sequence of products as the dot).
+    refresh_and_apply(ctx, scope, "MPI0", split, x, &mut ws.w);
+    let mut sums = [norm2_axpy(
+        &ctx.dev,
+        INFO_NORM2AXPY,
+        &ctx.grid,
+        &mut ws.r,
+        b,
+        &ws.w,
+    )];
     // r̃ = r_0, p_0 = r_0
     ws.r0t.copy_from(&ws.r);
     ws.p.copy_from(&ws.r);
-    if !fuse {
-        sums = [dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.r)];
-    }
     global_sum(ctx, scope, "MPI0", &mut sums);
     let mut rho = sums[0];
     let res0 = rho.to_f64().max(0.0).sqrt();
@@ -365,26 +327,15 @@ where
     let mut true_residuals: Vec<(usize, f64)> = Vec::new();
     let mut cancelled = false;
 
-    // Reduction overlap only regroups which scalars share a message and
-    // when the stopping decision is *read* — never a reduced value or the
-    // arithmetic of an update — so it stays bitwise-transparent. Gated to
-    // real multi-rank worlds: on one rank reductions are free and the lag
-    // would only spend an extra preconditioner application per solve.
-    let overlap_reduce = params.overlap_reduce && scope == Scope::Global && ctx.comm.size() > 1;
-
-    // Lag state of the overlapped schedule: `(i, ‖r_i‖²_local, ω_i, α_i)`
-    // — iteration i's not-yet-reduced convergence norm and its deferred
-    // x-update, both completed under iteration i+1's M1 window. Unfused,
-    // only the ω half (`x += ω r̂`) is deferred (α landed under M2);
-    // fused, the whole update `x ← (x + α p̂) + ω r̂` is deferred as one
-    // merged KernelBiCGS4 sweep, which is why α rides along.
+    // Lag state: `(i, ‖r_i‖²_local, ω_i, α_i)` — iteration i's
+    // not-yet-reduced convergence norm and its deferred merged x-update
+    // `x ← (x + α p̂) + ω r̂`, both completed under iteration i+1's M1.
     let mut lagged: Option<(usize, T, T, T)> = None;
 
     /// Iteration `$j`'s epilogue once its global `‖r_j‖²` is in hand:
     /// history/final-residual bookkeeping and the stopping ladder
-    /// (non-finite → converged → true-residual guard), in the exact
-    /// decision order of the synchronous schedule. `break`s out of the
-    /// enclosing loop on any stop, falls through otherwise.
+    /// (non-finite → converged → true-residual guard). `break`s out of
+    /// the enclosing loop on any stop, falls through otherwise.
     macro_rules! finish_iteration {
         ($j:expr, $rnorm2:expr) => {{
             let j = $j;
@@ -407,15 +358,7 @@ where
             // ‖b − A x‖ (the recursive residual can decouple from it in
             // long stagnating solves) and let it decide convergence too.
             if params.true_residual_every > 0 && j % params.true_residual_every == 0 {
-                refresh_and_apply(
-                    ctx,
-                    scope,
-                    "MPI6",
-                    overlap,
-                    stencil::INFO_APPLY,
-                    x,
-                    &mut ws.t,
-                );
+                refresh_and_apply(ctx, scope, "MPI6", split, x, &mut ws.t);
                 let mut s = [diff_norm2(&ctx.dev, INFO_DOT, &ctx.grid, b, &ws.t)];
                 global_sum(ctx, scope, "MPI6", &mut s);
                 let tres = s[0].to_f64().max(0.0).sqrt();
@@ -433,14 +376,11 @@ where
     for i in 1..=params.max_iters {
         // Cooperative cancellation, decided collectively so every rank
         // breaks on the same iteration: each rank reduces its local view
-        // of the flag and any rank's request stops them all. The poll
-        // (and its message) exists only when a token is installed — and
-        // in the overlapped schedule it costs no message at all: the
-        // flag rides the M1 batch as one extra scalar (see below)
-        // instead of this dedicated blocking reduction, which would
-        // reintroduce the per-iteration synchronous message the
-        // split-phase batching removed.
-        if !overlap_reduce {
+        // of the flag and any rank's request stops them all. Under the
+        // lagged schedule the flag rides the M1 batch instead (see
+        // below) — a dedicated blocking reduction here would reintroduce
+        // the per-iteration synchronous message the batching removed.
+        if !lag {
             if let Some(token) = &params.cancel {
                 let mut flag = [if token.is_cancelled() {
                     T::ONE
@@ -465,34 +405,17 @@ where
                 let kind = $kind;
                 if restarts < params.max_restarts && kind != Breakdown::NonFinite {
                     restarts += 1;
-                    refresh_and_apply(
-                        ctx,
-                        scope,
-                        "MPI0",
-                        overlap,
-                        stencil::INFO_APPLY,
-                        x,
-                        &mut ws.w,
-                    );
-                    let mut s = if fuse {
-                        [norm2_axpy(
-                            &ctx.dev,
-                            INFO_NORM2AXPY,
-                            &ctx.grid,
-                            &mut ws.r,
-                            b,
-                            &ws.w,
-                        )]
-                    } else {
-                        ws.r.copy_from(b);
-                        axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, &mut ws.r, &ws.w, -T::ONE);
-                        [T::ZERO]
-                    };
+                    refresh_and_apply(ctx, scope, "MPI0", split, x, &mut ws.w);
+                    let mut s = [norm2_axpy(
+                        &ctx.dev,
+                        INFO_NORM2AXPY,
+                        &ctx.grid,
+                        &mut ws.r,
+                        b,
+                        &ws.w,
+                    )];
                     ws.r0t.copy_from(&ws.r);
                     ws.p.copy_from(&ws.r);
-                    if !fuse {
-                        s = [dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.r)];
-                    }
                     global_sum(ctx, scope, "MPI0", &mut s);
                     rho = s[0];
                     let res = rho.to_f64().max(0.0).sqrt();
@@ -513,65 +436,50 @@ where
         prec_iterations += ctx.recorder.stage("Preconditioner", || {
             prec.apply(ctx, &mut ws.p, &mut ws.p_hat)
         }) as u64;
-        // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂, p_sum = r̃ᵀ w.
-        // Overlapped unfused, the fused kernel splits into interior/shell
-        // sweeps plus a separate dot that keeps the fused fold order (same
-        // rows, same per-row accumulation, same partial merge → bitwise
-        // equal). Overlapped fused, the sweeps *keep* their dot: each
+        // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂, σ = r̃ᵀ w.
+        // Split, the interior and shell sweeps *keep* their dot: each
         // piece deposits per-row partials into the slot buffer and a row
-        // fold completes the scalar — one full-grid sweep instead of two,
-        // still bitwise equal to the monolithic KernelBiCGS1.
-        let psum_local = if overlap {
-            if fuse {
-                let r0s = ws.r0t.as_slice();
-                let terms = |c: usize, v: T| [r0s[c] * v];
-                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.p_hat);
-                apply_physical_bcs(&ctx.grid, &mut ws.p_hat, &ctx.recorder, false);
-                ctx.lap.apply_interior_dot(
-                    &ctx.dev,
-                    INFO_BICGS1,
-                    &ws.p_hat,
-                    &mut ws.w,
-                    &mut ws.slots,
-                    &terms,
-                );
-                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.p_hat);
-                let fold = ctx.lap.apply_shell_dot(
-                    &ctx.dev,
-                    INFO_BICGS1,
-                    &ws.p_hat,
-                    &mut ws.w,
-                    &mut ws.slots,
-                    &terms,
-                );
-                let [s] = fold.fold(&ctx.dev, INFO_FOLD1, &ws.slots);
-                s
-            } else {
-                refresh_and_apply(
-                    ctx,
-                    scope,
-                    "MPI1",
-                    true,
-                    stencil::INFO_APPLY,
-                    &mut ws.p_hat,
-                    &mut ws.w,
-                );
-                dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.w)
-            }
+        // fold completes the scalar — still one full-grid sweep, bitwise
+        // equal to the monolithic KernelBiCGS1.
+        let psum_local = if split {
+            let r0s = ws.r0t.as_slice();
+            let terms = |c: usize, v: T| [r0s[c] * v];
+            let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.p_hat);
+            apply_physical_bcs(&ctx.grid, &mut ws.p_hat, &ctx.recorder, false);
+            ctx.lap.apply_interior_dot(
+                &ctx.dev,
+                INFO_BICGS1,
+                &ws.p_hat,
+                &mut ws.w,
+                &mut ws.slots,
+                &terms,
+            );
+            ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.p_hat);
+            let fold = ctx.lap.apply_shell_dot(
+                &ctx.dev,
+                INFO_BICGS1,
+                &ws.p_hat,
+                &mut ws.w,
+                &mut ws.slots,
+                &terms,
+            );
+            let [s] = fold.fold(&ctx.dev, INFO_FOLD1, &ws.slots);
+            s
         } else {
             refresh_ghosts(ctx, scope, "MPI1", &mut ws.p_hat);
             ctx.lap
                 .apply_fused_dot(&ctx.dev, INFO_BICGS1, &ws.p_hat, &mut ws.w, &ws.r0t)
         };
-        // M1: reduce σ = r̃ᵀw — batched with the previous iteration's
-        // lagged ‖r‖², and posted split-phase so the deferred ω half of
-        // the previous x-update computes while the message is in flight.
-        let psum = if overlap_reduce {
+        // M1: reduce σ = r̃ᵀw — lagged, batched with the previous
+        // iteration's ‖r‖² and posted split-phase so the previous
+        // iteration's deferred x-update computes while the message is in
+        // flight.
+        let psum = if lag {
             ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
             // The cancel poll piggybacks on M1 as one extra scalar, so
             // an installed token adds no message: the flag is sampled
             // here instead of at the loop top, and the decision lands
-            // after the deferred ω half below completes the previous
+            // after the deferred x-update below completes the previous
             // iterate — the same iteration boundary the blocking poll
             // stops at.
             let cancel_local = params.cancel.as_ref().map(|token| {
@@ -597,24 +505,19 @@ where
             }
             let req = ctx.comm.iall_reduce_batch(&groups[..ng], ReduceOp::Sum);
             if let Some((_, _, omega_prev, alpha_prev)) = lagged {
-                if fuse {
-                    // Merged KernelBiCGS4 deferred from iteration i−1:
-                    // x ← (x + α p̂_prev) + ω r̂, chained exactly as the
-                    // split 4a/4b pair so the iterate matches bitwise.
-                    axpy2_chained_inplace(
-                        &ctx.dev,
-                        INFO_BICGS4,
-                        &ctx.grid,
-                        x,
-                        &ws.p_hat_prev,
-                        alpha_prev,
-                        &ws.r_hat,
-                        omega_prev,
-                    );
-                } else {
-                    // KernelBiCGS4b deferred from iteration i−1: x ← x + ω r̂
-                    axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega_prev);
-                }
+                // KernelBiCGS4 deferred from iteration i−1:
+                // x ← (x + α p̂_prev) + ω r̂, chained exactly as the
+                // reference's 4a/4b pair so the iterate matches bitwise.
+                axpy2_chained_inplace(
+                    &ctx.dev,
+                    INFO_BICGS4,
+                    &ctx.grid,
+                    x,
+                    &ws.p_hat_prev,
+                    alpha_prev,
+                    &ws.r_hat,
+                    omega_prev,
+                );
             }
             let mut red = [T::ZERO; 3];
             ctx.comm.reduce_finish(req, &mut red[..ng]);
@@ -627,7 +530,7 @@ where
             if cancel_local.is_some() && red[1 + usize::from(had_lag)] != T::ZERO {
                 // Every rank reads the same reduced sum, so all break
                 // together; x is complete through iteration i−1 (the
-                // deferred ω half just landed above).
+                // deferred update just landed above).
                 cancelled = true;
                 iterations = i - 1;
                 break;
@@ -647,128 +550,71 @@ where
         }
         let alpha = rho / psum;
 
-        // KernelBiCGS2: r ← r − α w, and σ₃ = r̃ᵀ s — the first half of
+        // KernelBiCGS2F: r ← r − α w, and σ₃ = r̃ᵀ s — the first half of
         // the ρ recurrence ρ_{i+1} = r̃ᵀ r_{i+1} = r̃ᵀ s − ω r̃ᵀ t.
         // Computing ρ this way frees it from its serial dependence on ω,
         // letting it ride in M2 alongside the ω dots instead of forcing a
-        // third reduction. Fused, the axpy and σ₃ share one sweep
-        // (KernelBiCGS2F); with the mid-loop exit active σ₃ must wait for
-        // the exit decision, so the sweeps stay separate.
-        let c3_local = if fuse && !params.early_exit_check {
-            axpy_dot(
-                &ctx.dev,
-                INFO_BICGS2F,
-                &ctx.grid,
-                &mut ws.r,
-                &ws.w,
-                -alpha,
-                &ws.r0t,
-            )
-        } else {
-            axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, &mut ws.r, &ws.w, -alpha);
-
-            // Optional mid-loop convergence check (Algorithm 1 lines
-            // 9–11). One extra reduction per iteration; Algorithm 3
-            // trades it away.
-            if params.early_exit_check {
-                let mut s = [dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r, &ws.r)];
-                global_sum(ctx, scope, "MPI2b", &mut s);
-                let res = s[0].to_f64().max(0.0).sqrt();
-                if res < params.tol {
-                    // x ← x + α p̂, then exit (Alg. 1 line 10)
-                    axpy_inplace(&ctx.dev, INFO_BICGS4A, &ctx.grid, x, &ws.p_hat, alpha);
-                    final_residual = res;
-                    if params.record_history {
-                        history.push(res);
-                    }
-                    converged = true;
-                    break;
-                }
-            }
-            dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.r)
-        };
+        // third reduction.
+        let c3_local = axpy_dot(
+            &ctx.dev,
+            INFO_BICGS2F,
+            &ctx.grid,
+            &mut ws.r,
+            &ws.w,
+            -alpha,
+            &ws.r0t,
+        );
 
         // Solve M r̂ = r
         prec_iterations += ctx.recorder.stage("Preconditioner", || {
             prec.apply(ctx, &mut ws.r, &mut ws.r_hat)
         }) as u64;
-        // MPI3 + BCs, then KernelBiCGS3: t = A r̂, p1 = tᵀ r, p2 = tᵀ t,
-        // and σ₄ = r̃ᵀ t (second half of the ρ recurrence). Fused, all
-        // three dots ride in the stencil sweep (KernelBiCGS3F); unfused
-        // the ω dots share the sweep and σ₄ gets its own.
-        let (p1l, p2l, c4_local) = if overlap {
-            if fuse {
-                let rs = ws.r.as_slice();
-                let r0s = ws.r0t.as_slice();
-                let terms = |c: usize, v: T| [v * rs[c], v * v, r0s[c] * v];
-                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.r_hat);
-                apply_physical_bcs(&ctx.grid, &mut ws.r_hat, &ctx.recorder, false);
-                ctx.lap.apply_interior_dot(
-                    &ctx.dev,
-                    INFO_BICGS3F,
-                    &ws.r_hat,
-                    &mut ws.t,
-                    &mut ws.slots,
-                    &terms,
-                );
-                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.r_hat);
-                let fold = ctx.lap.apply_shell_dot(
-                    &ctx.dev,
-                    INFO_BICGS3F,
-                    &ws.r_hat,
-                    &mut ws.t,
-                    &mut ws.slots,
-                    &terms,
-                );
-                let [a, b2, c] = fold.fold(&ctx.dev, INFO_FOLD3, &ws.slots);
-                (a, b2, c)
-            } else {
-                refresh_and_apply(
-                    ctx,
-                    scope,
-                    "MPI3",
-                    true,
-                    stencil::INFO_APPLY,
-                    &mut ws.r_hat,
-                    &mut ws.t,
-                );
-                let (a, b2) = dot2(&ctx.dev, INFO_DOT, &ctx.grid, &ws.t, &ws.r);
-                (a, b2, dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.t))
-            }
-        } else if fuse {
-            refresh_ghosts(ctx, scope, "MPI3", &mut ws.r_hat);
-            ctx.lap
-                .apply_fused_dot3(&ctx.dev, INFO_BICGS3F, &ws.r_hat, &mut ws.t, &ws.r, &ws.r0t)
+        // MPI3 + BCs, then KernelBiCGS3F: t = A r̂ with p1 = tᵀ r,
+        // p2 = tᵀ t and σ₄ = r̃ᵀ t (second half of the ρ recurrence), all
+        // three dots riding in the stencil sweep.
+        let [p1l, p2l, c4_local] = if split {
+            let rs = ws.r.as_slice();
+            let r0s = ws.r0t.as_slice();
+            let terms = |c: usize, v: T| [v * rs[c], v * v, r0s[c] * v];
+            let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.r_hat);
+            apply_physical_bcs(&ctx.grid, &mut ws.r_hat, &ctx.recorder, false);
+            ctx.lap.apply_interior_dot(
+                &ctx.dev,
+                INFO_BICGS3F,
+                &ws.r_hat,
+                &mut ws.t,
+                &mut ws.slots,
+                &terms,
+            );
+            ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.r_hat);
+            let fold = ctx.lap.apply_shell_dot(
+                &ctx.dev,
+                INFO_BICGS3F,
+                &ws.r_hat,
+                &mut ws.t,
+                &mut ws.slots,
+                &terms,
+            );
+            fold.fold(&ctx.dev, INFO_FOLD3, &ws.slots)
         } else {
             refresh_ghosts(ctx, scope, "MPI3", &mut ws.r_hat);
-            let (a, b2) =
-                ctx.lap
-                    .apply_fused_dot2(&ctx.dev, INFO_BICGS3, &ws.r_hat, &mut ws.t, &ws.r);
-            (a, b2, dot(&ctx.dev, INFO_DOT, &ctx.grid, &ws.r0t, &ws.t))
+            let (a, b2, c) = ctx.lap.apply_fused_dot3(
+                &ctx.dev,
+                INFO_BICGS3F,
+                &ws.r_hat,
+                &mut ws.t,
+                &ws.r,
+                &ws.r0t,
+            );
+            [a, b2, c]
         };
 
-        // M2: all four scalars in one batch. Unfused, the α half of the
-        // x-update (KernelBiCGS4a) computes under the split-phase message.
-        // Fused, there is nothing left to hide here — both x-halves ride
-        // in next iteration's merged KernelBiCGS4 sweep — so M2 blocks.
-        let (p1, p2, c3, c4) = if overlap_reduce && !fuse {
-            ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-            let req = ctx
-                .comm
-                .iall_reduce(&[p1l, p2l, c3_local, c4_local], ReduceOp::Sum);
-            axpy_inplace(&ctx.dev, INFO_BICGS4A, &ctx.grid, x, &ws.p_hat, alpha);
-            let mut red = [T::ZERO; 4];
-            ctx.comm.reduce_finish(req, &mut red);
-            ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-            (red[0], red[1], red[2], red[3])
-        } else {
-            let mut sums = [p1l, p2l, c3_local, c4_local];
-            global_sum(ctx, scope, "MPI4", &mut sums);
-            if !fuse {
-                axpy_inplace(&ctx.dev, INFO_BICGS4A, &ctx.grid, x, &ws.p_hat, alpha);
-            }
-            (sums[0], sums[1], sums[2], sums[3])
-        };
+        // M2: all four scalars in one blocking batch — both x-halves
+        // ride in next iteration's merged KernelBiCGS4 sweep, so there
+        // is nothing left to hide under this message.
+        let mut sums = [p1l, p2l, c3_local, c4_local];
+        global_sum(ctx, scope, "MPI4", &mut sums);
+        let [p1, p2, c3, c4] = sums;
         if !(p1.is_finite() && p2.is_finite()) {
             outcome_breakdown = Some(Breakdown::NonFinite);
             break;
@@ -778,11 +624,10 @@ where
         let omega = if p2 == T::ZERO { T::ZERO } else { p1 / p2 };
         let rho_new = c3 - omega * c4;
 
-        // Fused tail: β only exists when ρ and ω are both non-zero, so
-        // breakdown is decided *before* the residual/p sweep and the
-        // fused KernelBiCGS56 only runs on the healthy path.
-        let breakdown_now = rho_new == T::ZERO || omega == T::ZERO;
-        if fuse && !breakdown_now {
+        // β only exists when ρ and ω are both non-zero, so breakdown is
+        // decided *before* the residual/p sweep and the fused
+        // KernelBiCGS56 only runs on the healthy path.
+        if rho_new != T::ZERO && omega != T::ZERO {
             let beta = (rho_new / rho) * (alpha / omega);
             rho = rho_new;
             // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w)
@@ -800,13 +645,13 @@ where
                 omega,
                 beta,
             );
-            if overlap_reduce {
-                // Both x-halves defer into next iteration's merged
-                // KernelBiCGS4 sweep; keep this p̂ alive across the swap.
+            if lag {
+                // The x-update defers into next iteration's M1 window;
+                // keep this p̂ alive across the swap.
                 lagged = Some((i, rnorm2_local, omega, alpha));
                 std::mem::swap(&mut ws.p_hat, &mut ws.p_hat_prev);
             } else {
-                // KernelBiCGS4 merged: x ← (x + α p̂) + ω r̂
+                // KernelBiCGS4: x ← (x + α p̂) + ω r̂
                 axpy2_chained_inplace(
                     &ctx.dev,
                     INFO_BICGS4,
@@ -821,10 +666,12 @@ where
                 global_sum(ctx, scope, "MPI5", &mut s);
                 finish_iteration!(i, s[0]);
             }
-        } else if fuse {
-            // Breakdown pre-empts the fusion: β is undefined, so finish
-            // the iteration eagerly with the plain residual update and
-            // merged x sweep, then take the stopping ladder.
+        } else {
+            // Breakdown pre-empts the fusion and the lag: β is undefined,
+            // so finish the iteration eagerly with the plain residual
+            // update, the merged x sweep and a blocking norm reduction —
+            // convergence keeps its priority over the breakdown and a
+            // restart resumes from the fully-updated iterate.
             let (_, rnorm2_local) = residual_update_fused(
                 &ctx.dev,
                 INFO_BICGS5,
@@ -853,95 +700,24 @@ where
                 // stagnated: ω = 0 with a non-converged residual
                 breakdown_or_restart!(Breakdown::OmegaZero);
             }
-        } else {
-            // KernelBiCGS5: r ← r − ω t, fused dots (r̃·r, r·r). Only the
-            // direct ‖r‖² is kept — ρ already came from the recurrence
-            // (the direct norm avoids the cancellation a norm recurrence
-            // suffers near convergence, which is why it is not recurred
-            // as well).
-            let (_, rnorm2_local) = residual_update_fused(
-                &ctx.dev,
-                INFO_BICGS5,
-                &ctx.grid,
-                &mut ws.r,
-                &ws.t,
-                omega,
-                &ws.r0t,
-            );
-
-            if overlap_reduce {
-                if breakdown_now {
-                    // A breakdown trigger pre-empts the lag: complete the
-                    // iteration eagerly (deferred ω half, blocking norm
-                    // reduction, stopping ladder) so convergence keeps
-                    // its priority over the breakdown and a restart
-                    // resumes from the fully-updated iterate.
-                    axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega);
-                    let mut s = [rnorm2_local];
-                    global_sum(ctx, scope, "MPI5", &mut s);
-                    finish_iteration!(i, s[0]);
-                    if rho_new == T::ZERO {
-                        breakdown_or_restart!(Breakdown::RhoZero);
-                    } else {
-                        // stagnated: ω = 0 with a non-converged residual
-                        breakdown_or_restart!(Breakdown::OmegaZero);
-                    }
-                }
-                lagged = Some((i, rnorm2_local, omega, alpha));
-            } else {
-                // KernelBiCGS4b: x ← x + ω r̂ (split exactly as the
-                // overlap schedule splits it, so the iterate sequence is
-                // shared)
-                axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega);
-                let mut s = [rnorm2_local];
-                global_sum(ctx, scope, "MPI5", &mut s);
-                finish_iteration!(i, s[0]);
-                if rho_new == T::ZERO {
-                    breakdown_or_restart!(Breakdown::RhoZero);
-                }
-                if omega == T::ZERO {
-                    // stagnated: ω = 0 with a non-converged residual
-                    breakdown_or_restart!(Breakdown::OmegaZero);
-                }
-            }
-            let beta = (rho_new / rho) * (alpha / omega);
-            rho = rho_new;
-
-            // KernelBiCGS6: p ← r + β (p − ω w)
-            axpy3_inplace(
-                &ctx.dev,
-                INFO_BICGS6,
-                &ctx.grid,
-                &mut ws.p,
-                &ws.r,
-                &ws.w,
-                beta,
-                omega,
-            );
         }
     }
 
     // Drain the lag when the iteration budget ran out with the last
-    // iteration's bookkeeping still in flight: apply the deferred ω half
-    // and take its stopping decisions (the one-shot loop hosts the
-    // macro's `break`s).
+    // iteration's bookkeeping still in flight: apply its deferred
+    // x-update (its p̂ lives in the swapped buffer) and take its stopping
+    // decisions (the one-shot loop hosts the macro's `break`s).
     if let Some((j, rnorm2_local, omega_prev, alpha_prev)) = lagged.take() {
-        if fuse {
-            // Merged deferred update: x ← (x + α p̂) + ω r̂ for the last
-            // in-flight iteration (its p̂ lives in the swapped buffer).
-            axpy2_chained_inplace(
-                &ctx.dev,
-                INFO_BICGS4,
-                &ctx.grid,
-                x,
-                &ws.p_hat_prev,
-                alpha_prev,
-                &ws.r_hat,
-                omega_prev,
-            );
-        } else {
-            axpy_inplace(&ctx.dev, INFO_BICGS4B, &ctx.grid, x, &ws.r_hat, omega_prev);
-        }
+        axpy2_chained_inplace(
+            &ctx.dev,
+            INFO_BICGS4,
+            &ctx.grid,
+            x,
+            &ws.p_hat_prev,
+            alpha_prev,
+            &ws.r_hat,
+            omega_prev,
+        );
         let mut s = [rnorm2_local];
         global_sum(ctx, scope, "MPI5", &mut s);
         #[allow(clippy::never_loop)]
@@ -1060,7 +836,7 @@ fn global_sum_groups<T: Scalar, D: Device, C: Communicator<T>>(
 ///   the per-iteration message count stays 2 (M1 split-phase, M2
 ///   blocking) regardless of batch width, instead of `2 B`.
 ///
-/// Lane `b` runs the exact fused solo schedule: its iterates, residual
+/// Lane `b` runs the exact solo schedule: its iterates, residual
 /// history and stopping decisions are **bitwise identical** to
 /// `bicgstab_solve(ctx, scope, bs[b], xs[b], precs[b], …, params)` under
 /// a deterministic [`comm::ReduceOrder`] — batching only regroups which
@@ -1070,14 +846,14 @@ fn global_sum_groups<T: Scalar, D: Device, C: Communicator<T>>(
 /// their fixed message slots carry zeros, so the remaining lanes'
 /// schedules (and bit patterns) are unaffected.
 ///
-/// Restrictions relative to the solo path (asserted): fused kernels
-/// only, no mid-loop exit, no true-residual guard, and no breakdown
-/// restarts — a lane that breaks down freezes and reports its
-/// [`Breakdown`] instead of restarting. Cancellation is **per lane**
-/// via `cancels` (empty slice: none; otherwise one optional token per
-/// lane, present on every rank); [`SolveParams::cancel`] must be
-/// `None`. In the overlapped schedule the cancel flags ride the M1
-/// batch — `B` extra scalars, zero extra messages.
+/// Restrictions relative to the solo path (asserted): no true-residual
+/// guard and no breakdown restarts — a lane that breaks down freezes
+/// and reports its [`Breakdown`] instead of restarting. Halo exchanges
+/// are blocking (one batched message per face). Cancellation is **per
+/// lane** via `cancels` (empty slice: none; otherwise one optional token
+/// per lane, present on every rank); [`SolveParams::cancel`] must be
+/// `None`. In the lagged schedule the cancel flags ride the M1 batch —
+/// `B` extra scalars, zero extra messages.
 ///
 /// Every rank must pass the same batch width and freeze decisions are
 /// taken on allreduced values, so the live-lane set — and hence the
@@ -1115,18 +891,14 @@ where
         "batched solves take per-lane tokens via `cancels`, not SolveParams::cancel"
     );
     assert!(
-        params.fuse_kernels,
-        "the batched path implements the fused kernel schedule only"
-    );
-    assert!(
-        !params.early_exit_check && params.true_residual_every == 0 && params.max_restarts == 0,
-        "mid-loop exits, true-residual guards and restarts are unsupported in batched solves"
+        params.true_residual_every == 0 && params.max_restarts == 0,
+        "true-residual guards and restarts are unsupported in batched solves"
     );
     if nb == 0 {
         return Vec::new();
     }
 
-    let lag_mode = params.overlap_reduce && scope == Scope::Global && ctx.comm.size() > 1;
+    let lag_mode = lagged_reductions(ctx, scope);
     let has_tokens = cancels.iter().any(|c| c.is_some());
     let cancel_flag = |b: usize, lanes: &[Lane<T>]| -> T {
         let live = !lanes[b].frozen;
@@ -1210,8 +982,8 @@ where
             break;
         }
 
-        // Blocking cancel poll of the synchronous schedule (one B-wide
-        // group, mirroring the solo MPIC reduction). Overlapped, the
+        // Blocking cancel poll of the unlagged schedule (one B-wide
+        // group, mirroring the solo MPIC reduction). Lagged, the
         // flags ride M1 below instead — zero extra messages.
         if !lag_mode && has_tokens {
             let mut flags: Vec<T> = (0..nb).map(|b| cancel_flag(b, &lanes)).collect();
@@ -1584,7 +1356,7 @@ where
                 std::mem::swap(&mut ws.p_hat, &mut ws.p_hat_prev);
             }
         } else {
-            // Synchronous tail: merged x-updates now (one batched
+            // Unlagged tail: merged x-updates now (one batched
             // sweep), then one blocking B-wide norm reduction and the
             // stopping ladder per lane.
             {
@@ -1688,30 +1460,11 @@ mod tests {
     use super::*;
     use crate::config::{SolverKind, SolverOptions};
     use crate::precond::IdentityPrec;
+    use crate::testutil::{bits, paper_bcs, rng_values, scatter, world8};
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks, ReduceOrder, SelfComm, ThreadComm};
     use stencil::matrix::assemble_poisson;
-
-    fn rng_values(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
-    }
-
-    fn paper_bcs() -> [[BcKind; 2]; 3] {
-        [
-            [BcKind::Dirichlet, BcKind::Neumann],
-            [BcKind::Neumann, BcKind::Dirichlet],
-            [BcKind::Neumann, BcKind::Dirichlet],
-        ]
-    }
 
     fn ctx_single(n: [usize; 3], bc: [[BcKind; 2]; 3]) -> RankCtx<f64, Serial, SelfComm<f64>> {
         let mut g = GlobalGrid::dirichlet(n, [0.15; 3], [0.0; 3]);
@@ -1742,6 +1495,45 @@ mod tests {
         };
         let out = bicgstab_solve(ctx, Scope::Global, &b, &mut x, &mut *prec, &mut ws, &params);
         (x.interior_to_host(&ctx.grid), out)
+    }
+
+    /// Solve the seeded [`world8`] problem with `kind`'s preconditioner;
+    /// every rank returns `(outcome, local solution, allreduces)`.
+    /// `tol_rel` is relative to the global RHS norm.
+    fn solve_world8(
+        seed: u64,
+        kind: SolverKind,
+        tol_rel: f64,
+        cancel: Option<CancelToken>,
+    ) -> Vec<(SolveOutcome, Vec<f64>, u64)> {
+        let bnorm: f64 = rng_values(512, seed)
+            .iter()
+            .map(|v| v * v)
+            .sum::<f64>()
+            .sqrt();
+        world8(seed, |ctx, b_local| {
+            let b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
+            let mut x = ctx.field();
+            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+            let opts = SolverOptions {
+                eig_min_factor: 10.0,
+                ..SolverOptions::default()
+            };
+            let mut prec = kind.build_preconditioner(ctx, &opts);
+            let params = SolveParams {
+                tol: tol_rel * bnorm,
+                max_iters: 20_000,
+                record_history: true,
+                cancel: cancel.clone(),
+                ..Default::default()
+            };
+            let out = bicgstab_solve(ctx, Scope::Global, &b, &mut x, &mut *prec, &mut ws, &params);
+            (
+                out,
+                x.interior_to_host(&ctx.grid),
+                ctx.comm.stats().allreduces,
+            )
+        })
     }
 
     #[test]
@@ -1857,73 +1649,16 @@ mod tests {
         // 8 ranks (2x2x2) with deterministic reductions must produce the
         // same solution as 1 rank (different FP grouping is allowed in the
         // iterates, so compare against the true solution, tightly).
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 41);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-11 * bnorm;
-
-        // single-rank reference
         let ctx1 = ctx_single([8, 8, 8], paper_bcs());
-        let (x1, out1) = solve_single(&ctx1, SolverKind::BiCgsGNoCommCi, &b_host, tol);
+        let b_host = rng_values(512, 41);
+        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let (x1, out1) = solve_single(&ctx1, SolverKind::BiCgsGNoCommCi, &b_host, 1e-11 * bnorm);
         assert!(out1.converged);
 
-        // distributed solve
-        let decomp = Decomp::new([2, 2, 2]);
-        let g2 = g.clone();
-        let b_ref = &b_host;
-        let results = run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-            let grid = BlockGrid::new(g2.clone(), decomp, comm.rank());
-            // scatter the global RHS to this rank's interior
-            let ln = grid.local_n;
-            let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-            for k in 0..ln[2] {
-                for j in 0..ln[1] {
-                    for i in 0..ln[0] {
-                        let gidx = (grid.offset[0] + i)
-                            + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                        local.push(b_ref[gidx]);
-                    }
-                }
-            }
-            let dev = Serial::new(Recorder::disabled());
-            let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-            let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            let opts = SolverOptions {
-                eig_min_factor: 10.0,
-                ..SolverOptions::default()
-            };
-            let mut prec = SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &opts);
-            let params = SolveParams {
-                tol,
-                max_iters: 20_000,
-                record_history: false,
-                ..Default::default()
-            };
-            let out = bicgstab_solve(
-                &ctx,
-                Scope::Global,
-                &b,
-                &mut x,
-                &mut *prec,
-                &mut ws,
-                &params,
-            );
-            (
-                out,
-                x.interior_to_host(&ctx.grid),
-                ctx.grid.offset,
-                ctx.grid.local_n,
-            )
-        });
-
-        // all ranks converged with identical outcome
-        let iters: Vec<usize> = results.iter().map(|(o, _, _, _)| o.iterations).collect();
+        let results = solve_world8(41, SolverKind::BiCgsGNoCommCi, 1e-11, None);
+        let iters: Vec<usize> = results.iter().map(|(o, _, _)| o.iterations).collect();
         assert!(
-            results.iter().all(|(o, _, _, _)| o.converged),
+            results.iter().all(|(o, _, _)| o.converged),
             "iters {iters:?}"
         );
         assert!(
@@ -1931,412 +1666,39 @@ mod tests {
             "ranks disagree: {iters:?}"
         );
 
-        // gather and compare to the single-rank solution
-        let mut x_gather = vec![0.0; n];
-        for (_, local, off, ln) in &results {
-            let mut idx = 0;
-            for k in 0..ln[2] {
-                for j in 0..ln[1] {
-                    for i in 0..ln[0] {
-                        let gidx = (off[0] + i) + 8 * ((off[1] + j) + 8 * (off[2] + k));
-                        x_gather[gidx] = local[idx];
-                        idx += 1;
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            assert!(
-                (x_gather[i] - x1[i]).abs() < 1e-7 * x1[i].abs().max(1.0),
-                "unknown {i}: {} vs {}",
-                x_gather[i],
-                x1[i]
-            );
-        }
-    }
-
-    #[test]
-    fn overlap_halo_is_bitwise_identical_to_synchronous() {
-        // The tentpole determinism guarantee: the split-phase overlapped
-        // halo exchange must not perturb a single bit of the iteration —
-        // residual histories and solutions agree exactly with the
-        // synchronous path, on a communicating configuration (G(CI)
-        // preconditioner, so overlap runs inside the preconditioner too).
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 47);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-10 * bnorm;
-
-        let solve = |overlap: bool| {
-            let decomp = Decomp::new([2, 2, 2]);
-            let g2 = g.clone();
-            let b_ref = b_host.clone();
-            run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-                let grid = BlockGrid::new(g2.clone(), decomp, comm.rank());
-                let ln = grid.local_n;
-                let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-                for k in 0..ln[2] {
-                    for j in 0..ln[1] {
-                        for i in 0..ln[0] {
-                            let gidx = (grid.offset[0] + i)
-                                + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                            local.push(b_ref[gidx]);
-                        }
-                    }
-                }
-                let dev = Serial::new(Recorder::disabled());
-                let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-                let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-                let mut x = ctx.field();
-                let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-                let opts = SolverOptions {
-                    eig_min_factor: 10.0,
-                    overlap_halo: overlap,
-                    ..SolverOptions::default()
-                };
-                let mut prec = SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts);
-                let params = SolveParams {
-                    tol,
-                    max_iters: 20_000,
-                    record_history: true,
-                    overlap_halo: overlap,
-                    ..Default::default()
-                };
-                let out = bicgstab_solve(
-                    &ctx,
-                    Scope::Global,
-                    &b,
-                    &mut x,
-                    &mut *prec,
-                    &mut ws,
-                    &params,
-                );
-                (out, x.interior_to_host(&ctx.grid))
-            })
-        };
-
-        let sync = solve(false);
-        let over = solve(true);
-        for (rank, ((os, xs), (oo, xo))) in sync.iter().zip(&over).enumerate() {
-            assert!(
-                os.converged && oo.converged,
-                "rank {rank}: {os:?} vs {oo:?}"
-            );
-            assert_eq!(os.iterations, oo.iterations, "rank {rank}");
-            let hs: Vec<u64> = os.residual_history.iter().map(|v| v.to_bits()).collect();
-            let ho: Vec<u64> = oo.residual_history.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(hs, ho, "rank {rank}: residual histories diverge");
-            let bs: Vec<u64> = xs.iter().map(|v| v.to_bits()).collect();
-            let bo: Vec<u64> = xo.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bs, bo, "rank {rank}: solutions diverge");
-        }
-    }
-
-    #[test]
-    fn overlap_reduce_is_bitwise_identical_to_synchronous() {
-        // The reduction-overlap determinism guarantee: batching the
-        // per-iteration dots into two split-phase messages must not
-        // perturb a single bit of the iteration under a rank-ordered
-        // fold — histories and solutions agree exactly with the blocking
-        // schedule. Exercised both with a reduction-free preconditioner
-        // (G(CI)) and with inner solves that reduce themselves
-        // (FBiCGS-G(BiCGS)), so the flag is covered inside the
-        // preconditioner too.
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 53);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-10 * bnorm;
-
-        for kind in [SolverKind::BiCgsGCi, SolverKind::FBiCgsGBiCgs] {
-            let solve = |overlap_reduce: bool| {
-                let decomp = Decomp::new([2, 2, 2]);
-                let g2 = g.clone();
-                let b_ref = b_host.clone();
-                run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-                    let grid = BlockGrid::new(g2.clone(), decomp, comm.rank());
-                    let ln = grid.local_n;
-                    let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-                    for k in 0..ln[2] {
-                        for j in 0..ln[1] {
-                            for i in 0..ln[0] {
-                                let gidx = (grid.offset[0] + i)
-                                    + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                                local.push(b_ref[gidx]);
-                            }
-                        }
-                    }
-                    let dev = Serial::new(Recorder::disabled());
-                    let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-                    let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-                    let mut x = ctx.field();
-                    let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-                    let opts = SolverOptions {
-                        eig_min_factor: 10.0,
-                        overlap_reduce,
-                        ..SolverOptions::default()
-                    };
-                    let mut prec = kind.build_preconditioner(&ctx, &opts);
-                    let params = SolveParams {
-                        tol,
-                        max_iters: 20_000,
-                        record_history: true,
-                        overlap_reduce,
-                        ..Default::default()
-                    };
-                    let out = bicgstab_solve(
-                        &ctx,
-                        Scope::Global,
-                        &b,
-                        &mut x,
-                        &mut *prec,
-                        &mut ws,
-                        &params,
-                    );
-                    (out, x.interior_to_host(&ctx.grid))
-                })
-            };
-
-            let sync = solve(false);
-            let over = solve(true);
-            for (rank, ((os, xs), (oo, xo))) in sync.iter().zip(&over).enumerate() {
+        // every rank's block agrees with its slice of the 1-rank solution
+        let decomp = Decomp::new([2, 2, 2]);
+        for (rank, (_, local, _)) in results.iter().enumerate() {
+            let grid = BlockGrid::new(ctx1.grid.global.clone(), decomp, rank);
+            for (got, want) in local.iter().zip(scatter(&grid, &x1)) {
                 assert!(
-                    os.converged && oo.converged,
-                    "{kind} rank {rank}: {os:?} vs {oo:?}"
+                    (got - want).abs() < 1e-7 * want.abs().max(1.0),
+                    "rank {rank}: {got} vs {want}"
                 );
-                assert_eq!(os.iterations, oo.iterations, "{kind} rank {rank}");
-                let hs: Vec<u64> = os.residual_history.iter().map(|v| v.to_bits()).collect();
-                let ho: Vec<u64> = oo.residual_history.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(hs, ho, "{kind} rank {rank}: residual histories diverge");
-                let bs: Vec<u64> = xs.iter().map(|v| v.to_bits()).collect();
-                let bo: Vec<u64> = xo.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bs, bo, "{kind} rank {rank}: solutions diverge");
             }
         }
     }
 
     #[test]
-    fn fused_kernels_are_bitwise_identical_to_unfused() {
-        // The fusion determinism guarantee: regrouping the memory-bound
-        // work (apply+dot sweeps, the merged x-update, KernelBiCGS56)
-        // must not perturb a single bit of the iteration under a
-        // rank-ordered fold — histories and solutions agree exactly with
-        // the unfused schedule, on the threaded back-end (whose chunked
-        // partial folds must also be regroup-invariant), under both the
-        // split-phase and the blocking reduction schedules, and with a
-        // preconditioner that runs fused inner solves (FBiCGS-G(BiCGS)).
-        use accel::Threads;
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 61);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-10 * bnorm;
-
-        for kind in [SolverKind::BiCgsGCi, SolverKind::FBiCgsGBiCgs] {
-            for overlap_reduce in [true, false] {
-                let solve = |fuse_kernels: bool| {
-                    let decomp = Decomp::new([2, 2, 2]);
-                    let g2 = g.clone();
-                    let b_ref = b_host.clone();
-                    run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-                        let grid = BlockGrid::new(g2.clone(), decomp, comm.rank());
-                        let ln = grid.local_n;
-                        let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-                        for k in 0..ln[2] {
-                            for j in 0..ln[1] {
-                                for i in 0..ln[0] {
-                                    let gidx = (grid.offset[0] + i)
-                                        + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                                    local.push(b_ref[gidx]);
-                                }
-                            }
-                        }
-                        let dev = Threads::new(2, Recorder::disabled());
-                        let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-                        let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-                        let mut x = ctx.field();
-                        let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-                        let opts = SolverOptions {
-                            eig_min_factor: 10.0,
-                            overlap_reduce,
-                            fuse_kernels,
-                            ..SolverOptions::default()
-                        };
-                        let mut prec = kind.build_preconditioner(&ctx, &opts);
-                        let params = SolveParams {
-                            tol,
-                            max_iters: 20_000,
-                            record_history: true,
-                            overlap_reduce,
-                            fuse_kernels,
-                            ..Default::default()
-                        };
-                        let out = bicgstab_solve(
-                            &ctx,
-                            Scope::Global,
-                            &b,
-                            &mut x,
-                            &mut *prec,
-                            &mut ws,
-                            &params,
-                        );
-                        (out, x.interior_to_host(&ctx.grid))
-                    })
-                };
-
-                let unfused = solve(false);
-                let fused = solve(true);
-                for (rank, ((os, xs), (oo, xo))) in unfused.iter().zip(&fused).enumerate() {
-                    let tag = format!("{kind} overlap_reduce={overlap_reduce} rank {rank}");
-                    assert!(os.converged && oo.converged, "{tag}: {os:?} vs {oo:?}");
-                    assert_eq!(os.iterations, oo.iterations, "{tag}");
-                    let hs: Vec<u64> = os.residual_history.iter().map(|v| v.to_bits()).collect();
-                    let ho: Vec<u64> = oo.residual_history.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(hs, ho, "{tag}: residual histories diverge");
-                    let bs: Vec<u64> = xs.iter().map(|v| v.to_bits()).collect();
-                    let bo: Vec<u64> = xo.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(bs, bo, "{tag}: solutions diverge");
-                }
-            }
+    fn multi_rank_solve_ships_two_messages_per_iteration() {
+        // The headline message-count guarantee of the lagged schedule:
+        // one batch at M1, one at M2 — 2 per iteration, plus the ρ₀ init
+        // reduction and the final iteration's lagged-check message.
+        for (out, _, allreduces) in solve_world8(59, SolverKind::BiCgs, 1e-8, None) {
+            assert!(out.converged);
+            assert_eq!(allreduces, 2 * out.iterations as u64 + 2);
         }
     }
 
     #[test]
-    fn overlap_reduce_ships_two_messages_per_iteration() {
-        // The headline message-count guarantee of the overlapped
-        // schedule: one batch at M1, one at M2 — 2 per iteration, plus
-        // the ρ₀ init reduction and the final iteration's lagged-check
-        // message. The blocking schedule ships 3 per iteration plus init.
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 59);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-8 * bnorm;
-
-        let count = |overlap_reduce: bool| {
-            let decomp = Decomp::new([2, 2, 2]);
-            let g2 = g.clone();
-            let b_ref = b_host.clone();
-            run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-                let grid = BlockGrid::new(g2.clone(), decomp, comm.rank());
-                let ln = grid.local_n;
-                let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-                for k in 0..ln[2] {
-                    for j in 0..ln[1] {
-                        for i in 0..ln[0] {
-                            let gidx = (grid.offset[0] + i)
-                                + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                            local.push(b_ref[gidx]);
-                        }
-                    }
-                }
-                let dev = Serial::new(Recorder::disabled());
-                let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-                let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-                let mut x = ctx.field();
-                let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-                let params = SolveParams {
-                    tol,
-                    max_iters: 20_000,
-                    record_history: false,
-                    overlap_reduce,
-                    ..Default::default()
-                };
-                let out = bicgstab_solve(
-                    &ctx,
-                    Scope::Global,
-                    &b,
-                    &mut x,
-                    &mut IdentityPrec,
-                    &mut ws,
-                    &params,
-                );
-                (out.converged, out.iterations, ctx.comm.stats().allreduces)
-            })
-        };
-
-        for (converged, iters, allreduces) in count(true) {
-            assert!(converged);
-            assert_eq!(
-                allreduces,
-                2 * iters as u64 + 2,
-                "overlapped schedule must ship 2 messages/iteration"
-            );
-        }
-        for (converged, iters, allreduces) in count(false) {
-            assert!(converged);
-            assert_eq!(
-                allreduces,
-                3 * iters as u64 + 1,
-                "blocking schedule ships 3 messages/iteration"
-            );
-        }
-    }
-
-    #[test]
-    fn cancel_poll_adds_no_messages_under_the_overlapped_schedule() {
+    fn cancel_poll_adds_no_messages_on_a_multi_rank_world() {
         // An installed (never-fired) token must ride the M1 batch as one
         // extra scalar instead of shipping its own blocking reduction:
-        // allreduce counts stay at the overlapped schedule's 2 per
-        // iteration + 2, identical to the token-free solve, and the
-        // iteration itself is bitwise untouched.
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 61);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-8 * bnorm;
-
-        let run = |cancel: Option<CancelToken>| {
-            let decomp = Decomp::new([2, 2, 2]);
-            let g2 = g.clone();
-            let b_ref = b_host.clone();
-            run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-                let grid = BlockGrid::new(g2.clone(), decomp, comm.rank());
-                let ln = grid.local_n;
-                let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-                for k in 0..ln[2] {
-                    for j in 0..ln[1] {
-                        for i in 0..ln[0] {
-                            let gidx = (grid.offset[0] + i)
-                                + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                            local.push(b_ref[gidx]);
-                        }
-                    }
-                }
-                let dev = Serial::new(Recorder::disabled());
-                let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-                let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-                let mut x = ctx.field();
-                let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-                let params = SolveParams {
-                    tol,
-                    max_iters: 20_000,
-                    record_history: true,
-                    cancel: cancel.clone(),
-                    ..Default::default()
-                };
-                let out = bicgstab_solve(
-                    &ctx,
-                    Scope::Global,
-                    &b,
-                    &mut x,
-                    &mut IdentityPrec,
-                    &mut ws,
-                    &params,
-                );
-                (out, ctx.comm.stats().allreduces)
-            })
-        };
-
-        let plain = run(None);
-        let tokened = run(Some(CancelToken::new()));
-        for (rank, ((po, pa), (to, ta))) in plain.iter().zip(&tokened).enumerate() {
+        // allreduce counts stay at 2 per iteration + 2, identical to the
+        // token-free solve, and the iteration itself is bitwise untouched.
+        let plain = solve_world8(61, SolverKind::BiCgs, 1e-8, None);
+        let tokened = solve_world8(61, SolverKind::BiCgs, 1e-8, Some(CancelToken::new()));
+        for (rank, ((po, _, pa), (to, _, ta))) in plain.iter().zip(&tokened).enumerate() {
             assert!(po.converged && to.converged, "rank {rank}");
             assert!(!to.cancelled, "rank {rank}");
             assert_eq!(po.iterations, to.iterations, "rank {rank}");
@@ -2345,64 +1707,24 @@ mod tests {
                 "rank {rank}: an uncancelled token must not add messages"
             );
             assert_eq!(*ta, 2 * to.iterations as u64 + 2, "rank {rank}");
-            let hp: Vec<u64> = po.residual_history.iter().map(|v| v.to_bits()).collect();
-            let ht: Vec<u64> = to.residual_history.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(hp, ht, "rank {rank}: residual histories diverge");
+            assert_eq!(
+                bits(&po.residual_history),
+                bits(&to.residual_history),
+                "rank {rank}: residual histories diverge"
+            );
         }
     }
 
     #[test]
-    fn pre_cancelled_token_stops_every_rank_under_the_overlapped_schedule() {
+    fn pre_cancelled_token_stops_every_rank_of_a_multi_rank_world() {
         // The piggybacked flag is decided collectively: a pre-cancelled
         // token stops all ranks at iteration 0 after exactly two
         // messages (the ρ₀ init reduction and the M1 batch carrying the
         // flag).
-        let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
-        g.bc = paper_bcs();
-        let n = g.unknowns();
-        let b_host = rng_values(n, 67);
         let token = CancelToken::new();
         token.cancel();
-
-        let decomp = Decomp::new([2, 2, 2]);
-        let b_ref = b_host.clone();
-        let results = run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
-            let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
-            let ln = grid.local_n;
-            let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-            for k in 0..ln[2] {
-                for j in 0..ln[1] {
-                    for i in 0..ln[0] {
-                        let gidx = (grid.offset[0] + i)
-                            + 8 * ((grid.offset[1] + j) + 8 * (grid.offset[2] + k));
-                        local.push(b_ref[gidx]);
-                    }
-                }
-            }
-            let dev = Serial::new(Recorder::disabled());
-            let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-            let b = Field::from_interior(&ctx.dev, &ctx.grid, &local);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            let params = SolveParams {
-                tol: 1e-14,
-                max_iters: 20_000,
-                record_history: false,
-                cancel: Some(token.clone()),
-                ..Default::default()
-            };
-            let out = bicgstab_solve(
-                &ctx,
-                Scope::Global,
-                &b,
-                &mut x,
-                &mut IdentityPrec,
-                &mut ws,
-                &params,
-            );
-            (out, ctx.comm.stats().allreduces)
-        });
-        for (rank, (out, allreduces)) in results.iter().enumerate() {
+        let results = solve_world8(67, SolverKind::BiCgs, 1e-14, Some(token));
+        for (rank, (out, _, allreduces)) in results.iter().enumerate() {
             assert!(out.cancelled, "rank {rank}: {out:?}");
             assert!(!out.converged, "rank {rank}");
             assert_eq!(out.iterations, 0, "rank {rank}");
@@ -2442,7 +1764,6 @@ mod tests {
         );
         assert!(out.converged, "{out:?}");
     }
-
     #[test]
     fn local_scope_solves_each_block_independently() {
         // Two ranks, local scope: each solves its restricted block. Verify
@@ -2492,23 +1813,11 @@ mod tests {
 #[cfg(test)]
 mod feature_tests {
     use super::*;
-    use crate::config::{SolverKind, SolverOptions};
     use crate::precond::{IdentityPrec, PrecTraits, Preconditioner};
+    use crate::testutil::rng_values;
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::SelfComm;
-
-    fn rng_values(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
-    }
 
     fn ctx() -> RankCtx<f64, Serial, SelfComm<f64>> {
         let mut g = GlobalGrid::dirichlet([6, 6, 6], [0.15; 3], [0.0; 3]);
@@ -2531,23 +1840,6 @@ mod feature_tests {
             &mut ws,
             params,
         )
-    }
-
-    #[test]
-    fn early_exit_check_still_converges() {
-        let plain = solve_with(&SolveParams {
-            tol: 1e-10,
-            ..Default::default()
-        });
-        let early = solve_with(&SolveParams {
-            tol: 1e-10,
-            early_exit_check: true,
-            ..Default::default()
-        });
-        assert!(plain.converged && early.converged);
-        // the mid-loop check can only save work, never add iterations
-        assert!(early.iterations <= plain.iterations);
-        assert!(early.final_residual < 1e-10);
     }
 
     #[test]
@@ -2673,46 +1965,6 @@ mod feature_tests {
         assert_eq!(out.restarts, 2, "both restarts must be attempted");
         assert_eq!(out.breakdown, Some(Breakdown::PSumZero));
     }
-
-    #[test]
-    fn early_exit_solution_satisfies_system() {
-        // when the early-exit path fires, x must still solve A x = b
-        let ctx = ctx();
-        let n = 216;
-        let b_host = rng_values(n, 21);
-        let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
-        let mut x = ctx.field();
-        let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-        let opts = SolverOptions {
-            eig_min_factor: 10.0,
-            ..Default::default()
-        };
-        let mut prec = SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &opts);
-        let out = bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut *prec,
-            &mut ws,
-            &SolveParams {
-                tol: 1e-9,
-                early_exit_check: true,
-                ..Default::default()
-            },
-        );
-        assert!(out.converged);
-        let dense = stencil::matrix::assemble_poisson(&ctx.lap.global_ops(), ctx.grid.global.h);
-        let got = x.interior_to_host(&ctx.grid);
-        let ax = dense.matvec(&got);
-        let res: f64 = ax
-            .iter()
-            .zip(&b_host)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        assert!(res < 1e-7, "true residual {res}");
-    }
 }
 
 #[cfg(test)]
@@ -2720,50 +1972,11 @@ mod batch_tests {
     use super::*;
     use crate::ctx::BatchWorkspace;
     use crate::precond::{IdentityPrec, PrecTraits};
+    use crate::testutil::{bits, paper_bcs, rng_values, scatter};
     use accel::{GpuSimParams, Recorder, Serial, SimGpu, Threads};
-    use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
+    use blockgrid::{BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks, ReduceOrder, SelfComm, ThreadComm};
     use proptest::prelude::*;
-
-    fn rng_values(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
-    }
-
-    fn paper_bcs() -> [[BcKind; 2]; 3] {
-        [
-            [BcKind::Dirichlet, BcKind::Neumann],
-            [BcKind::Neumann, BcKind::Dirichlet],
-            [BcKind::Neumann, BcKind::Dirichlet],
-        ]
-    }
-
-    /// Restrict a global lexicographic field to this rank's interior.
-    fn scatter(grid: &BlockGrid, nx: [usize; 3], global: &[f64]) -> Vec<f64> {
-        let ln = grid.local_n;
-        let mut local = Vec::with_capacity(ln[0] * ln[1] * ln[2]);
-        for k in 0..ln[2] {
-            for j in 0..ln[1] {
-                for i in 0..ln[0] {
-                    let gidx = (grid.offset[0] + i)
-                        + nx[0] * ((grid.offset[1] + j) + nx[1] * (grid.offset[2] + k));
-                    local.push(global[gidx]);
-                }
-            }
-        }
-        local
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
 
     fn assert_lane_matches_solo(
         tag: &str,
@@ -2789,7 +2002,7 @@ mod batch_tests {
         assert_eq!(bits(sx), bits(bx), "{tag}: solutions diverge");
     }
 
-    /// Lane-wise bitwise identity on one rank (the synchronous batch
+    /// Lane-wise bitwise identity on one rank (the unlagged batch
     /// schedule): every lane of a 3-wide batch reproduces the solo
     /// fused solve bit-for-bit on each back-end's fold order.
     fn lanewise_matches_solo_on<D: Device>(label: &str, dev: D) {
@@ -2860,7 +2073,7 @@ mod batch_tests {
         );
     }
 
-    /// Lane-wise bitwise identity across 8 ranks under the overlapped
+    /// Lane-wise bitwise identity across 8 ranks under the lagged
     /// (lagged) schedule with a communicating preconditioner: batching
     /// regroups messages and sweeps, never a lane's arithmetic.
     #[test]
@@ -2879,10 +2092,7 @@ mod batch_tests {
             let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
             let dev = Serial::new(Recorder::disabled());
             let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-            let locals: Vec<Vec<f64>> = b_hosts
-                .iter()
-                .map(|bh| scatter(&ctx.grid, [8, 8, 8], bh))
-                .collect();
+            let locals: Vec<Vec<f64>> = b_hosts.iter().map(|bh| scatter(&ctx.grid, bh)).collect();
             let opts = SolverOptions {
                 eig_min_factor: 10.0,
                 ..SolverOptions::default()
@@ -2952,7 +2162,7 @@ mod batch_tests {
     }
 
     /// The headline amortisation guarantee: a 4-wide batch ships the
-    /// solo overlapped schedule's message count of its *longest* lane —
+    /// solo lagged schedule's message count of its *longest* lane —
     /// 2 per iteration + 2 — instead of four solo solves' worth.
     #[test]
     fn batched_reductions_amortize_across_lanes() {
@@ -2969,10 +2179,7 @@ mod batch_tests {
             let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
             let dev = Serial::new(Recorder::disabled());
             let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-            let locals: Vec<Vec<f64>> = b_hosts
-                .iter()
-                .map(|bh| scatter(&ctx.grid, [8, 8, 8], bh))
-                .collect();
+            let locals: Vec<Vec<f64>> = b_hosts.iter().map(|bh| scatter(&ctx.grid, bh)).collect();
             let params = SolveParams {
                 tol,
                 max_iters: 20_000,

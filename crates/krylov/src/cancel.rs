@@ -14,9 +14,9 @@ use std::sync::Arc;
 ///
 /// Without a token installed ([`SolveParams::cancel`](crate::SolveParams::cancel)
 /// is `None`) the solver ships no extra messages: the poll and its
-/// reduction exist only when someone can actually cancel. Under the
-/// overlapped reduction schedule even an installed token is free of
-/// extra messages — the flag rides the per-iteration M1 batch as one
+/// reduction exist only when someone can actually cancel. On a
+/// multi-rank world even an installed token is free of extra
+/// messages — the flag rides the per-iteration M1 batch as one
 /// more scalar, preserving the 2-messages-per-iteration guarantee.
 ///
 /// [`bicgstab_solve`]: crate::bicgstab_solve

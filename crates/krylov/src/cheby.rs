@@ -77,7 +77,6 @@ fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
 pub struct ChebyshevIteration<T> {
     mode: ChebyMode,
     iterations: usize,
-    overlap: bool,
     theta: f64,
     delta: f64,
     sigma: f64,
@@ -107,7 +106,6 @@ impl<T: Scalar> ChebyshevIteration<T> {
         Self {
             mode,
             iterations,
-            overlap: true,
             theta,
             delta,
             sigma,
@@ -115,14 +113,6 @@ impl<T: Scalar> ChebyshevIteration<T> {
             y: ctx.field(),
             w: ctx.field(),
         }
-    }
-
-    /// Enable or disable split-phase halo overlap in [`ChebyMode::Global`]
-    /// (on by default; no effect in the communication-free modes). The
-    /// sweeps are bitwise-identical either way — the flag only changes
-    /// how the exchange is scheduled and modeled.
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
     }
 
     /// Number of sweeps per application.
@@ -159,10 +149,11 @@ impl<T: Scalar> ChebyshevIteration<T> {
         let mut rho_old = 1.0 / sigma;
         let mut rho_cur = 1.0 / (2.0 * sigma - rho_old);
 
-        // Split-phase overlap only makes sense when the mode communicates.
-        let overlap = self.overlap && self.mode == ChebyMode::Global;
+        // Split-phase only when the mode communicates and this rank has
+        // a neighbour; the sweeps are bitwise-identical either way.
+        let split = ctx.split_phase_halo(self.mode == ChebyMode::Global);
 
-        // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Overlapped, the
+        // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Split, the
         // exchange of b's halos hides behind the ghost-independent scale
         // kernel and the deep-interior part of the sweep.
         let c1 = T::from_f64(4.0 * rho_cur / delta);
@@ -173,7 +164,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
         } else {
             &mut self.y
         };
-        if overlap {
+        if split {
             let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, b);
             apply_physical_bcs(&ctx.grid, b, &ctx.recorder, false);
             crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
@@ -202,7 +193,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
             let cy = T::from_f64(2.0 * sigma * rho_cur);
             let cb = T::from_f64(2.0 * rho_cur / delta);
             let cz = T::from_f64(-rho_cur * rho_old);
-            if overlap {
+            if split {
                 // MPI2 in flight behind BCs + the deep-interior sweep
                 let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &self.y);
                 apply_physical_bcs(&ctx.grid, &mut self.y, &ctx.recorder, false);
@@ -292,27 +283,18 @@ impl<T: Scalar> ChebyshevIteration<T> {
         let mut history = Vec::new();
         loop {
             // A x, staged in `correction` (refilled by the CI below)
-            match self.mode {
-                ChebyMode::Global if self.overlap => {
-                    let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, x);
-                    apply_physical_bcs(&ctx.grid, x, &ctx.recorder, false);
-                    ctx.lap
-                        .apply_interior(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-                    ctx.halo.finish(&ctx.dev, &ctx.comm, pending, x);
-                    ctx.lap
-                        .apply_shell(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-                }
-                ChebyMode::Global => {
-                    ctx.halo.exchange(&ctx.dev, &ctx.comm, x);
-                    apply_physical_bcs(&ctx.grid, x, &ctx.recorder, false);
-                    ctx.lap
-                        .apply(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-                }
-                _ => {
-                    apply_physical_bcs(&ctx.grid, x, &ctx.recorder, true);
-                    ctx.lap
-                        .apply(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-                }
+            if ctx.split_phase_halo(self.mode == ChebyMode::Global) {
+                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, x);
+                apply_physical_bcs(&ctx.grid, x, &ctx.recorder, false);
+                ctx.lap
+                    .apply_interior(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
+                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, x);
+                ctx.lap
+                    .apply_shell(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
+            } else {
+                refresh_ghosts(self.mode, ctx, x);
+                ctx.lap
+                    .apply(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
             }
             // r = b − A x and ‖r‖² in one fused sweep — no per-cycle
             // temporary field, no separate copy/axpy/dot triple.
@@ -354,6 +336,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
 mod tests {
     use super::*;
     use crate::kernels::{norm2_local, INFO_DOT};
+    use crate::testutil::{bits, chebyshev_sync_oracle, rng_values, world8};
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::SelfComm;
@@ -365,18 +348,6 @@ mod tests {
         g.bc[0] = [BcKind::Dirichlet, BcKind::Neumann];
         let grid = BlockGrid::new(g, Decomp::single(), 0);
         RankCtx::new(Serial::new(Recorder::disabled()), SelfComm::default(), grid)
-    }
-
-    fn rng_values(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
     }
 
     #[test]
@@ -508,6 +479,34 @@ mod tests {
         let c = run(ChebyMode::BlockJacobi, l);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn split_phase_sweeps_match_the_synchronous_oracle_on_8_ranks() {
+        // On a communicating world the iteration runs split-phase
+        // (begin → interior → finish → shell); it must not change a bit
+        // relative to blocking exchanges and monolithic sweeps.
+        let results = world8(29, |ctx, b_local| {
+            let bounds = global_bounds(ctx).rescaled(1e-4, 10.0);
+            let mut cheb = ChebyshevIteration::new(ctx, ChebyMode::Global, bounds, 12);
+            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
+            let mut x = ctx.field();
+            cheb.solve(ctx, &mut b, &mut x);
+            let want = chebyshev_sync_oracle(
+                ctx,
+                cheb.parameters(),
+                12,
+                |f| refresh_ghosts(ChebyMode::Global, ctx, f),
+                Field::from_interior(&ctx.dev, &ctx.grid, b_local),
+            );
+            (
+                x.interior_to_host(&ctx.grid),
+                want.interior_to_host(&ctx.grid),
+            )
+        });
+        for (rank, (got, want)) in results.iter().enumerate() {
+            assert_eq!(bits(got), bits(want), "rank {rank}");
+        }
     }
 
     #[test]

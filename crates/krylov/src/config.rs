@@ -45,18 +45,6 @@ pub struct SolverOptions {
     /// Bergamaschi rescaling: inflation of `λ_min` (paper: 100 for the
     /// multi-rank runs, 10 for the single-rank 64³ run).
     pub eig_min_factor: f64,
-    /// Overlap the preconditioner's halo exchanges with its deep-interior
-    /// sweeps (only the communicating `G(CI)` / `G(BiCGS)` flavours have
-    /// exchanges to hide). Mirrors `SolveParams::overlap_halo`.
-    pub overlap_halo: bool,
-    /// Split-phase batched reductions in the *inner* Bi-CGSTAB solves of
-    /// the `G(BiCGS)` / `BJ(BiCGS)` preconditioners (the Chebyshev
-    /// flavours are reduction-free). Mirrors `SolveParams::overlap_reduce`.
-    pub overlap_reduce: bool,
-    /// Fused memory-bound kernels in the *inner* Bi-CGSTAB solves of the
-    /// `G(BiCGS)` / `BJ(BiCGS)` preconditioners. Mirrors
-    /// `SolveParams::fuse_kernels`.
-    pub fuse_kernels: bool,
     /// Run the Chebyshev preconditioner's sweeps, state and halo traffic
     /// in `f32` under the `f64` outer recurrence (default off). Only the
     /// `BJ(CI)` / `G(CI)` / `GNoComm(CI)` flavours have an inner
@@ -74,9 +62,6 @@ impl Default for SolverOptions {
             ci_iterations: 24,
             eig_max_shrink: 1e-4,
             eig_min_factor: 100.0,
-            overlap_halo: true,
-            overlap_reduce: true,
-            fuse_kernels: true,
             mixed_precision: false,
         }
     }
@@ -153,22 +138,18 @@ impl SolverKind {
     {
         match self {
             Self::BiCgs => Box::new(IdentityPrec),
-            Self::FBiCgsGBiCgs => {
-                let mut p =
-                    InnerBiCgsPrec::new(ctx, Scope::Global, opts.inner_tol_g, opts.inner_max_iters);
-                p.set_overlap(opts.overlap_halo);
-                p.set_overlap_reduce(opts.overlap_reduce);
-                p.set_fuse(opts.fuse_kernels);
-                Box::new(p)
-            }
-            Self::FBiCgsBjBiCgs => {
-                let mut p =
-                    InnerBiCgsPrec::new(ctx, Scope::Local, opts.inner_tol_bj, opts.inner_max_iters);
-                p.set_overlap(opts.overlap_halo);
-                p.set_overlap_reduce(opts.overlap_reduce);
-                p.set_fuse(opts.fuse_kernels);
-                Box::new(p)
-            }
+            Self::FBiCgsGBiCgs => Box::new(InnerBiCgsPrec::new(
+                ctx,
+                Scope::Global,
+                opts.inner_tol_g,
+                opts.inner_max_iters,
+            )),
+            Self::FBiCgsBjBiCgs => Box::new(InnerBiCgsPrec::new(
+                ctx,
+                Scope::Local,
+                opts.inner_tol_bj,
+                opts.inner_max_iters,
+            )),
             Self::BiCgsBjCi => {
                 let bounds = local_bounds(ctx).rescaled(opts.eig_max_shrink, opts.eig_min_factor);
                 cheby_prec(ctx, ChebyMode::BlockJacobi, bounds, opts)
@@ -199,13 +180,14 @@ where
     C: Communicator<T>,
 {
     if opts.mixed_precision {
-        let mut p = MixedChebyPrecond::new(ctx, mode, bounds, opts.ci_iterations);
-        p.set_overlap(opts.overlap_halo);
-        Box::new(p)
+        Box::new(MixedChebyPrecond::new(
+            ctx,
+            mode,
+            bounds,
+            opts.ci_iterations,
+        ))
     } else {
-        let mut p = ChebyPrecond::new(ctx, mode, bounds, opts.ci_iterations);
-        p.set_overlap(opts.overlap_halo);
-        Box::new(p)
+        Box::new(ChebyPrecond::new(ctx, mode, bounds, opts.ci_iterations))
     }
 }
 

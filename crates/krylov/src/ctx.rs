@@ -43,6 +43,18 @@ impl<T: Scalar, D: Device, C: Communicator<T>> RankCtx<T, D, C> {
         }
     }
 
+    /// The one halo-schedule decision of the solver stack: an operator
+    /// application takes the split-phase path (`begin` → ghost-independent
+    /// work → `finish` → shell sweep) exactly when it `communicates` —
+    /// a [`crate::Scope::Global`] solve or a [`crate::ChebyMode::Global`]
+    /// sweep — **and** this rank has an interface face to exchange.
+    /// Without one (a single-rank world) there is nothing in flight to
+    /// hide, and the split sweep would only cost its extra launches, so
+    /// the monolithic sweep runs instead; the results are bitwise equal.
+    pub fn split_phase_halo(&self, communicates: bool) -> bool {
+        communicates && self.halo.interface_faces() > 0
+    }
+
     /// Allocate a zeroed field on this rank's device.
     pub fn field(&self) -> Field<T> {
         Field::zeros(&self.dev, &self.grid)
@@ -67,11 +79,12 @@ pub struct Workspace<T> {
     pub w: Field<T>,
     /// `t = A r̂`.
     pub t: Field<T>,
-    /// Previous iteration's `p̂`, kept alive by the fused overlap
-    /// schedule: its merged x-update (`x ← (x + α p̂) + ω r̂`) is deferred
-    /// into the *next* iteration's M1 window, after the preconditioner
-    /// has already refilled `p_hat` — so the two buffers ping-pong via
-    /// `std::mem::swap` instead of copying.
+    /// Previous iteration's `p̂`, kept alive by the lagged reduction
+    /// schedule of multi-rank solves: its merged x-update
+    /// (`x ← (x + α p̂) + ω r̂`) is deferred into the *next* iteration's
+    /// M1 window, after the preconditioner has already refilled `p_hat`
+    /// — so the two buffers ping-pong via `std::mem::swap` instead of
+    /// copying.
     pub p_hat_prev: Field<T>,
     /// Per-row dot partials for the fused split-phase stencil sweeps
     /// (`Laplacian::apply_interior_dot` / `apply_shell_dot`): sized for

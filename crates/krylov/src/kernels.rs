@@ -14,13 +14,12 @@ use blockgrid::{BlockGrid, Field};
 pub const INFO_BICGS2: KernelInfo = KernelInfo::new("KernelBiCGS2", 24, 2);
 /// `KernelBiCGS4`: `x ← x + α p̂ + ω r̂`.
 pub const INFO_BICGS4: KernelInfo = KernelInfo::new("KernelBiCGS4", 32, 4);
-/// First half of the split x-update, `x ← x + α p̂`. The reduction-overlap
-/// schedule posts each half inside a different reduction window, so the
-/// fused `KernelBiCGS4` splits into two plain axpys (re-streaming `x`
-/// once: 48 B/elem total vs 32 B fused — the traffic price of the hide).
+/// First half of the split x-update, `x ← x + α p̂`, as the reference
+/// schedule ([`crate::reference`]) runs it: two plain axpys re-stream `x`
+/// once (48 B/elem total vs 32 B for the merged `KernelBiCGS4` of the
+/// production driver, which chains the same two operations per element).
 pub const INFO_BICGS4A: KernelInfo = KernelInfo::new("KernelBiCGS4a", 24, 2);
-/// Second half of the split x-update, `x ← x + ω r̂` (deferred into the
-/// next iteration's first reduction window when overlap is on).
+/// Second half of the split x-update, `x ← x + ω r̂` (reference schedule).
 pub const INFO_BICGS4B: KernelInfo = KernelInfo::new("KernelBiCGS4b", 24, 2);
 /// `KernelBiCGS5`: `r ← r − ω t` fused with the dots `r̃·r` and `r·r`.
 pub const INFO_BICGS5: KernelInfo = KernelInfo::new("KernelBiCGS5", 32, 6);

@@ -43,8 +43,11 @@ mod ctx;
 pub mod kernels;
 mod mixed;
 mod precond;
+pub mod reference;
 mod richardson;
 mod schwarz;
+#[cfg(test)]
+mod testutil;
 
 pub use bicgstab::{
     bicgstab_solve, bicgstab_solve_batch, Breakdown, Scope, SolveOutcome, SolveParams,

@@ -62,7 +62,6 @@ fn refresh_ghosts_f32<T: Scalar, D: Device, C: Communicator<T>>(
 pub struct MixedChebyshev {
     mode: ChebyMode,
     iterations: usize,
-    overlap: bool,
     theta: f64,
     delta: f64,
     sigma: f64,
@@ -93,7 +92,6 @@ impl MixedChebyshev {
         Self {
             mode,
             iterations,
-            overlap: true,
             theta,
             delta,
             sigma,
@@ -102,13 +100,6 @@ impl MixedChebyshev {
             y: Field::zeros(&ctx.dev, &ctx.grid),
             w: Field::zeros(&ctx.dev, &ctx.grid),
         }
-    }
-
-    /// Enable or disable split-phase halo overlap in [`ChebyMode::Global`]
-    /// (on by default; no effect in the communication-free modes). The
-    /// sweeps are bitwise-identical either way.
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
     }
 
     /// Number of sweeps per application.
@@ -146,15 +137,16 @@ impl MixedChebyshev {
         let mut rho_old = 1.0 / sigma;
         let mut rho_cur = 1.0 / (2.0 * sigma - rho_old);
 
-        // Split-phase overlap only makes sense when the mode communicates.
-        let overlap = self.overlap && self.mode == ChebyMode::Global;
+        // Split-phase only when the mode communicates and this rank has
+        // a neighbour; the sweeps are bitwise-identical either way.
+        let split = ctx.split_phase_halo(self.mode == ChebyMode::Global);
 
         // KernelCI1f32: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Coefficients
         // round host-f64 → f32 once per sweep.
         let c1 = (4.0 * rho_cur / delta) as f32;
         let ca = (-2.0 * rho_cur / (delta * theta)) as f32;
         let inv_theta = (1.0 / theta) as f32;
-        if overlap {
+        if split {
             let pending = ctx.halo.begin_f32(&ctx.dev, &ctx.comm, &self.b32);
             apply_physical_bcs(&ctx.grid, &mut self.b32, &ctx.recorder, false);
             crate::kernels::scale(
@@ -212,7 +204,7 @@ impl MixedChebyshev {
             let cy = (2.0 * sigma * rho_cur) as f32;
             let cb = (2.0 * rho_cur / delta) as f32;
             let cz = (-rho_cur * rho_old) as f32;
-            if overlap {
+            if split {
                 let pending = ctx.halo.begin_f32(&ctx.dev, &ctx.comm, &self.y);
                 apply_physical_bcs(&ctx.grid, &mut self.y, &ctx.recorder, false);
                 let (y_ref, z_ref, b_ref, w_mut) = (&self.y, &self.z, &self.b32, &mut self.w);
@@ -263,6 +255,7 @@ impl MixedChebyshev {
 mod tests {
     use super::*;
     use crate::cheby::{global_bounds, ChebyshevIteration};
+    use crate::testutil::{chebyshev_sync_oracle, rng_values, world8};
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::SelfComm;
@@ -272,18 +265,6 @@ mod tests {
         g.bc[0] = [BcKind::Dirichlet, BcKind::Neumann];
         let grid = BlockGrid::new(g, Decomp::single(), 0);
         RankCtx::new(Serial::new(Recorder::disabled()), SelfComm::default(), grid)
-    }
-
-    fn rng_values(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
     }
 
     #[test]
@@ -332,25 +313,34 @@ mod tests {
     }
 
     #[test]
-    fn overlap_off_is_bitwise_identical() {
-        // Like the f64 iteration, the split-phase schedule must not
-        // change a single bit of the result.
-        let ctx = ctx_single(5);
-        let n = ctx.grid.global.unknowns();
-        let rhs = rng_values(n, 23);
-        let bounds = global_bounds(&ctx);
-        let run = |overlap: bool| {
-            let b = blockgrid::Field::from_interior(&ctx.dev, &ctx.grid, &rhs);
+    fn split_phase_sweeps_match_the_synchronous_oracle_on_8_ranks() {
+        // Like the f64 iteration, the split-phase schedule a
+        // communicating world runs must not change a single bit relative
+        // to blocking f32 exchanges and monolithic sweeps.
+        let results = world8(23, |ctx, b_local| {
+            let bounds = global_bounds(ctx).rescaled(1e-4, 10.0);
+            let mut mixed = MixedChebyshev::new(ctx, ChebyMode::Global, bounds, 12);
+            let b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
             let mut x = ctx.field();
-            let mut mixed = MixedChebyshev::new(&ctx, ChebyMode::Global, bounds, 12);
-            mixed.set_overlap(overlap);
-            mixed.solve(&ctx, &b, &mut x);
-            x.interior_to_host(&ctx.grid)
-        };
-        let on = run(true);
-        let off = run(false);
-        for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            mixed.solve(ctx, &b, &mut x);
+            let mut b32 = Field::<f32>::zeros(&ctx.dev, &ctx.grid);
+            cast_down(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut b32, &b);
+            let want = chebyshev_sync_oracle(
+                ctx,
+                mixed.parameters(),
+                12,
+                |f| refresh_ghosts_f32(ChebyMode::Global, ctx, f),
+                b32,
+            );
+            (
+                x.interior_to_host(&ctx.grid),
+                want.interior_to_host(&ctx.grid),
+            )
+        });
+        for (rank, (got, want)) in results.iter().enumerate() {
+            for (a, b) in got.iter().zip(want) {
+                assert_eq!(a.to_bits(), f64::from(*b).to_bits(), "rank {rank}");
+            }
         }
     }
 

@@ -104,12 +104,6 @@ impl<T: Scalar> ChebyPrecond<T> {
     pub fn iteration(&self) -> &ChebyshevIteration<T> {
         &self.cheby
     }
-
-    /// Enable or disable split-phase halo overlap (forwards to
-    /// [`ChebyshevIteration::set_overlap`]; only `G(CI)` communicates).
-    pub fn set_overlap(&mut self, on: bool) {
-        self.cheby.set_overlap(on);
-    }
 }
 
 impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for ChebyPrecond<T> {
@@ -165,12 +159,6 @@ impl MixedChebyPrecond {
     pub fn iteration(&self) -> &crate::mixed::MixedChebyshev {
         &self.cheby
     }
-
-    /// Enable or disable split-phase halo overlap (forwards to
-    /// [`crate::mixed::MixedChebyshev::set_overlap`]).
-    pub fn set_overlap(&mut self, on: bool) {
-        self.cheby.set_overlap(on);
-    }
 }
 
 impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for MixedChebyPrecond {
@@ -199,9 +187,6 @@ pub struct InnerBiCgsPrec<T> {
     /// Relative tolerance on the inner residual.
     tol_rel: f64,
     max_iters: usize,
-    overlap: bool,
-    overlap_reduce: bool,
-    fuse: bool,
     ws: Workspace<T>,
     name: &'static str,
 }
@@ -225,30 +210,9 @@ impl<T: Scalar> InnerBiCgsPrec<T> {
             scope,
             tol_rel,
             max_iters,
-            overlap: true,
-            overlap_reduce: true,
-            fuse: true,
             ws: Workspace::new(&ctx.dev, &ctx.grid),
             name,
         }
-    }
-
-    /// Enable or disable split-phase halo overlap in the inner solve
-    /// (on by default; only the global scope communicates).
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
-    }
-
-    /// Enable or disable split-phase batched reductions in the inner
-    /// solve (on by default; only the global scope reduces).
-    pub fn set_overlap_reduce(&mut self, on: bool) {
-        self.overlap_reduce = on;
-    }
-
-    /// Enable or disable the fused memory-bound kernels of the inner
-    /// solve (on by default; bitwise-transparent either way).
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fuse = on;
     }
 }
 
@@ -270,9 +234,6 @@ impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for Inner
             tol: self.tol_rel * rhs_norm,
             max_iters: self.max_iters,
             record_history: false,
-            overlap_halo: self.overlap,
-            overlap_reduce: self.overlap_reduce,
-            fuse_kernels: self.fuse,
             ..Default::default()
         };
         let outcome = bicgstab_solve(

@@ -1,0 +1,110 @@
+//! Fixtures shared by the crate's unit-test modules.
+
+use accel::{Device, Recorder, Scalar, Serial};
+use blockgrid::{BcKind, BlockGrid, Decomp, Field, GlobalGrid};
+use comm::{run_ranks, Communicator, ReduceOrder, ThreadComm};
+
+use crate::RankCtx;
+
+/// `n` reproducible pseudo-random values in `[-1, 1)`.
+pub(crate) fn rng_values(n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        })
+        .collect()
+}
+
+/// The boundary conditions of the paper's test problem (Sec. IV).
+pub(crate) fn paper_bcs() -> [[BcKind; 2]; 3] {
+    [
+        [BcKind::Dirichlet, BcKind::Neumann],
+        [BcKind::Neumann, BcKind::Dirichlet],
+        [BcKind::Neumann, BcKind::Dirichlet],
+    ]
+}
+
+/// Restrict a global lexicographic field to `grid`'s interior.
+pub(crate) fn scatter(grid: &BlockGrid, global: &[f64]) -> Vec<f64> {
+    let [nx, ny, _] = grid.global.n;
+    let (ln, off) = (grid.local_n, grid.offset);
+    let mut local = Vec::with_capacity(ln.iter().product());
+    for k in 0..ln[2] {
+        for j in 0..ln[1] {
+            for i in 0..ln[0] {
+                local.push(global[(off[0] + i) + nx * ((off[1] + j) + ny * (off[2] + k))]);
+            }
+        }
+    }
+    local
+}
+
+/// Run `body` on every rank of the crate's standard multi-rank test
+/// world — an 8³ paper-BC grid split 2×2×2 over Serial devices with
+/// rank-ordered reductions — handing it the rank context and the rank's
+/// slice of the seeded global right-hand side.
+pub(crate) fn world8<R: Send>(
+    seed: u64,
+    body: impl Fn(&RankCtx<f64, Serial, ThreadComm<f64>>, &[f64]) -> R + Sync,
+) -> Vec<R> {
+    let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
+    g.bc = paper_bcs();
+    let b_host = rng_values(g.unknowns(), seed);
+    run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, |comm| {
+        let grid = BlockGrid::new(g.clone(), Decomp::new([2, 2, 2]), comm.rank());
+        let ctx = RankCtx::new(Serial::new(Recorder::disabled()), comm, grid);
+        body(&ctx, &scatter(&ctx.grid, &b_host))
+    })
+}
+
+/// Bit patterns of `v`, for exact comparisons with readable failures.
+pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Synchronous Chebyshev oracle for the split-phase sweeps of
+/// [`crate::ChebyshevIteration`] and [`crate::MixedChebyshev`]:
+/// Algorithm 4 sweep for sweep at element width `E`, with a blocking
+/// ghost `refresh` (exchange → BCs) before each monolithic
+/// `apply_combine`. Returns the last sweep's field.
+pub(crate) fn chebyshev_sync_oracle<E, T, D, C>(
+    ctx: &RankCtx<T, D, C>,
+    (theta, delta, sigma): (f64, f64, f64),
+    iterations: usize,
+    mut refresh: impl FnMut(&mut Field<E>),
+    mut b: Field<E>,
+) -> Field<E>
+where
+    E: Scalar,
+    T: Scalar,
+    D: Device,
+    C: Communicator<T>,
+{
+    let (dev, grid, info) = (&ctx.dev, &ctx.grid, stencil::INFO_APPLY);
+    let [mut z, mut y, mut w] = std::array::from_fn(|_| Field::<E>::zeros(dev, grid));
+    let mut rho_old = 1.0 / sigma;
+    let mut rho = 1.0 / (2.0 * sigma - rho_old);
+    refresh(&mut b);
+    crate::kernels::scale(dev, info, grid, &mut z, &b, E::from_f64(1.0 / theta));
+    let c1 = E::from_f64(4.0 * rho / delta);
+    let ca = E::from_f64(-2.0 * rho / (delta * theta));
+    ctx.lap.apply_combine(dev, info, &b, &mut y, ca, [(&b, c1)]);
+    for _ in 2..=iterations {
+        rho_old = rho;
+        rho = 1.0 / (2.0 * sigma - rho_old);
+        let ca = E::from_f64(-2.0 * rho / delta);
+        let cy = E::from_f64(2.0 * sigma * rho);
+        let cb = E::from_f64(2.0 * rho / delta);
+        let cz = E::from_f64(-rho * rho_old);
+        refresh(&mut y);
+        let terms = [(&y, cy), (&b, cb), (&z, cz)];
+        ctx.lap.apply_combine(dev, info, &y, &mut w, ca, terms);
+        z.swap(&mut y);
+        y.swap(&mut w);
+    }
+    y
+}

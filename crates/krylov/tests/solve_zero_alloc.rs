@@ -6,8 +6,9 @@
 //! (including the `p_hat_prev` ping-pong buffer the deferred merged
 //! x-update swaps through), the split-phase dot slots are reused, and the
 //! communicator recycles its queues. After one warm-up solve, further
-//! solves — fused kernels, overlapped halo and split-phase batched
-//! reductions all on — may not touch the heap.
+//! solves — fused kernels, split-phase halo and split-phase batched
+//! reductions, as every multi-rank world runs them — may not touch the
+//! heap.
 //!
 //! This file holds a single test on purpose: a `#[global_allocator]` is
 //! binary-wide, and a lone test keeps other harness threads from muddying
@@ -81,9 +82,9 @@ fn fused_solve_is_allocation_free_after_warmup() {
             eig_min_factor: 10.0,
             ..SolverOptions::default()
         };
-        // The default production configuration: fused kernels, overlapped
-        // halo exchange and split-phase batched reductions, Chebyshev
-        // preconditioner. An unreachable tolerance pins the iteration
+        // The production schedule of a multi-rank world: fused kernels,
+        // split-phase halo exchange and lagged batched reductions, under
+        // a Chebyshev preconditioner. An unreachable tolerance pins the iteration
         // count so the audit covers full steady-state loop bodies.
         let mut prec = SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts);
         // The mixed-precision flavour shares the audit: its f32 state
@@ -100,7 +101,6 @@ fn fused_solve_is_allocation_free_after_warmup() {
             record_history: false,
             ..Default::default()
         };
-        assert!(params.fuse_kernels, "fusion must be the default schedule");
 
         // Warm-up: one solve populates the halo buffer pool, the
         // communicator's per-(peer, tag) queues and any lazily-built

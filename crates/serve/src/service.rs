@@ -642,8 +642,6 @@ fn execute_checked(
         tol: request.tol,
         max_iters: request.max_iters,
         record_history: false,
-        overlap_halo: request.opts.overlap_halo,
-        overlap_reduce: request.opts.overlap_reduce,
         cancel: Some(job.cancel.clone()),
         ..SolveParams::default()
     };

@@ -47,7 +47,7 @@ pub struct SessionKey {
     device: String,
     slot: usize,
     kind: SolverKind,
-    opts: ([u64; 4], [usize; 2], [bool; 2]),
+    opts: ([u64; 4], [usize; 2], bool),
 }
 
 impl SessionKey {
@@ -56,7 +56,17 @@ impl SessionKey {
     /// callers run this under the job's panic isolation.
     pub(crate) fn of(req: &SolveRequest, device: &str, slot: usize) -> Self {
         let g = req.problem.discretize();
-        let o = &req.opts;
+        // Exhaustive on purpose: a new `SolverOptions` field fails to
+        // compile here until it is part of the key.
+        let SolverOptions {
+            inner_tol_g,
+            inner_tol_bj,
+            inner_max_iters,
+            ci_iterations,
+            eig_max_shrink,
+            eig_min_factor,
+            mixed_precision,
+        } = req.opts;
         Self {
             n: g.n,
             h: g.h.map(f64::to_bits),
@@ -68,13 +78,13 @@ impl SessionKey {
             kind: req.kind,
             opts: (
                 [
-                    o.inner_tol_g.to_bits(),
-                    o.inner_tol_bj.to_bits(),
-                    o.eig_max_shrink.to_bits(),
-                    o.eig_min_factor.to_bits(),
+                    inner_tol_g.to_bits(),
+                    inner_tol_bj.to_bits(),
+                    eig_max_shrink.to_bits(),
+                    eig_min_factor.to_bits(),
                 ],
-                [o.inner_max_iters, o.ci_iterations],
-                [o.overlap_halo, o.overlap_reduce],
+                [inner_max_iters, ci_iterations],
+                mixed_precision,
             ),
         }
     }
@@ -374,8 +384,6 @@ impl Session {
             tol: req.tol,
             max_iters: req.max_iters,
             record_history: false,
-            overlap_halo: req.opts.overlap_halo,
-            overlap_reduce: req.opts.overlap_reduce,
             cancel: Some(cancel),
             ..Default::default()
         };
@@ -464,8 +472,6 @@ impl Session {
             tol: head.tol,
             max_iters: head.max_iters,
             record_history: false,
-            overlap_halo: head.opts.overlap_halo,
-            overlap_reduce: head.opts.overlap_reduce,
             // Per-lane tokens travel through `cancels`; a params-level
             // token is a solo-path concept the batched driver rejects.
             cancel: None,

@@ -419,6 +419,63 @@ fn compatible_queued_jobs_coalesce_into_one_batched_solve_bitwise() {
 }
 
 #[test]
+fn jobs_differing_only_in_precision_do_not_coalesce() {
+    // Two queued jobs identical but for `mixed_precision` need different
+    // preconditioners, so they must get different session keys and run
+    // as two solo solves — each bitwise-equal to its own solo reference,
+    // not to the other precision's.
+    let gate = Arc::new(AtomicBool::new(false));
+    let svc = SolveService::start(ServiceConfig {
+        workers: 1,
+        batch_window: 4,
+        ..ServiceConfig::default()
+    });
+    let blocker = svc.submit(quick(gated_problem(&gate))).unwrap();
+    wait_until_running(&blocker);
+    let mut base = quick(unit_cube_dirichlet(9));
+    base.kind = SolverKind::BiCgsGCi;
+    let requests: Vec<SolveRequest> = [false, true]
+        .into_iter()
+        .map(|mixed_precision| {
+            let mut req = base.clone();
+            req.opts.mixed_precision = mixed_precision;
+            req
+        })
+        .collect();
+    let handles: Vec<JobHandle> = requests
+        .iter()
+        .map(|req| svc.submit(req.clone()).unwrap())
+        .collect();
+    gate.store(true, Ordering::SeqCst);
+    assert!(blocker.wait().output().is_some());
+    let solo_svc = single_worker(8);
+    let mut residuals = Vec::new();
+    for (req, handle) in requests.iter().zip(&handles) {
+        let mixed = req.opts.mixed_precision;
+        let result = handle.wait();
+        let out = result.output().unwrap_or_else(|| {
+            panic!("mixed_precision={mixed} must complete, got {result:?}");
+        });
+        assert_eq!(
+            out.metrics.batch_size, 1,
+            "mixed_precision={mixed} must not share a batch"
+        );
+        let solo = solo_svc.submit(req.clone()).unwrap().wait();
+        let solo = solo.output().expect("solo reference completes");
+        assert_eq!(
+            out.outcome.final_residual.to_bits(),
+            solo.outcome.final_residual.to_bits(),
+            "mixed_precision={mixed} must be bitwise-identical to its solo solve"
+        );
+        residuals.push(out.outcome.final_residual.to_bits());
+    }
+    assert_ne!(
+        residuals[0], residuals[1],
+        "the two precisions must really have run different preconditioners"
+    );
+}
+
+#[test]
 fn formation_honors_cancel_and_deadline_before_claiming_a_lane() {
     // Of three fingerprint-compatible queued jobs, one is cancelled and
     // one is past its deadline by the time the worker forms the batch:

@@ -9,6 +9,13 @@
 //! `.to_string()`, `.collect()`, `.clone()` — is a finding unless the
 //! line carries `// LINT: alloc-ok(<reason>)` (e.g. a cold-path fallback
 //! or setup code executed once).
+//!
+//! The registry matches by name, so a refactor that renames or deletes a
+//! registered function would silently drop it out of the gate: an entry
+//! that names no non-test `fn` in its file (or whose file is gone) is
+//! itself an SPMD003 finding.
+
+use std::path::Path;
 
 use crate::tree::{FnItem, Tree};
 use crate::{Finding, SrcInfo};
@@ -21,6 +28,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/bicgstab.rs", "refresh_ghosts"),
     ("crates/krylov/src/bicgstab.rs", "refresh_and_apply"),
     ("crates/krylov/src/bicgstab.rs", "global_sum"),
+    ("crates/krylov/src/bicgstab.rs", "lagged_reductions"),
+    ("crates/krylov/src/ctx.rs", "split_phase_halo"),
     // Fused vector kernels.
     ("crates/krylov/src/kernels.rs", "axpy_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_inplace"),
@@ -38,6 +47,9 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     // Chebyshev preconditioner inner loop + stencil combine.
     ("crates/krylov/src/cheby.rs", "solve"),
     ("crates/krylov/src/cheby.rs", "refresh_ghosts"),
+    // Its single-precision twin.
+    ("crates/krylov/src/mixed.rs", "solve"),
+    ("crates/krylov/src/mixed.rs", "refresh_ghosts_f32"),
     ("crates/stencil/src/laplacian.rs", "apply"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_shell"),
@@ -64,6 +76,14 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "begin"),
     ("crates/blockgrid/src/halo.rs", "finish"),
     ("crates/blockgrid/src/halo.rs", "exchange"),
+    ("crates/blockgrid/src/halo.rs", "interface_faces"),
+    // ... and its f32 wire-format twin.
+    ("crates/blockgrid/src/halo.rs", "acquire_f32"),
+    ("crates/blockgrid/src/halo.rs", "recycle_f32"),
+    ("crates/blockgrid/src/halo.rs", "begin_f32_impl"),
+    ("crates/blockgrid/src/halo.rs", "begin_f32"),
+    ("crates/blockgrid/src/halo.rs", "finish_f32"),
+    ("crates/blockgrid/src/halo.rs", "exchange_f32"),
     // ThreadComm collective engine.
     ("crates/comm/src/thread_comm.rs", "collective_begin"),
     ("crates/comm/src/thread_comm.rs", "collective_finish"),
@@ -90,11 +110,51 @@ pub fn check(src: &SrcInfo<'_>, fns: &[FnItem], findings: &mut Vec<Finding>) {
     if hot.is_empty() {
         return;
     }
+    let stale: Vec<&str> = hot
+        .iter()
+        .copied()
+        .filter(|name| !fns.iter().any(|f| !f.is_test && f.name == *name))
+        .collect();
+    if !stale.is_empty() {
+        findings.push(Finding {
+            code: "SPMD003",
+            path: src.rel.to_string(),
+            line: 1,
+            message: format!(
+                "stale hot-registry entries: no fn `{}` in this file — renamed or deleted? \
+                 Update HOT_FUNCTIONS in crates/spmdlint/src/hotalloc.rs so the code stays \
+                 gated",
+                stale.join("`, `")
+            ),
+        });
+    }
     for f in fns
         .iter()
         .filter(|f| !f.is_test && hot.contains(&f.name.as_str()))
     {
         scan(src, &f.name, &f.body, findings);
+    }
+}
+
+/// Workspace half of the stale-entry check: every registered file must
+/// still exist ([`check`] only sees files that do).
+pub fn audit_registry_files(root: &Path, findings: &mut Vec<Finding>) {
+    let mut missing: Vec<&str> = HOT_FUNCTIONS
+        .iter()
+        .map(|(rel, _)| *rel)
+        .filter(|rel| !root.join(rel).is_file())
+        .collect();
+    missing.sort_unstable();
+    missing.dedup();
+    for rel in missing {
+        findings.push(Finding {
+            code: "SPMD003",
+            path: rel.to_string(),
+            line: 1,
+            message: "stale hot-registry entries: file not found (moved or deleted? \
+                      Update HOT_FUNCTIONS in crates/spmdlint/src/hotalloc.rs)"
+                .to_string(),
+        });
     }
 }
 

@@ -18,8 +18,11 @@
 //! interprets token trees, not typed HIR. False positives are silenced
 //! in place with `// LINT: <marker>(<reason>)` annotations
 //! (`split-phase-ok`, `collective-uniform`, `alloc-ok`, `panic-ok`) that
-//! double as reviewer-facing justification comments. `cargo xtask lint`
-//! drives [`run_workspace`] and gates CI on zero findings.
+//! double as reviewer-facing justification comments. The name-matched
+//! registries behind SPMD001, SPMD003 and SPMD006 are audited too: an
+//! entry that no longer names a `fn`/type is a finding of its own code.
+//! `cargo xtask lint` drives [`run_workspace`] and gates CI on zero
+//! findings.
 
 #![warn(missing_docs)]
 
@@ -31,6 +34,7 @@ pub mod panic_hygiene;
 pub mod split_phase;
 pub mod tree;
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// One lint finding with a stable code and exact source anchor.
@@ -95,6 +99,12 @@ impl SrcInfo<'_> {
 /// the per-path registries (hot functions, serve request paths, unsafe
 /// allowlist), so tests can analyze fixture content under any path.
 pub fn analyze_source(rel: &str, text: &str) -> Vec<Finding> {
+    analyze(rel, text).0
+}
+
+/// [`analyze_source`], plus the names of the file's non-test `fn`s —
+/// the workspace run audits its name-matched registries against them.
+fn analyze(rel: &str, text: &str) -> (Vec<Finding>, Vec<String>) {
     let mut findings = Vec::new();
     let stripped = lexer::strip_comments_and_strings(text);
     let toks = lexer::tokenize(&stripped);
@@ -115,7 +125,12 @@ pub fn analyze_source(rel: &str, text: &str) -> Vec<Finding> {
     hotalloc::check(&src, &fns, &mut findings);
     panic_hygiene::check(&src, &fns, &mut findings);
     legacy::audit_unsafe(rel, text, &mut findings);
-    findings
+    let defined = fns
+        .into_iter()
+        .filter(|f| !f.is_test)
+        .map(|f| f.name)
+        .collect();
+    (findings, defined)
 }
 
 /// Run every pass over the workspace rooted at `root`.
@@ -127,6 +142,7 @@ pub fn run_workspace(root: &Path) -> Report {
     files.sort();
 
     let mut findings = Vec::new();
+    let mut defined = BTreeSet::new();
     let mut scanned = 0usize;
     for path in &files {
         let rel = rel_path(root, path);
@@ -137,7 +153,11 @@ pub fn run_workspace(root: &Path) -> Report {
         }
         scanned += 1;
         match std::fs::read_to_string(path) {
-            Ok(text) => findings.extend(analyze_source(&rel, &text)),
+            Ok(text) => {
+                let (found, fns) = analyze(&rel, &text);
+                findings.extend(found);
+                defined.extend(fns);
+            }
             Err(e) => findings.push(Finding {
                 code: "SPMD000",
                 path: rel,
@@ -146,6 +166,8 @@ pub fn run_workspace(root: &Path) -> Report {
             }),
         }
     }
+    split_phase::audit_registry(&defined, &mut findings);
+    hotalloc::audit_registry_files(root, &mut findings);
     legacy::audit_must_use(root, &mut findings);
     legacy::audit_missing_docs(root, &mut findings);
     findings

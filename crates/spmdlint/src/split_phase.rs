@@ -19,6 +19,8 @@
 //! tracked. Suppress a deliberate violation with
 //! `// LINT: split-phase-ok(<reason>)` next to the begin site.
 
+use std::collections::BTreeSet;
+
 use crate::tree::{FnItem, Tree};
 use crate::{Finding, SrcInfo};
 
@@ -68,6 +70,29 @@ const CLASSES: &[BeginClass] = &[
         contextual_halo: false,
     },
 ];
+
+/// The classes match call sites by method name, so a renamed begin or
+/// finish would silently stop being tracked: report every registered
+/// name that no non-test `fn` in the workspace (`defined`) carries.
+pub fn audit_registry(defined: &BTreeSet<String>, findings: &mut Vec<Finding>) {
+    for class in CLASSES {
+        for name in class.begins.iter().chain([&class.finish]) {
+            if !defined.contains(*name) {
+                findings.push(Finding {
+                    code: "SPMD001",
+                    path: "crates/spmdlint/src/split_phase.rs".to_string(),
+                    line: 1,
+                    message: format!(
+                        "stale split-phase registry entry: no fn `{name}` ({} protocol) is \
+                         defined in the workspace — renamed? Update CLASSES so the pairing \
+                         stays checked",
+                        class.handle
+                    ),
+                });
+            }
+        }
+    }
+}
 
 /// A live split-phase handle on the current path.
 #[derive(Clone)]

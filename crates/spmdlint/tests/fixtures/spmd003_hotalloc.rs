@@ -1,7 +1,9 @@
-//! SPMD003 fixture: allocation in a registered hot function. The driver
-//! analyzes this under the rel path `crates/krylov/src/kernels.rs`, so
-//! `axpy_inplace` and `dot` are on the hot registry and the free helper
-//! below is not.
+//! SPMD003 fixture: allocation in a registered hot function. // EXPECT: SPMD003
+//! The driver analyzes this under the rel path
+//! `crates/krylov/src/kernels.rs`, so `axpy_inplace` and `dot` are on the
+//! hot registry and the free helper below is not. The marker on line 1
+//! is the stale-registry finding: most functions registered for that
+//! path do not exist here, exactly as after a rename.
 
 pub fn axpy_inplace(y: &mut [f64], a: f64, x: &[f64]) {
     let scratch: Vec<f64> = Vec::new(); // EXPECT: SPMD003

@@ -195,6 +195,63 @@ fn hot_path_allocation_is_caught_spmd003() {
 }
 
 #[test]
+fn renamed_hot_function_is_caught_spmd003() {
+    // The registry matches by name: a refactor that renames a registered
+    // function must surface as a finding, not silently ungate it.
+    let rel = "crates/krylov/src/bicgstab.rs";
+    let text = load(rel);
+    line_of(&text, "fn refresh_and_apply<");
+    let mutant = text.replacen("fn refresh_and_apply<", "fn refresh_then_apply<", 1);
+    let found = findings_with(rel, &mutant, "SPMD003");
+    assert!(
+        found
+            .iter()
+            .any(|(_, m)| m.contains("stale hot-registry entries")
+                && m.contains("`refresh_and_apply`")),
+        "expected a stale-entry SPMD003 for refresh_and_apply, got {found:?}"
+    );
+}
+
+#[test]
+fn registry_entries_without_a_definition_are_findings() {
+    // Split-phase classes match call sites by method name; a name no fn
+    // in the workspace carries can no longer be paired.
+    let defined: std::collections::BTreeSet<String> = [
+        "iall_reduce",
+        "iall_reduce_batch",
+        "reduce_finish",
+        "iall_reduce_many",
+        "reduce_finish_many",
+        "begin",
+        "finish",
+        "begin_f32",
+        "finish_f32",
+        "apply_shell_dot",
+    ]
+    .map(String::from)
+    .into();
+    let mut found = Vec::new();
+    spmdlint::split_phase::audit_registry(&defined, &mut found);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].code == "SPMD001" && found[0].message.contains("`fold`"));
+
+    // ... and a hot-registry file that no longer exists is reported once.
+    let mut found = Vec::new();
+    spmdlint::hotalloc::audit_registry_files(&repo_root().join("crates/spmdlint"), &mut found);
+    assert!(
+        found
+            .iter()
+            .filter(|f| f.path == "crates/krylov/src/bicgstab.rs")
+            .count()
+            == 1,
+        "{found:?}"
+    );
+    let mut found = Vec::new();
+    spmdlint::hotalloc::audit_registry_files(&repo_root(), &mut found);
+    assert!(found.is_empty(), "{found:?}");
+}
+
+#[test]
 fn fresh_unwrap_in_serve_is_caught_spmd004() {
     let rel = "crates/serve/src/service.rs";
     let text = load(rel);

@@ -15,6 +15,27 @@ use comm::ReduceOrder;
 use krylov::SolverKind;
 use perfmodel::{build_timeline, render_roofline, render_timeline, replay, roofline, MachineModel};
 
+/// Every `--option` the solver front-end understands (the usage text
+/// below documents each); anything else is rejected, not ignored.
+const OPTIONS: &[&str] = &[
+    "nodes",
+    "ranks",
+    "solver",
+    "device",
+    "tol",
+    "max-iters",
+    "ci-iters",
+    "min-factor",
+    "arrival",
+    "true-res",
+    "restarts",
+    "history",
+    "machines",
+    "trace",
+    "roofline",
+    "help",
+];
+
 fn usage() -> ! {
     eprintln!(
         "poisson-bicgstab-repro: preconditioned Bi-CGSTAB Poisson solver
@@ -31,13 +52,7 @@ USAGE: poisson-bicgstab-repro [OPTIONS]
   --max-iters N    outer iteration cap                       [50000]
   --ci-iters N     Chebyshev sweeps per application          [24]
   --min-factor X   lambda_min rescaling (Bergamaschi)        [10]
-  --no-overlap     synchronous halo exchanges (overlap is on by default)
-  --no-overlap-reduce  blocking reductions instead of the split-phase
-                   batched schedule (overlap is on by default)
-  --no-fuse        unfused kernel schedule, 11 full-grid sweeps per
-                   iteration (the fused 5-sweep schedule is the default)
   --arrival        arrival-order (nondeterministic) reductions
-  --early-exit     enable the Alg. 1 mid-loop convergence check
   --true-res K     recompute the true residual every K iterations
   --restarts N     shadow-residual restarts on breakdown     [0]
   --history        print the residual history
@@ -161,6 +176,10 @@ fn main() {
     if args.flag("help") {
         usage();
     }
+    if let Some(arg) = args.unrecognized(OPTIONS) {
+        eprintln!("unrecognized argument {arg:?}\n");
+        usage();
+    }
     let solver: SolverKind = args
         .get_str("solver", "gnocomm-ci")
         .parse()
@@ -179,15 +198,11 @@ fn main() {
     cfg.max_iters = args.get("max-iters", 50_000);
     cfg.opts.ci_iterations = args.get("ci-iters", 24);
     cfg.opts.eig_min_factor = args.get("min-factor", 10.0);
-    cfg.opts.overlap_halo = !args.flag("no-overlap");
-    cfg.opts.overlap_reduce = !args.flag("no-overlap-reduce");
-    cfg.opts.fuse_kernels = !args.flag("no-fuse");
     cfg.order = if args.flag("arrival") {
         ReduceOrder::Arrival
     } else {
         ReduceOrder::RankOrder
     };
-    cfg.params_extra.early_exit_check = args.flag("early-exit");
     cfg.params_extra.true_residual_every = args.get("true-res", 0);
     cfg.params_extra.max_restarts = args.get("restarts", 0);
     let need_events = args.flag("machines") || args.flag("trace") || args.flag("roofline");

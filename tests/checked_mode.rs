@@ -85,22 +85,18 @@ fn distributed_paper_solve_is_clean_under_full_checking() {
     }
 }
 
-/// The reduction-overlap schedule under full checking: 8 verified ranks
-/// on a 2x2x2 decomposition run the overlapped Bi-CGSTAB — split-phase
-/// batched reductions, lagged convergence check, post-loop drain — with
-/// zero findings from the verifier or the teardown audit.
+/// The multi-rank reduction schedule under full checking: 8 verified
+/// ranks on a 2x2x2 decomposition run Bi-CGSTAB with its split-phase
+/// batched reductions, lagged convergence check and post-loop drain,
+/// with zero findings from the verifier or the teardown audit.
 #[test]
-fn distributed_overlap_reduce_solve_is_clean_under_full_checking() {
+fn eight_rank_lagged_reduction_solve_is_clean_under_full_checking() {
     let decomp = Decomp::new([2, 2, 2]);
     let results = try_run_ranks_checked::<f64, _, _>(8, CheckConfig::default(), move |comm| {
         let dev = Checked::new(Serial::new(Recorder::disabled()));
         let mut solver: PoissonSolver<f64, _, _> =
             PoissonSolver::new(paper_problem(13), decomp, dev, comm);
-        let params = SolveParams {
-            overlap_reduce: true,
-            ..params()
-        };
-        let out = solver.solve(SolverKind::BiCgsGNoCommCi, &opts(), &params);
+        let out = solver.solve(SolverKind::BiCgsGNoCommCi, &opts(), &params());
         let (l2, _) = solver.error_vs_exact();
         (out.converged, l2)
     })
