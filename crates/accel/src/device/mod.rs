@@ -102,6 +102,29 @@ impl ExchangeHazard {
         }
         None
     }
+
+    /// First cell of `map` whose 7-point stencil reads a cell the
+    /// in-flight exchange will overwrite, as `(cell, axis, side)`. `map`
+    /// indexes a field of this hazard's padded dims.
+    pub fn stencil_hit(&self, map: &RowMap) -> Option<(usize, usize, usize)> {
+        let strides = [1, self.padded[0], self.padded[0] * self.padded[1]];
+        for r in 0..map.rows() {
+            let (j, k) = map.row_jk(r);
+            let off = map.row_offset(j, k);
+            for cell in off..off + map.len {
+                let neighbours = strides
+                    .iter()
+                    .flat_map(|&s| [cell.checked_sub(s), Some(cell + s)])
+                    .flatten();
+                for n in neighbours.filter(|&n| n < self.len()) {
+                    if let Some((axis, side)) = self.hit(n) {
+                        return Some((cell, axis, side));
+                    }
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Which back-end a device is.
@@ -309,6 +332,13 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// completed (called by `HaloExchange::finish` before any ghost plane
     /// is unpacked). Default no-op.
     fn on_exchange_finish(&self, _hazard: ExchangeHazard) {}
+
+    /// Sanitizer hook: the next launch reads, from `input`, the 7-point
+    /// neighbourhood of every cell of `map` (called by the stencil sweeps
+    /// before they launch). A sweep that runs inside a split-phase
+    /// exchange window may read physical ghosts but no ghost the exchange
+    /// still owns; `Checked<D>` flags one that does. Default no-op.
+    fn on_stencil_read<T: Scalar>(&self, _kernel: &'static str, _map: RowMap, _input: &[T]) {}
 }
 
 /// Shared precondition check for the lane-batched launches: the row map
@@ -511,6 +541,14 @@ impl Device for AnyDevice {
             Self::Serial(d) => d.on_exchange_finish(hazard),
             Self::Threads(d) => d.on_exchange_finish(hazard),
             Self::SimGpu(d) => d.on_exchange_finish(hazard),
+        }
+    }
+
+    fn on_stencil_read<T: Scalar>(&self, kernel: &'static str, map: RowMap, input: &[T]) {
+        match self {
+            Self::Serial(d) => d.on_stencil_read(kernel, map, input),
+            Self::Threads(d) => d.on_stencil_read(kernel, map, input),
+            Self::SimGpu(d) => d.on_stencil_read(kernel, map, input),
         }
     }
 }

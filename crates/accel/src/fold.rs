@@ -1,55 +1,65 @@
 //! Canonical row-fold order for fused dot-producing kernels.
 //!
-//! The fused-kernel path splits one logical sweep into a *deep interior*
-//! launch (overlapped with the halo exchange) plus six *shell* launches.
-//! When such a split sweep also produces a dot contribution, each piece
-//! folds only its own cells, and the per-row partials are composed in
-//! piece order: `(Σ middle) + edge_first + edge_last`. For the monolithic
-//! (non-split) variant of the same kernel to stay bitwise identical, it
-//! must fold each row in that *same* grouping rather than plain `i`
-//! order. [`fold_row_edge_last`] is that shared canonical fold, and
-//! [`row_has_deep_middle`] is the predicate deciding which rows have a
-//! middle (it mirrors `RowMap::halo_deep_interior`'s existence
-//! condition): rows without one keep the plain left-to-right fold.
+//! A fused `apply + dot` sweep folds each row's dot terms in one fixed,
+//! *canonical* grouping, whether the sweep runs monolithically or split
+//! around a halo exchange (`RowMap::halo_window` in flight, then
+//! `RowMap::halo_shell`): rows away from every subdomain face fold as
+//! `(Σ middle) + edge_first + edge_last`, all others plain left to
+//! right. The grouping is what a deep-interior launch followed by an
+//! x-low and an x-high launch would deposit into a shared per-row slot;
+//! it is kept because every recorded digest depends on it, not because
+//! the split still has that shape. [`fold_row_edge_last`] is the fold
+//! and [`row_has_deep_middle`] the predicate deciding which rows have a
+//! middle; both depend on the interior extent only, never on which faces
+//! are in flight, so every rank folds a given row the same way in every
+//! schedule. A split sweep folds full rows exactly as the monolithic
+//! kernel does, and refolds from the stored row the few window rows
+//! whose x-edge cell lands after the exchange.
 //!
 //! Both orders start their accumulator at `+0.0`; an IEEE-754 sum seeded
 //! from `+0.0` never produces `-0.0` unless a term is `-0.0` *and* the
 //! partial sum is exactly zero, in which case every grouping agrees, so
 //! regrouping is sign-safe as well as value-safe.
 
-use crate::scalar::Scalar;
+use crate::scalar::{add_partials, Scalar};
 
-/// `true` when interior row `(j, k)` of an `nx × ny × nz` interior has a
-/// deep-interior middle under the split-sweep decomposition.
-///
-/// Mirrors `RowMap::halo_deep_interior`: a deep interior exists only when
-/// every dimension is at least 3, and covers rows `1..=ny-2` ×
-/// `1..=nz-2`. Rows outside that range are handled entirely by shell
-/// pieces and fold in plain order.
+/// `true` when interior row `(j, k)` of an `nx × ny × nz` interior folds
+/// edge-last: every dimension is at least 3 and the row touches no y or
+/// z face (`1..=ny-2` × `1..=nz-2`). All other rows fold in plain order.
 #[inline(always)]
 pub fn row_has_deep_middle(nx: usize, ny: usize, nz: usize, j: usize, k: usize) -> bool {
     nx >= 3 && ny >= 3 && nz >= 3 && j >= 1 && j + 1 < ny && k >= 1 && k + 1 < nz
 }
 
-/// Fold `term(0..len)` in the canonical split-sweep order.
+/// Fold `term(0..len)` in the canonical order.
 ///
 /// With `has_middle` (and `len >= 3`) the grouping is
-/// `((term(1) + ... + term(len-2)) + term(0)) + term(len-1)` — the order
-/// in which the deep-interior piece, the x-low shell and the x-high
-/// shell deposit into a shared per-row slot. Otherwise the row folds
-/// plain left-to-right.
+/// `((term(1) + ... + term(len-2)) + term(0)) + term(len-1)`; otherwise
+/// the row folds plain left-to-right.
 #[inline(always)]
 pub fn fold_row_edge_last<T: Scalar>(len: usize, has_middle: bool, term: impl Fn(usize) -> T) -> T {
+    let [sum] = fold_row_edge_last_n(len, has_middle, |i| [term(i)]);
+    sum
+}
+
+/// [`fold_row_edge_last`] for `NR` dots at once: `term(i)` yields the
+/// `NR` terms of element `i`, and each component folds in the canonical
+/// order independently.
+#[inline(always)]
+pub fn fold_row_edge_last_n<T: Scalar, const NR: usize>(
+    len: usize,
+    has_middle: bool,
+    term: impl Fn(usize) -> [T; NR],
+) -> [T; NR] {
+    let mut acc = [T::ZERO; NR];
     if has_middle && len >= 3 {
-        let mut acc = T::ZERO;
         for i in 1..len - 1 {
-            acc += term(i);
+            acc = add_partials(acc, term(i));
         }
-        (acc + term(0)) + term(len - 1)
+        add_partials(add_partials(acc, term(0)), term(len - 1))
     } else {
-        let mut acc = T::ZERO;
         for i in 0..len {
-            acc += term(i);
+            acc = add_partials(acc, term(i));
         }
         acc
     }
@@ -60,8 +70,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deep_middle_predicate_matches_deep_interior() {
-        // Any dim < 3: no deep interior, no middles at all.
+    fn deep_middle_predicate() {
+        // Any dim < 3: no middles at all.
         assert!(!row_has_deep_middle(2, 5, 5, 2, 2));
         assert!(!row_has_deep_middle(5, 2, 5, 0, 2));
         assert!(!row_has_deep_middle(5, 5, 1, 2, 0));
@@ -88,8 +98,8 @@ mod tests {
 
     #[test]
     fn edge_last_matches_piece_composition_bitwise() {
-        // The fold must equal: deep piece (plain fold of 1..len-1),
-        // then + edge(0), then + edge(len-1) — in that exact order.
+        // The fold must equal: plain fold of 1..len-1, then + edge(0),
+        // then + edge(len-1) — in that exact order.
         let data: Vec<f64> = (0..7).map(|i| ((i as f64) * 0.7391).sin() / 3.0).collect();
         let len = data.len();
         let mut mid = 0.0f64;

@@ -8,6 +8,13 @@
 //! output lives inside the backing slice and is validated to guarantee rows
 //! are disjoint and in bounds, which is what lets the back-ends hand each
 //! worker an exclusive `&mut [T]` without data races.
+//!
+//! A sweep that overlaps a halo exchange is divided in two by
+//! [`RowMap::halo_window`] and [`RowMap::halo_shell`]: a *window* that
+//! peels only the faces in flight and is sized by the message, swept
+//! while the exchange runs, and a *shell* — the window's peeled cells,
+//! then every remaining plane as full rows — swept after it. One
+//! geometry, chosen from the in-flight face set alone.
 
 /// 3-D extent (x is the contiguous/fastest dimension).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,115 +86,107 @@ impl RowMap {
     /// `interior` is the interior extent; the padded field has one halo
     /// layer on every side, so padded dims are `interior + 2` per axis.
     pub const fn halo_interior(interior: Extent3) -> Self {
+        Self::halo_box(interior, [0; 3], [interior.nx, interior.ny, interior.nz])
+    }
+
+    /// Row map of the sub-box of the interior that starts at interior
+    /// cell `lo` and spans `n` cells per axis (x, y, z).
+    const fn halo_box(interior: Extent3, lo: [usize; 3], n: [usize; 3]) -> Self {
         let pnx = interior.nx + 2;
         let pny = interior.ny + 2;
         Self {
-            base: 1 + pnx + pnx * pny,
-            len: interior.nx,
-            ny: interior.ny,
-            nz: interior.nz,
+            base: (lo[0] + 1) + (lo[1] + 1) * pnx + (lo[2] + 1) * pnx * pny,
+            len: n[0],
+            ny: n[1],
+            nz: n[2],
             sy: pnx,
             sz: pnx * pny,
         }
     }
 
-    /// Row map for the *deep interior* of a halo-padded field: interior
-    /// cells at distance >= 1 from every subdomain face, i.e. cells whose
-    /// 7-point stencil reads no ghost value. `None` when any interior
-    /// dimension is < 3 (every interior cell then touches a face).
-    ///
-    /// Splitting the interior into deep + [`RowMap::halo_shell`] lets a
-    /// stencil overlap the deep-interior compute with halo communication:
-    /// the deep part is safe to evaluate before ghost values arrive.
-    pub const fn halo_deep_interior(interior: Extent3) -> Option<Self> {
-        if interior.nx < 3 || interior.ny < 3 || interior.nz < 3 {
-            return None;
+    /// Origin and extent of the split-sweep *window* (see
+    /// [`RowMap::halo_window`]), in interior cells; `None` when peeling
+    /// the in-flight faces leaves no cell along some axis.
+    fn window_box(interior: Extent3, in_flight: u8) -> Option<([usize; 3], [usize; 3])> {
+        let n = [interior.nx, interior.ny, interior.nz];
+        let bit = |axis: usize, side: usize| usize::from(in_flight & (1 << (axis * 2 + side)) != 0);
+        let lo = [bit(0, 0), bit(1, 0), bit(2, 0)];
+        let mut w = [0; 3];
+        let mut face_cells = 0;
+        for a in 0..3 {
+            w[a] = n[a].checked_sub(lo[a] + bit(a, 1)).filter(|&c| c > 0)?;
+            face_cells += (lo[a] + bit(a, 1)) * n[(a + 1) % 3] * n[(a + 2) % 3];
         }
-        let pnx = interior.nx + 2;
-        let pny = interior.ny + 2;
-        // padded coordinate (2, 2, 2): one cell in from every face
-        Some(Self {
-            base: 2 + 2 * pnx + 2 * pnx * pny,
-            len: interior.nx - 2,
-            ny: interior.ny - 2,
-            nz: interior.nz - 2,
-            sy: pnx,
-            sz: pnx * pny,
-        })
+        if in_flight != 0 {
+            // the fewest planes whose cells outnumber the message's
+            w[2] = w[2].min(face_cells / (w[0] * w[1]) + 1);
+        }
+        Some((lo, w))
     }
 
-    /// Row maps for the *shell*: the interior cells NOT in
-    /// [`RowMap::halo_deep_interior`] (those whose stencil reads at least
-    /// one ghost value). Together the deep interior and the shell tile the
-    /// interior exactly, each cell covered once.
+    /// Row map for the *window* of a split-phase sweep: the cells swept
+    /// while a halo exchange of the faces in `in_flight` (bit
+    /// `axis * 2 + side`, as in `ExchangeHazard::faces`) is in flight.
     ///
-    /// When the deep interior is empty the shell is the whole interior
-    /// (a single map). Otherwise up to six maps: two full xy-planes
-    /// (z faces), two x-strips per remaining plane (y faces) and two
-    /// single-cell columns per remaining row (x faces).
-    pub fn halo_shell(interior: Extent3) -> ShellMaps {
-        if Self::halo_deep_interior(interior).is_none() {
-            return ShellMaps::one(Self::halo_interior(interior));
-        }
+    /// No window cell has an in-flight ghost as a stencil neighbour: the
+    /// cell layer next to each in-flight face is peeled. Every other
+    /// ghost — physical boundaries, refreshed before the sweep — may be
+    /// read. The window spans the leading z planes only, the fewest whose
+    /// cells outnumber the in-flight face cells (at least one, at most
+    /// all): the work hidden behind the exchange is proportional to the
+    /// message, and the peeled cells swept afterwards by
+    /// [`RowMap::halo_shell`] are still in cache. With nothing in flight
+    /// the window is the whole interior. `None` when the block is too
+    /// thin to leave a cell after peeling.
+    pub fn halo_window(interior: Extent3, in_flight: u8) -> Option<Self> {
+        Self::window_box(interior, in_flight).map(|(lo, n)| Self::halo_box(interior, lo, n))
+    }
+
+    /// Row maps for the *shell* of a split-phase sweep: the interior
+    /// cells NOT in [`RowMap::halo_window`], swept once the exchange has
+    /// finished. Window and shell tile the interior exactly, each cell
+    /// covered once.
+    ///
+    /// Without a window the shell is the whole interior (a single map).
+    /// Otherwise, in order: one piece per in-flight y face (an x-strip
+    /// per window plane) and x face (a one-cell column per window row),
+    /// the in-flight z-low plane, and all planes behind the window —
+    /// the in-flight z-high plane included — as full rows.
+    pub fn halo_shell(interior: Extent3, in_flight: u8) -> ShellMaps {
+        let mut shell = ShellMaps::EMPTY;
+        let Some((lo, w)) = Self::window_box(interior, in_flight) else {
+            shell.push(Self::halo_interior(interior));
+            return shell;
+        };
         let (nx, ny, nz) = (interior.nx, interior.ny, interior.nz);
-        let pnx = nx + 2;
-        let pny = ny + 2;
-        let (sy, sz) = (pnx, pnx * pny);
-        // padded-coordinate index of cell (i, j, k)
-        let idx = |i: usize, j: usize, k: usize| i + j * sy + k * sz;
-        ShellMaps::six([
-            // z-low / z-high planes: full interior cross-section
-            Self {
-                base: idx(1, 1, 1),
-                len: nx,
-                ny,
-                nz: 1,
-                sy,
-                sz,
-            },
-            Self {
-                base: idx(1, 1, nz),
-                len: nx,
-                ny,
-                nz: 1,
-                sy,
-                sz,
-            },
-            // y-low / y-high strips on the middle z planes
-            Self {
-                base: idx(1, 1, 2),
-                len: nx,
-                ny: 1,
-                nz: nz - 2,
-                sy,
-                sz,
-            },
-            Self {
-                base: idx(1, ny, 2),
-                len: nx,
-                ny: 1,
-                nz: nz - 2,
-                sy,
-                sz,
-            },
-            // x-low / x-high single-cell columns on the middle rows
-            Self {
-                base: idx(1, 2, 2),
-                len: 1,
-                ny: ny - 2,
-                nz: nz - 2,
-                sy,
-                sz,
-            },
-            Self {
-                base: idx(nx, 2, 2),
-                len: 1,
-                ny: ny - 2,
-                nz: nz - 2,
-                sy,
-                sz,
-            },
-        ])
+        if lo[1] == 1 {
+            shell.push(Self::halo_box(interior, [0, 0, lo[2]], [nx, 1, w[2]]));
+        }
+        if lo[1] + w[1] < ny {
+            shell.push(Self::halo_box(interior, [0, ny - 1, lo[2]], [nx, 1, w[2]]));
+        }
+        if lo[0] == 1 {
+            shell.push(Self::halo_box(interior, [0, lo[1], lo[2]], [1, w[1], w[2]]));
+        }
+        if lo[0] + w[0] < nx {
+            shell.push(Self::halo_box(
+                interior,
+                [nx - 1, lo[1], lo[2]],
+                [1, w[1], w[2]],
+            ));
+        }
+        if lo[2] == 1 {
+            shell.push(Self::halo_box(interior, [0, 0, 0], [nx, ny, 1]));
+        }
+        let behind = lo[2] + w[2];
+        if behind < nz {
+            shell.push(Self::halo_box(
+                interior,
+                [0, 0, behind],
+                [nx, ny, nz - behind],
+            ));
+        }
+        shell
     }
 
     /// Total number of mapped elements.
@@ -256,15 +255,14 @@ pub struct ShellMaps {
 }
 
 impl ShellMaps {
-    const fn one(map: RowMap) -> Self {
-        Self {
-            maps: [map; 6],
-            n: 1,
-        }
-    }
+    const EMPTY: Self = Self {
+        maps: [RowMap::contiguous(0); 6],
+        n: 0,
+    };
 
-    const fn six(maps: [RowMap; 6]) -> Self {
-        Self { maps, n: 6 }
+    fn push(&mut self, map: RowMap) {
+        self.maps[self.n] = map;
+        self.n += 1;
     }
 }
 
@@ -395,47 +393,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deep_interior_empty_for_thin_extents() {
-        assert!(RowMap::halo_deep_interior(Extent3::new(2, 8, 8)).is_none());
-        assert!(RowMap::halo_deep_interior(Extent3::new(8, 8, 2)).is_none());
-        let shell = RowMap::halo_shell(Extent3::new(2, 8, 8));
-        assert_eq!(shell.len(), 1);
-        assert_eq!(shell[0], RowMap::halo_interior(Extent3::new(2, 8, 8)));
-    }
-
-    #[test]
-    fn deep_plus_shell_tile_interior() {
-        let e = Extent3::new(4, 5, 6);
+    /// Mark every cell `maps` cover, validating each map on the way.
+    fn coverage(e: Extent3, maps: impl IntoIterator<Item = RowMap>) -> Vec<u8> {
         let padded = (e.nx + 2) * (e.ny + 2) * (e.nz + 2);
         let mut hits = vec![0u8; padded];
-        let mut cover = |m: &RowMap| {
+        for m in maps {
             m.validate(padded);
             for r in 0..m.rows() {
                 let (j, k) = m.row_jk(r);
                 let off = m.row_offset(j, k);
-                for i in 0..m.len {
-                    hits[off + i] += 1;
+                for h in &mut hits[off..off + m.len] {
+                    *h += 1;
                 }
             }
+        }
+        hits
+    }
+
+    /// Window and shell of `(e, in_flight)`: together they cover each
+    /// interior cell once and nothing else, and no window cell reads an
+    /// in-flight ghost.
+    pub(super) fn check_split(e: Extent3, in_flight: u8) {
+        let window = RowMap::halo_window(e, in_flight);
+        let shell = RowMap::halo_shell(e, in_flight);
+        let hits = coverage(e, window.into_iter().chain(shell));
+        let expect = coverage(e, [RowMap::halo_interior(e)]);
+        assert_eq!(hits, expect, "{e:?} mask {in_flight:#08b}: not a tiling");
+        let hazard = crate::ExchangeHazard {
+            base: 0,
+            elem_bytes: 8,
+            padded: [e.nx + 2, e.ny + 2, e.nz + 2],
+            faces: in_flight,
         };
-        cover(&RowMap::halo_deep_interior(e).unwrap());
-        for m in RowMap::halo_shell(e) {
-            cover(&m);
+        if let Some(w) = window {
+            assert_eq!(hazard.stencil_hit(&w), None, "{e:?} mask {in_flight:#08b}");
         }
-        let interior = RowMap::halo_interior(e);
-        let mut expect = vec![0u8; padded];
-        for r in 0..interior.rows() {
-            let (j, k) = interior.row_jk(r);
-            let off = interior.row_offset(j, k);
-            for i in 0..interior.len {
-                expect[off + i] = 1;
-            }
-        }
+    }
+
+    #[test]
+    fn thin_blocks_have_no_window() {
+        // one cell in x, an x face in flight: every cell is next to it
+        let e = Extent3::new(1, 8, 8);
+        assert!(RowMap::halo_window(e, 0b01).is_none());
+        let shell = RowMap::halo_shell(e, 0b01);
+        assert_eq!(&shell[..], &[RowMap::halo_interior(e)]);
+        // two cells between two in-flight z faces
+        assert!(RowMap::halo_window(Extent3::new(8, 8, 2), 0b11_0000).is_none());
+        check_split(e, 0b01);
+    }
+
+    #[test]
+    fn nothing_in_flight_means_nothing_deferred() {
+        let e = Extent3::new(4, 5, 6);
+        assert_eq!(RowMap::halo_window(e, 0), Some(RowMap::halo_interior(e)));
+        assert!(RowMap::halo_shell(e, 0).is_empty());
+    }
+
+    #[test]
+    fn window_is_sized_by_the_message_and_peels_only_in_flight_faces() {
+        // rank 0 of [2,1,1] at 64^3: the x-high face (64 x 64 cells) is
+        // in flight; a window plane holds 31 x 64 cells, so three planes
+        // are the fewest that outnumber the message.
+        let e = Extent3::new(32, 64, 64);
+        let x_hi = 1 << 1;
+        let w = RowMap::halo_window(e, x_hi).unwrap();
+        assert_eq!((w.len, w.ny, w.nz), (31, 64, 3));
+        assert_eq!(w.base, RowMap::halo_interior(e).base);
+        let shell = RowMap::halo_shell(e, x_hi);
+        let dims: Vec<_> = shell.iter().map(|m| (m.len, m.ny, m.nz)).collect();
+        assert_eq!(dims, [(1, 64, 3), (32, 64, 61)]);
+        check_split(e, x_hi);
+        // every face in flight: six pieces, the last carries the z-high plane
         assert_eq!(
-            hits, expect,
-            "deep + shell must cover each interior cell exactly once"
+            RowMap::halo_shell(Extent3::new(5, 6, 7), 0b11_1111).len(),
+            6
         );
+        check_split(Extent3::new(5, 6, 7), 0b11_1111);
     }
 
     #[test]
@@ -502,47 +535,6 @@ mod proptests {
         }
 
         #[test]
-        fn deep_shell_partition_any_extent(
-            nx in 1usize..12, ny in 1usize..12, nz in 1usize..12,
-        ) {
-            let e = Extent3::new(nx, ny, nz);
-            let padded = (nx + 2) * (ny + 2) * (nz + 2);
-            let mut hits = vec![0u8; padded];
-            let mut cover = |m: &RowMap| {
-                m.validate(padded);
-                for r in 0..m.rows() {
-                    let (j, k) = m.row_jk(r);
-                    let off = m.row_offset(j, k);
-                    for i in 0..m.len {
-                        hits[off + i] += 1;
-                    }
-                }
-            };
-            if let Some(deep) = RowMap::halo_deep_interior(e) {
-                cover(&deep);
-            }
-            for m in RowMap::halo_shell(e) {
-                cover(&m);
-            }
-            let interior = RowMap::halo_interior(e);
-            let mut covered = 0usize;
-            for r in 0..interior.rows() {
-                let (j, k) = interior.row_jk(r);
-                let off = interior.row_offset(j, k);
-                for i in 0..interior.len {
-                    prop_assert_eq!(hits[off + i], 1, "interior cell covered != once");
-                    covered += 1;
-                }
-            }
-            prop_assert_eq!(covered, e.len());
-            prop_assert_eq!(
-                hits.iter().map(|&h| h as usize).sum::<usize>(),
-                e.len(),
-                "shell/deep touched halo cells"
-            );
-        }
-
-        #[test]
         fn row_jk_is_a_bijection(ny in 1usize..40, nz in 1usize..40) {
             let m = RowMap { base: 0, len: 1, ny, nz, sy: 1, sz: ny };
             let mut seen = vec![false; ny * nz];
@@ -554,6 +546,17 @@ mod proptests {
                 seen[slot] = true;
             }
             prop_assert!(seen.into_iter().all(|s| s));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn window_and_shell_tile_any_extent_under_any_mask(
+            nx in 1usize..8, ny in 1usize..8, nz in 1usize..8, in_flight in 0u8..64,
+        ) {
+            super::tests::check_split(Extent3::new(nx, ny, nz), in_flight);
         }
     }
 }

@@ -198,6 +198,23 @@ impl BlockGrid {
         }
     }
 
+    /// The interface faces of this subdomain as a bit set: bit
+    /// `axis * 2 + side` is set when that face borders a neighbour rank.
+    /// These are the faces a halo exchange has in flight (the layout of
+    /// `accel::ExchangeHazard::faces` and of the `in_flight` argument of
+    /// `accel::RowMap::halo_window`).
+    pub fn interface_mask(&self) -> u8 {
+        let mut faces = 0u8;
+        for axis in 0..3 {
+            for side in 0..2 {
+                if self.boundary(axis, side).is_interface() {
+                    faces |= 1 << (axis * 2 + side);
+                }
+            }
+        }
+        faces
+    }
+
     /// Physical coordinate of local unknown `i` (interior index `0..local_n`)
     /// along `axis`.
     pub fn local_coord(&self, axis: usize, i: usize) -> f64 {

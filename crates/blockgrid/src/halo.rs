@@ -32,9 +32,13 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 ///   exchange that lets the caller overlap interior compute with the
 ///   in-flight messages (the paper's Sec. V communication-hiding
 ///   discussion). `begin` packs and posts everything; the caller then
-///   runs kernels that do not read ghost values (e.g. the
-///   deep-interior stencil via [`accel::RowMap::halo_deep_interior`]);
-///   `finish` completes the receives and fills the ghost layers.
+///   runs kernels that read no *interface* ghost — physical-boundary
+///   ghosts are not part of the exchange and may be refreshed and read
+///   meanwhile (e.g. the stencil over [`accel::RowMap::halo_window`],
+///   which peels exactly the faces in flight and is sized by the
+///   message); `finish` completes the receives and fills the ghost
+///   layers, after which [`accel::RowMap::halo_shell`] completes the
+///   sweep.
 ///
 /// Pack and unpack run as device kernels through the [`Device`] launch
 /// path, so they parallelize on the threaded back-end and are accounted
@@ -122,10 +126,7 @@ impl<T: Scalar> HaloExchange<T> {
 
     /// Number of interface faces this rank exchanges.
     pub fn interface_faces(&self) -> usize {
-        (0..3)
-            .flat_map(|a| (0..2).map(move |s| (a, s)))
-            .filter(|&(a, s)| self.grid.boundary(a, s).is_interface())
-            .count()
+        self.grid.interface_mask().count_ones() as usize
     }
 
     /// Elements in the face plane orthogonal to `axis`.
@@ -326,19 +327,11 @@ impl<T: Scalar> HaloExchange<T> {
     /// The sanitizer-hook description of `field`'s in-flight ghost planes:
     /// every interface face, identified by the buffer's base address.
     fn hazard<S: Scalar>(&self, field: &Field<S>) -> ExchangeHazard {
-        let mut faces = 0u8;
-        for axis in 0..3 {
-            for side in 0..2 {
-                if self.grid.boundary(axis, side).is_interface() {
-                    faces |= 1 << (axis * 2 + side);
-                }
-            }
-        }
         ExchangeHazard {
             base: field.as_slice().as_ptr() as usize,
             elem_bytes: S::BYTES,
             padded: field.padded(),
-            faces,
+            faces: self.grid.interface_mask(),
         }
     }
 
@@ -397,7 +390,7 @@ impl<T: Scalar> HaloExchange<T> {
     /// and post all sends and receives, returning without waiting.
     ///
     /// The caller may now run any kernel that does not read `field`'s
-    /// ghost values, then must call [`HaloExchange::finish`] to complete
+    /// interface ghosts, then must call [`HaloExchange::finish`] to complete
     /// the exchange before the ghosts are consumed.
     pub fn begin<D: Device, C: Communicator<T>>(
         &self,

@@ -46,6 +46,20 @@ pub enum Violation {
         /// Ghost-plane side (0 = low, 1 = high).
         side: usize,
     },
+    /// A stencil sweep reads a ghost-plane cell that a split-phase halo
+    /// exchange has not delivered yet (`begin` called, `finish` not yet):
+    /// the value is stale.
+    InFlightGhostRead {
+        /// Offending kernel name.
+        kernel: &'static str,
+        /// Linear index (within the exchanged field) of the swept cell
+        /// whose stencil reaches the ghost.
+        cell: usize,
+        /// Ghost-plane axis (0 = x, 1 = y, 2 = z).
+        axis: usize,
+        /// Ghost-plane side (0 = low, 1 = high).
+        side: usize,
+    },
     /// The kernel's output depends on a tracked-fresh element that was
     /// never written: a read of uninitialised memory.
     ReadBeforeInit {
@@ -72,6 +86,7 @@ impl Violation {
             | Self::RowAliasing { kernel, .. }
             | Self::OutOfMapWrite { kernel, .. }
             | Self::InFlightGhostWrite { kernel, .. }
+            | Self::InFlightGhostRead { kernel, .. }
             | Self::ReadBeforeInit { kernel, .. } => kernel,
             Self::UnbalancedExchange { .. } => "",
         }
@@ -111,6 +126,17 @@ impl fmt::Display for Violation {
                 "kernel `{kernel}`: element {cell} lies on the (axis {axis}, \
                  side {side}) ghost plane of a field whose halo exchange is \
                  still in flight (begin() without finish())"
+            ),
+            Self::InFlightGhostRead {
+                kernel,
+                cell,
+                axis,
+                side,
+            } => write!(
+                f,
+                "kernel `{kernel}`: the stencil at element {cell} reads the \
+                 (axis {axis}, side {side}) ghost plane of a field whose halo \
+                 exchange is still in flight (begin() without finish())"
             ),
             Self::ReadBeforeInit { kernel, cell } => write!(
                 f,

@@ -44,6 +44,10 @@ struct State {
 ///   `blockgrid::HaloExchange`), launching a kernel whose map covers an
 ///   in-flight interface ghost plane races with the unpack and is
 ///   flagged ([`Violation::InFlightGhostWrite`]).
+/// * **Stale ghost read** — a stencil sweep announces the field it
+///   reads ([`Device::on_stencil_read`]); inside an exchange window it
+///   may read physical ghosts but no cell of a ghost plane the exchange
+///   still owns ([`Violation::InFlightGhostRead`]).
 /// * **Read-before-init** (opt-in via [`Checked::track_fresh`]) — the
 ///   kernel is first replayed on two shadow copies of the output whose
 ///   never-written elements hold different canary values; any divergence
@@ -517,6 +521,26 @@ impl<D: Device> Device for Checked<D> {
             }
         }
         self.inner.on_exchange_finish(hazard);
+    }
+
+    fn on_stencil_read<T: Scalar>(&self, kernel: &'static str, map: RowMap, input: &[T]) {
+        let base = input.as_ptr() as usize;
+        let hit = {
+            let hazards = self.state.hazards.lock().expect("hazard lock");
+            hazards
+                .iter()
+                .filter(|h| h.base == base)
+                .find_map(|h| h.stencil_hit(&map))
+        };
+        if let Some((cell, axis, side)) = hit {
+            self.flag(Violation::InFlightGhostRead {
+                kernel,
+                cell,
+                axis,
+                side,
+            });
+        }
+        self.inner.on_stencil_read(kernel, map, input);
     }
 }
 

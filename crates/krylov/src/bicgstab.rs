@@ -201,7 +201,7 @@ pub(crate) fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
 /// When `split` is set the halo exchange is split-phase and hidden
 /// behind the ghost-independent work:
 /// `begin → KernelNeumannBCs → apply_interior → finish → apply_shell`.
-/// The boundary-condition kernel and the deep-interior sweep touch no
+/// The boundary-condition kernel and the window sweep touch no
 /// interface ghost, so they run while the messages are in flight; the
 /// shell sweep completes the cover afterwards. Each interior cell is
 /// written exactly once with the same arithmetic as the monolithic
@@ -437,7 +437,7 @@ where
             prec.apply(ctx, &mut ws.p, &mut ws.p_hat)
         }) as u64;
         // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂, σ = r̃ᵀ w.
-        // Split, the interior and shell sweeps *keep* their dot: each
+        // Split, the window and shell sweeps *keep* their dot: each
         // piece deposits per-row partials into the slot buffer and a row
         // fold completes the scalar — still one full-grid sweep, bitwise
         // equal to the monolithic KernelBiCGS1.

@@ -155,7 +155,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
 
         // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Split, the
         // exchange of b's halos hides behind the ghost-independent scale
-        // kernel and the deep-interior part of the sweep.
+        // kernel and the window part of the sweep.
         let c1 = T::from_f64(4.0 * rho_cur / delta);
         let ca = T::from_f64(-2.0 * rho_cur / (delta * theta));
         let inv_theta = T::from_f64(1.0 / theta);
@@ -194,7 +194,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
             let cb = T::from_f64(2.0 * rho_cur / delta);
             let cz = T::from_f64(-rho_cur * rho_old);
             if split {
-                // MPI2 in flight behind BCs + the deep-interior sweep
+                // MPI2 in flight behind BCs + the window sweep
                 let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &self.y);
                 apply_physical_bcs(&ctx.grid, &mut self.y, &ctx.recorder, false);
                 let (y_ref, z_ref) = (&self.y, &self.z);

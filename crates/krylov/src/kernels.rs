@@ -455,7 +455,7 @@ pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
 ///
 /// Rows fold in the canonical edge-last order ([`fold_row_edge_last`]),
 /// making the result bitwise identical to the split halo-overlap form
-/// of the same dot (deep sweep + shell pieces + fold).
+/// of the same dot (window sweep + shell pieces + fold).
 pub fn dot<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,

@@ -391,8 +391,13 @@ mod tests {
             assert_eq!(overlap_windows(ev), sweeps);
             assert_eq!(launches(ev, "KernelFold1"), iters + 1);
             assert_eq!(launches(ev, "KernelFold3"), iters);
-            // interior + six shell slabs per split sweep
-            assert_eq!(launches(ev, "KernelBiCGS1"), 7 * (iters + 1));
+            // one x face in flight: the window, its peeled column and
+            // the planes behind it per split sweep — and one refold of
+            // the window rows per split fused dot
+            assert_eq!(launches(ev, "KernelBiCGS1"), 3 * (iters + 1));
+            assert_eq!(launches(ev, "KernelBiCGS3F"), 3 * iters);
+            assert_eq!(launches(ev, "KernelCI2"), 3 * 5 * (2 * iters + 1));
+            assert_eq!(launches(ev, "KernelFoldWindow"), 2 * iters + 1);
         }
     }
 }

@@ -64,6 +64,9 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "row_core"),
     ("crates/stencil/src/laplacian.rs", "stencil_row"),
     ("crates/stencil/src/laplacian.rs", "apply_row"),
+    ("crates/stencil/src/laplacian.rs", "apply_on_map"),
+    ("crates/stencil/src/laplacian.rs", "apply_rows_dot"),
+    ("crates/stencil/src/laplacian.rs", "fold_row_into"),
     ("crates/stencil/src/laplacian.rs", "apply_interior_dot"),
     ("crates/stencil/src/laplacian.rs", "apply_shell_dot"),
     ("crates/stencil/src/laplacian.rs", "fold"),

@@ -13,7 +13,8 @@
 //!    right-hand side).
 
 use accel::{
-    fold_row_edge_last, row_has_deep_middle, Device, Extent3, KernelInfo, Recorder, RowMap, Scalar,
+    fold_row_edge_last, fold_row_edge_last_n, row_has_deep_middle, Device, KernelInfo, Recorder,
+    RowMap, Scalar,
 };
 use blockgrid::{BcKind, BlockGrid, Field, LocalBoundary};
 
@@ -26,10 +27,22 @@ pub const INFO_APPLY: KernelInfo = KernelInfo::new("KernelApplyA", 32, 10);
 /// nominal per-element cost; it touches O(N²) of an O(N³) field).
 pub const INFO_NEUMANN_BCS: KernelInfo = KernelInfo::new("KernelNeumannBCs", 16, 0);
 
+/// The refold of the window rows of a split fused-dot sweep whose x-edge
+/// cell landed after the exchange: per slot element, one write and one
+/// canonical fold of an `nx`-cell row. The rows it reads were swept
+/// moments ago and are cache-resident — what sizing the window by the
+/// message buys — so they add no streaming traffic.
+fn info_fold_window<T: Scalar>(nx: usize) -> KernelInfo {
+    KernelInfo::new("KernelFoldWindow", T::BYTES as u32, 2 * nx as u32)
+}
+
 /// The matrix-free 7-point Laplacian on one subdomain.
 #[derive(Clone, Debug)]
 pub struct Laplacian {
     grid: BlockGrid,
+    /// [`BlockGrid::interface_mask`]: the faces a halo exchange of this
+    /// subdomain has in flight, which the split sweeps peel.
+    in_flight: u8,
 }
 
 /// The 7-point row core: per-axis `1/h²` and the padded strides — all a
@@ -98,7 +111,10 @@ impl Laplacian {
                 grid.local_n[a]
             );
         }
-        Self { grid: grid.clone() }
+        Self {
+            grid: grid.clone(),
+            in_flight: grid.interface_mask(),
+        }
     }
 
     /// The subdomain this operator acts on.
@@ -151,11 +167,18 @@ impl Laplacian {
         self.apply_on_map(dev, info, self.grid.interior_map(), u, w);
     }
 
-    /// Local interior extent as an [`Extent3`].
+    /// The part of the interior a split sweep covers while the halo
+    /// exchange is in flight ([`RowMap::halo_window`] of this subdomain's
+    /// interface faces).
     #[inline(always)]
-    fn local_extent(&self) -> Extent3 {
-        let n = self.grid.local_n;
-        Extent3::new(n[0], n[1], n[2])
+    fn window(&self) -> Option<RowMap> {
+        RowMap::halo_window(self.grid.interior(), self.in_flight)
+    }
+
+    /// The rest of the interior, swept after the exchange has finished.
+    #[inline(always)]
+    fn shell(&self) -> accel::ShellMaps {
+        RowMap::halo_shell(self.grid.interior(), self.in_flight)
     }
 
     /// Stencil sweep restricted to one sub-map of the interior.
@@ -169,19 +192,25 @@ impl Laplacian {
     ) {
         let core = self.row_core::<T>();
         let us = u.as_slice();
+        dev.on_stencil_read(info.name, map, us);
         dev.launch_rows(info, map, w.as_mut_slice(), |j, k, row| {
             let b = map.row_offset(j, k);
             core.apply_row(us, b, row);
         });
     }
 
-    /// `w = A u` over the *deep interior* only — the cells whose stencil
-    /// reads no ghost layer. Safe to run while a split-phase halo exchange
-    /// (`HaloExchange::begin`) is still in flight; pair with
+    /// `w = A u` over the *window* of the interior: the first half of a
+    /// split sweep, safe to run while a split-phase halo exchange
+    /// (`HaloExchange::begin`) is in flight. It reads every ghost except
+    /// those of interface faces, so the physical ghosts
+    /// ([`apply_physical_bcs`]) must be current; pair with
     /// [`Laplacian::apply_shell`] after `finish` to complete the sweep.
     ///
-    /// No-op when any local extent is below 3 (the whole interior is then
-    /// ghost-adjacent and `apply_shell` covers it).
+    /// The window peels only the cells next to interface faces and spans
+    /// only as many leading z planes as it takes to outnumber the cells in
+    /// flight; a subdomain without interfaces is swept whole. No-op when
+    /// the block is too thin to leave a window (`apply_shell` then covers
+    /// the interior).
     pub fn apply_interior<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -189,13 +218,14 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        if let Some(map) = RowMap::halo_deep_interior(self.local_extent()) {
+        if let Some(map) = self.window() {
             self.apply_on_map(dev, info, map, u, w);
         }
     }
 
-    /// `w = A u` over the *ghost-adjacent shell* of the interior — the
-    /// complement of [`Laplacian::apply_interior`]. Requires all ghost
+    /// `w = A u` over the *shell* of the interior — the complement of
+    /// [`Laplacian::apply_interior`]: the window's peeled cells (still in
+    /// cache) and every plane behind it as full rows. Requires all ghost
     /// layers (halo + physical) to be current. Together the two cover each
     /// interior cell exactly once with arithmetic identical to
     /// [`Laplacian::apply`], so the split sweep is bitwise-equal to the
@@ -207,7 +237,7 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        for map in RowMap::halo_shell(self.local_extent()) {
+        for map in self.shell() {
             self.apply_on_map(dev, info, map, u, w);
         }
     }
@@ -262,7 +292,7 @@ impl Laplacian {
         self.combine_on_map(dev, info, self.grid.interior_map(), u, out, ca, terms);
     }
 
-    /// [`Laplacian::apply_combine`] over the deep interior only (see
+    /// [`Laplacian::apply_combine`] over the window only (see
     /// [`Laplacian::apply_interior`] for the overlap contract).
     pub fn apply_combine_interior<T: Scalar, D: Device, const N: usize>(
         &self,
@@ -273,12 +303,12 @@ impl Laplacian {
         ca: T,
         terms: [(&Field<T>, T); N],
     ) {
-        if let Some(map) = RowMap::halo_deep_interior(self.local_extent()) {
+        if let Some(map) = self.window() {
             self.combine_on_map(dev, info, map, u, out, ca, terms);
         }
     }
 
-    /// [`Laplacian::apply_combine`] over the ghost-adjacent shell (see
+    /// [`Laplacian::apply_combine`] over the shell (see
     /// [`Laplacian::apply_shell`] for the overlap contract).
     pub fn apply_combine_shell<T: Scalar, D: Device, const N: usize>(
         &self,
@@ -289,7 +319,7 @@ impl Laplacian {
         ca: T,
         terms: [(&Field<T>, T); N],
     ) {
-        for map in RowMap::halo_shell(self.local_extent()) {
+        for map in self.shell() {
             self.combine_on_map(dev, info, map, u, out, ca, terms);
         }
     }
@@ -308,6 +338,7 @@ impl Laplacian {
         let core = self.row_core::<T>();
         let us = u.as_slice();
         let fs = terms.map(|(f, c)| (f.as_slice(), c));
+        dev.on_stencil_read(info.name, map, us);
         dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
             let b = map.row_offset(j, k);
             let ws = fs.map(|(f, c)| (&f[b..b + row.len()], c));
@@ -450,59 +481,10 @@ impl Laplacian {
         });
     }
 
-    /// Stencil sweep over one sub-map of the interior that also deposits
-    /// per-row partials of `NR` dot products into `slots`. `terms`
-    /// receives the padded linear index `c` and the freshly computed
-    /// stencil value `v` and returns the `NR` per-element dot terms.
-    /// `accumulate` adds the piece's row partials onto the slot contents
-    /// (x-face pieces extend rows already seeded by the deep sweep);
-    /// otherwise the partials overwrite the slot row.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_on_map_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        map: RowMap,
-        slot_map: RowMap,
-        accumulate: bool,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        let core = self.row_core::<T>();
-        let us = u.as_slice();
-        dev.launch_rows2(
-            info,
-            map,
-            w.as_mut_slice(),
-            slot_map,
-            slots,
-            |j, k, row, slot| {
-                let b = map.row_offset(j, k);
-                core.apply_row(us, b, row);
-                let mut acc = [T::ZERO; NR];
-                for (i, &v) in row.iter().enumerate() {
-                    acc = accel::add_partials(acc, terms(b + i, v));
-                }
-                if accumulate {
-                    for (s, a) in slot.iter_mut().zip(acc) {
-                        *s += a;
-                    }
-                } else {
-                    slot.copy_from_slice(&acc);
-                }
-            },
-        );
-    }
-
-    /// Slot-buffer row map for a shell/deep piece: the slot row of
-    /// interior row `(J, K)` lives at offset `(J + ny·K) · NR`, and a
-    /// piece whose first row is interior row `(j0, k0)` therefore uses
-    /// base `(j0 + ny·k0) · NR` with strides `NR` / `ny·NR`.
-    fn slot_map_for<const NR: usize>(&self, j0: usize, k0: usize, piece: RowMap) -> RowMap {
+    /// Slot-buffer row map for the rows of `piece`: the `NR` slots of
+    /// interior row `(J, K)` live at offset `(J + ny·K) · NR`.
+    fn slot_map_for<const NR: usize>(&self, piece: RowMap) -> RowMap {
+        let (_, j0, k0) = self.piece_origin(piece);
         let ny = self.grid.local_n[1];
         RowMap {
             base: (j0 + ny * k0) * NR,
@@ -514,6 +496,71 @@ impl Laplacian {
         }
     }
 
+    /// Interior coordinates of the first cell of a window/shell piece.
+    fn piece_origin(&self, piece: RowMap) -> (usize, usize, usize) {
+        let [px, py, _] = self.grid.padded();
+        (
+            piece.base % px - 1,
+            piece.base / px % py - 1,
+            piece.base / (px * py) - 1,
+        )
+    }
+
+    /// Fold the `NR` dot products of interior row `(j, k)` — its stencil
+    /// values in `row`, its first cell at padded offset `b` — into the
+    /// row's slots, in the canonical order of the monolithic fused sweeps.
+    #[inline(always)]
+    fn fold_row_into<T: Scalar, F, const NR: usize>(
+        &self,
+        (j, k): (usize, usize),
+        b: usize,
+        row: &[T],
+        terms: &F,
+        slot: &mut [T],
+    ) where
+        F: Fn(usize, T) -> [T; NR],
+    {
+        let [nx, ny, nz] = self.grid.local_n;
+        let mid = row_has_deep_middle(nx, ny, nz, j, k);
+        slot.copy_from_slice(&fold_row_edge_last_n(nx, mid, |i| terms(b + i, row[i])));
+    }
+
+    /// Stencil sweep over a piece made of *full* interior rows that also
+    /// folds each row's `NR` dot products into the row's slots
+    /// ([`Laplacian::fold_row_into`]). `terms` receives the padded linear
+    /// index `c` and the stencil value `v` there and returns the `NR`
+    /// per-element dot terms.
+    #[allow(clippy::too_many_arguments)]
+    fn apply_rows_dot<T: Scalar, D: Device, F, const NR: usize>(
+        &self,
+        dev: &D,
+        info: KernelInfo,
+        map: RowMap,
+        u: &Field<T>,
+        w: &mut Field<T>,
+        slots: &mut [T],
+        terms: &F,
+    ) where
+        F: Fn(usize, T) -> [T; NR] + Sync,
+    {
+        let core = self.row_core::<T>();
+        let (_, j0, k0) = self.piece_origin(map);
+        let us = u.as_slice();
+        dev.on_stencil_read(info.name, map, us);
+        dev.launch_rows2(
+            info,
+            map,
+            w.as_mut_slice(),
+            self.slot_map_for::<NR>(map),
+            slots,
+            |j, k, row, slot| {
+                let b = map.row_offset(j, k);
+                core.apply_row(us, b, row);
+                self.fold_row_into((j0 + j, k0 + k), b, row, terms, slot);
+            },
+        );
+    }
+
     /// Number of slot elements [`Laplacian::apply_interior_dot`] /
     /// [`Laplacian::apply_shell_dot`] need for an `NR`-way fused dot:
     /// one `NR`-slot row per interior `(j, k)` row.
@@ -521,13 +568,14 @@ impl Laplacian {
         self.grid.local_n[1] * self.grid.local_n[2] * nr
     }
 
-    /// Deep-interior half of a split fused `apply + NR-way dot` sweep:
-    /// `w = A u` over the deep interior, depositing each row's dot
-    /// partials into `slots`. Safe while the halo exchange is in flight
-    /// (the deep stencil reads no ghost). No-op when any local extent is
-    /// below 3. Complete the sweep with [`Laplacian::apply_shell_dot`]
-    /// and fold the slots with [`PendingDotFold::fold`]; the composed
-    /// result is bitwise identical to the monolithic fused-dot sweep.
+    /// Window half of a split fused `apply + NR-way dot` sweep: `w = A u`
+    /// over the window (see [`Laplacian::apply_interior`] for the overlap
+    /// contract), folding each full window row's dot terms into `slots`.
+    /// Window rows that miss an x-edge cell — an x face is in flight —
+    /// are folded by [`Laplacian::apply_shell_dot`] once the cell has
+    /// landed. Complete the sweep with it and fold the slots with
+    /// [`PendingDotFold::fold`]; the composed result is bitwise identical
+    /// to the monolithic fused-dot sweep.
     pub fn apply_interior_dot<T: Scalar, D: Device, F, const NR: usize>(
         &self,
         dev: &D,
@@ -539,18 +587,23 @@ impl Laplacian {
     ) where
         F: Fn(usize, T) -> [T; NR] + Sync,
     {
-        if let Some(map) = RowMap::halo_deep_interior(self.local_extent()) {
-            let slot_map = self.slot_map_for::<NR>(1, 1, map);
-            self.apply_on_map_dot(dev, info, map, slot_map, false, u, w, slots, terms);
+        match self.window() {
+            Some(map) if map.len == self.grid.local_n[0] => {
+                self.apply_rows_dot(dev, info, map, u, w, slots, terms);
+            }
+            Some(map) => self.apply_on_map(dev, info, map, u, w),
+            None => {}
         }
     }
 
     /// Shell half of the split fused `apply + NR-way dot` sweep (pair of
     /// [`Laplacian::apply_interior_dot`]). Requires current ghosts.
-    /// Every slot row is written: face pieces overwrite their rows, and
-    /// the x-face pieces add the row edges onto the deep sweep's
-    /// partials — reproducing the canonical edge-last row fold, so the
-    /// composition is bitwise identical to the monolithic sweep.
+    /// Every slot row the window left open is written: full-row pieces
+    /// fold as they sweep, x-face pieces only land their one-cell rows,
+    /// and the window rows they complete are then refolded from the
+    /// stored `w` — the window is small and still in cache — so every
+    /// row folds in the canonical order and the composition is bitwise
+    /// identical to the monolithic sweep.
     pub fn apply_shell_dot<T: Scalar, D: Device, F, const NR: usize>(
         &self,
         dev: &D,
@@ -563,31 +616,22 @@ impl Laplacian {
     where
         F: Fn(usize, T) -> [T; NR] + Sync,
     {
-        let e = self.local_extent();
-        let [_, ny, nz] = self.grid.local_n;
-        let pieces = RowMap::halo_shell(e);
-        if RowMap::halo_deep_interior(e).is_none() {
-            // the shell is the whole interior: one Set piece per map
-            for map in pieces {
-                let slot_map = self.slot_map_for::<NR>(0, 0, map);
-                self.apply_on_map_dot(dev, info, map, slot_map, false, u, w, slots, terms);
+        let [nx, ny, nz] = self.grid.local_n;
+        for map in self.shell() {
+            if map.len == nx {
+                self.apply_rows_dot(dev, info, map, u, w, slots, terms);
+            } else {
+                self.apply_on_map(dev, info, map, u, w);
             }
-        } else {
-            // halo_shell order: z-lo, z-hi, y-lo, y-hi, x-lo, x-hi.
-            // First interior row (j0, k0) of each piece, and whether the
-            // piece accumulates onto deep-sweep partials (x faces only).
-            let desc: [(usize, usize, bool); 6] = [
-                (0, 0, false),
-                (0, nz - 1, false),
-                (0, 1, false),
-                (ny - 1, 1, false),
-                (1, 1, true),
-                (1, 1, true),
-            ];
-            for (map, (j0, k0, add)) in pieces.into_iter().zip(desc) {
-                let slot_map = self.slot_map_for::<NR>(j0, k0, map);
-                self.apply_on_map_dot(dev, info, map, slot_map, add, u, w, slots, terms);
-            }
+        }
+        if let Some(window) = self.window().filter(|m| m.len < nx) {
+            let (i0, j0, k0) = self.piece_origin(window);
+            let ws = w.as_slice();
+            let slot_map = self.slot_map_for::<NR>(window);
+            dev.launch_rows(info_fold_window::<T>(nx), slot_map, slots, |j, k, slot| {
+                let b = window.row_offset(j, k) - i0;
+                self.fold_row_into((j0 + j, k0 + k), b, &ws[b..b + nx], terms, slot);
+            });
         }
         PendingDotFold { ny, nz }
     }
@@ -685,7 +729,7 @@ pub fn apply_physical_bcs<T: Scalar>(
 mod tests {
     use super::*;
     use crate::matrix::assemble_poisson;
-    use accel::{GpuSimParams, Serial, SimGpu, Threads};
+    use accel::{Event, GpuSimParams, Serial, SimGpu, Threads};
     use blockgrid::{Decomp, GlobalGrid};
 
     fn rng_values(n: usize, seed: u64) -> Vec<f64> {
@@ -951,138 +995,6 @@ mod tests {
         assert_eq!(a, c);
     }
 
-    #[test]
-    fn split_apply_bitwise_matches_monolithic() {
-        for n in [[5usize, 4, 6], [3, 3, 3], [2, 5, 4], [1, 1, 7]] {
-            let grid = single_rank_grid(
-                n,
-                [
-                    [BcKind::Dirichlet, BcKind::Neumann],
-                    [BcKind::Neumann, BcKind::Dirichlet],
-                    [BcKind::Dirichlet, BcKind::Dirichlet],
-                ],
-            );
-            if (0..3).any(|a| grid.local_n[a] < 2) {
-                continue; // Neumann faces need 2 unknowns; keep thin case Dirichlet-only
-            }
-            let dev = Serial::new(Recorder::disabled());
-            let lap = Laplacian::new(&grid);
-            let x = rng_values(grid.global.unknowns(), 13);
-            let mut u = Field::from_interior(&dev, &grid, &x);
-            apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
-            let mut w_full = Field::zeros(&dev, &grid);
-            lap.apply(&dev, INFO_APPLY, &u, &mut w_full);
-            let mut w_split = Field::zeros(&dev, &grid);
-            lap.apply_interior(&dev, INFO_APPLY, &u, &mut w_split);
-            lap.apply_shell(&dev, INFO_APPLY, &u, &mut w_split);
-            assert_eq!(
-                w_full.interior_to_host(&grid),
-                w_split.interior_to_host(&grid),
-                "split sweep must be bitwise equal for {n:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn split_fused_dot_bitwise_matches_monolithic() {
-        for n in [[5usize, 4, 6], [3, 3, 3], [2, 5, 4], [1, 1, 7]] {
-            let grid = single_rank_grid(n, [[BcKind::Dirichlet; 2]; 3]);
-            let dev = Serial::new(Recorder::disabled());
-            let lap = Laplacian::new(&grid);
-            let x = rng_values(grid.global.unknowns(), 17);
-            let gv = rng_values(grid.global.unknowns(), 18);
-            let mut u = Field::from_interior(&dev, &grid, &x);
-            apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
-            let g = Field::from_interior(&dev, &grid, &gv);
-            let mut w_full = Field::zeros(&dev, &grid);
-            let dot_full = lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w_full, &g);
-            let mut w_split = Field::zeros(&dev, &grid);
-            let mut slots = vec![0.0f64; lap.slot_len(1)];
-            let gs_field = g.as_slice().to_vec();
-            let terms = |c: usize, v: f64| [gs_field[c] * v];
-            lap.apply_interior_dot(&dev, INFO_APPLY, &u, &mut w_split, &mut slots, &terms);
-            let pending =
-                lap.apply_shell_dot(&dev, INFO_APPLY, &u, &mut w_split, &mut slots, &terms);
-            let [dot_split] = pending.fold(&dev, INFO_APPLY, &slots);
-            assert_eq!(
-                dot_full.to_bits(),
-                dot_split.to_bits(),
-                "split dot must be bitwise equal for {n:?}"
-            );
-            assert_eq!(
-                w_full.interior_to_host(&grid),
-                w_split.interior_to_host(&grid),
-            );
-        }
-    }
-
-    #[test]
-    fn split_fused_dot3_bitwise_matches_monolithic_across_backends() {
-        let grid = single_rank_grid([5, 4, 6], [[BcKind::Dirichlet; 2]; 3]);
-        let x = rng_values(grid.global.unknowns(), 21);
-        let rv = rng_values(grid.global.unknowns(), 22);
-        let gv = rng_values(grid.global.unknowns(), 23);
-        fn go<D: Device>(
-            dev: &D,
-            grid: &BlockGrid,
-            x: &[f64],
-            rv: &[f64],
-            gv: &[f64],
-        ) -> ([f64; 3], [f64; 3]) {
-            let lap = Laplacian::new(grid);
-            let mut u = Field::from_interior(dev, grid, x);
-            apply_physical_bcs(grid, &mut u, &Recorder::disabled(), false);
-            let r = Field::from_interior(dev, grid, rv);
-            let g = Field::from_interior(dev, grid, gv);
-            let mut t_full = Field::zeros(dev, grid);
-            let (a, b, c) = lap.apply_fused_dot3(dev, INFO_APPLY, &u, &mut t_full, &r, &g);
-            let mut t_split = Field::zeros(dev, grid);
-            let mut slots = vec![0.0f64; lap.slot_len(3)];
-            let rs = r.as_slice().to_vec();
-            let gs = g.as_slice().to_vec();
-            let terms = |cc: usize, v: f64| [v * rs[cc], v * v, gs[cc] * v];
-            lap.apply_interior_dot(dev, INFO_APPLY, &u, &mut t_split, &mut slots, &terms);
-            let pending =
-                lap.apply_shell_dot(dev, INFO_APPLY, &u, &mut t_split, &mut slots, &terms);
-            let split = pending.fold(dev, INFO_APPLY, &slots);
-            for (f, s) in t_full.as_slice().iter().zip(t_split.as_slice()) {
-                assert_eq!(f.to_bits(), s.to_bits());
-            }
-            ([a, b, c], split)
-        }
-        let serial = Serial::new(Recorder::disabled());
-        let threads = Threads::new(3, Recorder::disabled());
-        let gpu = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
-        for (mono, split) in [
-            go(&serial, &grid, &x, &rv, &gv),
-            go(&threads, &grid, &x, &rv, &gv),
-            go(&gpu, &grid, &x, &rv, &gv),
-        ] {
-            for q in 0..3 {
-                assert_eq!(mono[q].to_bits(), split[q].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn split_combine_bitwise_matches_monolithic() {
-        let grid = single_rank_grid([5, 4, 3], [[BcKind::Dirichlet; 2]; 3]);
-        let dev = Serial::new(Recorder::disabled());
-        let lap = Laplacian::new(&grid);
-        let n = grid.global.unknowns();
-        let uv = rng_values(n, 6);
-        let f1v = rng_values(n, 7);
-        let mut u = Field::from_interior(&dev, &grid, &uv);
-        apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
-        let f1 = Field::from_interior(&dev, &grid, &f1v);
-        let mut full = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut full, 0.5, [(&f1, -2.0)]);
-        let mut split = Field::zeros(&dev, &grid);
-        lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.5, [(&f1, -2.0)]);
-        lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.5, [(&f1, -2.0)]);
-        assert_eq!(full.interior_to_host(&grid), split.interior_to_host(&grid));
-    }
-
     /// The indexed scalar body the row core replaced, kept as the oracle:
     /// per-element `us[c ± s]` indexing and a runtime-length term loop
     /// over the interior rows, no device, no windows.
@@ -1165,12 +1077,20 @@ mod tests {
         assert_bitwise(&split, &want, &format!("{what} N={N} split"));
     }
 
-    /// Every sweep of the operator against the oracle on one back-end.
-    fn check_row_core<T: Scalar, D: Device>(dev: &D, n: [usize; 3], seed: u64, what: &str) {
-        let grid = single_rank_grid(n, [[BcKind::Dirichlet; 2]; 3]);
-        let lap = Laplacian::new(&grid);
+    /// Local `local`-cell block of rank `rank` in an `ns` decomposition.
+    fn rank_grid(local: [usize; 3], ns: [usize; 3], rank: usize) -> BlockGrid {
+        let n = std::array::from_fn(|a| local[a] * ns[a]);
+        let g = GlobalGrid::dirichlet(n, [0.3, 0.5, 0.7], [0.0; 3]);
+        BlockGrid::new(g, Decomp::new(ns), rank)
+    }
+
+    /// Every sweep of the operator — monolithic and split around the
+    /// subdomain's interface faces — against the oracle on one back-end:
+    /// fields over the whole padded array, fused dots against each other.
+    fn check_row_core<T: Scalar, D: Device>(dev: &D, grid: &BlockGrid, seed: u64, what: &str) {
+        let lap = Laplacian::new(grid);
         let fields: [Field<T>; 4] =
-            std::array::from_fn(|i| random_padded::<T, D>(dev, &grid, seed + i as u64));
+            std::array::from_fn(|i| random_padded::<T, D>(dev, grid, seed + i as u64));
         check_combine::<T, D, 0>(dev, &lap, &fields, what);
         check_combine::<T, D, 1>(dev, &lap, &fields, what);
         check_combine::<T, D, 2>(dev, &lap, &fields, what);
@@ -1178,21 +1098,29 @@ mod tests {
 
         // the plain and dot-fused sweeps write the same field: 1 * (A u)
         let [u, r, g, _] = &fields;
-        let mut want = random_padded::<T, D>(dev, &grid, 99);
-        let mut got: [Field<T>; 6] = std::array::from_fn(|_| want.clone());
+        let (rs, gs) = (r.as_slice(), g.as_slice());
+        let mut want = random_padded::<T, D>(dev, grid, 99);
+        let mut got: [Field<T>; 7] = std::array::from_fn(|_| want.clone());
         oracle_combine(&lap, u, &mut want, T::ONE, &[]);
-        let [plain, split, dot1, dot2, dot3, split_dot] = &mut got;
+        let [plain, split, dot1, dot2, dot3, split_dot1, split_dot3] = &mut got;
         lap.apply(dev, INFO_APPLY, u, plain);
         lap.apply_interior(dev, INFO_APPLY, u, split);
         lap.apply_shell(dev, INFO_APPLY, u, split);
-        let _ = lap.apply_fused_dot(dev, INFO_APPLY, u, dot1, g);
+        let d1 = lap.apply_fused_dot(dev, INFO_APPLY, u, dot1, g);
         let _ = lap.apply_fused_dot2(dev, INFO_APPLY, u, dot2, r);
-        let _ = lap.apply_fused_dot3(dev, INFO_APPLY, u, dot3, r, g);
-        let mut slots = vec![T::ZERO; lap.slot_len(1)];
-        let terms = |c: usize, v: T| [g.as_slice()[c] * v];
-        lap.apply_interior_dot(dev, INFO_APPLY, u, split_dot, &mut slots, &terms);
-        let _ = lap
-            .apply_shell_dot(dev, INFO_APPLY, u, split_dot, &mut slots, &terms)
+        let d3 = lap.apply_fused_dot3(dev, INFO_APPLY, u, dot3, r, g);
+        // slots start poisoned: the split must write every row it folds
+        let mut slots = vec![T::from_f64(f64::NAN); lap.slot_len(3)];
+        let terms = |c: usize, v: T| [gs[c] * v];
+        lap.apply_interior_dot(dev, INFO_APPLY, u, split_dot1, &mut slots, &terms);
+        let s1 = lap
+            .apply_shell_dot(dev, INFO_APPLY, u, split_dot1, &mut slots, &terms)
+            .fold(dev, INFO_APPLY, &slots);
+        slots.fill(T::from_f64(f64::NAN));
+        let terms = |c: usize, v: T| [v * rs[c], v * v, gs[c] * v];
+        lap.apply_interior_dot(dev, INFO_APPLY, u, split_dot3, &mut slots, &terms);
+        let s3 = lap
+            .apply_shell_dot(dev, INFO_APPLY, u, split_dot3, &mut slots, &terms)
             .fold(dev, INFO_APPLY, &slots);
         for (f, name) in got.iter().zip([
             "apply",
@@ -1201,8 +1129,83 @@ mod tests {
             "fused_dot2",
             "fused_dot3",
             "split dot",
+            "split dot3",
         ]) {
             assert_bitwise(f, &want, &format!("{what} {name}"));
+        }
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&s1), bits(&[d1]), "{what}: split dot vs fused");
+        assert_eq!(
+            bits(&s3),
+            bits(&[d3.0, d3.1, d3.2]),
+            "{what}: split dot3 vs fused"
+        );
+    }
+
+    /// [`check_row_core`] in both precisions on all three back-ends.
+    fn check_row_core_everywhere(grid: &BlockGrid, seed: u64, what: &str) {
+        let serial = Serial::new(Recorder::disabled());
+        let threads = Threads::new(3, Recorder::disabled());
+        let gpu = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
+        check_row_core::<f64, _>(&serial, grid, seed, &format!("{what} f64 serial"));
+        check_row_core::<f32, _>(&serial, grid, seed, &format!("{what} f32 serial"));
+        check_row_core::<f64, _>(&threads, grid, seed, &format!("{what} f64 threads"));
+        check_row_core::<f32, _>(&threads, grid, seed, &format!("{what} f32 threads"));
+        check_row_core::<f64, _>(&gpu, grid, seed, &format!("{what} f64 simgpu"));
+        check_row_core::<f32, _>(&gpu, grid, seed, &format!("{what} f32 simgpu"));
+    }
+
+    #[test]
+    fn split_sweep_launches_follow_the_interface_faces() {
+        let launches = |grid: &BlockGrid, dot: bool| {
+            let rec = Recorder::enabled();
+            let dev = Serial::new(rec.clone());
+            let lap = Laplacian::new(grid);
+            let u = random_padded::<f64, _>(&dev, grid, 3);
+            let mut w = Field::zeros(&dev, grid);
+            if dot {
+                let mut slots = vec![0.0; lap.slot_len(1)];
+                let terms = |_: usize, v: f64| [v];
+                lap.apply_interior_dot(&dev, INFO_APPLY, &u, &mut w, &mut slots, &terms);
+                let _ = lap.apply_shell_dot(&dev, INFO_APPLY, &u, &mut w, &mut slots, &terms);
+            } else {
+                lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
+                lap.apply_shell(&dev, INFO_APPLY, &u, &mut w);
+            }
+            let names = |e: Event| match e {
+                Event::Kernel { name, .. } => name,
+                other => panic!("unexpected event {other:?}"),
+            };
+            rec.drain().into_iter().map(names).collect::<Vec<_>>()
+        };
+        let apply = INFO_APPLY.name;
+        // no interface face: everything in the first call, nothing after
+        let single = rank_grid([6, 6, 6], [1, 1, 1], 0);
+        assert_eq!(launches(&single, false), [apply]);
+        assert_eq!(launches(&single, true), [apply]);
+        // one x face: window, its peeled column, the planes behind — and
+        // for the fused dot the refold of the window rows
+        let half = rank_grid([6, 6, 6], [2, 1, 1], 0);
+        assert_eq!(launches(&half, false), [apply; 3]);
+        assert_eq!(
+            launches(&half, true),
+            [apply, apply, apply, "KernelFoldWindow"]
+        );
+        // three faces, none of them z-low: window, y and x pieces, rest
+        let corner = rank_grid([6, 6, 6], [2, 2, 2], 0);
+        assert_eq!(launches(&corner, false), [apply; 4]);
+        // ... and with z-low in flight, its plane too
+        assert_eq!(
+            launches(&rank_grid([6, 6, 12], [2, 2, 2], 7), false),
+            [apply; 5]
+        );
+    }
+
+    #[test]
+    fn split_sweeps_bitwise_match_monolithic_on_every_rank_of_a_cube() {
+        for rank in 0..8 {
+            let grid = rank_grid([5, 4, 6], [2, 2, 2], rank);
+            check_row_core_everywhere(&grid, 40 + rank as u64, &format!("rank {rank}"));
         }
     }
 
@@ -1211,7 +1214,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// Extents that stress the windows: 1- and 2-cell-thick blocks
-        /// (no deep interior, x-shell rows of length 1), the first primes,
+        /// (the shortest rows and windows), the first primes,
         /// and whatever else 1..14 draws; the three axes independently,
         /// so boxes are non-cubic.
         fn extent() -> impl Strategy<Value = usize> {
@@ -1235,15 +1238,26 @@ mod tests {
                 nx in extent(), ny in extent(), nz in extent(), seed in 1u64..1 << 40,
             ) {
                 let n = [nx, ny, nz];
-                let serial = Serial::new(Recorder::disabled());
-                let threads = Threads::new(3, Recorder::disabled());
-                let gpu = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
-                check_row_core::<f64, _>(&serial, n, seed, &format!("{n:?} f64 serial"));
-                check_row_core::<f32, _>(&serial, n, seed, &format!("{n:?} f32 serial"));
-                check_row_core::<f64, _>(&threads, n, seed, &format!("{n:?} f64 threads"));
-                check_row_core::<f32, _>(&threads, n, seed, &format!("{n:?} f32 threads"));
-                check_row_core::<f64, _>(&gpu, n, seed, &format!("{n:?} f64 simgpu"));
-                check_row_core::<f32, _>(&gpu, n, seed, &format!("{n:?} f32 simgpu"));
+                let grid = single_rank_grid(n, [[BcKind::Dirichlet; 2]; 3]);
+                check_row_core_everywhere(&grid, seed, &format!("{n:?}"));
+            }
+
+            /// Split ≡ monolithic on both sides of a cut along each axis
+            /// and in every corner of `[2,2,2]`, for local blocks from one
+            /// cell (no window) up: whatever the in-flight faces peel.
+            #[test]
+            fn split_sweeps_bitwise_match_monolithic_on_every_side(
+                nx in 1usize..8, ny in 1usize..8, nz in 1usize..8,
+                ns in prop_oneof![
+                    Just([2usize, 1, 1]), Just([1, 2, 1]), Just([1, 1, 2]), Just([2, 2, 2])
+                ],
+                seed in 1u64..1 << 40,
+            ) {
+                for rank in 0..ns.iter().product() {
+                    let grid = rank_grid([nx, ny, nz], ns, rank);
+                    let what = format!("{:?} rank {rank} of {ns:?}", grid.local_n);
+                    check_row_core_everywhere(&grid, seed, &what);
+                }
             }
         }
     }
