@@ -255,12 +255,15 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// lane's result is **bitwise identical** to a solo
     /// [`Device::launch_rows_reduce`] over that lane's field alone. The
     /// default implementation guarantees this by construction (one solo
-    /// launch per lane); back-ends override it with a single row-outer /
-    /// lane-inner sweep that keeps one accumulator per lane through the
+    /// launch per lane); back-ends override it with a single sweep over
+    /// every lane that keeps one accumulator per lane through the
     /// back-end's exact solo merge structure, recording **one** kernel
     /// launch of `map.elems() * lanes.len()` elements — launch overhead is
     /// paid once per sweep instead of once per lane, which is the batched
-    /// path's modelled GPU win.
+    /// path's modelled GPU win. The CPU back-ends sweep lane by lane with
+    /// the accumulator in a local, so a one-lane launch — how every
+    /// single-field kernel of the solver runs — costs what
+    /// [`Device::launch_rows_reduce`] does.
     fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,

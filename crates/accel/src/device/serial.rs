@@ -125,18 +125,20 @@ impl Device for Serial {
             return;
         }
         // One launch for the whole lane sweep; each lane still folds its
-        // own rows in (k, j) order, so per-lane results stay bitwise equal
-        // to a solo launch_rows_reduce over that lane's field.
+        // own rows in (k, j) order into a local accumulator, so per-lane
+        // results stay bitwise equal to a solo launch_rows_reduce over
+        // that lane's field — and a one-lane sweep costs what that does.
         self.recorder.kernel(info, map.elems() * lanes.len());
-        accs.fill([T::ZERO; NR]);
-        for k in 0..map.nz {
-            for j in 0..map.ny {
-                let off = map.row_offset(j, k);
-                for (s, lane) in lanes.iter_mut().enumerate() {
+        for (s, (lane, out)) in lanes.iter_mut().zip(accs.iter_mut()).enumerate() {
+            let mut acc = [T::ZERO; NR];
+            for k in 0..map.nz {
+                for j in 0..map.ny {
+                    let off = map.row_offset(j, k);
                     let row = &mut lane[off..off + map.len];
-                    accs[s] = add_partials(accs[s], f(s, j, k, row));
+                    acc = add_partials(acc, f(s, j, k, row));
                 }
             }
+            *out = acc;
         }
     }
 
@@ -164,18 +166,19 @@ impl Device for Serial {
             return;
         }
         self.recorder.kernel(info, map_a.elems() * lanes_a.len());
-        accs.fill([T::ZERO; NR]);
-        for k in 0..map_a.nz {
-            for j in 0..map_a.ny {
-                let off_a = map_a.row_offset(j, k);
-                let off_b = map_b.row_offset(j, k);
-                for (s, (lane_a, lane_b)) in lanes_a.iter_mut().zip(lanes_b.iter_mut()).enumerate()
-                {
+        let lanes = lanes_a.iter_mut().zip(lanes_b.iter_mut());
+        for (s, ((lane_a, lane_b), out)) in lanes.zip(accs.iter_mut()).enumerate() {
+            let mut acc = [T::ZERO; NR];
+            for k in 0..map_a.nz {
+                for j in 0..map_a.ny {
+                    let off_a = map_a.row_offset(j, k);
+                    let off_b = map_b.row_offset(j, k);
                     let row_a = &mut lane_a[off_a..off_a + map_a.len];
                     let row_b = &mut lane_b[off_b..off_b + map_b.len];
-                    accs[s] = add_partials(accs[s], f(s, j, k, row_a, row_b));
+                    acc = add_partials(acc, f(s, j, k, row_a, row_b));
                 }
             }
+            *out = acc;
         }
     }
 }

@@ -206,23 +206,25 @@ impl Device for Threads {
         let partials_ptr = SendPtr(partials.as_mut_ptr());
         let ptrs: Vec<SendPtr<T>> = lanes.iter_mut().map(|l| SendPtr(l.as_mut_ptr())).collect();
         self.pool.run_chunks(chunks, &|c| {
-            for r in chunk_range(rows, chunks, c) {
-                let (j, k) = map.row_jk(r);
-                for (s, &ptr) in ptrs.iter().enumerate() {
+            // Lane by lane within the chunk, each lane's partial in a
+            // local: neighbouring chunks' slots share cache lines, and
+            // accumulating in them row by row would bounce those lines
+            // between the workers.
+            for (s, &ptr) in ptrs.iter().enumerate() {
+                let mut acc = [T::ZERO; NR];
+                for r in chunk_range(rows, chunks, c) {
+                    let (j, k) = map.row_jk(r);
                     // SAFETY: `map` validated against every lane slice; the
                     // lane slices are disjoint `&mut` borrows, and each row
                     // index `r` belongs to exactly one chunk, so no two
                     // workers ever touch the same (lane, row).
                     let row = unsafe { row_slice_mut(ptr, &map, j, k) };
-                    let part = f(s, j, k, row);
-                    // SAFETY: slot `c * nl + s` belongs to chunk `c` alone;
-                    // the Vec outlives `run_chunks`, which joins all workers.
-                    let slots = partials_ptr;
-                    unsafe {
-                        let slot = slots.0.add(c * nl + s);
-                        *slot = add_partials(*slot, part);
-                    }
+                    acc = add_partials(acc, f(s, j, k, row));
                 }
+                // SAFETY: slot `c * nl + s` belongs to chunk `c` alone;
+                // the Vec outlives `run_chunks`, which joins all workers.
+                let slots = partials_ptr;
+                unsafe { *slots.0.add(c * nl + s) = acc };
             }
         });
         // Per lane: merge chunk partials in chunk order, the solo grouping.
@@ -272,23 +274,22 @@ impl Device for Threads {
             .map(|l| SendPtr(l.as_mut_ptr()))
             .collect();
         self.pool.run_chunks(chunks, &|c| {
-            for r in chunk_range(rows, chunks, c) {
-                let (j, k) = map_a.row_jk(r);
-                for s in 0..nl {
+            // Lane by lane, partials in locals (see launch_lanes_reduce).
+            for s in 0..nl {
+                let mut acc = [T::ZERO; NR];
+                for r in chunk_range(rows, chunks, c) {
+                    let (j, k) = map_a.row_jk(r);
                     // SAFETY: both maps validated against every lane slice
                     // of their buffer; lane slices are disjoint `&mut`
                     // borrows and each row belongs to exactly one chunk.
                     let row_a = unsafe { row_slice_mut(ptrs_a[s], &map_a, j, k) };
                     // SAFETY: as above for the second buffer.
                     let row_b = unsafe { row_slice_mut(ptrs_b[s], &map_b, j, k) };
-                    let part = f(s, j, k, row_a, row_b);
-                    // SAFETY: slot `c * nl + s` belongs to chunk `c` alone.
-                    let slots = partials_ptr;
-                    unsafe {
-                        let slot = slots.0.add(c * nl + s);
-                        *slot = add_partials(*slot, part);
-                    }
+                    acc = add_partials(acc, f(s, j, k, row_a, row_b));
                 }
+                // SAFETY: slot `c * nl + s` belongs to chunk `c` alone.
+                let slots = partials_ptr;
+                unsafe { *slots.0.add(c * nl + s) = acc };
             }
         });
         for (s, acc) in accs.iter_mut().enumerate() {

@@ -519,8 +519,8 @@ fn ablation_schedule(c: &mut Criterion) {
 ///
 /// The batched driver runs every lane through the same iteration
 /// schedule — one lane-strided kernel launch per sweep instead of B, one
-/// B-face halo message per neighbour instead of B, and one chunked
-/// B-wide allreduce per reduction point instead of B — so all the
+/// B-face halo message per neighbour instead of B, and one B-wide
+/// allreduce per reduction point instead of B — so all the
 /// per-launch and per-message fixed costs amortize across lanes while
 /// the streamed bytes stay proportional to B. Wall time is measured
 /// live (criterion re-runs the world per sample); the headline claim is
@@ -702,10 +702,10 @@ fn ablation_batched_rhs(c: &mut Criterion) {
                 "batching must not change any lane's iteration count (B={nb})"
             );
             let longest = *batched.iters.iter().max().expect("at least one lane") as u64;
-            // The reduction-amortization contract: one chunked B-wide
-            // message per reduction point of the longest-running lane
-            // (2 per iteration + setup), not B per point. Frozen lanes
-            // keep voting, so the count is bounded by the longest lane,
+            // The reduction-amortization contract: one B-wide message
+            // per reduction point of the longest-running lane (2 per
+            // iteration + setup), not B per point. Frozen lanes keep
+            // their (zeroed) slots, so the count is that of the longest lane,
             // with a small constant for rhs-norm and residual setup.
             assert!(
                 batched.allreduces <= 2 * longest + 6,

@@ -1,5 +1,6 @@
 //! Halo (ghost-point) exchange between neighbouring subdomains.
 
+use std::ops::Deref;
 use std::sync::Mutex;
 
 use accel::{Device, Event, ExchangeHazard, KernelInfo, RowMap, Scalar, HALO_OVERLAP_STAGE};
@@ -25,12 +26,14 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 /// unpacked — the buffered-`Isend`/`Irecv`/`Waitall` pattern, which is
 /// deadlock-free by construction.
 ///
-/// Two modes are offered:
+/// Two modes are offered, each for any number of *lanes* (the fields of
+/// a multi-RHS batch, whose face planes share one message per face; a
+/// single field is the one-lane case):
 ///
-/// * [`HaloExchange::exchange`] — the classic synchronous exchange.
-/// * [`HaloExchange::begin`] / [`HaloExchange::finish`] — a split-phase
-///   exchange that lets the caller overlap interior compute with the
-///   in-flight messages (the paper's Sec. V communication-hiding
+/// * [`HaloExchange::exchange_lanes`] — the classic synchronous exchange.
+/// * [`HaloExchange::begin_lanes`] / [`HaloExchange::finish_lanes`] — a
+///   split-phase exchange that lets the caller overlap interior compute
+///   with the in-flight messages (the paper's Sec. V communication-hiding
 ///   discussion). `begin` packs and posts everything; the caller then
 ///   runs kernels that read no *interface* ghost — physical-boundary
 ///   ghosts are not part of the exchange and may be refreshed and read
@@ -71,6 +74,7 @@ impl<T: Scalar> Clone for HaloExchange<T> {
 #[derive(Debug)]
 pub struct PendingExchange {
     recvs: [[Option<RecvRequest>; 2]; 3],
+    lanes: usize,
     msgs: u32,
     bytes: u64,
     overlap: bool,
@@ -89,29 +93,27 @@ pub struct PendingExchangeF32 {
 }
 
 /// Message tag for a face moving from side `1 - side` toward `side` along
-/// `axis`. Sender of its own `side` face uses `face_tag(axis, side)`; the
-/// receiver filling its `side` ghost expects `face_tag(axis, 1 - side)`.
-fn face_tag(axis: usize, side: usize) -> Tag {
-    (axis * 2 + side) as Tag
+/// `axis`, carrying the planes of `lanes` fields. Sender of its own `side`
+/// face uses `face_tag(axis, side, lanes)`; the receiver filling its
+/// `side` ghost expects `face_tag(axis, 1 - side, lanes)`.
+///
+/// Each lane count owns a band of six face tags — one lane `0..6`, two
+/// lanes `12..18`, three `24..30`, … — so a channel+tag pair always
+/// carries one fixed message size, which communication checkers (and
+/// real MPI matching) rely on even as the live-lane set of a batched
+/// solve shrinks between exchanges. The odd bands stay free; the first
+/// of them is the single-precision band of [`face_tag_f32`].
+fn face_tag(axis: usize, side: usize, lanes: usize) -> Tag {
+    (12 * (lanes - 1) + axis * 2 + side) as Tag
 }
 
 /// Tag of a single-precision face message: its own band of six tags
-/// (`6..12`), disjoint from the full-precision solo band (`0..6`), so a
-/// channel+tag pair still always carries one fixed message size even
-/// when `f64` and `f32` exchanges interleave on the same channel — the
-/// `f32` wire payload is roughly half the `f64` one.
+/// (`6..12`), disjoint from every full-precision band, so a channel+tag
+/// pair still always carries one fixed message size even when `f64` and
+/// `f32` exchanges interleave on the same channel — the `f32` wire
+/// payload is roughly half the `f64` one.
 fn face_tag_f32(axis: usize, side: usize) -> Tag {
-    6 + face_tag(axis, side)
-}
-
-/// Tag of a batched face message carrying `lanes` packed planes. Each
-/// lane count gets its own band of six face tags, disjoint from the
-/// solo `f64` band (`0..6`) and the solo `f32` band (`6..12`): a
-/// channel+tag pair therefore always carries one fixed message size,
-/// which communication checkers (and real MPI matching) can rely on even
-/// as the active-lane set of a batched solve shrinks between exchanges.
-fn batch_face_tag(axis: usize, side: usize, lanes: usize) -> Tag {
-    (lanes as Tag + 1) * 6 + face_tag(axis, side)
+    6 + face_tag(axis, side, 1)
 }
 
 impl<T: Scalar> HaloExchange<T> {
@@ -144,22 +146,10 @@ impl<T: Scalar> HaloExchange<T> {
         self.face_len(axis).div_ceil(T::F32_LANES)
     }
 
-    /// Take a face buffer for `axis` from the pool (or allocate one).
-    fn acquire(&self, axis: usize) -> Vec<T> {
-        self.acquire_len(axis, self.face_len(axis))
-    }
-
-    /// Take a buffer holding `lanes` consecutive face planes for `axis`
-    /// from the pool (or allocate one). Solo and batched exchanges share
-    /// the pool: `resize` adjusts a recycled buffer to either payload.
-    fn acquire_lanes(&self, axis: usize, lanes: usize) -> Vec<T> {
-        self.acquire_len(axis, self.face_len(axis) * lanes)
-    }
-
-    /// Take a buffer of exactly `len` elements from the `axis` free list
-    /// (solo faces, batched multi-lane faces and `f32` wire words all
+    /// Take a buffer of exactly `len` elements from the `axis` free list,
+    /// or allocate one (faces of any lane count and `f32` wire words all
     /// share the list — `resize` adjusts a recycled buffer in place).
-    fn acquire_len(&self, axis: usize, len: usize) -> Vec<T> {
+    fn acquire(&self, axis: usize, len: usize) -> Vec<T> {
         let mut buf = self.pool.lock().unwrap_or_else(|p| p.into_inner())[axis]
             .pop()
             .unwrap_or_default();
@@ -188,15 +178,16 @@ impl<T: Scalar> HaloExchange<T> {
         self.pool_f32.lock().unwrap_or_else(|p| p.into_inner())[axis].push(buf);
     }
 
-    /// Pack the interior plane adjacent to (`axis`, `side`) into `buf`
-    /// as a device kernel over the buffer's rows. Generic over the face
-    /// element type so the full- and mixed-precision exchanges share one
-    /// kernel body (`info` carries the per-precision traffic accounting).
+    /// Pack the interior plane of the padded field `us` adjacent to
+    /// (`axis`, `side`) into `buf` as a device kernel over the buffer's
+    /// rows. Generic over the face element type so the full- and
+    /// mixed-precision exchanges share one kernel body (`info` carries the
+    /// per-precision traffic accounting).
     fn pack_face<S: Scalar, D: Device>(
         &self,
         dev: &D,
         info: KernelInfo,
-        field: &Field<S>,
+        us: &[S],
         axis: usize,
         side: usize,
         buf: &mut [S],
@@ -205,7 +196,6 @@ impl<T: Scalar> HaloExchange<T> {
         let [pnx, pny, _] = self.grid.padded();
         let fixed = if side == 0 { 1 } else { n[axis] };
         let idx = move |i: usize, j: usize, k: usize| i + pnx * (j + pny * k);
-        let us = field.as_slice();
         debug_assert_eq!(buf.len(), self.face_len(axis));
         // Buffer rows are its natural contiguous runs: j-runs for the x
         // faces, i-runs for the y and z faces.
@@ -258,14 +248,15 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// Unpack a received plane into the ghost layer at (`axis`, `side`)
-    /// as a device kernel over the ghost layer's rows (generic over the
-    /// face element type, like [`HaloExchange::pack_face`]).
+    /// Unpack a received plane into the ghost layer of the padded
+    /// `field` at (`axis`, `side`) as a device kernel over the ghost
+    /// layer's rows (generic over the face element type, like
+    /// [`HaloExchange::pack_face`]).
     fn unpack_face<S: Scalar, D: Device>(
         &self,
         dev: &D,
         info: KernelInfo,
-        field: &mut Field<S>,
+        field: &mut [S],
         axis: usize,
         side: usize,
         plane: &[S],
@@ -287,7 +278,7 @@ impl<T: Scalar> HaloExchange<T> {
                     sy,
                     sz,
                 };
-                dev.launch_rows(info, map, field.as_mut_slice(), |j, k, row| {
+                dev.launch_rows(info, map, field, |j, k, row| {
                     row[0] = plane[k * n[1] + j];
                 });
             }
@@ -300,7 +291,7 @@ impl<T: Scalar> HaloExchange<T> {
                     sy,
                     sz,
                 };
-                dev.launch_rows(info, map, field.as_mut_slice(), |_, k, row| {
+                dev.launch_rows(info, map, field, |_, k, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
                         *v = plane[k * n[0] + ii];
                     }
@@ -315,7 +306,7 @@ impl<T: Scalar> HaloExchange<T> {
                     sy,
                     sz,
                 };
-                dev.launch_rows(info, map, field.as_mut_slice(), |j, _, row| {
+                dev.launch_rows(info, map, field, |j, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
                         *v = plane[j * n[0] + ii];
                     }
@@ -324,45 +315,53 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// The sanitizer-hook description of `field`'s in-flight ghost planes:
-    /// every interface face, identified by the buffer's base address.
-    fn hazard<S: Scalar>(&self, field: &Field<S>) -> ExchangeHazard {
+    /// The sanitizer-hook description of the in-flight ghost planes of
+    /// the padded field `us`: every interface face, identified by the
+    /// buffer's base address.
+    fn hazard<S: Scalar>(&self, us: &[S]) -> ExchangeHazard {
+        assert_eq!(us.len(), self.grid.padded_len(), "field shape mismatch");
         ExchangeHazard {
-            base: field.as_slice().as_ptr() as usize,
+            base: us.as_ptr() as usize,
             elem_bytes: S::BYTES,
-            padded: field.padded(),
+            padded: self.grid.padded(),
             faces: self.grid.interface_mask(),
         }
     }
 
-    fn begin_impl<D: Device, C: Communicator<T>>(
+    fn begin_impl<D: Device, C: Communicator<T>, F: Deref<Target = [T]>>(
         &self,
         dev: &D,
         comm: &C,
-        field: &Field<T>,
+        lanes: &[F],
         overlap: bool,
     ) -> PendingExchange {
+        let nl = lanes.len();
+        assert!(nl > 0, "a halo exchange carries at least one lane");
         // Post all receives first (`MPI_Irecv`), as the paper's
         // implementation does...
         let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
         for (axis, slots) in recvs.iter_mut().enumerate() {
             for (side, slot) in slots.iter_mut().enumerate() {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, face_tag(axis, 1 - side)));
+                    *slot = Some(comm.irecv(neighbor, face_tag(axis, 1 - side, nl)));
                 }
             }
         }
-        // ...then all sends (`MPI_Isend`, buffered).
+        // ...then all sends (`MPI_Isend`, buffered): one message per
+        // face, lane `s`'s plane at `[s * face_len, (s + 1) * face_len)`.
         let mut msgs = 0u32;
         let mut bytes = 0u64;
         for axis in 0..3 {
+            let flen = self.face_len(axis);
             for side in 0..2 {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    let mut face = self.acquire(axis);
-                    self.pack_face(dev, INFO_HALO_PACK, field, axis, side, &mut face);
+                    let mut face = self.acquire(axis, flen * nl);
+                    for (lane, plane) in lanes.iter().zip(face.chunks_exact_mut(flen)) {
+                        self.pack_face(dev, INFO_HALO_PACK, lane, axis, side, plane);
+                    }
                     bytes += (face.len() * T::BYTES) as u64;
                     msgs += 1;
-                    comm.send(neighbor, face_tag(axis, side), face);
+                    comm.send(neighbor, face_tag(axis, side, nl), face);
                 }
             }
         }
@@ -375,53 +374,72 @@ impl<T: Scalar> HaloExchange<T> {
             });
             comm.recorder().record(Event::Halo { msgs, bytes });
         }
-        // From here until `finish`, the interface ghost planes belong to
-        // the exchange; tell any sanitizing device wrapper.
-        dev.on_exchange_begin(self.hazard(field));
+        // From here until `finish`, every lane's interface ghost planes
+        // belong to the exchange; tell any sanitizing device wrapper.
+        for lane in lanes {
+            dev.on_exchange_begin(self.hazard::<T>(lane));
+        }
         PendingExchange {
             recvs,
+            lanes: nl,
             msgs,
             bytes,
             overlap,
         }
     }
 
-    /// Start a split-phase exchange: pack every interface face of `field`
-    /// and post all sends and receives, returning without waiting.
+    /// Start a split-phase exchange of every field in `lanes` (padded
+    /// backing slices of fields on this grid): pack every interface face
+    /// and post all sends and receives, returning without waiting. Each
+    /// face travels as **one** message carrying all lanes' planes, so a
+    /// B-lane solve pays the per-message latency once per face instead of
+    /// once per face per lane; pack and unpack are pure copies, so each
+    /// lane's ghosts are bitwise those of an exchange of that lane alone.
+    /// All ranks must pass the same number of lanes (the live-lane set of
+    /// a batched solve is decided from reduced values, so it is
+    /// rank-uniform by construction).
     ///
-    /// The caller may now run any kernel that does not read `field`'s
-    /// interface ghosts, then must call [`HaloExchange::finish`] to complete
-    /// the exchange before the ghosts are consumed.
-    pub fn begin<D: Device, C: Communicator<T>>(
+    /// The caller may now run any kernel that does not read the lanes'
+    /// interface ghosts, then must call [`HaloExchange::finish_lanes`]
+    /// with the same lanes to complete the exchange before the ghosts are
+    /// consumed.
+    pub fn begin_lanes<D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        field: &Field<T>,
+        lanes: &[&[T]],
     ) -> PendingExchange {
-        self.begin_impl(dev, comm, field, true)
+        self.begin_impl(dev, comm, lanes, true)
     }
 
     /// Complete a split-phase exchange: wait for every posted receive
-    /// (`MPI_Waitall`) and unpack the ghost planes into `field`.
+    /// (`MPI_Waitall`) and unpack the ghost planes into `lanes`.
     ///
     /// Received buffers are recycled into the pool, so the next `begin`
     /// allocates nothing.
-    pub fn finish<D: Device, C: Communicator<T>>(
+    pub fn finish_lanes<D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         pending: PendingExchange,
-        field: &mut Field<T>,
+        lanes: &mut [&mut [T]],
     ) {
+        assert_eq!(lanes.len(), pending.lanes, "finish must see begin's lanes");
         // The exchange is being completed: the ghost planes return to the
         // caller before any unpack kernel writes them.
-        dev.on_exchange_finish(self.hazard(field));
+        for lane in lanes.iter() {
+            dev.on_exchange_finish(self.hazard::<T>(lane));
+        }
         for (axis, slots) in pending.recvs.iter().enumerate() {
+            let flen = self.face_len(axis);
             for (side, slot) in slots.iter().enumerate() {
                 if let Some(req) = slot {
-                    let plane = comm.wait(*req);
-                    self.unpack_face(dev, INFO_HALO_UNPACK, field, axis, side, &plane);
-                    self.recycle(axis, plane);
+                    let planes = comm.wait(*req);
+                    assert_eq!(planes.len(), lanes.len() * flen, "halo plane size mismatch");
+                    for (lane, plane) in lanes.iter_mut().zip(planes.chunks_exact(flen)) {
+                        self.unpack_face(dev, INFO_HALO_UNPACK, lane, axis, side, plane);
+                    }
+                    self.recycle(axis, planes);
                 }
             }
         }
@@ -437,15 +455,46 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// Exchange all interface ghost layers of `field` with the neighbours
-    /// (synchronous: begin + finish back to back).
+    /// Exchange all interface ghost layers of every field in `lanes` with
+    /// the neighbours (synchronous: begin + finish back to back).
     ///
     /// Physical-boundary ghosts are left untouched (the boundary-condition
     /// kernel owns them). One [`Event::Halo`] with the total message count
     /// and bytes is recorded on the communicator's recorder.
+    pub fn exchange_lanes<D: Device, C: Communicator<T>>(
+        &self,
+        dev: &D,
+        comm: &C,
+        lanes: &mut [&mut [T]],
+    ) {
+        let pending = self.begin_impl(dev, comm, lanes, false);
+        self.finish_lanes(dev, comm, pending, lanes);
+    }
+
+    /// [`HaloExchange::begin_lanes`] for a single field.
+    pub fn begin<D: Device, C: Communicator<T>>(
+        &self,
+        dev: &D,
+        comm: &C,
+        field: &Field<T>,
+    ) -> PendingExchange {
+        self.begin_lanes(dev, comm, &[field.as_slice()])
+    }
+
+    /// [`HaloExchange::finish_lanes`] for a single field.
+    pub fn finish<D: Device, C: Communicator<T>>(
+        &self,
+        dev: &D,
+        comm: &C,
+        pending: PendingExchange,
+        field: &mut Field<T>,
+    ) {
+        self.finish_lanes(dev, comm, pending, &mut [field.as_mut_slice()]);
+    }
+
+    /// [`HaloExchange::exchange_lanes`] for a single field.
     pub fn exchange<D: Device, C: Communicator<T>>(&self, dev: &D, comm: &C, field: &mut Field<T>) {
-        let pending = self.begin_impl(dev, comm, field, false);
-        self.finish(dev, comm, pending, field);
+        self.exchange_lanes(dev, comm, &mut [field.as_mut_slice()]);
     }
 
     fn begin_f32_impl<D: Device, C: Communicator<T>>(
@@ -475,8 +524,15 @@ impl<T: Scalar> HaloExchange<T> {
             for side in 0..2 {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
                     let mut staging = self.acquire_f32(axis);
-                    self.pack_face(dev, INFO_HALO_PACK_F32, field, axis, side, &mut staging);
-                    let mut words = self.acquire_len(axis, self.wire_len(axis));
+                    self.pack_face(
+                        dev,
+                        INFO_HALO_PACK_F32,
+                        field.as_slice(),
+                        axis,
+                        side,
+                        &mut staging,
+                    );
+                    let mut words = self.acquire(axis, self.wire_len(axis));
                     T::pack_f32_words(&staging, &mut words);
                     self.recycle_f32(axis, staging);
                     bytes += (words.len() * T::BYTES) as u64;
@@ -491,7 +547,7 @@ impl<T: Scalar> HaloExchange<T> {
             });
             comm.recorder().record(Event::Halo { msgs, bytes });
         }
-        dev.on_exchange_begin(self.hazard(field));
+        dev.on_exchange_begin(self.hazard(field.as_slice()));
         PendingExchangeF32 {
             recvs,
             msgs,
@@ -526,7 +582,7 @@ impl<T: Scalar> HaloExchange<T> {
         pending: PendingExchangeF32,
         field: &mut Field<f32>,
     ) {
-        dev.on_exchange_finish(self.hazard(field));
+        dev.on_exchange_finish(self.hazard(field.as_slice()));
         for (axis, slots) in pending.recvs.iter().enumerate() {
             for (side, slot) in slots.iter().enumerate() {
                 if let Some(req) = slot {
@@ -535,7 +591,14 @@ impl<T: Scalar> HaloExchange<T> {
                     let mut staging = self.acquire_f32(axis);
                     T::unpack_f32_words(&words, &mut staging);
                     self.recycle(axis, words);
-                    self.unpack_face(dev, INFO_HALO_UNPACK_F32, field, axis, side, &staging);
+                    self.unpack_face(
+                        dev,
+                        INFO_HALO_UNPACK_F32,
+                        field.as_mut_slice(),
+                        axis,
+                        side,
+                        &staging,
+                    );
                     self.recycle_f32(axis, staging);
                 }
             }
@@ -562,95 +625,6 @@ impl<T: Scalar> HaloExchange<T> {
     ) {
         let pending = self.begin_f32_impl(dev, comm, field, false);
         self.finish_f32(dev, comm, pending, field);
-    }
-
-    /// Exchange the interface ghost layers of **every** field in `fields`
-    /// with one message per face: lane `b`'s face plane occupies the range
-    /// `[b * face_len, (b + 1) * face_len)` of the payload.
-    ///
-    /// This is the batched-solve analogue of [`HaloExchange::exchange`]:
-    /// a B-lane solve pays the per-message latency once per face instead
-    /// of once per face per lane. Pack and unpack are pure copies, so each
-    /// lane's ghost values are bitwise identical to what a solo exchange
-    /// of that lane's field would produce. All ranks must call this with
-    /// the same number of fields (the active-lane set of a batched solve
-    /// is decided from reduced values, so it is rank-uniform by
-    /// construction). Synchronous: one [`Event::Halo`] with the total
-    /// traffic is recorded, no overlap window.
-    pub fn exchange_batch<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        fields: &mut [&mut Field<T>],
-    ) {
-        let nl = fields.len();
-        if nl == 0 {
-            return;
-        }
-        // Post all receives first (`MPI_Irecv`), then all packed sends,
-        // exactly like the solo exchange.
-        let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
-        for (axis, slots) in recvs.iter_mut().enumerate() {
-            for (side, slot) in slots.iter_mut().enumerate() {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, batch_face_tag(axis, 1 - side, nl)));
-                }
-            }
-        }
-        let mut msgs = 0u32;
-        let mut bytes = 0u64;
-        for axis in 0..3 {
-            let flen = self.face_len(axis);
-            for side in 0..2 {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    let mut face = self.acquire_lanes(axis, nl);
-                    for (b, field) in fields.iter().enumerate() {
-                        self.pack_face(
-                            dev,
-                            INFO_HALO_PACK,
-                            field,
-                            axis,
-                            side,
-                            &mut face[b * flen..(b + 1) * flen],
-                        );
-                    }
-                    bytes += (face.len() * T::BYTES) as u64;
-                    msgs += 1;
-                    comm.send(neighbor, batch_face_tag(axis, side, nl), face);
-                }
-            }
-        }
-        // The exchange owns every lane's interface ghosts from here until
-        // the unpack below; mirror the solo begin/finish hook pairing for
-        // sanitizing device wrappers (the window is empty — this exchange
-        // is synchronous).
-        for field in fields.iter() {
-            dev.on_exchange_begin(self.hazard(field));
-        }
-        for field in fields.iter() {
-            dev.on_exchange_finish(self.hazard(field));
-        }
-        for (axis, slots) in recvs.iter().enumerate() {
-            let flen = self.face_len(axis);
-            for (side, slot) in slots.iter().enumerate() {
-                if let Some(req) = slot {
-                    let plane = comm.wait(*req);
-                    assert_eq!(plane.len(), nl * flen, "batched halo plane size mismatch");
-                    for (b, field) in fields.iter_mut().enumerate() {
-                        self.unpack_face(
-                            dev,
-                            INFO_HALO_UNPACK,
-                            field,
-                            axis,
-                            side,
-                            &plane[b * flen..(b + 1) * flen],
-                        );
-                    }
-                    self.recycle(axis, plane);
-                }
-            }
-        }
-        comm.recorder().record(Event::Halo { msgs, bytes });
     }
 }
 
@@ -987,8 +961,8 @@ mod tests {
             let mut batched: Vec<Field<f64>> = (0..lanes)
                 .map(|b| make_lane_field(&dev, &grid, b))
                 .collect();
-            let mut refs: Vec<&mut Field<f64>> = batched.iter_mut().collect();
-            halo.exchange_batch(&dev, &comm, &mut refs);
+            let mut refs: Vec<&mut [f64]> = batched.iter_mut().map(|f| f.as_mut_slice()).collect();
+            halo.exchange_lanes(&dev, &comm, &mut refs);
             for (b, lane) in batched.iter().enumerate() {
                 let mut solo = make_lane_field(&dev, &grid, b);
                 // LINT: collective-uniform(`batched` holds the same 3
@@ -1014,8 +988,8 @@ mod tests {
             let grid = BlockGrid::new(global, decomp, comm.rank());
             let mut fields: Vec<Field<f64>> =
                 (0..4).map(|b| make_lane_field(&dev, &grid, b)).collect();
-            let mut refs: Vec<&mut Field<f64>> = fields.iter_mut().collect();
-            HaloExchange::new(&grid).exchange_batch(&dev, &comm, &mut refs);
+            let mut refs: Vec<&mut [f64]> = fields.iter_mut().map(|f| f.as_mut_slice()).collect();
+            HaloExchange::new(&grid).exchange_lanes(&dev, &comm, &mut refs);
         });
         for rec in &handles {
             let evs = rec.snapshot();
@@ -1039,9 +1013,11 @@ mod tests {
             let global = GlobalGrid::dirichlet([7, 5, 6], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
             let halo = HaloExchange::new(&grid);
+            // One lane uses one tag band whichever entry point posts it:
+            // a single-field begin pairs with a one-lane finish.
             let mut batched = make_lane_field(&dev, &grid, 0);
-            let mut refs: Vec<&mut Field<f64>> = vec![&mut batched];
-            halo.exchange_batch(&dev, &comm, &mut refs);
+            let pending = halo.begin(&dev, &comm, &batched);
+            halo.finish_lanes(&dev, &comm, pending, &mut [batched.as_mut_slice()]);
             let mut solo = make_lane_field(&dev, &grid, 0);
             halo.exchange(&dev, &comm, &mut solo);
             assert_eq!(batched.as_slice(), solo.as_slice());

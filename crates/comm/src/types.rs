@@ -89,9 +89,9 @@ pub struct RecvRequest {
 
 /// Capacity ceiling for one split-phase reduction, in scalars.
 ///
-/// Split-phase reductions carry the solver's *dot-product groups*. The
-/// solo Bi-CGSTAB schedules batch at most four scalars per message; the
-/// batched multi-RHS driver widens every group to `B` lanes (σ/‖r‖²/cancel
+/// Split-phase reductions carry the solver's *dot-product groups*. One
+/// Bi-CGSTAB lane puts at most four scalars in a message, and the driver
+/// widens every group to the `B` lanes it solves together (σ/‖r‖²/cancel
 /// blocks in M1, the four ω/ρ dots in M2), so the ceiling leaves room for
 /// 16 lanes at four scalars each. Bounding the payload lets every layer
 /// stage it in fixed stack/inline storage, which is what keeps the

@@ -14,6 +14,9 @@
 //! KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
+//! There is one driver: the loop runs over a group of *lanes* — the
+//! right-hand sides of a multi-RHS batch, solved together — of which
+//! [`bicgstab_solve`] passes one and [`bicgstab_solve_batch`] many.
 //! Nothing about the schedule is selectable — the driver derives it from
 //! the world it is handed:
 //!
@@ -29,6 +32,16 @@
 //!   the stopping decision is read one message late. Elsewhere
 //!   reductions are free, so each stage reduces in place and nothing
 //!   lags.
+//! * **Lanes.** Every full-grid vector sweep strides all participating
+//!   lanes inside one kernel launch, every halo exchange packs their face
+//!   planes into one message per face, and every reduction ships their
+//!   scalars in the same message, in fixed per-lane slots (a lane that
+//!   sits a message out leaves its slots zero). A lane that converges, is
+//!   cancelled or breaks down for good drops out of kernels and halo
+//!   payloads; all such decisions are taken on reduced values, so the
+//!   participating set — and hence the kernel, halo and message schedule
+//!   — stays identical on every rank, and no lane's arithmetic depends on
+//!   which other lanes ride along.
 //!
 //! Every arm produces the same bits: fusion and splitting regroup *which
 //! loop* computes a value, never the order of the float operations
@@ -59,20 +72,19 @@
 //! local scope skips every exchange and reduction and restricts the
 //! operator to the subdomain block (Eq. 13).
 
-use accel::Device;
-use accel::Scalar;
-use accel::REDUCE_OVERLAP_STAGE;
+use std::ops::{Deref, DerefMut};
+
+use accel::{Device, Scalar, REDUCE_OVERLAP_STAGE};
 use blockgrid::Field;
 use comm::{Communicator, ReduceOp};
 use stencil::apply_physical_bcs;
 
 use crate::cancel::CancelToken;
-use crate::ctx::{BatchWorkspace, RankCtx, Workspace};
+use crate::ctx::{RankCtx, Workspace};
 use crate::kernels::{
-    axpy2_chained_batch, axpy2_chained_inplace, axpy_dot, axpy_dot_batch, diff_norm2, norm2_axpy,
-    norm2_axpy_batch, residual_p_update_fused, residual_p_update_fused_batch,
-    residual_update_fused, INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_BICGS4, INFO_BICGS5,
-    INFO_BICGS56, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
+    axpy2_chained_batch, axpy_dot_batch, diff_norm2, norm2_axpy_batch,
+    residual_p_update_fused_batch, residual_update_fused, INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F,
+    INFO_BICGS4, INFO_BICGS5, INFO_BICGS56, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
 };
 use crate::precond::Preconditioner;
 
@@ -141,7 +153,7 @@ pub enum Breakdown {
 }
 
 /// Outcome of one solve; identical on every rank in [`Scope::Global`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveOutcome {
     /// `true` if the residual tolerance was met.
     pub converged: bool,
@@ -177,6 +189,126 @@ impl SolveOutcome {
     }
 }
 
+/// Widest lane group one pass of the driver carries — the width of a
+/// [`LaneSet`], and of the inline per-lane scalar slots and operand lists
+/// that let the loop allocate nothing at any lane count.
+/// [`bicgstab_solve_batch`] runs wider batches group after group.
+const MAX_LANES: usize = 32;
+
+/// A set of lanes of one group: bit `b` is lane `b`.
+type LaneSet = u32;
+
+/// The lanes of `set`, ascending.
+fn members(set: LaneSet) -> impl Iterator<Item = usize> {
+    (0..MAX_LANES).filter(move |b| set >> b & 1 == 1)
+}
+
+/// The items of the lanes of `set`, in lane order.
+fn pick_mut<X>(items: &mut [X], set: LaneSet) -> impl Iterator<Item = &mut X> {
+    let of_set = move |(b, x)| (set >> b & 1 == 1).then_some(x);
+    items.iter_mut().enumerate().filter_map(of_set)
+}
+
+/// One operand per lane of a lanes-wide kernel or exchange, in lane
+/// order, held inline (the hot loop must not allocate).
+#[derive(Default)]
+struct Lanes<X> {
+    items: [X; MAX_LANES],
+    len: usize,
+}
+
+impl<X: Default> Lanes<X> {
+    fn push(&mut self, x: X) {
+        self.items[self.len] = x;
+        self.len += 1;
+    }
+
+    fn of(xs: impl Iterator<Item = X>) -> Self {
+        let mut lanes = Self::default();
+        xs.for_each(|x| lanes.push(x));
+        lanes
+    }
+}
+
+impl<X> Deref for Lanes<X> {
+    type Target = [X];
+    fn deref(&self) -> &[X] {
+        &self.items[..self.len]
+    }
+}
+
+impl<X> DerefMut for Lanes<X> {
+    fn deref_mut(&mut self) -> &mut [X] {
+        &mut self.items[..self.len]
+    }
+}
+
+/// One lane of a solve: its system, workspace and preconditioner, the
+/// scalar recurrence and the outcome under construction.
+struct Lane<'a, T, P: ?Sized> {
+    b: &'a Field<T>,
+    x: &'a mut Field<T>,
+    ws: &'a mut Workspace<T>,
+    prec: &'a mut P,
+    /// Polled collectively once per iteration (see [`CancelToken`]).
+    cancel: Option<&'a CancelToken>,
+    out: SolveOutcome,
+    rho: T,
+    alpha: T,
+    omega: T,
+    beta: T,
+    /// Lagged schedule: the last iteration's not-yet-reduced `‖r‖²`. Its
+    /// stopping decision and its merged x-update
+    /// `x ← (x + α p̂) + ω r̂` (`α`, `ω` stay that iteration's until
+    /// then) both complete under the next iteration's M1.
+    lag: Option<T>,
+}
+
+impl<'a, T: Scalar, P: ?Sized> Lane<'a, T, P> {
+    fn new(
+        b: &'a Field<T>,
+        x: &'a mut Field<T>,
+        ws: &'a mut Workspace<T>,
+        prec: &'a mut P,
+        cancel: Option<&'a CancelToken>,
+    ) -> Self {
+        Self {
+            b,
+            x,
+            ws,
+            prec,
+            cancel,
+            out: SolveOutcome::default(),
+            rho: T::ZERO,
+            alpha: T::ZERO,
+            omega: T::ZERO,
+            beta: T::ZERO,
+            lag: None,
+        }
+    }
+}
+
+/// Refresh the ghost layers of one field per lane of `set` for an
+/// operator application in `scope`: one halo exchange carrying every
+/// lane's face planes per message, then the per-lane physical-BC kernels.
+fn refresh_lane_ghosts<T: Scalar, D: Device, C: Communicator<T>, L>(
+    ctx: &RankCtx<T, D, C>,
+    scope: Scope,
+    stage: &'static str,
+    set: LaneSet,
+    lanes: &mut [L],
+    field: impl for<'l> Fn(&'l mut L) -> &'l mut Field<T>,
+) {
+    if scope == Scope::Global {
+        let mut us = Lanes::of(pick_mut(lanes, set).map(|l| field(l).as_mut_slice()));
+        let exchange = || ctx.halo.exchange_lanes(&ctx.dev, &ctx.comm, &mut us);
+        ctx.recorder.stage(stage, exchange);
+    }
+    for l in pick_mut(lanes, set) {
+        apply_physical_bcs(&ctx.grid, field(l), &ctx.recorder, scope == Scope::Local);
+    }
+}
+
 /// Refresh ghost layers for an operator application in `scope`.
 pub(crate) fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
@@ -184,47 +316,7 @@ pub(crate) fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
     stage: &'static str,
     f: &mut Field<T>,
 ) {
-    match scope {
-        Scope::Global => {
-            ctx.recorder
-                .stage(stage, || ctx.halo.exchange(&ctx.dev, &ctx.comm, f));
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
-        }
-        Scope::Local => {
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, true);
-        }
-    }
-}
-
-/// `w = A u` with ghosts refreshed in `scope`.
-///
-/// When `split` is set the halo exchange is split-phase and hidden
-/// behind the ghost-independent work:
-/// `begin → KernelNeumannBCs → apply_interior → finish → apply_shell`.
-/// The boundary-condition kernel and the window sweep touch no
-/// interface ghost, so they run while the messages are in flight; the
-/// shell sweep completes the cover afterwards. Each interior cell is
-/// written exactly once with the same arithmetic as the monolithic
-/// sweep, so `w` is bitwise-identical to the synchronous path.
-fn refresh_and_apply<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    split: bool,
-    u: &mut Field<T>,
-    w: &mut Field<T>,
-) {
-    let info = stencil::INFO_APPLY;
-    if split {
-        let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, u);
-        apply_physical_bcs(&ctx.grid, u, &ctx.recorder, false);
-        ctx.lap.apply_interior(&ctx.dev, info, u, w);
-        ctx.halo.finish(&ctx.dev, &ctx.comm, pending, u);
-        ctx.lap.apply_shell(&ctx.dev, info, u, w);
-    } else {
-        refresh_ghosts(ctx, scope, stage, u);
-        ctx.lap.apply(&ctx.dev, info, u, w);
-    }
+    refresh_lane_ghosts(ctx, scope, stage, 1, std::slice::from_mut(f), |f| f);
 }
 
 /// Sum `vals` across ranks in [`Scope::Global`]; local identity otherwise.
@@ -238,20 +330,600 @@ pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     vals: &mut [T],
 ) {
     if scope == Scope::Global {
+        let comm = &ctx.comm;
         ctx.recorder
-            .stage(stage, || ctx.comm.reduce_batch(&mut [vals], ReduceOp::Sum));
+            .stage(stage, || comm.reduce_batch(&mut [vals], ReduceOp::Sum));
     }
 }
 
-/// Whether the scalars of a solve in `scope` take the lagged two-message
-/// schedule: only a real multi-rank world pays for reductions; on one
-/// rank (and in the reduction-local [`Scope::Local`]) they are free and
-/// the lag would only spend an extra preconditioner application.
-fn lagged_reductions<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
+/// A lane's operands of the iteration's first fused operator application
+/// (`w = A p̂`) or its `second` (`t = A r̂`): the input, the output, the
+/// slot buffer of the split form, and the `r` and `r̃` the dots read.
+#[allow(clippy::type_complexity)]
+fn dot_operands<T: Scalar>(
+    ws: &mut Workspace<T>,
+    second: bool,
+) -> (&mut Field<T>, &mut Field<T>, &mut [T], &[T], &[T]) {
+    let (u, out) = match second {
+        false => (&mut ws.p_hat, &mut ws.w),
+        true => (&mut ws.r_hat, &mut ws.t),
+    };
+    (u, out, &mut ws.slots, ws.r.as_slice(), ws.r0t.as_slice())
+}
+
+/// Up to [`MAX_LANES`] lanes solved together by the one driver loop
+/// ([`LaneGroup::solve`], see the module docs): the world, the stopping
+/// parameters and the lanes.
+struct LaneGroup<'g, 'a, T: Scalar, D: Device, C: Communicator<T>, P: ?Sized> {
+    ctx: &'g RankCtx<T, D, C>,
     scope: Scope,
-) -> bool {
-    scope == Scope::Global && ctx.comm.size() > 1
+    params: &'g SolveParams,
+    lanes: &'g mut [Lane<'a, T, P>],
+}
+
+impl<T, D, C, P> LaneGroup<'_, '_, T, D, C, P>
+where
+    T: Scalar,
+    D: Device,
+    C: Communicator<T>,
+    P: Preconditioner<T, D, C> + ?Sized,
+{
+    /// `out = A x` for every lane of `set`, ghosts refreshed in scope.
+    ///
+    /// When the solve runs split-phase ([`RankCtx::split_phase_halo`])
+    /// the halo exchange is hidden behind the ghost-independent work:
+    /// `begin → KernelNeumannBCs → apply_interior → finish → apply_shell`,
+    /// one lanes-wide exchange around the per-lane sweeps. The
+    /// boundary-condition kernel and the window sweep touch no interface
+    /// ghost, so they run while the messages are in flight; the shell
+    /// sweep completes the cover afterwards. Each interior cell is
+    /// written exactly once with the same arithmetic as the monolithic
+    /// sweep, so `out` is bitwise-identical to the synchronous path.
+    fn refresh_and_apply(
+        &mut self,
+        stage: &'static str,
+        set: LaneSet,
+        out: impl for<'w> Fn(&'w mut Workspace<T>) -> &'w mut Field<T>,
+    ) {
+        let ctx = self.ctx;
+        let info = stencil::INFO_APPLY;
+        let (dev, comm, grid) = (&ctx.dev, &ctx.comm, &ctx.grid);
+        if ctx.split_phase_halo(self.scope == Scope::Global) {
+            let us = Lanes::of(pick_mut(self.lanes, set).map(|l| l.x.as_slice()));
+            let pending = ctx.halo.begin_lanes(dev, comm, &us);
+            for l in pick_mut(self.lanes, set) {
+                apply_physical_bcs(grid, l.x, &ctx.recorder, false);
+                ctx.lap.apply_interior(dev, info, l.x, out(l.ws));
+            }
+            let mut us = Lanes::of(pick_mut(self.lanes, set).map(|l| l.x.as_mut_slice()));
+            ctx.halo.finish_lanes(dev, comm, pending, &mut us);
+            for l in pick_mut(self.lanes, set) {
+                ctx.lap.apply_shell(dev, info, l.x, out(l.ws));
+            }
+        } else {
+            refresh_lane_ghosts(ctx, self.scope, stage, set, self.lanes, |l| l.x);
+            for l in pick_mut(self.lanes, set) {
+                ctx.lap.apply(dev, info, l.x, out(l.ws));
+            }
+        }
+    }
+
+    /// One of the iteration's two operator applications with its dots
+    /// fused in — the first (MPI1, `KernelBiCGS1`) or the `second` (MPI3,
+    /// `KernelBiCGS3F`), see [`dot_operands`] — for every lane of `set`:
+    /// ghosts refreshed in scope, then `out = A u` and the `NR` sums over
+    /// the interior of `terms(r, r̃, c, v)` — the dot terms of the cell at
+    /// padded index `c`, `v` the stencil value there. Returns the lanes'
+    /// sums, in lane order of `set`.
+    ///
+    /// Split-phase, the window and shell sweeps *keep* their dots: each
+    /// piece deposits per-row partials into the slot buffer and a row
+    /// fold completes the scalars — still one full-grid
+    /// sweep, bitwise equal to the monolithic fused sweep, with one
+    /// lanes-wide exchange in flight around the per-lane window sweeps.
+    fn apply_dots<const NR: usize>(
+        &mut self,
+        set: LaneSet,
+        second: bool,
+        terms: impl Fn(&[T], &[T], usize, T) -> [T; NR] + Sync,
+    ) -> [[T; NR]; MAX_LANES] {
+        let ctx = self.ctx;
+        let (stage, info, fold_info) = match second {
+            false => ("MPI1", INFO_BICGS1, INFO_FOLD1),
+            true => ("MPI3", INFO_BICGS3F, INFO_FOLD3),
+        };
+        let (dev, comm, grid) = (&ctx.dev, &ctx.comm, &ctx.grid);
+        let mut dots = [[T::ZERO; NR]; MAX_LANES];
+        if ctx.split_phase_halo(self.scope == Scope::Global) {
+            let us = Lanes::of(
+                pick_mut(self.lanes, set).map(|l| dot_operands(l.ws, second).0.as_slice()),
+            );
+            let pending = ctx.halo.begin_lanes(dev, comm, &us);
+            for l in pick_mut(self.lanes, set) {
+                let (u, out, slots, r, r0t) = dot_operands(l.ws, second);
+                apply_physical_bcs(grid, u, &ctx.recorder, false);
+                let terms = |c: usize, v: T| terms(r, r0t, c, v);
+                ctx.lap.apply_interior_dot(dev, info, u, out, slots, &terms);
+            }
+            let mut us = Lanes::of(
+                pick_mut(self.lanes, set).map(|l| dot_operands(l.ws, second).0.as_mut_slice()),
+            );
+            ctx.halo.finish_lanes(dev, comm, pending, &mut us);
+            for (l, sums) in pick_mut(self.lanes, set).zip(&mut dots) {
+                let (u, out, slots, r, r0t) = dot_operands(l.ws, second);
+                let terms = |c: usize, v: T| terms(r, r0t, c, v);
+                let fold = ctx.lap.apply_shell_dot(dev, info, u, out, slots, &terms);
+                *sums = fold.fold(dev, fold_info, slots);
+            }
+        } else {
+            refresh_lane_ghosts(ctx, self.scope, stage, set, self.lanes, |l| {
+                dot_operands(l.ws, second).0
+            });
+            let mut us = Lanes::default();
+            let mut outs = Lanes::default();
+            let mut ins = Lanes::default();
+            for l in pick_mut(self.lanes, set) {
+                let (u, out, _, r, r0t) = dot_operands(l.ws, second);
+                us.push(u.as_slice());
+                outs.push(out.as_mut_slice());
+                ins.push((r, r0t));
+            }
+            let terms = |s: usize, c: usize, v: T| terms(ins[s].0, ins[s].1, c, v);
+            let accs = &mut dots[..us.len()];
+            ctx.lap
+                .apply_fused_dots(dev, info, &us, &mut outs, accs, &terms);
+        }
+        dots
+    }
+
+    /// `r = b − A x`, `r̃ = p = r` and `ρ = r̃ᵀ r = ‖r‖²` for every lane
+    /// of `set` — the setup of a solve, and the restart of the Krylov
+    /// process from the current iterate after a curable breakdown: one
+    /// lanes-wide exchange, one fused `KernelNorm2Axpy` sweep (`r̃ = r`
+    /// elementwise, so the fused norm is the same sequence of products as
+    /// the dot), one reduction. Returns the lanes still above the
+    /// tolerance; the others have converged.
+    fn form_residual(&mut self, set: LaneSet) -> LaneSet {
+        let ctx = self.ctx;
+        self.refresh_and_apply("MPI0", set, |ws| &mut ws.w);
+        let mut outs = Lanes::default();
+        let mut ins = Lanes::default();
+        for l in pick_mut(self.lanes, set) {
+            outs.push(l.ws.r.as_mut_slice());
+            ins.push((l.b.as_slice(), l.ws.w.as_slice()));
+        }
+        let mut accs = [[T::ZERO]; MAX_LANES];
+        let accs = &mut accs[..outs.len()];
+        norm2_axpy_batch(&ctx.dev, INFO_NORM2AXPY, &ctx.grid, &mut outs, &ins, accs);
+        let mut rhos = [T::ZERO; MAX_LANES];
+        for ((l, b), acc) in pick_mut(self.lanes, set).zip(members(set)).zip(accs) {
+            l.ws.r0t.copy_from(&l.ws.r);
+            l.ws.p.copy_from(&l.ws.r);
+            rhos[b] = acc[0];
+        }
+        global_sum(ctx, self.scope, "MPI0", &mut rhos[..self.lanes.len()]);
+        let mut open = 0;
+        for b in members(set) {
+            let lane = &mut self.lanes[b];
+            lane.rho = rhos[b];
+            lane.out.final_residual = lane.rho.to_f64().max(0.0).sqrt();
+            if lane.out.final_residual < self.params.tol {
+                lane.out.converged = true;
+            } else {
+                open |= 1 << b;
+            }
+        }
+        open
+    }
+
+    /// The lanes of `set` hit a curable breakdown, already noted in their
+    /// outcomes: those with restart budget left restart the Krylov
+    /// process from the current iterate with a fresh shadow residual
+    /// ([`LaneGroup::form_residual`]) and sit out the rest of the
+    /// iteration; the others give up. Returns the lanes that stop — out
+    /// of budget, or converged by their recomputed residual.
+    fn restart_or_stop(&mut self, set: LaneSet) -> LaneSet {
+        let mut again = 0;
+        for b in members(set) {
+            let out = &mut self.lanes[b].out;
+            if out.restarts < self.params.max_restarts {
+                out.restarts += 1;
+                out.breakdown = None;
+                again |= 1 << b;
+            }
+        }
+        if again == 0 {
+            return set;
+        }
+        set & !self.form_residual(again)
+    }
+
+    /// Iteration `j`'s epilogue for the lanes of `set` once their global
+    /// `‖r_j‖²` (slot `b` of `rnorm2`) is in hand: history/final-residual
+    /// bookkeeping and the stopping ladder (non-finite → converged →
+    /// true-residual guard). Returns the lanes that stop.
+    fn finish_iteration(&mut self, set: LaneSet, j: usize, rnorm2: &[T]) -> LaneSet {
+        let (ctx, params) = (self.ctx, self.params);
+        let mut stopped = 0;
+        let mut guard = 0;
+        for b in members(set) {
+            let out = &mut self.lanes[b].out;
+            let res = rnorm2[b].to_f64().max(0.0).sqrt();
+            out.final_residual = res;
+            if params.record_history {
+                out.residual_history.push(res);
+            }
+            if !res.is_finite() {
+                out.breakdown = Some(Breakdown::NonFinite);
+            } else if res < params.tol {
+                out.converged = true;
+            } else {
+                if params.true_residual_every > 0 && j.is_multiple_of(params.true_residual_every) {
+                    guard |= 1 << b;
+                }
+                continue;
+            }
+            out.iterations = j;
+            stopped |= 1 << b;
+        }
+        // Optional drift guard: recompute the true residual ‖b − A x‖ (the
+        // recursive residual can decouple from it in long stagnating
+        // solves) and let it decide convergence too.
+        if guard != 0 {
+            self.refresh_and_apply("MPI6", guard, |ws| &mut ws.t);
+            let mut s = [T::ZERO; MAX_LANES];
+            for b in members(guard) {
+                let l = &self.lanes[b];
+                s[b] = diff_norm2(&ctx.dev, INFO_DOT, &ctx.grid, l.b, &l.ws.t);
+            }
+            global_sum(ctx, self.scope, "MPI6", &mut s[..self.lanes.len()]);
+            for b in members(guard) {
+                let out = &mut self.lanes[b].out;
+                let tres = s[b].to_f64().max(0.0).sqrt();
+                out.true_residuals.push((j, tres));
+                if tres < params.tol {
+                    out.final_residual = tres;
+                    out.converged = true;
+                    out.iterations = j;
+                    stopped |= 1 << b;
+                }
+            }
+        }
+        stopped
+    }
+
+    /// `KernelBiCGS4` for the lanes of `set`: `x ← (x + α p̂) + ω r̂`,
+    /// chained exactly as the reference's 4a/4b pair so the iterate
+    /// matches bitwise. A `deferred` update reads the `p̂` its iteration
+    /// left in the ping-pong buffer.
+    fn update_x(&mut self, set: LaneSet, deferred: bool) {
+        let mut ys = Lanes::default();
+        let mut ins = Lanes::default();
+        for l in pick_mut(self.lanes, set) {
+            let p_hat = if deferred {
+                &l.ws.p_hat_prev
+            } else {
+                &l.ws.p_hat
+            };
+            ys.push(l.x.as_mut_slice());
+            ins.push((p_hat.as_slice(), l.alpha, l.ws.r_hat.as_slice(), l.omega));
+        }
+        axpy2_chained_batch(&self.ctx.dev, INFO_BICGS4, &self.ctx.grid, &mut ys, &ins);
+    }
+
+    /// Stop the lanes of `set` whose reduced cancel flag (slot `b` of
+    /// `flags`) is raised, their iterates complete through iteration
+    /// `done`; returns them. Every rank reads the same reduced sums, so
+    /// all stop the same lanes.
+    fn stop_cancelled(&mut self, set: LaneSet, flags: &[T], done: usize) -> LaneSet {
+        let mut stopped = 0;
+        for b in members(set).filter(|&b| flags[b] != T::ZERO) {
+            self.lanes[b].out.cancelled = true;
+            self.lanes[b].out.iterations = done;
+            stopped |= 1 << b;
+        }
+        stopped
+    }
+
+    /// The Bi-CGSTAB iteration (Alg. 3) — the only copy of the loop:
+    /// [`bicgstab_solve`] runs it over one lane, [`bicgstab_solve_batch`]
+    /// over many.
+    fn solve(&mut self) {
+        let (ctx, scope, params) = (self.ctx, self.scope, self.params);
+        let (dev, comm, grid) = (&ctx.dev, &ctx.comm, &ctx.grid);
+        let nb = self.lanes.len();
+        debug_assert!((1..=MAX_LANES).contains(&nb));
+        // The scalars take the lagged two-message schedule only where
+        // reductions cost something: a real multi-rank world. On one rank
+        // (and in the reduction-local `Scope::Local`) they are free and
+        // the lag would only spend an extra preconditioner application.
+        let lag = scope == Scope::Global && comm.size() > 1;
+        let has_tokens = self.lanes.iter().any(|l| l.cancel.is_some());
+        let cancel_flag = |lane: &Lane<'_, T, P>| match lane.cancel {
+            Some(token) if token.is_cancelled() => T::ONE,
+            _ => T::ZERO,
+        };
+
+        // Lanes still iterating; the others have their final outcome.
+        let mut live = self.form_residual(LaneSet::MAX >> (MAX_LANES - nb));
+        if params.record_history {
+            for lane in self.lanes.iter_mut() {
+                lane.out.residual_history.push(lane.out.final_residual);
+            }
+        }
+
+        for i in 1..=params.max_iters {
+            // Cooperative cancellation, decided collectively so every
+            // rank stops a lane on the same iteration: each rank reduces
+            // its local view of the flags and any rank's request counts.
+            // Under the lagged schedule the flags ride the M1 batch
+            // instead (see below) — a dedicated blocking reduction here
+            // would reintroduce the per-iteration synchronous message the
+            // batching removed.
+            if !lag && has_tokens && live != 0 {
+                let mut flags = [T::ZERO; MAX_LANES];
+                for b in members(live) {
+                    flags[b] = cancel_flag(&self.lanes[b]);
+                }
+                global_sum(ctx, scope, "MPIC", &mut flags[..nb]);
+                live &= !self.stop_cancelled(live, &flags, i - 1);
+            }
+            if live == 0 {
+                break;
+            }
+            // The lanes taking part in the rest of this iteration: a lane
+            // that restarts leaves `run` but stays `live`, and rejoins at
+            // the next iteration.
+            let mut run = live;
+
+            // Solve M p̂ = p (preconditioners are per-lane state; the lane
+            // order is fixed, so any collectives inside a communicating
+            // preconditioner stay rank-uniform).
+            for l in pick_mut(self.lanes, run) {
+                l.out.iterations = i;
+                let apply = || l.prec.apply(ctx, &mut l.ws.p, &mut l.ws.p_hat);
+                l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
+            }
+            // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂,
+            // σ = r̃ᵀ w.
+            let mut m1 = [T::ZERO; 3 * MAX_LANES];
+            let sigmas = self.apply_dots(run, false, |_, r0, c, v| [r0[c] * v]);
+            for (b, [sigma]) in members(run).zip(sigmas) {
+                m1[b] = sigma;
+            }
+
+            // M1: reduce σ = r̃ᵀw — lagged, in one message with the
+            // previous iteration's ‖r‖² and (tokens installed) the cancel
+            // flags, each a group of per-lane slots, and posted
+            // split-phase so the previous iteration's deferred x-updates
+            // compute while the message is in flight. (A group too wide
+            // for one message — more than `MAX_REDUCE_SCALARS` slots —
+            // ships the excess as a blocking tail when it finishes.)
+            if lag {
+                ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
+                let mut n = nb;
+                let mut lagging = 0;
+                for b in members(run) {
+                    if let Some(rnorm2) = self.lanes[b].lag.take() {
+                        m1[n + b] = rnorm2;
+                        lagging |= 1 << b;
+                    }
+                }
+                let rnorm2_at = n;
+                n += if lagging != 0 { nb } else { 0 };
+                // The cancel poll piggybacks on M1 as one more group, so
+                // an installed token adds no message: the flags are
+                // sampled here instead of at the loop top, and the
+                // decision lands after the deferred x-update below
+                // completes the previous iterate — the same iteration
+                // boundary the blocking poll stops at.
+                let cancel_at = n;
+                if has_tokens {
+                    for b in members(run) {
+                        m1[n + b] = cancel_flag(&self.lanes[b]);
+                    }
+                    n += nb;
+                }
+                let req = comm.iall_reduce_many(&m1[..n], ReduceOp::Sum);
+                // KernelBiCGS4 deferred from iteration i−1.
+                self.update_x(lagging, true);
+                comm.reduce_finish_many(req, &mut m1[..n]);
+                ctx.recorder.end(REDUCE_OVERLAP_STAGE);
+                // iteration i−1's stopping decisions, one message late
+                live &= !self.finish_iteration(lagging, i - 1, &m1[rnorm2_at..]);
+                if has_tokens {
+                    live &= !self.stop_cancelled(run & live, &m1[cancel_at..], i - 1);
+                }
+                run &= live;
+            } else {
+                global_sum(ctx, scope, "MPI2", &mut m1[..nb]);
+            }
+            let mut broken = 0;
+            for (b, sigma) in members(run).map(|b| (b, m1[b])) {
+                let lane = &mut self.lanes[b];
+                if !sigma.is_finite() {
+                    lane.out.breakdown = Some(Breakdown::NonFinite);
+                    live &= !(1 << b);
+                } else if sigma == T::ZERO {
+                    lane.out.breakdown = Some(Breakdown::PSumZero);
+                    broken |= 1 << b;
+                } else {
+                    lane.alpha = lane.rho / sigma;
+                }
+            }
+            live &= !self.restart_or_stop(broken);
+            run &= live & !broken;
+            if run == 0 {
+                continue;
+            }
+
+            // KernelBiCGS2F: r ← r − α w, and σ₃ = r̃ᵀ s — the first half
+            // of the ρ recurrence ρ_{i+1} = r̃ᵀ r_{i+1} = r̃ᵀ s − ω r̃ᵀ t.
+            // Computing ρ this way frees it from its serial dependence on
+            // ω, letting it ride in M2 alongside the ω dots instead of
+            // forcing a third reduction.
+            let mut m2 = [T::ZERO; 4 * MAX_LANES];
+            let mut accs = [[T::ZERO]; MAX_LANES];
+            {
+                let mut ys = Lanes::default();
+                let mut ins = Lanes::default();
+                for l in pick_mut(self.lanes, run) {
+                    ys.push(l.ws.r.as_mut_slice());
+                    ins.push((l.ws.w.as_slice(), -l.alpha, l.ws.r0t.as_slice()));
+                }
+                let accs = &mut accs[..ys.len()];
+                axpy_dot_batch(dev, INFO_BICGS2F, grid, &mut ys, &ins, accs);
+                for (b, acc) in members(run).zip(accs) {
+                    m2[2 * nb + b] = acc[0];
+                }
+            }
+
+            // Solve M r̂ = r
+            for l in pick_mut(self.lanes, run) {
+                let apply = || l.prec.apply(ctx, &mut l.ws.r, &mut l.ws.r_hat);
+                l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
+            }
+            // MPI3 + BCs, then KernelBiCGS3F: t = A r̂ with p1 = tᵀ r,
+            // p2 = tᵀ t and σ₄ = r̃ᵀ t (second half of the ρ recurrence),
+            // all three dots riding in the stencil sweep.
+            let dots = self.apply_dots(run, true, |r, r0, c, v| [v * r[c], v * v, r0[c] * v]);
+            for (b, [p1, p2, c4]) in members(run).zip(dots) {
+                (m2[b], m2[nb + b], m2[3 * nb + b]) = (p1, p2, c4);
+            }
+
+            // M2: all four scalars of every lane in one blocking batch —
+            // both x-halves ride in next iteration's merged KernelBiCGS4
+            // sweep, so there is nothing left to hide under this message.
+            global_sum(ctx, scope, "MPI4", &mut m2[..4 * nb]);
+
+            // β only exists when ρ and ω are both non-zero, so breakdown
+            // is decided *before* the residual/p sweep and the fused
+            // KernelBiCGS56 only runs on the healthy lanes.
+            let mut healthy = 0;
+            let mut broken = 0;
+            let mut kinds = [None; MAX_LANES];
+            for b in members(run) {
+                let lane = &mut self.lanes[b];
+                let (p1, p2, c3, c4) = (m2[b], m2[nb + b], m2[2 * nb + b], m2[3 * nb + b]);
+                if !(p1.is_finite() && p2.is_finite()) {
+                    lane.out.breakdown = Some(Breakdown::NonFinite);
+                    live &= !(1 << b);
+                    continue;
+                }
+                // t = 0 can only happen when r is (numerically) zero;
+                // ω = 0 keeps the update well-defined and the convergence
+                // check decides.
+                lane.omega = if p2 == T::ZERO { T::ZERO } else { p1 / p2 };
+                let rho_new = c3 - lane.omega * c4;
+                if rho_new != T::ZERO && lane.omega != T::ZERO {
+                    lane.beta = (rho_new / lane.rho) * (lane.alpha / lane.omega);
+                    lane.rho = rho_new;
+                    healthy |= 1 << b;
+                } else {
+                    broken |= 1 << b;
+                    kinds[b] = Some(if rho_new == T::ZERO {
+                        Breakdown::RhoZero
+                    } else {
+                        // stagnated: ω = 0 with a non-converged residual
+                        Breakdown::OmegaZero
+                    });
+                }
+            }
+
+            // Breakdown pre-empts the fusion and the lag: β is undefined,
+            // so those lanes finish the iteration eagerly with the plain
+            // residual update, the merged x sweep and a blocking norm
+            // reduction — convergence keeps its priority over the
+            // breakdown and a restart resumes from the fully-updated
+            // iterate.
+            if broken != 0 {
+                let mut rnorm2 = [T::ZERO; MAX_LANES];
+                for (b, l) in members(broken).zip(pick_mut(self.lanes, broken)) {
+                    let ws = &mut *l.ws;
+                    (_, rnorm2[b]) = residual_update_fused(
+                        dev,
+                        INFO_BICGS5,
+                        grid,
+                        &mut ws.r,
+                        &ws.t,
+                        l.omega,
+                        &ws.r0t,
+                    );
+                }
+                self.update_x(broken, false);
+                global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
+                let stopped = self.finish_iteration(broken, i, &rnorm2);
+                let open = broken & !stopped;
+                for b in members(open) {
+                    self.lanes[b].out.breakdown = kinds[b];
+                }
+                live &= !(stopped | self.restart_or_stop(open));
+            }
+            if healthy == 0 {
+                continue;
+            }
+
+            // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w) in
+            // one sweep. The direct ‖r‖² is kept — ρ already came from
+            // the recurrence (the direct norm avoids the cancellation a
+            // norm recurrence suffers near convergence).
+            let mut rnorm2 = [T::ZERO; MAX_LANES];
+            {
+                let mut rs = Lanes::default();
+                let mut ps = Lanes::default();
+                let mut ins = Lanes::default();
+                for l in pick_mut(self.lanes, healthy) {
+                    rs.push(l.ws.r.as_mut_slice());
+                    ps.push(l.ws.p.as_mut_slice());
+                    ins.push((l.ws.t.as_slice(), l.ws.w.as_slice(), l.omega, l.beta));
+                }
+                let accs = &mut accs[..rs.len()];
+                residual_p_update_fused_batch(
+                    dev,
+                    INFO_BICGS56,
+                    grid,
+                    &mut rs,
+                    &mut ps,
+                    &ins,
+                    accs,
+                );
+                for (b, acc) in members(healthy).zip(accs) {
+                    rnorm2[b] = acc[0];
+                }
+            }
+            if lag {
+                // The x-update and the stopping decision defer into next
+                // iteration's M1 window; keep this p̂ alive across the
+                // swap.
+                for (b, l) in members(healthy).zip(pick_mut(self.lanes, healthy)) {
+                    l.lag = Some(rnorm2[b]);
+                    std::mem::swap(&mut l.ws.p_hat, &mut l.ws.p_hat_prev);
+                }
+            } else {
+                self.update_x(healthy, false);
+                global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
+                live &= !self.finish_iteration(healthy, i, &rnorm2);
+            }
+        }
+
+        // Drain the lag when the iteration budget ran out with the last
+        // iteration's bookkeeping still in flight: apply its deferred
+        // x-updates (their p̂ live in the swapped buffers) and take its
+        // stopping decisions.
+        let mut lagging = 0;
+        let mut rnorm2 = [T::ZERO; MAX_LANES];
+        for (b, lane) in self.lanes.iter_mut().enumerate() {
+            if let Some(r) = lane.lag.take() {
+                rnorm2[b] = r;
+                lagging |= 1 << b;
+            }
+        }
+        if lagging != 0 {
+            self.update_x(lagging, true);
+            global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
+            self.finish_iteration(lagging, params.max_iters, &rnorm2);
+        }
+    }
 }
 
 /// Solve `A x = b` with preconditioned Bi-CGSTAB (Alg. 3).
@@ -274,590 +946,44 @@ where
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
-    // LINT: alloc-ok(per-solve convergence bookkeeping, grows amortised
-    // outside the audited steady-state window)
-    let mut history = Vec::new();
-    let mut prec_iterations = 0u64;
-
-    let split = ctx.split_phase_halo(scope == Scope::Global);
-    let lag = lagged_reductions(ctx, scope);
-
-    // r_0 = b − A x_0 and ρ_0 = r̃ᵀ r_0 = ‖r_0‖² in one sweep
-    // (KernelNorm2Axpy; r̃ = r_0 elementwise, so the fused norm is the
-    // same sequence of products as the dot).
-    refresh_and_apply(ctx, scope, "MPI0", split, x, &mut ws.w);
-    let mut sums = [norm2_axpy(
-        &ctx.dev,
-        INFO_NORM2AXPY,
-        &ctx.grid,
-        &mut ws.r,
-        b,
-        &ws.w,
-    )];
-    // r̃ = r_0, p_0 = r_0
-    ws.r0t.copy_from(&ws.r);
-    ws.p.copy_from(&ws.r);
-    global_sum(ctx, scope, "MPI0", &mut sums);
-    let mut rho = sums[0];
-    let res0 = rho.to_f64().max(0.0).sqrt();
-    if params.record_history {
-        history.push(res0);
+    let mut lanes = [Lane::new(b, x, ws, prec, params.cancel.as_ref())];
+    LaneGroup {
+        ctx,
+        scope,
+        params,
+        lanes: &mut lanes,
     }
-    if res0 < params.tol {
-        return SolveOutcome {
-            converged: true,
-            iterations: 0,
-            prec_iterations: 0,
-            residual_history: history,
-            final_residual: res0,
-            breakdown: None,
-            restarts: 0,
-            // LINT: alloc-ok(empty vec for the zero-iteration early return)
-            true_residuals: Vec::new(),
-            cancelled: false,
-        };
-    }
-
-    let mut outcome_breakdown = None;
-    let mut converged = false;
-    let mut final_residual = res0;
-    let mut iterations = 0;
-    let mut restarts = 0usize;
-    // LINT: alloc-ok(per-solve diagnostic bookkeeping, off the iteration path)
-    let mut true_residuals: Vec<(usize, f64)> = Vec::new();
-    let mut cancelled = false;
-
-    // Lag state: `(i, ‖r_i‖²_local, ω_i, α_i)` — iteration i's
-    // not-yet-reduced convergence norm and its deferred merged x-update
-    // `x ← (x + α p̂) + ω r̂`, both completed under iteration i+1's M1.
-    let mut lagged: Option<(usize, T, T, T)> = None;
-
-    /// Iteration `$j`'s epilogue once its global `‖r_j‖²` is in hand:
-    /// history/final-residual bookkeeping and the stopping ladder
-    /// (non-finite → converged → true-residual guard). `break`s out of
-    /// the enclosing loop on any stop, falls through otherwise.
-    macro_rules! finish_iteration {
-        ($j:expr, $rnorm2:expr) => {{
-            let j = $j;
-            let res = $rnorm2.to_f64().max(0.0).sqrt();
-            final_residual = res;
-            if params.record_history {
-                history.push(res);
-            }
-            if !res.is_finite() {
-                outcome_breakdown = Some(Breakdown::NonFinite);
-                iterations = j;
-                break;
-            }
-            if res < params.tol {
-                converged = true;
-                iterations = j;
-                break;
-            }
-            // Optional drift guard: recompute the true residual
-            // ‖b − A x‖ (the recursive residual can decouple from it in
-            // long stagnating solves) and let it decide convergence too.
-            if params.true_residual_every > 0 && j % params.true_residual_every == 0 {
-                refresh_and_apply(ctx, scope, "MPI6", split, x, &mut ws.t);
-                let mut s = [diff_norm2(&ctx.dev, INFO_DOT, &ctx.grid, b, &ws.t)];
-                global_sum(ctx, scope, "MPI6", &mut s);
-                let tres = s[0].to_f64().max(0.0).sqrt();
-                true_residuals.push((j, tres));
-                if tres < params.tol {
-                    final_residual = tres;
-                    converged = true;
-                    iterations = j;
-                    break;
-                }
-            }
-        }};
-    }
-
-    for i in 1..=params.max_iters {
-        // Cooperative cancellation, decided collectively so every rank
-        // breaks on the same iteration: each rank reduces its local view
-        // of the flag and any rank's request stops them all. Under the
-        // lagged schedule the flag rides the M1 batch instead (see
-        // below) — a dedicated blocking reduction here would reintroduce
-        // the per-iteration synchronous message the batching removed.
-        if !lag {
-            if let Some(token) = &params.cancel {
-                let mut flag = [if token.is_cancelled() {
-                    T::ONE
-                } else {
-                    T::ZERO
-                }];
-                global_sum(ctx, scope, "MPIC", &mut flag);
-                if flag[0] != T::ZERO {
-                    cancelled = true;
-                    iterations = i - 1;
-                    break;
-                }
-            }
-        }
-        iterations = i;
-
-        /// On a curable breakdown: restart the Krylov process from the
-        /// current iterate with a fresh shadow residual (`r̃ = r`), or
-        /// give up when the restart budget is spent.
-        macro_rules! breakdown_or_restart {
-            ($kind:expr) => {{
-                let kind = $kind;
-                if restarts < params.max_restarts && kind != Breakdown::NonFinite {
-                    restarts += 1;
-                    refresh_and_apply(ctx, scope, "MPI0", split, x, &mut ws.w);
-                    let mut s = [norm2_axpy(
-                        &ctx.dev,
-                        INFO_NORM2AXPY,
-                        &ctx.grid,
-                        &mut ws.r,
-                        b,
-                        &ws.w,
-                    )];
-                    ws.r0t.copy_from(&ws.r);
-                    ws.p.copy_from(&ws.r);
-                    global_sum(ctx, scope, "MPI0", &mut s);
-                    rho = s[0];
-                    let res = rho.to_f64().max(0.0).sqrt();
-                    final_residual = res;
-                    if res < params.tol {
-                        converged = true;
-                        break;
-                    }
-                    continue;
-                } else {
-                    outcome_breakdown = Some(kind);
-                    break;
-                }
-            }};
-        }
-
-        // Solve M p̂ = p
-        prec_iterations += ctx.recorder.stage("Preconditioner", || {
-            prec.apply(ctx, &mut ws.p, &mut ws.p_hat)
-        }) as u64;
-        // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂, σ = r̃ᵀ w.
-        // Split, the window and shell sweeps *keep* their dot: each
-        // piece deposits per-row partials into the slot buffer and a row
-        // fold completes the scalar — still one full-grid sweep, bitwise
-        // equal to the monolithic KernelBiCGS1.
-        let psum_local = if split {
-            let r0s = ws.r0t.as_slice();
-            let terms = |c: usize, v: T| [r0s[c] * v];
-            let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.p_hat);
-            apply_physical_bcs(&ctx.grid, &mut ws.p_hat, &ctx.recorder, false);
-            ctx.lap.apply_interior_dot(
-                &ctx.dev,
-                INFO_BICGS1,
-                &ws.p_hat,
-                &mut ws.w,
-                &mut ws.slots,
-                &terms,
-            );
-            ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.p_hat);
-            let fold = ctx.lap.apply_shell_dot(
-                &ctx.dev,
-                INFO_BICGS1,
-                &ws.p_hat,
-                &mut ws.w,
-                &mut ws.slots,
-                &terms,
-            );
-            let [s] = fold.fold(&ctx.dev, INFO_FOLD1, &ws.slots);
-            s
-        } else {
-            refresh_ghosts(ctx, scope, "MPI1", &mut ws.p_hat);
-            ctx.lap
-                .apply_fused_dot(&ctx.dev, INFO_BICGS1, &ws.p_hat, &mut ws.w, &ws.r0t)
-        };
-        // M1: reduce σ = r̃ᵀw — lagged, batched with the previous
-        // iteration's ‖r‖² and posted split-phase so the previous
-        // iteration's deferred x-update computes while the message is in
-        // flight.
-        let psum = if lag {
-            ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-            // The cancel poll piggybacks on M1 as one extra scalar, so
-            // an installed token adds no message: the flag is sampled
-            // here instead of at the loop top, and the decision lands
-            // after the deferred x-update below completes the previous
-            // iterate — the same iteration boundary the blocking poll
-            // stops at.
-            let cancel_local = params.cancel.as_ref().map(|token| {
-                [if token.is_cancelled() {
-                    T::ONE
-                } else {
-                    T::ZERO
-                }]
-            });
-            let rnorm2_prev = lagged.as_ref().map(|(_, r, _, _)| [*r]);
-            let psl = [psum_local];
-            // Fixed-capacity group list: the M1 batch is at most
-            // [σ, ‖r‖²_prev, cancel] and the hot loop must not allocate.
-            let mut groups: [&[T]; 3] = [&psl; 3];
-            let mut ng = 1;
-            if let Some(r) = &rnorm2_prev {
-                groups[ng] = r;
-                ng += 1;
-            }
-            if let Some(c) = &cancel_local {
-                groups[ng] = c;
-                ng += 1;
-            }
-            let req = ctx.comm.iall_reduce_batch(&groups[..ng], ReduceOp::Sum);
-            if let Some((_, _, omega_prev, alpha_prev)) = lagged {
-                // KernelBiCGS4 deferred from iteration i−1:
-                // x ← (x + α p̂_prev) + ω r̂, chained exactly as the
-                // reference's 4a/4b pair so the iterate matches bitwise.
-                axpy2_chained_inplace(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    x,
-                    &ws.p_hat_prev,
-                    alpha_prev,
-                    &ws.r_hat,
-                    omega_prev,
-                );
-            }
-            let mut red = [T::ZERO; 3];
-            ctx.comm.reduce_finish(req, &mut red[..ng]);
-            ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-            let had_lag = lagged.is_some();
-            if let Some((prev, _, _, _)) = lagged.take() {
-                // iteration i−1's stopping decisions, one message late
-                finish_iteration!(prev, red[1]);
-            }
-            if cancel_local.is_some() && red[1 + usize::from(had_lag)] != T::ZERO {
-                // Every rank reads the same reduced sum, so all break
-                // together; x is complete through iteration i−1 (the
-                // deferred update just landed above).
-                cancelled = true;
-                iterations = i - 1;
-                break;
-            }
-            red[0]
-        } else {
-            let mut sums = [psum_local];
-            global_sum(ctx, scope, "MPI2", &mut sums);
-            sums[0]
-        };
-        if !psum.is_finite() {
-            outcome_breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        if psum == T::ZERO {
-            breakdown_or_restart!(Breakdown::PSumZero);
-        }
-        let alpha = rho / psum;
-
-        // KernelBiCGS2F: r ← r − α w, and σ₃ = r̃ᵀ s — the first half of
-        // the ρ recurrence ρ_{i+1} = r̃ᵀ r_{i+1} = r̃ᵀ s − ω r̃ᵀ t.
-        // Computing ρ this way frees it from its serial dependence on ω,
-        // letting it ride in M2 alongside the ω dots instead of forcing a
-        // third reduction.
-        let c3_local = axpy_dot(
-            &ctx.dev,
-            INFO_BICGS2F,
-            &ctx.grid,
-            &mut ws.r,
-            &ws.w,
-            -alpha,
-            &ws.r0t,
-        );
-
-        // Solve M r̂ = r
-        prec_iterations += ctx.recorder.stage("Preconditioner", || {
-            prec.apply(ctx, &mut ws.r, &mut ws.r_hat)
-        }) as u64;
-        // MPI3 + BCs, then KernelBiCGS3F: t = A r̂ with p1 = tᵀ r,
-        // p2 = tᵀ t and σ₄ = r̃ᵀ t (second half of the ρ recurrence), all
-        // three dots riding in the stencil sweep.
-        let [p1l, p2l, c4_local] = if split {
-            let rs = ws.r.as_slice();
-            let r0s = ws.r0t.as_slice();
-            let terms = |c: usize, v: T| [v * rs[c], v * v, r0s[c] * v];
-            let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.r_hat);
-            apply_physical_bcs(&ctx.grid, &mut ws.r_hat, &ctx.recorder, false);
-            ctx.lap.apply_interior_dot(
-                &ctx.dev,
-                INFO_BICGS3F,
-                &ws.r_hat,
-                &mut ws.t,
-                &mut ws.slots,
-                &terms,
-            );
-            ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.r_hat);
-            let fold = ctx.lap.apply_shell_dot(
-                &ctx.dev,
-                INFO_BICGS3F,
-                &ws.r_hat,
-                &mut ws.t,
-                &mut ws.slots,
-                &terms,
-            );
-            fold.fold(&ctx.dev, INFO_FOLD3, &ws.slots)
-        } else {
-            refresh_ghosts(ctx, scope, "MPI3", &mut ws.r_hat);
-            let (a, b2, c) = ctx.lap.apply_fused_dot3(
-                &ctx.dev,
-                INFO_BICGS3F,
-                &ws.r_hat,
-                &mut ws.t,
-                &ws.r,
-                &ws.r0t,
-            );
-            [a, b2, c]
-        };
-
-        // M2: all four scalars in one blocking batch — both x-halves
-        // ride in next iteration's merged KernelBiCGS4 sweep, so there
-        // is nothing left to hide under this message.
-        let mut sums = [p1l, p2l, c3_local, c4_local];
-        global_sum(ctx, scope, "MPI4", &mut sums);
-        let [p1, p2, c3, c4] = sums;
-        if !(p1.is_finite() && p2.is_finite()) {
-            outcome_breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        // t = 0 can only happen when r is (numerically) zero; ω = 0 keeps
-        // the update well-defined and the convergence check decides.
-        let omega = if p2 == T::ZERO { T::ZERO } else { p1 / p2 };
-        let rho_new = c3 - omega * c4;
-
-        // β only exists when ρ and ω are both non-zero, so breakdown is
-        // decided *before* the residual/p sweep and the fused
-        // KernelBiCGS56 only runs on the healthy path.
-        if rho_new != T::ZERO && omega != T::ZERO {
-            let beta = (rho_new / rho) * (alpha / omega);
-            rho = rho_new;
-            // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w)
-            // in one sweep. The direct ‖r‖² is kept — ρ already came
-            // from the recurrence (the direct norm avoids the
-            // cancellation a norm recurrence suffers near convergence).
-            let rnorm2_local = residual_p_update_fused(
-                &ctx.dev,
-                INFO_BICGS56,
-                &ctx.grid,
-                &mut ws.r,
-                &mut ws.p,
-                &ws.t,
-                &ws.w,
-                omega,
-                beta,
-            );
-            if lag {
-                // The x-update defers into next iteration's M1 window;
-                // keep this p̂ alive across the swap.
-                lagged = Some((i, rnorm2_local, omega, alpha));
-                std::mem::swap(&mut ws.p_hat, &mut ws.p_hat_prev);
-            } else {
-                // KernelBiCGS4: x ← (x + α p̂) + ω r̂
-                axpy2_chained_inplace(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    x,
-                    &ws.p_hat,
-                    alpha,
-                    &ws.r_hat,
-                    omega,
-                );
-                let mut s = [rnorm2_local];
-                global_sum(ctx, scope, "MPI5", &mut s);
-                finish_iteration!(i, s[0]);
-            }
-        } else {
-            // Breakdown pre-empts the fusion and the lag: β is undefined,
-            // so finish the iteration eagerly with the plain residual
-            // update, the merged x sweep and a blocking norm reduction —
-            // convergence keeps its priority over the breakdown and a
-            // restart resumes from the fully-updated iterate.
-            let (_, rnorm2_local) = residual_update_fused(
-                &ctx.dev,
-                INFO_BICGS5,
-                &ctx.grid,
-                &mut ws.r,
-                &ws.t,
-                omega,
-                &ws.r0t,
-            );
-            axpy2_chained_inplace(
-                &ctx.dev,
-                INFO_BICGS4,
-                &ctx.grid,
-                x,
-                &ws.p_hat,
-                alpha,
-                &ws.r_hat,
-                omega,
-            );
-            let mut s = [rnorm2_local];
-            global_sum(ctx, scope, "MPI5", &mut s);
-            finish_iteration!(i, s[0]);
-            if rho_new == T::ZERO {
-                breakdown_or_restart!(Breakdown::RhoZero);
-            } else {
-                // stagnated: ω = 0 with a non-converged residual
-                breakdown_or_restart!(Breakdown::OmegaZero);
-            }
-        }
-    }
-
-    // Drain the lag when the iteration budget ran out with the last
-    // iteration's bookkeeping still in flight: apply its deferred
-    // x-update (its p̂ lives in the swapped buffer) and take its stopping
-    // decisions (the one-shot loop hosts the macro's `break`s).
-    if let Some((j, rnorm2_local, omega_prev, alpha_prev)) = lagged.take() {
-        axpy2_chained_inplace(
-            &ctx.dev,
-            INFO_BICGS4,
-            &ctx.grid,
-            x,
-            &ws.p_hat_prev,
-            alpha_prev,
-            &ws.r_hat,
-            omega_prev,
-        );
-        let mut s = [rnorm2_local];
-        global_sum(ctx, scope, "MPI5", &mut s);
-        #[allow(clippy::never_loop)]
-        loop {
-            finish_iteration!(j, s[0]);
-            break;
-        }
-    }
-
-    SolveOutcome {
-        converged,
-        iterations,
-        prec_iterations,
-        residual_history: history,
-        final_residual,
-        breakdown: outcome_breakdown,
-        restarts,
-        true_residuals,
-        cancelled: cancelled && !converged,
-    }
-}
-
-/// Per-lane progress of a batched solve: the scalar recurrence state and
-/// the convergence bookkeeping a solo [`bicgstab_solve`] keeps in locals.
-struct Lane<T> {
-    rho: T,
-    alpha: T,
-    omega: T,
-    beta: T,
-    /// `(iteration, ‖r‖²_local, ω, α)` awaiting next M1 (lag schedule).
-    lag: Option<(usize, T, T, T)>,
-    history: Vec<f64>,
-    final_residual: f64,
-    iterations: usize,
-    prec_iterations: u64,
-    converged: bool,
-    breakdown: Option<Breakdown>,
-    cancelled: bool,
-    /// A frozen lane takes no further part in kernels, halo messages or
-    /// reduction *values* (its fixed message slots carry zero).
-    frozen: bool,
-}
-
-/// Iteration `j`'s epilogue for one lane of a batched solve, once its
-/// global `‖r_j‖²` is in hand — the batch counterpart of the solo
-/// `finish_iteration!` ladder (minus the true-residual guard, which the
-/// batch path does not support). Returns `true` when the lane stops.
-fn lane_finish<T: Scalar>(lane: &mut Lane<T>, params: &SolveParams, j: usize, rnorm2: T) -> bool {
-    let res = rnorm2.to_f64().max(0.0).sqrt();
-    lane.final_residual = res;
-    if params.record_history {
-        lane.history.push(res);
-    }
-    if !res.is_finite() {
-        lane.breakdown = Some(Breakdown::NonFinite);
-        lane.iterations = j;
-        return true;
-    }
-    if res < params.tol {
-        lane.converged = true;
-        lane.iterations = j;
-        return true;
-    }
-    false
-}
-
-/// Refresh ghost layers of several lanes for an operator application in
-/// `scope`: one batched halo exchange carrying every lane's face planes
-/// per message, then the per-lane physical-BC kernels.
-fn refresh_ghosts_many<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    fields: &mut [&mut Field<T>],
-) {
-    match scope {
-        Scope::Global => {
-            ctx.recorder.stage(stage, || {
-                ctx.halo.exchange_batch(&ctx.dev, &ctx.comm, fields)
-            });
-            for f in fields.iter_mut() {
-                apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
-            }
-        }
-        Scope::Local => {
-            for f in fields.iter_mut() {
-                apply_physical_bcs(&ctx.grid, f, &ctx.recorder, true);
-            }
-        }
-    }
-}
-
-/// Sum each group of `groups` element-wise across ranks in
-/// [`Scope::Global`] (one message); local identity otherwise.
-fn global_sum_groups<T: Scalar, D: Device, C: Communicator<T>>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    groups: &mut [&mut [T]],
-) {
-    if scope == Scope::Global {
-        ctx.recorder
-            .stage(stage, || ctx.comm.reduce_batch(groups, ReduceOp::Sum));
-    }
+    .solve();
+    let [lane] = lanes;
+    lane.out
 }
 
 /// Solve `A x_b = b_b` for a batch of right-hand sides with one
 /// Bi-CGSTAB instance per lane, amortising sweeps, halo messages and
-/// reductions across the batch (the multi-RHS tentpole):
+/// reductions across the batch (see the module docs): every full-grid
+/// vector sweep is **one** launch, every halo exchange **one** message
+/// per face, and an iteration's scalars travel in the two reductions of
+/// a solo solve instead of `2 B` — a multi-rank batch ships
+/// `2·iters(longest lane) + 2` allreduces. (The split-phase M1 carries
+/// up to three scalars per lane; past [`comm::MAX_REDUCE_SCALARS`] of them —
+/// 22 lanes with cancel tokens installed — the excess follows as one
+/// blocking message.)
 ///
-/// * every full-grid vector sweep strides all live lanes inside **one**
-///   kernel launch (`*_batch` kernels over the accel lane-launch API);
-/// * every halo exchange packs all live lanes' face planes into **one**
-///   message per face ([`blockgrid::HaloExchange::exchange_batch`]);
-/// * every reduction ships all lanes' scalars in the **same** messages —
-///   the per-iteration message count stays 2 (M1 split-phase, M2
-///   blocking) regardless of batch width, instead of `2 B`.
+/// Lane `b` runs the schedule and features of a solo solve — split-phase
+/// halos, lagged reductions, true-residual guard, restarts — and its
+/// iterates, residual history and stopping decisions are **bitwise
+/// identical** to `bicgstab_solve(ctx, scope, bs[b], xs[b], precs[b],
+/// …, params)` under a deterministic [`comm::ReduceOrder`]: batching
+/// only regroups which scalars share a message and which sweep covers a
+/// row, never the arithmetic order inside a lane.
 ///
-/// Lane `b` runs the exact solo schedule: its iterates, residual
-/// history and stopping decisions are **bitwise identical** to
-/// `bicgstab_solve(ctx, scope, bs[b], xs[b], precs[b], …, params)` under
-/// a deterministic [`comm::ReduceOrder`] — batching only regroups which
-/// scalars share a message and which sweep covers a row, never the
-/// arithmetic order inside a lane. Converged, cancelled or broken-down
-/// lanes *freeze*: they drop out of kernels and halo payloads while
-/// their fixed message slots carry zeros, so the remaining lanes'
-/// schedules (and bit patterns) are unaffected.
-///
-/// Restrictions relative to the solo path (asserted): no true-residual
-/// guard and no breakdown restarts — a lane that breaks down freezes
-/// and reports its [`Breakdown`] instead of restarting. Halo exchanges
-/// are blocking (one batched message per face). Cancellation is **per
-/// lane** via `cancels` (empty slice: none; otherwise one optional token
-/// per lane, present on every rank); [`SolveParams::cancel`] must be
-/// `None`. In the lagged schedule the cancel flags ride the M1 batch —
-/// `B` extra scalars, zero extra messages.
-///
-/// Every rank must pass the same batch width and freeze decisions are
-/// taken on allreduced values, so the live-lane set — and hence the
-/// kernel, halo and message schedule — stays identical on every rank.
+/// Cancellation is **per lane** via `cancels` (empty slice: none;
+/// otherwise one optional token per lane, present on every rank);
+/// [`SolveParams::cancel`] must be `None`. `wss` needs one workspace per
+/// lane (a longer slice is fine; the first `bs.len()` are used). Every
+/// rank must pass the same batch width. A batch wider than one lane
+/// group (32 lanes) runs group after group, each paying its own sweeps
+/// and messages.
 #[allow(clippy::too_many_arguments)]
 pub fn bicgstab_solve_batch<T, D, C, P>(
     ctx: &RankCtx<T, D, C>,
@@ -865,7 +991,7 @@ pub fn bicgstab_solve_batch<T, D, C, P>(
     bs: &[&Field<T>],
     xs: &mut [&mut Field<T>],
     precs: &mut [&mut P],
-    bws: &mut BatchWorkspace<T>,
+    wss: &mut [Workspace<T>],
     params: &SolveParams,
     cancels: &[Option<CancelToken>],
 ) -> Vec<SolveOutcome>
@@ -876,11 +1002,9 @@ where
     P: Preconditioner<T, D, C> + ?Sized,
 {
     let nb = bs.len();
-    assert_eq!(xs.len(), nb, "one iterate per right-hand side");
-    assert_eq!(precs.len(), nb, "one preconditioner per lane");
     assert!(
-        bws.lanes.len() >= nb,
-        "one workspace lane per right-hand side (a wider cache is fine; the first {nb} are used)"
+        xs.len() == nb && precs.len() == nb && wss.len() >= nb,
+        "one iterate, preconditioner and workspace per right-hand side"
     );
     assert!(
         cancels.is_empty() || cancels.len() == nb,
@@ -890,569 +1014,26 @@ where
         params.cancel.is_none(),
         "batched solves take per-lane tokens via `cancels`, not SolveParams::cancel"
     );
-    assert!(
-        params.true_residual_every == 0 && params.max_restarts == 0,
-        "true-residual guards and restarts are unsupported in batched solves"
-    );
-    if nb == 0 {
-        return Vec::new();
-    }
-
-    let lag_mode = lagged_reductions(ctx, scope);
-    let has_tokens = cancels.iter().any(|c| c.is_some());
-    let cancel_flag = |b: usize, lanes: &[Lane<T>]| -> T {
-        let live = !lanes[b].frozen;
-        match cancels.get(b) {
-            Some(Some(tok)) if live && tok.is_cancelled() => T::ONE,
-            _ => T::ZERO,
-        }
-    };
-
-    // ---- Setup (MPI0): r_0 = b − A x_0, ρ_0 = ‖r_0‖² per lane, one
-    // batched exchange + one batched fused sweep + one batched reduce.
-    {
-        let mut fields: Vec<&mut Field<T>> = xs.iter_mut().map(|x| &mut **x).collect();
-        refresh_ghosts_many(ctx, scope, "MPI0", &mut fields);
-    }
-    for (x, ws) in xs.iter().zip(bws.lanes.iter_mut()) {
-        ctx.lap.apply(&ctx.dev, stencil::INFO_APPLY, x, &mut ws.w);
-    }
-    let mut rhos: Vec<T> = vec![T::ZERO; nb];
-    {
-        let mut accs = vec![[T::ZERO; 1]; nb];
-        let mut outs: Vec<&mut [T]> = Vec::with_capacity(nb);
-        let mut wsl: Vec<&[T]> = Vec::with_capacity(nb);
-        for ws in bws.lanes.iter_mut().take(nb) {
-            outs.push(ws.r.as_mut_slice());
-            wsl.push(ws.w.as_slice());
-        }
-        let bsl: Vec<&[T]> = bs.iter().map(|b| b.as_slice()).collect();
-        norm2_axpy_batch(
-            &ctx.dev,
-            INFO_NORM2AXPY,
-            &ctx.grid,
-            &mut outs,
-            &bsl,
-            &wsl,
-            &mut accs,
-        );
-        for (rho, a) in rhos.iter_mut().zip(&accs) {
-            *rho = a[0];
-        }
-    }
-    for ws in bws.lanes.iter_mut().take(nb) {
-        ws.r0t.copy_from(&ws.r);
-        ws.p.copy_from(&ws.r);
-    }
-    global_sum(ctx, scope, "MPI0", &mut rhos);
-
-    let mut lanes: Vec<Lane<T>> = rhos
-        .iter()
-        .map(|&rho| Lane {
-            rho,
-            alpha: T::ZERO,
-            omega: T::ZERO,
-            beta: T::ZERO,
-            lag: None,
-            history: Vec::new(),
-            final_residual: 0.0,
-            iterations: 0,
-            prec_iterations: 0,
-            converged: false,
-            breakdown: None,
-            cancelled: false,
-            frozen: false,
+    let systems = bs.iter().zip(xs.iter_mut()).zip(wss.iter_mut());
+    let mut lanes: Vec<_> = systems
+        .zip(precs.iter_mut())
+        .enumerate()
+        .map(|(b, (((rhs, x), ws), prec))| {
+            let cancel = cancels.get(b).and_then(Option::as_ref);
+            Lane::new(rhs, x, ws, &mut **prec, cancel)
         })
-        .collect();
-    for lane in lanes.iter_mut() {
-        let res0 = lane.rho.to_f64().max(0.0).sqrt();
-        lane.final_residual = res0;
-        if params.record_history {
-            lane.history.push(res0);
-        }
-        if res0 < params.tol {
-            lane.converged = true;
-            lane.frozen = true;
-        }
-    }
-
-    for i in 1..=params.max_iters {
-        let mut active: Vec<usize> = (0..nb).filter(|&b| !lanes[b].frozen).collect();
-        if active.is_empty() {
-            break;
-        }
-
-        // Blocking cancel poll of the unlagged schedule (one B-wide
-        // group, mirroring the solo MPIC reduction). Lagged, the
-        // flags ride M1 below instead — zero extra messages.
-        if !lag_mode && has_tokens {
-            let mut flags: Vec<T> = (0..nb).map(|b| cancel_flag(b, &lanes)).collect();
-            global_sum(ctx, scope, "MPIC", &mut flags);
-            for &b in &active {
-                if flags[b] != T::ZERO {
-                    lanes[b].cancelled = true;
-                    lanes[b].iterations = i - 1;
-                    lanes[b].frozen = true;
-                }
-            }
-            active.retain(|&b| !lanes[b].frozen);
-            if active.is_empty() {
-                break;
-            }
-        }
-        for &b in &active {
-            lanes[b].iterations = i;
-        }
-
-        // Solve M p̂ = p per lane (preconditioners are per-lane state; the
-        // lane order is fixed, so any collectives inside a communicating
-        // preconditioner stay rank-uniform).
-        for &b in &active {
-            let ws = &mut bws.lanes[b];
-            lanes[b].prec_iterations += ctx.recorder.stage("Preconditioner", || {
-                precs[b].apply(ctx, &mut ws.p, &mut ws.p_hat)
-            }) as u64;
-        }
-
-        // MPI1 (one batched exchange) + BCs, then batched KernelBiCGS1:
-        // w = A p̂, σ = r̃ᵀ w per lane in a single sweep.
-        {
-            let mut fields: Vec<&mut Field<T>> = bws
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .filter(|(b, _)| active.contains(b))
-                .map(|(_, ws)| &mut ws.p_hat)
-                .collect();
-            refresh_ghosts_many(ctx, scope, "MPI1", &mut fields);
-        }
-        let mut psum_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 1]; active.len()];
-            let mut wm: Vec<&mut [T]> = Vec::with_capacity(active.len());
-            let mut us: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut gs: Vec<&[T]> = Vec::with_capacity(active.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !active.contains(&b) {
-                    continue;
-                }
-                wm.push(ws.w.as_mut_slice());
-                us.push(ws.p_hat.as_slice());
-                gs.push(ws.r0t.as_slice());
-            }
-            ctx.lap
-                .apply_fused_dot_batch(&ctx.dev, INFO_BICGS1, &us, &mut wm, &gs, &mut accs);
-            for (slot, &b) in active.iter().enumerate() {
-                psum_slots[b] = accs[slot][0];
-            }
-        }
-
-        // M1: one chunked split-phase message carrying every lane's σ,
-        // the previous iteration's lagged ‖r‖² per lane, and (token
-        // installed) the per-lane cancel flags — fixed B-wide slot
-        // groups, frozen slots zero. The deferred merged x-updates of
-        // all lagged lanes compute under the message in one batched
-        // KernelBiCGS4 sweep, exactly as solo defers its single update.
-        let any_lag = lanes.iter().any(|l| l.lag.is_some());
-        if lag_mode {
-            let mut payload: Vec<T> = Vec::with_capacity(3 * nb);
-            payload.extend_from_slice(&psum_slots);
-            if any_lag {
-                payload.extend((0..nb).map(|b| match lanes[b].lag {
-                    Some((_, rn, _, _)) => rn,
-                    None => T::ZERO,
-                }));
-            }
-            if has_tokens {
-                payload.extend((0..nb).map(|b| cancel_flag(b, &lanes)));
-            }
-            ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-            let req = ctx.comm.iall_reduce_many(&payload, ReduceOp::Sum);
-            if any_lag {
-                let mut ys: Vec<&mut [T]> = Vec::with_capacity(nb);
-                let mut x1s: Vec<&[T]> = Vec::with_capacity(nb);
-                let mut x2s: Vec<&[T]> = Vec::with_capacity(nb);
-                let mut a1s: Vec<T> = Vec::with_capacity(nb);
-                let mut a2s: Vec<T> = Vec::with_capacity(nb);
-                for (b, (x, ws)) in xs.iter_mut().zip(bws.lanes.iter()).enumerate() {
-                    if let Some((_, _, omega_prev, alpha_prev)) = lanes[b].lag {
-                        ys.push(x.as_mut_slice());
-                        x1s.push(ws.p_hat_prev.as_slice());
-                        x2s.push(ws.r_hat.as_slice());
-                        a1s.push(alpha_prev);
-                        a2s.push(omega_prev);
-                    }
-                }
-                axpy2_chained_batch(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    &mut ys,
-                    &x1s,
-                    &a1s,
-                    &x2s,
-                    &a2s,
-                );
-            }
-            let mut red = vec![T::ZERO; payload.len()];
-            ctx.comm.reduce_finish_many(req, &mut red);
-            ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-            psum_slots.copy_from_slice(&red[..nb]);
-            // Iteration i−1's stopping decisions per lagged lane, one
-            // message late (the solo lag ladder, lane-wise).
-            if any_lag {
-                for b in 0..nb {
-                    if let Some((prev, _, _, _)) = lanes[b].lag.take() {
-                        if lane_finish(&mut lanes[b], params, prev, red[nb + b]) {
-                            lanes[b].frozen = true;
-                        }
-                    }
-                }
-            }
-            if has_tokens {
-                let off = if any_lag { 2 * nb } else { nb };
-                for &b in &active {
-                    if !lanes[b].frozen && red[off + b] != T::ZERO {
-                        lanes[b].cancelled = true;
-                        lanes[b].iterations = i - 1;
-                        lanes[b].frozen = true;
-                    }
-                }
-            }
-        } else {
-            global_sum(ctx, scope, "MPI2", &mut psum_slots);
-        }
-        for &b in &active {
-            if lanes[b].frozen {
-                continue;
-            }
-            let psum = psum_slots[b];
-            if !psum.is_finite() {
-                lanes[b].breakdown = Some(Breakdown::NonFinite);
-                lanes[b].frozen = true;
-                continue;
-            }
-            if psum == T::ZERO {
-                lanes[b].breakdown = Some(Breakdown::PSumZero);
-                lanes[b].frozen = true;
-                continue;
-            }
-            lanes[b].alpha = lanes[b].rho / psum;
-        }
-        active.retain(|&b| !lanes[b].frozen);
-        if active.is_empty() {
-            continue;
-        }
-
-        // Batched KernelBiCGS2F: r ← r − α w with σ₃ = r̃ᵀ s per lane.
-        let mut c3_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 1]; active.len()];
-            let mut ys: Vec<&mut [T]> = Vec::with_capacity(active.len());
-            let mut xsl: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut gs: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut coefs: Vec<T> = Vec::with_capacity(active.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !active.contains(&b) {
-                    continue;
-                }
-                ys.push(ws.r.as_mut_slice());
-                xsl.push(ws.w.as_slice());
-                gs.push(ws.r0t.as_slice());
-                coefs.push(-lanes[b].alpha);
-            }
-            axpy_dot_batch(
-                &ctx.dev,
-                INFO_BICGS2F,
-                &ctx.grid,
-                &mut ys,
-                &xsl,
-                &coefs,
-                &gs,
-                &mut accs,
-            );
-            for (slot, &b) in active.iter().enumerate() {
-                c3_slots[b] = accs[slot][0];
-            }
-        }
-
-        // Solve M r̂ = r per lane.
-        for &b in &active {
-            let ws = &mut bws.lanes[b];
-            lanes[b].prec_iterations += ctx.recorder.stage("Preconditioner", || {
-                precs[b].apply(ctx, &mut ws.r, &mut ws.r_hat)
-            }) as u64;
-        }
-
-        // MPI3 (one batched exchange) + BCs, then batched KernelBiCGS3F:
-        // t = A r̂ with (p1, p2, σ₄) per lane in a single sweep.
-        {
-            let mut fields: Vec<&mut Field<T>> = bws
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .filter(|(b, _)| active.contains(b))
-                .map(|(_, ws)| &mut ws.r_hat)
-                .collect();
-            refresh_ghosts_many(ctx, scope, "MPI3", &mut fields);
-        }
-        let mut p1_slots: Vec<T> = vec![T::ZERO; nb];
-        let mut p2_slots: Vec<T> = vec![T::ZERO; nb];
-        let mut c4_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 3]; active.len()];
-            let mut tm: Vec<&mut [T]> = Vec::with_capacity(active.len());
-            let mut us: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut rsl: Vec<&[T]> = Vec::with_capacity(active.len());
-            let mut gs: Vec<&[T]> = Vec::with_capacity(active.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !active.contains(&b) {
-                    continue;
-                }
-                tm.push(ws.t.as_mut_slice());
-                us.push(ws.r_hat.as_slice());
-                rsl.push(ws.r.as_slice());
-                gs.push(ws.r0t.as_slice());
-            }
-            ctx.lap.apply_fused_dot3_batch(
-                &ctx.dev,
-                INFO_BICGS3F,
-                &us,
-                &mut tm,
-                &rsl,
-                &gs,
-                &mut accs,
-            );
-            for (slot, &b) in active.iter().enumerate() {
-                p1_slots[b] = accs[slot][0];
-                p2_slots[b] = accs[slot][1];
-                c4_slots[b] = accs[slot][2];
-            }
-        }
-
-        // M2: all four scalar groups of every lane in one blocking
-        // message (the solo fused M2 blocks too — nothing is left to
-        // hide under it). Fixed B-wide groups, frozen slots zero.
-        global_sum_groups(
+        .collect(); // LINT: alloc-ok(the lane records, once per solve)
+    for group in lanes.chunks_mut(MAX_LANES) {
+        LaneGroup {
             ctx,
             scope,
-            "MPI4",
-            &mut [&mut p1_slots, &mut p2_slots, &mut c3_slots, &mut c4_slots],
-        );
-
-        // Per-lane ω / ρ-recurrence / β, and the breakdown partition.
-        let mut healthy: Vec<usize> = Vec::with_capacity(active.len());
-        let mut broken: Vec<(usize, T, T)> = Vec::new();
-        for &b in &active {
-            let (p1, p2, c3, c4) = (p1_slots[b], p2_slots[b], c3_slots[b], c4_slots[b]);
-            if !(p1.is_finite() && p2.is_finite()) {
-                lanes[b].breakdown = Some(Breakdown::NonFinite);
-                lanes[b].frozen = true;
-                continue;
-            }
-            let omega = if p2 == T::ZERO { T::ZERO } else { p1 / p2 };
-            let rho_new = c3 - omega * c4;
-            if rho_new == T::ZERO || omega == T::ZERO {
-                broken.push((b, omega, rho_new));
-            } else {
-                lanes[b].beta = (rho_new / lanes[b].rho) * (lanes[b].alpha / omega);
-                lanes[b].omega = omega;
-                lanes[b].rho = rho_new;
-                healthy.push(b);
-            }
+            params,
+            lanes: group,
         }
-
-        // Breakdown lanes finish eagerly with the solo kernels (constant
-        // work — each lane breaks at most once per solve) and share one
-        // extra blocking norm reduction; the broken set derives from
-        // reduced values, so every rank takes this branch together.
-        if !broken.is_empty() {
-            let mut rn: Vec<T> = vec![T::ZERO; nb];
-            for &(b, omega, _) in &broken {
-                let ws = &mut bws.lanes[b];
-                let (_, rl) = residual_update_fused(
-                    &ctx.dev,
-                    INFO_BICGS5,
-                    &ctx.grid,
-                    &mut ws.r,
-                    &ws.t,
-                    omega,
-                    &ws.r0t,
-                );
-                axpy2_chained_inplace(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    &mut *xs[b],
-                    &ws.p_hat,
-                    lanes[b].alpha,
-                    &ws.r_hat,
-                    omega,
-                );
-                rn[b] = rl;
-            }
-            global_sum(ctx, scope, "MPI5", &mut rn);
-            for &(b, omega, rho_new) in &broken {
-                if !lane_finish(&mut lanes[b], params, i, rn[b]) {
-                    lanes[b].breakdown = Some(if rho_new == T::ZERO {
-                        Breakdown::RhoZero
-                    } else {
-                        debug_assert_eq!(omega, T::ZERO);
-                        Breakdown::OmegaZero
-                    });
-                }
-                lanes[b].frozen = true;
-            }
-        }
-        if healthy.is_empty() {
-            continue;
-        }
-
-        // Batched KernelBiCGS56: r ← r − ω t with ‖r‖² and
-        // p ← r + β (p − ω w), every healthy lane in one sweep.
-        let mut rn_slots: Vec<T> = vec![T::ZERO; nb];
-        {
-            let mut accs = vec![[T::ZERO; 1]; healthy.len()];
-            let mut rm: Vec<&mut [T]> = Vec::with_capacity(healthy.len());
-            let mut pm: Vec<&mut [T]> = Vec::with_capacity(healthy.len());
-            let mut tsl: Vec<&[T]> = Vec::with_capacity(healthy.len());
-            let mut wsl: Vec<&[T]> = Vec::with_capacity(healthy.len());
-            let mut omegas: Vec<T> = Vec::with_capacity(healthy.len());
-            let mut betas: Vec<T> = Vec::with_capacity(healthy.len());
-            for (b, ws) in bws.lanes.iter_mut().enumerate() {
-                if !healthy.contains(&b) {
-                    continue;
-                }
-                rm.push(ws.r.as_mut_slice());
-                pm.push(ws.p.as_mut_slice());
-                tsl.push(ws.t.as_slice());
-                wsl.push(ws.w.as_slice());
-                omegas.push(lanes[b].omega);
-                betas.push(lanes[b].beta);
-            }
-            residual_p_update_fused_batch(
-                &ctx.dev,
-                INFO_BICGS56,
-                &ctx.grid,
-                &mut rm,
-                &mut pm,
-                &tsl,
-                &wsl,
-                &omegas,
-                &betas,
-                &mut accs,
-            );
-            for (slot, &b) in healthy.iter().enumerate() {
-                rn_slots[b] = accs[slot][0];
-            }
-        }
-        if lag_mode {
-            // Defer every healthy lane's merged x-update and stopping
-            // decision into next iteration's M1 window; keep each lane's
-            // p̂ alive across the swap (the solo ping-pong, lane-wise).
-            for &b in &healthy {
-                lanes[b].lag = Some((i, rn_slots[b], lanes[b].omega, lanes[b].alpha));
-                let ws = &mut bws.lanes[b];
-                std::mem::swap(&mut ws.p_hat, &mut ws.p_hat_prev);
-            }
-        } else {
-            // Unlagged tail: merged x-updates now (one batched
-            // sweep), then one blocking B-wide norm reduction and the
-            // stopping ladder per lane.
-            {
-                let mut ys: Vec<&mut [T]> = Vec::with_capacity(healthy.len());
-                let mut x1s: Vec<&[T]> = Vec::with_capacity(healthy.len());
-                let mut x2s: Vec<&[T]> = Vec::with_capacity(healthy.len());
-                let mut a1s: Vec<T> = Vec::with_capacity(healthy.len());
-                let mut a2s: Vec<T> = Vec::with_capacity(healthy.len());
-                for (b, (x, ws)) in xs.iter_mut().zip(bws.lanes.iter()).enumerate() {
-                    if !healthy.contains(&b) {
-                        continue;
-                    }
-                    ys.push(x.as_mut_slice());
-                    x1s.push(ws.p_hat.as_slice());
-                    x2s.push(ws.r_hat.as_slice());
-                    a1s.push(lanes[b].alpha);
-                    a2s.push(lanes[b].omega);
-                }
-                axpy2_chained_batch(
-                    &ctx.dev,
-                    INFO_BICGS4,
-                    &ctx.grid,
-                    &mut ys,
-                    &x1s,
-                    &a1s,
-                    &x2s,
-                    &a2s,
-                );
-            }
-            global_sum(ctx, scope, "MPI5", &mut rn_slots);
-            for &b in &healthy {
-                if lane_finish(&mut lanes[b], params, i, rn_slots[b]) {
-                    lanes[b].frozen = true;
-                }
-            }
-        }
+        .solve();
     }
-
-    // Drain the lags when the iteration budget ran out with the last
-    // iterations' bookkeeping still in flight: one batched deferred
-    // x-update sweep, one blocking norm reduction, per-lane ladder.
-    let drain: Vec<usize> = (0..nb).filter(|&b| lanes[b].lag.is_some()).collect();
-    if !drain.is_empty() {
-        {
-            let mut ys: Vec<&mut [T]> = Vec::with_capacity(drain.len());
-            let mut x1s: Vec<&[T]> = Vec::with_capacity(drain.len());
-            let mut x2s: Vec<&[T]> = Vec::with_capacity(drain.len());
-            let mut a1s: Vec<T> = Vec::with_capacity(drain.len());
-            let mut a2s: Vec<T> = Vec::with_capacity(drain.len());
-            for (b, (x, ws)) in xs.iter_mut().zip(bws.lanes.iter()).enumerate() {
-                if let Some((_, _, omega_prev, alpha_prev)) = lanes[b].lag {
-                    ys.push(x.as_mut_slice());
-                    x1s.push(ws.p_hat_prev.as_slice());
-                    x2s.push(ws.r_hat.as_slice());
-                    a1s.push(alpha_prev);
-                    a2s.push(omega_prev);
-                }
-            }
-            axpy2_chained_batch(
-                &ctx.dev,
-                INFO_BICGS4,
-                &ctx.grid,
-                &mut ys,
-                &x1s,
-                &a1s,
-                &x2s,
-                &a2s,
-            );
-        }
-        let mut rn: Vec<T> = vec![T::ZERO; nb];
-        for &b in &drain {
-            rn[b] = lanes[b].lag.map(|(_, r, _, _)| r).unwrap_or(T::ZERO);
-        }
-        global_sum(ctx, scope, "MPI5", &mut rn);
-        for &b in &drain {
-            let (j, _, _, _) = lanes[b].lag.take().expect("drain lane has a pending lag");
-            lane_finish(&mut lanes[b], params, j, rn[b]);
-            lanes[b].frozen = true;
-        }
-    }
-
-    lanes
-        .into_iter()
-        .map(|l| SolveOutcome {
-            converged: l.converged,
-            iterations: l.iterations,
-            prec_iterations: l.prec_iterations,
-            residual_history: l.history,
-            final_residual: l.final_residual,
-            breakdown: l.breakdown,
-            restarts: 0,
-            // LINT: alloc-ok(empty vec; the batch path has no true-residual guard)
-            true_residuals: Vec::new(),
-            cancelled: l.cancelled && !l.converged,
-        })
-        .collect()
+    // LINT: alloc-ok(the result, once per solve)
+    lanes.into_iter().map(|lane| lane.out).collect()
 }
 
 #[cfg(test)]
@@ -1970,12 +1551,11 @@ mod feature_tests {
 #[cfg(test)]
 mod batch_tests {
     use super::*;
-    use crate::ctx::BatchWorkspace;
     use crate::precond::{IdentityPrec, PrecTraits};
     use crate::testutil::{bits, paper_bcs, rng_values, scatter};
-    use accel::{GpuSimParams, Recorder, Serial, SimGpu, Threads};
+    use accel::{Event, GpuSimParams, Recorder, Serial, SimGpu, Threads, HALO_OVERLAP_STAGE};
     use blockgrid::{BlockGrid, Decomp, GlobalGrid};
-    use comm::{run_ranks, ReduceOrder, SelfComm, ThreadComm};
+    use comm::{run_ranks, run_ranks_recorded, ReduceOrder, SelfComm, ThreadComm};
     use proptest::prelude::*;
 
     fn assert_lane_matches_solo(
@@ -1989,6 +1569,12 @@ mod batch_tests {
         assert_eq!(so.iterations, bo.iterations, "{tag}: iterations");
         assert_eq!(so.breakdown, bo.breakdown, "{tag}: breakdown");
         assert_eq!(so.prec_iterations, bo.prec_iterations, "{tag}: prec sweeps");
+        assert_eq!(so.restarts, bo.restarts, "{tag}: restarts");
+        let samples = |o: &SolveOutcome| -> Vec<(usize, u64)> {
+            let bits = |&(j, r): &(usize, f64)| (j, r.to_bits());
+            o.true_residuals.iter().map(bits).collect()
+        };
+        assert_eq!(samples(so), samples(bo), "{tag}: true-residual samples");
         assert_eq!(
             so.final_residual.to_bits(),
             bo.final_residual.to_bits(),
@@ -2003,9 +1589,9 @@ mod batch_tests {
     }
 
     /// Lane-wise bitwise identity on one rank (the unlagged batch
-    /// schedule): every lane of a 3-wide batch reproduces the solo
+    /// schedule): every lane of an `nb`-wide batch reproduces the solo
     /// fused solve bit-for-bit on each back-end's fold order.
-    fn lanewise_matches_solo_on<D: Device>(label: &str, dev: D) {
+    fn lanewise_matches_solo_on<D: Device>(label: &str, dev: D, nb: usize) {
         let mut g = GlobalGrid::dirichlet([6, 5, 4], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
         let grid = BlockGrid::new(g, Decomp::single(), 0);
@@ -2016,7 +1602,6 @@ mod batch_tests {
             max_iters: 5_000,
             ..Default::default()
         };
-        let nb = 3;
         let b_hosts: Vec<Vec<f64>> = (0..nb).map(|l| rng_values(n, 70 + l as u64)).collect();
 
         let mut solo = Vec::new();
@@ -2046,7 +1631,9 @@ mod batch_tests {
         let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
         let mut ps: Vec<IdentityPrec> = (0..nb).map(|_| IdentityPrec).collect();
         let mut precs: Vec<&mut IdentityPrec> = ps.iter_mut().collect();
-        let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, nb);
+        let mut bws: Vec<_> = (0..nb)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
         let outs = bicgstab_solve_batch(
             &ctx,
             Scope::Global,
@@ -2065,11 +1652,19 @@ mod batch_tests {
 
     #[test]
     fn batched_lanes_bitwise_match_solo_on_every_backend() {
-        lanewise_matches_solo_on("serial", Serial::new(Recorder::disabled()));
-        lanewise_matches_solo_on("threads", Threads::new(3, Recorder::disabled()));
+        lanewise_matches_solo_on("serial", Serial::new(Recorder::disabled()), 3);
+        lanewise_matches_solo_on("threads", Threads::new(3, Recorder::disabled()), 3);
         lanewise_matches_solo_on(
             "simgpu",
             SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled()),
+            3,
+        );
+        // wider than one lane group: the batch runs group after group
+        let wide = MAX_LANES + 2;
+        lanewise_matches_solo_on(
+            "serial, two groups",
+            Serial::new(Recorder::disabled()),
+            wide,
         );
     }
 
@@ -2134,7 +1729,9 @@ mod batch_tests {
                 .map(|_| SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts))
                 .collect();
             let mut precs: Vec<_> = boxes.iter_mut().map(|p| &mut **p).collect();
-            let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, nb);
+            let mut bws: Vec<_> = (0..nb)
+                .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                .collect();
             let outs = bicgstab_solve_batch(
                 &ctx,
                 Scope::Global,
@@ -2161,21 +1758,27 @@ mod batch_tests {
         }
     }
 
-    /// The headline amortisation guarantee: a 4-wide batch ships the
-    /// solo lagged schedule's message count of its *longest* lane —
-    /// 2 per iteration + 2 — instead of four solo solves' worth.
-    #[test]
-    fn batched_reductions_amortize_across_lanes() {
+    /// The headline amortisation guarantee: a batch ships the solo lagged
+    /// schedule's message count of its *longest* lane (2 per iteration,
+    /// plus 2) instead of every lane's solo bill, and its halo exchanges
+    /// run split-phase with one message per interface face, whatever the
+    /// number of lanes riding in it. Two costs of width are pinned too: a
+    /// batch wider than [`MAX_LANES`] pays that bill once per lane group,
+    /// and with cancel `tokens` installed an M1 of more than
+    /// `MAX_REDUCE_SCALARS` slots (three per lane once a lane lags)
+    /// ships its excess as one more, blocking, message.
+    fn batch_ships_its_longest_lanes_bill(ranks: [usize; 3], nb: usize, tokens: bool) {
         let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
         let n = g.unknowns();
-        let nb = 4;
         let b_hosts: Vec<Vec<f64>> = (0..nb).map(|l| rng_values(n, 90 + l as u64)).collect();
         let bnorm: f64 = b_hosts[0].iter().map(|v| v * v).sum::<f64>().sqrt();
         let tol = 1e-8 * bnorm;
 
-        let decomp = Decomp::new([2, 2, 2]);
-        let results = run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, move |comm| {
+        let decomp = Decomp::new(ranks);
+        let recorders = (0..decomp.ranks()).map(|_| Recorder::enabled()).collect();
+        let run = move |comm: ThreadComm<f64>| {
+            let rec = comm.recorder().clone();
             let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
             let dev = Serial::new(Recorder::disabled());
             let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
@@ -2218,8 +1821,194 @@ mod batch_tests {
             let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
             let mut ps: Vec<IdentityPrec> = (0..nb).map(|_| IdentityPrec).collect();
             let mut precs: Vec<&mut IdentityPrec> = ps.iter_mut().collect();
-            let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, nb);
+            let mut bws: Vec<_> = (0..nb)
+                .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                .collect();
+            let cancels = vec![Some(CancelToken::new()); if tokens { nb } else { 0 }];
+            rec.drain();
             let before_batch = ctx.comm.stats().allreduces;
+            let outs = bicgstab_solve_batch(
+                &ctx,
+                Scope::Global,
+                &bs,
+                &mut xs,
+                &mut precs,
+                &mut bws,
+                &params,
+                &cancels,
+            );
+            let batch_msgs = ctx.comm.stats().allreduces - before_batch;
+            let batch_iters: Vec<usize> = outs.iter().map(|o| o.iterations).collect();
+            assert!(outs.iter().all(|o| o.converged), "{outs:?}");
+            let faces = ctx.halo.interface_faces() as u32;
+            (
+                solo_iters,
+                solo_msgs,
+                batch_iters,
+                batch_msgs,
+                faces,
+                rec.drain(),
+            )
+        };
+        let results =
+            run_ranks_recorded::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, recorders, run);
+
+        for (rank, (solo_iters, solo_msgs, batch_iters, batch_msgs, faces, events)) in
+            results.iter().enumerate()
+        {
+            assert_eq!(solo_iters, batch_iters, "rank {rank}: lane iterations");
+            // One pass of the driver per group of MAX_LANES lanes, each
+            // as long as its longest lane.
+            let longest: u64 = batch_iters
+                .chunks(MAX_LANES)
+                .map(|group| *group.iter().max().unwrap() as u64)
+                .sum();
+            let groups = nb.div_ceil(MAX_LANES) as u64;
+            let solo_bill: u64 = solo_iters.iter().map(|&i| 2 * i as u64 + 2).sum();
+            assert_eq!(*solo_msgs, solo_bill, "rank {rank}: solo bill");
+            // Every M1 but a group's first carries the lagged ‖r‖² too.
+            let wide_m1 = tokens && 3 * nb.min(MAX_LANES) > comm::MAX_REDUCE_SCALARS;
+            let m1_tails = if wide_m1 { longest } else { 0 };
+            assert_eq!(
+                *batch_msgs,
+                2 * longest + 2 * groups + m1_tails,
+                "rank {rank}: the batch must ship its longest lane's solo bill"
+            );
+            assert!(
+                *batch_msgs < solo_bill,
+                "rank {rank}: batching must amortize ({batch_msgs} vs {solo_bill})"
+            );
+            // Setup, then two operator applications per iteration (the
+            // lag speculates one past the longest lane's last): each one
+            // split-phase exchange, one message per interface face.
+            let windows = events
+                .iter()
+                .filter(|e| matches!(e, Event::Begin { name } if *name == HALO_OVERLAP_STAGE))
+                .count() as u64;
+            let applications = 2 * longest + 2 * groups;
+            assert_eq!(windows, applications, "rank {rank}: overlap windows");
+            let exchanges: Vec<u32> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Halo { msgs, .. } => Some(*msgs),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(exchanges.len() as u64, windows, "rank {rank}: exchanges");
+            assert!(
+                exchanges.iter().all(|m| m == faces),
+                "rank {rank}: one message per interface face per exchange: {exchanges:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_reductions_amortize_across_lanes() {
+        batch_ships_its_longest_lanes_bill([2, 2, 2], 4, false);
+        batch_ships_its_longest_lanes_bill([2, 1, 1], 3, true);
+    }
+
+    /// Width costs what the docs say and no more: 18 lanes — more than
+    /// one message's worth of M2 scalars under the split-phase ceiling —
+    /// still ship two reductions per iteration; 22 lanes with tokens
+    /// overflow M1 into one blocking tail; one lane past [`MAX_LANES`]
+    /// runs as a second group.
+    #[test]
+    fn wide_batches_pay_the_documented_message_bill() {
+        batch_ships_its_longest_lanes_bill([2, 1, 1], 18, false);
+        batch_ships_its_longest_lanes_bill([2, 1, 1], 22, true);
+        batch_ships_its_longest_lanes_bill([2, 1, 1], MAX_LANES + 1, false);
+    }
+
+    /// An identity preconditioner whose `at`-th application returns zero.
+    /// On a `p̂` application (odd `at`) that forces `r̃ᵀ A p̂ = 0`, a
+    /// `PSumZero` breakdown; on an `r̂` application (even) `t = A r̂ = 0`,
+    /// hence `ω = 0` — the eager-finish breakdown path `RhoZero` shares.
+    struct ZeroAt {
+        at: usize,
+        count: usize,
+    }
+
+    impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for ZeroAt {
+        fn apply(
+            &mut self,
+            _ctx: &RankCtx<T, D, C>,
+            rhs: &mut Field<T>,
+            out: &mut Field<T>,
+        ) -> usize {
+            self.count += 1;
+            if self.count == self.at {
+                out.fill_zero();
+            } else {
+                out.copy_from(rhs);
+            }
+            0
+        }
+
+        fn traits(&self) -> PrecTraits {
+            PrecTraits {
+                fixed: true,
+                comm_free: true,
+                reduction_free: true,
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "ZeroAt"
+        }
+    }
+
+    /// Solve three seeded right-hand sides on `ranks`, each alone and then
+    /// all together, lane 0 under `ZeroAt { at: zero_at }` and the others
+    /// under the identity, and assert every lane of the batch matches its
+    /// solo run bitwise. Returns rank 0's batch outcomes.
+    fn lanes_match_solo_with(
+        ranks: [usize; 3],
+        zero_at: usize,
+        params: SolveParams,
+    ) -> Vec<SolveOutcome> {
+        let mut g = GlobalGrid::dirichlet([8, 6, 5], [0.15; 3], [0.0; 3]);
+        g.bc = paper_bcs();
+        let n = g.unknowns();
+        let nb = 3;
+        let b_hosts: Vec<Vec<f64>> = (0..nb).map(|l| rng_values(n, 40 + l as u64)).collect();
+        let decomp = Decomp::new(ranks);
+        let mut results = run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
+            let rank = comm.rank();
+            let grid = BlockGrid::new(g.clone(), decomp, rank);
+            let dev = Serial::new(Recorder::disabled());
+            let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
+            let bfields: Vec<Field<f64>> = b_hosts
+                .iter()
+                .map(|bh| Field::from_interior(&ctx.dev, &ctx.grid, &scatter(&ctx.grid, bh)))
+                .collect();
+            let precs = || -> Vec<ZeroAt> {
+                let at = |l| if l == 0 { zero_at } else { usize::MAX };
+                (0..nb)
+                    .map(|l| ZeroAt {
+                        at: at(l),
+                        count: 0,
+                    })
+                    .collect()
+            };
+
+            let mut solo = Vec::new();
+            for (b, mut prec) in bfields.iter().zip(precs()) {
+                let mut x = ctx.field();
+                let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+                let out =
+                    bicgstab_solve(&ctx, Scope::Global, b, &mut x, &mut prec, &mut ws, &params);
+                solo.push((out, x.interior_to_host(&ctx.grid)));
+            }
+
+            let bs: Vec<&Field<f64>> = bfields.iter().collect();
+            let mut xfields: Vec<Field<f64>> = (0..nb).map(|_| ctx.field()).collect();
+            let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
+            let mut ps = precs();
+            let mut precs: Vec<&mut ZeroAt> = ps.iter_mut().collect();
+            let mut bws: Vec<_> = (0..nb)
+                .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                .collect();
             let outs = bicgstab_solve_batch(
                 &ctx,
                 Scope::Global,
@@ -2230,26 +2019,70 @@ mod batch_tests {
                 &params,
                 &[],
             );
-            let batch_msgs = ctx.comm.stats().allreduces - before_batch;
-            let batch_iters: Vec<usize> = outs.iter().map(|o| o.iterations).collect();
-            assert!(outs.iter().all(|o| o.converged), "{outs:?}");
-            (solo_iters, solo_msgs, batch_iters, batch_msgs)
+            for (l, (s, bo)) in solo.iter().zip(&outs).enumerate() {
+                let bx = xfields[l].interior_to_host(&ctx.grid);
+                assert_lane_matches_solo(&format!("rank {rank} lane {l}"), s, bo, &bx);
+            }
+            outs
         });
+        results.swap_remove(0)
+    }
 
-        for (rank, (solo_iters, solo_msgs, batch_iters, batch_msgs)) in results.iter().enumerate() {
-            assert_eq!(solo_iters, batch_iters, "rank {rank}: lane iterations");
-            let longest = *batch_iters.iter().max().unwrap() as u64;
-            let solo_bill: u64 = solo_iters.iter().map(|&i| 2 * i as u64 + 2).sum();
-            assert_eq!(*solo_msgs, solo_bill, "rank {rank}: solo bill");
-            assert_eq!(
-                *batch_msgs,
-                2 * longest + 2,
-                "rank {rank}: the batch must ship its longest lane's solo bill"
-            );
-            assert!(
-                *batch_msgs < solo_bill,
-                "rank {rank}: batching must amortize ({batch_msgs} vs {solo_bill})"
-            );
+    /// What the batched path used to refuse: with a restart budget, a lane
+    /// that breaks down restarts exactly like its solo run — on one rank
+    /// and under the lagged split-phase schedule of two — while the other
+    /// lanes of the batch are bitwise untouched.
+    #[test]
+    fn broken_lane_restarts_like_solo_and_leaves_the_others_alone() {
+        let params = SolveParams {
+            tol: 1e-9,
+            max_iters: 2_000,
+            max_restarts: 2,
+            ..Default::default()
+        };
+        for ranks in [[1, 1, 1], [2, 1, 1]] {
+            // application 5 solves M p̂ = p, application 6 solves M r̂ = r
+            for zero_at in [5, 6] {
+                let outs = lanes_match_solo_with(ranks, zero_at, params.clone());
+                let tag = format!("{ranks:?} zero_at {zero_at}: {outs:?}");
+                assert_eq!(outs[0].restarts, 1, "{tag}");
+                assert!(outs.iter().all(|o| o.converged), "{tag}");
+                assert!(outs[1..].iter().all(|o| o.restarts == 0), "{tag}");
+                // without the budget the same lane reports its breakdown
+                let broke = SolveParams {
+                    max_restarts: 0,
+                    ..params.clone()
+                };
+                let outs = lanes_match_solo_with(ranks, zero_at, broke);
+                let kind = [Breakdown::PSumZero, Breakdown::OmegaZero][zero_at - 5];
+                assert_eq!(outs[0].breakdown, Some(kind), "{tag}");
+                assert!(outs[1..].iter().all(|o| o.converged), "{tag}");
+            }
+        }
+    }
+
+    /// ... and the true-residual guard samples every lane of a batch on
+    /// its own iterations, with the values of its solo run.
+    #[test]
+    fn true_residual_guard_samples_each_lane_like_solo() {
+        let params = SolveParams {
+            tol: 1e-9,
+            max_iters: 2_000,
+            true_residual_every: 3,
+            ..Default::default()
+        };
+        for ranks in [[1, 1, 1], [2, 1, 1]] {
+            let outs = lanes_match_solo_with(ranks, usize::MAX, params.clone());
+            for (l, out) in outs.iter().enumerate() {
+                assert!(out.converged, "{ranks:?} lane {l}: {out:?}");
+                // every third iteration short of the last; the last one is
+                // sampled only if the recursive residual did not already
+                // stop the lane there
+                let every_third: Vec<usize> = (3..out.iterations).step_by(3).collect();
+                let mut sampled: Vec<usize> = out.true_residuals.iter().map(|s| s.0).collect();
+                sampled.retain(|&j| j < out.iterations);
+                assert_eq!(sampled, every_third, "{ranks:?} lane {l}");
+            }
         }
     }
 
@@ -2293,7 +2126,9 @@ mod batch_tests {
         let mut p0 = IdentityPrec;
         let mut p1 = IdentityPrec;
         let mut precs = [&mut p0, &mut p1];
-        let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, 2);
+        let mut bws: Vec<_> = (0..2)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
         let outs = bicgstab_solve_batch(
             &ctx,
             Scope::Global,
@@ -2384,7 +2219,9 @@ mod batch_tests {
             count: 0,
         };
         let mut precs = [&mut p0, &mut p1];
-        let mut bws = BatchWorkspace::new(&ctx.dev, &ctx.grid, 2);
+        let mut bws: Vec<_> = (0..2)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
         let cancels = if fire_after.is_some() {
             vec![Some(token), None]
         } else {

@@ -111,35 +111,6 @@ impl<T: Scalar> Workspace<T> {
     }
 }
 
-/// Workspace of a batched multi-RHS solve: one full [`Workspace`] per
-/// lane, so every per-lane helper (preconditioner application, boundary
-/// conditions, halo packing) sees an ordinary [`Field`] while the
-/// batched kernels stride all lanes inside one launch. Allocated once
-/// and reused across batched solves, like the solo workspace.
-pub struct BatchWorkspace<T> {
-    /// Per-lane vector sets, indexed by lane.
-    pub lanes: Vec<Workspace<T>>,
-}
-
-impl<T: Scalar> BatchWorkspace<T> {
-    /// Allocate `batch` lanes of workspace on `dev` for `grid`.
-    pub fn new<D: Device>(dev: &D, grid: &BlockGrid, batch: usize) -> Self {
-        Self {
-            lanes: (0..batch).map(|_| Workspace::new(dev, grid)).collect(),
-        }
-    }
-
-    /// Number of lanes this workspace can carry.
-    pub fn batch(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the workspace has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

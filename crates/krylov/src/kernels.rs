@@ -5,7 +5,10 @@
 //! `KernelBiCGS1` and `KernelBiCGS3` additionally fuse the stencil apply
 //! with the local scalar products (those two live on
 //! [`stencil::Laplacian`]). This module provides the remaining vector
-//! kernels, all operating on subdomain interiors.
+//! kernels, all operating on subdomain interiors. The kernels of the
+//! production driver have one body each, the lane-strided `*_batch` form
+//! (one launch over every lane of a multi-RHS solve); their single-field
+//! forms are its one-lane calls.
 
 use accel::{fold_row_edge_last, row_has_deep_middle, Device, KernelInfo, Scalar};
 use blockgrid::{BlockGrid, Field};
@@ -121,142 +124,6 @@ pub fn axpy2_inplace<T: Scalar, D: Device>(
     });
 }
 
-/// `y ← (y + a1 x1) + a2 x2` over the interior — the two split halves
-/// of the x-update re-merged into one sweep (`KernelBiCGS4` traffic)
-/// while keeping the *grouping* of the two sequential axpys, so the
-/// result is bitwise identical to running `KernelBiCGS4a` then
-/// `KernelBiCGS4b`. Contrast [`axpy2_inplace`], which groups as
-/// `y + (a1 x1 + a2 x2)` and rounds differently.
-#[allow(clippy::too_many_arguments)]
-pub fn axpy2_chained_inplace<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    y: &mut Field<T>,
-    x1: &Field<T>,
-    a1: T,
-    x2: &Field<T>,
-    a2: T,
-) {
-    let map = grid.interior_map();
-    let x1s = x1.as_slice();
-    let x2s = x2.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            let v1 = *v + a1 * x1s[b + i];
-            *v = v1 + a2 * x2s[b + i];
-        }
-    });
-}
-
-/// `y ← y + a x` fused with the dot `g · y` over the updated values —
-/// the `KernelBiCGS2F` sweep (`r ← r − α w` producing `r̃ᵀ r` in the
-/// same pass). The dot folds edge-last per row, bitwise identical to
-/// running [`axpy_inplace`] followed by [`dot`]`(g, y)`.
-#[allow(clippy::too_many_arguments)]
-pub fn axpy_dot<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    y: &mut Field<T>,
-    x: &Field<T>,
-    a: T,
-    g: &Field<T>,
-) -> T {
-    let map = grid.interior_map();
-    let [nx, ny, nz] = grid.local_n;
-    let xs = x.as_slice();
-    let gs = g.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    let [s] = dev.launch_rows_reduce(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a * xs[b + i];
-        }
-        let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i])]
-    });
-    s
-}
-
-/// `out ← b − w` fused with `‖out‖²` — the `KernelNorm2Axpy` setup
-/// sweep forming the initial residual and `ρ_0 = r̃ᵀ r = ‖r‖²` (since
-/// `r̃ = r` at setup) in one pass. Bitwise identical to
-/// `copy + axpy(-1) + dot(r, r)`: `b + (−1)·w` rounds as `b − w`, and
-/// the norm folds edge-last like [`dot`].
-pub fn norm2_axpy<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    out: &mut Field<T>,
-    b: &Field<T>,
-    w: &Field<T>,
-) -> T {
-    let map = grid.interior_map();
-    let [nx, ny, nz] = grid.local_n;
-    let bs = b.as_slice();
-    let wsl = w.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    let [s] = dev.launch_rows_reduce(info, map, out.as_mut_slice(), |j, k, row| {
-        let b0 = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = bs[b0 + i] - wsl[b0 + i];
-        }
-        let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| row[i] * row[i])]
-    });
-    s
-}
-
-/// `KernelBiCGS56`: `r ← r − ω t` with `‖r‖²` **and** `p ← r + β (p −
-/// ω w)` in one two-output sweep, the fresh residual value consumed
-/// in-register. The norm accumulates in plain row order — exactly the
-/// order `KernelBiCGS5`'s `r·r` partial uses — and the `p` formula
-/// matches [`axpy3_inplace`] element-for-element, so the fused sweep
-/// is bitwise identical to `KernelBiCGS5` + `KernelBiCGS6`.
-#[allow(clippy::too_many_arguments)]
-pub fn residual_p_update_fused<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    r: &mut Field<T>,
-    p: &mut Field<T>,
-    t: &Field<T>,
-    w: &Field<T>,
-    omega: T,
-    beta: T,
-) -> T {
-    let map = grid.interior_map();
-    let ts = t.as_slice();
-    let wsl = w.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    let [s] = dev.launch_rows2_reduce(
-        info,
-        map,
-        r.as_mut_slice(),
-        map,
-        p.as_mut_slice(),
-        |j, k, row_r, row_p| {
-            let b = base0 + j * sy + k * sz;
-            let mut acc = T::ZERO;
-            for i in 0..row_r.len() {
-                let rv = row_r[i] - omega * ts[b + i];
-                row_r[i] = rv;
-                acc += rv * rv;
-                row_p[i] = rv + beta * (row_p[i] - omega * wsl[b + i]);
-            }
-            [acc]
-        },
-    );
-    s
-}
-
 /// `KernelBiCGS5`: `r ← r − ω t`, returning the local partial sums
 /// `(r̃ · r, r · r)` of the updated residual.
 pub fn residual_update_fused<T: Scalar, D: Device>(
@@ -314,31 +181,34 @@ pub fn axpy3_inplace<T: Scalar, D: Device>(
     });
 }
 
-/// Batched `KernelNorm2Axpy`: per-lane `out ← b − w` fused with `‖out‖²`,
-/// all lanes of a multi-RHS solve in one launch. The device sweeps every
-/// lane inside a single grid pass (one kernel-launch event, amortising
-/// launch and sync overhead across the batch) while folding each lane's
-/// rows with a private accumulator in solo order — lane `s` is bitwise
-/// identical to [`norm2_axpy`] over the same fields. Slices are full
-/// padded lane arrays; per-lane results land in `accs[s]`.
+/// `out ← b − w` fused with `‖out‖²` per lane — the `KernelNorm2Axpy`
+/// setup sweep forming the initial residual and `ρ_0 = r̃ᵀ r = ‖r‖²`
+/// (since `r̃ = r` at setup) in one pass, for every lane of a multi-RHS
+/// solve in one launch; `ins[s]` is lane `s`'s `(b, w)`. Bitwise
+/// identical per lane to `copy + axpy(-1) + dot(r, r)`: `b + (−1)·w`
+/// rounds as `b − w`, and the norm folds edge-last like [`dot`].
+///
+/// Like every `*_batch` kernel here: the device sweeps all lanes inside
+/// a single grid pass (one kernel-launch event, amortising launch and
+/// sync overhead across the batch) while folding each lane's rows with a
+/// private accumulator, so a lane's field and scalar do not depend on
+/// which other lanes ride along. Slices are full padded lane arrays, the
+/// read-only operands and coefficients of lane `s` travel as one record
+/// `ins[s]`, and per-lane results land in `accs[s]`.
 pub fn norm2_axpy_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
     grid: &BlockGrid,
     outs: &mut [&mut [T]],
-    bs: &[&[T]],
-    ws: &[&[T]],
+    ins: &[(&[T], &[T])],
     accs: &mut [[T; 1]],
 ) {
-    assert_eq!(outs.len(), bs.len(), "lane count mismatch");
-    assert_eq!(outs.len(), ws.len(), "lane count mismatch");
+    assert_eq!(outs.len(), ins.len(), "lane count mismatch");
     let map = grid.interior_map();
     let [nx, ny, nz] = grid.local_n;
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes_reduce(info, map, outs, accs, |s, j, k, row| {
-        let b0 = base0 + j * sy + k * sz;
-        let (bsl, wsl) = (bs[s], ws[s]);
+        let b0 = map.row_offset(j, k);
+        let (bsl, wsl) = ins[s];
         for (i, v) in row.iter_mut().enumerate() {
             *v = bsl[b0 + i] - wsl[b0 + i];
         }
@@ -347,31 +217,40 @@ pub fn norm2_axpy_batch<T: Scalar, D: Device>(
     });
 }
 
-/// Batched `KernelBiCGS2F`: per-lane `y ← y + a x` fused with the dot
-/// `g · y` over the updated values, all lanes in one launch. Lane `s`
-/// (coefficient `coefs[s]`) is bitwise identical to [`axpy_dot`] over
-/// the same fields.
-#[allow(clippy::too_many_arguments)]
+/// [`norm2_axpy_batch`] for a single field.
+pub fn norm2_axpy<T: Scalar, D: Device>(
+    dev: &D,
+    info: KernelInfo,
+    grid: &BlockGrid,
+    out: &mut Field<T>,
+    b: &Field<T>,
+    w: &Field<T>,
+) -> T {
+    let mut acc = [[T::ZERO]];
+    let ins = [(b.as_slice(), w.as_slice())];
+    norm2_axpy_batch(dev, info, grid, &mut [out.as_mut_slice()], &ins, &mut acc);
+    acc[0][0]
+}
+
+/// `y ← y + a x` fused with the dot `g · y` over the updated values, per
+/// lane (`ins[s] = (x, a, g)`) — the `KernelBiCGS2F` sweep (`r ← r − α w`
+/// producing `r̃ᵀ r` in the same pass). The dot folds edge-last per row,
+/// bitwise identical to running [`axpy_inplace`] followed by
+/// [`dot`]`(g, y)`.
 pub fn axpy_dot_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
     grid: &BlockGrid,
     ys: &mut [&mut [T]],
-    xs: &[&[T]],
-    coefs: &[T],
-    gs: &[&[T]],
+    ins: &[(&[T], T, &[T])],
     accs: &mut [[T; 1]],
 ) {
-    assert_eq!(ys.len(), xs.len(), "lane count mismatch");
-    assert_eq!(ys.len(), coefs.len(), "lane count mismatch");
-    assert_eq!(ys.len(), gs.len(), "lane count mismatch");
+    assert_eq!(ys.len(), ins.len(), "lane count mismatch");
     let map = grid.interior_map();
     let [nx, ny, nz] = grid.local_n;
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes_reduce(info, map, ys, accs, |s, j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        let (xsl, gsl, a) = (xs[s], gs[s], coefs[s]);
+        let b = map.row_offset(j, k);
+        let (xsl, a, gsl) = ins[s];
         for (i, v) in row.iter_mut().enumerate() {
             *v += a * xsl[b + i];
         }
@@ -380,31 +259,41 @@ pub fn axpy_dot_batch<T: Scalar, D: Device>(
     });
 }
 
-/// Batched merged x-update: per-lane `y ← (y + a1 x1) + a2 x2` with the
-/// chained grouping of [`axpy2_chained_inplace`], all lanes in one
-/// launch (the deferred `KernelBiCGS4` sweeps of a multi-RHS iteration).
-/// Lane `s` is bitwise identical to the solo chained kernel.
-#[allow(clippy::too_many_arguments)]
+/// [`axpy_dot_batch`] for a single field.
+pub fn axpy_dot<T: Scalar, D: Device>(
+    dev: &D,
+    info: KernelInfo,
+    grid: &BlockGrid,
+    y: &mut Field<T>,
+    x: &Field<T>,
+    a: T,
+    g: &Field<T>,
+) -> T {
+    let mut acc = [[T::ZERO]];
+    let ins = [(x.as_slice(), a, g.as_slice())];
+    axpy_dot_batch(dev, info, grid, &mut [y.as_mut_slice()], &ins, &mut acc);
+    acc[0][0]
+}
+
+/// `y ← (y + a1 x1) + a2 x2` over the interior, per lane
+/// (`ins[s] = (x1, a1, x2, a2)`) — the two split halves of the x-update
+/// re-merged into one sweep (`KernelBiCGS4` traffic) while keeping the
+/// *grouping* of the two sequential axpys, so the result is bitwise
+/// identical to running `KernelBiCGS4a` then `KernelBiCGS4b`. Contrast
+/// [`axpy2_inplace`], which groups as `y + (a1 x1 + a2 x2)` and rounds
+/// differently.
 pub fn axpy2_chained_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
     grid: &BlockGrid,
     ys: &mut [&mut [T]],
-    x1s: &[&[T]],
-    a1s: &[T],
-    x2s: &[&[T]],
-    a2s: &[T],
+    ins: &[(&[T], T, &[T], T)],
 ) {
-    assert_eq!(ys.len(), x1s.len(), "lane count mismatch");
-    assert_eq!(ys.len(), a1s.len(), "lane count mismatch");
-    assert_eq!(ys.len(), x2s.len(), "lane count mismatch");
-    assert_eq!(ys.len(), a2s.len(), "lane count mismatch");
+    assert_eq!(ys.len(), ins.len(), "lane count mismatch");
     let map = grid.interior_map();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes(info, map, ys, |s, j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        let (x1, x2, a1, a2) = (x1s[s], x2s[s], a1s[s], a2s[s]);
+        let b = map.row_offset(j, k);
+        let (x1, a1, x2, a2) = ins[s];
         for (i, v) in row.iter_mut().enumerate() {
             let v1 = *v + a1 * x1[b + i];
             *v = v1 + a2 * x2[b + i];
@@ -412,34 +301,43 @@ pub fn axpy2_chained_batch<T: Scalar, D: Device>(
     });
 }
 
-/// Batched `KernelBiCGS56`: per-lane `r ← r − ω t` with `‖r‖²` and
-/// `p ← r + β (p − ω w)` in one two-output sweep across every lane.
-/// Lane `s` (scalars `omegas[s]`, `betas[s]`) is bitwise identical to
-/// [`residual_p_update_fused`] over the same fields.
+/// [`axpy2_chained_batch`] for a single field.
 #[allow(clippy::too_many_arguments)]
+pub fn axpy2_chained_inplace<T: Scalar, D: Device>(
+    dev: &D,
+    info: KernelInfo,
+    grid: &BlockGrid,
+    y: &mut Field<T>,
+    x1: &Field<T>,
+    a1: T,
+    x2: &Field<T>,
+    a2: T,
+) {
+    let ins = [(x1.as_slice(), a1, x2.as_slice(), a2)];
+    axpy2_chained_batch(dev, info, grid, &mut [y.as_mut_slice()], &ins);
+}
+
+/// `KernelBiCGS56`: `r ← r − ω t` with `‖r‖²` **and** `p ← r + β (p −
+/// ω w)` in one two-output sweep per lane (`ins[s] = (t, w, ω, β)`), the
+/// fresh residual value consumed in-register. The norm accumulates in
+/// plain row order — exactly the order `KernelBiCGS5`'s `r·r` partial
+/// uses — and the `p` formula matches [`axpy3_inplace`]
+/// element-for-element, so the fused sweep is bitwise identical to
+/// `KernelBiCGS5` + `KernelBiCGS6`.
 pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
     grid: &BlockGrid,
     rs: &mut [&mut [T]],
     ps: &mut [&mut [T]],
-    ts: &[&[T]],
-    ws: &[&[T]],
-    omegas: &[T],
-    betas: &[T],
+    ins: &[(&[T], &[T], T, T)],
     accs: &mut [[T; 1]],
 ) {
-    assert_eq!(rs.len(), ps.len(), "lane count mismatch");
-    assert_eq!(rs.len(), ts.len(), "lane count mismatch");
-    assert_eq!(rs.len(), ws.len(), "lane count mismatch");
-    assert_eq!(rs.len(), omegas.len(), "lane count mismatch");
-    assert_eq!(rs.len(), betas.len(), "lane count mismatch");
+    assert_eq!(rs.len(), ins.len(), "lane count mismatch");
     let map = grid.interior_map();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_lanes2_reduce(info, map, rs, map, ps, accs, |s, j, k, row_r, row_p| {
-        let b = base0 + j * sy + k * sz;
-        let (tsl, wsl, omega, beta) = (ts[s], ws[s], omegas[s], betas[s]);
+        let b = map.row_offset(j, k);
+        let (tsl, wsl, omega, beta) = ins[s];
         let mut acc = T::ZERO;
         for i in 0..row_r.len() {
             let rv = row_r[i] - omega * tsl[b + i];
@@ -449,6 +347,27 @@ pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
         }
         [acc]
     });
+}
+
+/// [`residual_p_update_fused_batch`] for a single field.
+#[allow(clippy::too_many_arguments)]
+pub fn residual_p_update_fused<T: Scalar, D: Device>(
+    dev: &D,
+    info: KernelInfo,
+    grid: &BlockGrid,
+    r: &mut Field<T>,
+    p: &mut Field<T>,
+    t: &Field<T>,
+    w: &Field<T>,
+    omega: T,
+    beta: T,
+) -> T {
+    let mut acc = [[T::ZERO]];
+    let rs = &mut [r.as_mut_slice()];
+    let ps = &mut [p.as_mut_slice()];
+    let ins = [(t.as_slice(), w.as_slice(), omega, beta)];
+    residual_p_update_fused_batch(dev, info, grid, rs, ps, &ins, &mut acc);
+    acc[0][0]
 }
 
 /// Local interior dot product `a · b` (reduced per back-end policy).
@@ -951,9 +870,10 @@ mod tests {
         let mut accs = vec![[0.0f64; 1]; nb];
         {
             let mut outs: Vec<&mut [f64]> = out_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let bs: Vec<&[f64]> = b_rhs.iter().map(|f| f.as_slice()).collect();
-            let ws: Vec<&[f64]> = w.iter().map(|f| f.as_slice()).collect();
-            norm2_axpy_batch(&dev, INFO_NORM2AXPY, &grid, &mut outs, &bs, &ws, &mut accs);
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (b_rhs[l].as_slice(), w[l].as_slice()))
+                .collect();
+            norm2_axpy_batch(&dev, INFO_NORM2AXPY, &grid, &mut outs, &ins, &mut accs);
         }
         for l in 0..nb {
             let mut out_ref = Field::zeros(&dev, &grid);
@@ -968,18 +888,10 @@ mod tests {
         let mut accs2 = vec![[0.0f64; 1]; nb];
         {
             let mut ys: Vec<&mut [f64]> = r_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let xs: Vec<&[f64]> = w.iter().map(|f| f.as_slice()).collect();
-            let gs: Vec<&[f64]> = g.iter().map(|f| f.as_slice()).collect();
-            axpy_dot_batch(
-                &dev,
-                INFO_BICGS2F,
-                &grid,
-                &mut ys,
-                &xs,
-                &coefs,
-                &gs,
-                &mut accs2,
-            );
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (w[l].as_slice(), coefs[l], g[l].as_slice()))
+                .collect();
+            axpy_dot_batch(&dev, INFO_BICGS2F, &grid, &mut ys, &ins, &mut accs2);
         }
         for l in 0..nb {
             let s = axpy_dot(
@@ -1002,18 +914,16 @@ mod tests {
         {
             let mut rs: Vec<&mut [f64]> = r_b.iter_mut().map(|f| f.as_mut_slice()).collect();
             let mut ps: Vec<&mut [f64]> = p_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let ts: Vec<&[f64]> = t.iter().map(|f| f.as_slice()).collect();
-            let ws: Vec<&[f64]> = w.iter().map(|f| f.as_slice()).collect();
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (t[l].as_slice(), w[l].as_slice(), omegas[l], betas[l]))
+                .collect();
             residual_p_update_fused_batch(
                 &dev,
                 INFO_BICGS56,
                 &grid,
                 &mut rs,
                 &mut ps,
-                &ts,
-                &ws,
-                &omegas,
-                &betas,
+                &ins,
                 &mut accs3,
             );
         }
@@ -1041,18 +951,10 @@ mod tests {
         // axpy2_chained_batch vs axpy2_chained_inplace (updates p in place)
         {
             let mut ys: Vec<&mut [f64]> = p_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let x1s: Vec<&[f64]> = t.iter().map(|f| f.as_slice()).collect();
-            let x2s: Vec<&[f64]> = g.iter().map(|f| f.as_slice()).collect();
-            axpy2_chained_batch(
-                &dev,
-                INFO_BICGS4,
-                &grid,
-                &mut ys,
-                &x1s,
-                &coefs,
-                &x2s,
-                &omegas,
-            );
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (t[l].as_slice(), coefs[l], g[l].as_slice(), omegas[l]))
+                .collect();
+            axpy2_chained_batch(&dev, INFO_BICGS4, &grid, &mut ys, &ins);
         }
         for l in 0..nb {
             axpy2_chained_inplace(

@@ -8,7 +8,11 @@
 //! The solver is SPMD: every rank runs [`bicgstab_solve`] on its own
 //! [`RankCtx`] (device + communicator + subdomain), and all stopping
 //! decisions are taken on allreduced scalars so every rank returns the
-//! identical [`SolveOutcome`].
+//! identical [`SolveOutcome`]. There is one driver loop, written over a
+//! group of lanes: [`bicgstab_solve`] runs it with one right-hand side,
+//! [`bicgstab_solve_batch`] with several that share every kernel launch,
+//! halo message and reduction message — same schedule, same features,
+//! each lane bitwise its solo solve.
 //!
 //! ```no_run
 //! use accel::{Recorder, Serial};
@@ -55,7 +59,7 @@ pub use bicgstab::{
 pub use cancel::CancelToken;
 pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyOutcome, ChebyshevIteration};
 pub use config::{SolverKind, SolverOptions};
-pub use ctx::{BatchWorkspace, RankCtx, Workspace};
+pub use ctx::{RankCtx, Workspace};
 pub use mixed::MixedChebyshev;
 pub use precond::{
     ChebyPrecond, IdentityPrec, InnerBiCgsPrec, MixedChebyPrecond, PrecTraits, Preconditioner,

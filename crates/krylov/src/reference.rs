@@ -160,7 +160,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bicgstab::{bicgstab_solve, SolveParams};
+    use crate::bicgstab::{bicgstab_solve, bicgstab_solve_batch, SolveParams};
     use crate::config::{SolverKind, SolverOptions};
     use crate::testutil::{bits, rng_values, scatter};
     use accel::{AnyDevice, Event, Recorder};
@@ -168,10 +168,11 @@ mod tests {
     use comm::{run_ranks_recorded, ReduceOrder, ThreadComm};
     use proptest::prelude::*;
 
-    /// What one rank reports from one solve of a generated case.
+    /// What one rank reports from one solve of a generated case: per
+    /// lane the outcome and the local solution.
     struct RankRun {
-        out: SolveOutcome,
-        x: Vec<f64>,
+        outs: Vec<SolveOutcome>,
+        xs: Vec<Vec<f64>>,
         allreduces: u64,
         events: Vec<Event>,
     }
@@ -185,15 +186,21 @@ mod tests {
         kind: SolverKind,
         scope: Scope,
         seed: u64,
+        /// Right-hand sides (seeds `seed`, `seed + 1000`, …): the
+        /// production driver solves them together, one lane each; the
+        /// reference solves each alone.
+        lanes: usize,
     }
 
     impl Case {
         /// Solve on every rank with the production driver or the
-        /// reference, from the same seeded right-hand side.
+        /// reference, from the same seeded right-hand sides.
         fn run(&self, production: bool, record: bool) -> Vec<RankRun> {
             let decomp = Decomp::new(self.decomp);
-            let b_host = rng_values(self.global.unknowns(), self.seed);
-            let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let b_hosts: Vec<Vec<f64>> = (0..self.lanes as u64)
+                .map(|l| rng_values(self.global.unknowns(), self.seed + 1000 * l))
+                .collect();
+            let bnorm: f64 = b_hosts[0].iter().map(|v| v * v).sum::<f64>().sqrt();
             let recorders = (0..decomp.ranks())
                 .map(|_| {
                     if record {
@@ -212,9 +219,15 @@ mod tests {
                     let grid = BlockGrid::new(self.global.clone(), decomp, comm.rank());
                     let dev = AnyDevice::from_spec(self.device, rec.clone()).unwrap();
                     let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
-                    let b = Field::from_interior(&ctx.dev, &ctx.grid, &scatter(&ctx.grid, &b_host));
-                    let mut x = ctx.field();
-                    let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+                    let bs: Vec<Field<f64>> = b_hosts
+                        .iter()
+                        .map(|b| Field::from_interior(&ctx.dev, &ctx.grid, &scatter(&ctx.grid, b)))
+                        .collect();
+                    let mut xs: Vec<Field<f64>> = bs.iter().map(|_| ctx.field()).collect();
+                    let mut wss: Vec<Workspace<f64>> = bs
+                        .iter()
+                        .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+                        .collect();
                     // No λ_min inflation: generated blocks can be tiny,
                     // and a collapsed spectrum is not what is under test.
                     let opts = SolverOptions {
@@ -223,25 +236,50 @@ mod tests {
                         inner_max_iters: 40,
                         ..SolverOptions::default()
                     };
-                    let mut prec = self.kind.build_preconditioner(&ctx, &opts);
+                    let mut precs: Vec<_> = bs
+                        .iter()
+                        .map(|_| self.kind.build_preconditioner(&ctx, &opts))
+                        .collect();
                     let (tol, max_iters) = (1e-9 * bnorm, 200);
+                    let params = SolveParams {
+                        tol,
+                        max_iters,
+                        ..SolveParams::default()
+                    };
                     rec.drain();
                     let before = ctx.comm.stats().allreduces;
-                    let out = if production {
-                        let params = SolveParams {
-                            tol,
-                            max_iters,
-                            ..SolveParams::default()
-                        };
-                        bicgstab_solve(&ctx, self.scope, &b, &mut x, &mut *prec, &mut ws, &params)
+                    let outs = if !production {
+                        (0..self.lanes)
+                            .map(|l| {
+                                let (x, prec, ws) = (&mut xs[l], &mut *precs[l], &mut wss[l]);
+                                bicgstab_reference(
+                                    &ctx, self.scope, &bs[l], x, prec, ws, tol, max_iters,
+                                )
+                            })
+                            .collect()
+                    } else if self.lanes == 1 {
+                        let (x, prec, ws) = (&mut xs[0], &mut *precs[0], &mut wss[0]);
+                        vec![bicgstab_solve(
+                            &ctx, self.scope, &bs[0], x, prec, ws, &params,
+                        )]
                     } else {
-                        bicgstab_reference(
-                            &ctx, self.scope, &b, &mut x, &mut *prec, &mut ws, tol, max_iters,
+                        let bs: Vec<&Field<f64>> = bs.iter().collect();
+                        let mut xs: Vec<&mut Field<f64>> = xs.iter_mut().collect();
+                        let mut precs: Vec<_> = precs.iter_mut().map(|p| &mut **p).collect();
+                        bicgstab_solve_batch(
+                            &ctx,
+                            self.scope,
+                            &bs,
+                            &mut xs,
+                            &mut precs,
+                            &mut wss,
+                            &params,
+                            &[],
                         )
                     };
                     RankRun {
-                        out,
-                        x: x.interior_to_host(&ctx.grid),
+                        outs,
+                        xs: xs.iter().map(|x| x.interior_to_host(&ctx.grid)).collect(),
                         allreduces: ctx.comm.stats().allreduces - before,
                         events: rec.drain(),
                     }
@@ -299,40 +337,53 @@ mod tests {
 
         /// The production schedule — fused sweeps, split-phase halos,
         /// lagged two-message reductions, whichever of them the world
-        /// calls for — reproduces the reference bit for bit on every
-        /// rank, and on a multi-rank world each side ships exactly its
-        /// advertised number of reduction messages.
+        /// calls for, over one lane or several — reproduces, lane by
+        /// lane, the reference run on that right-hand side alone bit for
+        /// bit on every rank, and on a multi-rank world each side ships
+        /// exactly its advertised number of reduction messages.
         #[test]
         fn production_matches_reference_bitwise(
             (global, decomp) in world(),
             device in prop_oneof![Just("serial"), Just("threads:2"), Just("simgpu:4")],
             (kind, scope) in solver(),
             seed in 0u64..1000,
+            lanes in 1usize..=3,
         ) {
             // every block needs a spectrum with two distinct eigenvalues
             prop_assume!((0..3).any(|a| global.n[a] / decomp[a] >= 2));
-            let case = Case { global, decomp, device, kind, scope, seed };
+            let case = Case { global, decomp, device, kind, scope, seed, lanes };
             let reference = case.run(false, false);
             let production = case.run(true, false);
             let ranks = reference.len();
             let reduction_free = kind.prec_traits().is_none_or(|t| t.reduction_free);
             for (rank, (r, p)) in reference.iter().zip(&production).enumerate() {
+                for lane in 0..lanes {
+                    let tag = format!("{case:?} rank {rank} lane {lane}");
+                    let (ro, po) = (&r.outs[lane], &p.outs[lane]);
+                    prop_assert_eq!(ro.converged, po.converged, "{}", tag);
+                    prop_assert_eq!(ro.breakdown, po.breakdown, "{}", tag);
+                    prop_assert_eq!(ro.iterations, po.iterations, "{}", tag);
+                    prop_assert_eq!(
+                        bits(&ro.residual_history),
+                        bits(&po.residual_history),
+                        "{}: residual histories diverge", tag
+                    );
+                    prop_assert_eq!(
+                        bits(&r.xs[lane]), bits(&p.xs[lane]), "{}: solutions diverge", tag
+                    );
+                }
                 let tag = format!("{case:?} rank {rank}");
-                prop_assert_eq!(r.out.converged, p.out.converged, "{}", tag);
-                prop_assert_eq!(r.out.breakdown, p.out.breakdown, "{}", tag);
-                prop_assert_eq!(r.out.iterations, p.out.iterations, "{}", tag);
-                prop_assert_eq!(
-                    bits(&r.out.residual_history),
-                    bits(&p.out.residual_history),
-                    "{}: residual histories diverge", tag
-                );
-                prop_assert_eq!(bits(&r.x), bits(&p.x), "{}: solutions diverge", tag);
+                let clean = r.outs.iter().all(|o| o.breakdown.is_none());
                 if scope == Scope::Local {
                     prop_assert_eq!((r.allreduces, p.allreduces), (0, 0), "{}", tag);
-                } else if ranks > 1 && reduction_free && r.out.breakdown.is_none() {
-                    let iters = r.out.iterations as u64;
-                    prop_assert_eq!(p.allreduces, 2 * iters + 2, "{}: production", tag);
-                    prop_assert_eq!(r.allreduces, 3 * iters + 1, "{}: reference", tag);
+                } else if ranks > 1 && reduction_free && clean {
+                    // the lanes share every message: production pays for
+                    // its longest lane, the reference for each in turn
+                    let iters = r.outs.iter().map(|o| o.iterations as u64);
+                    let longest = iters.clone().max().unwrap();
+                    prop_assert_eq!(p.allreduces, 2 * longest + 2, "{}: production", tag);
+                    let solo: u64 = iters.map(|i| 3 * i + 1).sum();
+                    prop_assert_eq!(r.allreduces, solo, "{}: reference", tag);
                 }
             }
         }
@@ -368,11 +419,12 @@ mod tests {
             kind: SolverKind::BiCgsGCi,
             scope: Scope::Global,
             seed: 7,
+            lanes: 1,
         };
 
         let single = &case([1, 1, 1]).run(true, true)[0];
-        let iters = single.out.iterations;
-        assert!(single.out.converged && iters > 0, "{:?}", single.out);
+        let iters = single.outs[0].iterations;
+        assert!(single.outs[0].converged && iters > 0, "{:?}", single.outs);
         let ev = &single.events;
         assert_eq!(overlap_windows(ev), 0);
         assert_eq!(launches(ev, "KernelFold1") + launches(ev, "KernelFold3"), 0);
@@ -385,8 +437,8 @@ mod tests {
         for run in case([2, 1, 1]).run(true, true) {
             // the lag speculates one preconditioner application and one
             // KernelBiCGS1 sweep past the converged iteration
-            let (iters, ev) = (run.out.iterations, &run.events);
-            assert!(run.out.converged, "{:?}", run.out);
+            let (iters, ev) = (run.outs[0].iterations, &run.events);
+            assert!(run.outs[0].converged, "{:?}", run.outs);
             let sweeps = (iters + 1) + iters + 6 * (2 * iters + 1) + 1;
             assert_eq!(overlap_windows(ev), sweeps);
             assert_eq!(launches(ev, "KernelFold1"), iters + 1);

@@ -4,8 +4,8 @@ use accel::{Device, Scalar};
 use blockgrid::{BlockGrid, Decomp, Field};
 use comm::{Communicator, ReduceOp};
 use krylov::{
-    bicgstab_solve, bicgstab_solve_batch, BatchWorkspace, CancelToken, RankCtx, Scope,
-    SolveOutcome, SolveParams, SolverKind, SolverOptions, Workspace,
+    bicgstab_solve, bicgstab_solve_batch, CancelToken, RankCtx, Scope, SolveOutcome, SolveParams,
+    SolverKind, SolverOptions, Workspace,
 };
 
 use crate::assemble::{local_exact, local_rhs};
@@ -80,7 +80,7 @@ pub struct PoissonSolver<T: Scalar, D: Device, C: Communicator<T>> {
     /// Lane workspaces for [`PoissonSolver::solve_batch`], grown lazily
     /// to the widest batch seen and reused across batches (the warm
     /// path of a batching serving layer).
-    batch_ws: BatchWorkspace<T>,
+    batch_ws: Vec<Workspace<T>>,
     /// Per-lane iterates for `solve_batch`, same growth policy.
     batch_xs: Vec<Field<T>>,
 }
@@ -136,7 +136,6 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
 
         let ws = Workspace::new(&ctx.dev, &ctx.grid);
         let x = Field::zeros(&ctx.dev, &ctx.grid);
-        let batch_ws = BatchWorkspace::new(&ctx.dev, &ctx.grid, 0);
         Ok(Self {
             ctx,
             ws,
@@ -144,7 +143,7 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
             b_norm,
             x,
             problem,
-            batch_ws,
+            batch_ws: Vec::new(),
             batch_xs: Vec::new(),
         })
     }
@@ -226,7 +225,10 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
     /// subdomain ([`krylov::bicgstab_solve_batch`]): every sweep, halo
     /// exchange and reduction is amortised across the batch, and each
     /// lane's iterates are bitwise those of a solo
-    /// [`solve`](PoissonSolver::solve) against the same RHS.
+    /// [`solve`](PoissonSolver::solve) against the same RHS. The lanes run
+    /// through the same driver loop as a solo solve, so everything
+    /// `params` can ask of one — true-residual guard, breakdown restarts —
+    /// holds per lane.
     ///
     /// Lanes are validated and normalised collectively (one reduction);
     /// an invalid lane gets its [`SetupError`] while the remaining lanes
@@ -267,9 +269,8 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
 
         let nv = b_fields.len();
         let outs = if nv > 0 {
-            while self.batch_ws.lanes.len() < nv {
+            while self.batch_ws.len() < nv {
                 self.batch_ws
-                    .lanes
                     .push(Workspace::new(&self.ctx.dev, &self.ctx.grid));
             }
             while self.batch_xs.len() < nv {

@@ -23,21 +23,44 @@ use crate::{Finding, SrcInfo};
 /// `(path suffix, fn name)` pairs forming the hot registry: the
 /// steady-state set audited by the zero-alloc runtime tests.
 pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
-    // Bi-CGSTAB hot loop and its helpers.
+    // The one Bi-CGSTAB driver loop (`LaneGroup::solve`), its two entry
+    // points and its helpers. The n-lane entry allocates its lane records
+    // and its result once per solve, outside the loop (`alloc-ok`).
     ("crates/krylov/src/bicgstab.rs", "bicgstab_solve"),
+    ("crates/krylov/src/bicgstab.rs", "bicgstab_solve_batch"),
+    ("crates/krylov/src/bicgstab.rs", "solve"),
+    ("crates/krylov/src/bicgstab.rs", "form_residual"),
+    ("crates/krylov/src/bicgstab.rs", "restart_or_stop"),
+    ("crates/krylov/src/bicgstab.rs", "finish_iteration"),
+    ("crates/krylov/src/bicgstab.rs", "update_x"),
+    ("crates/krylov/src/bicgstab.rs", "stop_cancelled"),
+    ("crates/krylov/src/bicgstab.rs", "refresh_lane_ghosts"),
     ("crates/krylov/src/bicgstab.rs", "refresh_ghosts"),
     ("crates/krylov/src/bicgstab.rs", "refresh_and_apply"),
+    ("crates/krylov/src/bicgstab.rs", "apply_dots"),
+    ("crates/krylov/src/bicgstab.rs", "dot_operands"),
     ("crates/krylov/src/bicgstab.rs", "global_sum"),
-    ("crates/krylov/src/bicgstab.rs", "lagged_reductions"),
+    ("crates/krylov/src/bicgstab.rs", "members"),
+    ("crates/krylov/src/bicgstab.rs", "pick_mut"),
+    ("crates/krylov/src/bicgstab.rs", "push"),
+    ("crates/krylov/src/bicgstab.rs", "of"),
+    ("crates/krylov/src/bicgstab.rs", "new"),
     ("crates/krylov/src/ctx.rs", "split_phase_halo"),
     // Fused vector kernels.
     ("crates/krylov/src/kernels.rs", "axpy_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_chained_inplace"),
+    ("crates/krylov/src/kernels.rs", "axpy2_chained_batch"),
     ("crates/krylov/src/kernels.rs", "axpy3_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy_dot"),
+    ("crates/krylov/src/kernels.rs", "axpy_dot_batch"),
     ("crates/krylov/src/kernels.rs", "norm2_axpy"),
+    ("crates/krylov/src/kernels.rs", "norm2_axpy_batch"),
     ("crates/krylov/src/kernels.rs", "residual_p_update_fused"),
+    (
+        "crates/krylov/src/kernels.rs",
+        "residual_p_update_fused_batch",
+    ),
     ("crates/krylov/src/kernels.rs", "residual_update_fused"),
     ("crates/krylov/src/kernels.rs", "dot"),
     ("crates/krylov/src/kernels.rs", "dot2"),
@@ -53,6 +76,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "apply"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_shell"),
+    ("crates/stencil/src/laplacian.rs", "apply_fused_dots"),
+    ("crates/stencil/src/laplacian.rs", "apply_fused_dots_one"),
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot"),
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot2"),
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot3"),
@@ -75,7 +100,11 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "unpack_face"),
     ("crates/blockgrid/src/halo.rs", "acquire"),
     ("crates/blockgrid/src/halo.rs", "recycle"),
+    ("crates/blockgrid/src/halo.rs", "hazard"),
     ("crates/blockgrid/src/halo.rs", "begin_impl"),
+    ("crates/blockgrid/src/halo.rs", "begin_lanes"),
+    ("crates/blockgrid/src/halo.rs", "finish_lanes"),
+    ("crates/blockgrid/src/halo.rs", "exchange_lanes"),
     ("crates/blockgrid/src/halo.rs", "begin"),
     ("crates/blockgrid/src/halo.rs", "finish"),
     ("crates/blockgrid/src/halo.rs", "exchange"),

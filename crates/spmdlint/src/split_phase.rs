@@ -2,13 +2,14 @@
 //!
 //! Every split-phase begin (`iall_reduce`/`iall_reduce_batch` returning a
 //! `ReduceRequest`, `iall_reduce_many` returning a `ReduceManyRequest`,
-//! `halo.begin` returning a `PendingExchange`, `apply_shell_dot`
-//! returning a `PendingDotFold`) must reach its finish (`reduce_finish`,
-//! `reduce_finish_many`, `finish`, `fold`) on **every** control-flow path.
-//! The walker interprets a function body statement-by-statement over the
-//! token tree: `if`/`else` and `match` arms are merged with AND semantics
-//! (finished only if finished on every arm), loops with OR, and `return`
-//! / `?` are early-exit points that must not strand a live handle.
+//! `halo.begin`/`halo.begin_lanes` returning a `PendingExchange`,
+//! `apply_shell_dot` returning a `PendingDotFold`) must reach its finish
+//! (`reduce_finish`, `reduce_finish_many`, `finish`/`finish_lanes`,
+//! `fold`) on **every** control-flow path. The walker interprets a
+//! function body statement-by-statement over the token tree:
+//! `if`/`else` and `match` arms are merged with AND semantics (finished
+//! only if finished on every arm), loops with OR, and `return` / `?` are
+//! early-exit points that must not strand a live handle.
 //!
 //! Consumption is occurrence-based: once a handle is let-bound, any later
 //! mention of the binding on a path counts as reaching the finish (the
@@ -52,8 +53,8 @@ const CLASSES: &[BeginClass] = &[
         contextual_halo: false,
     },
     BeginClass {
-        begins: &["begin"],
-        finish: "finish",
+        begins: &["begin", "begin_lanes"],
+        finish: "finish_lanes",
         handle: "PendingExchange",
         contextual_halo: true,
     },

@@ -71,15 +71,18 @@ fn unmutated_sources_are_clean() {
 fn dropped_reduce_finish_is_caught_spmd001() {
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    let finish = line_of(&text, "ctx.comm.reduce_finish(req, &mut red[..ng]);");
-    let begin = line_of(&text, "let req = ctx.comm.iall_reduce_batch(&groups[..ng]");
+    let finish = line_of(&text, "comm.reduce_finish_many(req, &mut m1[..n]);");
+    let begin = line_of(
+        &text,
+        "let req = comm.iall_reduce_many(&m1[..n], ReduceOp::Sum);",
+    );
     let mutant = blank_line(&text, finish);
     let found = findings_with(rel, &mutant, "SPMD001");
     assert!(
         found
             .iter()
             .any(|(l, m)| *l == begin && m.contains("reduce_finish")),
-        "expected SPMD001 at the iall_reduce_batch begin line {begin}, got {found:?}"
+        "expected SPMD001 at the iall_reduce begin line {begin}, got {found:?}"
     );
 }
 
@@ -87,14 +90,8 @@ fn dropped_reduce_finish_is_caught_spmd001() {
 fn dropped_halo_finish_is_caught_spmd001() {
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    let finish = line_of(
-        &text,
-        "ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut ws.p_hat)",
-    );
-    let begin = line_of(
-        &text,
-        "let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ws.p_hat)",
-    );
+    let finish = line_of(&text, "ctx.halo.finish_lanes(dev, comm, pending, &mut us);");
+    let begin = line_of(&text, "let pending = ctx.halo.begin_lanes(dev, comm, &us);");
     let mutant = blank_line(&text, finish);
     let found = findings_with(rel, &mutant, "SPMD001");
     assert!(
@@ -131,10 +128,7 @@ fn dropped_f32_halo_finish_is_caught_spmd001() {
 fn dropped_dot_fold_is_caught_spmd001() {
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    let fold = line_of(
-        &text,
-        "let [s] = fold.fold(&ctx.dev, INFO_FOLD1, &ws.slots);",
-    );
+    let fold = line_of(&text, "*sums = fold.fold(dev, fold_info, slots);");
     let begin = line_of(&text, "let fold = ctx.lap.apply_shell_dot(");
     let mutant = blank_line(&text, fold);
     let found = findings_with(rel, &mutant, "SPMD001");
@@ -150,7 +144,8 @@ fn dropped_dot_fold_is_caught_spmd001() {
 fn rank_guarded_collective_is_caught_spmd002() {
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    // Mutation: make global_sum's reduction conditional on being rank 0.
+    // Mutation: make the lanes-wide halo exchange of refresh_lane_ghosts
+    // conditional on being rank 0.
     let guard = "if scope == Scope::Global {";
     let cond_line = line_of(&text, guard);
     let mutant = text.replacen(
@@ -200,8 +195,8 @@ fn renamed_hot_function_is_caught_spmd003() {
     // function must surface as a finding, not silently ungate it.
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    line_of(&text, "fn refresh_and_apply<");
-    let mutant = text.replacen("fn refresh_and_apply<", "fn refresh_then_apply<", 1);
+    line_of(&text, "fn refresh_and_apply(");
+    let mutant = text.replacen("fn refresh_and_apply(", "fn refresh_then_apply(", 1);
     let found = findings_with(rel, &mutant, "SPMD003");
     assert!(
         found
@@ -223,7 +218,8 @@ fn registry_entries_without_a_definition_are_findings() {
         "iall_reduce_many",
         "reduce_finish_many",
         "begin",
-        "finish",
+        "begin_lanes",
+        "finish_lanes",
         "begin_f32",
         "finish_f32",
         "apply_shell_dot",

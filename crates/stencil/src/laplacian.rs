@@ -13,8 +13,7 @@
 //!    right-hand side).
 
 use accel::{
-    fold_row_edge_last, fold_row_edge_last_n, row_has_deep_middle, Device, KernelInfo, Recorder,
-    RowMap, Scalar,
+    fold_row_edge_last_n, row_has_deep_middle, Device, KernelInfo, Recorder, RowMap, Scalar,
 };
 use blockgrid::{BcKind, BlockGrid, Field, LocalBoundary};
 
@@ -242,36 +241,6 @@ impl Laplacian {
         }
     }
 
-    /// `w = A u` fused with the local dot `g · w` (the paper's
-    /// `KernelBiCGS1`: `w = A p̂`, `p_sum = r̃ᵀ w`).
-    ///
-    /// The dot folds each row in the canonical edge-last order
-    /// ([`fold_row_edge_last`]), so the result is bitwise identical to
-    /// the split halo-overlap form ([`Laplacian::apply_interior_dot`] +
-    /// [`Laplacian::apply_shell_dot`] + fold) and to a plain `dot` over
-    /// `w` after a separate apply.
-    pub fn apply_fused_dot<T: Scalar, D: Device>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        g: &Field<T>,
-    ) -> T {
-        let core = self.row_core::<T>();
-        let map = self.grid.interior_map();
-        let [nx, ny, nz] = self.grid.local_n;
-        let us = u.as_slice();
-        let gs = g.as_slice();
-        let [dot] = dev.launch_rows_reduce(info, map, w.as_mut_slice(), |j, k, row| {
-            let b = map.row_offset(j, k);
-            core.apply_row(us, b, row);
-            let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i])]
-        });
-        dot
-    }
-
     /// Fused affine stencil sweep: `out = ca * (A u) + sum_i c_i * f_i`
     /// over the interior; the number of extra fields is part of the type,
     /// so the term loop unrolls at compile time.
@@ -352,10 +321,65 @@ impl Laplacian {
         });
     }
 
+    /// `out = A u` fused with `NR` local dot products per lane — the one
+    /// body of the monolithic fused stencil-dot sweeps (`KernelBiCGS1`,
+    /// `KernelBiCGS3`, `KernelBiCGS3F`), every lane of a multi-RHS solve
+    /// in one launch. `terms` receives the lane, the padded linear index
+    /// `c` and the stencil value `v` there and returns the `NR`
+    /// per-element dot terms. The device strides lanes inside a single
+    /// grid sweep (one kernel-launch event for the whole batch) while
+    /// folding each lane's rows with a private accumulator, so a lane's
+    /// field and scalars do not depend on which other lanes ride along.
+    /// Slices are full padded lane arrays with current ghosts; per-lane
+    /// dots land in `accs[s]`.
+    ///
+    /// Each dot folds its rows in the canonical edge-last order
+    /// ([`fold_row_edge_last_n`]), so the result is bitwise identical to
+    /// the split halo-overlap form ([`Laplacian::apply_interior_dot`] +
+    /// [`Laplacian::apply_shell_dot`] + fold) of the same `terms` and to
+    /// plain dots over `out` after a separate apply.
+    pub fn apply_fused_dots<T: Scalar, D: Device, F, const NR: usize>(
+        &self,
+        dev: &D,
+        info: KernelInfo,
+        us: &[&[T]],
+        outs: &mut [&mut [T]],
+        accs: &mut [[T; NR]],
+        terms: &F,
+    ) where
+        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+    {
+        assert_eq!(us.len(), outs.len(), "lane count mismatch");
+        let core = self.row_core::<T>();
+        let map = self.grid.interior_map();
+        let [nx, ny, nz] = self.grid.local_n;
+        dev.launch_lanes_reduce(info, map, outs, accs, |s, j, k, row| {
+            let b = map.row_offset(j, k);
+            core.apply_row(us[s], b, row);
+            let mid = row_has_deep_middle(nx, ny, nz, j, k);
+            fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]))
+        });
+    }
+
+    /// `w = A u` fused with the local dot `g · w` (the paper's
+    /// `KernelBiCGS1`: `w = A p̂`, `p_sum = r̃ᵀ w`): the one-lane
+    /// [`Laplacian::apply_fused_dots`].
+    pub fn apply_fused_dot<T: Scalar, D: Device>(
+        &self,
+        dev: &D,
+        info: KernelInfo,
+        u: &Field<T>,
+        w: &mut Field<T>,
+        g: &Field<T>,
+    ) -> T {
+        let gs = g.as_slice();
+        let [dot] = self.apply_fused_dots_one(dev, info, u, w, &|_, c, v| [gs[c] * v]);
+        dot
+    }
+
     /// `t = A u` fused with the two local dots `(t · r, t · t)` (the
-    /// paper's `KernelBiCGS3`). Each dot folds per row in the canonical
-    /// edge-last order, matching the split form and the standalone
-    /// `dot2` bitwise.
+    /// paper's `KernelBiCGS3`), as one lane of
+    /// [`Laplacian::apply_fused_dots`].
     pub fn apply_fused_dot2<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -364,29 +388,16 @@ impl Laplacian {
         t: &mut Field<T>,
         r: &Field<T>,
     ) -> (T, T) {
-        let core = self.row_core::<T>();
-        let map = self.grid.interior_map();
-        let [nx, ny, nz] = self.grid.local_n;
-        let us = u.as_slice();
         let rs = r.as_slice();
-        let [tr, tt] = dev.launch_rows_reduce(info, map, t.as_mut_slice(), |j, k, row| {
-            let b = map.row_offset(j, k);
-            core.apply_row(us, b, row);
-            let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [
-                fold_row_edge_last(row.len(), mid, |i| row[i] * rs[b + i]),
-                fold_row_edge_last(row.len(), mid, |i| row[i] * row[i]),
-            ]
-        });
+        let [tr, tt] = self.apply_fused_dots_one(dev, info, u, t, &|_, c, v| [v * rs[c], v * v]);
         (tr, tt)
     }
 
     /// `t = A u` fused with the three local dots `(t · r, t · t, g · t)`
     /// — the `KernelBiCGS3F` sweep: the second stencil apply of the
     /// Bi-CGSTAB iteration produces every scalar the ω-step needs
-    /// (`p1 = t·r`, `p2 = t·t`, `c4 = r̃ᵀ t`) in one pass. Per-component
-    /// folds match [`Laplacian::apply_fused_dot2`] plus a separate
-    /// `dot(g, t)` bitwise.
+    /// (`p1 = t·r`, `p2 = t·t`, `c4 = r̃ᵀ t`) in one pass. One lane of
+    /// [`Laplacian::apply_fused_dots`].
     pub fn apply_fused_dot3<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -396,89 +407,28 @@ impl Laplacian {
         r: &Field<T>,
         g: &Field<T>,
     ) -> (T, T, T) {
-        let core = self.row_core::<T>();
-        let map = self.grid.interior_map();
-        let [nx, ny, nz] = self.grid.local_n;
-        let us = u.as_slice();
-        let rs = r.as_slice();
-        let gs = g.as_slice();
-        let [tr, tt, gt] = dev.launch_rows_reduce(info, map, t.as_mut_slice(), |j, k, row| {
-            let b = map.row_offset(j, k);
-            core.apply_row(us, b, row);
-            let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [
-                fold_row_edge_last(row.len(), mid, |i| row[i] * rs[b + i]),
-                fold_row_edge_last(row.len(), mid, |i| row[i] * row[i]),
-                fold_row_edge_last(row.len(), mid, |i| gs[b + i] * row[i]),
-            ]
-        });
+        let (rs, gs) = (r.as_slice(), g.as_slice());
+        let terms = |_, c: usize, v: T| [v * rs[c], v * v, gs[c] * v];
+        let [tr, tt, gt] = self.apply_fused_dots_one(dev, info, u, t, &terms);
         (tr, tt, gt)
     }
 
-    /// Batched `KernelBiCGS1`: per-lane `w = A u` fused with the local
-    /// dot `g · w`, every lane of a multi-RHS solve in one launch. The
-    /// device strides lanes inside a single grid sweep (one kernel-launch
-    /// event for the whole batch) while folding each lane's rows with a
-    /// private accumulator in solo order, so lane `s` — field and scalar
-    /// — is bitwise identical to [`Laplacian::apply_fused_dot`] over the
-    /// same fields. Slices are full padded lane arrays with current
-    /// ghosts; per-lane dots land in `accs[s]`.
-    pub fn apply_fused_dot_batch<T: Scalar, D: Device>(
+    /// [`Laplacian::apply_fused_dots`] over the single field `u`.
+    fn apply_fused_dots_one<T: Scalar, D: Device, F, const NR: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
-        us: &[&[T]],
-        ws: &mut [&mut [T]],
-        gs: &[&[T]],
-        accs: &mut [[T; 1]],
-    ) {
-        assert_eq!(us.len(), ws.len(), "lane count mismatch");
-        assert_eq!(us.len(), gs.len(), "lane count mismatch");
-        let core = self.row_core::<T>();
-        let map = self.grid.interior_map();
-        let [nx, ny, nz] = self.grid.local_n;
-        dev.launch_lanes_reduce(info, map, ws, accs, |s, j, k, row| {
-            let b = map.row_offset(j, k);
-            let (usl, gsl) = (us[s], gs[s]);
-            core.apply_row(usl, b, row);
-            let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
-        });
-    }
-
-    /// Batched `KernelBiCGS3F`: per-lane `t = A u` fused with the three
-    /// local dots `(t · r, t · t, g · t)`, every lane in one launch.
-    /// Lane `s` is bitwise identical to
-    /// [`Laplacian::apply_fused_dot3`] over the same fields; per-lane
-    /// dot triples land in `accs[s]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_fused_dot3_batch<T: Scalar, D: Device>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        us: &[&[T]],
-        ts: &mut [&mut [T]],
-        rs: &[&[T]],
-        gs: &[&[T]],
-        accs: &mut [[T; 3]],
-    ) {
-        assert_eq!(us.len(), ts.len(), "lane count mismatch");
-        assert_eq!(us.len(), rs.len(), "lane count mismatch");
-        assert_eq!(us.len(), gs.len(), "lane count mismatch");
-        let core = self.row_core::<T>();
-        let map = self.grid.interior_map();
-        let [nx, ny, nz] = self.grid.local_n;
-        dev.launch_lanes_reduce(info, map, ts, accs, |s, j, k, row| {
-            let b = map.row_offset(j, k);
-            let (usl, rsl, gsl) = (us[s], rs[s], gs[s]);
-            core.apply_row(usl, b, row);
-            let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            [
-                fold_row_edge_last(row.len(), mid, |i| row[i] * rsl[b + i]),
-                fold_row_edge_last(row.len(), mid, |i| row[i] * row[i]),
-                fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i]),
-            ]
-        });
+        u: &Field<T>,
+        out: &mut Field<T>,
+        terms: &F,
+    ) -> [T; NR]
+    where
+        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+    {
+        let mut acc = [[T::ZERO; NR]];
+        let outs = &mut [out.as_mut_slice()];
+        self.apply_fused_dots(dev, info, &[u.as_slice()], outs, &mut acc, terms);
+        acc[0]
     }
 
     /// Slot-buffer row map for the rows of `piece`: the `NR` slots of
@@ -747,9 +697,9 @@ mod tests {
 
     #[test]
     fn batched_fused_dots_bitwise_match_solo_per_lane() {
-        // apply_fused_dot_batch / apply_fused_dot3_batch must leave each
-        // lane — output field and reduction scalars — bitwise identical
-        // to the solo fused sweeps, on every back-end.
+        // A many-lane apply_fused_dots must leave each lane — output
+        // field and reduction scalars — bitwise identical to the one-lane
+        // fused sweeps, on every back-end.
         let bc = [[BcKind::Dirichlet, BcKind::Neumann]; 3];
         let grid = single_rank_grid([5, 4, 3], bc);
         let lap = Laplacian::new(&grid);
@@ -771,7 +721,8 @@ mod tests {
                 let usl: Vec<&[f64]> = us.iter().map(|f| f.as_slice()).collect();
                 let gsl: Vec<&[f64]> = gs.iter().map(|f| f.as_slice()).collect();
                 let mut wm: Vec<&mut [f64]> = w_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-                lap.apply_fused_dot_batch(&dev, INFO_APPLY, &usl, &mut wm, &gsl, &mut accs1);
+                let terms = |s: usize, c: usize, v: f64| [gsl[s][c] * v];
+                lap.apply_fused_dots(&dev, INFO_APPLY, &usl, &mut wm, &mut accs1, &terms);
             }
             let mut t_b: Vec<Field<f64>> = (0..nb).map(|_| Field::zeros(&dev, &grid)).collect();
             let mut accs3 = vec![[0.0f64; 3]; nb];
@@ -780,7 +731,8 @@ mod tests {
                 let rsl: Vec<&[f64]> = rs.iter().map(|f| f.as_slice()).collect();
                 let gsl: Vec<&[f64]> = gs.iter().map(|f| f.as_slice()).collect();
                 let mut tm: Vec<&mut [f64]> = t_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-                lap.apply_fused_dot3_batch(&dev, INFO_APPLY, &usl, &mut tm, &rsl, &gsl, &mut accs3);
+                let terms = |s: usize, c: usize, v: f64| [v * rsl[s][c], v * v, gsl[s][c] * v];
+                lap.apply_fused_dots(&dev, INFO_APPLY, &usl, &mut tm, &mut accs3, &terms);
             }
             for l in 0..nb {
                 let mut w_ref = Field::zeros(&dev, &grid);
