@@ -67,27 +67,18 @@ pub trait Scalar:
     /// `true` if the value is finite (not NaN or infinite).
     fn is_finite(self) -> bool;
 
-    /// How many `f32` wire lanes one element of this type carries when
-    /// used as a transport word for single-precision payloads (`f64`
-    /// carries two bit patterns per word, `f32` one). The mixed-precision
-    /// halo path ships `f32` faces through the communicator's native
-    /// `Vec<Self>` channels by bit-packing, so the wire bytes genuinely
-    /// halve instead of being silently re-widened.
-    const F32_LANES: usize;
-
-    /// Bit-pack `src` into `dst` wire words, [`Self::F32_LANES`] lanes
-    /// per word (`dst.len() == src.len().div_ceil(F32_LANES)`). A `dst`
-    /// word's unused tail lane is zero. The packed words are opaque bit
-    /// carriers — they must only be moved, never used arithmetically.
-    fn pack_f32_words(src: &[f32], dst: &mut [Self]);
-
-    /// Inverse of [`Scalar::pack_f32_words`]: unpack `src.len().div_ceil(F32_LANES)`
-    /// wire words from `src` back into the `f32` lanes of `dst`.
-    fn unpack_f32_words(src: &[Self], dst: &mut [f32]);
+    /// The IEEE-754 bit pattern, zero-extended to 64 bits. The halo
+    /// exchange packs elements narrower than its wire word into wire
+    /// words with it, so the words are bit carriers — moved, never
+    /// computed on — and round-trips are bit-exact.
+    fn to_bits64(self) -> u64;
+    /// Inverse of [`Scalar::to_bits64`]: only the low `8 · BYTES` bits
+    /// are read.
+    fn from_bits64(bits: u64) -> Self;
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $lanes:expr, $pack:path, $unpack:path) => {
+    ($t:ty, $bits:ty) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -126,70 +117,20 @@ macro_rules! impl_scalar {
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
             }
-
-            const F32_LANES: usize = $lanes;
-
-            #[inline]
-            fn pack_f32_words(src: &[f32], dst: &mut [Self]) {
-                $pack(src, dst)
+            #[inline(always)]
+            fn to_bits64(self) -> u64 {
+                u64::from(<$t>::to_bits(self))
             }
-            #[inline]
-            fn unpack_f32_words(src: &[Self], dst: &mut [f32]) {
-                $unpack(src, dst)
+            #[inline(always)]
+            fn from_bits64(bits: u64) -> Self {
+                <$t>::from_bits(bits as $bits)
             }
         }
     };
 }
 
-/// `f32` transport is the identity: one lane per word.
-#[inline]
-fn pack_f32_identity(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(dst.len(), src.len(), "f32 wire-word count mismatch");
-    dst.copy_from_slice(src);
-}
-
-#[inline]
-fn unpack_f32_identity(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "f32 wire-word count mismatch");
-    dst.copy_from_slice(src);
-}
-
-/// `f64` transport carries two `f32` bit patterns per word: lane 0 in the
-/// low 32 bits, lane 1 in the high 32 bits (an odd tail leaves the high
-/// lane zero). Round-trips are bit-exact because the words travel through
-/// `Vec<f64>` channels untouched — they are never computed on.
-#[inline]
-fn pack_f32_into_f64(src: &[f32], dst: &mut [f64]) {
-    assert_eq!(
-        dst.len(),
-        src.len().div_ceil(2),
-        "f64 wire-word count mismatch"
-    );
-    for (w, pair) in dst.iter_mut().zip(src.chunks(2)) {
-        let lo = pair[0].to_bits() as u64;
-        let hi = pair.get(1).map_or(0, |v| v.to_bits()) as u64;
-        *w = f64::from_bits(lo | (hi << 32));
-    }
-}
-
-#[inline]
-fn unpack_f32_from_f64(src: &[f64], dst: &mut [f32]) {
-    assert_eq!(
-        src.len(),
-        dst.len().div_ceil(2),
-        "f64 wire-word count mismatch"
-    );
-    for (w, pair) in src.iter().zip(dst.chunks_mut(2)) {
-        let bits = w.to_bits();
-        pair[0] = f32::from_bits(bits as u32);
-        if let Some(hi) = pair.get_mut(1) {
-            *hi = f32::from_bits((bits >> 32) as u32);
-        }
-    }
-}
-
-impl_scalar!(f32, 1, pack_f32_identity, unpack_f32_identity);
-impl_scalar!(f64, 2, pack_f32_into_f64, unpack_f32_from_f64);
+impl_scalar!(f32, u32);
+impl_scalar!(f64, u64);
 
 /// Element-wise addition of fixed-size reduction partials.
 ///
@@ -242,32 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn f32_wire_words_roundtrip_through_f64() {
-        // Odd length exercises the zero high tail lane; NaN payload bits
-        // and signed zero exercise bit preservation (not value equality).
-        let src = [1.5f32, -0.0, f32::from_bits(0x7fc0_dead), 3.25e-38, -7.0];
-        let mut words = [0.0f64; 3];
-        f64::pack_f32_words(&src, &mut words);
-        let mut back = [0.0f32; 5];
-        f64::unpack_f32_words(&words, &mut back);
-        for (a, b) in src.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn bit_patterns_roundtrip_through_64_bits() {
+        // NaN payload bits and signed zero exercise bit preservation
+        // (not value equality); f32 patterns stay in the low half.
+        for v in [1.5f32, -0.0, f32::from_bits(0x7fc0_dead), 3.25e-38] {
+            assert_eq!(v.to_bits64() >> 32, 0);
+            assert_eq!(f32::from_bits64(v.to_bits64()).to_bits(), v.to_bits());
         }
-        // The tail word's high lane is zero.
-        assert_eq!((words[2].to_bits() >> 32) as u32, 0);
-    }
-
-    #[test]
-    fn f32_wire_words_are_identity_on_f32() {
-        assert_eq!(f32::F32_LANES, 1);
-        assert_eq!(f64::F32_LANES, 2);
-        let src = [1.0f32, 2.0, 3.0];
-        let mut words = [0.0f32; 3];
-        f32::pack_f32_words(&src, &mut words);
-        assert_eq!(words, src);
-        let mut back = [0.0f32; 3];
-        f32::unpack_f32_words(&words, &mut back);
-        assert_eq!(back, src);
+        for v in [1.5f64, -0.0, f64::from_bits(0x7ff8_0000_dead_beef)] {
+            assert_eq!(f64::from_bits64(v.to_bits64()).to_bits(), v.to_bits());
+        }
+        // only the low 32 bits count for f32
+        assert_eq!(f32::from_bits64(0xffff_ffff_3fc0_0000), 1.5);
     }
 
     #[test]

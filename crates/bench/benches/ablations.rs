@@ -146,7 +146,7 @@ fn ablation_polynomial(c: &mut Criterion) {
 
     group.bench_function("chebyshev_24", |bch| {
         bch.iter(|| {
-            let mut prec = ChebyPrecond::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
+            let mut prec = ChebyPrecond::<f64>::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
             let mut x = ctx.field();
             let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
             let out = bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params);
@@ -201,7 +201,7 @@ fn ablation_overlap(c: &mut Criterion) {
     group.bench_function("bj_no_overlap", |bch| {
         bch.iter(|| {
             let bounds = local_bounds(&ctx).rescaled(1e-4, 10.0);
-            let mut prec = ChebyPrecond::new(&ctx, ChebyMode::BlockJacobi, bounds, 24);
+            let mut prec = ChebyPrecond::<f64>::new(&ctx, ChebyMode::BlockJacobi, bounds, 24);
             let mut x = ctx.field();
             let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
             bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params).iterations

@@ -151,7 +151,7 @@ fn bench_cheby_sweeps(c: &mut Criterion) {
     let bounds = global_bounds(&ctx);
     group.throughput(Throughput::Elements((n * n * n) as u64));
     for sweeps in [6usize, 24] {
-        let mut ci = ChebyshevIteration::new(&ctx, ChebyMode::GlobalNoComm, bounds, sweeps);
+        let mut ci = ChebyshevIteration::<f64>::new(&ctx, ChebyMode::GlobalNoComm, bounds, sweeps);
         let mut b_field = filled(&ctx.dev, &ctx.grid, 5);
         let mut out = ctx.field();
         group.bench_with_input(BenchmarkId::new("gnocomm", sweeps), &sweeps, |b, _| {

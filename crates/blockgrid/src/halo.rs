@@ -1,5 +1,6 @@
 //! Halo (ghost-point) exchange between neighbouring subdomains.
 
+use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Mutex;
 
@@ -28,7 +29,8 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 ///
 /// Two modes are offered, each for any number of *lanes* (the fields of
 /// a multi-RHS batch, whose face planes share one message per face; a
-/// single field is the one-lane case):
+/// single field is the one-lane case) and any field element `E` no wider
+/// than the communicator's wire word `T`:
 ///
 /// * [`HaloExchange::exchange_lanes`] — the classic synchronous exchange.
 /// * [`HaloExchange::begin_lanes`] / [`HaloExchange::finish_lanes`] — a
@@ -43,22 +45,23 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 ///   layers, after which [`accel::RowMap::halo_shell`] completes the
 ///   sweep.
 ///
+/// A field as wide as the wire packs straight into the message buffer.
+/// A narrower one (`f32` faces on an `f64` communicator) is packed into
+/// the same buffer and then compacted in place into wire words, several
+/// elements per word, so its payload genuinely shrinks with its width.
+///
 /// Pack and unpack run as device kernels through the [`Device`] launch
 /// path, so they parallelize on the threaded back-end and are accounted
-/// as `KernelHaloPack` / `KernelHaloUnpack` launches by the recorder.
-/// Message payloads are recycled through a per-axis buffer pool:
-/// neighbouring ranks along an axis share face dimensions, so every
-/// received buffer is reusable for the next send and the steady-state
-/// exchange performs no heap allocation.
+/// as `KernelHaloPack` / `KernelHaloUnpack` launches (`…F32` for `f32`
+/// fields) by the recorder. Message payloads are recycled through a
+/// per-axis buffer pool: neighbouring ranks along an axis share face
+/// dimensions, so every received buffer is reusable for the next send
+/// and the steady-state exchange performs no heap allocation.
 #[derive(Debug)]
 pub struct HaloExchange<T: Scalar> {
     grid: BlockGrid,
     /// Per-axis free lists of face-sized message buffers.
     pool: Mutex<[Vec<Vec<T>>; 3]>,
-    /// Per-axis free lists of single-precision staging planes for the
-    /// mixed-precision exchange (`f32` faces bit-packed into `T` wire
-    /// words before they enter the communicator's native channels).
-    pool_f32: Mutex<[Vec<Vec<f32>>; 3]>,
 }
 
 impl<T: Scalar> Clone for HaloExchange<T> {
@@ -68,52 +71,85 @@ impl<T: Scalar> Clone for HaloExchange<T> {
     }
 }
 
-/// Token for a split-phase exchange in flight: the posted receives plus
-/// the traffic bookkeeping `finish` will record.
+/// Token for a split-phase exchange of `E` fields in flight: the posted
+/// receives plus the traffic bookkeeping `finish` will record. The
+/// element type makes "finish with the width you began with" a
+/// compile-time check.
 #[must_use = "a begun halo exchange must be completed with finish()"]
 #[derive(Debug)]
-pub struct PendingExchange {
+pub struct PendingExchange<E: Scalar> {
     recvs: [[Option<RecvRequest>; 2]; 3],
     lanes: usize,
     msgs: u32,
     bytes: u64,
     overlap: bool,
-}
-
-/// Token for a split-phase single-precision exchange in flight (the
-/// mixed-precision analogue of [`PendingExchange`], completed with
-/// [`HaloExchange::finish_f32`]).
-#[must_use = "a begun f32 halo exchange must be completed with finish_f32()"]
-#[derive(Debug)]
-pub struct PendingExchangeF32 {
-    recvs: [[Option<RecvRequest>; 2]; 3],
-    msgs: u32,
-    bytes: u64,
-    overlap: bool,
+    width: PhantomData<E>,
 }
 
 /// Message tag for a face moving from side `1 - side` toward `side` along
-/// `axis`, carrying the planes of `lanes` fields. Sender of its own `side`
-/// face uses `face_tag(axis, side, lanes)`; the receiver filling its
-/// `side` ghost expects `face_tag(axis, 1 - side, lanes)`.
+/// `axis`, carrying the planes of `lanes` fields, `narrow` when they are
+/// packed below the wire width. Sender of its own `side` face uses
+/// `face_tag(axis, side, …)`; the receiver filling its `side` ghost
+/// expects `face_tag(axis, 1 - side, …)`.
 ///
-/// Each lane count owns a band of six face tags — one lane `0..6`, two
-/// lanes `12..18`, three `24..30`, … — so a channel+tag pair always
-/// carries one fixed message size, which communication checkers (and
-/// real MPI matching) rely on even as the live-lane set of a batched
-/// solve shrinks between exchanges. The odd bands stay free; the first
-/// of them is the single-precision band of [`face_tag_f32`].
-fn face_tag(axis: usize, side: usize, lanes: usize) -> Tag {
-    (12 * (lanes - 1) + axis * 2 + side) as Tag
+/// Each (lane count, width) pair owns a band of six face tags — full
+/// width one lane `0..6`, two lanes `12..18`, …; narrow one lane `6..12`,
+/// two lanes `18..24`, … — so a channel+tag pair always carries one
+/// fixed message size, which communication checkers (and real MPI
+/// matching) rely on even as the live-lane set of a batched solve
+/// shrinks between exchanges, or exchanges of both widths interleave.
+fn face_tag(axis: usize, side: usize, lanes: usize, narrow: bool) -> Tag {
+    (6 * (2 * (lanes - 1) + usize::from(narrow)) + 2 * axis + side) as Tag
 }
 
-/// Tag of a single-precision face message: its own band of six tags
-/// (`6..12`), disjoint from every full-precision band, so a channel+tag
-/// pair still always carries one fixed message size even when `f64` and
-/// `f32` exchanges interleave on the same channel — the `f32` wire
-/// payload is roughly half the `f64` one.
-fn face_tag_f32(axis: usize, side: usize) -> Tag {
-    6 + face_tag(axis, side, 1)
+/// How many `E` elements one `T` wire word carries (1 for equal widths).
+fn per_word<E: Scalar, T: Scalar>() -> usize {
+    assert!(
+        E::BYTES <= T::BYTES && T::BYTES % E::BYTES == 0,
+        "halo wire word ({} B) must be a whole multiple of the field element ({} B)",
+        T::BYTES,
+        E::BYTES
+    );
+    T::BYTES / E::BYTES
+}
+
+/// The (pack, unpack) traffic accounting of an `E` face element.
+fn pack_infos<E: Scalar>() -> [KernelInfo; 2] {
+    if E::BYTES == f32::BYTES {
+        [INFO_HALO_PACK_F32, INFO_HALO_UNPACK_F32]
+    } else {
+        [INFO_HALO_PACK, INFO_HALO_UNPACK]
+    }
+}
+
+/// Compact a message of `E` values (stored widened to `T`) into wire
+/// words in place, `k` elements per word, element 0 in the low bits; an
+/// odd tail leaves the high bits of the last word zero. The words are
+/// opaque bit carriers — moved, never computed on.
+fn to_wire<E: Scalar, T: Scalar>(buf: &mut Vec<T>, k: usize) {
+    let words = buf.len().div_ceil(k);
+    for w in 0..words {
+        let bits = buf[w * k..]
+            .iter()
+            .take(k)
+            .enumerate()
+            .fold(0, |acc, (l, v)| {
+                acc | E::from_f64(v.to_f64()).to_bits64() << (8 * E::BYTES * l)
+            });
+        buf[w] = T::from_bits64(bits);
+    }
+    buf.truncate(words);
+}
+
+/// Inverse of [`to_wire`]: expand wire words back into `len` `E` values
+/// stored widened to `T`, in place (back to front, so no word is
+/// overwritten before all of its elements are read).
+fn from_wire<E: Scalar, T: Scalar>(buf: &mut Vec<T>, len: usize, k: usize) {
+    buf.resize(len, T::ZERO);
+    for i in (0..len).rev() {
+        let bits = buf[i / k].to_bits64() >> (8 * E::BYTES * (i % k));
+        buf[i] = T::from_f64(E::from_bits64(bits).to_f64());
+    }
 }
 
 impl<T: Scalar> HaloExchange<T> {
@@ -122,7 +158,6 @@ impl<T: Scalar> HaloExchange<T> {
         Self {
             grid: grid.clone(),
             pool: Mutex::new([Vec::new(), Vec::new(), Vec::new()]),
-            pool_f32: Mutex::new([Vec::new(), Vec::new(), Vec::new()]),
         }
     }
 
@@ -141,14 +176,9 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// Number of `T` wire words one `f32` face plane of `axis` packs to.
-    fn wire_len(&self, axis: usize) -> usize {
-        self.face_len(axis).div_ceil(T::F32_LANES)
-    }
-
     /// Take a buffer of exactly `len` elements from the `axis` free list,
-    /// or allocate one (faces of any lane count and `f32` wire words all
-    /// share the list — `resize` adjusts a recycled buffer in place).
+    /// or allocate one (faces of any lane count and width all share the
+    /// list — `resize` adjusts a recycled buffer in place).
     fn acquire(&self, axis: usize, len: usize) -> Vec<T> {
         let mut buf = self.pool.lock().unwrap_or_else(|p| p.into_inner())[axis]
             .pop()
@@ -162,40 +192,24 @@ impl<T: Scalar> HaloExchange<T> {
         self.pool.lock().unwrap_or_else(|p| p.into_inner())[axis].push(buf);
     }
 
-    /// Take a single-precision staging plane for `axis` from the `f32`
-    /// pool (or allocate one).
-    fn acquire_f32(&self, axis: usize) -> Vec<f32> {
-        let len = self.face_len(axis);
-        let mut buf = self.pool_f32.lock().unwrap_or_else(|p| p.into_inner())[axis]
-            .pop()
-            .unwrap_or_default();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Return a staging plane to the `axis` `f32` free list for reuse.
-    fn recycle_f32(&self, axis: usize, buf: Vec<f32>) {
-        self.pool_f32.lock().unwrap_or_else(|p| p.into_inner())[axis].push(buf);
-    }
-
     /// Pack the interior plane of the padded field `us` adjacent to
     /// (`axis`, `side`) into `buf` as a device kernel over the buffer's
-    /// rows. Generic over the face element type so the full- and
-    /// mixed-precision exchanges share one kernel body (`info` carries the
-    /// per-precision traffic accounting).
-    fn pack_face<S: Scalar, D: Device>(
+    /// rows, widening each element to the wire type (a plain copy when
+    /// the widths match; `info` carries the per-width traffic accounting).
+    fn pack_face<E: Scalar, D: Device>(
         &self,
         dev: &D,
         info: KernelInfo,
-        us: &[S],
+        us: &[E],
         axis: usize,
         side: usize,
-        buf: &mut [S],
+        buf: &mut [T],
     ) {
         let n = self.grid.local_n;
         let [pnx, pny, _] = self.grid.padded();
         let fixed = if side == 0 { 1 } else { n[axis] };
         let idx = move |i: usize, j: usize, k: usize| i + pnx * (j + pny * k);
+        let wire = |v: E| T::from_f64(v.to_f64());
         debug_assert_eq!(buf.len(), self.face_len(axis));
         // Buffer rows are its natural contiguous runs: j-runs for the x
         // faces, i-runs for the y and z faces.
@@ -211,7 +225,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, buf, |kk, _, row| {
                     for (jj, v) in row.iter_mut().enumerate() {
-                        *v = us[idx(fixed, jj + 1, kk + 1)];
+                        *v = wire(us[idx(fixed, jj + 1, kk + 1)]);
                     }
                 });
             }
@@ -226,7 +240,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, buf, |kk, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = us[idx(ii + 1, fixed, kk + 1)];
+                        *v = wire(us[idx(ii + 1, fixed, kk + 1)]);
                     }
                 });
             }
@@ -241,7 +255,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, buf, |jj, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = us[idx(ii + 1, jj + 1, fixed)];
+                        *v = wire(us[idx(ii + 1, jj + 1, fixed)]);
                     }
                 });
             }
@@ -250,16 +264,16 @@ impl<T: Scalar> HaloExchange<T> {
 
     /// Unpack a received plane into the ghost layer of the padded
     /// `field` at (`axis`, `side`) as a device kernel over the ghost
-    /// layer's rows (generic over the face element type, like
-    /// [`HaloExchange::pack_face`]).
-    fn unpack_face<S: Scalar, D: Device>(
+    /// layer's rows, narrowing each element back from the wire type
+    /// (exact: it was widened from `E` by [`HaloExchange::pack_face`]).
+    fn unpack_face<E: Scalar, D: Device>(
         &self,
         dev: &D,
         info: KernelInfo,
-        field: &mut [S],
+        field: &mut [E],
         axis: usize,
         side: usize,
-        plane: &[S],
+        plane: &[T],
     ) {
         let n = self.grid.local_n;
         let [pnx, pny, _] = self.grid.padded();
@@ -267,6 +281,7 @@ impl<T: Scalar> HaloExchange<T> {
         let ghost = if side == 0 { 0 } else { n[axis] + 1 };
         let idx = move |i: usize, j: usize, k: usize| i + pnx * (j + pny * k);
         let (sy, sz) = (pnx, pnx * pny);
+        let elem = |v: T| E::from_f64(v.to_f64());
         match axis {
             0 => {
                 // x ghost plane: single-cell rows with field strides
@@ -279,7 +294,7 @@ impl<T: Scalar> HaloExchange<T> {
                     sz,
                 };
                 dev.launch_rows(info, map, field, |j, k, row| {
-                    row[0] = plane[k * n[1] + j];
+                    row[0] = elem(plane[k * n[1] + j]);
                 });
             }
             1 => {
@@ -293,7 +308,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, field, |_, k, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = plane[k * n[0] + ii];
+                        *v = elem(plane[k * n[0] + ii]);
                     }
                 });
             }
@@ -308,7 +323,7 @@ impl<T: Scalar> HaloExchange<T> {
                 };
                 dev.launch_rows(info, map, field, |j, _, row| {
                     for (ii, v) in row.iter_mut().enumerate() {
-                        *v = plane[j * n[0] + ii];
+                        *v = elem(plane[j * n[0] + ii]);
                     }
                 });
             }
@@ -318,37 +333,40 @@ impl<T: Scalar> HaloExchange<T> {
     /// The sanitizer-hook description of the in-flight ghost planes of
     /// the padded field `us`: every interface face, identified by the
     /// buffer's base address.
-    fn hazard<S: Scalar>(&self, us: &[S]) -> ExchangeHazard {
+    fn hazard<E: Scalar>(&self, us: &[E]) -> ExchangeHazard {
         assert_eq!(us.len(), self.grid.padded_len(), "field shape mismatch");
         ExchangeHazard {
             base: us.as_ptr() as usize,
-            elem_bytes: S::BYTES,
+            elem_bytes: E::BYTES,
             padded: self.grid.padded(),
             faces: self.grid.interface_mask(),
         }
     }
 
-    fn begin_impl<D: Device, C: Communicator<T>, F: Deref<Target = [T]>>(
+    fn begin_impl<E: Scalar, D: Device, C: Communicator<T>, F: Deref<Target = [E]>>(
         &self,
         dev: &D,
         comm: &C,
         lanes: &[F],
         overlap: bool,
-    ) -> PendingExchange {
+    ) -> PendingExchange<E> {
         let nl = lanes.len();
         assert!(nl > 0, "a halo exchange carries at least one lane");
+        let k = per_word::<E, T>();
+        let [info, _] = pack_infos::<E>();
         // Post all receives first (`MPI_Irecv`), as the paper's
         // implementation does...
         let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
         for (axis, slots) in recvs.iter_mut().enumerate() {
             for (side, slot) in slots.iter_mut().enumerate() {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, face_tag(axis, 1 - side, nl)));
+                    *slot = Some(comm.irecv(neighbor, face_tag(axis, 1 - side, nl, k > 1)));
                 }
             }
         }
         // ...then all sends (`MPI_Isend`, buffered): one message per
-        // face, lane `s`'s plane at `[s * face_len, (s + 1) * face_len)`.
+        // face, lane `s`'s plane at `[s * face_len, (s + 1) * face_len)`
+        // before a narrow message is compacted into wire words.
         let mut msgs = 0u32;
         let mut bytes = 0u64;
         for axis in 0..3 {
@@ -357,11 +375,14 @@ impl<T: Scalar> HaloExchange<T> {
                 if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
                     let mut face = self.acquire(axis, flen * nl);
                     for (lane, plane) in lanes.iter().zip(face.chunks_exact_mut(flen)) {
-                        self.pack_face(dev, INFO_HALO_PACK, lane, axis, side, plane);
+                        self.pack_face(dev, info, lane, axis, side, plane);
+                    }
+                    if k > 1 {
+                        to_wire::<E, T>(&mut face, k);
                     }
                     bytes += (face.len() * T::BYTES) as u64;
                     msgs += 1;
-                    comm.send(neighbor, face_tag(axis, side, nl), face);
+                    comm.send(neighbor, face_tag(axis, side, nl, k > 1), face);
                 }
             }
         }
@@ -377,7 +398,7 @@ impl<T: Scalar> HaloExchange<T> {
         // From here until `finish`, every lane's interface ghost planes
         // belong to the exchange; tell any sanitizing device wrapper.
         for lane in lanes {
-            dev.on_exchange_begin(self.hazard::<T>(lane));
+            dev.on_exchange_begin(self.hazard::<E>(lane));
         }
         PendingExchange {
             recvs,
@@ -385,6 +406,7 @@ impl<T: Scalar> HaloExchange<T> {
             msgs,
             bytes,
             overlap,
+            width: PhantomData,
         }
     }
 
@@ -403,12 +425,12 @@ impl<T: Scalar> HaloExchange<T> {
     /// interface ghosts, then must call [`HaloExchange::finish_lanes`]
     /// with the same lanes to complete the exchange before the ghosts are
     /// consumed.
-    pub fn begin_lanes<D: Device, C: Communicator<T>>(
+    pub fn begin_lanes<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        lanes: &[&[T]],
-    ) -> PendingExchange {
+        lanes: &[&[E]],
+    ) -> PendingExchange<E> {
         self.begin_impl(dev, comm, lanes, true)
     }
 
@@ -417,27 +439,33 @@ impl<T: Scalar> HaloExchange<T> {
     ///
     /// Received buffers are recycled into the pool, so the next `begin`
     /// allocates nothing.
-    pub fn finish_lanes<D: Device, C: Communicator<T>>(
+    pub fn finish_lanes<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        pending: PendingExchange,
-        lanes: &mut [&mut [T]],
+        pending: PendingExchange<E>,
+        lanes: &mut [&mut [E]],
     ) {
         assert_eq!(lanes.len(), pending.lanes, "finish must see begin's lanes");
+        let k = per_word::<E, T>();
+        let [_, info] = pack_infos::<E>();
         // The exchange is being completed: the ghost planes return to the
         // caller before any unpack kernel writes them.
         for lane in lanes.iter() {
-            dev.on_exchange_finish(self.hazard::<T>(lane));
+            dev.on_exchange_finish(self.hazard::<E>(lane));
         }
         for (axis, slots) in pending.recvs.iter().enumerate() {
             let flen = self.face_len(axis);
             for (side, slot) in slots.iter().enumerate() {
                 if let Some(req) = slot {
-                    let planes = comm.wait(*req);
-                    assert_eq!(planes.len(), lanes.len() * flen, "halo plane size mismatch");
+                    let mut planes = comm.wait(*req);
+                    let len = lanes.len() * flen;
+                    assert_eq!(planes.len(), len.div_ceil(k), "halo plane size mismatch");
+                    if k > 1 {
+                        from_wire::<E, T>(&mut planes, len, k);
+                    }
                     for (lane, plane) in lanes.iter_mut().zip(planes.chunks_exact(flen)) {
-                        self.unpack_face(dev, INFO_HALO_UNPACK, lane, axis, side, plane);
+                        self.unpack_face(dev, info, lane, axis, side, plane);
                     }
                     self.recycle(axis, planes);
                 }
@@ -461,170 +489,45 @@ impl<T: Scalar> HaloExchange<T> {
     /// Physical-boundary ghosts are left untouched (the boundary-condition
     /// kernel owns them). One [`Event::Halo`] with the total message count
     /// and bytes is recorded on the communicator's recorder.
-    pub fn exchange_lanes<D: Device, C: Communicator<T>>(
+    pub fn exchange_lanes<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        lanes: &mut [&mut [T]],
+        lanes: &mut [&mut [E]],
     ) {
         let pending = self.begin_impl(dev, comm, lanes, false);
         self.finish_lanes(dev, comm, pending, lanes);
     }
 
     /// [`HaloExchange::begin_lanes`] for a single field.
-    pub fn begin<D: Device, C: Communicator<T>>(
+    pub fn begin<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        field: &Field<T>,
-    ) -> PendingExchange {
+        field: &Field<E>,
+    ) -> PendingExchange<E> {
         self.begin_lanes(dev, comm, &[field.as_slice()])
     }
 
     /// [`HaloExchange::finish_lanes`] for a single field.
-    pub fn finish<D: Device, C: Communicator<T>>(
+    pub fn finish<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
-        pending: PendingExchange,
-        field: &mut Field<T>,
+        pending: PendingExchange<E>,
+        field: &mut Field<E>,
     ) {
         self.finish_lanes(dev, comm, pending, &mut [field.as_mut_slice()]);
     }
 
     /// [`HaloExchange::exchange_lanes`] for a single field.
-    pub fn exchange<D: Device, C: Communicator<T>>(&self, dev: &D, comm: &C, field: &mut Field<T>) {
+    pub fn exchange<E: Scalar, D: Device, C: Communicator<T>>(
+        &self,
+        dev: &D,
+        comm: &C,
+        field: &mut Field<E>,
+    ) {
         self.exchange_lanes(dev, comm, &mut [field.as_mut_slice()]);
-    }
-
-    fn begin_f32_impl<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        field: &Field<f32>,
-        overlap: bool,
-    ) -> PendingExchangeF32 {
-        // Post all receives first, on the f32 tag band so the half-size
-        // payloads never share a (channel, tag) with full-precision faces.
-        let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
-        for (axis, slots) in recvs.iter_mut().enumerate() {
-            for (side, slot) in slots.iter_mut().enumerate() {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    *slot = Some(comm.irecv(neighbor, face_tag_f32(axis, 1 - side)));
-                }
-            }
-        }
-        // ...then all sends: device-pack the f32 face plane, bit-pack it
-        // into `T` wire words (two lanes per f64 word) and ship those
-        // through the communicator's native channels — the wire bytes
-        // are the word bytes, i.e. genuinely about half the f64 face.
-        let mut msgs = 0u32;
-        let mut bytes = 0u64;
-        for axis in 0..3 {
-            for side in 0..2 {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
-                    let mut staging = self.acquire_f32(axis);
-                    self.pack_face(
-                        dev,
-                        INFO_HALO_PACK_F32,
-                        field.as_slice(),
-                        axis,
-                        side,
-                        &mut staging,
-                    );
-                    let mut words = self.acquire(axis, self.wire_len(axis));
-                    T::pack_f32_words(&staging, &mut words);
-                    self.recycle_f32(axis, staging);
-                    bytes += (words.len() * T::BYTES) as u64;
-                    msgs += 1;
-                    comm.send(neighbor, face_tag_f32(axis, side), words);
-                }
-            }
-        }
-        if overlap {
-            comm.recorder().record(Event::Begin {
-                name: HALO_OVERLAP_STAGE,
-            });
-            comm.recorder().record(Event::Halo { msgs, bytes });
-        }
-        dev.on_exchange_begin(self.hazard(field.as_slice()));
-        PendingExchangeF32 {
-            recvs,
-            msgs,
-            bytes,
-            overlap,
-        }
-    }
-
-    /// Start a split-phase single-precision exchange of `field`'s
-    /// interface ghosts (the mixed-precision preconditioner path).
-    ///
-    /// Identical contract to [`HaloExchange::begin`], but each face
-    /// travels as `f32` bit patterns packed into `T` wire words, so the
-    /// message payload is roughly half the full-precision one. Must be
-    /// completed with [`HaloExchange::finish_f32`].
-    pub fn begin_f32<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        field: &Field<f32>,
-    ) -> PendingExchangeF32 {
-        self.begin_f32_impl(dev, comm, field, true)
-    }
-
-    /// Complete a split-phase single-precision exchange: wait for every
-    /// posted receive, unpack the wire words back into `f32` ghost
-    /// planes bit-exactly, and recycle all buffers into the pools.
-    pub fn finish_f32<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        pending: PendingExchangeF32,
-        field: &mut Field<f32>,
-    ) {
-        dev.on_exchange_finish(self.hazard(field.as_slice()));
-        for (axis, slots) in pending.recvs.iter().enumerate() {
-            for (side, slot) in slots.iter().enumerate() {
-                if let Some(req) = slot {
-                    let words = comm.wait(*req);
-                    assert_eq!(words.len(), self.wire_len(axis), "f32 wire length mismatch");
-                    let mut staging = self.acquire_f32(axis);
-                    T::unpack_f32_words(&words, &mut staging);
-                    self.recycle(axis, words);
-                    self.unpack_face(
-                        dev,
-                        INFO_HALO_UNPACK_F32,
-                        field.as_mut_slice(),
-                        axis,
-                        side,
-                        &staging,
-                    );
-                    self.recycle_f32(axis, staging);
-                }
-            }
-        }
-        if pending.overlap {
-            comm.recorder().record(Event::End {
-                name: HALO_OVERLAP_STAGE,
-            });
-        } else {
-            comm.recorder().record(Event::Halo {
-                msgs: pending.msgs,
-                bytes: pending.bytes,
-            });
-        }
-    }
-
-    /// Synchronous single-precision exchange (begin + finish back to
-    /// back) — the mixed-precision analogue of [`HaloExchange::exchange`].
-    pub fn exchange_f32<D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        field: &mut Field<f32>,
-    ) {
-        let pending = self.begin_f32_impl(dev, comm, field, false);
-        self.finish_f32(dev, comm, pending, field);
     }
 }
 
@@ -636,29 +539,27 @@ mod tests {
     use comm::{run_ranks, ReduceOrder};
 
     /// Encode a global unknown index as a float so we can verify ghost
-    /// provenance exactly.
-    fn encode(g: [usize; 3]) -> f64 {
-        (g[0] + 1000 * g[1] + 1_000_000 * g[2]) as f64
+    /// provenance exactly (the grids here keep it below 2^24, exact in
+    /// `f32` too); lane `b` adds `b · 10^9`.
+    fn encode(g: [usize; 3], lane: usize) -> f64 {
+        (g[0] + 1000 * g[1] + 1_000_000 * g[2]) as f64 + (lane as f64) * 1e9
     }
 
-    fn make_field(dev: &Serial, grid: &BlockGrid) -> Field<f64> {
+    fn make_lane_field<E: Scalar>(dev: &Serial, grid: &BlockGrid, lane: usize) -> Field<E> {
         let n = grid.local_n;
         let mut interior = Vec::with_capacity(n[0] * n[1] * n[2]);
         for k in 0..n[2] {
             for j in 0..n[1] {
                 for i in 0..n[0] {
-                    interior.push(encode([
-                        grid.offset[0] + i,
-                        grid.offset[1] + j,
-                        grid.offset[2] + k,
-                    ]));
+                    let g = [grid.offset[0] + i, grid.offset[1] + j, grid.offset[2] + k];
+                    interior.push(E::from_f64(encode(g, lane)));
                 }
             }
         }
         Field::from_interior(dev, grid, &interior)
     }
 
-    fn check_ghosts(grid: &BlockGrid, field: &Field<f64>) {
+    fn check_ghosts<E: Scalar>(grid: &BlockGrid, field: &Field<E>) {
         let n = grid.local_n;
         let g = grid.global.n;
         let data = field.as_slice();
@@ -728,8 +629,8 @@ mod tests {
                             }
                         };
                         assert_eq!(
-                            data[field.idx(i, j, k)],
-                            encode(gc),
+                            data[field.idx(i, j, k)].to_f64(),
+                            encode(gc, 0),
                             "axis {axis} side {side} point ({i},{j},{k})"
                         );
                     }
@@ -738,66 +639,69 @@ mod tests {
         }
     }
 
-    fn exchange_world(global_n: [usize; 3], ns: [usize; 3]) {
+    /// Exchange a provenance-encoded field of width `E` on every rank of
+    /// an `ns` world — synchronously or split-phase — and check every
+    /// interface ghost.
+    fn exchange_world<E: Scalar>(global_n: [usize; 3], ns: [usize; 3], split: bool) {
         let decomp = Decomp::new(ns);
         run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
             let dev = Serial::new(Recorder::disabled());
             let global = GlobalGrid::dirichlet(global_n, [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
+            let mut field = make_lane_field::<E>(&dev, &grid, 0);
             let halo = HaloExchange::new(&grid);
-            halo.exchange(&dev, &comm, &mut field);
+            if split {
+                let pending = halo.begin(&dev, &comm, &field);
+                halo.finish(&dev, &comm, pending, &mut field);
+            } else {
+                halo.exchange(&dev, &comm, &mut field);
+            }
             check_ghosts(&grid, &field);
         });
     }
 
-    fn split_exchange_world(global_n: [usize; 3], ns: [usize; 3]) {
-        let decomp = Decomp::new(ns);
-        run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet(global_n, [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
-            let halo = HaloExchange::new(&grid);
-            let pending = halo.begin(&dev, &comm, &field);
-            halo.finish(&dev, &comm, pending, &mut field);
-            check_ghosts(&grid, &field);
-        });
+    /// [`exchange_world`] at both field widths: `f64` faces travel as
+    /// they are, `f32` faces two to an `f64` wire word.
+    fn exchange_both_widths(global_n: [usize; 3], ns: [usize; 3], split: bool) {
+        exchange_world::<f64>(global_n, ns, split);
+        exchange_world::<f32>(global_n, ns, split);
     }
 
     #[test]
     fn two_ranks_along_x() {
-        exchange_world([8, 4, 4], [2, 1, 1]);
+        exchange_both_widths([8, 4, 4], [2, 1, 1], false);
     }
 
     #[test]
     fn eight_ranks_full_3d() {
-        exchange_world([8, 8, 8], [2, 2, 2]);
+        exchange_both_widths([8, 8, 8], [2, 2, 2], false);
     }
 
     #[test]
     fn uneven_decomposition() {
-        exchange_world([7, 5, 6], [3, 2, 2]);
+        // Odd face element counts exercise the zero tail of the last
+        // f32 wire word.
+        exchange_both_widths([7, 5, 6], [3, 2, 2], false);
     }
 
     #[test]
     fn pencil_decomposition() {
-        exchange_world([4, 4, 12], [1, 1, 4]);
+        exchange_both_widths([4, 4, 12], [1, 1, 4], false);
     }
 
     #[test]
     fn split_phase_two_ranks() {
-        split_exchange_world([8, 4, 4], [2, 1, 1]);
+        exchange_both_widths([8, 4, 4], [2, 1, 1], true);
     }
 
     #[test]
     fn split_phase_eight_ranks() {
-        split_exchange_world([8, 8, 8], [2, 2, 2]);
+        exchange_both_widths([8, 8, 8], [2, 2, 2], true);
     }
 
     #[test]
     fn split_phase_uneven() {
-        split_exchange_world([7, 5, 6], [3, 2, 2]);
+        exchange_both_widths([7, 5, 6], [3, 2, 2], true);
     }
 
     #[test]
@@ -807,7 +711,7 @@ mod tests {
             let dev = Serial::new(Recorder::disabled());
             let global = GlobalGrid::dirichlet([6, 3, 3], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
+            let mut field = make_lane_field::<f64>(&dev, &grid, 0);
             let halo = HaloExchange::new(&grid);
             for _ in 0..5 {
                 halo.exchange(&dev, &comm, &mut field);
@@ -816,46 +720,66 @@ mod tests {
         });
     }
 
+    /// Per-rank event streams (device and communicator share one
+    /// recorder) of one exchange of `lanes` provenance fields of width
+    /// `E` on a `[2,1,1]` world of `[4,3,3]` — one 9-element interface
+    /// face per rank.
+    fn two_rank_events<E: Scalar>(lanes: usize, split: bool) -> Vec<Vec<Event>> {
+        let recorders = (0..2).map(|_| Recorder::enabled()).collect();
+        comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
+            let rec = comm.recorder().clone();
+            let dev = Serial::new(rec.clone());
+            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
+            let grid = BlockGrid::new(global, Decomp::new([2, 1, 1]), comm.rank());
+            let mut fields: Vec<Field<E>> = (0..lanes)
+                .map(|b| make_lane_field(&dev, &grid, b))
+                .collect();
+            let mut refs: Vec<&mut [E]> = fields.iter_mut().map(|f| f.as_mut_slice()).collect();
+            rec.drain(); // discard the H2D uploads
+            let halo = HaloExchange::new(&grid);
+            if split {
+                let views: Vec<&[E]> = refs.iter().map(|r| &**r).collect();
+                let pending = halo.begin_lanes(&dev, &comm, &views);
+                halo.finish_lanes(&dev, &comm, pending, &mut refs);
+            } else {
+                halo.exchange_lanes(&dev, &comm, &mut refs);
+            }
+            rec.drain()
+        })
+    }
+
+    /// `true` if `evs` holds a one-message halo event of `bytes`.
+    fn one_message_of(evs: &[Event], bytes: u64) -> bool {
+        evs.iter()
+            .any(|e| matches!(e, Event::Halo { msgs: 1, bytes: b } if *b == bytes))
+    }
+
     #[test]
     fn records_halo_event_with_traffic() {
-        let decomp = Decomp::new([2, 1, 1]);
-        let recorders: Vec<Recorder> = (0..2).map(|_| Recorder::enabled()).collect();
-        let handles = recorders.clone();
-        comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
-            HaloExchange::new(&grid).exchange(&dev, &comm, &mut field);
-        });
-        for rec in &handles {
-            let evs = rec.snapshot();
+        for evs in two_rank_events::<f64>(1, false) {
+            assert!(one_message_of(&evs, 9 * 8), "missing halo event: {evs:?}");
+        }
+    }
+
+    #[test]
+    fn f32_exchange_halves_wire_bytes() {
+        // 9-element face: 72 B in f64, ceil(9/2) = 5 wire words = 40 B
+        // in f32 — the payload genuinely (almost) halves.
+        for evs in two_rank_events::<f32>(1, false) {
             assert!(
-                evs.iter().any(|e| matches!(
-                    e,
-                    Event::Halo { msgs: 1, bytes } if *bytes == (3 * 3 * 8) as u64
-                )),
-                "missing halo event: {evs:?}"
+                one_message_of(&evs, 5 * 8),
+                "missing halved halo event: {evs:?}"
             );
         }
     }
 
     #[test]
     fn split_phase_records_overlap_window() {
-        let decomp = Decomp::new([2, 1, 1]);
-        let recorders: Vec<Recorder> = (0..2).map(|_| Recorder::enabled()).collect();
-        let handles = recorders.clone();
-        comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
-            let halo = HaloExchange::new(&grid);
-            let pending = halo.begin(&dev, &comm, &field);
-            halo.finish(&dev, &comm, pending, &mut field);
-        });
-        for rec in &handles {
-            let evs = rec.snapshot();
+        let streams = [
+            two_rank_events::<f64>(1, true),
+            two_rank_events::<f32>(1, true),
+        ];
+        for evs in streams.iter().flatten() {
             let begin = evs
                 .iter()
                 .position(|e| matches!(e, Event::Begin { name } if *name == HALO_OVERLAP_STAGE))
@@ -874,39 +798,32 @@ mod tests {
 
     #[test]
     fn pack_unpack_run_as_device_kernels() {
-        let decomp = Decomp::new([2, 1, 1]);
-        run_ranks::<f64, _, _>(2, ReduceOrder::RankOrder, |comm| {
-            let rec = Recorder::enabled();
-            let dev = Serial::new(rec.clone());
-            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
-            rec.drain(); // discard the H2D upload
-            HaloExchange::new(&grid).exchange(&dev, &comm, &mut field);
-            let evs = rec.drain();
-            assert!(
-                evs.iter().any(|e| matches!(
-                    e,
-                    Event::Kernel {
-                        name: "KernelHaloPack",
-                        elems: 9,
-                        ..
-                    }
-                )),
-                "missing pack kernel: {evs:?}"
-            );
-            assert!(
-                evs.iter().any(|e| matches!(
-                    e,
-                    Event::Kernel {
-                        name: "KernelHaloUnpack",
-                        elems: 9,
-                        ..
-                    }
-                )),
-                "missing unpack kernel: {evs:?}"
-            );
-        });
+        let widths = [
+            (
+                two_rank_events::<f64>(1, false),
+                INFO_HALO_PACK,
+                INFO_HALO_UNPACK,
+            ),
+            (
+                two_rank_events::<f32>(1, false),
+                INFO_HALO_PACK_F32,
+                INFO_HALO_UNPACK_F32,
+            ),
+        ];
+        for (streams, pack, unpack) in widths {
+            for evs in streams {
+                for info in [pack, unpack] {
+                    assert!(
+                        evs.iter().any(|e| matches!(
+                            e,
+                            Event::Kernel { name, elems: 9, .. } if *name == info.name
+                        )),
+                        "missing {} kernel: {evs:?}",
+                        info.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -916,13 +833,15 @@ mod tests {
             let dev = Serial::new(Recorder::disabled());
             let global = GlobalGrid::dirichlet([6, 3, 3], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field(&dev, &grid);
+            let mut wide = make_lane_field::<f64>(&dev, &grid, 0);
+            let mut narrow = make_lane_field::<f32>(&dev, &grid, 0);
             let halo = HaloExchange::new(&grid);
             for _ in 0..4 {
-                halo.exchange(&dev, &comm, &mut field);
+                halo.exchange(&dev, &comm, &mut wide);
+                halo.exchange(&dev, &comm, &mut narrow);
             }
-            // one interface face along x: steady state keeps exactly one
-            // recycled buffer in the axis-0 free list
+            // one interface face along x: both widths share the axis-0
+            // free list, which keeps exactly one recycled buffer
             let pool = halo.pool.lock().unwrap();
             assert_eq!(
                 pool[0].len(),
@@ -933,44 +852,34 @@ mod tests {
         });
     }
 
-    fn make_lane_field(dev: &Serial, grid: &BlockGrid, lane: usize) -> Field<f64> {
-        let n = grid.local_n;
-        let mut interior = Vec::with_capacity(n[0] * n[1] * n[2]);
-        for k in 0..n[2] {
-            for j in 0..n[1] {
-                for i in 0..n[0] {
-                    interior.push(
-                        encode([grid.offset[0] + i, grid.offset[1] + j, grid.offset[2] + k])
-                            + (lane as f64) * 1e9,
-                    );
-                }
-            }
-        }
-        Field::from_interior(dev, grid, &interior)
-    }
-
-    #[test]
-    fn batched_exchange_matches_solo_per_lane() {
+    /// One lanes-wide exchange of `lanes` fields of width `E` on an
+    /// 8-rank world leaves every lane bitwise equal to a solo exchange.
+    fn lanes_match_solo<E: Scalar>(lanes: usize) {
         let decomp = Decomp::new([2, 2, 2]);
         run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, |comm| {
             let dev = Serial::new(Recorder::disabled());
             let global = GlobalGrid::dirichlet([8, 8, 8], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
             let halo = HaloExchange::new(&grid);
-            let lanes = 3;
-            let mut batched: Vec<Field<f64>> = (0..lanes)
+            let mut batched: Vec<Field<E>> = (0..lanes)
                 .map(|b| make_lane_field(&dev, &grid, b))
                 .collect();
-            let mut refs: Vec<&mut [f64]> = batched.iter_mut().map(|f| f.as_mut_slice()).collect();
+            let mut refs: Vec<&mut [E]> = batched.iter_mut().map(|f| f.as_mut_slice()).collect();
             halo.exchange_lanes(&dev, &comm, &mut refs);
             for (b, lane) in batched.iter().enumerate() {
                 let mut solo = make_lane_field(&dev, &grid, b);
-                // LINT: collective-uniform(`batched` holds the same 3
+                // LINT: collective-uniform(`batched` holds the same
                 // lanes on every rank, so all ranks loop in lock-step)
                 halo.exchange(&dev, &comm, &mut solo);
+                let bits = |f: &Field<E>| {
+                    f.as_slice()
+                        .iter()
+                        .map(|v| v.to_bits64())
+                        .collect::<Vec<_>>()
+                };
                 assert_eq!(
-                    lane.as_slice(),
-                    solo.as_slice(),
+                    bits(lane),
+                    bits(&solo),
                     "lane {b} ghosts differ from a solo exchange"
                 );
             }
@@ -978,29 +887,31 @@ mod tests {
     }
 
     #[test]
+    fn batched_exchange_matches_solo_per_lane() {
+        lanes_match_solo::<f64>(3);
+    }
+
+    #[test]
     fn batched_exchange_sends_one_message_per_face() {
-        let decomp = Decomp::new([2, 1, 1]);
-        let recorders: Vec<Recorder> = (0..2).map(|_| Recorder::enabled()).collect();
-        let handles = recorders.clone();
-        comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut fields: Vec<Field<f64>> =
-                (0..4).map(|b| make_lane_field(&dev, &grid, b)).collect();
-            let mut refs: Vec<&mut [f64]> = fields.iter_mut().map(|f| f.as_mut_slice()).collect();
-            HaloExchange::new(&grid).exchange_lanes(&dev, &comm, &mut refs);
-        });
-        for rec in &handles {
-            let evs = rec.snapshot();
-            // One interface face along x; the single message carries all
-            // four lanes' planes.
+        // One interface face along x; the single message carries all
+        // four lanes' planes.
+        for evs in two_rank_events::<f64>(4, false) {
             assert!(
-                evs.iter().any(|e| matches!(
-                    e,
-                    Event::Halo { msgs: 1, bytes } if *bytes == (4 * 3 * 3 * 8) as u64
-                )),
+                one_message_of(&evs, 4 * 9 * 8),
                 "missing batched halo event: {evs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn f32_lanes_exchange_equals_solo_exchanges_in_one_half_width_message() {
+        lanes_match_solo::<f32>(3);
+        // three 9-element f32 planes: ceil(27/2) = 14 wire words in one
+        // message per face, on the narrow three-lane tag band
+        for evs in two_rank_events::<f32>(3, false) {
+            assert!(
+                one_message_of(&evs, 14 * 8),
+                "missing f32 lanes event: {evs:?}"
             );
         }
     }
@@ -1015,206 +926,66 @@ mod tests {
             let halo = HaloExchange::new(&grid);
             // One lane uses one tag band whichever entry point posts it:
             // a single-field begin pairs with a one-lane finish.
-            let mut batched = make_lane_field(&dev, &grid, 0);
+            let mut batched = make_lane_field::<f64>(&dev, &grid, 0);
             let pending = halo.begin(&dev, &comm, &batched);
             halo.finish_lanes(&dev, &comm, pending, &mut [batched.as_mut_slice()]);
-            let mut solo = make_lane_field(&dev, &grid, 0);
+            let mut solo = make_lane_field::<f64>(&dev, &grid, 0);
             halo.exchange(&dev, &comm, &mut solo);
             assert_eq!(batched.as_slice(), solo.as_slice());
             check_ghosts(&grid, &batched);
         });
     }
 
-    fn make_field_f32(dev: &Serial, grid: &BlockGrid) -> Field<f32> {
-        let n = grid.local_n;
-        let mut interior = Vec::with_capacity(n[0] * n[1] * n[2]);
-        for k in 0..n[2] {
-            for j in 0..n[1] {
-                for i in 0..n[0] {
-                    // The encoded values stay below 2^24, so they are
-                    // exactly representable in f32 and ghost provenance
-                    // can be checked with exact equality.
-                    interior.push(encode([
-                        grid.offset[0] + i,
-                        grid.offset[1] + j,
-                        grid.offset[2] + k,
-                    ]) as f32);
-                }
-            }
-        }
-        Field::from_interior(dev, grid, &interior)
-    }
-
-    fn check_ghosts_f32(grid: &BlockGrid, field: &Field<f32>) {
-        // Reuse the f64 checker by widening: the payload is bit-exact.
-        let dev = Serial::new(Recorder::disabled());
-        let mut wide = Field::<f64>::zeros(&dev, grid);
-        for (w, v) in wide.as_mut_slice().iter_mut().zip(field.as_slice()) {
-            *w = f64::from(*v);
-        }
-        check_ghosts(grid, &wide);
-    }
-
-    fn f32_exchange_world(global_n: [usize; 3], ns: [usize; 3]) {
-        let decomp = Decomp::new(ns);
-        run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet(global_n, [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field_f32(&dev, &grid);
-            let halo = HaloExchange::<f64>::new(&grid);
-            halo.exchange_f32(&dev, &comm, &mut field);
-            check_ghosts_f32(&grid, &field);
-        });
-    }
-
-    #[test]
-    fn f32_exchange_two_ranks() {
-        f32_exchange_world([8, 4, 4], [2, 1, 1]);
-    }
-
-    #[test]
-    fn f32_exchange_eight_ranks() {
-        f32_exchange_world([8, 8, 8], [2, 2, 2]);
-    }
-
-    #[test]
-    fn f32_exchange_uneven_odd_faces() {
-        // Odd face element counts exercise the zero tail lane of the
-        // two-lanes-per-word packing.
-        f32_exchange_world([7, 5, 6], [3, 2, 2]);
-    }
-
-    #[test]
-    fn f32_split_phase_eight_ranks() {
-        let decomp = Decomp::new([2, 2, 2]);
-        run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([8, 8, 8], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field_f32(&dev, &grid);
-            let halo = HaloExchange::<f64>::new(&grid);
-            let pending = halo.begin_f32(&dev, &comm, &field);
-            halo.finish_f32(&dev, &comm, pending, &mut field);
-            check_ghosts_f32(&grid, &field);
-        });
-    }
-
-    #[test]
-    fn f32_exchange_halves_wire_bytes() {
-        let decomp = Decomp::new([2, 1, 1]);
-        let recorders: Vec<Recorder> = (0..2).map(|_| Recorder::enabled()).collect();
-        let handles = recorders.clone();
-        comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let halo = HaloExchange::<f64>::new(&grid);
-            let mut wide = make_field(&dev, &grid);
-            halo.exchange(&dev, &comm, &mut wide);
-            let mut field = make_field_f32(&dev, &grid);
-            halo.exchange_f32(&dev, &comm, &mut field);
-        });
-        for rec in &handles {
-            let evs = rec.snapshot();
-            // 9-element face: 72 B in f64, ceil(9/2) = 5 wire words =
-            // 40 B in f32 — the payload genuinely (almost) halves.
-            assert!(
-                evs.iter().any(|e| matches!(
-                    e,
-                    Event::Halo { msgs: 1, bytes } if *bytes == (3 * 3 * 8) as u64
-                )),
-                "missing f64 halo event: {evs:?}"
-            );
-            assert!(
-                evs.iter().any(|e| matches!(
-                    e,
-                    Event::Halo { msgs: 1, bytes } if *bytes == (5 * 8) as u64
-                )),
-                "missing halved f32 halo event: {evs:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_split_phase_records_overlap_window() {
-        let decomp = Decomp::new([2, 1, 1]);
-        let recorders: Vec<Recorder> = (0..2).map(|_| Recorder::enabled()).collect();
-        let handles = recorders.clone();
-        comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([4, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let field = make_field_f32(&dev, &grid);
-            let halo = HaloExchange::<f64>::new(&grid);
-            let pending = halo.begin_f32(&dev, &comm, &field);
-            let mut field = field;
-            halo.finish_f32(&dev, &comm, pending, &mut field);
-        });
-        for rec in &handles {
-            let evs = rec.snapshot();
-            let begin = evs
-                .iter()
-                .position(|e| matches!(e, Event::Begin { name } if *name == HALO_OVERLAP_STAGE))
-                .expect("missing overlap Begin");
-            let halo = evs
-                .iter()
-                .position(|e| matches!(e, Event::Halo { msgs: 1, .. }))
-                .expect("missing halo event");
-            let end = evs
-                .iter()
-                .position(|e| matches!(e, Event::End { name } if *name == HALO_OVERLAP_STAGE))
-                .expect("missing overlap End");
-            assert!(begin < halo && halo < end, "window out of order: {evs:?}");
-        }
-    }
-
     #[test]
     fn f32_and_f64_exchanges_interleave_on_disjoint_tags() {
-        // Both precisions in flight on the same channels at once: the
-        // per-precision tag bands keep the half-size f32 messages from
-        // ever matching a full-precision receive.
+        // Both widths in flight on the same channels at once: the
+        // per-width tag bands keep the half-size f32 messages from ever
+        // matching a full-width receive.
         let decomp = Decomp::new([2, 2, 1]);
         run_ranks::<f64, _, _>(4, ReduceOrder::RankOrder, |comm| {
             let dev = Serial::new(Recorder::disabled());
             let global = GlobalGrid::dirichlet([8, 8, 4], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut wide = make_field(&dev, &grid);
-            let mut narrow = make_field_f32(&dev, &grid);
-            let halo = HaloExchange::<f64>::new(&grid);
+            let mut wide = make_lane_field::<f64>(&dev, &grid, 0);
+            let mut narrow = make_lane_field::<f32>(&dev, &grid, 0);
+            let halo = HaloExchange::new(&grid);
             let pending_wide = halo.begin(&dev, &comm, &wide);
-            let pending_narrow = halo.begin_f32(&dev, &comm, &narrow);
-            halo.finish_f32(&dev, &comm, pending_narrow, &mut narrow);
+            let pending_narrow = halo.begin(&dev, &comm, &narrow);
+            halo.finish(&dev, &comm, pending_narrow, &mut narrow);
             halo.finish(&dev, &comm, pending_wide, &mut wide);
             check_ghosts(&grid, &wide);
-            check_ghosts_f32(&grid, &narrow);
+            check_ghosts(&grid, &narrow);
         });
     }
 
     #[test]
-    fn f32_buffers_recycle_through_both_pools() {
-        let decomp = Decomp::new([2, 1, 1]);
-        run_ranks::<f64, _, _>(2, ReduceOrder::RankOrder, |comm| {
-            let dev = Serial::new(Recorder::disabled());
-            let global = GlobalGrid::dirichlet([6, 3, 3], [0.1; 3], [0.0; 3]);
-            let grid = BlockGrid::new(global, decomp, comm.rank());
-            let mut field = make_field_f32(&dev, &grid);
-            let halo = HaloExchange::<f64>::new(&grid);
-            for _ in 0..4 {
-                halo.exchange_f32(&dev, &comm, &mut field);
+    fn tag_bands_are_disjoint_per_lane_count_and_width() {
+        // the f64 one-lane band and the f32 one-lane band are the ones
+        // the two families used before they were merged
+        assert_eq!(face_tag(0, 0, 1, false), 0);
+        assert_eq!(face_tag(2, 1, 1, false), 5);
+        assert_eq!(face_tag(0, 0, 1, true), 6);
+        assert_eq!(face_tag(0, 0, 2, false), 12);
+        assert_eq!(face_tag(0, 0, 2, true), 18);
+        let mut seen = std::collections::BTreeSet::new();
+        for lanes in 1..=4 {
+            for narrow in [false, true] {
+                for face in 0..6 {
+                    assert!(seen.insert(face_tag(face / 2, face % 2, lanes, narrow)));
+                }
             }
-            // One interface face along x: the wire words recycle through
-            // the shared word pool and the staging plane through the f32
-            // pool, one buffer each in steady state.
-            let pool = halo.pool.lock().unwrap();
-            let pool_f32 = halo.pool_f32.lock().unwrap();
-            assert_eq!(pool[0].len(), 1, "axis-0 word pool should hold one buffer");
-            assert_eq!(
-                pool_f32[0].len(),
-                1,
-                "axis-0 staging pool should hold one buffer"
-            );
-        });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole multiple of the field element")]
+    fn a_wire_narrower_than_the_field_is_rejected() {
+        let dev = Serial::new(Recorder::disabled());
+        let global = GlobalGrid::dirichlet([4, 4, 4], [0.1; 3], [0.0; 3]);
+        let grid = BlockGrid::new(global, Decomp::single(), 0);
+        let mut field = make_lane_field::<f64>(&dev, &grid, 0);
+        let comm = comm::SelfComm::<f32>::default();
+        HaloExchange::new(&grid).exchange(&dev, &comm, &mut field);
     }
 
     #[test]
@@ -1222,7 +993,7 @@ mod tests {
         let dev = Serial::new(Recorder::disabled());
         let global = GlobalGrid::dirichlet([4, 4, 4], [0.1; 3], [0.0; 3]);
         let grid = BlockGrid::new(global, Decomp::single(), 0);
-        let mut field = make_field(&dev, &grid);
+        let mut field = make_lane_field::<f64>(&dev, &grid, 0);
         let before = field.as_slice().to_vec();
         let comm = comm::SelfComm::<f64>::default();
         HaloExchange::new(&grid).exchange(&dev, &comm, &mut field);

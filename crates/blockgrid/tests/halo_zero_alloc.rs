@@ -74,14 +74,14 @@ fn halo_exchange_is_allocation_free_after_warmup() {
 
         // Warm-up: populate the buffer pool and the communicator's
         // message queues on both flavours of the exchange, in both
-        // precisions (the f32 path has its own pool and tag band).
+        // precisions (the f32 path has its own tag band).
         for _ in 0..3 {
             halo.exchange(&dev, &comm, &mut field);
             let pending = halo.begin(&dev, &comm, &field);
             halo.finish(&dev, &comm, pending, &mut field);
-            halo.exchange_f32(&dev, &comm, &mut field32);
-            let pending = halo.begin_f32(&dev, &comm, &field32);
-            halo.finish_f32(&dev, &comm, pending, &mut field32);
+            halo.exchange(&dev, &comm, &mut field32);
+            let pending = halo.begin(&dev, &comm, &field32);
+            halo.finish(&dev, &comm, pending, &mut field32);
         }
         // Make sure every rank is warm before anyone starts counting
         // (a cold neighbour would still only bump its *own* counter,
@@ -93,9 +93,9 @@ fn halo_exchange_is_allocation_free_after_warmup() {
             halo.exchange(&dev, &comm, &mut field);
             let pending = halo.begin(&dev, &comm, &field);
             halo.finish(&dev, &comm, pending, &mut field);
-            halo.exchange_f32(&dev, &comm, &mut field32);
-            let pending = halo.begin_f32(&dev, &comm, &field32);
-            halo.finish_f32(&dev, &comm, pending, &mut field32);
+            halo.exchange(&dev, &comm, &mut field32);
+            let pending = halo.begin(&dev, &comm, &field32);
+            halo.finish(&dev, &comm, pending, &mut field32);
         }
         my_allocs() - before
     });

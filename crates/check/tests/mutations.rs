@@ -116,7 +116,7 @@ fn seeded_swapped_halo_tag_is_diagnosed() {
         let dev = Serial::new(Recorder::disabled());
         let global = GlobalGrid::dirichlet([6, 3, 3], [0.1; 3], [0.0; 3]);
         let grid = BlockGrid::new(global, decomp, comm.rank());
-        let mut field = Field::zeros(&dev, &grid);
+        let mut field = Field::<f64>::zeros(&dev, &grid);
         let halo = HaloExchange::new(&grid);
         halo.exchange(&dev, &comm, &mut field);
     })

@@ -1041,7 +1041,7 @@ mod tests {
     use super::*;
     use crate::config::{SolverKind, SolverOptions};
     use crate::precond::IdentityPrec;
-    use crate::testutil::{bits, paper_bcs, rng_values, scatter, world8};
+    use crate::testutil::{bits, paper_bcs, rng_values, scatter, world};
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks, ReduceOrder, SelfComm, ThreadComm};
@@ -1078,7 +1078,7 @@ mod tests {
         (x.interior_to_host(&ctx.grid), out)
     }
 
-    /// Solve the seeded [`world8`] problem with `kind`'s preconditioner;
+    /// Solve the seeded 2×2×2 [`world`] problem with `kind`'s preconditioner;
     /// every rank returns `(outcome, local solution, allreduces)`.
     /// `tol_rel` is relative to the global RHS norm.
     fn solve_world8(
@@ -1092,7 +1092,7 @@ mod tests {
             .map(|v| v * v)
             .sum::<f64>()
             .sqrt();
-        world8(seed, |ctx, b_local| {
+        world([2, 2, 2], seed, |ctx, b_local| {
             let b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
             let mut x = ctx.field();
             let mut ws = Workspace::new(&ctx.dev, &ctx.grid);

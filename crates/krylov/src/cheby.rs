@@ -14,6 +14,23 @@
 //!   parameters; the operator restriction zeroes interface ghosts.
 //! * [`ChebyMode::BlockJacobi`] — same restricted operator but with the
 //!   *local* subdomain bounds (`BJ(CI)`, Eq. 14).
+//!
+//! Like the paper's kernels templated on `T_data`, the iteration is
+//! generic over its sweep element `E`, independent of the outer solve's
+//! scalar `T`. With `E = T` the sweeps read the right-hand side in place
+//! and the last one writes the result. With a narrower `E` — `f32`
+//! sweeps under an `f64` Bi-CGSTAB (`SolverOptions::mixed_precision`) —
+//! one rounding cast enters a resident `E` copy of the right-hand side
+//! and one exact widening cast leaves: that precision boundary is the
+//! only width-specific code. The sweeps, their state and their halo
+//! messages are then all `E` wide, roughly halving the preconditioner's
+//! streamed bytes and wire payloads. Bi-CGSTAB tolerates the inexact
+//! preconditioner as long as it stays a *fixed* linear operator, and it
+//! does: `(θ, δ, σ)` and the `ρ` recurrence stay in host `f64`, each
+//! sweep's coefficients rounded to `E` once, so every application rounds
+//! the same way. The outer recurrence and its residual stay in `T`.
+
+use std::any::{Any, TypeId};
 
 use accel::{Device, Scalar};
 use blockgrid::Field;
@@ -21,7 +38,10 @@ use comm::Communicator;
 use stencil::{apply_physical_bcs, spectrum, SpectralBounds};
 
 use crate::ctx::RankCtx;
-use crate::kernels::{INFO_CI1, INFO_CI2, INFO_SCALE};
+use crate::kernels::{
+    cast, INFO_CAST_DOWN, INFO_CAST_UP, INFO_CI1, INFO_CI1_F32, INFO_CI2, INFO_CI2_F32, INFO_SCALE,
+    INFO_SCALE_F32,
+};
 
 /// Communication flavour of the Chebyshev iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,10 +77,10 @@ pub fn local_bounds<T: Scalar, D: Device, C: Communicator<T>>(
 }
 
 /// Refresh a field's ghost layers according to the iteration's mode.
-fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
+fn refresh_ghosts<E: Scalar, T: Scalar, D: Device, C: Communicator<T>>(
     mode: ChebyMode,
     ctx: &RankCtx<T, D, C>,
-    f: &mut Field<T>,
+    f: &mut Field<E>,
 ) {
     match mode {
         ChebyMode::Global => {
@@ -73,22 +93,32 @@ fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
     }
 }
 
-/// A configured Chebyshev iteration with its own rotation buffers.
-pub struct ChebyshevIteration<T> {
+/// `f` as a field of the sweep element: `Some` exactly when `E = T`.
+fn as_sweep_field<E: Scalar, T: Scalar>(f: &mut Field<T>) -> Option<&mut Field<E>> {
+    (f as &mut dyn Any).downcast_mut()
+}
+
+/// A configured Chebyshev iteration sweeping in `E`, with its own
+/// rotation buffers.
+pub struct ChebyshevIteration<E> {
     mode: ChebyMode,
     iterations: usize,
     theta: f64,
     delta: f64,
     sigma: f64,
-    z: Field<T>,
-    y: Field<T>,
-    w: Field<T>,
+    z: Field<E>,
+    y: Field<E>,
+    w: Field<E>,
+    /// The right-hand side rounded to `E` when the outer scalar is
+    /// another type (resident, so the boundary allocates nothing); `None`
+    /// when the sweeps read the caller's right-hand side in place.
+    b: Option<Field<E>>,
 }
 
-impl<T: Scalar> ChebyshevIteration<T> {
+impl<E: Scalar> ChebyshevIteration<E> {
     /// Configure the iteration for `ctx` with the given (already
     /// rescaled) spectral bounds and sweep count (`iterMax >= 1`).
-    pub fn new<D: Device, C: Communicator<T>>(
+    pub fn new<T: Scalar, D: Device, C: Communicator<T>>(
         ctx: &RankCtx<T, D, C>,
         mode: ChebyMode,
         bounds: SpectralBounds,
@@ -99,25 +129,22 @@ impl<T: Scalar> ChebyshevIteration<T> {
             bounds.min > 0.0 && bounds.max > bounds.min,
             "Chebyshev needs 0 < min < max, got {bounds:?}"
         );
-        // Eq. 15
+        // Eq. 15, in full precision on the host.
         let theta = 0.5 * (bounds.max + bounds.min);
         let delta = 0.5 * (bounds.max - bounds.min);
         let sigma = theta / delta;
+        let field = || Field::zeros(&ctx.dev, &ctx.grid);
         Self {
             mode,
             iterations,
             theta,
             delta,
             sigma,
-            z: ctx.field(),
-            y: ctx.field(),
-            w: ctx.field(),
+            z: field(),
+            y: field(),
+            w: field(),
+            b: (TypeId::of::<E>() != TypeId::of::<T>()).then(field),
         }
-    }
-
-    /// Number of sweeps per application.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// The iteration's communication flavour.
@@ -125,29 +152,62 @@ impl<T: Scalar> ChebyshevIteration<T> {
         self.mode
     }
 
-    /// The Chebyshev parameters `(θ, δ, σ)` of Eq. 15.
+    /// The Chebyshev parameters `(θ, δ, σ)` of Eq. 15 (host `f64`).
     pub fn parameters(&self) -> (f64, f64, f64) {
         (self.theta, self.delta, self.sigma)
     }
 
-    /// Run `iterMax` sweeps of Algorithm 4, writing `x ≈ A⁻¹ b`.
+    /// Run `iterMax` sweeps of Algorithm 4, writing `x ≈ A⁻¹ b`; returns
+    /// the number of sweeps performed.
     ///
-    /// The last sweep writes straight into `x`'s interior — no trailing
-    /// full-field copy — so `x`'s ghost layers are left as they were
-    /// (like every sweep output, they are the caller's to refresh before
-    /// a stencil reads them). `b`'s ghost layers are refreshed (its
-    /// interior is unchanged); returns the number of sweeps performed.
-    pub fn solve<D: Device, C: Communicator<T>>(
+    /// With `E = T` the sweeps read `b` in place — its ghost layers are
+    /// refreshed, its interior is unchanged — and the last sweep writes
+    /// straight into `x`'s interior, no trailing full-field copy, so
+    /// `x`'s ghost layers are left as they were (like every sweep output,
+    /// they are the caller's to refresh before a stencil reads them).
+    /// Otherwise `b`'s interior is read once through the rounding
+    /// down-cast (its ghosts are left untouched: the iteration refreshes
+    /// its own) and the result is widened into `x`'s interior.
+    pub fn solve<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
         b: &mut Field<T>,
         x: &mut Field<T>,
     ) -> usize {
+        match (as_sweep_field(b), as_sweep_field(x)) {
+            (Some(b), Some(x)) => self.sweeps(ctx, b, Some(x)),
+            _ => {
+                // The precision boundary: one rounding step in, the last
+                // sweep left in `w`, one exact widening step out.
+                let mut lo = self.b.take().expect("a narrow iteration keeps its own RHS");
+                cast(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut lo, b);
+                self.sweeps(ctx, &mut lo, None);
+                cast(&ctx.dev, INFO_CAST_UP, &ctx.grid, x, &self.w);
+                self.b = Some(lo);
+            }
+        }
+        self.iterations
+    }
+
+    /// The sweeps of Algorithm 4 on `b` (ghosts refreshed here): the last
+    /// one lands in `x`, or in `w` when there is no `x` of this width.
+    fn sweeps<T: Scalar, D: Device, C: Communicator<T>>(
+        &mut self,
+        ctx: &RankCtx<T, D, C>,
+        b: &mut Field<E>,
+        mut x: Option<&mut Field<E>>,
+    ) {
         let theta = self.theta;
         let delta = self.delta;
         let sigma = self.sigma;
         let mut rho_old = 1.0 / sigma;
         let mut rho_cur = 1.0 / (2.0 * sigma - rho_old);
+        // the sweeps' traffic accounting follows their element width
+        let [info_ci1, info_ci2, info_scale] = if E::BYTES == f32::BYTES {
+            [INFO_CI1_F32, INFO_CI2_F32, INFO_SCALE_F32]
+        } else {
+            [INFO_CI1, INFO_CI2, INFO_SCALE]
+        };
 
         // Split-phase only when the mode communicates and this rank has
         // a neighbour; the sweeps are bitwise-identical either way.
@@ -156,43 +216,47 @@ impl<T: Scalar> ChebyshevIteration<T> {
         // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Split, the
         // exchange of b's halos hides behind the ghost-independent scale
         // kernel and the window part of the sweep.
-        let c1 = T::from_f64(4.0 * rho_cur / delta);
-        let ca = T::from_f64(-2.0 * rho_cur / (delta * theta));
-        let inv_theta = T::from_f64(1.0 / theta);
-        let y1 = if self.iterations == 1 {
-            &mut *x
-        } else {
-            &mut self.y
+        let c1 = E::from_f64(4.0 * rho_cur / delta);
+        let ca = E::from_f64(-2.0 * rho_cur / (delta * theta));
+        let inv_theta = E::from_f64(1.0 / theta);
+        // a one-sweep iteration's first sweep is its last
+        let y1 = match (self.iterations, &mut x) {
+            (1, Some(x)) => &mut **x,
+            (1, None) => &mut self.w,
+            _ => &mut self.y,
         };
         if split {
             let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, b);
             apply_physical_bcs(&ctx.grid, b, &ctx.recorder, false);
-            crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
+            crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine_interior(&ctx.dev, INFO_CI1, b, y1, ca, [(b, c1)]);
+                .apply_combine_interior(&ctx.dev, info_ci1, b, y1, ca, [(b, c1)]);
             ctx.halo.finish(&ctx.dev, &ctx.comm, pending, b);
             ctx.lap
-                .apply_combine_shell(&ctx.dev, INFO_CI1, b, y1, ca, [(b, c1)]);
+                .apply_combine_shell(&ctx.dev, info_ci1, b, y1, ca, [(b, c1)]);
         } else {
             // MPI1 + KernelNeumannBCs on b
             refresh_ghosts(self.mode, ctx, b);
-            crate::kernels::scale(&ctx.dev, INFO_SCALE, &ctx.grid, &mut self.z, b, inv_theta);
+            crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
             ctx.lap
-                .apply_combine(&ctx.dev, INFO_CI1, b, y1, ca, [(b, c1)]);
+                .apply_combine(&ctx.dev, info_ci1, b, y1, ca, [(b, c1)]);
         }
 
         for i in 2..=self.iterations {
             // the last sweep lands in `x`, the others in the scratch `w`
             let last = i == self.iterations;
-            let w_mut = if last { &mut *x } else { &mut self.w };
+            let w_mut = match (last, &mut x) {
+                (true, Some(x)) => &mut **x,
+                _ => &mut self.w,
+            };
             // host-side ρ recurrence (the only CPU work in the CI loop)
             rho_old = rho_cur;
             rho_cur = 1.0 / (2.0 * sigma - rho_old);
             // KernelCI2: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)
-            let ca = T::from_f64(-2.0 * rho_cur / delta);
-            let cy = T::from_f64(2.0 * sigma * rho_cur);
-            let cb = T::from_f64(2.0 * rho_cur / delta);
-            let cz = T::from_f64(-rho_cur * rho_old);
+            let ca = E::from_f64(-2.0 * rho_cur / delta);
+            let cy = E::from_f64(2.0 * sigma * rho_cur);
+            let cb = E::from_f64(2.0 * rho_cur / delta);
+            let cz = E::from_f64(-rho_cur * rho_old);
             if split {
                 // MPI2 in flight behind BCs + the window sweep
                 let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &self.y);
@@ -200,7 +264,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 let (y_ref, z_ref) = (&self.y, &self.z);
                 ctx.lap.apply_combine_interior(
                     &ctx.dev,
-                    INFO_CI2,
+                    info_ci2,
                     y_ref,
                     w_mut,
                     ca,
@@ -210,7 +274,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 let (y_ref, z_ref) = (&self.y, &self.z);
                 ctx.lap.apply_combine_shell(
                     &ctx.dev,
-                    INFO_CI2,
+                    info_ci2,
                     y_ref,
                     w_mut,
                     ca,
@@ -222,7 +286,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 let (y_ref, z_ref) = (&self.y, &self.z);
                 ctx.lap.apply_combine(
                     &ctx.dev,
-                    INFO_CI2,
+                    info_ci2,
                     y_ref,
                     w_mut,
                     ca,
@@ -235,7 +299,6 @@ impl<T: Scalar> ChebyshevIteration<T> {
                 self.y.swap(&mut self.w);
             }
         }
-        self.iterations
     }
 }
 
@@ -336,7 +399,7 @@ impl<T: Scalar> ChebyshevIteration<T> {
 mod tests {
     use super::*;
     use crate::kernels::{norm2_local, INFO_DOT};
-    use crate::testutil::{bits, chebyshev_sync_oracle, rng_values, world8};
+    use crate::testutil::{bits, chebyshev_sync_oracle, rng_values, world};
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::SelfComm;
@@ -350,10 +413,24 @@ mod tests {
         RankCtx::new(Serial::new(Recorder::disabled()), SelfComm::default(), grid)
     }
 
+    /// One fresh `E`-sweep application of `sweeps` sweeps to `rhs`.
+    fn apply<E: Scalar>(
+        ctx: &RankCtx<f64, Serial, SelfComm<f64>>,
+        mode: ChebyMode,
+        sweeps: usize,
+        rhs: &[f64],
+    ) -> Vec<f64> {
+        let mut b = Field::from_interior(&ctx.dev, &ctx.grid, rhs);
+        let mut x = ctx.field();
+        let mut cheb = ChebyshevIteration::<E>::new(ctx, mode, global_bounds(ctx), sweeps);
+        cheb.solve(ctx, &mut b, &mut x);
+        x.interior_to_host(&ctx.grid)
+    }
+
     #[test]
     fn parameters_follow_eq15() {
         let ctx = ctx_single(4);
-        let cheb = ChebyshevIteration::new(
+        let cheb = ChebyshevIteration::<f64>::new(
             &ctx,
             ChebyMode::Global,
             SpectralBounds {
@@ -376,14 +453,9 @@ mod tests {
         // b = A x_true via dense reference
         let m = assemble_poisson(&ctx.lap.global_ops(), ctx.grid.global.h);
         let b_host = m.matvec(&x_true);
-        let bounds = global_bounds(&ctx);
         let mut prev_err = f64::INFINITY;
         for sweeps in [2usize, 6, 16, 40] {
-            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
-            let mut x = ctx.field();
-            let mut cheb = ChebyshevIteration::new(&ctx, ChebyMode::Global, bounds, sweeps);
-            cheb.solve(&ctx, &mut b, &mut x);
-            let got = x.interior_to_host(&ctx.grid);
+            let got = apply::<f64>(&ctx, ChebyMode::Global, sweeps, &b_host);
             let err: f64 = got
                 .iter()
                 .zip(&x_true)
@@ -411,7 +483,7 @@ mod tests {
         let mut b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
         let mut x = ctx.field();
         let bounds = global_bounds(&ctx);
-        let mut cheb = ChebyshevIteration::new(&ctx, ChebyMode::Global, bounds, 24);
+        let mut cheb = ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, bounds, 24);
         cheb.solve(&ctx, &mut b, &mut x);
         // r = b - A x
         ctx.halo.exchange(&ctx.dev, &ctx.comm, &mut x);
@@ -436,17 +508,9 @@ mod tests {
         let v = rng_values(n, 2);
         let (a, c) = (0.7, -1.3);
         let combo: Vec<f64> = u.iter().zip(&v).map(|(x, y)| a * x + c * y).collect();
-        let apply = |rhs: &[f64]| -> Vec<f64> {
-            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, rhs);
-            let mut x = ctx.field();
-            let mut cheb =
-                ChebyshevIteration::new(&ctx, ChebyMode::GlobalNoComm, global_bounds(&ctx), 8);
-            cheb.solve(&ctx, &mut b, &mut x);
-            x.interior_to_host(&ctx.grid)
-        };
-        let mu = apply(&u);
-        let mv = apply(&v);
-        let mc = apply(&combo);
+        let mu = apply::<f64>(&ctx, ChebyMode::GlobalNoComm, 8, &u);
+        let mv = apply::<f64>(&ctx, ChebyMode::GlobalNoComm, 8, &v);
+        let mc = apply::<f64>(&ctx, ChebyMode::GlobalNoComm, 8, &combo);
         for i in 0..n {
             let expect = a * mu[i] + c * mv[i];
             assert!(
@@ -454,6 +518,21 @@ mod tests {
                 "linearity violated at {i}: {} vs {expect}",
                 mc[i]
             );
+        }
+    }
+
+    #[test]
+    fn application_is_linear_in_f32() {
+        // Fixed single-precision polynomial => linear to f32 rounding.
+        let ctx = ctx_single(4);
+        let n = ctx.grid.global.unknowns();
+        let u = rng_values(n, 1);
+        let two_u: Vec<f64> = u.iter().map(|v| 2.0 * v).collect();
+        let mu = apply::<f32>(&ctx, ChebyMode::GlobalNoComm, 8, &u);
+        let m2u = apply::<f32>(&ctx, ChebyMode::GlobalNoComm, 8, &two_u);
+        for i in 0..n {
+            // scaling by 2 is exact in binary floating point
+            assert_eq!(m2u[i], 2.0 * mu[i], "homogeneity violated at {i}");
         }
     }
 
@@ -467,7 +546,7 @@ mod tests {
         let run = |mode: ChebyMode, bounds: SpectralBounds| {
             let mut b = Field::from_interior(&ctx.dev, &ctx.grid, &rhs);
             let mut x = ctx.field();
-            let mut cheb = ChebyshevIteration::new(&ctx, mode, bounds, 10);
+            let mut cheb = ChebyshevIteration::<f64>::new(&ctx, mode, bounds, 10);
             cheb.solve(&ctx, &mut b, &mut x);
             x.interior_to_host(&ctx.grid)
         };
@@ -482,30 +561,131 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_sweeps_match_the_synchronous_oracle_on_8_ranks() {
-        // On a communicating world the iteration runs split-phase
-        // (begin → interior → finish → shell); it must not change a bit
-        // relative to blocking exchanges and monolithic sweeps.
-        let results = world8(29, |ctx, b_local| {
+    fn mixed_tracks_the_f64_iteration_to_f32_accuracy() {
+        // The f32 sweeps implement the same polynomial; the result must
+        // match the f64 iteration to within single-precision rounding
+        // accumulated over the sweeps, far tighter than the inexactness
+        // Bi-CGSTAB already tolerates from the preconditioner — also for
+        // a one-sweep iteration, whose only sweep is its last.
+        let ctx = ctx_single(6);
+        let rhs = rng_values(ctx.grid.global.unknowns(), 17);
+        for sweeps in [1, 24] {
+            let wide = apply::<f64>(&ctx, ChebyMode::Global, sweeps, &rhs);
+            let mixed = apply::<f32>(&ctx, ChebyMode::Global, sweeps, &rhs);
+            let scale: f64 = wide.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30);
+            for (a, b) in wide.iter().zip(&mixed) {
+                assert!(
+                    (a - b).abs() < 1e-4 * scale,
+                    "{sweeps} sweeps: mixed diverged from f64: {a} vs {b} (scale {scale})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nan_poisoned_rhs_ghosts_do_not_leak() {
+        // The down-cast reads only the interior and the iteration
+        // refreshes its own f32 ghosts, so NaNs planted in the f64 RHS
+        // ghost layers must not perturb a single output bit.
+        let ctx = ctx_single(5);
+        let n = ctx.grid.global.unknowns();
+        let rhs = rng_values(n, 41);
+        let bounds = global_bounds(&ctx);
+        let run = |poison: bool| {
+            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, &rhs);
+            if poison {
+                let mi = ctx.grid.interior_map();
+                let mut interior = vec![false; b.as_slice().len()];
+                for k in 0..mi.nz {
+                    for j in 0..mi.ny {
+                        let off = mi.row_offset(j, k);
+                        interior[off..off + mi.len]
+                            .iter_mut()
+                            .for_each(|m| *m = true);
+                    }
+                }
+                for (v, keep) in b.as_mut_slice().iter_mut().zip(&interior) {
+                    if !keep {
+                        *v = f64::NAN;
+                    }
+                }
+            }
+            let mut x = ctx.field();
+            let mut mixed = ChebyshevIteration::<f32>::new(&ctx, ChebyMode::Global, bounds, 10);
+            mixed.solve(&ctx, &mut b, &mut x);
+            x.interior_to_host(&ctx.grid)
+        };
+        let clean = run(false);
+        let poisoned = run(true);
+        for (c, p) in clean.iter().zip(&poisoned) {
+            assert!(p.is_finite(), "a sweep read a poisoned ghost: {p}");
+            assert_eq!(c.to_bits(), p.to_bits());
+        }
+    }
+
+    /// A *fixed* preconditioner: state carried in the rotation buffers
+    /// (and the resident narrow RHS) between applications must not
+    /// change the result.
+    fn repeated_applications_agree<E: Scalar>() {
+        let ctx = ctx_single(4);
+        let rhs = rng_values(ctx.grid.global.unknowns(), 55);
+        let bounds = global_bounds(&ctx);
+        let mut cheb = ChebyshevIteration::<E>::new(&ctx, ChebyMode::Global, bounds, 8);
+        let mut outs = Vec::new();
+        for _ in 0..2 {
+            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, &rhs);
+            let mut x = ctx.field();
+            cheb.solve(&ctx, &mut b, &mut x);
+            outs.push(bits(&x.interior_to_host(&ctx.grid)));
+        }
+        assert_eq!(outs[0], outs[1]);
+    }
+
+    #[test]
+    fn repeated_applications_are_identical() {
+        repeated_applications_agree::<f64>();
+        repeated_applications_agree::<f32>();
+    }
+
+    /// On a communicating world the iteration runs split-phase (begin →
+    /// interior → finish → shell); at sweep width `E` it must not change
+    /// a bit relative to blocking exchanges and monolithic sweeps on the
+    /// same down-cast right-hand side.
+    fn split_matches_sync_oracle<E: Scalar>(decomp: [usize; 3], seed: u64) {
+        let results = world(decomp, seed, |ctx, b_local| {
             let bounds = global_bounds(ctx).rescaled(1e-4, 10.0);
-            let mut cheb = ChebyshevIteration::new(ctx, ChebyMode::Global, bounds, 12);
+            let mut cheb = ChebyshevIteration::<E>::new(ctx, ChebyMode::Global, bounds, 12);
             let mut b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
             let mut x = ctx.field();
             cheb.solve(ctx, &mut b, &mut x);
+            let mut b_e = Field::<E>::zeros(&ctx.dev, &ctx.grid);
+            cast(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut b_e, &b);
             let want = chebyshev_sync_oracle(
                 ctx,
                 cheb.parameters(),
                 12,
                 |f| refresh_ghosts(ChebyMode::Global, ctx, f),
-                Field::from_interior(&ctx.dev, &ctx.grid, b_local),
+                b_e,
             );
-            (
-                x.interior_to_host(&ctx.grid),
-                want.interior_to_host(&ctx.grid),
-            )
+            let want: Vec<f64> = want
+                .interior_to_host(&ctx.grid)
+                .iter()
+                .map(|v| v.to_f64())
+                .collect();
+            (bits(&x.interior_to_host(&ctx.grid)), bits(&want))
         });
         for (rank, (got, want)) in results.iter().enumerate() {
-            assert_eq!(bits(got), bits(want), "rank {rank}");
+            assert_eq!(got, want, "{decomp:?} rank {rank}");
+        }
+    }
+
+    #[test]
+    fn split_phase_sweeps_match_the_synchronous_oracle_at_both_widths() {
+        // 8 ranks: every rank has x, y and z faces in flight; 2 ranks
+        // along x: one face, so the windowed split peels a real window.
+        for (decomp, seed) in [([2, 2, 2], 29), ([2, 1, 1], 23)] {
+            split_matches_sync_oracle::<f64>(decomp, seed);
+            split_matches_sync_oracle::<f32>(decomp, seed);
         }
     }
 
@@ -513,7 +693,7 @@ mod tests {
     #[should_panic(expected = "at least one sweep")]
     fn zero_iterations_rejected() {
         let ctx = ctx_single(3);
-        let _ = ChebyshevIteration::new(
+        let _ = ChebyshevIteration::<f64>::new(
             &ctx,
             ChebyMode::Global,
             SpectralBounds { min: 1.0, max: 2.0 },
@@ -552,7 +732,8 @@ mod main_solver_tests {
         let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
         let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
         let mut x = ctx.field();
-        let mut ci = ChebyshevIteration::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
+        let mut ci =
+            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
         let out = ci.solve_monitored(&ctx, &b, &mut x, 1e-8 * bnorm, 100_000);
         assert!(out.converged, "{out:?}");
         assert!(out.final_residual < 1e-8 * bnorm);
@@ -577,7 +758,8 @@ mod main_solver_tests {
         let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
 
         let mut x = ctx.field();
-        let mut ci = ChebyshevIteration::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
+        let mut ci =
+            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
         let ci_out = ci.solve_monitored(&ctx, &b, &mut x, tol, 100_000);
         assert!(ci_out.converged);
         // CI matvecs: one per sweep plus one residual check per cycle
@@ -612,7 +794,8 @@ mod main_solver_tests {
         let ctx = ctx();
         let b = Field::from_interior(&ctx.dev, &ctx.grid, &rhs(512));
         let mut x = ctx.field();
-        let mut ci = ChebyshevIteration::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
+        let mut ci =
+            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
         let out = ci.solve_monitored(&ctx, &b, &mut x, 1e-300, 32);
         assert!(!out.converged);
         assert!(out.sweeps <= 48, "budget roughly honoured: {}", out.sweeps);

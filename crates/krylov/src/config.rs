@@ -6,9 +6,7 @@ use comm::Communicator;
 use crate::bicgstab::Scope;
 use crate::cheby::{global_bounds, local_bounds, ChebyMode};
 use crate::ctx::RankCtx;
-use crate::precond::{
-    ChebyPrecond, IdentityPrec, InnerBiCgsPrec, MixedChebyPrecond, PrecTraits, Preconditioner,
-};
+use crate::precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};
 
 /// One of the six solvers evaluated in the paper (Table I / Table II).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,10 +44,12 @@ pub struct SolverOptions {
     /// multi-rank runs, 10 for the single-rank 64³ run).
     pub eig_min_factor: f64,
     /// Run the Chebyshev preconditioner's sweeps, state and halo traffic
-    /// in `f32` under the `f64` outer recurrence (default off). Only the
-    /// `BJ(CI)` / `G(CI)` / `GNoComm(CI)` flavours have an inner
-    /// precision to lower; the inner-Bi-CGSTAB preconditioners ignore
-    /// the flag.
+    /// in `f32` under the `f64` outer recurrence (default off): the
+    /// preconditioner becomes a `ChebyPrecond<f32>`, whose only
+    /// width-specific work is one rounding cast in and one exact
+    /// widening cast out per application. Only the `BJ(CI)` / `G(CI)` /
+    /// `GNoComm(CI)` flavours have an inner precision to lower; the
+    /// inner-Bi-CGSTAB preconditioners ignore the flag.
     pub mixed_precision: bool,
 }
 
@@ -180,14 +180,19 @@ where
     C: Communicator<T>,
 {
     if opts.mixed_precision {
-        Box::new(MixedChebyPrecond::new(
+        Box::new(ChebyPrecond::<f32>::new(
             ctx,
             mode,
             bounds,
             opts.ci_iterations,
         ))
     } else {
-        Box::new(ChebyPrecond::new(ctx, mode, bounds, opts.ci_iterations))
+        Box::new(ChebyPrecond::<T>::new(
+            ctx,
+            mode,
+            bounds,
+            opts.ci_iterations,
+        ))
     }
 }
 

@@ -72,8 +72,9 @@ pub const INFO_CI1_F32: KernelInfo = KernelInfo::new("KernelCI1f32", 20, 12);
 pub const INFO_CI2_F32: KernelInfo = KernelInfo::new("KernelCI2f32", 28, 16);
 /// Single-precision scaling kernel (16 B → 8 B).
 pub const INFO_SCALE_F32: KernelInfo = KernelInfo::new("KernelScaleF32", 8, 1);
-/// Down-cast `f64 → f32` entry sweep of the mixed-precision
-/// preconditioner (8 B read + 4 B write per element, no flops booked).
+/// Down-cast `f64 → f32` entry sweep of a single-precision Chebyshev
+/// iteration under an `f64` solve (8 B read + 4 B write per element, no
+/// flops booked).
 pub const INFO_CAST_DOWN: KernelInfo = KernelInfo::new("KernelCastDown", 12, 0);
 /// Up-cast `f32 → f64` exit sweep (4 B read + 8 B write per element).
 pub const INFO_CAST_UP: KernelInfo = KernelInfo::new("KernelCastUp", 12, 0);
@@ -467,16 +468,18 @@ pub fn norm2_local<T: Scalar, D: Device>(
     dot(dev, info, grid, a, a)
 }
 
-/// `out ← (f32) src` over the interior: the rounding boundary of the
-/// mixed-precision preconditioner. Each element rounds to the nearest
-/// representable `f32` (ties to even); ghosts are not touched — the
-/// caller refreshes them in the target precision.
-pub fn cast_down<T: Scalar, D: Device>(
+/// `out ← src` over the interior, converted element-wise through
+/// `f64` — the precision boundary of a Chebyshev iteration narrower than
+/// its outer solve (`KernelCastDown` on entry, `KernelCastUp` on exit).
+/// A narrowing cast rounds each element to nearest (ties to even), a
+/// widening one is exact; ghosts are not touched — the caller refreshes
+/// them in the target precision.
+pub fn cast<S: Scalar, E: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
     grid: &BlockGrid,
-    out: &mut Field<f32>,
-    src: &Field<T>,
+    out: &mut Field<E>,
+    src: &Field<S>,
 ) {
     let map = grid.interior_map();
     let ss = src.as_slice();
@@ -485,29 +488,7 @@ pub fn cast_down<T: Scalar, D: Device>(
     dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
         let b = base0 + j * sy + k * sz;
         for (i, v) in row.iter_mut().enumerate() {
-            *v = ss[b + i].to_f64() as f32;
-        }
-    });
-}
-
-/// `out ← (T) src` over the interior — exact when `T = f64` (every
-/// `f32` is representable), so the up-cast out of the mixed-precision
-/// preconditioner introduces no rounding of its own.
-pub fn cast_up<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    out: &mut Field<T>,
-    src: &Field<f32>,
-) {
-    let map = grid.interior_map();
-    let ss = src.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = T::from_f64(f64::from(ss[b + i]));
+            *v = E::from_f64(ss[b + i].to_f64());
         }
     });
 }
@@ -983,12 +964,12 @@ mod tests {
         let mut src = rng_field(&dev, &grid, 31);
         poison_ghosts(&grid, &mut src);
         let mut narrow = Field::<f32>::zeros(&dev, &grid);
-        cast_down(&dev, INFO_CAST_DOWN, &grid, &mut narrow, &src);
+        cast(&dev, INFO_CAST_DOWN, &grid, &mut narrow, &src);
         for v in narrow.as_slice() {
-            assert!(v.is_finite(), "cast_down touched a ghost");
+            assert!(v.is_finite(), "the down-cast touched a ghost");
         }
         let mut wide = Field::<f64>::zeros(&dev, &grid);
-        cast_up(&dev, INFO_CAST_UP, &grid, &mut wide, &narrow);
+        cast(&dev, INFO_CAST_UP, &grid, &mut wide, &narrow);
         let si = src.interior_to_host(&grid);
         let wi = wide.interior_to_host(&grid);
         for (a, b) in si.iter().zip(&wi) {

@@ -12,7 +12,12 @@
 //! group of lanes: [`bicgstab_solve`] runs it with one right-hand side,
 //! [`bicgstab_solve_batch`] with several that share every kernel launch,
 //! halo message and reduction message — same schedule, same features,
-//! each lane bitwise its solo solve.
+//! each lane bitwise its solo solve. Likewise there is one Chebyshev
+//! iteration, [`ChebyshevIteration<E>`], generic over its sweep element:
+//! [`ChebyPrecond<E>`] at `E = T` is the paper's preconditioner, and at
+//! `E = f32` under an `f64` solve the mixed-precision one
+//! ([`SolverOptions::mixed_precision`]), whose only width-specific code
+//! is the cast in and the cast out.
 //!
 //! ```no_run
 //! use accel::{Recorder, Serial};
@@ -45,7 +50,6 @@ mod cheby;
 mod config;
 mod ctx;
 pub mod kernels;
-mod mixed;
 mod precond;
 pub mod reference;
 mod richardson;
@@ -60,9 +64,6 @@ pub use cancel::CancelToken;
 pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyOutcome, ChebyshevIteration};
 pub use config::{SolverKind, SolverOptions};
 pub use ctx::{RankCtx, Workspace};
-pub use mixed::MixedChebyshev;
-pub use precond::{
-    ChebyPrecond, IdentityPrec, InnerBiCgsPrec, MixedChebyPrecond, PrecTraits, Preconditioner,
-};
+pub use precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};
 pub use richardson::RichardsonPrec;
 pub use schwarz::RasPrec;

@@ -74,94 +74,44 @@ impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for Ident
     }
 }
 
-/// Chebyshev-iteration preconditioner (`BJ(CI)`, `G(CI)`, `GNoComm(CI)`).
-pub struct ChebyPrecond<T> {
-    cheby: ChebyshevIteration<T>,
+/// Chebyshev-iteration preconditioner (`BJ(CI)`, `G(CI)`, `GNoComm(CI)`)
+/// sweeping in `E`: the outer scalar, or `f32` under an `f64` solve —
+/// the same fixed polynomial with every sweep, state buffer and halo
+/// message at half width (`G(CI/f32)`, …). Either way it is fixed (the
+/// rounding is deterministic and identical every application) and
+/// reduction-free.
+pub struct ChebyPrecond<E> {
+    cheby: ChebyshevIteration<E>,
     name: &'static str,
 }
 
-impl<T: Scalar> ChebyPrecond<T> {
+impl<E: Scalar> ChebyPrecond<E> {
     /// Build a Chebyshev preconditioner in the given mode with the given
     /// (already rescaled) bounds and sweep count.
-    pub fn new<D: Device, C: Communicator<T>>(
-        ctx: &RankCtx<T, D, C>,
-        mode: ChebyMode,
-        bounds: SpectralBounds,
-        iterations: usize,
-    ) -> Self {
-        let name = match mode {
-            ChebyMode::Global => "G(CI)",
-            ChebyMode::GlobalNoComm => "GNoComm(CI)",
-            ChebyMode::BlockJacobi => "BJ(CI)",
-        };
-        Self {
-            cheby: ChebyshevIteration::new(ctx, mode, bounds, iterations),
-            name,
-        }
-    }
-
-    /// The underlying iteration.
-    pub fn iteration(&self) -> &ChebyshevIteration<T> {
-        &self.cheby
-    }
-}
-
-impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for ChebyPrecond<T> {
-    fn apply(&mut self, ctx: &RankCtx<T, D, C>, rhs: &mut Field<T>, out: &mut Field<T>) -> usize {
-        self.cheby.solve(ctx, rhs, out)
-    }
-
-    fn traits(&self) -> PrecTraits {
-        PrecTraits {
-            fixed: true,
-            comm_free: self.cheby.mode().comm_free(),
-            reduction_free: true,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Mixed-precision Chebyshev preconditioner: the same fixed polynomial
-/// as [`ChebyPrecond`] with every sweep, state buffer and halo message
-/// in `f32` under the `f64` outer recurrence. Still fixed (the rounding
-/// is deterministic and identical every application), still
-/// reduction-free; the preconditioner's streamed bytes and wire
-/// payloads roughly halve.
-pub struct MixedChebyPrecond {
-    cheby: crate::mixed::MixedChebyshev,
-    name: &'static str,
-}
-
-impl MixedChebyPrecond {
-    /// Build a mixed-precision Chebyshev preconditioner in the given
-    /// mode with the given (already rescaled) bounds and sweep count.
     pub fn new<T: Scalar, D: Device, C: Communicator<T>>(
         ctx: &RankCtx<T, D, C>,
         mode: ChebyMode,
         bounds: SpectralBounds,
         iterations: usize,
     ) -> Self {
-        let name = match mode {
-            ChebyMode::Global => "G(CI/f32)",
-            ChebyMode::GlobalNoComm => "GNoComm(CI/f32)",
-            ChebyMode::BlockJacobi => "BJ(CI/f32)",
+        let name = match (mode, E::BYTES < T::BYTES) {
+            (ChebyMode::Global, false) => "G(CI)",
+            (ChebyMode::GlobalNoComm, false) => "GNoComm(CI)",
+            (ChebyMode::BlockJacobi, false) => "BJ(CI)",
+            (ChebyMode::Global, true) => "G(CI/f32)",
+            (ChebyMode::GlobalNoComm, true) => "GNoComm(CI/f32)",
+            (ChebyMode::BlockJacobi, true) => "BJ(CI/f32)",
         };
         Self {
-            cheby: crate::mixed::MixedChebyshev::new(ctx, mode, bounds, iterations),
+            cheby: ChebyshevIteration::new(ctx, mode, bounds, iterations),
             name,
         }
     }
-
-    /// The underlying single-precision iteration.
-    pub fn iteration(&self) -> &crate::mixed::MixedChebyshev {
-        &self.cheby
-    }
 }
 
-impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for MixedChebyPrecond {
+impl<E: Scalar, T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C>
+    for ChebyPrecond<E>
+{
     fn apply(&mut self, ctx: &RankCtx<T, D, C>, rhs: &mut Field<T>, out: &mut Field<T>) -> usize {
         self.cheby.solve(ctx, rhs, out)
     }

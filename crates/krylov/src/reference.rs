@@ -190,6 +190,9 @@ mod tests {
         /// production driver solves them together, one lane each; the
         /// reference solves each alone.
         lanes: usize,
+        /// Chebyshev preconditioners sweep in `f32`
+        /// ([`SolverOptions::mixed_precision`]).
+        mixed_precision: bool,
     }
 
     impl Case {
@@ -234,6 +237,7 @@ mod tests {
                         eig_min_factor: 1.0,
                         ci_iterations: 6,
                         inner_max_iters: 40,
+                        mixed_precision: self.mixed_precision,
                         ..SolverOptions::default()
                     };
                     let mut precs: Vec<_> = bs
@@ -337,10 +341,11 @@ mod tests {
 
         /// The production schedule — fused sweeps, split-phase halos,
         /// lagged two-message reductions, whichever of them the world
-        /// calls for, over one lane or several — reproduces, lane by
-        /// lane, the reference run on that right-hand side alone bit for
-        /// bit on every rank, and on a multi-rank world each side ships
-        /// exactly its advertised number of reduction messages.
+        /// calls for, over one lane or several, with `f64` or `f32`
+        /// Chebyshev sweeps — reproduces, lane by lane, the reference run
+        /// on that right-hand side alone bit for bit on every rank, and
+        /// on a multi-rank world each side ships exactly its advertised
+        /// number of reduction messages.
         #[test]
         fn production_matches_reference_bitwise(
             (global, decomp) in world(),
@@ -348,10 +353,11 @@ mod tests {
             (kind, scope) in solver(),
             seed in 0u64..1000,
             lanes in 1usize..=3,
+            mixed_precision in prop_oneof![Just(false), Just(true)],
         ) {
             // every block needs a spectrum with two distinct eigenvalues
             prop_assume!((0..3).any(|a| global.n[a] / decomp[a] >= 2));
-            let case = Case { global, decomp, device, kind, scope, seed, lanes };
+            let case = Case { global, decomp, device, kind, scope, seed, lanes, mixed_precision };
             let reference = case.run(false, false);
             let production = case.run(true, false);
             let ranks = reference.len();
@@ -420,6 +426,7 @@ mod tests {
             scope: Scope::Global,
             seed: 7,
             lanes: 1,
+            mixed_precision: false,
         };
 
         let single = &case([1, 1, 1]).run(true, true)[0];

@@ -166,7 +166,7 @@ mod tests {
                 bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut p, &mut ws, &params)
             }
             _ => {
-                let mut p = ChebyPrecond::new(&ctx, ChebyMode::GlobalNoComm, bounds, sweeps);
+                let mut p = ChebyPrecond::<f64>::new(&ctx, ChebyMode::GlobalNoComm, bounds, sweeps);
                 bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut p, &mut ws, &params)
             }
         };

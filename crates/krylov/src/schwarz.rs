@@ -251,7 +251,7 @@ mod tests {
         let mut ras = RasPrec::new(&ctx, 12, 1e-4, 10.0);
         assert_eq!(ras.extended_local_n(), [8, 8, 8]);
         let bounds = local_bounds(&ctx).rescaled(1e-4, 10.0);
-        let mut bj = ChebyPrecond::new(&ctx, ChebyMode::BlockJacobi, bounds, 12);
+        let mut bj = ChebyPrecond::<f64>::new(&ctx, ChebyMode::BlockJacobi, bounds, 12);
         let rhs_host = rng_values(512, 3);
         let mut r1 = Field::from_interior(&ctx.dev, &ctx.grid, &rhs_host);
         let mut r2 = Field::from_interior(&ctx.dev, &ctx.grid, &rhs_host);
@@ -306,7 +306,7 @@ mod tests {
                 bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params)
             } else {
                 let bounds = local_bounds(&ctx).rescaled(1e-4, 10.0);
-                let mut prec = ChebyPrecond::new(&ctx, ChebyMode::BlockJacobi, bounds, 10);
+                let mut prec = ChebyPrecond::<f64>::new(&ctx, ChebyMode::BlockJacobi, bounds, 10);
                 bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params)
             };
             assert!(out.converged, "{out:?}");

@@ -44,18 +44,21 @@ pub(crate) fn scatter(grid: &BlockGrid, global: &[f64]) -> Vec<f64> {
 }
 
 /// Run `body` on every rank of the crate's standard multi-rank test
-/// world — an 8³ paper-BC grid split 2×2×2 over Serial devices with
-/// rank-ordered reductions — handing it the rank context and the rank's
-/// slice of the seeded global right-hand side.
-pub(crate) fn world8<R: Send>(
+/// world — an 8³ paper-BC grid split `decomp` (2×2×2 unless a test needs
+/// another split) over Serial devices with rank-ordered reductions —
+/// handing it the rank context and the rank's slice of the seeded
+/// global right-hand side.
+pub(crate) fn world<R: Send>(
+    decomp: [usize; 3],
     seed: u64,
     body: impl Fn(&RankCtx<f64, Serial, ThreadComm<f64>>, &[f64]) -> R + Sync,
 ) -> Vec<R> {
     let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
     g.bc = paper_bcs();
     let b_host = rng_values(g.unknowns(), seed);
-    run_ranks::<f64, _, _>(8, ReduceOrder::RankOrder, |comm| {
-        let grid = BlockGrid::new(g.clone(), Decomp::new([2, 2, 2]), comm.rank());
+    let decomp = Decomp::new(decomp);
+    run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
+        let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
         let ctx = RankCtx::new(Serial::new(Recorder::disabled()), comm, grid);
         body(&ctx, &scatter(&ctx.grid, &b_host))
     })
@@ -67,10 +70,10 @@ pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// Synchronous Chebyshev oracle for the split-phase sweeps of
-/// [`crate::ChebyshevIteration`] and [`crate::MixedChebyshev`]:
-/// Algorithm 4 sweep for sweep at element width `E`, with a blocking
-/// ghost `refresh` (exchange → BCs) before each monolithic
-/// `apply_combine`. Returns the last sweep's field.
+/// [`crate::ChebyshevIteration`]: Algorithm 4 sweep for sweep at
+/// element width `E`, with a blocking ghost `refresh` (exchange → BCs)
+/// before each monolithic `apply_combine`. Returns the last sweep's
+/// field.
 pub(crate) fn chebyshev_sync_oracle<E, T, D, C>(
     ctx: &RankCtx<T, D, C>,
     (theta, delta, sigma): (f64, f64, f64),

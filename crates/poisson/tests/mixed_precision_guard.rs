@@ -133,3 +133,66 @@ fn simgpu_eight_rank_tracks_f64() {
     );
     assert_guard("simgpu/8", &base, &mixed);
 }
+
+/// FNV-1a over the little-endian bytes of `bits`.
+fn fnv1a(bits: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in bits {
+        for byte in b.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A `mixed_precision` solve of the 12³ paper problem with `kind` on
+/// an `ns` world of Serial devices: (outer iterations, FNV-1a of every
+/// rank's solution bits in rank order, FNV-1a of the residual history).
+fn mixed_bits(kind: SolverKind, ns: [usize; 3]) -> (usize, u64, u64) {
+    let decomp = Decomp::new(ns);
+    let ranks = run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, move |comm| {
+        let dev = Serial::new(Recorder::disabled());
+        let mut solver: PoissonSolver<f64, _, _> =
+            PoissonSolver::new(paper_problem(12), decomp, dev, comm);
+        let params = SolveParams {
+            tol: 1e-10,
+            max_iters: 500,
+            record_history: true,
+            ..Default::default()
+        };
+        let out = solver.solve(kind, &solver_opts(true), &params);
+        (out, solver.solution_local())
+    });
+    let x = ranks
+        .iter()
+        .flat_map(|(_, x)| x.iter().map(|v| v.to_bits()));
+    let out = &ranks[0].0;
+    let history = out.residual_history.iter().map(|v| v.to_bits());
+    (out.iterations, fnv1a(x), fnv1a(history))
+}
+
+/// The f32 preconditioner path runs in no gated benchmark workload, so
+/// its bits are pinned here: recorded at the commit before the f32
+/// Chebyshev sweeps and halo became the generic ones, they must not move.
+#[test]
+fn mixed_precision_bits_are_pinned() {
+    for (kind, ns, want) in [
+        (
+            SolverKind::BiCgsGCi,
+            [1, 1, 1],
+            (4, 0xbe99_d5db_ee1b_f840, 0x9ea2_cc64_207c_edb8),
+        ),
+        (
+            SolverKind::BiCgsGCi,
+            [2, 1, 1],
+            (4, 0xe1ab_df7a_dd89_bead, 0x2b2a_4e0a_79fd_021b),
+        ),
+        (
+            SolverKind::BiCgsGNoCommCi,
+            [2, 2, 2],
+            (19, 0x97d0_cd66_9ce1_235b, 0x1411_7b3c_e51c_951c),
+        ),
+    ] {
+        assert_eq!(mixed_bits(kind, ns), want, "{kind:?} on {ns:?}");
+    }
+}

@@ -67,12 +67,12 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/kernels.rs", "diff_norm2"),
     ("crates/krylov/src/kernels.rs", "norm2_local"),
     ("crates/krylov/src/kernels.rs", "scale"),
-    // Chebyshev preconditioner inner loop + stencil combine.
+    ("crates/krylov/src/kernels.rs", "cast"),
+    // Chebyshev preconditioner inner loop (either sweep width) +
+    // stencil combine.
     ("crates/krylov/src/cheby.rs", "solve"),
+    ("crates/krylov/src/cheby.rs", "sweeps"),
     ("crates/krylov/src/cheby.rs", "refresh_ghosts"),
-    // Its single-precision twin.
-    ("crates/krylov/src/mixed.rs", "solve"),
-    ("crates/krylov/src/mixed.rs", "refresh_ghosts_f32"),
     ("crates/stencil/src/laplacian.rs", "apply"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_shell"),
@@ -109,13 +109,9 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "finish"),
     ("crates/blockgrid/src/halo.rs", "exchange"),
     ("crates/blockgrid/src/halo.rs", "interface_faces"),
-    // ... and its f32 wire-format twin.
-    ("crates/blockgrid/src/halo.rs", "acquire_f32"),
-    ("crates/blockgrid/src/halo.rs", "recycle_f32"),
-    ("crates/blockgrid/src/halo.rs", "begin_f32_impl"),
-    ("crates/blockgrid/src/halo.rs", "begin_f32"),
-    ("crates/blockgrid/src/halo.rs", "finish_f32"),
-    ("crates/blockgrid/src/halo.rs", "exchange_f32"),
+    // Narrow (f32) faces: in-place compaction into wire words.
+    ("crates/blockgrid/src/halo.rs", "to_wire"),
+    ("crates/blockgrid/src/halo.rs", "from_wire"),
     // ThreadComm collective engine.
     ("crates/comm/src/thread_comm.rs", "collective_begin"),
     ("crates/comm/src/thread_comm.rs", "collective_finish"),

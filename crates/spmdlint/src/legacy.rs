@@ -43,10 +43,9 @@ pub const MUST_USE_TYPES: &[(&str, &str)] = &[
     // Dropping a chunked handle abandons both the in-flight head chunk
     // and the never-reduced tail scalars.
     ("crates/comm/src/types.rs", "ReduceManyRequest"),
+    // Generic over the field width (`PendingExchange<E>`): one handle
+    // for full- and single-precision exchanges.
     ("crates/blockgrid/src/halo.rs", "PendingExchange"),
-    // The f32 twin carries half-width wire words; dropping it loses the
-    // same in-flight messages.
-    ("crates/blockgrid/src/halo.rs", "PendingExchangeF32"),
     // Dropping a job handle silently discards the tenant's result.
     ("crates/serve/src/job.rs", "JobHandle"),
     // Dropping the fold handle abandons the slot partials of a fused

@@ -59,12 +59,6 @@ const CLASSES: &[BeginClass] = &[
         contextual_halo: true,
     },
     BeginClass {
-        begins: &["begin_f32"],
-        finish: "finish_f32",
-        handle: "PendingExchangeF32",
-        contextual_halo: true,
-    },
-    BeginClass {
         begins: &["apply_shell_dot"],
         finish: "fold",
         handle: "PendingDotFold",

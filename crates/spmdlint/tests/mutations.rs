@@ -52,7 +52,7 @@ fn unmutated_sources_are_clean() {
     for rel in [
         "crates/krylov/src/bicgstab.rs",
         "crates/krylov/src/kernels.rs",
-        "crates/krylov/src/mixed.rs",
+        "crates/krylov/src/cheby.rs",
         "crates/serve/src/service.rs",
         "crates/serve/src/scheduler.rs",
         "crates/comm/src/thread_comm.rs",
@@ -99,28 +99,6 @@ fn dropped_halo_finish_is_caught_spmd001() {
             .iter()
             .any(|(l, m)| *l == begin && m.contains("PendingExchange")),
         "expected SPMD001 at the halo begin line {begin}, got {found:?}"
-    );
-}
-
-#[test]
-fn dropped_f32_halo_finish_is_caught_spmd001() {
-    let rel = "crates/krylov/src/mixed.rs";
-    let text = load(rel);
-    let finish = line_of(
-        &text,
-        ".finish_f32(&ctx.dev, &ctx.comm, pending, &mut self.b32);",
-    );
-    let begin = line_of(
-        &text,
-        "let pending = ctx.halo.begin_f32(&ctx.dev, &ctx.comm, &self.b32);",
-    );
-    let mutant = blank_line(&text, finish);
-    let found = findings_with(rel, &mutant, "SPMD001");
-    assert!(
-        found
-            .iter()
-            .any(|(l, m)| *l == begin && m.contains("PendingExchangeF32")),
-        "expected SPMD001 at the begin_f32 line {begin}, got {found:?}"
     );
 }
 
@@ -220,8 +198,6 @@ fn registry_entries_without_a_definition_are_findings() {
         "begin",
         "begin_lanes",
         "finish_lanes",
-        "begin_f32",
-        "finish_f32",
         "apply_shell_dot",
     ]
     .map(String::from)
@@ -308,27 +284,27 @@ fn stripped_must_use_is_caught_spmd006() {
 }
 
 #[test]
-fn stripped_f32_must_use_is_caught_spmd006() {
-    // Same mutation for the f32 halo handle: the registry entry must
-    // bind to `PendingExchangeF32` specifically, not match it as a
-    // substring hit on `PendingExchange`.
-    let dir = std::env::temp_dir().join(format!("spmdlint-mustuse-f32-{}", std::process::id()));
+fn stripped_generic_halo_must_use_is_caught_spmd006() {
+    // Same mutation for the width-generic halo handle: the registry entry
+    // must find `PendingExchange` through its type parameter list.
+    let dir = std::env::temp_dir().join(format!("spmdlint-mustuse-halo-{}", std::process::id()));
     let file = dir.join("crates/blockgrid/src/halo.rs");
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
 
-    std::fs::write(&file, "pub struct PendingExchangeF32 {}\n").unwrap();
+    std::fs::write(&file, "pub struct PendingExchange<E: Scalar> {}\n").unwrap();
     let mut findings = Vec::new();
     spmdlint::legacy::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
-            .any(|f| f.code == "SPMD006" && f.message.contains("PendingExchangeF32")),
+            .any(|f| f.code == "SPMD006"
+                && f.message.contains("PendingExchange must be #[must_use]")),
         "unmarked mutant not caught: {findings:?}"
     );
 
     std::fs::write(
         &file,
-        "#[must_use = \"finish the exchange\"]\npub struct PendingExchangeF32 {}\n",
+        "#[must_use = \"finish the exchange\"]\npub struct PendingExchange<E: Scalar> {}\n",
     )
     .unwrap();
     let mut findings = Vec::new();
@@ -336,7 +312,7 @@ fn stripped_f32_must_use_is_caught_spmd006() {
     assert!(
         !findings
             .iter()
-            .any(|f| f.message.contains("PendingExchangeF32")),
+            .any(|f| f.message.contains("PendingExchange")),
         "marked declaration flagged: {findings:?}"
     );
     std::fs::remove_dir_all(&dir).ok();

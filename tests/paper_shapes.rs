@@ -83,8 +83,8 @@ fn gnocomm_equals_block_jacobi_with_global_spectrum() {
         let ctx: RankCtx<f64, _, ThreadComm<f64>> =
             RankCtx::new(Serial::new(Recorder::disabled()), comm, grid);
         let bounds = global_bounds(&ctx).rescaled(1e-4, 10.0);
-        let mut gnocomm = ChebyPrecond::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
-        let mut bj_global = ChebyPrecond::new(&ctx, ChebyMode::BlockJacobi, bounds, 24);
+        let mut gnocomm = ChebyPrecond::<f64>::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
+        let mut bj_global = ChebyPrecond::<f64>::new(&ctx, ChebyMode::BlockJacobi, bounds, 24);
         let rhs_host: Vec<f64> = (0..ctx.grid.local_n.iter().product::<usize>())
             .map(|i| ((i * 37 + ctx.grid.rank) % 101) as f64 / 101.0 - 0.5)
             .collect();

@@ -238,7 +238,7 @@ proptest! {
         let apply = |rhs: &[f64]| -> Vec<f64> {
             let mut b = Field::from_interior(&ctx.dev, &ctx.grid, rhs);
             let mut out = ctx.field();
-            let mut ci = ChebyshevIteration::new(&ctx, ChebyMode::GlobalNoComm, bounds, sweeps);
+            let mut ci = ChebyshevIteration::<f64>::new(&ctx, ChebyMode::GlobalNoComm, bounds, sweeps);
             ci.solve(&ctx, &mut b, &mut out);
             out.interior_to_host(&ctx.grid)
         };
