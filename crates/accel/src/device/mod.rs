@@ -9,10 +9,13 @@
 //! * [`Serial`] — single-threaded reference back-end; reductions fold in
 //!   row order (bitwise-deterministic).
 //! * [`Threads`] — shared-memory CPU back-end (alpaka's OpenMP analogue);
-//!   rows are chunked over a persistent worker pool and chunk partials are
-//!   merged in chunk order (deterministic for a fixed thread count, but a
-//!   *different* floating-point grouping than `Serial` — exactly the
-//!   OpenMP-reduction effect the paper observes on LUMI-C).
+//!   rows are split into one chunk per participant of a persistent,
+//!   spin-then-park thread team, chunk `c` always runs on participant
+//!   `c % n`, and chunk partials are merged in chunk order (deterministic
+//!   for a fixed thread count, but a *different* floating-point grouping
+//!   than `Serial` — exactly the OpenMP-reduction effect the paper
+//!   observes on LUMI-C). A launch allocates nothing and re-raises a
+//!   panicking chunk on the launching thread.
 //! * [`SimGpu`] — simulated GPU back-end: rows are grouped into thread
 //!   blocks, block partials are combined with a pairwise tree as a real GPU
 //!   reduction would, and launch/traffic events are recorded for the
@@ -132,9 +135,10 @@ impl ExchangeHazard {
 pub enum DeviceKind {
     /// Single-threaded CPU.
     CpuSerial,
-    /// Multi-threaded CPU with the given worker count.
+    /// Multi-threaded CPU with the given thread count.
     CpuThreads {
-        /// Number of pool workers.
+        /// Number of threads a launch runs on (the launching thread
+        /// included).
         threads: usize,
     },
     /// Simulated GPU with the given block shape.

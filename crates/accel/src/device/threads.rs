@@ -1,5 +1,14 @@
 //! Threaded CPU back-end (alpaka's OpenMP-blocks analogue).
+//!
+//! Every launch splits its rows into one contiguous chunk per participant
+//! of a persistent [`ThreadPool`] team ([`chunk_range`]) and runs chunk `c`
+//! on participant `c % n` — the launching thread is participant 0 — so a
+//! thread sweeps the same rows in every launch. Each chunk folds its rows
+//! in order into a local partial per lane; the partials land in slots on
+//! the launcher's stack and are merged in chunk order, so a launch touches
+//! no heap and its result depends only on the row count and the team size.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::events::{KernelInfo, Recorder};
@@ -9,15 +18,20 @@ use crate::scalar::{add_partials, Scalar};
 
 use super::{Device, DeviceKind};
 
+/// Partial slots of one pool run, kept on the launcher's stack: one per
+/// chunk on a team of up to 64 participants, one per (chunk, lane) for 32
+/// lanes on a team of two. Wider lane sets run in groups of lanes.
+const SLOTS: usize = 64;
+
 /// Multi-threaded CPU device.
 ///
-/// Rows are split into one contiguous chunk per worker; each worker folds
-/// its rows in order and chunk partials are merged in chunk order. The
-/// result is deterministic for a fixed worker count but uses a different
-/// floating-point summation grouping than [`super::Serial`] — the same
-/// effect an OpenMP `reduction(+:...)` clause has on the paper's LUMI-C
-/// runs, and the reason their CPU back-end needs more iterations than the
-/// GPU ones on the small problem.
+/// Rows are split into one contiguous chunk per participant; each
+/// participant folds its rows in order and chunk partials are merged in
+/// chunk order. The result is deterministic for a fixed participant count
+/// but uses a different floating-point summation grouping than
+/// [`super::Serial`] — the same effect an OpenMP `reduction(+:...)` clause
+/// has on the paper's LUMI-C runs, and the reason their CPU back-end needs
+/// more iterations than the GPU ones on the small problem.
 #[derive(Clone)]
 pub struct Threads {
     pool: Arc<ThreadPool>,
@@ -25,7 +39,8 @@ pub struct Threads {
 }
 
 impl Threads {
-    /// Create a device with `threads >= 1` pool workers.
+    /// Create a device with a team of `threads >= 1` participants: the
+    /// launching thread and `threads − 1` pool workers.
     pub fn new(threads: usize, recorder: Recorder) -> Self {
         Self {
             pool: Arc::new(ThreadPool::new(threads)),
@@ -33,15 +48,67 @@ impl Threads {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of threads a launch runs on.
     pub fn threads(&self) -> usize {
         self.pool.size()
     }
 
     fn chunks_for(&self, rows: usize) -> usize {
-        // One chunk per worker, but never more chunks than rows.
-        self.pool.size().min(rows).max(1)
+        // One chunk per participant, but never more chunks than rows or
+        // than partial slots.
+        self.pool.size().min(rows).clamp(1, SLOTS)
     }
+
+    /// Run `chunk(s, rows)` for every lane `s < accs.len()` over every
+    /// chunk of `0..rows` — lane by lane within a chunk, each lane's partial
+    /// in a local — and merge each lane's chunk partials in chunk order
+    /// into `accs[s]`.
+    ///
+    /// Chunk geometry depends on `rows` only, never on the lane count, so
+    /// each lane's partials are grouped exactly as a one-lane launch groups
+    /// them — a lane sweep stays bitwise equal to a solo sweep per lane.
+    fn sweep<T: Scalar, const NR: usize>(
+        &self,
+        rows: usize,
+        accs: &mut [[T; NR]],
+        chunk: impl Fn(usize, Range<usize>) -> [T; NR] + Sync,
+    ) {
+        let chunks = self.chunks_for(rows);
+        let lanes_per_run = SLOTS / chunks;
+        for (g, group) in accs.chunks_mut(lanes_per_run).enumerate() {
+            let first = g * lanes_per_run;
+            let nl = group.len();
+            // Chunk c owns slots [c * nl, (c + 1) * nl).
+            let mut partials = [[T::ZERO; NR]; SLOTS];
+            let partials_ptr = SendPtr(partials.as_mut_ptr());
+            self.pool.run_chunks(chunks, &|c| {
+                let slots = partials_ptr;
+                for l in 0..nl {
+                    let acc = chunk(first + l, chunk_range(rows, chunks, c));
+                    // SAFETY: `c * nl + l < chunks * nl <= SLOTS`, the slot
+                    // belongs to chunk `c` alone, and `partials` outlives
+                    // `run_chunks`, which waits for every participant.
+                    unsafe { *slots.0.add(c * nl + l) = acc };
+                }
+            });
+            for (l, acc) in group.iter_mut().enumerate() {
+                *acc = (0..chunks)
+                    .map(|c| partials[c * nl + l])
+                    .fold([T::ZERO; NR], add_partials);
+            }
+        }
+    }
+}
+
+/// Base pointer of lane `s` of a lane table, read without reborrowing the
+/// lane: every participant reads the table at once.
+///
+/// # Safety
+/// `table` must point to a live table of more than `s` lanes.
+unsafe fn lane_ptr<T>(table: SendPtr<&mut [T]>, s: usize) -> SendPtr<T> {
+    // SAFETY: the caller guarantees `s` is in bounds of a live table; the
+    // place is only addressed, no reference to the lane is created.
+    SendPtr(unsafe { std::ptr::addr_of_mut!(**table.0.add(s)) }.cast::<T>())
 }
 
 impl Device for Threads {
@@ -69,32 +136,9 @@ impl Device for Threads {
     where
         F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
     {
-        map.validate(out.len());
-        self.recorder.kernel(info, map.elems());
-        let rows = map.rows();
-        let chunks = self.chunks_for(rows);
-        // Lock-free partial collection: each chunk writes only its own slot,
-        // so no synchronization beyond the pool's completion latch is needed.
-        let mut partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; chunks];
-        let partials_ptr = SendPtr(partials.as_mut_ptr());
-        let ptr = SendPtr(out.as_mut_ptr());
-        self.pool.run_chunks(chunks, &|c| {
-            let mut acc = [T::ZERO; NR];
-            for r in chunk_range(rows, chunks, c) {
-                let (j, k) = map.row_jk(r);
-                // SAFETY: `map` validated above; each row index `r` belongs
-                // to exactly one chunk, so row slices never alias.
-                let row = unsafe { row_slice_mut(ptr, &map, j, k) };
-                acc = add_partials(acc, f(j, k, row));
-            }
-            // SAFETY: `c < chunks == partials.len()` and each chunk index is
-            // dispatched exactly once, so the writes are disjoint; the Vec
-            // outlives `run_chunks`, which joins all workers before returning.
-            let slots = partials_ptr;
-            unsafe { *slots.0.add(c) = acc };
-        });
-        // Merge chunk partials in chunk order (deterministic per thread count).
-        partials.into_iter().fold([T::ZERO; NR], add_partials)
+        let mut acc = [[T::ZERO; NR]];
+        self.launch_lanes_reduce(info, map, &mut [out], &mut acc, |_, j, k, row| f(j, k, row));
+        acc[0]
     }
 
     fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
@@ -109,43 +153,17 @@ impl Device for Threads {
     where
         F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
     {
-        map_a.validate(out_a.len());
-        map_b.validate(out_b.len());
-        assert_eq!(
-            (map_a.ny, map_a.nz),
-            (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
+        let mut acc = [[T::ZERO; NR]];
+        self.launch_lanes2_reduce(
+            info,
+            map_a,
+            &mut [out_a],
+            map_b,
+            &mut [out_b],
+            &mut acc,
+            |_, j, k, a, b| f(j, k, a, b),
         );
-        self.recorder.kernel(info, map_a.elems());
-        let rows = map_a.rows();
-        let chunks = self.chunks_for(rows);
-        // Same lock-free partial collection and chunk-order merge as
-        // launch_rows_reduce, so fused two-buffer sweeps reduce with the
-        // identical floating-point grouping as single-buffer ones.
-        let mut partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; chunks];
-        let partials_ptr = SendPtr(partials.as_mut_ptr());
-        let ptr_a = SendPtr(out_a.as_mut_ptr());
-        let ptr_b = SendPtr(out_b.as_mut_ptr());
-        self.pool.run_chunks(chunks, &|c| {
-            let mut acc = [T::ZERO; NR];
-            for r in chunk_range(rows, chunks, c) {
-                let (j, k) = map_a.row_jk(r);
-                // SAFETY: both maps validated above against their own
-                // distinct buffers (`out_a`/`out_b` are exclusive borrows);
-                // each row index `r` belongs to exactly one chunk, so the
-                // row slices of either buffer never alias across workers.
-                let row_a = unsafe { row_slice_mut(ptr_a, &map_a, j, k) };
-                // SAFETY: as above for the second buffer.
-                let row_b = unsafe { row_slice_mut(ptr_b, &map_b, j, k) };
-                acc = add_partials(acc, f(j, k, row_a, row_b));
-            }
-            // SAFETY: `c < chunks == partials.len()` and each chunk index is
-            // dispatched exactly once, so the writes are disjoint; the Vec
-            // outlives `run_chunks`, which joins all workers before returning.
-            let slots = partials_ptr;
-            unsafe { *slots.0.add(c) = acc };
-        });
-        partials.into_iter().fold([T::ZERO; NR], add_partials)
+        acc[0]
     }
 
     fn launch_reduce<T: Scalar, F, const NR: usize>(
@@ -159,24 +177,15 @@ impl Device for Threads {
         F: Fn(usize, usize) -> [T; NR] + Sync,
     {
         self.recorder.kernel(info, ny * nz);
-        let rows = ny * nz;
-        if rows == 0 {
-            return [T::ZERO; NR];
-        }
-        let chunks = self.chunks_for(rows);
-        let mut partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; chunks];
-        let partials_ptr = SendPtr(partials.as_mut_ptr());
-        self.pool.run_chunks(chunks, &|c| {
+        let mut acc = [[T::ZERO; NR]];
+        self.sweep(ny * nz, &mut acc, |_, rows| {
             let mut acc = [T::ZERO; NR];
-            for r in chunk_range(rows, chunks, c) {
-                let (j, k) = (r % ny, r / ny);
-                acc = add_partials(acc, f(j, k));
+            for r in rows {
+                acc = add_partials(acc, f(r % ny, r / ny));
             }
-            // SAFETY: disjoint per-chunk slot writes (see launch_rows_reduce).
-            let slots = partials_ptr;
-            unsafe { *slots.0.add(c) = acc };
+            acc
         });
-        partials.into_iter().fold([T::ZERO; NR], add_partials)
+        acc[0]
     }
 
     fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
@@ -194,46 +203,22 @@ impl Device for Threads {
             return;
         }
         self.recorder.kernel(info, map.elems() * lanes.len());
-        let rows = map.rows();
-        // Chunk geometry depends on rows only, never on the lane count, so
-        // each lane's partials are grouped exactly as a solo launch would
-        // group them — the lane sweep stays bitwise equal per lane.
-        let chunks = self.chunks_for(rows);
-        let nl = lanes.len();
-        // One partial slot per (chunk, lane); chunk c owns the contiguous
-        // range [c * nl, (c + 1) * nl).
-        let mut partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; chunks * nl];
-        let partials_ptr = SendPtr(partials.as_mut_ptr());
-        let ptrs: Vec<SendPtr<T>> = lanes.iter_mut().map(|l| SendPtr(l.as_mut_ptr())).collect();
-        self.pool.run_chunks(chunks, &|c| {
-            // Lane by lane within the chunk, each lane's partial in a
-            // local: neighbouring chunks' slots share cache lines, and
-            // accumulating in them row by row would bounce those lines
-            // between the workers.
-            for (s, &ptr) in ptrs.iter().enumerate() {
-                let mut acc = [T::ZERO; NR];
-                for r in chunk_range(rows, chunks, c) {
-                    let (j, k) = map.row_jk(r);
-                    // SAFETY: `map` validated against every lane slice; the
-                    // lane slices are disjoint `&mut` borrows, and each row
-                    // index `r` belongs to exactly one chunk, so no two
-                    // workers ever touch the same (lane, row).
-                    let row = unsafe { row_slice_mut(ptr, &map, j, k) };
-                    acc = add_partials(acc, f(s, j, k, row));
-                }
-                // SAFETY: slot `c * nl + s` belongs to chunk `c` alone;
-                // the Vec outlives `run_chunks`, which joins all workers.
-                let slots = partials_ptr;
-                unsafe { *slots.0.add(c * nl + s) = acc };
+        let table = SendPtr(lanes.as_mut_ptr());
+        self.sweep(map.rows(), accs, |s, rows| {
+            // SAFETY: `s < accs.len() == lanes.len()`.
+            let ptr = unsafe { lane_ptr(table, s) };
+            let mut acc = [T::ZERO; NR];
+            for r in rows {
+                let (j, k) = map.row_jk(r);
+                // SAFETY: `map` validated against every lane slice; the
+                // lane slices are disjoint `&mut` borrows, and each row
+                // index `r` belongs to exactly one chunk, so no two
+                // participants ever touch the same (lane, row).
+                let row = unsafe { row_slice_mut(ptr, &map, j, k) };
+                acc = add_partials(acc, f(s, j, k, row));
             }
+            acc
         });
-        // Per lane: merge chunk partials in chunk order, the solo grouping.
-        for (s, acc) in accs.iter_mut().enumerate() {
-            *acc = [T::ZERO; NR];
-            for c in 0..chunks {
-                *acc = add_partials(*acc, partials[c * nl + s]);
-            }
-        }
     }
 
     fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
@@ -260,44 +245,23 @@ impl Device for Threads {
             return;
         }
         self.recorder.kernel(info, map_a.elems() * lanes_a.len());
-        let rows = map_a.rows();
-        let chunks = self.chunks_for(rows);
-        let nl = lanes_a.len();
-        let mut partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; chunks * nl];
-        let partials_ptr = SendPtr(partials.as_mut_ptr());
-        let ptrs_a: Vec<SendPtr<T>> = lanes_a
-            .iter_mut()
-            .map(|l| SendPtr(l.as_mut_ptr()))
-            .collect();
-        let ptrs_b: Vec<SendPtr<T>> = lanes_b
-            .iter_mut()
-            .map(|l| SendPtr(l.as_mut_ptr()))
-            .collect();
-        self.pool.run_chunks(chunks, &|c| {
-            // Lane by lane, partials in locals (see launch_lanes_reduce).
-            for s in 0..nl {
-                let mut acc = [T::ZERO; NR];
-                for r in chunk_range(rows, chunks, c) {
-                    let (j, k) = map_a.row_jk(r);
-                    // SAFETY: both maps validated against every lane slice
-                    // of their buffer; lane slices are disjoint `&mut`
-                    // borrows and each row belongs to exactly one chunk.
-                    let row_a = unsafe { row_slice_mut(ptrs_a[s], &map_a, j, k) };
-                    // SAFETY: as above for the second buffer.
-                    let row_b = unsafe { row_slice_mut(ptrs_b[s], &map_b, j, k) };
-                    acc = add_partials(acc, f(s, j, k, row_a, row_b));
-                }
-                // SAFETY: slot `c * nl + s` belongs to chunk `c` alone.
-                let slots = partials_ptr;
-                unsafe { *slots.0.add(c * nl + s) = acc };
+        let (table_a, table_b) = (SendPtr(lanes_a.as_mut_ptr()), SendPtr(lanes_b.as_mut_ptr()));
+        self.sweep(map_a.rows(), accs, |s, rows| {
+            // SAFETY: `s < accs.len()`, the length of both lane tables.
+            let (ptr_a, ptr_b) = unsafe { (lane_ptr(table_a, s), lane_ptr(table_b, s)) };
+            let mut acc = [T::ZERO; NR];
+            for r in rows {
+                let (j, k) = map_a.row_jk(r);
+                // SAFETY: both maps validated against every lane slice of
+                // their buffer; lane slices are disjoint `&mut` borrows and
+                // each row belongs to exactly one chunk.
+                let row_a = unsafe { row_slice_mut(ptr_a, &map_a, j, k) };
+                // SAFETY: as above for the second buffer.
+                let row_b = unsafe { row_slice_mut(ptr_b, &map_b, j, k) };
+                acc = add_partials(acc, f(s, j, k, row_a, row_b));
             }
+            acc
         });
-        for (s, acc) in accs.iter_mut().enumerate() {
-            *acc = [T::ZERO; NR];
-            for c in 0..chunks {
-                *acc = add_partials(*acc, partials[c * nl + s]);
-            }
-        }
     }
 }
 
@@ -429,6 +393,34 @@ mod tests {
         let a: [f64; 2] = th.launch_reduce(INFO, 13, 9, f);
         let b: [f64; 2] = se.launch_reduce(INFO, 13, 9, f);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lanes_beyond_one_pool_run_stay_bitwise_solo() {
+        // 16 chunks leave SLOTS / 16 = 4 lanes per pool run, so 9 lanes
+        // take three runs; each lane must still match its solo launch.
+        let dev = Threads::new(16, Recorder::disabled());
+        let e = Extent3::new(3, 4, 5);
+        let map = RowMap::halo_interior(e);
+        let padded = 5 * 6 * 7;
+        let kernel = |s: usize, j: usize, k: usize, row: &mut [f64]| {
+            let mut acc = 0.0;
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = 1.0 / ((s * 1000 + k * 100 + j * 10 + i) as f64 + 3.0);
+                acc += *v * *v;
+            }
+            [acc, *row.last().unwrap()]
+        };
+        let mut fields = vec![vec![0.0f64; padded]; 9];
+        let mut lanes: Vec<&mut [f64]> = fields.iter_mut().map(|f| f.as_mut_slice()).collect();
+        let mut accs = [[0.0f64; 2]; 9];
+        dev.launch_lanes_reduce(INFO, map, &mut lanes, &mut accs, kernel);
+        for (s, field) in fields.iter().enumerate() {
+            let mut solo = vec![0.0f64; padded];
+            let r = dev.launch_rows_reduce(INFO, map, &mut solo, |j, k, row| kernel(s, j, k, row));
+            assert_eq!(accs[s].map(f64::to_bits), r.map(f64::to_bits), "lane {s}");
+            assert_eq!(field, &solo, "lane {s}");
+        }
     }
 }
 

@@ -288,8 +288,16 @@ impl IntoIterator for ShellMaps {
 /// Used by the back-ends to hand out *disjoint* mutable row slices of one
 /// output buffer. Safety is established by [`RowMap::validate`]: distinct
 /// rows never alias, so concurrent `&mut` row slices are sound.
-#[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(pub *mut T);
+
+// A pointer copies whatever it points to (a derive would demand `T: Copy`,
+// and a lane table's `&mut [T]` entries are not).
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: the pointer is only dereferenced through `row_slice_mut`, which
 // produces non-overlapping ranges for distinct rows (validated RowMap), and

@@ -2,7 +2,7 @@
 //!
 //! The steady-state solve path is required to be allocation-free (the
 //! runtime counting-allocator audits in `solve_zero_alloc.rs` /
-//! `halo_zero_alloc.rs` enforce it dynamically). This pass turns the
+//! `threads_zero_alloc.rs` / `halo_zero_alloc.rs` enforce it dynamically). This pass turns the
 //! same contract into a static gate: inside the registered hot functions
 //! any allocating construct — `Vec::new`, `vec![…]`, `Box::new`,
 //! `format!`, `String::from`, `.to_vec()`, `.to_owned()`,
@@ -123,6 +123,21 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     // Communicator trait defaults (SelfComm fallbacks).
     ("crates/comm/src/types.rs", "reduce_batch"),
     ("crates/comm/src/types.rs", "iall_reduce_batch"),
+    // Threads back-end: every launch, its stack-slot sweep and the team's
+    // hand-off (job slot, countdown, spin-then-park) — no per-launch heap.
+    ("crates/accel/src/device/threads.rs", "launch_rows_reduce"),
+    ("crates/accel/src/device/threads.rs", "launch_rows2_reduce"),
+    ("crates/accel/src/device/threads.rs", "launch_reduce"),
+    ("crates/accel/src/device/threads.rs", "launch_lanes_reduce"),
+    ("crates/accel/src/device/threads.rs", "launch_lanes2_reduce"),
+    ("crates/accel/src/device/threads.rs", "sweep"),
+    ("crates/accel/src/pool.rs", "run_chunks"),
+    ("crates/accel/src/pool.rs", "run_owned"),
+    ("crates/accel/src/pool.rs", "publish"),
+    ("crates/accel/src/pool.rs", "next_epoch"),
+    ("crates/accel/src/pool.rs", "acknowledge"),
+    ("crates/accel/src/pool.rs", "wait_acknowledged"),
+    ("crates/accel/src/pool.rs", "serve"),
 ];
 
 /// Method names whose call allocates an owning container.

@@ -21,14 +21,17 @@ use crate::Finding;
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     // Disjoint row-slice handout: validated RowMap + SendPtr.
     "crates/accel/src/index.rs",
-    // Scoped worker pool: lifetime-erased job pointers behind a latch.
+    // Persistent thread team: a lifetime-erased job slot published by an
+    // epoch and released by a countdown.
     "crates/accel/src/pool.rs",
-    // Threaded back-end: per-chunk partial slots + row slices.
+    // Threaded back-end: per-chunk partial slots, lane tables, row slices.
     "crates/accel/src/device/threads.rs",
     // Test fixture: counting global allocator (passthrough to System).
     "crates/blockgrid/tests/halo_zero_alloc.rs",
     // Test fixture: counting global allocator (passthrough to System).
     "crates/krylov/tests/solve_zero_alloc.rs",
+    // Test fixture: counting global allocator (passthrough to System).
+    "crates/krylov/tests/threads_zero_alloc.rs",
     // Test fixture: deliberately unsound kernel mutant the sanitizer
     // must catch.
     "crates/check/tests/mutations.rs",

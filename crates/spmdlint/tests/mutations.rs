@@ -58,6 +58,8 @@ fn unmutated_sources_are_clean() {
         "crates/comm/src/thread_comm.rs",
         "crates/blockgrid/src/halo.rs",
         "crates/stencil/src/laplacian.rs",
+        "crates/accel/src/pool.rs",
+        "crates/accel/src/device/threads.rs",
     ] {
         let findings = spmdlint::analyze_source(rel, &load(rel));
         assert!(
@@ -164,6 +166,28 @@ fn hot_path_allocation_is_caught_spmd003() {
             .iter()
             .any(|(l, m)| *l == inject && m.contains("Vec::new")),
         "expected SPMD003 at injected line {inject}, got {found:?}"
+    );
+}
+
+#[test]
+fn pool_launch_allocation_is_caught_spmd003() {
+    // Mutation: a per-launch partials `vec!` planted in the pool's launch
+    // path.
+    let rel = "crates/accel/src/pool.rs";
+    let text = load(rel);
+    let anchor = "let _turn = self.submit.lock();";
+    let inject = line_of(&text, anchor);
+    let mutant = text.replacen(
+        anchor,
+        "let _partials = vec![0.0f64; chunks]; let _turn = self.submit.lock();",
+        1,
+    );
+    let found = findings_with(rel, &mutant, "SPMD003");
+    assert!(
+        found
+            .iter()
+            .any(|(l, m)| *l == inject && m.contains("vec!") && m.contains("run_chunks")),
+        "expected SPMD003 in run_chunks at line {inject}, got {found:?}"
     );
 }
 
