@@ -9,9 +9,12 @@
 //! and times-to-solution.
 //!
 //! Recording is optional: a disabled [`Recorder`] is a no-op that costs one
-//! branch per kernel launch.
+//! branch per kernel launch. The stream is *logical*: a kernel that runs
+//! as many physical launches (the Chebyshev plane wavefront) mutes them
+//! ([`Recorder::muted`]) and books one event per logical sweep.
 
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Stage name bracketing a communication/compute overlap window: the
@@ -139,6 +142,21 @@ pub enum Event {
 #[derive(Default, Debug)]
 struct Sink {
     events: Mutex<Vec<Event>>,
+    /// Set inside [`Recorder::muted`]: events are dropped, not stored.
+    muted: AtomicBool,
+}
+
+/// Restores a sink's mute flag when a [`Recorder::muted`] scope ends,
+/// unwinding included.
+struct Unmute<'a> {
+    flag: &'a AtomicBool,
+    was: bool,
+}
+
+impl Drop for Unmute<'_> {
+    fn drop(&mut self) {
+        self.flag.store(self.was, Ordering::Relaxed);
+    }
 }
 
 /// A cloneable handle onto an event stream.
@@ -172,8 +190,26 @@ impl Recorder {
     #[inline]
     pub fn record(&self, ev: Event) {
         if let Some(sink) = &self.sink {
-            sink.events.lock().push(ev);
+            if !sink.muted.load(Ordering::Relaxed) {
+                sink.events.lock().push(ev);
+            }
         }
+    }
+
+    /// Run `f` with the stream muted: whatever `f` records — through this
+    /// handle or any clone of it — is dropped. For a caller that runs one
+    /// *logical* kernel as many physical launches (the Chebyshev plane
+    /// wavefront) and books the logical events itself afterwards, so the
+    /// stream reads as if the kernel had run whole.
+    pub fn muted<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(sink) = &self.sink else {
+            return f();
+        };
+        let _unmute = Unmute {
+            flag: &sink.muted,
+            was: sink.muted.swap(true, Ordering::Relaxed),
+        };
+        f()
     }
 
     /// Record a kernel launch of `elems` elements described by `info`.
@@ -301,6 +337,38 @@ mod tests {
         r.record(Event::H2D { bytes: 1 });
         r2.record(Event::D2H { bytes: 2 });
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn muted_scope_drops_events_on_every_clone_and_unmutes_on_unwind() {
+        let r = Recorder::enabled();
+        let r2 = r.clone();
+        r.record(Event::H2D { bytes: 1 });
+        let v = r.muted(|| {
+            r2.kernel(KernelInfo::new("KernelPlane", 8, 1), 64);
+            r.muted(|| r.record(Event::D2H { bytes: 2 }));
+            // still muted after the nested scope ends
+            r2.record(Event::D2H { bytes: 3 });
+            7
+        });
+        assert_eq!(v, 7);
+        r.record(Event::H2D { bytes: 4 });
+        assert_eq!(
+            r.drain(),
+            vec![Event::H2D { bytes: 1 }, Event::H2D { bytes: 4 }]
+        );
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.muted(|| panic!("boom"));
+        }));
+        assert!(caught.is_err());
+        r2.record(Event::H2D { bytes: 5 });
+        assert_eq!(
+            r.len(),
+            1,
+            "a panicking scope must not leave the stream muted"
+        );
+        // a disabled recorder just runs the closure
+        assert_eq!(Recorder::disabled().muted(|| 3), 3);
     }
 
     #[test]

@@ -683,6 +683,51 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "wall-clock ratio: run with --release (CI fusion-suite does)"]
+    fn wavefront_application_costs_at_most_0_92x_whole_sweeps() {
+        // A 64^3 GNoComm(CI) application on a serial device runs its 24
+        // sweeps as z-plane wavefronts, so they stream from cache; the
+        // same work as 24 whole KernelCI2 sweeps plus their restricted
+        // BCs streams every sweep through the shared L3. Measured on a
+        // 2-vCPU Xeon (2 MiB L2 per core): 0.86-0.90; with the wavefront
+        // off 1.04-1.05, with both sides on the portable (SSE2) arm
+        // 0.94-0.96. At the compute roof of an
+        // in-cache sweep (~1.17 against ~1.42 ns/cell whole) it would read
+        // ~0.82; the rest is each group's trip through L3.
+        use krylov::kernels::INFO_CI2;
+        use krylov::{global_bounds, ChebyMode, ChebyshevIteration, RankCtx};
+        let (lap, [y, b, z], [mut wa, mut wb]) = sweep_fixture(64, [1, 1, 1]);
+        let grid = lap.grid().clone();
+        let dev = accel::Serial::new(Recorder::disabled());
+        let ctx: RankCtx<f64, _, _> = RankCtx::new(dev.clone(), comm::SelfComm::default(), grid);
+        let mut cheb =
+            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::GlobalNoComm, global_bounds(&ctx), 24);
+        let mut rhs = b.clone();
+        let terms = [(&y, 1.5), (&b, -0.5), (&z, 0.25)];
+        let (whole, wavefront) = best_times(
+            &mut || {
+                for _ in 0..24 {
+                    lap.apply_combine(&dev, INFO_CI2, &y, &mut wa, -0.1, terms);
+                    stencil::apply_physical_bcs(lap.grid(), &mut wa, &Recorder::disabled(), true);
+                }
+            },
+            &mut || {
+                cheb.solve(&ctx, &mut rhs, &mut wb);
+            },
+        );
+        let ratio = wavefront / whole;
+        println!(
+            "24 whole sweeps {:.0} us, one wavefront application {:.0} us, ratio {ratio:.2}",
+            whole * 1e6,
+            wavefront * 1e6
+        );
+        assert!(
+            ratio <= 0.92,
+            "a wavefront application costs {ratio:.2}x its sweeps run whole (bound 0.92x)"
+        );
+    }
+
+    #[test]
     fn bench_json_lands_at_repo_root() {
         #[derive(Serialize)]
         struct Payload {

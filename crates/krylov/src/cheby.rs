@@ -31,17 +31,34 @@
 //! the same way. The outer recurrence and its residual stay in `T`.
 
 use std::any::{Any, TypeId};
+use std::ops::Range;
 
-use accel::{Device, Scalar};
+use accel::{Device, DeviceKind, Scalar};
 use blockgrid::Field;
 use comm::Communicator;
-use stencil::{apply_physical_bcs, spectrum, SpectralBounds};
+use stencil::{
+    apply_physical_bcs, apply_physical_bcs_planes, physical_bc_elems, spectrum, Laplacian,
+    SpectralBounds, INFO_NEUMANN_BCS,
+};
 
 use crate::ctx::RankCtx;
 use crate::kernels::{
     cast, INFO_CAST_DOWN, INFO_CAST_UP, INFO_CI1, INFO_CI1_F32, INFO_CI2, INFO_CI2_F32, INFO_SCALE,
     INFO_SCALE_F32,
 };
+
+/// Cache budget of a z-plane wavefront (see [`wavefront_depth`]).
+const WAVEFRONT_CACHE_BYTES: usize = 1 << 20;
+
+/// Sweeps a z-plane wavefront keeps in flight: each holds about four
+/// padded planes of `plane_bytes` in cache (its input's three-plane
+/// stencil window and its output plane), and all of them together fit
+/// [`WAVEFRONT_CACHE_BYTES`] — about 7 sweeps at 64³ in `f64`, 13 at
+/// 48³, twice that in `f32`. At least one sweep (whole sweeps, no
+/// wavefront), at most all of them.
+fn wavefront_depth(plane_bytes: usize, iterations: usize) -> usize {
+    (WAVEFRONT_CACHE_BYTES / (4 * plane_bytes)).clamp(1, iterations)
+}
 
 /// Communication flavour of the Chebyshev iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,6 +115,76 @@ fn as_sweep_field<E: Scalar, T: Scalar>(f: &mut Field<T>) -> Option<&mut Field<E
     (f as &mut dyn Any).downcast_mut()
 }
 
+/// The sweep kernels' traffic accounting at element width `E`:
+/// `[KernelScale, KernelCI1, KernelCI2]`.
+fn infos<E: Scalar>() -> [accel::KernelInfo; 3] {
+    if E::BYTES == f32::BYTES {
+        [INFO_SCALE_F32, INFO_CI1_F32, INFO_CI2_F32]
+    } else {
+        [INFO_SCALE, INFO_CI1, INFO_CI2]
+    }
+}
+
+/// `(w, y, z)` of sweep `i`: `bufs[i % 3]`, `bufs[(i − 1) % 3]` and
+/// `bufs[(i − 2) % 3]`.
+fn rotation<E>(
+    bufs: &mut [Field<E>; 3],
+    i: usize,
+) -> (&mut Field<E>, &mut Field<E>, &mut Field<E>) {
+    let [b0, b1, b2] = bufs;
+    match i % 3 {
+        0 => (b0, b2, b1),
+        1 => (b1, b0, b2),
+        _ => (b2, b1, b0),
+    }
+}
+
+/// The field sweep `i` applies the operator to: `b` for `KernelCI1`,
+/// the previous sweep's output `y` after it.
+fn sweep_input<'a, E>(
+    bufs: &'a mut [Field<E>; 3],
+    b: &'a mut Field<E>,
+    i: usize,
+) -> &'a mut Field<E> {
+    if i == 1 {
+        b
+    } else {
+        &mut bufs[(i - 1) % 3]
+    }
+}
+
+/// The cells one [`ChebyshevIteration::sweep`] call covers.
+enum Part {
+    /// The interior z planes of a range (all of them: a whole sweep).
+    Planes(Range<usize>),
+    /// The window of a split-phase sweep, swept while its halo is in
+    /// flight.
+    Window,
+    /// The rest of a split-phase sweep, swept after the exchange.
+    Shell,
+}
+
+impl Part {
+    /// `out = ca · (A u) + Σ cₙ fₙ` over this part of the interior.
+    #[allow(clippy::too_many_arguments)]
+    fn combine<E: Scalar, D: Device, const N: usize>(
+        self,
+        lap: &Laplacian,
+        dev: &D,
+        info: accel::KernelInfo,
+        u: &Field<E>,
+        out: &mut Field<E>,
+        ca: E,
+        terms: [(&Field<E>, E); N],
+    ) {
+        match self {
+            Self::Planes(planes) => lap.apply_combine_planes(dev, info, planes, u, out, ca, terms),
+            Self::Window => lap.apply_combine_interior(dev, info, u, out, ca, terms),
+            Self::Shell => lap.apply_combine_shell(dev, info, u, out, ca, terms),
+        }
+    }
+}
+
 /// A configured Chebyshev iteration sweeping in `E`, with its own
 /// rotation buffers.
 pub struct ChebyshevIteration<E> {
@@ -106,9 +193,21 @@ pub struct ChebyshevIteration<E> {
     theta: f64,
     delta: f64,
     sigma: f64,
-    z: Field<E>,
-    y: Field<E>,
-    w: Field<E>,
+    /// The coefficients of every sweep, from the host-`f64` ρ recurrence,
+    /// each rounded to `E` once: `coef[0] = [1/θ, …]` scales `b` into
+    /// `z`, `coef[1] = [ca, c1, …]` is `KernelCI1`, and `coef[i] =
+    /// [ca, cy, cb, cz]` the `KernelCI2` of sweep `i ≥ 2`.
+    coef: Vec<[E; 4]>,
+    /// The rotation buffers. Sweep `i` (the scale into `z` is sweep 0)
+    /// writes `bufs[i % 3]` and reads `y = bufs[(i − 1) % 3]` and
+    /// `z = bufs[(i − 2) % 3]`: by the time it writes a plane, nothing
+    /// still needs sweep `i − 3`'s values there, so the buffers rotate
+    /// by index, with nothing copied or swapped.
+    bufs: [Field<E>; 3],
+    /// Sweeps in flight per z-plane wavefront: [`wavefront_depth`] for a
+    /// comm-free iteration on a [`DeviceKind::CpuSerial`] device, 1
+    /// (whole sweeps) everywhere else.
+    depth: usize,
     /// The right-hand side rounded to `E` when the outer scalar is
     /// another type (resident, so the boundary allocates nothing); `None`
     /// when the sweeps read the caller's right-hand side in place.
@@ -133,6 +232,32 @@ impl<E: Scalar> ChebyshevIteration<E> {
         let theta = 0.5 * (bounds.max + bounds.min);
         let delta = 0.5 * (bounds.max - bounds.min);
         let sigma = theta / delta;
+        let mut rho_old = 1.0 / sigma;
+        let mut rho = 1.0 / (2.0 * sigma - rho_old);
+        let zero = E::ZERO;
+        let mut coef = Vec::with_capacity(iterations + 1);
+        coef.push([E::from_f64(1.0 / theta), zero, zero, zero]);
+        // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ)
+        let ca = E::from_f64(-2.0 * rho / (delta * theta));
+        coef.push([ca, E::from_f64(4.0 * rho / delta), zero, zero]);
+        for _ in 2..=iterations {
+            rho_old = rho;
+            rho = 1.0 / (2.0 * sigma - rho_old);
+            // KernelCI2: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)
+            let c = [
+                -2.0 * rho / delta,
+                2.0 * sigma * rho,
+                2.0 * rho / delta,
+                -rho * rho_old,
+            ];
+            coef.push(c.map(E::from_f64));
+        }
+        let [px, py, _] = ctx.grid.padded();
+        let depth = if mode.comm_free() && ctx.dev.kind() == DeviceKind::CpuSerial {
+            wavefront_depth(px * py * E::BYTES, iterations)
+        } else {
+            1
+        };
         let field = || Field::zeros(&ctx.dev, &ctx.grid);
         Self {
             mode,
@@ -140,9 +265,9 @@ impl<E: Scalar> ChebyshevIteration<E> {
             theta,
             delta,
             sigma,
-            z: field(),
-            y: field(),
-            w: field(),
+            coef,
+            bufs: [field(), field(), field()],
+            depth,
             b: (TypeId::of::<E>() != TypeId::of::<T>()).then(field),
         }
     }
@@ -178,11 +303,12 @@ impl<E: Scalar> ChebyshevIteration<E> {
             (Some(b), Some(x)) => self.sweeps(ctx, b, Some(x)),
             _ => {
                 // The precision boundary: one rounding step in, the last
-                // sweep left in `w`, one exact widening step out.
+                // sweep left in its buffer, one exact widening step out.
                 let mut lo = self.b.take().expect("a narrow iteration keeps its own RHS");
                 cast(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut lo, b);
                 self.sweeps(ctx, &mut lo, None);
-                cast(&ctx.dev, INFO_CAST_UP, &ctx.grid, x, &self.w);
+                let w = &self.bufs[self.iterations % 3];
+                cast(&ctx.dev, INFO_CAST_UP, &ctx.grid, x, w);
                 self.b = Some(lo);
             }
         }
@@ -190,114 +316,130 @@ impl<E: Scalar> ChebyshevIteration<E> {
     }
 
     /// The sweeps of Algorithm 4 on `b` (ghosts refreshed here): the last
-    /// one lands in `x`, or in `w` when there is no `x` of this width.
+    /// one lands in `x`, or in its rotation buffer when there is no `x`
+    /// of this width.
+    ///
+    /// Split-phase only when the mode communicates and this rank has a
+    /// neighbour. Otherwise after `z = b/θ` the sweeps run as z-plane
+    /// wavefronts of [`ChebyshevIteration::depth`] sweeps in flight — one
+    /// plane per step on a comm-free `Serial` iteration, whose sweeps
+    /// then stream from cache instead of memory — or one whole sweep
+    /// after the other. Every schedule is bitwise-identical.
     fn sweeps<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
         b: &mut Field<E>,
         mut x: Option<&mut Field<E>>,
     ) {
-        let theta = self.theta;
-        let delta = self.delta;
-        let sigma = self.sigma;
-        let mut rho_old = 1.0 / sigma;
-        let mut rho_cur = 1.0 / (2.0 * sigma - rho_old);
-        // the sweeps' traffic accounting follows their element width
-        let [info_ci1, info_ci2, info_scale] = if E::BYTES == f32::BYTES {
-            [INFO_CI1_F32, INFO_CI2_F32, INFO_SCALE_F32]
-        } else {
-            [INFO_CI1, INFO_CI2, INFO_SCALE]
-        };
-
-        // Split-phase only when the mode communicates and this rank has
-        // a neighbour; the sweeps are bitwise-identical either way.
-        let split = ctx.split_phase_halo(self.mode == ChebyMode::Global);
-
-        // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ). Split, the
-        // exchange of b's halos hides behind the ghost-independent scale
-        // kernel and the window part of the sweep.
-        let c1 = E::from_f64(4.0 * rho_cur / delta);
-        let ca = E::from_f64(-2.0 * rho_cur / (delta * theta));
-        let inv_theta = E::from_f64(1.0 / theta);
-        // a one-sweep iteration's first sweep is its last
-        let y1 = match (self.iterations, &mut x) {
-            (1, Some(x)) => &mut **x,
-            (1, None) => &mut self.w,
-            _ => &mut self.y,
-        };
-        if split {
-            let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, b);
-            apply_physical_bcs(&ctx.grid, b, &ctx.recorder, false);
-            crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
-            ctx.lap
-                .apply_combine_interior(&ctx.dev, info_ci1, b, y1, ca, [(b, c1)]);
-            ctx.halo.finish(&ctx.dev, &ctx.comm, pending, b);
-            ctx.lap
-                .apply_combine_shell(&ctx.dev, info_ci1, b, y1, ca, [(b, c1)]);
-        } else {
-            // MPI1 + KernelNeumannBCs on b
-            refresh_ghosts(self.mode, ctx, b);
-            crate::kernels::scale(&ctx.dev, info_scale, &ctx.grid, &mut self.z, b, inv_theta);
-            ctx.lap
-                .apply_combine(&ctx.dev, info_ci1, b, y1, ca, [(b, c1)]);
+        let (dev, comm, grid, m) = (&ctx.dev, &ctx.comm, &ctx.grid, self.iterations);
+        let [info_scale, info_ci1, info_ci2] = infos::<E>();
+        let inv_theta = self.coef[0][0];
+        if ctx.split_phase_halo(self.mode == ChebyMode::Global) {
+            // The exchange of each sweep's input (b, then y) hides behind
+            // its BCs and window part — and, for the first, behind the
+            // ghost-independent scale kernel.
+            for i in 1..=m {
+                let pending = ctx.halo.begin(dev, comm, sweep_input(&mut self.bufs, b, i));
+                apply_physical_bcs(
+                    grid,
+                    sweep_input(&mut self.bufs, b, i),
+                    &ctx.recorder,
+                    false,
+                );
+                if i == 1 {
+                    crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, inv_theta);
+                }
+                self.sweep(ctx, i, Part::Window, b, &mut x);
+                ctx.halo
+                    .finish(dev, comm, pending, sweep_input(&mut self.bufs, b, i));
+                self.sweep(ctx, i, Part::Shell, b, &mut x);
+            }
+            return;
         }
+        // MPI1 + KernelNeumannBCs on b, then z = b/θ
+        refresh_ghosts(self.mode, ctx, b);
+        crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, inv_theta);
+        if self.depth == 1 {
+            return self.wavefront(ctx, b, &mut x);
+        }
+        // One plane per launch: the stream still reads as the sequence of
+        // whole sweeps — one KernelCI1/CI2 per sweep, the restricted BCs
+        // of each output between them — and nothing per plane.
+        ctx.recorder.muted(|| self.wavefront(ctx, b, &mut x));
+        let (cells, ghosts) = (grid.interior_map().elems(), physical_bc_elems(grid, true));
+        for i in 1..=m {
+            ctx.recorder
+                .kernel(if i == 1 { info_ci1 } else { info_ci2 }, cells);
+            if i < m {
+                ctx.recorder.kernel(INFO_NEUMANN_BCS, ghosts);
+            }
+        }
+    }
 
-        for i in 2..=self.iterations {
-            // the last sweep lands in `x`, the others in the scratch `w`
-            let last = i == self.iterations;
-            let w_mut = match (last, &mut x) {
-                (true, Some(x)) => &mut **x,
-                _ => &mut self.w,
-            };
-            // host-side ρ recurrence (the only CPU work in the CI loop)
-            rho_old = rho_cur;
-            rho_cur = 1.0 / (2.0 * sigma - rho_old);
-            // KernelCI2: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)
-            let ca = E::from_f64(-2.0 * rho_cur / delta);
-            let cy = E::from_f64(2.0 * sigma * rho_cur);
-            let cb = E::from_f64(2.0 * rho_cur / delta);
-            let cz = E::from_f64(-rho_cur * rho_old);
-            if split {
-                // MPI2 in flight behind BCs + the window sweep
-                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &self.y);
-                apply_physical_bcs(&ctx.grid, &mut self.y, &ctx.recorder, false);
-                let (y_ref, z_ref) = (&self.y, &self.z);
-                ctx.lap.apply_combine_interior(
-                    &ctx.dev,
-                    info_ci2,
-                    y_ref,
-                    w_mut,
-                    ca,
-                    [(y_ref, cy), (b, cb), (z_ref, cz)],
-                );
-                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, &mut self.y);
-                let (y_ref, z_ref) = (&self.y, &self.z);
-                ctx.lap.apply_combine_shell(
-                    &ctx.dev,
-                    info_ci2,
-                    y_ref,
-                    w_mut,
-                    ca,
-                    [(y_ref, cy), (b, cb), (z_ref, cz)],
-                );
-            } else {
-                // MPI2 + KernelNeumannBCs on y
-                refresh_ghosts(self.mode, ctx, &mut self.y);
-                let (y_ref, z_ref) = (&self.y, &self.z);
-                ctx.lap.apply_combine(
-                    &ctx.dev,
-                    info_ci2,
-                    y_ref,
-                    w_mut,
-                    ca,
-                    [(y_ref, cy), (b, cb), (z_ref, cz)],
-                );
+    /// Sweeps `1..=iterations` as z-plane wavefronts of
+    /// [`ChebyshevIteration::depth`] sweeps in flight, one plane per step:
+    /// sweep `i` covers a plane right after sweep `i − 1` has covered the
+    /// next one, and each output plane gets its ghosts as soon as it
+    /// lands. At depth 1 the block is all planes: the plain sequence of
+    /// whole sweeps, each followed by the mode's refresh of its output.
+    fn wavefront<T: Scalar, D: Device, C: Communicator<T>>(
+        &mut self,
+        ctx: &RankCtx<T, D, C>,
+        b: &Field<E>,
+        x: &mut Option<&mut Field<E>>,
+    ) {
+        let (m, nz, depth) = (self.iterations, ctx.grid.local_n[2], self.depth);
+        let height = if depth == 1 { nz } else { 1 };
+        let blocks = nz.div_ceil(height);
+        for first in (1..=m).step_by(depth) {
+            let last = (first + depth - 1).min(m);
+            for step in 0..blocks + last - first {
+                for i in first..=last {
+                    let Some(block) = step.checked_sub(i - first).filter(|&n| n < blocks) else {
+                        continue;
+                    };
+                    let (lo, hi) = (block * height, ((block + 1) * height).min(nz));
+                    self.sweep(ctx, i, Part::Planes(lo..hi), b, x);
+                    if i == m {
+                        continue;
+                    }
+                    // MPI2 + KernelNeumannBCs on the new y (a single
+                    // plane only in a comm-free wavefront)
+                    let y = &mut self.bufs[i % 3];
+                    if depth == 1 {
+                        refresh_ghosts(self.mode, ctx, y);
+                    } else {
+                        apply_physical_bcs_planes(&ctx.grid, y, true, lo..hi);
+                    }
+                }
             }
-            if !last {
-                // pointer rotation: z ← y, y ← w (w's old storage becomes scratch)
-                self.z.swap(&mut self.y);
-                self.y.swap(&mut self.w);
-            }
+        }
+    }
+
+    /// Sweep `i ≥ 1` of Algorithm 4 over `part` of the interior:
+    /// `KernelCI1` from `b`, or `KernelCI2` from `y`, `b` and `z`; into
+    /// `x` if this is the last sweep and there is one, else `bufs[i % 3]`.
+    fn sweep<T: Scalar, D: Device, C: Communicator<T>>(
+        &mut self,
+        ctx: &RankCtx<T, D, C>,
+        i: usize,
+        part: Part,
+        b: &Field<E>,
+        x: &mut Option<&mut Field<E>>,
+    ) {
+        let [_, info_ci1, info_ci2] = infos::<E>();
+        let [ca, c0, c1, c2] = self.coef[i];
+        let (w, y, z) = rotation(&mut self.bufs, i);
+        let out = match x {
+            Some(x) if i == self.iterations => &mut **x,
+            _ => w,
+        };
+        let (lap, dev) = (&ctx.lap, &ctx.dev);
+        if i == 1 {
+            part.combine(lap, dev, info_ci1, b, out, ca, [(b, c0)]);
+        } else {
+            let (y, z) = (&*y, &*z);
+            part.combine(lap, dev, info_ci2, y, out, ca, [(y, c0), (b, c1), (z, c2)]);
         }
     }
 }
@@ -660,14 +802,14 @@ mod tests {
             cheb.solve(ctx, &mut b, &mut x);
             let mut b_e = Field::<E>::zeros(&ctx.dev, &ctx.grid);
             cast(&ctx.dev, INFO_CAST_DOWN, &ctx.grid, &mut b_e, &b);
-            let want = chebyshev_sync_oracle(
+            let sweeps = chebyshev_sync_oracle(
                 ctx,
                 cheb.parameters(),
                 12,
                 |f| refresh_ghosts(ChebyMode::Global, ctx, f),
                 b_e,
             );
-            let want: Vec<f64> = want
+            let want: Vec<f64> = sweeps[12]
                 .interior_to_host(&ctx.grid)
                 .iter()
                 .map(|v| v.to_f64())
@@ -686,6 +828,233 @@ mod tests {
         for (decomp, seed) in [([2, 2, 2], 29), ([2, 1, 1], 23)] {
             split_matches_sync_oracle::<f64>(decomp, seed);
             split_matches_sync_oracle::<f32>(decomp, seed);
+        }
+    }
+
+    #[test]
+    fn wavefront_depth_follows_the_cache_budget() {
+        // about four padded planes per sweep in flight in 1 MiB: 7 at
+        // 64^3 and 13 at 48^3 in f64, twice that in f32, capped by the
+        // sweep count — and only for a comm-free iteration on Serial
+        let depth = |n: usize, dev: &str, mode: ChebyMode, wide: bool| {
+            let grid = BlockGrid::new(
+                GlobalGrid::dirichlet([n, n, n], [0.1; 3], [0.0; 3]),
+                Decomp::single(),
+                0,
+            );
+            let dev = accel::AnyDevice::from_spec(dev, Recorder::disabled()).unwrap();
+            let ctx: RankCtx<f64, _, _> = RankCtx::new(dev, SelfComm::default(), grid);
+            let bounds = global_bounds(&ctx);
+            if wide {
+                ChebyshevIteration::<f64>::new(&ctx, mode, bounds, 24).depth
+            } else {
+                ChebyshevIteration::<f32>::new(&ctx, mode, bounds, 24).depth
+            }
+        };
+        let no_comm = ChebyMode::GlobalNoComm;
+        assert_eq!(depth(64, "serial", no_comm, true), 7);
+        assert_eq!(depth(48, "serial", no_comm, true), 13);
+        assert_eq!(depth(64, "serial", ChebyMode::BlockJacobi, false), 15);
+        assert_eq!(depth(48, "serial", no_comm, false), 24);
+        assert_eq!(depth(64, "serial", ChebyMode::Global, true), 1);
+        assert_eq!(depth(64, "threads:2", no_comm, true), 1);
+        assert_eq!(depth(64, "mi250x", no_comm, true), 1);
+        assert_eq!(
+            wavefront_depth(8 << 20, 24),
+            1,
+            "a huge plane: whole sweeps"
+        );
+    }
+
+    /// The events of one `E`-width application of a 5-sweep GNoComm(CI)
+    /// iteration on `dev`, and the iteration's wavefront depth there.
+    fn application_events<E: Scalar>(dev: &str) -> (Vec<accel::Event>, usize) {
+        let mut g = GlobalGrid::dirichlet([6, 5, 7], [0.2, 0.3, 0.25], [0.0; 3]);
+        g.bc = crate::testutil::paper_bcs();
+        let grid = BlockGrid::new(g, Decomp::single(), 0);
+        let rec = Recorder::enabled();
+        let dev = accel::AnyDevice::from_spec(dev, rec.clone()).unwrap();
+        let ctx: RankCtx<f64, _, _> = RankCtx::new(dev, SelfComm::default(), grid);
+        let bounds = global_bounds(&ctx);
+        let mut cheb = ChebyshevIteration::<E>::new(&ctx, ChebyMode::GlobalNoComm, bounds, 5);
+        let mut b = Field::from_interior(&ctx.dev, &ctx.grid, &rng_values(210, 3));
+        let mut x = ctx.field();
+        rec.drain();
+        cheb.solve(&ctx, &mut b, &mut x);
+        (rec.drain(), cheb.depth)
+    }
+
+    #[test]
+    fn wavefront_books_one_event_per_logical_sweep() {
+        // A serial application sweeps plane by plane, yet its stream must
+        // read as the sequence of whole sweeps — one KernelCI1, m − 1
+        // KernelCI2 and m KernelNeumannBCs, in order, each with the
+        // element count of the whole sweep — event for event what the
+        // whole-sweep schedule records on Threads.
+        let ghosts = {
+            let ctx = ctx_single(2);
+            let mut g = ctx.grid.global.clone();
+            (g.n, g.h) = ([6, 5, 7], [0.2, 0.3, 0.25]);
+            g.bc = crate::testutil::paper_bcs();
+            stencil::physical_bc_elems(&BlockGrid::new(g, Decomp::single(), 0), true) as u64
+        };
+        let check = |events: &[accel::Event], want: &[(&str, u64)]| {
+            let got: Vec<(&str, u64)> = events
+                .iter()
+                .map(|e| match e {
+                    accel::Event::Kernel { name, elems, .. } => (*name, *elems),
+                    other => panic!("a comm-free application recorded {other:?}"),
+                })
+                .collect();
+            assert_eq!(got, want);
+        };
+        let sweeps = |ci1: &'static str, ci2: &'static str| {
+            let mut want = vec![(ci1, 210)];
+            for _ in 2..=5 {
+                want.extend([("KernelNeumannBCs", ghosts), (ci2, 210)]);
+            }
+            want
+        };
+        let (serial, depth) = application_events::<f64>("serial");
+        assert!(depth > 1, "the serial application must run a wavefront");
+        let mut want = vec![("KernelNeumannBCs", ghosts), ("KernelScale", 210)];
+        want.extend(sweeps("KernelCI1", "KernelCI2"));
+        check(&serial, &want);
+        assert_eq!(serial, application_events::<f64>("threads:2").0);
+
+        let (serial, _) = application_events::<f32>("serial");
+        let mut want = vec![
+            ("KernelCastDown", 210),
+            ("KernelNeumannBCs", ghosts),
+            ("KernelScaleF32", 210),
+        ];
+        want.extend(sweeps("KernelCI1f32", "KernelCI2f32"));
+        want.push(("KernelCastUp", 210));
+        check(&serial, &want);
+        assert_eq!(serial, application_events::<f32>("threads:2").0);
+    }
+
+    mod wavefront_proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        fn extent() -> impl Strategy<Value = usize> {
+            prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(7), 1usize..9]
+        }
+
+        fn padded_bits<E: Scalar>(f: &Field<E>) -> Vec<u64> {
+            f.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+        }
+
+        fn interior_bits<E: Scalar>(f: &Field<E>, grid: &BlockGrid) -> Vec<u64> {
+            let v = f.interior_to_host(grid);
+            v.iter().map(|v| v.to_f64().to_bits()).collect()
+        }
+
+        /// Every rank of a `decomp` world of `local`-cell blocks — a
+        /// Neumann face wherever `neumann` has its bit (`2 · axis + side`)
+        /// and the axis is at least two cells thick, Dirichlet elsewhere
+        /// and always at x-low, interface faces restricted — runs two
+        /// `E`-width applications of `iterations` sweeps on a Serial
+        /// device. Each must match the sequential oracle bit for bit: the
+        /// result, and the fields the rotation buffers are left holding.
+        fn check<E: Scalar>(
+            local: [usize; 3],
+            decomp: [usize; 3],
+            neumann: u8,
+            mode: ChebyMode,
+            iterations: usize,
+            seed: u64,
+        ) -> Result<(), TestCaseError> {
+            let n = std::array::from_fn(|a| local[a] * decomp[a]);
+            let mut g = GlobalGrid::dirichlet(n, [0.3, 0.5, 0.7], [0.0; 3]);
+            for face in 1..6 {
+                let (axis, side) = (face / 2, face % 2);
+                if neumann & (1 << face) != 0 && local[axis] >= 2 {
+                    g.bc[axis][side] = BcKind::Neumann;
+                }
+            }
+            let decomp = Decomp::new(decomp);
+            for rank in 0..decomp.ranks() {
+                let grid = BlockGrid::new(g.clone(), decomp, rank);
+                let ctx =
+                    RankCtx::new(Serial::new(Recorder::disabled()), SelfComm::default(), grid);
+                let grid = &ctx.grid;
+                let exact = match mode {
+                    ChebyMode::BlockJacobi => local_bounds(&ctx),
+                    _ => global_bounds(&ctx),
+                };
+                let bounds = SpectralBounds {
+                    min: 0.5 * exact.min,
+                    max: 1.5 * exact.max,
+                };
+                let mut cheb = ChebyshevIteration::<E>::new(&ctx, mode, bounds, iterations);
+                let [px, py, _] = grid.padded();
+                prop_assert_eq!(cheb.depth, wavefront_depth(px * py * E::BYTES, iterations));
+                let rhs = rng_values(local.iter().product(), seed + rank as u64);
+                for app in 0..2 {
+                    let tag = format!(
+                        "{local:?} of {:?} rank {rank}, {mode:?}, {iterations} sweeps at \
+                         {} B, application {app}",
+                        decomp.ns,
+                        E::BYTES
+                    );
+                    let mut b = Field::from_interior(&ctx.dev, grid, &rhs);
+                    let mut x = ctx.field();
+                    cheb.solve(&ctx, &mut b, &mut x);
+                    let mut b_e = Field::<E>::zeros(&ctx.dev, grid);
+                    cast(&ctx.dev, INFO_CAST_DOWN, grid, &mut b_e, &b);
+                    let refresh = |f: &mut Field<E>| refresh_ghosts(mode, &ctx, f);
+                    let want =
+                        chebyshev_sync_oracle(&ctx, cheb.parameters(), iterations, refresh, b_e);
+                    prop_assert_eq!(
+                        interior_bits(&x, grid),
+                        interior_bits(&want[iterations], grid),
+                        "{}: result",
+                        tag
+                    );
+                    // the last three sweeps' fields: sweeps that fed a
+                    // next one with their refreshed ghosts, the scale and
+                    // a last sweep left in its buffer by their interiors
+                    let in_x = E::BYTES == f64::BYTES;
+                    for j in iterations.saturating_sub(2)..=iterations {
+                        let got = &cheb.bufs[j % 3];
+                        if (1..iterations).contains(&j) {
+                            prop_assert_eq!(padded_bits(got), padded_bits(&want[j]), "{}", tag);
+                        } else if !(j == iterations && in_x) {
+                            let (got, want) = (interior_bits(got, grid), &want[j]);
+                            prop_assert_eq!(got, interior_bits(want, grid), "{}: {}", tag, j);
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The z-plane wavefront ≡ the sequential sweeps, at both
+            /// widths, on generated extents (planes fewer than the depth
+            /// included), boundary kinds, decompositions and sweep counts.
+            #[test]
+            fn wavefront_matches_the_sequential_oracle(
+                nx in extent(), ny in extent(),
+                nz in prop_oneof![Just(1usize), Just(2), Just(3), extent()],
+                decomp in prop_oneof![
+                    Just([1usize, 1, 1]), Just([2, 1, 1]), Just([1, 1, 2]), Just([2, 2, 2])
+                ],
+                neumann in 0u8..64,
+                block_jacobi in 0u8..2,
+                iterations in 1usize..31,
+                seed in 1u64..1 << 40,
+            ) {
+                let mode = [ChebyMode::GlobalNoComm, ChebyMode::BlockJacobi][block_jacobi as usize];
+                let local = [nx, ny, nz];
+                check::<f64>(local, decomp, neumann, mode, iterations, seed)?;
+                check::<f32>(local, decomp, neumann, mode, iterations, seed)?;
+            }
         }
     }
 

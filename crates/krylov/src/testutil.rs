@@ -69,18 +69,21 @@ pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Synchronous Chebyshev oracle for the split-phase sweeps of
-/// [`crate::ChebyshevIteration`]: Algorithm 4 sweep for sweep at
-/// element width `E`, with a blocking ghost `refresh` (exchange → BCs)
-/// before each monolithic `apply_combine`. Returns the last sweep's
-/// field.
+/// Sequential Chebyshev oracle for every schedule of
+/// [`crate::ChebyshevIteration`] — split-phase sweeps, z-plane
+/// wavefronts: Algorithm 4 sweep for sweep at element width `E`, each
+/// sweep one monolithic `apply_combine` into a field of its own after a
+/// blocking ghost `refresh` of its input (exchange → BCs for a
+/// communicating iteration, the restricted BCs for a comm-free one).
+/// Returns every sweep's field in order, `z = b/θ` first: entry `i ≥ 1`
+/// is sweep `i`'s output, with the ghosts the next sweep read.
 pub(crate) fn chebyshev_sync_oracle<E, T, D, C>(
     ctx: &RankCtx<T, D, C>,
     (theta, delta, sigma): (f64, f64, f64),
     iterations: usize,
     mut refresh: impl FnMut(&mut Field<E>),
     mut b: Field<E>,
-) -> Field<E>
+) -> Vec<Field<E>>
 where
     E: Scalar,
     T: Scalar,
@@ -88,26 +91,30 @@ where
     C: Communicator<T>,
 {
     let (dev, grid, info) = (&ctx.dev, &ctx.grid, stencil::INFO_APPLY);
-    let [mut z, mut y, mut w] = std::array::from_fn(|_| Field::<E>::zeros(dev, grid));
+    let field = || Field::<E>::zeros(dev, grid);
     let mut rho_old = 1.0 / sigma;
     let mut rho = 1.0 / (2.0 * sigma - rho_old);
     refresh(&mut b);
+    let mut z = field();
     crate::kernels::scale(dev, info, grid, &mut z, &b, E::from_f64(1.0 / theta));
     let c1 = E::from_f64(4.0 * rho / delta);
     let ca = E::from_f64(-2.0 * rho / (delta * theta));
+    let mut y = field();
     ctx.lap.apply_combine(dev, info, &b, &mut y, ca, [(&b, c1)]);
-    for _ in 2..=iterations {
+    let mut outs = vec![z, y];
+    for i in 2..=iterations {
         rho_old = rho;
         rho = 1.0 / (2.0 * sigma - rho_old);
         let ca = E::from_f64(-2.0 * rho / delta);
         let cy = E::from_f64(2.0 * sigma * rho);
         let cb = E::from_f64(2.0 * rho / delta);
         let cz = E::from_f64(-rho * rho_old);
-        refresh(&mut y);
-        let terms = [(&y, cy), (&b, cb), (&z, cz)];
-        ctx.lap.apply_combine(dev, info, &y, &mut w, ca, terms);
-        z.swap(&mut y);
-        y.swap(&mut w);
+        refresh(&mut outs[i - 1]);
+        let (y, z) = (&outs[i - 1], &outs[i - 2]);
+        let mut w = field();
+        ctx.lap
+            .apply_combine(dev, info, y, &mut w, ca, [(y, cy), (&b, cb), (z, cz)]);
+        outs.push(w);
     }
-    y
+    outs
 }

@@ -86,70 +86,45 @@ fn fused_solve_is_allocation_free_after_warmup() {
         // split-phase halo exchange and lagged batched reductions, under
         // a Chebyshev preconditioner. An unreachable tolerance pins the iteration
         // count so the audit covers full steady-state loop bodies.
-        let mut prec = SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts);
-        // The mixed-precision flavour shares the audit: its f32 state
+        // The mixed-precision flavours share the audit: their f32 state
         // fields, f32 halo pool and cast kernels must be just as
-        // steady-state as the f64 path.
+        // steady-state as the f64 path. GNoComm(CI) runs its sweeps as
+        // z-plane wavefronts on these Serial devices: its coefficient
+        // table and plane loop are audited too.
         let mixed_opts = SolverOptions {
             mixed_precision: true,
             ..opts
         };
-        let mut mixed_prec = SolverKind::BiCgsGCi.build_preconditioner(&ctx, &mixed_opts);
+        let mut precs = [
+            SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts),
+            SolverKind::BiCgsGCi.build_preconditioner(&ctx, &mixed_opts),
+            SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &opts),
+            SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &mixed_opts),
+        ];
         let params = SolveParams {
             tol: 1e-300,
             max_iters: 4,
             record_history: false,
             ..Default::default()
         };
+        let mut solve_all = |x: &mut Field<f64>| {
+            for prec in &mut precs {
+                x.copy_from(&x0);
+                bicgstab_solve(&ctx, Scope::Global, &b, x, &mut **prec, &mut ws, &params);
+            }
+        };
 
-        // Warm-up: one solve populates the halo buffer pool, the
+        // Warm-up: one solve each populates the halo buffer pool, the
         // communicator's per-(peer, tag) queues and any lazily-built
         // preconditioner state.
-        bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut *prec,
-            &mut ws,
-            &params,
-        );
-        x.copy_from(&x0);
-        bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut *mixed_prec,
-            &mut ws,
-            &params,
-        );
+        solve_all(&mut x);
         // Every rank warm before anyone starts counting (a cold
         // neighbour would still only bump its *own* counter, but the
         // barrier keeps the steady-state claim honest).
         ctx.comm.all_reduce(&mut [0.0f64], ReduceOp::Sum);
 
-        x.copy_from(&x0);
         let before = my_allocs();
-        bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut *prec,
-            &mut ws,
-            &params,
-        );
-        x.copy_from(&x0);
-        bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut *mixed_prec,
-            &mut ws,
-            &params,
-        );
+        solve_all(&mut x);
         my_allocs() - before
     });
     for (rank, &n) in counts.iter().enumerate() {

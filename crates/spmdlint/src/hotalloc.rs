@@ -73,6 +73,23 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/cheby.rs", "solve"),
     ("crates/krylov/src/cheby.rs", "sweeps"),
     ("crates/krylov/src/cheby.rs", "refresh_ghosts"),
+    ("crates/krylov/src/cheby.rs", "infos"),
+    ("crates/krylov/src/cheby.rs", "rotation"),
+    ("crates/krylov/src/cheby.rs", "sweep_input"),
+    ("crates/krylov/src/cheby.rs", "combine"),
+    ("crates/krylov/src/cheby.rs", "sweep"),
+    // The comm-free Serial z-plane wavefront, its plane-ranged sweep and
+    // ghost refresh, and the mute that keeps its events logical.
+    ("crates/krylov/src/cheby.rs", "wavefront"),
+    ("crates/stencil/src/laplacian.rs", "apply_combine_planes"),
+    ("crates/stencil/src/laplacian.rs", "apply_physical_bcs"),
+    (
+        "crates/stencil/src/laplacian.rs",
+        "apply_physical_bcs_planes",
+    ),
+    ("crates/stencil/src/laplacian.rs", "physical_faces"),
+    ("crates/stencil/src/laplacian.rs", "physical_bc_elems"),
+    ("crates/accel/src/events.rs", "muted"),
     ("crates/stencil/src/laplacian.rs", "apply"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_shell"),
@@ -87,7 +104,10 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "combine_on_map"),
     // The 7-point row core every sweep above runs through.
     ("crates/stencil/src/laplacian.rs", "row_core"),
+    ("crates/stencil/src/laplacian.rs", "avx2_detected"),
     ("crates/stencil/src/laplacian.rs", "stencil_row"),
+    ("crates/stencil/src/laplacian.rs", "stencil_row_avx2"),
+    ("crates/stencil/src/laplacian.rs", "stencil_row_portable"),
     ("crates/stencil/src/laplacian.rs", "apply_row"),
     ("crates/stencil/src/laplacian.rs", "apply_on_map"),
     ("crates/stencil/src/laplacian.rs", "apply_rows_dot"),

@@ -26,6 +26,10 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/accel/src/pool.rs",
     // Threaded back-end: per-chunk partial slots, lane tables, row slices.
     "crates/accel/src/device/threads.rs",
+    // The row core's one call of its AVX2 `#[target_feature]` arm, made
+    // only after `is_x86_feature_detected!("avx2")` (compiled out under
+    // Miri, which runs the portable arm).
+    "crates/stencil/src/laplacian.rs",
     // Test fixture: counting global allocator (passthrough to System).
     "crates/blockgrid/tests/halo_zero_alloc.rs",
     // Test fixture: counting global allocator (passthrough to System).

@@ -60,6 +60,7 @@ fn unmutated_sources_are_clean() {
         "crates/stencil/src/laplacian.rs",
         "crates/accel/src/pool.rs",
         "crates/accel/src/device/threads.rs",
+        "crates/accel/src/events.rs",
     ] {
         let findings = spmdlint::analyze_source(rel, &load(rel));
         assert!(
@@ -188,6 +189,29 @@ fn pool_launch_allocation_is_caught_spmd003() {
             .iter()
             .any(|(l, m)| *l == inject && m.contains("vec!") && m.contains("run_chunks")),
         "expected SPMD003 in run_chunks at line {inject}, got {found:?}"
+    );
+}
+
+#[test]
+fn wavefront_allocation_is_caught_spmd003() {
+    // Mutation: a per-plane scratch `vec!` planted in the Chebyshev
+    // z-plane wavefront.
+    let rel = "crates/krylov/src/cheby.rs";
+    let text = load(rel);
+    let anchor = "let (lo, hi) = (block * height, ((block + 1) * height).min(nz));";
+    let inject = line_of(&text, anchor);
+    let mutant = text.replacen(
+        anchor,
+        "let planes = block * height..((block + 1) * height).min(nz); \
+         let _plane = vec![E::ZERO; nz];",
+        1,
+    );
+    let found = findings_with(rel, &mutant, "SPMD003");
+    assert!(
+        found
+            .iter()
+            .any(|(l, m)| *l == inject && m.contains("vec!") && m.contains("`wavefront`")),
+        "expected SPMD003 in wavefront at line {inject}, got {found:?}"
     );
 }
 

@@ -12,6 +12,8 @@
 //!    Dirichlet faces are pinned to zero (the boundary values live in the
 //!    right-hand side).
 
+use std::ops::Range;
+
 use accel::{
     fold_row_edge_last_n, row_has_deep_middle, Device, KernelInfo, Recorder, RowMap, Scalar,
 };
@@ -44,29 +46,94 @@ pub struct Laplacian {
     in_flight: u8,
 }
 
-/// The 7-point row core: per-axis `1/h²` and the padded strides — all a
-/// row of the stencil needs besides its input. Every sweep of
-/// [`Laplacian`] computes its rows through [`RowCore::stencil_row`], the
-/// only copy of the stencil arithmetic.
+/// The 7-point row core: per-axis `1/h²`, the padded strides and the
+/// vector arm — all a row of the stencil needs besides its input. Every
+/// sweep of [`Laplacian`] computes its rows through
+/// [`RowCore::stencil_row`], the only copy of the stencil arithmetic.
 #[derive(Clone, Copy)]
 struct RowCore<T> {
     c: [T; 3],
     sy: usize,
     sz: usize,
+    /// Rows run the AVX2 arm ([`avx2_detected`] when the core was built).
+    avx2: bool,
+}
+
+/// `true` when rows may run the AVX2 arm of [`RowCore::stencil_row`]:
+/// the CPU has AVX2, checked at run time. Never under Miri or off
+/// x86-64, and not on a unit-test thread inside
+/// `tests::portable_only`.
+fn avx2_detected() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    let cpu = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let cpu = false;
+    #[cfg(test)]
+    let cpu = cpu && !tests::PORTABLE_ONLY.with(std::cell::Cell::get);
+    cpu
 }
 
 impl<T: Scalar> RowCore<T> {
-    /// `row[i] = post(i, (A u)[b + i])` for the row of `u` starting at
-    /// padded offset `b`.
+    /// `row[i] = ca · (A u)[b + i] + Σₜ cₜ fₜ[b + i]` for the row of `u`
+    /// starting at padded offset `b`, the terms `(fₜ, cₜ)` (whole padded
+    /// arrays) added in order; without `SCALED` the stencil value enters
+    /// unscaled and `ca` is unused.
     ///
-    /// The seven input windows are sliced once per row (one bounds check
-    /// each, so a window reaching outside `us` still panics), all to the
-    /// row's length; the loop over `0..n` is then unit-stride with no
-    /// index check or branch left in it, which is what lets the compiler
-    /// vectorise it. `post` must keep that property: index only windows
-    /// pre-sliced to `row.len()`.
+    /// One portable body ([`RowCore::stencil_row_portable`]) compiled
+    /// twice: as is (SSE2 on x86-64) and inside a function with AVX2
+    /// enabled, picked per row by the flag the core was built with.
+    /// AVX2 only — no FMA: Rust never contracts `a * b + c`, so both arms
+    /// do the same roundings in the same order and agree bit for bit.
     #[inline(always)]
-    fn stencil_row(&self, us: &[T], b: usize, row: &mut [T], post: impl Fn(usize, T) -> T) {
+    fn stencil_row<const SCALED: bool, const N: usize>(
+        &self,
+        us: &[T],
+        b: usize,
+        row: &mut [T],
+        ca: T,
+        terms: [(&[T], T); N],
+    ) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if self.avx2 {
+            // SAFETY: `avx2` is only set by `avx2_detected`, i.e. after
+            // `is_x86_feature_detected!("avx2")` returned true on this
+            // machine, so every instruction of the AVX2 arm is supported.
+            return unsafe { self.stencil_row_avx2::<SCALED, N>(us, b, row, ca, terms) };
+        }
+        self.stencil_row_portable::<SCALED, N>(us, b, row, ca, terms);
+    }
+
+    /// [`RowCore::stencil_row_portable`] compiled with AVX2 enabled.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx2")]
+    fn stencil_row_avx2<const SCALED: bool, const N: usize>(
+        &self,
+        us: &[T],
+        b: usize,
+        row: &mut [T],
+        ca: T,
+        terms: [(&[T], T); N],
+    ) {
+        self.stencil_row_portable::<SCALED, N>(us, b, row, ca, terms);
+    }
+
+    /// The stencil arithmetic.
+    ///
+    /// The seven input windows and the term windows are sliced once per
+    /// row (one bounds check each, so a window reaching outside its field
+    /// still panics), all to the row's length, here in the body that
+    /// loops: the loop over `0..n` is then unit-stride with no index
+    /// check or branch left in it, which is what lets the compiler
+    /// vectorise it without a scalar tail.
+    #[inline(always)]
+    fn stencil_row_portable<const SCALED: bool, const N: usize>(
+        &self,
+        us: &[T],
+        b: usize,
+        row: &mut [T],
+        ca: T,
+        terms: [(&[T], T); N],
+    ) {
         let n = row.len();
         let [cx, cy, cz] = self.c;
         let two = T::from_f64(2.0);
@@ -74,19 +141,24 @@ impl<T: Scalar> RowCore<T> {
         let (uc, xm, xp) = (win(b), win(b - 1), win(b + 1));
         let (ym, yp) = (win(b - self.sy), win(b + self.sy));
         let (zm, zp) = (win(b - self.sz), win(b + self.sz));
-        for (i, out) in row.iter_mut().enumerate() {
+        let ws = terms.map(|(f, coef)| (&f[b..b + n], coef));
+        for i in 0..n {
             let c = uc[i];
             let au = cx * (two * c - xm[i] - xp[i])
                 + cy * (two * c - ym[i] - yp[i])
                 + cz * (two * c - zm[i] - zp[i]);
-            *out = post(i, au);
+            let mut v = if SCALED { ca * au } else { au };
+            for (f, coef) in &ws {
+                v += *coef * f[i];
+            }
+            row[i] = v;
         }
     }
 
     /// `row = (A u)[b..b + row.len()]`.
     #[inline(always)]
     fn apply_row(&self, us: &[T], b: usize, row: &mut [T]) {
-        self.stencil_row(us, b, row, |_, au| au);
+        self.stencil_row::<false, 0>(us, b, row, T::ZERO, []);
     }
 }
 
@@ -152,6 +224,7 @@ impl Laplacian {
             c: std::array::from_fn(|a| T::from_f64(1.0 / (h[a] * h[a]))),
             sy: p[0],
             sz: p[0] * p[1],
+            avx2: avx2_detected(),
         }
     }
 
@@ -261,6 +334,32 @@ impl Laplacian {
         self.combine_on_map(dev, info, self.grid.interior_map(), u, out, ca, terms);
     }
 
+    /// [`Laplacian::apply_combine`] over the interior z planes `planes`
+    /// (0-based, non-empty, within `0..nz`) only — the step a z-plane
+    /// wavefront advances a sweep by. It reads `u` on planes
+    /// `planes.start − 1 ..= planes.end` (a ghost plane at either end of
+    /// the interior), whose ghosts must be current, and the terms on
+    /// `planes`; cell for cell it is [`Laplacian::apply_combine`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_combine_planes<T: Scalar, D: Device, const N: usize>(
+        &self,
+        dev: &D,
+        info: KernelInfo,
+        planes: Range<usize>,
+        u: &Field<T>,
+        out: &mut Field<T>,
+        ca: T,
+        terms: [(&Field<T>, T); N],
+    ) {
+        let all = self.grid.interior_map();
+        let map = RowMap {
+            base: all.row_offset(0, planes.start),
+            nz: planes.len(),
+            ..all
+        };
+        self.combine_on_map(dev, info, map, u, out, ca, terms);
+    }
+
     /// [`Laplacian::apply_combine`] over the window only (see
     /// [`Laplacian::apply_interior`] for the overlap contract).
     pub fn apply_combine_interior<T: Scalar, D: Device, const N: usize>(
@@ -309,15 +408,7 @@ impl Laplacian {
         let fs = terms.map(|(f, c)| (f.as_slice(), c));
         dev.on_stencil_read(info.name, map, us);
         dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-            let b = map.row_offset(j, k);
-            let ws = fs.map(|(f, c)| (&f[b..b + row.len()], c));
-            core.stencil_row(us, b, row, |i, au| {
-                let mut v = ca * au;
-                for (f, c) in &ws {
-                    v += *c * f[i];
-                }
-                v
-            });
+            core.stencil_row::<true, N>(us, map.row_offset(j, k), row, ca, fs);
         });
     }
 
@@ -628,51 +719,93 @@ pub fn apply_physical_bcs<T: Scalar>(
     recorder: &Recorder,
     restricted: bool,
 ) {
+    apply_physical_bcs_planes(grid, field, restricted, 0..grid.local_n[2]);
+    recorder.kernel(INFO_NEUMANN_BCS, physical_bc_elems(grid, restricted));
+}
+
+/// The ghost cells one [`apply_physical_bcs`] writes: the element count
+/// of its `KernelNeumannBCs` event.
+pub fn physical_bc_elems(grid: &BlockGrid, restricted: bool) -> usize {
+    let n = grid.local_n;
+    physical_faces(grid, restricted)
+        .map(|(axis, _, _)| n[(axis + 1) % 3] * n[(axis + 2) % 3])
+        .sum()
+}
+
+/// The faces [`apply_physical_bcs`] writes, as `(axis, side, mirror)`:
+/// physical faces (Neumann ones mirrored, Dirichlet ones zeroed) and,
+/// when `restricted`, the interface faces too (zeroed).
+fn physical_faces(
+    grid: &BlockGrid,
+    restricted: bool,
+) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
+    (0..6).filter_map(move |face| {
+        let (axis, side) = (face / 2, face % 2);
+        let mirror = match (grid.boundary(axis, side), restricted) {
+            (LocalBoundary::Physical(BcKind::Neumann), _) => true,
+            (LocalBoundary::Physical(BcKind::Dirichlet), _) => false,
+            (LocalBoundary::Interface { .. }, true) => false,
+            (LocalBoundary::Interface { .. }, false) => return None,
+        };
+        Some((axis, side, mirror))
+    })
+}
+
+/// [`apply_physical_bcs`] for the ghosts that the interior z planes
+/// `planes` (0-based) determine, recording nothing: the x and y face
+/// ghosts of those planes, and a z ghost plane when the plane it is
+/// taken from — the mirrored one, or the adjacent one for a zeroed face
+/// — lies in `planes`. A plane wavefront refreshes each output plane
+/// this way as it lands; over `0..nz` it writes exactly what
+/// [`apply_physical_bcs`] writes.
+pub fn apply_physical_bcs_planes<T: Scalar>(
+    grid: &BlockGrid,
+    field: &mut Field<T>,
+    restricted: bool,
+    planes: Range<usize>,
+) {
     let n = grid.local_n;
     let [px, py, _] = grid.padded();
     let stride = [1, px, px * py];
     let data = field.as_mut_slice();
-    let mut ghost_elems = 0usize;
-    for axis in 0..3 {
-        for side in 0..2 {
-            let mirror = match (grid.boundary(axis, side), restricted) {
-                (LocalBoundary::Physical(BcKind::Neumann), _) => true,
-                (LocalBoundary::Physical(BcKind::Dirichlet), _) => false,
-                (LocalBoundary::Interface { .. }, true) => false,
-                (LocalBoundary::Interface { .. }, false) => continue,
-            };
-            // ghost plane coordinate and its mirror (one-in from the
-            // boundary node, i.e. two steps from the ghost)
-            let (ghost, source) = if side == 0 {
-                (0, 2)
+    // the planes' padded z coordinates
+    let (k0, k1) = (planes.start + 1, planes.end + 1);
+    for (axis, side, mirror) in physical_faces(grid, restricted) {
+        // ghost plane coordinate and its mirror (one-in from the
+        // boundary node, i.e. two steps from the ghost)
+        let (ghost, source) = if side == 0 {
+            (0, 2)
+        } else {
+            (n[axis] + 1, n[axis] - 1)
+        };
+        let (g, m) = (ghost * stride[axis], source * stride[axis]);
+        // one unit-stride row of n[0] cells per line of a y or z face
+        let mut line = |r: usize| {
+            if mirror {
+                data.copy_within(r + m..r + m + n[0], r + g);
             } else {
-                (n[axis] + 1, n[axis] - 1)
-            };
-            let (g, m) = (ghost * stride[axis], source * stride[axis]);
-            ghost_elems += n[(axis + 1) % 3] * n[(axis + 2) % 3];
-            if axis == 0 {
+                data[r + g..r + g + n[0]].fill(T::ZERO);
+            }
+        };
+        match axis {
+            0 => {
                 // one cell per (j, k) row, a padded row apart
-                for k in 1..=n[2] {
+                for k in k0..k1 {
                     for j in 1..=n[1] {
                         let r = j * stride[1] + k * stride[2];
                         data[r + g] = if mirror { data[r + m] } else { T::ZERO };
                     }
                 }
-            } else {
-                // one unit-stride row of n[0] cells per line of the face
-                let other = 3 - axis;
-                for t in 1..=n[other] {
-                    let r = 1 + t * stride[other];
-                    if mirror {
-                        data.copy_within(r + m..r + m + n[0], r + g);
-                    } else {
-                        data[r + g..r + g + n[0]].fill(T::ZERO);
-                    }
+            }
+            1 => (k0..k1).for_each(|k| line(1 + k * stride[2])),
+            _ => {
+                let from = if mirror { source } else { [1, n[2]][side] };
+                if (k0..k1).contains(&from.clamp(1, n[2])) {
+                    (1..=n[1]).for_each(|j| line(1 + j * stride[1]));
                 }
             }
         }
     }
-    recorder.kernel(INFO_NEUMANN_BCS, ghost_elems);
 }
 
 #[cfg(test)]
@@ -681,6 +814,7 @@ mod tests {
     use crate::matrix::assemble_poisson;
     use accel::{Event, GpuSimParams, Serial, SimGpu, Threads};
     use blockgrid::{Decomp, GlobalGrid};
+    use std::cell::Cell;
 
     fn rng_values(n: usize, seed: u64) -> Vec<f64> {
         // small deterministic LCG; avoids pulling rand into the hot crate
@@ -962,6 +1096,7 @@ mod tests {
             c: [cx, cy, cz],
             sy,
             sz,
+            ..
         } = lap.row_core::<T>();
         let us = u.as_slice();
         let two = T::from_f64(2.0);
@@ -1020,13 +1155,36 @@ mod tests {
         let ca = T::from_f64(-0.3125);
         let terms: [(&Field<T>, T); N] = std::array::from_fn(|i| (&fields[i + 1], coef[i]));
         let mut want = random_padded::<T, D>(dev, grid, 99);
-        let (mut mono, mut split) = (want.clone(), want.clone());
+        let (mut mono, mut split, mut planes) = (want.clone(), want.clone(), want.clone());
         oracle_combine(lap, &fields[0], &mut want, ca, &terms);
         lap.apply_combine(dev, INFO_APPLY, &fields[0], &mut mono, ca, terms);
         lap.apply_combine_interior(dev, INFO_APPLY, &fields[0], &mut split, ca, terms);
         lap.apply_combine_shell(dev, INFO_APPLY, &fields[0], &mut split, ca, terms);
+        // one plane at a time, last plane first, then a two-plane block
+        let nz = grid.local_n[2];
+        for k in (1..nz).rev() {
+            lap.apply_combine_planes(
+                dev,
+                INFO_APPLY,
+                k..k + 1,
+                &fields[0],
+                &mut planes,
+                ca,
+                terms,
+            );
+        }
+        lap.apply_combine_planes(
+            dev,
+            INFO_APPLY,
+            0..nz.min(2),
+            &fields[0],
+            &mut planes,
+            ca,
+            terms,
+        );
         assert_bitwise(&mono, &want, &format!("{what} N={N} monolithic"));
         assert_bitwise(&split, &want, &format!("{what} N={N} split"));
+        assert_bitwise(&planes, &want, &format!("{what} N={N} plane by plane"));
     }
 
     /// Local `local`-cell block of rank `rank` in an `ns` decomposition.
@@ -1094,17 +1252,57 @@ mod tests {
         );
     }
 
-    /// [`check_row_core`] in both precisions on all three back-ends.
+    thread_local! {
+        /// Set inside [`portable_only`]: row cores built on this thread
+        /// take the portable arm whatever the CPU has.
+        pub(super) static PORTABLE_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Run `f` with every row core built on this thread on the portable
+    /// arm. (A `Threads` launch builds its core on the launching thread
+    /// and hands the workers a copy, so they follow.)
+    fn portable_only<R>(f: impl FnOnce() -> R) -> R {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                PORTABLE_ONLY.with(|p| p.set(false));
+            }
+        }
+        PORTABLE_ONLY.with(|p| p.set(true));
+        let _reset = Reset;
+        f()
+    }
+
+    #[test]
+    fn row_core_takes_the_avx2_arm_exactly_when_the_cpu_has_it() {
+        let lap = Laplacian::new(&single_rank_grid([3, 3, 3], [[BcKind::Dirichlet; 2]; 3]));
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        assert_eq!(
+            lap.row_core::<f64>().avx2,
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        assert!(!portable_only(|| lap.row_core::<f32>().avx2));
+        assert_eq!(lap.row_core::<f32>().avx2, avx2_detected(), "reset on exit");
+    }
+
+    /// [`check_row_core`] in both precisions on all three back-ends, on
+    /// the forced-portable arm and on the arm this CPU selects (AVX2 when
+    /// it has it).
     fn check_row_core_everywhere(grid: &BlockGrid, seed: u64, what: &str) {
         let serial = Serial::new(Recorder::disabled());
         let threads = Threads::new(3, Recorder::disabled());
         let gpu = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
-        check_row_core::<f64, _>(&serial, grid, seed, &format!("{what} f64 serial"));
-        check_row_core::<f32, _>(&serial, grid, seed, &format!("{what} f32 serial"));
-        check_row_core::<f64, _>(&threads, grid, seed, &format!("{what} f64 threads"));
-        check_row_core::<f32, _>(&threads, grid, seed, &format!("{what} f32 threads"));
-        check_row_core::<f64, _>(&gpu, grid, seed, &format!("{what} f64 simgpu"));
-        check_row_core::<f32, _>(&gpu, grid, seed, &format!("{what} f32 simgpu"));
+        let all = |arm: &str| {
+            let what = format!("{what} {arm}");
+            check_row_core::<f64, _>(&serial, grid, seed, &format!("{what} f64 serial"));
+            check_row_core::<f32, _>(&serial, grid, seed, &format!("{what} f32 serial"));
+            check_row_core::<f64, _>(&threads, grid, seed, &format!("{what} f64 threads"));
+            check_row_core::<f32, _>(&threads, grid, seed, &format!("{what} f32 threads"));
+            check_row_core::<f64, _>(&gpu, grid, seed, &format!("{what} f64 simgpu"));
+            check_row_core::<f32, _>(&gpu, grid, seed, &format!("{what} f32 simgpu"));
+        };
+        portable_only(|| all("portable"));
+        all(if avx2_detected() { "avx2" } else { "portable" });
     }
 
     #[test]
@@ -1312,6 +1510,11 @@ mod tests {
                 let dev = Serial::new(Recorder::disabled());
                 let mut got = random_padded::<f64, _>(&dev, &grid, 31);
                 let mut want = got.clone();
+                // the plane-ranged form, one plane at a time in reverse
+                let mut by_plane = got.clone();
+                for k in (0..grid.local_n[2]).rev() {
+                    apply_physical_bcs_planes(&grid, &mut by_plane, restricted, k..k + 1);
+                }
                 let rec = Recorder::enabled();
                 apply_physical_bcs(&grid, &mut got, &rec, restricted);
 
@@ -1345,6 +1548,8 @@ mod tests {
                     }
                 }
                 assert_bitwise(&got, &want, &format!("{n:?} rank {rank} bcs"));
+                assert_bitwise(&by_plane, &want, &format!("{n:?} rank {rank} bcs by plane"));
+                assert_eq!(physical_bc_elems(&grid, restricted), elems);
                 let events = rec.drain();
                 assert_eq!(events.len(), 1);
                 assert!(

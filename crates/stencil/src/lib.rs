@@ -23,6 +23,9 @@ pub mod matrix;
 mod op1d;
 pub mod spectrum;
 
-pub use laplacian::{apply_physical_bcs, Laplacian, INFO_APPLY, INFO_NEUMANN_BCS};
+pub use laplacian::{
+    apply_physical_bcs, apply_physical_bcs_planes, physical_bc_elems, Laplacian, INFO_APPLY,
+    INFO_NEUMANN_BCS,
+};
 pub use op1d::{EndKind, Op1d};
 pub use spectrum::SpectralBounds;
