@@ -3,24 +3,30 @@
 //! alpaka selects the accelerator at compile time (`using Acc =
 //! alpaka::AccGpuHipRt<...>`) and every kernel is written once against the
 //! accelerator concept. Here [`Device`] is the concept: a kernel is a
-//! closure over row indices, launched with [`Device::launch_rows_reduce`],
-//! and runs unchanged on every back-end. The back-ends are:
+//! body over runs of rows, launched with [`Device::launch_runs`], and runs
+//! unchanged on every back-end. Like alpaka's *element* level, a run — the
+//! consecutive rows of one plane that one owner sweeps — lets a CPU
+//! thread pay a kernel's setup once per run and then vectorise along its
+//! rows; per-row kernels launch through thin wrappers over it. The
+//! back-ends are:
 //!
-//! * [`Serial`] — single-threaded reference back-end; reductions fold in
-//!   row order (bitwise-deterministic).
+//! * [`Serial`] — single-threaded reference back-end; one run per plane,
+//!   reductions fold in row order (bitwise-deterministic).
 //! * [`Threads`] — shared-memory CPU back-end (alpaka's OpenMP analogue);
 //!   rows are split into one chunk per participant of a persistent,
-//!   spin-then-park thread team, chunk `c` always runs on participant
-//!   `c % n`, and chunk partials are merged in chunk order (deterministic
-//!   for a fixed thread count, but a *different* floating-point grouping
-//!   than `Serial` — exactly the OpenMP-reduction effect the paper
-//!   observes on LUMI-C). A launch allocates nothing and re-raises a
-//!   panicking chunk on the launching thread.
+//!   spin-then-park thread team (one run per plane a chunk touches),
+//!   chunk `c` always runs on participant `c % n`, and chunk partials are
+//!   merged in chunk order (deterministic for a fixed thread count, but a
+//!   *different* floating-point grouping than `Serial` — exactly the
+//!   OpenMP-reduction effect the paper observes on LUMI-C). A launch
+//!   allocates nothing and re-raises a panicking chunk on the launching
+//!   thread.
 //! * [`SimGpu`] — simulated GPU back-end: rows are grouped into thread
-//!   blocks, block partials are combined with a pairwise tree as a real GPU
-//!   reduction would, and launch/traffic events are recorded for the
-//!   performance model. Different "GPUs" use different block shapes, which
-//!   reproduces the paper's cross-architecture iteration-count variations.
+//!   blocks (one run per plane a block touches), block partials are
+//!   combined with a pairwise tree as a real GPU reduction would, and
+//!   launch/traffic events are recorded for the performance model.
+//!   Different "GPUs" use different block shapes, which reproduces the
+//!   paper's cross-architecture iteration-count variations.
 
 mod serial;
 mod simgpu;
@@ -31,8 +37,8 @@ pub use simgpu::{GpuSimParams, SimGpu};
 pub use threads::Threads;
 
 use crate::events::{KernelInfo, Recorder};
-use crate::index::RowMap;
-use crate::scalar::Scalar;
+use crate::index::{RowMap, Run};
+use crate::scalar::{add_partials, Scalar};
 
 /// Description of a split-phase halo exchange in flight, for sanitizer
 /// hooks (see [`Device::on_exchange_begin`]).
@@ -150,11 +156,19 @@ pub enum DeviceKind {
 
 /// A compute device that can launch kernels (alpaka's accelerator concept).
 ///
-/// Kernels receive each output row `(j, k)` of the launch's [`RowMap`] as an
-/// exclusive `&mut [T]` slice and may return `NR` partial sums which the
-/// device reduces according to its back-end policy. All solver kernels —
+/// A back-end runs one kernel launch, [`Device::launch_runs`]: it splits
+/// the rows of a [`RowMap`] among its owners and hands the kernel body
+/// each owner's rows one [`Run`] at a time — the consecutive rows of one
+/// plane — as exclusive row-exact `&mut [T]` slices, plus the `NR`-way
+/// accumulator the owner carries; the device then reduces the owners'
+/// accumulators according to its back-end policy. A body folds each
+/// row's partial into the accumulator in row order, so a run launch
+/// reduces exactly as a launch that called the body once per row. The
+/// per-row forms ([`Device::launch_rows_reduce`], [`Device::launch_lanes`]
+/// and the rest) are thin wrappers that do just that; together with the
+/// output-free [`Device::launch_reduce`] they carry every solver kernel —
 /// the fused `KernelBiCGS1..6`, the Chebyshev kernels and the boundary
-/// kernels — are expressed through these two entry points.
+/// kernels — and the stencil sweeps use the run launch directly.
 pub trait Device: Clone + Send + Sync + 'static {
     /// Human-readable device name for reports.
     fn name(&self) -> String;
@@ -165,9 +179,50 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// The event stream this device reports launches to.
     fn recorder(&self) -> &Recorder;
 
+    /// Launch a kernel body over the rows of `map` in every lane of a
+    /// multi-RHS batch, one [`Run`] at a time, fusing an `NR`-way sum
+    /// reduction per lane.
+    ///
+    /// `lanes[s]` is the backing slice of lane `s`'s field; all lanes
+    /// share `map`, which must validate against each slice. With
+    /// `second = Some((map_b, lanes_b))` the launch also writes a second
+    /// buffer per lane (`lanes_b[s]`, its rows under `map_b`, which must
+    /// agree with `map` on `ny`/`nz`): a fused sweep that updates two
+    /// fields, or deposits per-row partials into a slot buffer, in one
+    /// pass, its runs carrying both buffers' rows ([`Run::rows2`]).
+    ///
+    /// The body `f(s, run, acc)` receives the lane index `s` (so it can
+    /// look up per-lane operands), a run of that lane and the accumulator
+    /// of the run's owner, into which it folds each row's partial in row
+    /// order. Lane `s`'s result lands in `accs[s]`, one slot per lane; the
+    /// caller passes only *active* lanes (frozen lanes of a batched solve
+    /// are omitted). Each lane's runs and owners depend on the row count
+    /// only, never on the lane count, so every lane's output and
+    /// reduction are **bitwise identical** to a one-lane launch over that
+    /// lane alone — and a one-lane launch is how every single-field
+    /// kernel runs.
+    ///
+    /// One kernel launch is recorded, with `map.elems() * lanes.len()`
+    /// elements — `info` for a two-map kernel must therefore account for
+    /// *all* traffic of the fused sweep per `map` element (see
+    /// [`KernelInfo::fused`]). An empty lane set launches nothing.
+    fn launch_runs<T: Scalar, F, const NR: usize>(
+        &self,
+        info: KernelInfo,
+        map: RowMap,
+        lanes: &mut [&mut [T]],
+        second: Option<(RowMap, &mut [&mut [T]])>,
+        accs: &mut [[T; NR]],
+        f: F,
+    ) where
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync;
+
     /// Launch a kernel over the rows of `out` described by `map`, fusing an
     /// `NR`-way sum reduction (the paper's `KernelBiCGS1/3/5` fuse the
-    /// stencil apply with local dot products exactly like this).
+    /// stencil apply with local dot products exactly like this). The
+    /// kernel receives each row `(j, k)` as an exclusive slice and returns
+    /// its partial: the one-lane [`Device::launch_runs`] with a per-row
+    /// body.
     fn launch_rows_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
@@ -176,51 +231,11 @@ pub trait Device: Clone + Send + Sync + 'static {
         f: F,
     ) -> [T; NR]
     where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync;
-
-    /// Launch one fused kernel over *two* row maps at once, fusing an
-    /// `NR`-way sum reduction.
-    ///
-    /// Both maps must agree on `ny`/`nz` (they describe the same logical
-    /// row set, possibly with different row lengths and strides into
-    /// different buffers). The kernel receives the `(j, k)` row of each
-    /// buffer as an exclusive slice. This is the entry point for fused
-    /// sweeps that update two fields in one pass (e.g. the fused
-    /// `KernelBiCGS56` residual+direction update) and for split stencil
-    /// sweeps that deposit per-row dot partials into a slot buffer.
-    ///
-    /// One launch is recorded, with `map_a.elems()` elements — `info` for
-    /// a fused kernel must therefore account for *all* traffic of the
-    /// fused sweep per `map_a` element (see [`KernelInfo::fused`]).
-    fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync;
-
-    /// Launch a two-map kernel with no reduction (element-wise update of
-    /// two buffers in one sweep).
-    fn launch_rows2<T: Scalar, F>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) where
-        F: Fn(usize, usize, &mut [T], &mut [T]) + Sync,
+        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
     {
-        let _: [T; 0] = self.launch_rows2_reduce(info, map_a, out_a, map_b, out_b, |j, k, a, b| {
-            f(j, k, a, b);
-            []
-        });
+        let mut acc = [[T::ZERO; NR]];
+        self.launch_lanes_reduce(info, map, &mut [out], &mut acc, |_, j, k, row| f(j, k, row));
+        acc[0]
     }
 
     /// Launch a pure reduction kernel over `ny * nz` rows (no output field).
@@ -245,29 +260,15 @@ pub trait Device: Clone + Send + Sync + 'static {
         });
     }
 
-    /// Lane-batched launch: run the same kernel over every lane of a
-    /// multi-RHS batch, amortizing launch overhead across lanes.
-    ///
-    /// `lanes[s]` is the backing slice of lane `s`'s field; all lanes share
-    /// the row map `map`, which must validate against each slice. The
-    /// caller passes only the *active* lanes — frozen lanes of a batched
-    /// solve are simply omitted, and the kernel receives the slot index
-    /// `s` so it can look up per-lane coefficients. Per-lane reduction
-    /// results land in `accs[s]`.
-    ///
-    /// The contract that makes batching safe to adopt incrementally: every
-    /// lane's result is **bitwise identical** to a solo
-    /// [`Device::launch_rows_reduce`] over that lane's field alone. The
-    /// default implementation guarantees this by construction (one solo
-    /// launch per lane); back-ends override it with a single sweep over
-    /// every lane that keeps one accumulator per lane through the
-    /// back-end's exact solo merge structure, recording **one** kernel
-    /// launch of `map.elems() * lanes.len()` elements — launch overhead is
-    /// paid once per sweep instead of once per lane, which is the batched
-    /// path's modelled GPU win. The CPU back-ends sweep lane by lane with
-    /// the accumulator in a local, so a one-lane launch — how every
-    /// single-field kernel of the solver runs — costs what
-    /// [`Device::launch_rows_reduce`] does.
+    /// Lane-batched launch with a per-row body: [`Device::launch_runs`]
+    /// over every lane of a multi-RHS batch, the kernel receiving the lane
+    /// index `s` and lane `s`'s `(j, k)` row and returning its partial.
+    /// Per-lane reduction results land in `accs[s]`; every lane's result
+    /// is bitwise identical to a solo [`Device::launch_rows_reduce`] over
+    /// that lane's field alone, and one launch of
+    /// `map.elems() * lanes.len()` elements is recorded — launch overhead
+    /// is paid once per sweep instead of once per lane, which is the
+    /// batched path's modelled GPU win.
     fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
@@ -278,15 +279,19 @@ pub trait Device: Clone + Send + Sync + 'static {
     ) where
         F: Fn(usize, usize, usize, &mut [T]) -> [T; NR] + Sync,
     {
-        validate_lanes(&map, lanes, accs.len());
-        for (s, lane) in lanes.iter_mut().enumerate() {
-            accs[s] = self.launch_rows_reduce(info, map, lane, |j, k, row| f(s, j, k, row));
-        }
+        self.launch_runs(info, map, lanes, None, accs, |s, run, acc| {
+            let k = run.k;
+            for (j, row) in run.rows() {
+                *acc = add_partials(*acc, f(s, j, k, row));
+            }
+        });
     }
 
-    /// Lane-batched two-buffer launch (see [`Device::launch_lanes_reduce`]
-    /// and [`Device::launch_rows2_reduce`]): the kernel receives lane `s`'s
-    /// `(j, k)` row of each buffer.
+    /// Lane-batched two-buffer launch (see [`Device::launch_lanes_reduce`]):
+    /// the kernel receives lane `s`'s `(j, k)` row of each buffer — the
+    /// entry point of fused sweeps that update two fields in one pass
+    /// (e.g. the fused `KernelBiCGS56` residual+direction update). One
+    /// launch is recorded, with `map_a.elems() * lanes_a.len()` elements.
     #[allow(clippy::too_many_arguments)]
     fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
         &self,
@@ -300,14 +305,19 @@ pub trait Device: Clone + Send + Sync + 'static {
     ) where
         F: Fn(usize, usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
     {
-        validate_lanes(&map_a, lanes_a, accs.len());
-        validate_lanes(&map_b, lanes_b, accs.len());
-        assert_eq!(lanes_a.len(), lanes_b.len(), "lane count mismatch");
-        for (s, (lane_a, lane_b)) in lanes_a.iter_mut().zip(lanes_b.iter_mut()).enumerate() {
-            accs[s] = self.launch_rows2_reduce(info, map_a, lane_a, map_b, lane_b, |j, k, a, b| {
-                f(s, j, k, a, b)
-            });
-        }
+        self.launch_runs(
+            info,
+            map_a,
+            lanes_a,
+            Some((map_b, lanes_b)),
+            accs,
+            |s, run, acc| {
+                let k = run.k;
+                for (j, a, b) in run.rows2() {
+                    *acc = add_partials(*acc, f(s, j, k, a, b));
+                }
+            },
+        );
     }
 
     /// Lane-batched launch with no reduction (element-wise update of every
@@ -348,12 +358,18 @@ pub trait Device: Clone + Send + Sync + 'static {
     fn on_stencil_read<T: Scalar>(&self, _kernel: &'static str, _map: RowMap, _input: &[T]) {}
 }
 
-/// Shared precondition check for the lane-batched launches: the row map
-/// must validate against every lane's backing slice (the `&mut` lane
-/// slices are necessarily disjoint allocations, which is what makes
-/// concurrent per-lane row handout sound), and there must be one
-/// accumulator slot per lane.
-pub(crate) fn validate_lanes<T>(map: &RowMap, lanes: &[&mut [T]], accs_len: usize) {
+/// Shared precondition check of [`Device::launch_runs`]: `map` must
+/// validate against every lane's backing slice (the `&mut` lane slices
+/// are necessarily disjoint allocations, which is what makes concurrent
+/// per-lane run handout sound), a second map against every second-buffer
+/// slice and agree with `map` on its row set, and there must be one
+/// second buffer and one accumulator slot per lane.
+pub(crate) fn validate_runs<T>(
+    map: &RowMap,
+    lanes: &[&mut [T]],
+    second: &Option<(RowMap, &mut [&mut [T]])>,
+    accs_len: usize,
+) {
     assert_eq!(
         accs_len,
         lanes.len(),
@@ -361,6 +377,17 @@ pub(crate) fn validate_lanes<T>(map: &RowMap, lanes: &[&mut [T]], accs_len: usiz
     );
     for lane in lanes {
         map.validate(lane.len());
+    }
+    if let Some((map_b, lanes_b)) = second {
+        assert_eq!(lanes.len(), lanes_b.len(), "lane count mismatch");
+        assert_eq!(
+            (map.ny, map.nz),
+            (map_b.ny, map_b.nz),
+            "two-map launch requires matching row sets"
+        );
+        for lane in lanes_b.iter() {
+            map_b.validate(lane.len());
+        }
     }
 }
 
@@ -440,39 +467,21 @@ impl Device for AnyDevice {
         }
     }
 
-    fn launch_rows_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
-        out: &mut [T],
+        lanes: &mut [&mut [T]],
+        second: Option<(RowMap, &mut [&mut [T]])>,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
     {
         match self {
-            Self::Serial(d) => d.launch_rows_reduce(info, map, out, f),
-            Self::Threads(d) => d.launch_rows_reduce(info, map, out, f),
-            Self::SimGpu(d) => d.launch_rows_reduce(info, map, out, f),
-        }
-    }
-
-    fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        match self {
-            Self::Serial(d) => d.launch_rows2_reduce(info, map_a, out_a, map_b, out_b, f),
-            Self::Threads(d) => d.launch_rows2_reduce(info, map_a, out_a, map_b, out_b, f),
-            Self::SimGpu(d) => d.launch_rows2_reduce(info, map_a, out_a, map_b, out_b, f),
+            Self::Serial(d) => d.launch_runs(info, map, lanes, second, accs, f),
+            Self::Threads(d) => d.launch_runs(info, map, lanes, second, accs, f),
+            Self::SimGpu(d) => d.launch_runs(info, map, lanes, second, accs, f),
         }
     }
 
@@ -490,48 +499,6 @@ impl Device for AnyDevice {
             Self::Serial(d) => d.launch_reduce(info, ny, nz, f),
             Self::Threads(d) => d.launch_reduce(info, ny, nz, f),
             Self::SimGpu(d) => d.launch_reduce(info, ny, nz, f),
-        }
-    }
-
-    fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map: RowMap,
-        lanes: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T]) -> [T; NR] + Sync,
-    {
-        match self {
-            Self::Serial(d) => d.launch_lanes_reduce(info, map, lanes, accs, f),
-            Self::Threads(d) => d.launch_lanes_reduce(info, map, lanes, accs, f),
-            Self::SimGpu(d) => d.launch_lanes_reduce(info, map, lanes, accs, f),
-        }
-    }
-
-    fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        lanes_a: &mut [&mut [T]],
-        map_b: RowMap,
-        lanes_b: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        match self {
-            Self::Serial(d) => {
-                d.launch_lanes2_reduce(info, map_a, lanes_a, map_b, lanes_b, accs, f)
-            }
-            Self::Threads(d) => {
-                d.launch_lanes2_reduce(info, map_a, lanes_a, map_b, lanes_b, accs, f)
-            }
-            Self::SimGpu(d) => {
-                d.launch_lanes2_reduce(info, map_a, lanes_a, map_b, lanes_b, accs, f)
-            }
         }
     }
 
@@ -710,11 +677,12 @@ mod tests {
             for s in 0..nl {
                 let mut sa = vec![0.0f64; padded];
                 let mut sb = vec![0.0f64; rows];
-                let r =
-                    dev.launch_rows2_reduce(info, map_a, &mut sa, map_b, &mut sb, |j, k, a, b| {
-                        kernel(s, j, k, a, b)
-                    });
-                assert_eq!(accs[s][0].to_bits(), r[0].to_bits(), "{spec}: lane {s}");
+                let mut r = [[0.0f64; 1]];
+                let (la, lb) = (&mut [&mut sa[..]], &mut [&mut sb[..]]);
+                dev.launch_lanes2_reduce(info, map_a, la, map_b, lb, &mut r, |_, j, k, a, b| {
+                    kernel(s, j, k, a, b)
+                });
+                assert_eq!(accs[s][0].to_bits(), r[0][0].to_bits(), "{spec}: lane {s}");
                 assert!(fa[s]
                     .iter()
                     .zip(&sa)
@@ -761,5 +729,192 @@ mod tests {
         let mut accs: [[f64; 1]; 0] = [];
         dev.launch_lanes_reduce(info, map, &mut lanes, &mut accs, lane_kernel);
         assert_eq!(rec.len(), 0);
+    }
+}
+
+/// Runs ≡ rows, generated: a run launch against a per-row oracle that
+/// restates each back-end's reduction policy — which rows an owner
+/// folds, in which order, and how the owners' partials combine — over
+/// whole, window and shell maps, one or two buffers, 1–3 lanes and
+/// `NR = 0…3`.
+#[cfg(test)]
+mod run_proptests {
+    use super::*;
+    use crate::index::{chunk_range, Extent3};
+    use proptest::prelude::*;
+    use std::ops::Range;
+
+    /// The rows each owner of a launch over `rows` rows folds, in owner
+    /// order: the whole range on `Serial`, one chunk per participant
+    /// (never more than rows or than 64) on `Threads`, one block of
+    /// `block_rows` on `SimGpu`.
+    fn owners(kind: &DeviceKind, rows: usize) -> Vec<Range<usize>> {
+        match *kind {
+            DeviceKind::CpuSerial => std::iter::once(0..rows).collect(),
+            DeviceKind::CpuThreads { threads } => {
+                let chunks = threads.min(rows).clamp(1, 64);
+                (0..chunks).map(|c| chunk_range(rows, chunks, c)).collect()
+            }
+            DeviceKind::SimGpu { block_rows } => (0..rows.div_ceil(block_rows))
+                .map(|b| b * block_rows..((b + 1) * block_rows).min(rows))
+                .collect(),
+        }
+    }
+
+    /// How the owners' partials combine: taken as is from the one
+    /// `Serial` owner, folded in chunk order from zero on `Threads`,
+    /// paired level by level (an odd last one carried up) on `SimGpu`.
+    fn combine<const NR: usize>(kind: &DeviceKind, mut parts: Vec<[f64; NR]>) -> [f64; NR] {
+        match kind {
+            DeviceKind::CpuSerial => parts[0],
+            DeviceKind::CpuThreads { .. } => parts.into_iter().fold([0.0; NR], add_partials),
+            DeviceKind::SimGpu { .. } => {
+                while parts.len() > 1 {
+                    let carry = (parts.len() % 2 == 1).then(|| parts[parts.len() - 1]);
+                    parts = parts
+                        .chunks_exact(2)
+                        .map(|p| add_partials(p[0], p[1]))
+                        .chain(carry)
+                        .collect();
+                }
+                parts[0]
+            }
+        }
+    }
+
+    /// The per-row kernel both sides run: inexact values in every cell of
+    /// both rows, so any change in which cell a row lands on or in the
+    /// fold grouping shows in the bits.
+    fn row_kernel<const NR: usize>(
+        s: usize,
+        j: usize,
+        k: usize,
+        a: &mut [f64],
+        b: &mut [f64],
+    ) -> [f64; NR] {
+        let mut acc = [0.0; NR];
+        for (i, v) in a.iter_mut().enumerate() {
+            *v = 1.0 / ((s * 1009 + k * 101 + j * 11 + i) as f64 + 3.0);
+            for (q, p) in acc.iter_mut().enumerate() {
+                *p += v.powi(q as i32 + 1);
+            }
+        }
+        for (i, v) in b.iter_mut().enumerate() {
+            *v = -1.0 / ((s * 7 + k * 5 + j * 3 + i) as f64 + 1.5);
+        }
+        acc
+    }
+
+    /// The oracle: every owner folds its rows one `row_kernel` call at a
+    /// time into a partial of its own, then the policy combines them.
+    fn oracle<const NR: usize>(
+        kind: &DeviceKind,
+        (map, lanes): (RowMap, &mut [Vec<f64>]),
+        mut second: Option<(RowMap, &mut [Vec<f64>])>,
+    ) -> Vec<[f64; NR]> {
+        let mut accs = Vec::new();
+        for (s, lane) in lanes.iter_mut().enumerate() {
+            let mut parts = Vec::new();
+            for rows in owners(kind, map.rows()) {
+                let mut acc = [0.0; NR];
+                for r in rows {
+                    let (j, k) = map.row_jk(r);
+                    let off = map.row_offset(j, k);
+                    let a = &mut lane[off..off + map.len];
+                    let b: &mut [f64] = match &mut second {
+                        Some((mb, lb)) => {
+                            let off = mb.row_offset(j, k);
+                            &mut lb[s][off..off + mb.len]
+                        }
+                        None => &mut [],
+                    };
+                    acc = add_partials(acc, row_kernel::<NR>(s, j, k, a, b));
+                }
+                parts.push(acc);
+            }
+            accs.push(combine(kind, parts));
+        }
+        accs
+    }
+
+    /// One run launch against the oracle, fields and partials bit for bit.
+    fn check<const NR: usize>(dev: &AnyDevice, map: RowMap, len: usize, nl: usize, two: bool) {
+        let info = KernelInfo::new("runs", 8, 1);
+        let slots = RowMap {
+            base: 1,
+            len: 2,
+            ny: map.ny,
+            nz: map.nz,
+            sy: 3,
+            sz: 3 * map.ny + 1,
+        };
+        let slot_len = slots.row_offset(map.ny - 1, map.nz - 1) + slots.len + 1;
+        let fresh =
+            |n: usize| -> Vec<Vec<f64>> { (0..nl).map(|s| vec![s as f64 + 0.5; n]).collect() };
+        let (mut a, mut b) = (fresh(len), fresh(slot_len));
+        let (mut oa, mut ob) = (a.clone(), b.clone());
+        let mut accs = vec![[f64::NAN; NR]; nl];
+        {
+            let mut la: Vec<&mut [f64]> = a.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut lb: Vec<&mut [f64]> = b.iter_mut().map(Vec::as_mut_slice).collect();
+            let second = two.then_some((slots, &mut lb[..]));
+            dev.launch_runs(info, map, &mut la, second, &mut accs, |s, run, acc| {
+                let k = run.k;
+                for (j, ra, rb) in run.rows2() {
+                    *acc = add_partials(*acc, row_kernel::<NR>(s, j, k, ra, rb));
+                }
+            });
+        }
+        let want = oracle::<NR>(
+            &dev.kind(),
+            (map, &mut oa),
+            two.then_some((slots, &mut ob[..])),
+        );
+        let bits =
+            |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+        let what = format!("{} {map:?} lanes {nl} NR {NR} two-map {two}", dev.name());
+        assert_eq!(bits(&a), bits(&oa), "{what}: fields");
+        assert_eq!(bits(&b), bits(&ob), "{what}: second buffers");
+        let acc_bits =
+            |v: &[[f64; NR]]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+        assert_eq!(acc_bits(&accs), acc_bits(&want), "{what}: partials");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn runs_match_the_per_row_oracle(
+            nx in 1usize..10, ny in 1usize..10, nz in 1usize..10,
+            in_flight in 0u8..64,
+            device in prop_oneof![
+                Just(0usize),
+                1usize..6,
+                (1usize..9).prop_map(|b| 100 + b),
+            ],
+            nl in 1usize..4,
+            two in 0u8..2,
+        ) {
+            let dev = match device {
+                0 => AnyDevice::Serial(Serial::new(Recorder::disabled())),
+                t @ 1..=5 => AnyDevice::Threads(Threads::new(t, Recorder::disabled())),
+                b => AnyDevice::SimGpu(SimGpu::new(
+                    GpuSimParams { name: "prop", block_rows: b - 100 },
+                    Recorder::disabled(),
+                )),
+            };
+            let e = Extent3::new(nx, ny, nz);
+            let len = (nx + 2) * (ny + 2) * (nz + 2);
+            let maps = std::iter::once(RowMap::halo_interior(e))
+                .chain(RowMap::halo_window(e, in_flight))
+                .chain(RowMap::halo_shell(e, in_flight));
+            let two = two == 1;
+            for map in maps {
+                check::<0>(&dev, map, len, nl, two);
+                check::<1>(&dev, map, len, nl, two);
+                check::<2>(&dev, map, len, nl, two);
+                check::<3>(&dev, map, len, nl, two);
+            }
+        }
     }
 }

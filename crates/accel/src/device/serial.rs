@@ -1,13 +1,14 @@
 //! Single-threaded reference back-end.
 
 use crate::events::{KernelInfo, Recorder};
-use crate::index::RowMap;
+use crate::index::{RowMap, Run};
 use crate::scalar::{add_partials, Scalar};
 
 use super::{Device, DeviceKind};
 
-/// Serial CPU device: rows execute in linear order and reduction partials
-/// fold in that same order, making every launch bitwise-deterministic.
+/// Serial CPU device: each plane is one run, rows execute in linear order
+/// and reduction partials fold in that same order, making every launch
+/// bitwise-deterministic.
 /// This is the reference semantics all other back-ends are tested against.
 #[derive(Clone)]
 pub struct Serial {
@@ -34,60 +35,33 @@ impl Device for Serial {
         &self.recorder
     }
 
-    fn launch_rows_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
-        out: &mut [T],
+        lanes: &mut [&mut [T]],
+        mut second: Option<(RowMap, &mut [&mut [T]])>,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
     {
-        map.validate(out.len());
-        self.recorder.kernel(info, map.elems());
-        let mut acc = [T::ZERO; NR];
-        for k in 0..map.nz {
-            for j in 0..map.ny {
-                let off = map.row_offset(j, k);
-                let row = &mut out[off..off + map.len];
-                acc = add_partials(acc, f(j, k, row));
+        super::validate_runs(&map, lanes, &second, accs.len());
+        if lanes.is_empty() {
+            return;
+        }
+        // One launch for the whole lane sweep; each lane folds its planes
+        // in order into its own accumulator, so per-lane results stay
+        // bitwise equal to a one-lane launch over that lane's field — and
+        // a one-lane sweep costs what that does.
+        self.recorder.kernel(info, map.elems() * lanes.len());
+        for (s, (lane, acc)) in lanes.iter_mut().zip(accs.iter_mut()).enumerate() {
+            *acc = [T::ZERO; NR];
+            for (k, js) in map.runs(0..map.rows()) {
+                let b = second.as_mut().map(|(m, l)| (&*m, &mut *l[s]));
+                f(s, Run::new(k, js, (&map, &mut **lane), b), acc);
             }
         }
-        acc
-    }
-
-    fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        map_a.validate(out_a.len());
-        map_b.validate(out_b.len());
-        assert_eq!(
-            (map_a.ny, map_a.nz),
-            (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
-        );
-        self.recorder.kernel(info, map_a.elems());
-        let mut acc = [T::ZERO; NR];
-        for k in 0..map_a.nz {
-            for j in 0..map_a.ny {
-                let off_a = map_a.row_offset(j, k);
-                let off_b = map_b.row_offset(j, k);
-                let row_a = &mut out_a[off_a..off_a + map_a.len];
-                let row_b = &mut out_b[off_b..off_b + map_b.len];
-                acc = add_partials(acc, f(j, k, row_a, row_b));
-            }
-        }
-        acc
     }
 
     fn launch_reduce<T: Scalar, F, const NR: usize>(
@@ -108,78 +82,6 @@ impl Device for Serial {
             }
         }
         acc
-    }
-
-    fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map: RowMap,
-        lanes: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T]) -> [T; NR] + Sync,
-    {
-        super::validate_lanes(&map, lanes, accs.len());
-        if lanes.is_empty() {
-            return;
-        }
-        // One launch for the whole lane sweep; each lane still folds its
-        // own rows in (k, j) order into a local accumulator, so per-lane
-        // results stay bitwise equal to a solo launch_rows_reduce over
-        // that lane's field — and a one-lane sweep costs what that does.
-        self.recorder.kernel(info, map.elems() * lanes.len());
-        for (s, (lane, out)) in lanes.iter_mut().zip(accs.iter_mut()).enumerate() {
-            let mut acc = [T::ZERO; NR];
-            for k in 0..map.nz {
-                for j in 0..map.ny {
-                    let off = map.row_offset(j, k);
-                    let row = &mut lane[off..off + map.len];
-                    acc = add_partials(acc, f(s, j, k, row));
-                }
-            }
-            *out = acc;
-        }
-    }
-
-    fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        lanes_a: &mut [&mut [T]],
-        map_b: RowMap,
-        lanes_b: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        super::validate_lanes(&map_a, lanes_a, accs.len());
-        super::validate_lanes(&map_b, lanes_b, accs.len());
-        assert_eq!(lanes_a.len(), lanes_b.len(), "lane count mismatch");
-        assert_eq!(
-            (map_a.ny, map_a.nz),
-            (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
-        );
-        if lanes_a.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, map_a.elems() * lanes_a.len());
-        let lanes = lanes_a.iter_mut().zip(lanes_b.iter_mut());
-        for (s, ((lane_a, lane_b), out)) in lanes.zip(accs.iter_mut()).enumerate() {
-            let mut acc = [T::ZERO; NR];
-            for k in 0..map_a.nz {
-                for j in 0..map_a.ny {
-                    let off_a = map_a.row_offset(j, k);
-                    let off_b = map_b.row_offset(j, k);
-                    let row_a = &mut lane_a[off_a..off_a + map_a.len];
-                    let row_b = &mut lane_b[off_b..off_b + map_b.len];
-                    acc = add_partials(acc, f(s, j, k, row_a, row_b));
-                }
-            }
-            *out = acc;
-        }
     }
 }
 

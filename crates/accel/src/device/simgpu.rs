@@ -4,7 +4,8 @@
 //! reproduces the *algorithmically visible* properties of a GPU execution:
 //!
 //! * **Block-structured work division.** Rows are grouped into thread
-//!   blocks of `block_rows` rows; a real launch would map these to CUDA/HIP
+//!   blocks of `block_rows` rows, each swept one run per plane it touches;
+//!   a real launch would map these to CUDA/HIP
 //!   blocks. Block geometry is part of the device identity — "MI250X" and
 //!   "H100" presets use different shapes, as the tuned alpaka work
 //!   divisions on those chips do.
@@ -22,7 +23,7 @@
 //! reproduction relies on.
 
 use crate::events::{KernelInfo, Recorder};
-use crate::index::RowMap;
+use crate::index::{RowMap, Run};
 use crate::scalar::{add_partials, Scalar};
 
 use super::{Device, DeviceKind};
@@ -74,21 +75,23 @@ impl SimGpu {
     }
 }
 
-/// Pairwise binary-tree combination of block partials (GPU reduction order).
-fn tree_reduce<T: Scalar, const NR: usize>(mut partials: Vec<[T; NR]>) -> [T; NR] {
-    if partials.is_empty() {
+/// Pairwise binary-tree combination of block partials (GPU reduction
+/// order), in place.
+fn tree_reduce<T: Scalar, const NR: usize>(partials: &mut [[T; NR]]) -> [T; NR] {
+    let mut len = partials.len();
+    if len == 0 {
         return [T::ZERO; NR];
     }
-    while partials.len() > 1 {
-        let half = partials.len() / 2;
+    while len > 1 {
+        let half = len / 2;
         for i in 0..half {
             partials[i] = add_partials(partials[2 * i], partials[2 * i + 1]);
         }
-        if partials.len() % 2 == 1 {
-            partials[half] = partials[partials.len() - 1];
-            partials.truncate(half + 1);
+        if len % 2 == 1 {
+            partials[half] = partials[len - 1];
+            len = half + 1;
         } else {
-            partials.truncate(half);
+            len = half;
         }
     }
     partials[0]
@@ -109,72 +112,47 @@ impl Device for SimGpu {
         &self.recorder
     }
 
-    fn launch_rows_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
-        out: &mut [T],
+        lanes: &mut [&mut [T]],
+        mut second: Option<(RowMap, &mut [&mut [T]])>,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
     {
-        map.validate(out.len());
-        self.recorder.kernel(info, map.elems());
+        super::validate_runs(&map, lanes, &second, accs.len());
+        if lanes.is_empty() {
+            return;
+        }
+        // One recorded launch covering all lanes: the batched sweep pays
+        // the (modelled) launch latency once, which is exactly the multi-RHS
+        // amortization the perfmodel replay credits.
+        self.recorder.kernel(info, map.elems() * lanes.len());
         let rows = map.rows();
         let bs = self.params.block_rows;
         let blocks = rows.div_ceil(bs);
-        let mut block_partials = Vec::with_capacity(blocks);
+        // Lane-major block partials: lane s owns [s*blocks, (s+1)*blocks).
+        // Block geometry depends on rows only, so each lane's partials feed
+        // the same pairwise tree a solo launch would build — bitwise equal
+        // per lane.
+        let nl = lanes.len();
+        // LINT: alloc-ok(one slot per simulated thread block: unbounded)
+        let mut block_partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; blocks * nl];
         for b in 0..blocks {
-            let mut acc = [T::ZERO; NR];
-            for r in b * bs..((b + 1) * bs).min(rows) {
-                let (j, k) = map.row_jk(r);
-                let off = map.row_offset(j, k);
-                let row = &mut out[off..off + map.len];
-                acc = add_partials(acc, f(j, k, row));
+            for (k, js) in map.runs(b * bs..((b + 1) * bs).min(rows)) {
+                for (s, lane) in lanes.iter_mut().enumerate() {
+                    let second = second.as_mut().map(|(m, l)| (&*m, &mut *l[s]));
+                    let run = Run::new(k, js.start..js.end, (&map, &mut **lane), second);
+                    f(s, run, &mut block_partials[s * blocks + b]);
+                }
             }
-            block_partials.push(acc);
         }
-        tree_reduce(block_partials)
-    }
-
-    fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        map_a.validate(out_a.len());
-        map_b.validate(out_b.len());
-        assert_eq!(
-            (map_a.ny, map_a.nz),
-            (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
-        );
-        self.recorder.kernel(info, map_a.elems());
-        let rows = map_a.rows();
-        let bs = self.params.block_rows;
-        let blocks = rows.div_ceil(bs);
-        let mut block_partials = Vec::with_capacity(blocks);
-        for b in 0..blocks {
-            let mut acc = [T::ZERO; NR];
-            for r in b * bs..((b + 1) * bs).min(rows) {
-                let (j, k) = map_a.row_jk(r);
-                let off_a = map_a.row_offset(j, k);
-                let off_b = map_b.row_offset(j, k);
-                let row_a = &mut out_a[off_a..off_a + map_a.len];
-                let row_b = &mut out_b[off_b..off_b + map_b.len];
-                acc = add_partials(acc, f(j, k, row_a, row_b));
-            }
-            block_partials.push(acc);
+        for (acc, partials) in accs.iter_mut().zip(block_partials.chunks_mut(blocks)) {
+            *acc = tree_reduce(partials);
         }
-        tree_reduce(block_partials)
     }
 
     fn launch_reduce<T: Scalar, F, const NR: usize>(
@@ -189,9 +167,6 @@ impl Device for SimGpu {
     {
         self.recorder.kernel(info, ny * nz);
         let rows = ny * nz;
-        if rows == 0 {
-            return [T::ZERO; NR];
-        }
         let bs = self.params.block_rows;
         let blocks = rows.div_ceil(bs);
         let mut block_partials = Vec::with_capacity(blocks);
@@ -202,98 +177,7 @@ impl Device for SimGpu {
             }
             block_partials.push(acc);
         }
-        tree_reduce(block_partials)
-    }
-
-    fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map: RowMap,
-        lanes: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T]) -> [T; NR] + Sync,
-    {
-        super::validate_lanes(&map, lanes, accs.len());
-        if lanes.is_empty() {
-            return;
-        }
-        // One recorded launch covering all lanes: the batched sweep pays
-        // the (modelled) launch latency once, which is exactly the multi-RHS
-        // amortization the perfmodel replay credits.
-        self.recorder.kernel(info, map.elems() * lanes.len());
-        let rows = map.rows();
-        let bs = self.params.block_rows;
-        let blocks = rows.div_ceil(bs);
-        let nl = lanes.len();
-        // Lane-major block partials: lane s owns [s*blocks, (s+1)*blocks).
-        // Block geometry depends on rows only, so each lane's partials feed
-        // the same pairwise tree a solo launch would build — bitwise equal
-        // per lane.
-        let mut block_partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; blocks * nl];
-        for b in 0..blocks {
-            for r in b * bs..((b + 1) * bs).min(rows) {
-                let (j, k) = map.row_jk(r);
-                let off = map.row_offset(j, k);
-                for (s, lane) in lanes.iter_mut().enumerate() {
-                    let row = &mut lane[off..off + map.len];
-                    let slot = &mut block_partials[s * blocks + b];
-                    *slot = add_partials(*slot, f(s, j, k, row));
-                }
-            }
-        }
-        for (s, acc) in accs.iter_mut().enumerate() {
-            *acc = tree_reduce(block_partials[s * blocks..(s + 1) * blocks].to_vec());
-        }
-    }
-
-    fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        lanes_a: &mut [&mut [T]],
-        map_b: RowMap,
-        lanes_b: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        super::validate_lanes(&map_a, lanes_a, accs.len());
-        super::validate_lanes(&map_b, lanes_b, accs.len());
-        assert_eq!(lanes_a.len(), lanes_b.len(), "lane count mismatch");
-        assert_eq!(
-            (map_a.ny, map_a.nz),
-            (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
-        );
-        if lanes_a.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, map_a.elems() * lanes_a.len());
-        let rows = map_a.rows();
-        let bs = self.params.block_rows;
-        let blocks = rows.div_ceil(bs);
-        let nl = lanes_a.len();
-        let mut block_partials: Vec<[T; NR]> = vec![[T::ZERO; NR]; blocks * nl];
-        for b in 0..blocks {
-            for r in b * bs..((b + 1) * bs).min(rows) {
-                let (j, k) = map_a.row_jk(r);
-                let off_a = map_a.row_offset(j, k);
-                let off_b = map_b.row_offset(j, k);
-                for (s, (lane_a, lane_b)) in lanes_a.iter_mut().zip(lanes_b.iter_mut()).enumerate()
-                {
-                    let row_a = &mut lane_a[off_a..off_a + map_a.len];
-                    let row_b = &mut lane_b[off_b..off_b + map_b.len];
-                    let slot = &mut block_partials[s * blocks + b];
-                    *slot = add_partials(*slot, f(s, j, k, row_a, row_b));
-                }
-            }
-        }
-        for (s, acc) in accs.iter_mut().enumerate() {
-            *acc = tree_reduce(block_partials[s * blocks..(s + 1) * blocks].to_vec());
-        }
+        tree_reduce(&mut block_partials)
     }
 }
 
@@ -307,11 +191,11 @@ mod tests {
 
     #[test]
     fn tree_reduce_exact_values() {
-        let parts: Vec<[f64; 1]> = (1..=9).map(|i| [i as f64]).collect();
-        assert_eq!(tree_reduce(parts), [45.0]);
-        let empty: Vec<[f64; 1]> = vec![];
+        let mut parts: Vec<[f64; 1]> = (1..=9).map(|i| [i as f64]).collect();
+        assert_eq!(tree_reduce(&mut parts), [45.0]);
+        let empty: &mut [[f64; 1]] = &mut [];
         assert_eq!(tree_reduce(empty), [0.0]);
-        assert_eq!(tree_reduce(vec![[7.0f64]]), [7.0]);
+        assert_eq!(tree_reduce(&mut [[7.0f64]]), [7.0]);
     }
 
     #[test]

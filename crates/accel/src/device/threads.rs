@@ -3,16 +3,17 @@
 //! Every launch splits its rows into one contiguous chunk per participant
 //! of a persistent [`ThreadPool`] team ([`chunk_range`]) and runs chunk `c`
 //! on participant `c % n` — the launching thread is participant 0 — so a
-//! thread sweeps the same rows in every launch. Each chunk folds its rows
-//! in order into a local partial per lane; the partials land in slots on
-//! the launcher's stack and are merged in chunk order, so a launch touches
-//! no heap and its result depends only on the row count and the team size.
+//! thread sweeps the same rows in every launch, one run per plane its
+//! chunk touches. Each chunk folds its rows in order into a local partial
+//! per lane; the partials land in slots on the launcher's stack and are
+//! merged in chunk order, so a launch touches no heap and its result
+//! depends only on the row count and the team size.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::events::{KernelInfo, Recorder};
-use crate::index::{chunk_range, row_slice_mut, RowMap, SendPtr};
+use crate::index::{chunk_range, RowMap, Run, SendPtr};
 use crate::pool::ThreadPool;
 use crate::scalar::{add_partials, Scalar};
 
@@ -126,44 +127,41 @@ impl Device for Threads {
         &self.recorder
     }
 
-    fn launch_rows_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
-        out: &mut [T],
+        lanes: &mut [&mut [T]],
+        second: Option<(RowMap, &mut [&mut [T]])>,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
     {
-        let mut acc = [[T::ZERO; NR]];
-        self.launch_lanes_reduce(info, map, &mut [out], &mut acc, |_, j, k, row| f(j, k, row));
-        acc[0]
-    }
-
-    fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        let mut acc = [[T::ZERO; NR]];
-        self.launch_lanes2_reduce(
-            info,
-            map_a,
-            &mut [out_a],
-            map_b,
-            &mut [out_b],
-            &mut acc,
-            |_, j, k, a, b| f(j, k, a, b),
-        );
-        acc[0]
+        super::validate_runs(&map, lanes, &second, accs.len());
+        if lanes.is_empty() {
+            return;
+        }
+        self.recorder.kernel(info, map.elems() * lanes.len());
+        let table = SendPtr(lanes.as_mut_ptr());
+        let second = second.map(|(m, l)| (m, SendPtr(l.as_mut_ptr())));
+        self.sweep(map.rows(), accs, |s, rows| {
+            // SAFETY: `s < accs.len()`, the length of every lane table.
+            let a = unsafe { lane_ptr(table, s) };
+            // SAFETY: as above.
+            let b = second.map(|(m, t)| (m, unsafe { lane_ptr(t, s) }));
+            let mut acc = [T::ZERO; NR];
+            for (k, js) in map.runs(rows) {
+                // SAFETY: the maps validated against every lane slice of
+                // their buffer; lane slices are disjoint `&mut` borrows and
+                // each row belongs to exactly one chunk, so no two
+                // participants ever touch the same (lane, row).
+                let run =
+                    unsafe { Run::from_raw(k, js, (&map, a), b.as_ref().map(|(m, p)| (m, *p))) };
+                f(s, run, &mut acc);
+            }
+            acc
+        });
     }
 
     fn launch_reduce<T: Scalar, F, const NR: usize>(
@@ -186,82 +184,6 @@ impl Device for Threads {
             acc
         });
         acc[0]
-    }
-
-    fn launch_lanes_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map: RowMap,
-        lanes: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T]) -> [T; NR] + Sync,
-    {
-        super::validate_lanes(&map, lanes, accs.len());
-        if lanes.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, map.elems() * lanes.len());
-        let table = SendPtr(lanes.as_mut_ptr());
-        self.sweep(map.rows(), accs, |s, rows| {
-            // SAFETY: `s < accs.len() == lanes.len()`.
-            let ptr = unsafe { lane_ptr(table, s) };
-            let mut acc = [T::ZERO; NR];
-            for r in rows {
-                let (j, k) = map.row_jk(r);
-                // SAFETY: `map` validated against every lane slice; the
-                // lane slices are disjoint `&mut` borrows, and each row
-                // index `r` belongs to exactly one chunk, so no two
-                // participants ever touch the same (lane, row).
-                let row = unsafe { row_slice_mut(ptr, &map, j, k) };
-                acc = add_partials(acc, f(s, j, k, row));
-            }
-            acc
-        });
-    }
-
-    fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        lanes_a: &mut [&mut [T]],
-        map_b: RowMap,
-        lanes_b: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        super::validate_lanes(&map_a, lanes_a, accs.len());
-        super::validate_lanes(&map_b, lanes_b, accs.len());
-        assert_eq!(lanes_a.len(), lanes_b.len(), "lane count mismatch");
-        assert_eq!(
-            (map_a.ny, map_a.nz),
-            (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
-        );
-        if lanes_a.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, map_a.elems() * lanes_a.len());
-        let (table_a, table_b) = (SendPtr(lanes_a.as_mut_ptr()), SendPtr(lanes_b.as_mut_ptr()));
-        self.sweep(map_a.rows(), accs, |s, rows| {
-            // SAFETY: `s < accs.len()`, the length of both lane tables.
-            let (ptr_a, ptr_b) = unsafe { (lane_ptr(table_a, s), lane_ptr(table_b, s)) };
-            let mut acc = [T::ZERO; NR];
-            for r in rows {
-                let (j, k) = map_a.row_jk(r);
-                // SAFETY: both maps validated against every lane slice of
-                // their buffer; lane slices are disjoint `&mut` borrows and
-                // each row belongs to exactly one chunk.
-                let row_a = unsafe { row_slice_mut(ptr_a, &map_a, j, k) };
-                // SAFETY: as above for the second buffer.
-                let row_b = unsafe { row_slice_mut(ptr_b, &map_b, j, k) };
-                acc = add_partials(acc, f(s, j, k, row_a, row_b));
-            }
-            acc
-        });
     }
 }
 
@@ -349,7 +271,7 @@ mod tests {
             sz: map_a.ny,
         };
         let padded = 7 * 6 * 5;
-        let kernel = |j: usize, k: usize, a: &mut [f64], b: &mut [f64]| {
+        let kernel = |_: usize, j: usize, k: usize, a: &mut [f64], b: &mut [f64]| {
             let mut s = 0.0;
             for (i, v) in a.iter_mut().enumerate() {
                 *v = (i + 3 * j + 7 * k) as f64;
@@ -359,22 +281,24 @@ mod tests {
             [s]
         };
         #[allow(clippy::type_complexity)]
-        let run = |dev: &dyn Fn(&mut [f64], &mut [f64]) -> [f64; 1]| {
+        let run = |dev: &dyn Fn(&mut [&mut [f64]], &mut [&mut [f64]], &mut [[f64; 1]])| {
             let mut a = vec![0.0f64; padded];
             let mut b = vec![0.0f64; map_a.rows()];
-            let s = dev(&mut a, &mut b);
+            let mut s = [[0.0f64]];
+            dev(&mut [&mut a[..]], &mut [&mut b[..]], &mut s);
             (a, b, s)
         };
-        let (a0, b0, s0) = run(&|a, b| {
-            Serial::new(Recorder::disabled()).launch_rows2_reduce(INFO, map_a, a, map_b, b, kernel)
+        let (a0, b0, s0) = run(&|a, b, s| {
+            Serial::new(Recorder::disabled())
+                .launch_lanes2_reduce(INFO, map_a, a, map_b, b, s, kernel)
         });
-        let (a1, b1, s1) = run(&|a, b| {
+        let (a1, b1, s1) = run(&|a, b, s| {
             Threads::new(3, Recorder::disabled())
-                .launch_rows2_reduce(INFO, map_a, a, map_b, b, kernel)
+                .launch_lanes2_reduce(INFO, map_a, a, map_b, b, s, kernel)
         });
-        let (a2, b2, s2) = run(&|a, b| {
+        let (a2, b2, s2) = run(&|a, b, s| {
             SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled())
-                .launch_rows2_reduce(INFO, map_a, a, map_b, b, kernel)
+                .launch_lanes2_reduce(INFO, map_a, a, map_b, b, s, kernel)
         });
         assert_eq!(a0, a1);
         assert_eq!(a0, a2);

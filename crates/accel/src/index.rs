@@ -15,6 +15,11 @@
 //! while the exchange runs, and a *shell* — the window's peeled cells,
 //! then every remaining plane as full rows — swept after it. One
 //! geometry, chosen from the in-flight face set alone.
+//!
+//! A back-end hands its kernels rows a [`Run`] at a time: the consecutive
+//! rows of one plane that one owner sweeps ([`RowMap::runs`]).
+
+use std::ops::Range;
 
 /// 3-D extent (x is the contiguous/fastest dimension).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -239,6 +244,155 @@ impl RowMap {
     pub const fn row_jk(&self, r: usize) -> (usize, usize) {
         (r % self.ny, r / self.ny)
     }
+
+    /// The runs of the linear rows `rows`: `(k, j0..j1)` for each plane
+    /// they touch, in row order — the whole plane for a range that covers
+    /// it, its first or last rows where the range starts or ends inside it.
+    #[inline(always)]
+    pub fn runs(&self, rows: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let ny = self.ny;
+        let mut r = rows.start;
+        std::iter::from_fn(move || {
+            if r >= rows.end {
+                return None;
+            }
+            let (j0, k) = (r % ny, r / ny);
+            let j1 = ny.min(j0 + rows.end - r);
+            r += j1 - j0;
+            Some((k, j0..j1))
+        })
+    }
+
+    /// Backing-slice range from the first cell of row `(js.start, k)` to
+    /// the last cell of row `(js.end − 1, k)`: the span one run covers.
+    #[inline(always)]
+    const fn run_span(&self, k: usize, js: &Range<usize>) -> Range<usize> {
+        self.row_offset(js.start, k)..self.row_offset(js.end - 1, k) + self.len
+    }
+}
+
+/// One run of a launch: the consecutive rows `js` of plane `k` that a
+/// single owner sweeps — a whole plane on [`crate::Serial`], the plane's
+/// part of a chunk on [`crate::Threads`], of a block on
+/// [`crate::SimGpu`] — as row-exact `&mut` slices of each buffer the
+/// launch writes.
+///
+/// A kernel body receives one run at a time and loops its rows itself, so
+/// whatever it sets up per call — a vector arm, coefficients, windows —
+/// it pays once per run instead of once per row.
+pub struct Run<'a, T> {
+    /// The run's plane: row index `k` of the launch's map.
+    pub k: usize,
+    /// The run's rows `j0..j1` of that plane.
+    pub js: Range<usize>,
+    a: RunRows<'a, T>,
+    b: RunRows<'a, T>,
+}
+
+impl<'a, T> Run<'a, T> {
+    /// The run of rows `js` of plane `k` in `a` under `map_a` and, for a
+    /// two-map launch, in `b` under its map.
+    #[inline(always)]
+    pub(crate) fn new(
+        k: usize,
+        js: Range<usize>,
+        (map_a, a): (&RowMap, &'a mut [T]),
+        b: Option<(&RowMap, &'a mut [T])>,
+    ) -> Self {
+        let b = match b {
+            Some((map_b, b)) => RunRows::new(&mut b[map_b.run_span(k, &js)], map_b),
+            None => RunRows::none(),
+        };
+        let a = RunRows::new(&mut a[map_a.run_span(k, &js)], map_a);
+        Self { k, js, a, b }
+    }
+
+    /// [`Run::new`] over lane base pointers, for back-ends whose owners
+    /// share one lane table.
+    ///
+    /// # Safety
+    /// Each map must have been validated against the allocation its
+    /// pointer addresses ([`RowMap::validate`]), and no other live slice
+    /// may overlap the rows `js` of plane `k` of either buffer: callers
+    /// hand each row of a launch to exactly one owner.
+    #[inline(always)]
+    pub(crate) unsafe fn from_raw(
+        k: usize,
+        js: Range<usize>,
+        (map_a, a): (&RowMap, SendPtr<T>),
+        b: Option<(&RowMap, SendPtr<T>)>,
+    ) -> Self {
+        // SAFETY: the caller guarantees both spans lie inside validated
+        // allocations and belong to this owner alone.
+        let span = |map: &RowMap, p: SendPtr<T>| unsafe {
+            let r = map.run_span(k, &js);
+            std::slice::from_raw_parts_mut(p.0.add(r.start), r.len())
+        };
+        let b = match b {
+            Some((map_b, b)) => RunRows::new(span(map_b, b), map_b),
+            None => RunRows::none(),
+        };
+        let a = RunRows::new(span(map_a, a), map_a);
+        Self { k, js, a, b }
+    }
+
+    /// `(j, row)` for every row of the run, in order.
+    #[inline(always)]
+    pub fn rows(self) -> impl Iterator<Item = (usize, &'a mut [T])> {
+        self.js.zip(self.a)
+    }
+
+    /// `(j, row, row_b)` for every row of the run, in order: the row of
+    /// each buffer of a two-map launch (`row_b` is empty in a one-map
+    /// launch).
+    #[inline(always)]
+    pub fn rows2(self) -> impl Iterator<Item = (usize, &'a mut [T], &'a mut [T])> {
+        self.js.zip(self.a.zip(self.b)).map(|(j, (a, b))| (j, a, b))
+    }
+}
+
+/// The row slices of one buffer over a run: `len` cells every `stride`,
+/// carved off the front of the run's span.
+struct RunRows<'a, T> {
+    span: &'a mut [T],
+    len: usize,
+    stride: usize,
+}
+
+impl<'a, T> RunRows<'a, T> {
+    /// The rows of a one-map launch's absent second buffer: empty, endless.
+    #[inline(always)]
+    fn none() -> Self {
+        Self {
+            span: &mut [],
+            len: 0,
+            stride: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn new(span: &'a mut [T], map: &RowMap) -> Self {
+        Self {
+            span,
+            len: map.len,
+            stride: map.sy,
+        }
+    }
+}
+
+impl<'a, T> Iterator for RunRows<'a, T> {
+    type Item = &'a mut [T];
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<&'a mut [T]> {
+        let span = std::mem::take(&mut self.span);
+        if span.len() < self.len {
+            return None;
+        }
+        let (row, rest) = span.split_at_mut(self.len);
+        self.span = rest.get_mut(self.stride - self.len..).unwrap_or_default();
+        Some(row)
+    }
 }
 
 /// The row maps of a [`RowMap::halo_shell`] decomposition, stored inline.
@@ -299,30 +453,12 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 
-// SAFETY: the pointer is only dereferenced through `row_slice_mut`, which
-// produces non-overlapping ranges for distinct rows (validated RowMap), and
+// SAFETY: the pointer is only dereferenced through `Run::from_raw`, which
+// produces non-overlapping spans for distinct runs (validated RowMap), and
 // the owning `&mut [T]` outlives every launch (back-ends join all workers
 // before returning).
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Produce the exclusive row slice for row `(j, k)`.
-///
-/// # Safety
-/// - `map` must have been validated against the length of the allocation
-///   `ptr` points to ([`RowMap::validate`]).
-/// - No two live slices for the same `(j, k)` may exist at once; callers
-///   ensure each row is processed by exactly one worker per launch.
-#[inline(always)]
-pub(crate) unsafe fn row_slice_mut<'a, T>(
-    ptr: SendPtr<T>,
-    map: &RowMap,
-    j: usize,
-    k: usize,
-) -> &'a mut [T] {
-    debug_assert!(j < map.ny && k < map.nz);
-    std::slice::from_raw_parts_mut(ptr.0.add(map.row_offset(j, k)), map.len)
-}
 
 /// Split `n` items into `parts` nearly-equal contiguous ranges.
 ///

@@ -6,8 +6,10 @@
 //! and the accelerator is chosen with a single type alias. This crate is
 //! that abstraction rebuilt in safe, idiomatic Rust for the reproduction:
 //!
-//! * [`Device`] is the accelerator concept. Solver kernels are closures
-//!   over rows of a 3-D index space and run unchanged on every back-end.
+//! * [`Device`] is the accelerator concept. Solver kernels are bodies
+//!   over [`Run`]s — the consecutive rows of one plane of a 3-D index
+//!   space that one owner sweeps — or, through thin wrappers, closures
+//!   over single rows, and run unchanged on every back-end.
 //! * [`Serial`], [`Threads`] and [`SimGpu`] are the back-ends (reference
 //!   CPU, shared-memory CPU, simulated GPU). [`AnyDevice`] selects one at
 //!   runtime from a CLI spec.
@@ -70,7 +72,7 @@ pub use device::{
 };
 pub use events::{Event, KernelInfo, Recorder, HALO_OVERLAP_STAGE, REDUCE_OVERLAP_STAGE};
 pub use fold::{fold_row_edge_last, fold_row_edge_last_n, row_has_deep_middle};
-pub use index::{chunk_range, Extent3, RowMap, ShellMaps};
+pub use index::{chunk_range, Extent3, RowMap, Run, ShellMaps};
 pub use lease::{DeviceLease, DevicePool};
 pub use pool::ThreadPool;
 pub use scalar::{add_partials, Scalar};

@@ -728,6 +728,67 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "wall-clock ratio: run with --release (CI fusion-suite does)"]
+    fn short_rows_cost_at_most_1_15x_long_rows_per_cell() {
+        // One hot z plane of KernelCI2 (stencil + 3 terms), swept over and
+        // over so it stays in cache, on a 32-cell-wide plane and on a
+        // 128-wide one of the same cell count: launch costs cancel, and
+        // the per-cell ratio is what each row's fixed cost adds to the
+        // short rows. A sweep that picks its vector arm, slices its
+        // windows and broadcasts its coefficients once per run of rows
+        // reads 1.06-1.09 on a 2-vCPU Xeon; once per row it read 1.23-1.27.
+        use krylov::kernels::INFO_CI2;
+        let dev = accel::Serial::new(Recorder::disabled());
+        let plane = |nx: usize, ny: usize| {
+            use blockgrid::{BlockGrid, Field, GlobalGrid};
+            let grid = BlockGrid::new(
+                GlobalGrid::dirichlet([nx, ny, 3], [0.1; 3], [0.0; 3]),
+                Decomp::single(),
+                0,
+            );
+            let field = |seed: usize| {
+                let vals: Vec<f64> = (0..nx * ny * 3)
+                    .map(|i| ((i * 31 + seed) % 97) as f64 / 97.0)
+                    .collect();
+                Field::from_interior(&dev, &grid, &vals)
+            };
+            let fields = [field(1), field(2), field(3), Field::zeros(&dev, &grid)];
+            (stencil::Laplacian::new(&grid), fields)
+        };
+        let (short_lap, [y, b, z, mut short_out]) = plane(32, 128);
+        let (long_lap, [ly, lb, lz, mut long_out]) = plane(128, 32);
+        let sweeps = |lap: &stencil::Laplacian, y, b, z, out: &mut blockgrid::Field<f64>| {
+            let terms = [(y, 1.5), (b, -0.5), (z, 0.25)];
+            for _ in 0..200 {
+                lap.apply_combine_planes(&dev, INFO_CI2, 1..2, y, out, -0.1, terms);
+            }
+        };
+        // The quietest of many short alternated samples: a sub-ms sample
+        // often runs undisturbed on a shared host, where a longer mean
+        // rarely does.
+        let (mut short, mut long) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..60 {
+            let t = Instant::now();
+            sweeps(&short_lap, &y, &b, &z, &mut short_out);
+            short = short.min(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            sweeps(&long_lap, &ly, &lb, &lz, &mut long_out);
+            long = long.min(t.elapsed().as_secs_f64());
+        }
+        let ratio = short / long;
+        let ns = |t: f64| t / (200.0 * 4096.0) * 1e9;
+        println!(
+            "hot plane, 32-wide {:.3} ns/cell, 128-wide {:.3} ns/cell, ratio {ratio:.2}",
+            ns(short),
+            ns(long)
+        );
+        assert!(
+            ratio <= 1.15,
+            "a 32-cell row costs {ratio:.2}x a 128-cell one per cell (bound 1.15x)"
+        );
+    }
+
+    #[test]
     fn bench_json_lands_at_repo_root() {
         #[derive(Serialize)]
         struct Payload {

@@ -4,7 +4,7 @@ use std::mem::size_of;
 use std::sync::{Arc, Mutex};
 
 use accel::{
-    add_partials, Device, DeviceKind, ExchangeHazard, KernelInfo, Recorder, RowMap, Scalar,
+    Device, DeviceKind, ExchangeHazard, KernelInfo, Recorder, RowMap, Run, Scalar, Serial,
 };
 
 use crate::report::{Policy, Report, Violation};
@@ -221,125 +221,72 @@ impl<D: Device> Checked<D> {
         cells
     }
 
-    /// Replay the kernel on two shadow copies of `out` whose tracked,
-    /// never-initialised elements hold different canaries; a divergence
-    /// in mapped elements or partials proves a read-before-init.
+    /// Replay the launch on two shadow copies of every buffer whose
+    /// tracked, never-initialised elements hold different canaries; a
+    /// divergence in mapped elements or in any lane's partials proves a
+    /// read-before-init. The replay runs on [`Serial`] — the row order
+    /// every back-end's runs reproduce per owner — with its recorder off.
+    #[allow(clippy::too_many_arguments)]
     fn audit_fresh_reads<T: Scalar, F, const NR: usize>(
         &self,
-        kernel: &'static str,
-        map: &RowMap,
-        out: &[T],
-        mapped: &[bool],
+        info: KernelInfo,
+        map: RowMap,
+        lanes: &[&mut [T]],
+        second: Option<(RowMap, &[&mut [T]])>,
+        mapped: &[Vec<bool>],
         f: &F,
     ) where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
     {
-        let uninit = self.uninit_cells(out);
-        if uninit.is_empty() {
+        let bufs = buffers(map, lanes, second).map(|(_, b)| b);
+        let uninit: Vec<Vec<usize>> = bufs.clone().map(|b| self.uninit_cells(b)).collect();
+        if uninit.iter().all(Vec::is_empty) {
             return;
         }
         // Both canaries are exactly representable in f32 and f64, so the
-        // shadow buffers are bit-identical to the real one everywhere else.
-        let mut shadow_a = out.to_vec();
-        let mut shadow_b = out.to_vec();
-        for &cell in &uninit {
-            shadow_a[cell] = T::from_f64(1.0e30);
-            shadow_b[cell] = T::from_f64(-3.0e30);
-        }
-        let mut partials_a = [T::ZERO; NR];
-        let mut partials_b = [T::ZERO; NR];
-        for r in 0..map.rows() {
-            let (j, k) = map.row_jk(r);
-            let off = map.row_offset(j, k);
-            partials_a = add_partials(partials_a, f(j, k, &mut shadow_a[off..off + map.len]));
-            partials_b = add_partials(partials_b, f(j, k, &mut shadow_b[off..off + map.len]));
-        }
-        for (cell, &m) in mapped.iter().enumerate() {
-            if m && bits(shadow_a[cell]) != bits(shadow_b[cell]) {
-                self.flag(Violation::ReadBeforeInit { kernel, cell });
-                return;
-            }
-        }
-        for (a, b) in partials_a.iter().zip(&partials_b) {
-            if bits(*a) != bits(*b) {
-                self.flag(Violation::ReadBeforeInit { kernel, cell: 0 });
-                return;
-            }
-        }
-    }
-
-    /// Two-buffer variant of [`Self::audit_fresh_reads`]: the fused
-    /// kernel is replayed on shadow copies of *both* buffers, with
-    /// canaries planted in the never-initialised cells of each.
-    fn audit_fresh_reads2<T: Scalar, F, const NR: usize>(
-        &self,
-        kernel: &'static str,
-        a: (&RowMap, &[T], &[bool]),
-        b: (&RowMap, &[T], &[bool]),
-        f: &F,
-    ) where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        let (map_a, out_a, mapped_a) = a;
-        let (map_b, out_b, mapped_b) = b;
-        let uninit_a = self.uninit_cells(out_a);
-        let uninit_b = self.uninit_cells(out_b);
-        if uninit_a.is_empty() && uninit_b.is_empty() {
-            return;
-        }
-        let mut shadow_a1 = out_a.to_vec();
-        let mut shadow_a2 = out_a.to_vec();
-        let mut shadow_b1 = out_b.to_vec();
-        let mut shadow_b2 = out_b.to_vec();
-        for &cell in &uninit_a {
-            shadow_a1[cell] = T::from_f64(1.0e30);
-            shadow_a2[cell] = T::from_f64(-3.0e30);
-        }
-        for &cell in &uninit_b {
-            shadow_b1[cell] = T::from_f64(1.0e30);
-            shadow_b2[cell] = T::from_f64(-3.0e30);
-        }
-        let mut partials_1 = [T::ZERO; NR];
-        let mut partials_2 = [T::ZERO; NR];
-        for r in 0..map_a.rows() {
-            let (j, k) = map_a.row_jk(r);
-            let off_a = map_a.row_offset(j, k);
-            let off_b = map_b.row_offset(j, k);
-            partials_1 = add_partials(
-                partials_1,
-                f(
-                    j,
-                    k,
-                    &mut shadow_a1[off_a..off_a + map_a.len],
-                    &mut shadow_b1[off_b..off_b + map_b.len],
-                ),
-            );
-            partials_2 = add_partials(
-                partials_2,
-                f(
-                    j,
-                    k,
-                    &mut shadow_a2[off_a..off_a + map_a.len],
-                    &mut shadow_b2[off_b..off_b + map_b.len],
-                ),
-            );
-        }
-        for (mapped, s1, s2) in [
-            (mapped_a, &shadow_a1, &shadow_a2),
-            (mapped_b, &shadow_b1, &shadow_b2),
-        ] {
+        // shadow buffers are bit-identical to the real ones everywhere else.
+        let shadow = |canary: f64| -> Vec<Vec<T>> {
+            bufs.clone()
+                .zip(&uninit)
+                .map(|(b, cells)| {
+                    let mut v = b.to_vec();
+                    for &c in cells {
+                        v[c] = T::from_f64(canary);
+                    }
+                    v
+                })
+                .collect()
+        };
+        let replay = Serial::new(Recorder::disabled());
+        let nl = lanes.len();
+        let run = |mut bufs: Vec<Vec<T>>| {
+            let mut accs = vec![[T::ZERO; NR]; nl];
+            let (a, b) = bufs.split_at_mut(nl);
+            let mut a: Vec<&mut [T]> = a.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut b: Vec<&mut [T]> = b.iter_mut().map(Vec::as_mut_slice).collect();
+            let second = second.map(|(m, _)| (m, b.as_mut_slice()));
+            replay.launch_runs(info, map, &mut a, second, &mut accs, f);
+            (bufs, accs)
+        };
+        let (bufs_a, accs_a) = run(shadow(1.0e30));
+        let (bufs_b, accs_b) = run(shadow(-3.0e30));
+        for ((mapped, a), b) in mapped.iter().zip(&bufs_a).zip(&bufs_b) {
             for (cell, &m) in mapped.iter().enumerate() {
-                if m && bits(s1[cell]) != bits(s2[cell]) {
-                    self.flag(Violation::ReadBeforeInit { kernel, cell });
+                if m && bits(a[cell]) != bits(b[cell]) {
+                    self.flag(Violation::ReadBeforeInit {
+                        kernel: info.name,
+                        cell,
+                    });
                     return;
                 }
             }
         }
-        for (p1, p2) in partials_1.iter().zip(&partials_2) {
-            if bits(*p1) != bits(*p2) {
-                self.flag(Violation::ReadBeforeInit { kernel, cell: 0 });
-                return;
-            }
+        let partials = accs_a.iter().flatten().zip(accs_b.iter().flatten());
+        if partials.into_iter().any(|(a, b)| bits(*a) != bits(*b)) {
+            self.flag(Violation::ReadBeforeInit {
+                kernel: info.name,
+                cell: 0,
+            });
         }
     }
 
@@ -370,6 +317,19 @@ impl<D: Device> Checked<D> {
     }
 }
 
+/// Every buffer a run launch writes, with its map: each lane under
+/// `map`, then each second buffer under its own.
+fn buffers<'b, T>(
+    map: RowMap,
+    lanes: &'b [&mut [T]],
+    second: Option<(RowMap, &'b [&mut [T]])>,
+) -> impl Iterator<Item = (RowMap, &'b [T])> + Clone {
+    let second = second
+        .into_iter()
+        .flat_map(|(m, l)| l.iter().map(move |b| (m, &**b)));
+    lanes.iter().map(move |b| (map, &**b)).chain(second)
+}
+
 #[inline]
 fn bits<T: Scalar>(v: T) -> u64 {
     v.to_f64().to_bits()
@@ -388,90 +348,59 @@ impl<D: Device> Device for Checked<D> {
         self.inner.recorder()
     }
 
-    fn launch_rows_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
-        out: &mut [T],
+        lanes: &mut [&mut [T]],
+        mut second: Option<(RowMap, &mut [&mut [T]])>,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T]) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
     {
-        let Some(mapped) = self.audit_map(info.name, &map, out.len()) else {
-            // Invalid map under Policy::Record: the violation is recorded
-            // and the launch is skipped (the back-end would panic on it).
-            return [T::ZERO; NR];
-        };
-        self.audit_hazards(info.name, out, &mapped);
-        self.audit_fresh_reads(info.name, &map, out, &mapped, &f);
-        let before: Vec<u64> = out.iter().map(|&v| bits(v)).collect();
+        // A launch is audited exactly once, whatever it writes: every
+        // lane's map walked, every buffer's write-set diffed, and the
+        // fresh-read replay runs the body on shadow copies of all buffers
+        // together.
+        let second_ro = second.as_ref().map(|(m, l)| (*m, &**l));
+        let mut mapped = Vec::new();
+        for (m, buf) in buffers(map, lanes, second_ro) {
+            let Some(cells) = self.audit_map(info.name, &m, buf.len()) else {
+                // Invalid map under Policy::Record: the violation is
+                // recorded and the launch is skipped (the back-end would
+                // panic on it).
+                accs.fill([T::ZERO; NR]);
+                return;
+            };
+            self.audit_hazards(info.name, buf, &cells);
+            mapped.push(cells);
+        }
+        self.audit_fresh_reads(info, map, lanes, second_ro, &mapped, &f);
+        let before: Vec<Vec<u64>> = buffers(map, lanes, second_ro)
+            .map(|(_, b)| b.iter().map(|&v| bits(v)).collect())
+            .collect();
         // `&F: Fn + Sync` whenever `F` is, so delegating by reference keeps
         // the real launch bitwise identical to the unwrapped back-end.
-        let result = self.inner.launch_rows_reduce(info, map, out, &f);
-        for (cell, (&b, &a)) in before.iter().zip(out.iter()).enumerate() {
-            if b != bits(a) && !mapped[cell] {
+        let second_rw = second.as_mut().map(|(m, l)| (*m, &mut **l));
+        self.inner
+            .launch_runs(info, map, lanes, second_rw, accs, &f);
+        let second_ro = second.as_ref().map(|(m, l)| (*m, &**l));
+        let after = buffers(map, lanes, second_ro).zip(&mapped).zip(&before);
+        for (((_, buf), cells), before) in after {
+            let escaped = before
+                .iter()
+                .zip(buf.iter())
+                .enumerate()
+                .find(|(cell, (&b, &a))| b != bits(a) && !cells[*cell]);
+            if let Some((cell, _)) = escaped {
                 self.flag(Violation::OutOfMapWrite {
                     kernel: info.name,
                     cell,
                 });
-                break;
             }
+            self.mark_initialized(buf, cells);
         }
-        self.mark_initialized(out, &mapped);
-        result
-    }
-
-    fn launch_rows2_reduce<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        map_a: RowMap,
-        out_a: &mut [T],
-        map_b: RowMap,
-        out_b: &mut [T],
-        f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
-    {
-        // A fused two-buffer sweep is audited exactly once: both maps are
-        // walked, both write-sets diffed, and the fresh-read replay runs
-        // the fused closure on shadow copies of both buffers together.
-        let mapped_a = self.audit_map(info.name, &map_a, out_a.len());
-        let mapped_b = self.audit_map(info.name, &map_b, out_b.len());
-        let (Some(mapped_a), Some(mapped_b)) = (mapped_a, mapped_b) else {
-            return [T::ZERO; NR];
-        };
-        self.audit_hazards(info.name, out_a, &mapped_a);
-        self.audit_hazards(info.name, out_b, &mapped_b);
-        self.audit_fresh_reads2(
-            info.name,
-            (&map_a, out_a, &mapped_a),
-            (&map_b, out_b, &mapped_b),
-            &f,
-        );
-        let before_a: Vec<u64> = out_a.iter().map(|&v| bits(v)).collect();
-        let before_b: Vec<u64> = out_b.iter().map(|&v| bits(v)).collect();
-        let result = self
-            .inner
-            .launch_rows2_reduce(info, map_a, out_a, map_b, out_b, &f);
-        for (mapped, before, after) in [
-            (&mapped_a, &before_a, &*out_a),
-            (&mapped_b, &before_b, &*out_b),
-        ] {
-            for (cell, (&b, &a)) in before.iter().zip(after.iter()).enumerate() {
-                if b != bits(a) && !mapped[cell] {
-                    self.flag(Violation::OutOfMapWrite {
-                        kernel: info.name,
-                        cell,
-                    });
-                    break;
-                }
-            }
-        }
-        self.mark_initialized(out_a, &mapped_a);
-        self.mark_initialized(out_b, &mapped_b);
-        result
     }
 
     fn launch_reduce<T: Scalar, F, const NR: usize>(

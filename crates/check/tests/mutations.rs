@@ -4,7 +4,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use accel::{Device, KernelInfo, Recorder, RowMap, Serial};
+use accel::{
+    AnyDevice, Device, GpuSimParams, KernelInfo, Recorder, RowMap, Serial, SimGpu, Threads,
+};
 use blockgrid::{BlockGrid, Decomp, Field, GlobalGrid, HaloExchange};
 use check::{try_run_ranks_checked, CheckConfig, Checked, VerifiedComm};
 use comm::{CommStats, Communicator, ReduceOp, Tag};
@@ -63,6 +65,72 @@ fn seeded_out_of_row_write_is_caught() {
     assert!(msg.contains("KernelBiCGS1Mutant"), "{msg}");
     assert!(msg.contains("element 0"), "{msg}");
     assert!(msg.contains("escaped its row slice"), "{msg}");
+}
+
+/// Mutation 1b: a run body — one call per run of rows, the shape every
+/// stencil sweep launches with — that writes one cell past the end of
+/// each row it was handed, onto the ghost column between two rows. The
+/// runs are row-exact, so the cell is outside the launch's map and the
+/// snapshot diff must flag it, on every back-end.
+#[test]
+fn seeded_run_body_writing_past_its_row_is_caught() {
+    struct Esc(*mut f64);
+    // SAFETY: deliberately unsound test fixture — the pointer is written
+    // from inside a run body that owns only its rows, exactly the seeded
+    // mutant the sanitizer exists to catch. Each escaped write lands on a
+    // cell no other owner touches.
+    unsafe impl Send for Esc {}
+    // SAFETY: see above.
+    unsafe impl Sync for Esc {}
+    impl Esc {
+        fn ptr(&self) -> *mut f64 {
+            self.0
+        }
+    }
+
+    // Rows of 4 cells, 6 apart: cells 4 and 5 of each stride are ghosts.
+    let map = RowMap {
+        base: 0,
+        len: 4,
+        ny: 3,
+        nz: 2,
+        sy: 6,
+        sz: 18,
+    };
+    let devices = [
+        AnyDevice::Serial(Serial::new(Recorder::disabled())),
+        AnyDevice::Threads(Threads::new(2, Recorder::disabled())),
+        AnyDevice::SimGpu(SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled())),
+    ];
+    for inner in devices {
+        let name = inner.name();
+        let dev = Checked::new(inner);
+        let mut out = vec![0.0f64; 36];
+        let esc = Esc(out.as_mut_ptr());
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            dev.launch_runs(
+                KernelInfo::new("KernelRunMutant", 8, 0),
+                map,
+                &mut [&mut out[..]],
+                None,
+                &mut [[]],
+                |_, run, _| {
+                    let k = run.k;
+                    for (j, row) in run.rows() {
+                        row.fill(1.0);
+                        // SAFETY: intentionally violates the row-exclusive
+                        // contract (the cell after the row) — the mutant.
+                        unsafe { *esc.ptr().add(map.row_offset(j, k) + map.len) = 99.0 };
+                    }
+                },
+            );
+        }))
+        .expect_err("the sanitizer must flag the escaped write");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("KernelRunMutant"), "{name}: {msg}");
+        assert!(msg.contains("element 4"), "{name}: {msg}");
+        assert!(msg.contains("escaped its row slice"), "{name}: {msg}");
+    }
 }
 
 /// Forwarding communicator that swaps the two x-axis face tags on every

@@ -64,6 +64,8 @@ pub use cancel::CancelToken;
 pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyOutcome, ChebyshevIteration};
 pub use config::{SolverKind, SolverOptions};
 pub use ctx::{RankCtx, Workspace};
-pub use precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};
+pub use precond::{
+    ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner, SharedPrec,
+};
 pub use richardson::RichardsonPrec;
 pub use schwarz::RasPrec;

@@ -1,11 +1,13 @@
 //! High-level per-rank solver facade.
 
+use std::sync::Mutex;
+
 use accel::{Device, Scalar};
 use blockgrid::{BlockGrid, Decomp, Field};
 use comm::{Communicator, ReduceOp};
 use krylov::{
-    bicgstab_solve, bicgstab_solve_batch, CancelToken, RankCtx, Scope, SolveOutcome, SolveParams,
-    SolverKind, SolverOptions, Workspace,
+    bicgstab_solve, bicgstab_solve_batch, CancelToken, RankCtx, Scope, SharedPrec, SolveOutcome,
+    SolveParams, SolverKind, SolverOptions, Workspace,
 };
 
 use crate::assemble::{local_exact, local_rhs};
@@ -236,7 +238,9 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
     /// `cancels` is empty (no cancellation) or one optional token per
     /// input lane; `params.cancel` must be `None` (per-lane tokens
     /// replace it). Lane workspaces are allocated lazily and kept for
-    /// the next batch.
+    /// the next batch. The lanes share one preconditioner, built per call
+    /// and applied by each lane in turn ([`SharedPrec`]): a batch holds
+    /// one set of its buffers, not one per lane.
     pub fn solve_batch(
         &mut self,
         rhs_locals: &[&[f64]],
@@ -282,10 +286,13 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
             }
             let bs: Vec<&Field<T>> = b_fields.iter().collect();
             let mut xs: Vec<&mut Field<T>> = self.batch_xs.iter_mut().take(nv).collect();
-            let mut boxes: Vec<_> = (0..nv)
-                .map(|_| kind.build_preconditioner(&self.ctx, opts))
-                .collect();
-            let mut precs: Vec<_> = boxes.iter_mut().map(|p| &mut **p).collect();
+            // One preconditioner for the whole batch, applied by each lane
+            // in turn: none the facade builds carries state between
+            // applications (see `SharedPrec`).
+            let mut prec = kind.build_preconditioner(&self.ctx, opts);
+            let shared = Mutex::new(&mut *prec);
+            let mut handles: Vec<_> = (0..nv).map(|_| SharedPrec::new(&shared)).collect();
+            let mut precs: Vec<_> = handles.iter_mut().collect();
             let lane_cancels: Vec<Option<CancelToken>> = if cancels.is_empty() {
                 Vec::new()
             } else {
@@ -739,74 +746,91 @@ mod tests {
     /// reproduces a solo `resolve_with_rhs` against the same RHS
     /// bitwise — outcome, residual history, normalisation and the
     /// un-normalised solution — and the lane workspaces are reused by a
-    /// following (wider or narrower) batch without perturbing it.
+    /// following (wider or narrower) batch without perturbing it. The
+    /// lanes share one preconditioner, so the guarantee is checked for a
+    /// Chebyshev one at both sweep widths and for an inner Bi-CGSTAB.
     #[test]
     fn solve_batch_lanes_match_solo_facade_bitwise() {
-        let kind = SolverKind::BiCgsGNoCommCi;
-        let opts = SolverOptions {
-            eig_min_factor: 10.0,
-            ..Default::default()
-        };
-        let params = SolveParams {
-            tol: 1e-11,
-            max_iters: 20_000,
-            record_history: true,
-            ..Default::default()
-        };
-        let p = paper_problem(9);
-        let mut solver: PoissonSolver<f64, _, _> = PoissonSolver::new(
-            p.clone(),
-            Decomp::single(),
-            Serial::new(Recorder::disabled()),
-            SelfComm::default(),
-        );
-        let rhs_paper = crate::assemble::local_rhs(&p, solver.grid());
-        let rhs_other: Vec<f64> = rhs_paper.iter().map(|v| 2.0 * v + 0.5).collect();
-        let rhs_third: Vec<f64> = rhs_paper.iter().map(|v| -v + 1.5).collect();
+        for (kind, mixed_precision) in [
+            (SolverKind::BiCgsGNoCommCi, false),
+            (SolverKind::BiCgsGNoCommCi, true),
+            (SolverKind::FBiCgsGBiCgs, false),
+        ] {
+            let what = format!("{kind:?} mixed={mixed_precision}");
+            let opts = SolverOptions {
+                eig_min_factor: 10.0,
+                mixed_precision,
+                ..Default::default()
+            };
+            let params = SolveParams {
+                tol: 1e-11,
+                max_iters: 20_000,
+                record_history: true,
+                ..Default::default()
+            };
+            let p = paper_problem(9);
+            let mut solver: PoissonSolver<f64, _, _> = PoissonSolver::new(
+                p.clone(),
+                Decomp::single(),
+                Serial::new(Recorder::disabled()),
+                SelfComm::default(),
+            );
+            let rhs_paper = crate::assemble::local_rhs(&p, solver.grid());
+            let rhs_other: Vec<f64> = rhs_paper.iter().map(|v| 2.0 * v + 0.5).collect();
+            let rhs_third: Vec<f64> = rhs_paper.iter().map(|v| -v + 1.5).collect();
 
-        let mut solo = Vec::new();
-        for rhs in [&rhs_paper, &rhs_other, &rhs_third] {
-            let out = solver.resolve_with_rhs(rhs, kind, &opts, &params).unwrap();
-            assert!(out.converged, "{out:?}");
-            solo.push((out, solver.rhs_norm(), solver.solution_local()));
-        }
+            let mut solo = Vec::new();
+            for rhs in [&rhs_paper, &rhs_other, &rhs_third] {
+                let out = solver.resolve_with_rhs(rhs, kind, &opts, &params).unwrap();
+                assert!(out.converged, "{what}: {out:?}");
+                solo.push((out, solver.rhs_norm(), solver.solution_local()));
+            }
 
-        let lanes = solver.solve_batch(
-            &[&rhs_paper, &rhs_other, &rhs_third],
-            kind,
-            &opts,
-            &params,
-            &[],
-        );
-        assert_eq!(lanes.len(), 3);
-        for (l, (lane, (so, snorm, ssol))) in lanes.iter().zip(&solo).enumerate() {
-            let lane = lane.as_ref().expect("valid lane");
-            assert!(lane.outcome.converged, "lane {l}");
-            assert_eq!(so.iterations, lane.outcome.iterations, "lane {l}");
-            assert_eq!(snorm.to_bits(), lane.rhs_norm.to_bits(), "lane {l}: norm");
-            let hs: Vec<u64> = so.residual_history.iter().map(|v| v.to_bits()).collect();
-            let hb: Vec<u64> = lane
-                .outcome
-                .residual_history
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(hs, hb, "lane {l}: residual histories diverge");
+            let lanes = solver.solve_batch(
+                &[&rhs_paper, &rhs_other, &rhs_third],
+                kind,
+                &opts,
+                &params,
+                &[],
+            );
+            assert_eq!(lanes.len(), 3);
+            for (l, (lane, (so, snorm, ssol))) in lanes.iter().zip(&solo).enumerate() {
+                let lane = lane.as_ref().expect("valid lane");
+                assert!(lane.outcome.converged, "{what} lane {l}");
+                assert_eq!(so.iterations, lane.outcome.iterations, "{what} lane {l}");
+                assert_eq!(
+                    so.prec_iterations, lane.outcome.prec_iterations,
+                    "{what} lane {l}: preconditioner sweeps"
+                );
+                assert_eq!(
+                    snorm.to_bits(),
+                    lane.rhs_norm.to_bits(),
+                    "{what} lane {l}: norm"
+                );
+                let hs: Vec<u64> = so.residual_history.iter().map(|v| v.to_bits()).collect();
+                let hb: Vec<u64> = lane
+                    .outcome
+                    .residual_history
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(hs, hb, "{what} lane {l}: residual histories diverge");
+                let ss: Vec<u64> = ssol.iter().map(|v| v.to_bits()).collect();
+                let sb: Vec<u64> = lane.solution_local.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(ss, sb, "{what} lane {l}: solutions diverge");
+            }
+
+            // A narrower follow-up batch reuses the (wider) lane cache and
+            // still reproduces its solo solve bitwise.
+            let again = solver.solve_batch(&[&rhs_other], kind, &opts, &params, &[]);
+            let lane = again[0].as_ref().expect("valid lane");
+            let (so, snorm, ssol) = &solo[1];
+            assert_eq!(so.iterations, lane.outcome.iterations, "{what}");
+            assert_eq!(snorm.to_bits(), lane.rhs_norm.to_bits(), "{what}");
             let ss: Vec<u64> = ssol.iter().map(|v| v.to_bits()).collect();
             let sb: Vec<u64> = lane.solution_local.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ss, sb, "lane {l}: solutions diverge");
+            assert_eq!(ss, sb, "{what}: cache reuse perturbed the lane");
         }
-
-        // A narrower follow-up batch reuses the (wider) lane cache and
-        // still reproduces its solo solve bitwise.
-        let again = solver.solve_batch(&[&rhs_other], kind, &opts, &params, &[]);
-        let lane = again[0].as_ref().expect("valid lane");
-        let (so, snorm, ssol) = &solo[1];
-        assert_eq!(so.iterations, lane.outcome.iterations);
-        assert_eq!(snorm.to_bits(), lane.rhs_norm.to_bits());
-        let ss: Vec<u64> = ssol.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u64> = lane.solution_local.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ss, sb, "cache reuse perturbed the lane");
     }
 
     /// Collective lane validation: a malformed lane gets its

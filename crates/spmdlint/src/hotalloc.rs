@@ -101,14 +101,17 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "apply_combine"),
     ("crates/stencil/src/laplacian.rs", "apply_combine_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_combine_shell"),
-    ("crates/stencil/src/laplacian.rs", "combine_on_map"),
-    // The 7-point row core every sweep above runs through.
+    ("crates/stencil/src/laplacian.rs", "sweep_on_map"),
+    // The 7-point row core every sweep above runs through: the run bodies
+    // (one arm pick per run, the row loop inside) and the row arithmetic.
     ("crates/stencil/src/laplacian.rs", "row_core"),
     ("crates/stencil/src/laplacian.rs", "avx2_detected"),
+    ("crates/stencil/src/laplacian.rs", "stencil_run"),
+    ("crates/stencil/src/laplacian.rs", "stencil_run_avx2"),
+    ("crates/stencil/src/laplacian.rs", "stencil_run_portable"),
     ("crates/stencil/src/laplacian.rs", "stencil_row"),
-    ("crates/stencil/src/laplacian.rs", "stencil_row_avx2"),
-    ("crates/stencil/src/laplacian.rs", "stencil_row_portable"),
-    ("crates/stencil/src/laplacian.rs", "apply_row"),
+    ("crates/stencil/src/laplacian.rs", "rows_run"),
+    ("crates/stencil/src/laplacian.rs", "rows_run_avx2"),
     ("crates/stencil/src/laplacian.rs", "apply_on_map"),
     ("crates/stencil/src/laplacian.rs", "apply_rows_dot"),
     ("crates/stencil/src/laplacian.rs", "fold_row_into"),
@@ -143,13 +146,22 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     // Communicator trait defaults (SelfComm fallbacks).
     ("crates/comm/src/types.rs", "reduce_batch"),
     ("crates/comm/src/types.rs", "iall_reduce_batch"),
+    // The run launch of every back-end, the run geometry and the per-row
+    // wrappers every element-wise kernel launches through. SimGpu books
+    // one partial slot per simulated thread block (`alloc-ok`).
+    ("crates/accel/src/device/mod.rs", "launch_rows_reduce"),
+    ("crates/accel/src/device/mod.rs", "launch_lanes_reduce"),
+    ("crates/accel/src/device/mod.rs", "launch_lanes2_reduce"),
+    ("crates/accel/src/device/mod.rs", "validate_runs"),
+    ("crates/accel/src/index.rs", "runs"),
+    ("crates/accel/src/index.rs", "from_raw"),
+    ("crates/accel/src/index.rs", "next"),
+    ("crates/accel/src/device/serial.rs", "launch_runs"),
+    ("crates/accel/src/device/simgpu.rs", "launch_runs"),
     // Threads back-end: every launch, its stack-slot sweep and the team's
     // hand-off (job slot, countdown, spin-then-park) — no per-launch heap.
-    ("crates/accel/src/device/threads.rs", "launch_rows_reduce"),
-    ("crates/accel/src/device/threads.rs", "launch_rows2_reduce"),
+    ("crates/accel/src/device/threads.rs", "launch_runs"),
     ("crates/accel/src/device/threads.rs", "launch_reduce"),
-    ("crates/accel/src/device/threads.rs", "launch_lanes_reduce"),
-    ("crates/accel/src/device/threads.rs", "launch_lanes2_reduce"),
     ("crates/accel/src/device/threads.rs", "sweep"),
     ("crates/accel/src/pool.rs", "run_chunks"),
     ("crates/accel/src/pool.rs", "run_owned"),

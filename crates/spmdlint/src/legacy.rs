@@ -19,16 +19,17 @@ use crate::Finding;
 /// Everything else must stay safe Rust; adding a file here should come
 /// with Miri coverage (see `.github/workflows/ci.yml`, job `miri`).
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    // Disjoint row-slice handout: validated RowMap + SendPtr.
+    // Disjoint run handout: validated RowMap + SendPtr.
     "crates/accel/src/index.rs",
     // Persistent thread team: a lifetime-erased job slot published by an
     // epoch and released by a countdown.
     "crates/accel/src/pool.rs",
     // Threaded back-end: per-chunk partial slots, lane tables, row slices.
     "crates/accel/src/device/threads.rs",
-    // The row core's one call of its AVX2 `#[target_feature]` arm, made
-    // only after `is_x86_feature_detected!("avx2")` (compiled out under
-    // Miri, which runs the portable arm).
+    // One call of its AVX2 `#[target_feature]` arm per dispatched run
+    // body of the row core, made only after
+    // `is_x86_feature_detected!("avx2")` (compiled out under Miri, which
+    // runs the portable arm).
     "crates/stencil/src/laplacian.rs",
     // Test fixture: counting global allocator (passthrough to System).
     "crates/blockgrid/tests/halo_zero_alloc.rs",

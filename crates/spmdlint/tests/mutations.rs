@@ -59,6 +59,10 @@ fn unmutated_sources_are_clean() {
         "crates/blockgrid/src/halo.rs",
         "crates/stencil/src/laplacian.rs",
         "crates/accel/src/pool.rs",
+        "crates/accel/src/index.rs",
+        "crates/accel/src/device/mod.rs",
+        "crates/accel/src/device/serial.rs",
+        "crates/accel/src/device/simgpu.rs",
         "crates/accel/src/device/threads.rs",
         "crates/accel/src/events.rs",
     ] {
@@ -212,6 +216,28 @@ fn wavefront_allocation_is_caught_spmd003() {
             .iter()
             .any(|(l, m)| *l == inject && m.contains("vec!") && m.contains("`wavefront`")),
         "expected SPMD003 in wavefront at line {inject}, got {found:?}"
+    );
+}
+
+#[test]
+fn run_body_allocation_is_caught_spmd003() {
+    // Mutation: a per-run `vec!` planted in the stencil run body
+    // every sweep's rows go through.
+    let rel = "crates/stencil/src/laplacian.rs";
+    let text = load(rel);
+    let anchor = "let span = (run.js.len() - 1) * sy + n;";
+    let inject = line_of(&text, anchor);
+    let mutant = text.replacen(
+        anchor,
+        "let span = (run.js.len() - 1) * sy + n; let _rows = vec![T::ZERO; span];",
+        1,
+    );
+    let found = findings_with(rel, &mutant, "SPMD003");
+    assert!(
+        found.iter().any(|(l, m)| *l == inject
+            && m.contains("vec!")
+            && m.contains("`stencil_run_portable`")),
+        "expected SPMD003 in stencil_run_portable at line {inject}, got {found:?}"
     );
 }
 

@@ -15,7 +15,8 @@
 use std::ops::Range;
 
 use accel::{
-    fold_row_edge_last_n, row_has_deep_middle, Device, KernelInfo, Recorder, RowMap, Scalar,
+    add_partials, fold_row_edge_last_n, row_has_deep_middle, Device, KernelInfo, Recorder, RowMap,
+    Run, Scalar,
 };
 use blockgrid::{BcKind, BlockGrid, Field, LocalBoundary};
 
@@ -48,18 +49,19 @@ pub struct Laplacian {
 
 /// The 7-point row core: per-axis `1/h²`, the padded strides and the
 /// vector arm — all a row of the stencil needs besides its input. Every
-/// sweep of [`Laplacian`] computes its rows through
-/// [`RowCore::stencil_row`], the only copy of the stencil arithmetic.
+/// sweep of [`Laplacian`] is a run body: it computes the rows of each
+/// [`Run`] a back-end hands it through [`RowCore::stencil_run`], the only
+/// copy of the stencil arithmetic.
 #[derive(Clone, Copy)]
 struct RowCore<T> {
     c: [T; 3],
     sy: usize,
     sz: usize,
-    /// Rows run the AVX2 arm ([`avx2_detected`] when the core was built).
+    /// Runs take the AVX2 arm ([`avx2_detected`] when the core was built).
     avx2: bool,
 }
 
-/// `true` when rows may run the AVX2 arm of [`RowCore::stencil_row`]:
+/// `true` when runs may take the AVX2 arm of [`RowCore::stencil_run`]:
 /// the CPU has AVX2, checked at run time. Never under Miri or off
 /// x86-64, and not on a unit-test thread inside
 /// `tests::portable_only`.
@@ -74,74 +76,119 @@ fn avx2_detected() -> bool {
 }
 
 impl<T: Scalar> RowCore<T> {
-    /// `row[i] = ca · (A u)[b + i] + Σₜ cₜ fₜ[b + i]` for the row of `u`
-    /// starting at padded offset `b`, the terms `(fₜ, cₜ)` (whole padded
-    /// arrays) added in order; without `SCALED` the stencil value enters
-    /// unscaled and `ca` is unused.
+    /// The stencil rows of one run of `map`: for each row `(j, row,
+    /// row_b)` of `run`, `row[i] = ca · (A u)[b + i] + Σₜ cₜ fₜ[b + i]`
+    /// with `b = map.row_offset(j, run.k)` its padded offset in `u`, the
+    /// terms `(fₜ, cₜ)` (whole padded arrays) added in order, then
+    /// `post(j, b, row, row_b)` — where a fused sweep folds the row's dot
+    /// terms. Without `SCALED` the stencil value enters unscaled and `ca`
+    /// is unused.
     ///
-    /// One portable body ([`RowCore::stencil_row_portable`]) compiled
+    /// One portable body ([`RowCore::stencil_run_portable`]) compiled
     /// twice: as is (SSE2 on x86-64) and inside a function with AVX2
-    /// enabled, picked per row by the flag the core was built with.
-    /// AVX2 only — no FMA: Rust never contracts `a * b + c`, so both arms
-    /// do the same roundings in the same order and agree bit for bit.
+    /// enabled, picked once per run by the flag the core was built with —
+    /// the rows of a run then share one call, one set of coefficient
+    /// broadcasts and one loop. AVX2 only — no FMA: Rust never contracts
+    /// `a * b + c`, so both arms do the same roundings in the same order
+    /// and agree bit for bit.
     #[inline(always)]
-    fn stencil_row<const SCALED: bool, const N: usize>(
+    fn stencil_run<const SCALED: bool, const N: usize>(
         &self,
         us: &[T],
-        b: usize,
-        row: &mut [T],
+        map: &RowMap,
+        run: Run<'_, T>,
         ca: T,
         terms: [(&[T], T); N],
+        post: impl FnMut(usize, usize, &mut [T], &mut [T]),
     ) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         if self.avx2 {
             // SAFETY: `avx2` is only set by `avx2_detected`, i.e. after
             // `is_x86_feature_detected!("avx2")` returned true on this
             // machine, so every instruction of the AVX2 arm is supported.
-            return unsafe { self.stencil_row_avx2::<SCALED, N>(us, b, row, ca, terms) };
+            return unsafe { self.stencil_run_avx2::<SCALED, N>(us, map, run, ca, terms, post) };
         }
-        self.stencil_row_portable::<SCALED, N>(us, b, row, ca, terms);
+        self.stencil_run_portable::<SCALED, N>(us, map, run, ca, terms, post);
     }
 
-    /// [`RowCore::stencil_row_portable`] compiled with AVX2 enabled.
+    /// [`RowCore::stencil_run_portable`] compiled with AVX2 enabled.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx2")]
-    fn stencil_row_avx2<const SCALED: bool, const N: usize>(
+    fn stencil_run_avx2<const SCALED: bool, const N: usize>(
         &self,
         us: &[T],
-        b: usize,
-        row: &mut [T],
+        map: &RowMap,
+        run: Run<'_, T>,
         ca: T,
         terms: [(&[T], T); N],
+        post: impl FnMut(usize, usize, &mut [T], &mut [T]),
     ) {
-        self.stencil_row_portable::<SCALED, N>(us, b, row, ca, terms);
+        self.stencil_run_portable::<SCALED, N>(us, map, run, ca, terms, post);
     }
 
-    /// The stencil arithmetic.
+    /// The row loop of a run.
     ///
-    /// The seven input windows and the term windows are sliced once per
-    /// row (one bounds check each, so a window reaching outside its field
-    /// still panics), all to the row's length, here in the body that
-    /// loops: the loop over `0..n` is then unit-stride with no index
-    /// check or branch left in it, which is what lets the compiler
-    /// vectorise it without a scalar tail.
+    /// Every field the run reads is sliced once per run, to the span from
+    /// its first row's window to its last one's (one bounds check each,
+    /// so a window reaching outside its field still panics). Row `r` of
+    /// the run then reads cells `r·sy .. r·sy + n` of each slice: windows
+    /// of one length at one offset, whose checks the compiler folds into
+    /// one per row.
     #[inline(always)]
-    fn stencil_row_portable<const SCALED: bool, const N: usize>(
+    fn stencil_run_portable<'u, const SCALED: bool, const N: usize>(
         &self,
-        us: &[T],
-        b: usize,
+        us: &'u [T],
+        map: &RowMap,
+        run: Run<'_, T>,
+        ca: T,
+        terms: [(&'u [T], T); N],
+        mut post: impl FnMut(usize, usize, &mut [T], &mut [T]),
+    ) {
+        let (n, sy) = (map.len, map.sy);
+        let b0 = map.row_offset(run.js.start, run.k);
+        let span = (run.js.len() - 1) * sy + n;
+        let at = |c: usize| &us[c..c + span];
+        let (uc, xm, xp) = (at(b0), at(b0 - 1), at(b0 + 1));
+        let (ym, yp) = (at(b0 - self.sy), at(b0 + self.sy));
+        let (zm, zp) = (at(b0 - self.sz), at(b0 + self.sz));
+        let fs = terms.map(|(f, coef)| (&f[b0..b0 + span], coef));
+        for (r, (j, row, row_b)) in run.rows2().enumerate() {
+            let o = r * sy;
+            let win = |f: &'u [T]| &f[o..o + n];
+            let u = [
+                win(uc),
+                win(xm),
+                win(xp),
+                win(ym),
+                win(yp),
+                win(zm),
+                win(zp),
+            ];
+            self.stencil_row::<SCALED, N>(u, row, ca, fs, o);
+            post(j, b0 + o, row, row_b);
+        }
+    }
+
+    /// The stencil arithmetic of one row: `u` holds the row's seven input
+    /// windows (centre, x−, x+, y−, y+, z−, z+), and its term windows
+    /// start at offset `o` of the run's term slices. Every window is cut
+    /// to one length, so the loop over them is unit-stride with no index
+    /// check or branch left in it — what lets the compiler vectorise it
+    /// without a scalar tail.
+    #[inline(always)]
+    fn stencil_row<const SCALED: bool, const N: usize>(
+        &self,
+        [uc, xm, xp, ym, yp, zm, zp]: [&[T]; 7],
         row: &mut [T],
         ca: T,
         terms: [(&[T], T); N],
+        o: usize,
     ) {
-        let n = row.len();
+        let n = uc.len();
+        let row = &mut row[..n];
+        let ws = terms.map(|(f, coef)| (&f[o..o + n], coef));
         let [cx, cy, cz] = self.c;
         let two = T::from_f64(2.0);
-        let win = |start: usize| &us[start..start + n];
-        let (uc, xm, xp) = (win(b), win(b - 1), win(b + 1));
-        let (ym, yp) = (win(b - self.sy), win(b + self.sy));
-        let (zm, zp) = (win(b - self.sz), win(b + self.sz));
-        let ws = terms.map(|(f, coef)| (&f[b..b + n], coef));
         for i in 0..n {
             let c = uc[i];
             let au = cx * (two * c - xm[i] - xp[i])
@@ -155,10 +202,26 @@ impl<T: Scalar> RowCore<T> {
         }
     }
 
-    /// `row = (A u)[b..b + row.len()]`.
+    /// `body(j, row)` for every row of `run`, on the core's arm: the run
+    /// body of a sweep that folds stored rows rather than computing
+    /// stencil ones (the window refold).
     #[inline(always)]
-    fn apply_row(&self, us: &[T], b: usize, row: &mut [T]) {
-        self.stencil_row::<false, 0>(us, b, row, T::ZERO, []);
+    fn rows_run(&self, run: Run<'_, T>, mut body: impl FnMut(usize, &mut [T])) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if self.avx2 {
+            // SAFETY: `avx2` is only set by `avx2_detected`, i.e. after
+            // `is_x86_feature_detected!("avx2")` returned true on this
+            // machine, so every instruction of the AVX2 arm is supported.
+            return unsafe { Self::rows_run_avx2(run, body) };
+        }
+        run.rows().for_each(|(j, row)| body(j, row));
+    }
+
+    /// [`RowCore::rows_run`]'s row loop compiled with AVX2 enabled.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx2")]
+    fn rows_run_avx2(run: Run<'_, T>, mut body: impl FnMut(usize, &mut [T])) {
+        run.rows().for_each(|(j, row)| body(j, row));
     }
 }
 
@@ -262,13 +325,7 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        let core = self.row_core::<T>();
-        let us = u.as_slice();
-        dev.on_stencil_read(info.name, map, us);
-        dev.launch_rows(info, map, w.as_mut_slice(), |j, k, row| {
-            let b = map.row_offset(j, k);
-            core.apply_row(us, b, row);
-        });
+        self.sweep_on_map::<T, D, false, 0>(dev, info, map, u, w, T::ZERO, []);
     }
 
     /// `w = A u` over the *window* of the interior: the first half of a
@@ -331,7 +388,7 @@ impl Laplacian {
         ca: T,
         terms: [(&Field<T>, T); N],
     ) {
-        self.combine_on_map(dev, info, self.grid.interior_map(), u, out, ca, terms);
+        self.sweep_on_map::<T, D, true, N>(dev, info, self.grid.interior_map(), u, out, ca, terms);
     }
 
     /// [`Laplacian::apply_combine`] over the interior z planes `planes`
@@ -357,7 +414,7 @@ impl Laplacian {
             nz: planes.len(),
             ..all
         };
-        self.combine_on_map(dev, info, map, u, out, ca, terms);
+        self.sweep_on_map::<T, D, true, N>(dev, info, map, u, out, ca, terms);
     }
 
     /// [`Laplacian::apply_combine`] over the window only (see
@@ -372,7 +429,7 @@ impl Laplacian {
         terms: [(&Field<T>, T); N],
     ) {
         if let Some(map) = self.window() {
-            self.combine_on_map(dev, info, map, u, out, ca, terms);
+            self.sweep_on_map::<T, D, true, N>(dev, info, map, u, out, ca, terms);
         }
     }
 
@@ -388,12 +445,15 @@ impl Laplacian {
         terms: [(&Field<T>, T); N],
     ) {
         for map in self.shell() {
-            self.combine_on_map(dev, info, map, u, out, ca, terms);
+            self.sweep_on_map::<T, D, true, N>(dev, info, map, u, out, ca, terms);
         }
     }
 
+    /// `out = ca · (A u) + Σₜ cₜ fₜ` (`ca` unused without `SCALED`) over
+    /// one sub-map of the interior: the run body of every plain and
+    /// combine sweep.
     #[allow(clippy::too_many_arguments)]
-    fn combine_on_map<T: Scalar, D: Device, const N: usize>(
+    fn sweep_on_map<T: Scalar, D: Device, const SCALED: bool, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
@@ -407,8 +467,9 @@ impl Laplacian {
         let us = u.as_slice();
         let fs = terms.map(|(f, c)| (f.as_slice(), c));
         dev.on_stencil_read(info.name, map, us);
-        dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-            core.stencil_row::<true, N>(us, map.row_offset(j, k), row, ca, fs);
+        let lanes = &mut [out.as_mut_slice()];
+        dev.launch_runs(info, map, lanes, None, &mut [[]], |_, run, _| {
+            core.stencil_run::<SCALED, N>(us, &map, run, ca, fs, |_, _, _, _| {});
         });
     }
 
@@ -444,11 +505,13 @@ impl Laplacian {
         let core = self.row_core::<T>();
         let map = self.grid.interior_map();
         let [nx, ny, nz] = self.grid.local_n;
-        dev.launch_lanes_reduce(info, map, outs, accs, |s, j, k, row| {
-            let b = map.row_offset(j, k);
-            core.apply_row(us[s], b, row);
-            let mid = row_has_deep_middle(nx, ny, nz, j, k);
-            fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]))
+        dev.launch_runs(info, map, outs, None, accs, |s, run, acc| {
+            let k = run.k;
+            core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, _| {
+                let mid = row_has_deep_middle(nx, ny, nz, j, k);
+                let dots = fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]));
+                *acc = add_partials(*acc, dots);
+            });
         });
     }
 
@@ -588,18 +651,14 @@ impl Laplacian {
         let (_, j0, k0) = self.piece_origin(map);
         let us = u.as_slice();
         dev.on_stencil_read(info.name, map, us);
-        dev.launch_rows2(
-            info,
-            map,
-            w.as_mut_slice(),
-            self.slot_map_for::<NR>(map),
-            slots,
-            |j, k, row, slot| {
-                let b = map.row_offset(j, k);
-                core.apply_row(us, b, row);
+        let slots = Some((self.slot_map_for::<NR>(map), &mut [slots][..]));
+        let lanes = &mut [w.as_mut_slice()];
+        dev.launch_runs(info, map, lanes, slots, &mut [[]], |_, run, _| {
+            let k = run.k;
+            core.stencil_run::<false, 0>(us, &map, run, T::ZERO, [], |j, b, row, slot| {
                 self.fold_row_into((j0 + j, k0 + k), b, row, terms, slot);
-            },
-        );
+            });
+        });
     }
 
     /// Number of slot elements [`Laplacian::apply_interior_dot`] /
@@ -666,13 +725,25 @@ impl Laplacian {
             }
         }
         if let Some(window) = self.window().filter(|m| m.len < nx) {
+            let core = self.row_core::<T>();
             let (i0, j0, k0) = self.piece_origin(window);
             let ws = w.as_slice();
             let slot_map = self.slot_map_for::<NR>(window);
-            dev.launch_rows(info_fold_window::<T>(nx), slot_map, slots, |j, k, slot| {
-                let b = window.row_offset(j, k) - i0;
-                self.fold_row_into((j0 + j, k0 + k), b, &ws[b..b + nx], terms, slot);
-            });
+            let info = info_fold_window::<T>(nx);
+            dev.launch_runs(
+                info,
+                slot_map,
+                &mut [slots],
+                None,
+                &mut [[]],
+                |_, run, _| {
+                    let k = run.k;
+                    core.rows_run(run, |j, slot| {
+                        let b = window.row_offset(j, k) - i0;
+                        self.fold_row_into((j0 + j, k0 + k), b, &ws[b..b + nx], terms, slot);
+                    });
+                },
+            );
         }
         PendingDotFold { ny, nz }
     }
