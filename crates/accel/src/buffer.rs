@@ -85,12 +85,6 @@ impl<T: Scalar> DeviceBuffer<T> {
         assert_eq!(src.len(), self.len(), "device copy size mismatch");
         self.data.copy_from_slice(&src.data);
     }
-
-    /// Swap contents with another buffer (pointer swap on real hardware;
-    /// used by the Chebyshev iteration's `z`/`y`/`w` rotation).
-    pub fn swap(&mut self, other: &mut Self) {
-        std::mem::swap(&mut self.data, &mut other.data);
-    }
 }
 
 #[cfg(test)]
@@ -120,16 +114,6 @@ mod tests {
             evs,
             vec![Event::H2D { bytes: 24 }, Event::D2H { bytes: 24 }]
         );
-    }
-
-    #[test]
-    fn swap_is_pointerlike() {
-        let dev = Serial::new(Recorder::disabled());
-        let mut a = DeviceBuffer::from_host(&dev, &[1.0f64]);
-        let mut b = DeviceBuffer::from_host(&dev, &[2.0f64]);
-        a.swap(&mut b);
-        assert_eq!(a.as_slice(), &[2.0]);
-        assert_eq!(b.as_slice(), &[1.0]);
     }
 
     #[test]

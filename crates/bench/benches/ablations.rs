@@ -1,13 +1,20 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! preconditioner communication, Chebyshev sweep count, eigenvalue
-//! rescaling, kernel fusion, and reduction ordering.
+//! Ablation benchmarks for the design choices DESIGN.md calls out.
+//!
+//! Two kinds of output, kept apart. The criterion groups time the paper's
+//! §V choices on this host's wall clock: preconditioner communication,
+//! Chebyshev sweep count, eigenvalue rescaling, kernel fusion and
+//! reduction ordering. After them, one table prints the modelled
+//! ablations — schedule, batched multi-RHS and mixed precision — as an
+//! MI250X replay of recorded event streams ([`modelled_replays`]). Those
+//! figures are perfmodel output and never print as timings.
 
-use accel::{Recorder, Serial};
+use accel::{Event, Recorder, Serial};
 use blockgrid::{Decomp, Field};
 use comm::{run_ranks, Communicator, ReduceOp, ReduceOrder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use krylov::kernels::{dot, INFO_DOT};
 use krylov::{SolveParams, SolverKind, SolverOptions};
+use perfmodel::{CostBreakdown, MachineModel};
 use poisson::{paper_problem, PoissonSolver};
 use stencil::{apply_physical_bcs, Laplacian, INFO_APPLY};
 
@@ -114,235 +121,145 @@ fn ablation_fusion(c: &mut Criterion) {
     group.finish();
 }
 
-/// Chebyshev vs naive Richardson polynomial preconditioning at equal
-/// sweep budgets — the quantitative case for the paper's CI choice.
-fn ablation_polynomial(c: &mut Criterion) {
-    use accel::Recorder;
-    use krylov::{
-        bicgstab_solve, global_bounds, ChebyMode, ChebyPrecond, RankCtx, RichardsonPrec, Scope,
-        Workspace,
-    };
-
-    let mut group = c.benchmark_group("ablation_polynomial");
+/// Deterministic (rank-order) vs arrival-order allreduce.
+fn ablation_reduction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_reduction");
     group.sample_size(10);
-    let problem = paper_problem(17);
-    let grid = blockgrid::BlockGrid::new(problem.discretize(), Decomp::single(), 0);
-    let ctx: RankCtx<f64, _, comm::SelfComm<f64>> = RankCtx::new(
-        Serial::new(Recorder::disabled()),
-        comm::SelfComm::default(),
-        grid,
-    );
-    let bounds = global_bounds(&ctx).rescaled(1e-4, 10.0);
-    let b_host = poisson::assemble::local_rhs(&problem, &ctx.grid);
-    let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let b_scaled: Vec<f64> = b_host.iter().map(|v| v / bnorm).collect();
-    let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_scaled);
-    let params = SolveParams {
-        tol: 1e-10,
-        max_iters: 20_000,
-        record_history: false,
-        ..Default::default()
-    };
-
-    group.bench_function("chebyshev_24", |bch| {
-        bch.iter(|| {
-            let mut prec = ChebyPrecond::<f64>::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            let out = bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params);
-            assert!(out.converged);
-            out.iterations
+    for (label, order) in [
+        ("rank_order", ReduceOrder::RankOrder),
+        ("arrival", ReduceOrder::Arrival),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &order, |b, &order| {
+            b.iter(|| {
+                run_ranks::<f64, _, _>(4, order, |comm_handle| {
+                    let mut acc = 0.0;
+                    for i in 0..200 {
+                        let mut v = [comm_handle.rank() as f64 + i as f64];
+                        comm_handle.all_reduce(&mut v, ReduceOp::Sum);
+                        acc += v[0];
+                    }
+                    acc
+                })
+            });
         });
-    });
-    group.bench_function("richardson_24", |bch| {
-        bch.iter(|| {
-            let mut prec = RichardsonPrec::new(&ctx, ChebyMode::GlobalNoComm, bounds, 24);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            let out = bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params);
-            assert!(out.converged);
-            out.iterations
-        });
-    });
+    }
     group.finish();
 }
 
-/// Overlap vs no overlap: RAS(1) against the paper's non-overlapping
-/// Block-Jacobi limit, at equal local sweep counts (the Schwarz trade of
-/// Sec. III-A: fewer outer iterations vs one extra exchange per apply).
-fn ablation_overlap(c: &mut Criterion) {
-    use accel::Recorder;
-    use krylov::{
-        bicgstab_solve, local_bounds, ChebyMode, ChebyPrecond, RankCtx, RasPrec, Scope, Workspace,
-    };
-
-    let mut group = c.benchmark_group("ablation_overlap");
-    group.sample_size(10);
-    // single rank: RAS == BJ, so run the comparison on the structure cost
-    // only; multi-rank comparisons live in the krylov test suite.
-    let problem = paper_problem(17);
-    let grid = blockgrid::BlockGrid::new(problem.discretize(), Decomp::single(), 0);
-    let ctx: RankCtx<f64, _, comm::SelfComm<f64>> = RankCtx::new(
-        Serial::new(Recorder::disabled()),
-        comm::SelfComm::default(),
-        grid,
-    );
-    let b_host = poisson::assemble::local_rhs(&problem, &ctx.grid);
-    let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let b_scaled: Vec<f64> = b_host.iter().map(|v| v / bnorm).collect();
-    let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_scaled);
-    let params = SolveParams {
-        tol: 1e-10,
-        max_iters: 20_000,
-        record_history: false,
-        ..Default::default()
-    };
-
-    group.bench_function("bj_no_overlap", |bch| {
-        bch.iter(|| {
-            let bounds = local_bounds(&ctx).rescaled(1e-4, 10.0);
-            let mut prec = ChebyPrecond::<f64>::new(&ctx, ChebyMode::BlockJacobi, bounds, 24);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params).iterations
-        });
-    });
-    group.bench_function("ras_overlap1", |bch| {
-        bch.iter(|| {
-            let mut prec = RasPrec::new(&ctx, 24, 1e-4, 10.0);
-            let mut x = ctx.field();
-            let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-            bicgstab_solve(&ctx, Scope::Global, &b, &mut x, &mut prec, &mut ws, &params).iterations
-        });
-    });
-    group.finish();
+/// One line of the modelled replay table: two arms' modelled seconds for
+/// one case; the ratio `arms[0] / arms[1]` must clear `bar` when set.
+struct ReplayRow {
+    ablation: &'static str,
+    case: String,
+    arms: [(&'static str, f64); 2],
+    bar: Option<f64>,
 }
 
-/// Split-phase overlapped halo exchange vs the synchronous exchange, per
-/// operator application, on the Threads back-end at 8 ranks (2×2×2).
+impl ReplayRow {
+    fn ratio(&self) -> f64 {
+        self.arms[0].1 / self.arms[1].1
+    }
+}
+
+/// Hold every row to its bar; an ablation calls this before it writes
+/// its record.
+fn assert_bars(rows: &[ReplayRow]) {
+    for r in rows {
+        if let Some(bar) = r.bar {
+            assert!(
+                r.ratio() >= bar,
+                "{} below the {bar}x bar at {}: {:.3}x modelled",
+                r.ablation,
+                r.case,
+                r.ratio()
+            );
+        }
+    }
+}
+
+/// Ranks of every recorded world. Its 33³ nodes under a 2×2×2 decomp
+/// give each rank a 16³ block: the strong-scaling limit of the paper's
+/// Fig. 6, where per-launch and per-message fixed costs rival the kernels.
+const RANKS: usize = 8;
+const RECORDED_LOCAL: usize = 16;
+
+/// Threads per rank's device, sized like an MPI+OpenMP job: cores / ranks,
+/// at least one; oversubscription would only slow the recording.
+fn workers_per_rank() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |p| p.get() / RANKS)
+        .max(1)
+}
+
+/// One full paper-problem solve on the recorded world through `run`
+/// ([`bench::run_once`] or [`bench::run_reference`]): its outer iterations
+/// and every rank's event stream.
+fn record_solve(
+    run: fn(&bench::RunConfig) -> bench::RunResult,
+    kind: SolverKind,
+    mixed_precision: bool,
+) -> (usize, Vec<Vec<Event>>) {
+    let mut cfg = bench::RunConfig::small(kind);
+    cfg.nodes = 33;
+    cfg.decomp = [2, 2, 2];
+    cfg.device = format!("threads:{}", workers_per_rank());
+    cfg.record_events = true;
+    cfg.tol = 1e-8;
+    cfg.opts.mixed_precision = mixed_precision;
+    let res = run(&cfg);
+    assert!(res.outcome.converged, "{:?}", res.outcome);
+    (res.outcome.iterations, res.events)
+}
+
+/// Slowest rank's modelled solve time at `model_ranks`, with the recorded
+/// 16³-per-rank streams scaled to a `local`³ block.
+fn worst_scaled(streams: &[Vec<Event>], model_ranks: usize, local: usize) -> CostBreakdown {
+    let r = local as f64 / RECORDED_LOCAL as f64;
+    let machine = MachineModel::mi250x();
+    bench::worst_rank_replay_scaled(streams, &machine, model_ranks, r.powi(3), r.powi(2))
+}
+
+/// The modelled ablations, printed as one table. None of it is a timing.
 ///
 /// The in-process communicator delivers messages in nanoseconds, and on a
-/// shared CI host the OS scheduler interleaves all eight rank threads on
-/// the same cores, so raw wall time cannot expose what overlap buys on a
-/// real interconnect (even sleep-based latency emulation is void: while
-/// one rank sleeps on a "wire", the scheduler runs the other ranks'
-/// compute, hiding the latency in *both* arms). This bench therefore
-/// follows the repo's standing methodology (DESIGN.md, EXPERIMENTS.md):
-/// run the real 8-rank Threads world, record each rank's logical event
-/// stream — kernel launches with measured byte/flop footprints, halo
-/// message counts and bytes, overlap windows — and report that stream's
-/// modeled time on the paper's LUMI-G machine model, where a split-phase
-/// window costs `max(comm, in-window compute)`. The reported duration is
-/// the slowest rank's modeled per-application time; the event streams it
-/// prices are measured, not synthesized. The figure is a *modelled*
-/// replay and is labelled as one: the split it prices is the production
-/// one (a message-sized window), chosen on measured wall clock.
-fn ablation_halo_overlap(c: &mut Criterion) {
-    use accel::{Event, Threads};
-    use blockgrid::{BlockGrid, GlobalGrid, HaloExchange};
-    use comm::run_ranks_recorded;
-    use perfmodel::MachineModel;
-    use std::time::Duration;
-
-    const RANKS: usize = 8;
-
-    // One operator application's event stream per rank, measured live.
-    let record_world = |overlap: bool| -> Vec<Vec<Event>> {
-        let decomp = Decomp::new([2, 2, 2]);
-        // Local 96³ per rank: the regime where one face-wave of halo
-        // latency rivals the interior sweep (the paper's Fig. 6 balance
-        // at 64 ranks), i.e. where split-phase overlap pays off most.
-        let global = GlobalGrid::dirichlet([192, 192, 192], [0.05; 3], [0.0; 3]);
-        // Size the worker pool like an MPI+OpenMP job: cores / ranks,
-        // at least one; oversubscription would only slow the recording.
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get() / RANKS)
-            .max(1);
-        let recorders: Vec<Recorder> = (0..RANKS).map(|_| Recorder::enabled()).collect();
-        run_ranks_recorded::<f64, _, _>(RANKS, ReduceOrder::RankOrder, recorders, move |comm| {
-            let rec = comm.recorder().clone();
-            let dev = Threads::new(workers, rec.clone());
-            let grid = BlockGrid::new(global.clone(), decomp, comm.rank());
-            let vals: Vec<f64> = (0..grid.local_n.iter().product())
-                .map(|i| (i % 97) as f64 / 97.0)
-                .collect();
-            let mut u = Field::from_interior(&dev, &grid, &vals);
-            let lap = Laplacian::new(&grid);
-            let mut w = Field::zeros(&dev, &grid);
-            let halo = HaloExchange::new(&grid);
-            // warm the buffer pool and the per-(peer, tag) message
-            // queues, then discard the warm-up's events
-            halo.exchange(&dev, &comm, &mut u);
-            rec.drain();
-            if overlap {
-                let pending = halo.begin(&dev, &comm, &u);
-                apply_physical_bcs(&grid, &mut u, &rec, false);
-                lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
-                halo.finish(&dev, &comm, pending, &mut u);
-                lap.apply_shell(&dev, INFO_APPLY, &u, &mut w);
-            } else {
-                halo.exchange(&dev, &comm, &mut u);
-                apply_physical_bcs(&grid, &mut u, &rec, false);
-                lap.apply(&dev, INFO_APPLY, &u, &mut w);
-            }
-            rec.drain()
-        })
-    };
-
-    let machine = MachineModel::mi250x();
-    let modeled = |streams: &[Vec<Event>]| -> Duration {
-        Duration::from_secs_f64(bench::worst_rank_replay(streams, &machine, RANKS).total_s())
-    };
-
-    let mut group = c.benchmark_group("ablation_halo_overlap");
-    group.sample_size(10);
-    group.bench_function("synchronous", |b| {
-        b.iter_custom(|_| modeled(&record_world(false)))
-    });
-    group.bench_function("overlapped", |b| {
-        b.iter_custom(|_| modeled(&record_world(true)))
-    });
-    group.finish();
-
-    // What the model can and cannot say. It prices a window as
-    // `max(comm, in-window compute)` and a one-cell row like a streamed
-    // one, so it rewards hiding the exchange behind the *whole* interior
-    // and never sees what peeling every face costs on a real cache. The
-    // production window is sized by the message, on measured wall clock
-    // (EXPERIMENTS.md, "Measured — face-aware windowed split"); here it
-    // must merely never model slower than the synchronous exchange, and
-    // the share of the halo cost it hides is reported, not gated.
-    let sync_streams = record_world(false);
-    let over_streams = record_world(true);
-    let sync_b = bench::worst_rank_replay(&sync_streams, &machine, RANKS);
-    let over_b = bench::worst_rank_replay(&over_streams, &machine, RANKS);
-    let (sync_s, over_s) = (sync_b.total_s(), over_b.total_s());
-    assert!(
-        over_s <= sync_s,
-        "the split-phase sweep models slower than the synchronous one: \
-         synchronous {sync_s:.3e}s vs overlapped {over_s:.3e}s"
+/// shared host the OS interleaves all eight rank threads on the same
+/// cores, so wall time cannot show what a schedule, a batch or a narrower
+/// element buys on a real interconnect and GPU. These ablations run real
+/// 8-rank Threads solves, record each rank's event stream — kernel
+/// footprints, halo messages, overlap windows and reductions, measured
+/// rather than synthesized — and replay the streams through the MI250X
+/// machine model, reporting the slowest rank. Each asserts its bar,
+/// writes `BENCH_<name>.json` and merges its section into the committed
+/// `results/bench_summary.json`.
+fn modelled_replays() {
+    let rows: Vec<ReplayRow> = [
+        ablation_schedule(),
+        ablation_batched_rhs(),
+        ablation_mixed_precision(),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    println!(
+        "\nmodelled: MI250X replay of recorded event streams \
+         (perfmodel seconds, not wall clock)"
     );
-
-    #[derive(serde::Serialize)]
-    struct HaloRecord {
-        ranks: usize,
-        machine: &'static str,
-        synchronous: perfmodel::CostBreakdown,
-        overlapped: perfmodel::CostBreakdown,
-        speedup: f64,
-        /// Share of the synchronous arm's halo cost the window covers.
-        hidden_share: f64,
+    println!(
+        "{:<16} {:<24} {:>24} {:>24} {:>8}  bar",
+        "ablation", "case", "baseline", "variant", "ratio"
+    );
+    for r in &rows {
+        let arm = |(name, s): (&str, f64)| format!("{name} {s:.3e} s");
+        let bar = r.bar.map_or(String::new(), |b| format!(">= {b}x"));
+        println!(
+            "{:<16} {:<24} {:>24} {:>24} {:>7.3}x  {bar}",
+            r.ablation,
+            r.case,
+            arm(r.arms[0]),
+            arm(r.arms[1]),
+            r.ratio()
+        );
     }
-    let record = HaloRecord {
-        ranks: RANKS,
-        machine: "mi250x",
-        synchronous: sync_b,
-        overlapped: over_b,
-        speedup: sync_s / over_s,
-        hidden_share: 1.0 - over_b.comm_s / sync_b.comm_s,
-    };
-    bench::write_bench_json("halo_overlap", &record).expect("write BENCH_halo_overlap.json");
-    bench::update_summary("halo_overlap", serde::Serialize::to_value(&record));
 }
 
 /// The schedule ablation: the historical "paper" schedule
@@ -350,13 +267,8 @@ fn ablation_halo_overlap(c: &mut Criterion) {
 /// exchanges, three blocking reductions per iteration) against the one
 /// production schedule (five fused sweeps, split-phase halos, two
 /// batched reductions with compute posted under the first), on a full
-/// 8-rank Bi-CGSTAB solve recorded live on the Threads back-end.
-///
-/// Same methodology as [`ablation_halo_overlap`]: the in-process
-/// communicator cannot expose allreduce latency in wall time, so the
-/// real per-rank event streams — sweep footprints, overlap windows and
-/// reduction messages measured, not synthesized — are replayed through
-/// the LUMI-G machine model on two grids:
+/// 8-rank Bi-CGSTAB solve recorded live on the Threads back-end and
+/// replayed on two grids:
 ///
 /// * **model ranks 8–512** at the recorded 16³ block: the allreduce term
 ///   grows with `ceil(log2 P)` while the local compute stays fixed, the
@@ -366,36 +278,12 @@ fn ablation_halo_overlap(c: &mut Criterion) {
 ///   volume, halos by face area): the bandwidth-bound regime where
 ///   264 → 200 B/elem of streaming traffic pays off (bar: ≥ 1.25× at
 ///   ≥ 256³ per rank).
-fn ablation_schedule(c: &mut Criterion) {
-    use accel::Event;
-    use perfmodel::{CostBreakdown, MachineModel};
-    use std::time::Duration;
-
-    const RANKS: usize = 8;
-    // nodes = 33 under a 2x2x2 decomp: each rank owns a 16^3 block —
-    // the strong-scaling limit where the per-iteration dots rival the
-    // kernels.
-    const RECORDED_LOCAL: f64 = 16.0;
+fn ablation_schedule() -> Vec<ReplayRow> {
     const MODEL_RANKS: [usize; 4] = [8, 64, 256, 512];
     const LOCALS: [usize; 4] = [64, 128, 256, 320];
 
-    // One full solve's event stream per rank, live on Threads.
-    let record = |run: fn(&bench::RunConfig) -> bench::RunResult| -> (usize, Vec<Vec<Event>>) {
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get() / RANKS)
-            .max(1);
-        let mut cfg = bench::RunConfig::small(SolverKind::BiCgs);
-        cfg.nodes = 33;
-        cfg.decomp = [2, 2, 2];
-        cfg.device = format!("threads:{workers}");
-        cfg.record_events = true;
-        cfg.tol = 1e-8;
-        let res = run(&cfg);
-        assert!(res.outcome.converged, "{:?}", res.outcome);
-        (res.outcome.iterations, res.events)
-    };
-    let (iters_ref, ref_streams) = record(bench::run_reference);
-    let (iterations, prod_streams) = record(bench::run_once);
+    let (iters_ref, ref_streams) = record_solve(bench::run_reference, SolverKind::BiCgs, false);
+    let (iterations, prod_streams) = record_solve(bench::run_once, SolverKind::BiCgs, false);
     assert_eq!(
         iters_ref, iterations,
         "the schedule must not change the iteration count"
@@ -419,30 +307,10 @@ fn ablation_schedule(c: &mut Criterion) {
         "expected 11 -> 5 sweeps per iteration, measured {sweeps:?}"
     );
 
-    let machine = MachineModel::mi250x();
-    // Slowest rank's modeled solve time at `model_ranks`, with the
-    // recorded 16^3-per-rank streams scaled to a `local`^3 block.
-    let worst = |streams: &[Vec<Event>], model_ranks: usize, local: usize| -> CostBreakdown {
-        let r = local as f64 / RECORDED_LOCAL;
-        bench::worst_rank_replay_scaled(streams, &machine, model_ranks, r.powi(3), r.powi(2))
-    };
-    let grid: Vec<(usize, usize)> = MODEL_RANKS
+    let grid = MODEL_RANKS
         .iter()
-        .map(|&p| (p, RECORDED_LOCAL as usize))
-        .chain(LOCALS.iter().map(|&n| (RANKS, n)))
-        .collect();
-
-    let mut group = c.benchmark_group("ablation_schedule");
-    group.sample_size(10);
-    for &(p, n) in &grid {
-        let id = format!("{p}ranks_{n}cubed");
-        for (arm, streams) in [("reference", &ref_streams), ("production", &prod_streams)] {
-            group.bench_with_input(BenchmarkId::new(arm, &id), &(p, n), |b, &(p, n)| {
-                b.iter_custom(|_| Duration::from_secs_f64(worst(streams, p, n).total_s()))
-            });
-        }
-    }
-    group.finish();
+        .map(|&p| (p, RECORDED_LOCAL))
+        .chain(LOCALS.iter().map(|&n| (RANKS, n)));
 
     #[derive(serde::Serialize)]
     struct Row {
@@ -466,26 +334,9 @@ fn ablation_schedule(c: &mut Criterion) {
         rows: Vec<Row>,
     }
     let rows: Vec<Row> = grid
-        .iter()
-        .map(|&(p, n)| {
-            let reference = worst(&ref_streams, p, n);
-            let production = worst(&prod_streams, p, n);
-            let model_speedup = reference.total_s() / production.total_s();
-            // The two headline claims, unchanged from the single-factor
-            // ablations this one replaces.
-            if p >= 256 {
-                assert!(
-                    model_speedup >= 1.15,
-                    "production schedule below the 1.15x bar at {p} model ranks: \
-                     {model_speedup:.3}"
-                );
-            }
-            if n >= 256 {
-                assert!(
-                    model_speedup >= 1.25,
-                    "production schedule below the 1.25x bar at {n}^3/rank: {model_speedup:.3}"
-                );
-            }
+        .map(|(p, n)| {
+            let reference = worst_scaled(&ref_streams, p, n);
+            let production = worst_scaled(&prod_streams, p, n);
             Row {
                 model_ranks: p,
                 local_nodes: n,
@@ -493,10 +344,29 @@ fn ablation_schedule(c: &mut Criterion) {
                 production_iter_s: production.total_s() / iterations as f64,
                 reference,
                 production,
-                model_speedup,
+                model_speedup: reference.total_s() / production.total_s(),
             }
         })
         .collect();
+    let replay: Vec<ReplayRow> = rows
+        .iter()
+        .map(|r| ReplayRow {
+            ablation: "schedule",
+            case: format!("{} ranks, {}³/rank", r.model_ranks, r.local_nodes),
+            arms: [
+                ("reference", r.reference.total_s()),
+                ("production", r.production.total_s()),
+            ],
+            bar: if r.local_nodes >= 256 {
+                Some(1.25)
+            } else if r.model_ranks >= 256 {
+                Some(1.15)
+            } else {
+                None
+            },
+        })
+        .collect();
+    assert_bars(&replay);
     let record = ScheduleRecord {
         schema_version: 1,
         recorded_ranks: RANKS,
@@ -508,10 +378,8 @@ fn ablation_schedule(c: &mut Criterion) {
         rows,
     };
     bench::write_bench_json("schedule", &record).expect("write BENCH_schedule.json");
-
-    // Refresh the committed stable-schema summary artifact at the
-    // repository root, so the headline figures travel with the tree.
     bench::update_summary("schedule", serde::Serialize::to_value(&record));
+    replay
 }
 
 /// Batched multi-RHS solves: B independent single-lane solves vs one
@@ -520,22 +388,17 @@ fn ablation_schedule(c: &mut Criterion) {
 /// The batched driver runs every lane through the same iteration
 /// schedule — one lane-strided kernel launch per sweep instead of B, one
 /// B-face halo message per neighbour instead of B, and one B-wide
-/// allreduce per reduction point instead of B — so all the
-/// per-launch and per-message fixed costs amortize across lanes while
-/// the streamed bytes stay proportional to B. Wall time is measured
-/// live (criterion re-runs the world per sample); the headline claim is
-/// modeled, same methodology as [`ablation_schedule`]: replay the
-/// recorded per-rank event streams through the MI250X node model in the
-/// strong-scaling regime (16³ per rank) where those fixed costs
-/// dominate, and require the B=4 batched aggregate throughput to model
-/// at >= 1.5x four back-to-back solo solves.
-fn ablation_batched_rhs(c: &mut Criterion) {
-    use accel::{Event, Threads};
+/// allreduce per reduction point instead of B — so all the per-launch
+/// and per-message fixed costs amortize across lanes while the streamed
+/// bytes stay proportional to B. In the strong-scaling regime (16³ per
+/// rank) where those fixed costs dominate, the B = 4 batched aggregate
+/// throughput must model at ≥ 1.5× four back-to-back solo solves. The
+/// record also carries each recorded run's wall time (`wall_*`).
+fn ablation_batched_rhs() -> Vec<ReplayRow> {
+    use accel::Threads;
     use comm::run_ranks_recorded;
-    use perfmodel::{CostBreakdown, MachineModel};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    const RANKS: usize = 8;
     const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
     struct WorldRun {
@@ -545,28 +408,18 @@ fn ablation_batched_rhs(c: &mut Criterion) {
         wall_s: f64,
         /// Rank-0 allreduce messages over the measured solves.
         allreduces: u64,
-        /// Per-rank event streams (empty unless recording).
+        /// Per-rank event streams.
         streams: Vec<Vec<Event>>,
     }
 
-    // One 8-rank Threads world solving `nb` right-hand sides, either as
-    // nb sequential single-lane solves or as one nb-lane batched solve.
-    // A warm-up lane fills the buffer pools and message queues first and
-    // its events/counters are discarded.
-    let run_world = |nb: usize, batched: bool, record: bool| -> WorldRun {
+    // One recorded 8-rank Threads world solving `nb` right-hand sides,
+    // either as nb sequential single-lane solves or as one nb-lane
+    // batched solve. A warm-up lane fills the buffer pools and message
+    // queues first and its events/counters are discarded.
+    let run_world = |nb: usize, batched: bool| -> WorldRun {
         let decomp = Decomp::new([2, 2, 2]);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get() / RANKS)
-            .max(1);
-        let recorders: Vec<Recorder> = (0..RANKS)
-            .map(|_| {
-                if record {
-                    Recorder::enabled()
-                } else {
-                    Recorder::disabled()
-                }
-            })
-            .collect();
+        let workers = workers_per_rank();
+        let recorders: Vec<Recorder> = (0..RANKS).map(|_| Recorder::enabled()).collect();
         let handles = recorders.clone();
         let per_rank = run_ranks_recorded::<f64, _, _>(
             RANKS,
@@ -575,8 +428,6 @@ fn ablation_batched_rhs(c: &mut Criterion) {
             move |comm| {
                 let rec = comm.recorder().clone();
                 let dev = Threads::new(workers, rec.clone());
-                // nodes = 33 under 2x2x2: 16^3 per rank, the
-                // strong-scaling limit regime of the paper's Fig. 6.
                 let mut solver: PoissonSolver<f64, _, _> =
                     PoissonSolver::new(paper_problem(33), decomp, dev, comm);
                 let n: usize = solver.grid().local_n.iter().product();
@@ -646,41 +497,6 @@ fn ablation_batched_rhs(c: &mut Criterion) {
         bench::worst_rank_replay(streams, &machine, RANKS)
     };
 
-    // One recorded run per (width, arm) for the model replay; the wall
-    // arms below re-run the world unrecorded on every criterion sample.
-    let recorded: Vec<(usize, WorldRun, WorldRun)> = WIDTHS
-        .iter()
-        .map(|&nb| (nb, run_world(nb, false, true), run_world(nb, true, true)))
-        .collect();
-
-    let mut group = c.benchmark_group("ablation_batched_rhs");
-    group.sample_size(10);
-    for &nb in &WIDTHS {
-        group.bench_with_input(BenchmarkId::new("solo_wall", nb), &nb, |b, &nb| {
-            b.iter_custom(|_| Duration::from_secs_f64(run_world(nb, false, false).wall_s))
-        });
-        group.bench_with_input(BenchmarkId::new("batched_wall", nb), &nb, |b, &nb| {
-            b.iter_custom(|_| Duration::from_secs_f64(run_world(nb, true, false).wall_s))
-        });
-        let (_, solo, batched) = recorded
-            .iter()
-            .find(|(w, _, _)| *w == nb)
-            .expect("recorded");
-        let (solo_s, batched_s) = (
-            worst(&solo.streams).total_s(),
-            worst(&batched.streams).total_s(),
-        );
-        group.bench_with_input(BenchmarkId::new("solo_model", nb), &solo_s, |b, &s| {
-            b.iter_custom(|_| Duration::from_secs_f64(s))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("batched_model", nb),
-            &batched_s,
-            |b, &s| b.iter_custom(|_| Duration::from_secs_f64(s)),
-        );
-    }
-    group.finish();
-
     #[derive(serde::Serialize)]
     struct Row {
         lanes: usize,
@@ -694,9 +510,10 @@ fn ablation_batched_rhs(c: &mut Criterion) {
         batched: CostBreakdown,
         model_throughput_x: f64,
     }
-    let rows: Vec<Row> = recorded
+    let rows: Vec<Row> = WIDTHS
         .iter()
-        .map(|(nb, solo, batched)| {
+        .map(|&nb| {
+            let (solo, batched) = (run_world(nb, false), run_world(nb, true));
             assert_eq!(
                 solo.iters, batched.iters,
                 "batching must not change any lane's iteration count (B={nb})"
@@ -712,7 +529,7 @@ fn ablation_batched_rhs(c: &mut Criterion) {
                 "B={nb}: {} batched allreduces exceeds 2*{longest}+6",
                 batched.allreduces
             );
-            if *nb >= 2 {
+            if nb >= 2 {
                 assert!(
                     batched.allreduces < solo.allreduces,
                     "B={nb}: batching must cut allreduce messages \
@@ -723,18 +540,9 @@ fn ablation_batched_rhs(c: &mut Criterion) {
             }
             let s = worst(&solo.streams);
             let b = worst(&batched.streams);
-            // Same nb solves completed in both arms, so the aggregate
-            // throughput ratio is the modeled time ratio.
-            let model_throughput_x = s.total_s() / b.total_s();
-            if *nb == 4 {
-                assert!(
-                    model_throughput_x >= 1.5,
-                    "batched multi-RHS below the 1.5x bar at B=4: {model_throughput_x:.3}"
-                );
-            }
             Row {
-                lanes: *nb,
-                iterations: solo.iters.clone(),
+                lanes: nb,
+                iterations: solo.iters,
                 wall_solo_s: solo.wall_s,
                 wall_batched_s: batched.wall_s,
                 wall_speedup: solo.wall_s / batched.wall_s,
@@ -742,10 +550,22 @@ fn ablation_batched_rhs(c: &mut Criterion) {
                 allreduce_messages_batched: batched.allreduces,
                 solo: s,
                 batched: b,
-                model_throughput_x,
+                // Same nb solves completed in both arms, so the aggregate
+                // throughput ratio is the modeled time ratio.
+                model_throughput_x: s.total_s() / b.total_s(),
             }
         })
         .collect();
+    let replay: Vec<ReplayRow> = rows
+        .iter()
+        .map(|r| ReplayRow {
+            ablation: "batched_rhs",
+            case: format!("B={}, {RANKS} ranks, 16³/rank", r.lanes),
+            arms: [("solo", r.solo.total_s()), ("batched", r.batched.total_s())],
+            bar: (r.lanes == 4).then_some(1.5),
+        })
+        .collect();
+    assert_bars(&replay);
 
     #[derive(serde::Serialize)]
     struct BatchedRecord {
@@ -759,77 +579,38 @@ fn ablation_batched_rhs(c: &mut Criterion) {
         schema_version: 1,
         recorded_ranks: RANKS,
         machine: "mi250x",
-        local_nodes: 16,
+        local_nodes: RECORDED_LOCAL,
         rows,
     };
     bench::write_bench_json("batched_rhs", &record).expect("write BENCH_batched_rhs.json");
     bench::update_summary("batched_rhs", serde::Serialize::to_value(&record));
+    replay
 }
 
 /// Mixed-precision Chebyshev preconditioning: f32 inner sweeps, state
 /// and halo wire words under the f64 outer recurrence, vs the all-f64
 /// baseline, on real 8-rank Threads `G(CI)` solves.
 ///
-/// Same methodology as [`ablation_schedule`]: record the
-/// 16³-per-rank event streams live — the halved kernel footprints of
+/// The recorded 16³-per-rank streams — the halved kernel footprints of
 /// the f32 sweeps and the half-width wire words of the f32 halo band
-/// are measured, not synthesized — scale them to production-size local
-/// blocks and replay through the MI250X node model, reporting the
-/// slowest rank. The convergence side of the trade rides on the same
-/// runs: the outer iteration count must stay within ±2 of the all-f64
-/// baseline (the guard the poisson test suite also pins per back-end).
-fn ablation_mixed_precision(c: &mut Criterion) {
-    use accel::Event;
-    use perfmodel::{CostBreakdown, MachineModel};
-    use std::time::Duration;
-
-    const RANKS: usize = 8;
-    // nodes = 33 under a 2x2x2 decomp: each rank owns a 16^3 block.
-    const RECORDED_LOCAL: f64 = 16.0;
+/// are measured, not synthesized — are scaled to production-size local
+/// blocks before the replay. Once the local block is bandwidth bound,
+/// halving the preconditioner's streamed bytes must model ≥ 1.2× faster
+/// per outer iteration (at ≥ 256³ per rank). The convergence side of the
+/// trade rides on the same runs: the outer iteration count must stay
+/// within ±2 of the all-f64 baseline (the guard the poisson test suite
+/// also pins per back-end).
+fn ablation_mixed_precision() -> Vec<ReplayRow> {
     const LOCALS: [usize; 4] = [64, 128, 256, 320];
 
-    let record = |mixed: bool| -> (usize, Vec<Vec<Event>>) {
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get() / RANKS)
-            .max(1);
-        let mut cfg = bench::RunConfig::small(SolverKind::BiCgsGCi);
-        cfg.nodes = 33;
-        cfg.decomp = [2, 2, 2];
-        cfg.device = format!("threads:{workers}");
-        cfg.record_events = true;
-        cfg.tol = 1e-8;
-        cfg.opts.mixed_precision = mixed;
-        let res = bench::run_once(&cfg);
-        assert!(res.outcome.converged, "{:?}", res.outcome);
-        (res.outcome.iterations, res.events)
-    };
-
-    let (iters_f64, f64_streams) = record(false);
-    let (iters_mixed, mixed_streams) = record(true);
+    let (iters_f64, f64_streams) = record_solve(bench::run_once, SolverKind::BiCgsGCi, false);
+    let (iters_mixed, mixed_streams) = record_solve(bench::run_once, SolverKind::BiCgsGCi, true);
     let drift = (iters_mixed as i64 - iters_f64 as i64).abs();
     assert!(
         drift <= 2,
         "mixed precision drifted {drift} outer iterations \
          ({iters_mixed} mixed vs {iters_f64} f64)"
     );
-
-    let machine = MachineModel::mi250x();
-    let worst = |streams: &[Vec<Event>], local: usize| -> CostBreakdown {
-        let r = local as f64 / RECORDED_LOCAL;
-        bench::worst_rank_replay_scaled(streams, &machine, RANKS, r.powi(3), r.powi(2))
-    };
-
-    let mut group = c.benchmark_group("ablation_mixed_precision");
-    group.sample_size(10);
-    for local in LOCALS {
-        group.bench_with_input(BenchmarkId::new("f64", local), &local, |b, &n| {
-            b.iter_custom(|_| Duration::from_secs_f64(worst(&f64_streams, n).total_s()))
-        });
-        group.bench_with_input(BenchmarkId::new("mixed", local), &local, |b, &n| {
-            b.iter_custom(|_| Duration::from_secs_f64(worst(&mixed_streams, n).total_s()))
-        });
-    }
-    group.finish();
 
     #[derive(serde::Serialize)]
     struct Row {
@@ -852,31 +633,30 @@ fn ablation_mixed_precision(c: &mut Criterion) {
     let rows: Vec<Row> = LOCALS
         .iter()
         .map(|&n| {
-            let base = worst(&f64_streams, n);
-            let mix = worst(&mixed_streams, n);
+            let base = worst_scaled(&f64_streams, RANKS, n);
+            let mix = worst_scaled(&mixed_streams, RANKS, n);
             let f64_iter_s = base.total_s() / iters_f64 as f64;
             let mixed_iter_s = mix.total_s() / iters_mixed as f64;
-            let per_iteration_speedup = f64_iter_s / mixed_iter_s;
-            // The headline claim: once the local block is bandwidth
-            // bound, halving the preconditioner's streamed bytes must
-            // model >= 1.2x faster per outer iteration.
-            if n >= 256 {
-                assert!(
-                    per_iteration_speedup >= 1.2,
-                    "mixed precision below the 1.2x bar at {n}^3/rank: \
-                     {per_iteration_speedup:.3}"
-                );
-            }
             Row {
                 local_nodes: n,
                 f64_iter_s,
                 mixed_iter_s,
-                per_iteration_speedup,
+                per_iteration_speedup: f64_iter_s / mixed_iter_s,
                 f64_total: base,
                 mixed_total: mix,
             }
         })
         .collect();
+    let replay: Vec<ReplayRow> = rows
+        .iter()
+        .map(|r| ReplayRow {
+            ablation: "mixed_precision",
+            case: format!("{}³/rank, per iteration", r.local_nodes),
+            arms: [("f64", r.f64_iter_s), ("mixed", r.mixed_iter_s)],
+            bar: (r.local_nodes >= 256).then_some(1.2),
+        })
+        .collect();
+    assert_bars(&replay);
     let record = MixedRecord {
         schema_version: 1,
         recorded_ranks: RANKS,
@@ -887,36 +667,12 @@ fn ablation_mixed_precision(c: &mut Criterion) {
     };
     bench::write_bench_json("mixed_precision", &record).expect("write BENCH_mixed_precision.json");
     bench::update_summary("mixed_precision", serde::Serialize::to_value(&record));
-}
-
-/// Deterministic (rank-order) vs arrival-order allreduce.
-fn ablation_reduction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_reduction");
-    group.sample_size(10);
-    for (label, order) in [
-        ("rank_order", ReduceOrder::RankOrder),
-        ("arrival", ReduceOrder::Arrival),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &order, |b, &order| {
-            b.iter(|| {
-                run_ranks::<f64, _, _>(4, order, |comm_handle| {
-                    let mut acc = 0.0;
-                    for i in 0..200 {
-                        let mut v = [comm_handle.rank() as f64 + i as f64];
-                        comm_handle.all_reduce(&mut v, ReduceOp::Sum);
-                        acc += v[0];
-                    }
-                    acc
-                })
-            });
-        });
-    }
-    group.finish();
+    replay
 }
 
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction, ablation_polynomial, ablation_overlap, ablation_halo_overlap, ablation_schedule, ablation_batched_rhs, ablation_mixed_precision
+    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction
 );
-criterion_main!(benches);
+criterion_main!(benches, modelled_replays);

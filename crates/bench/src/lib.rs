@@ -801,6 +801,24 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// `update_summary` only merges, so a deleted ablation's section would
+    /// outlive it: the committed summary holds exactly the modelled
+    /// replays `benches/ablations.rs` still writes.
+    #[test]
+    fn summary_sections_are_the_modelled_ablations() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/bench_summary.json"
+        );
+        let doc = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let Some(serde::Value::Object(sections)) = doc.get("sections") else {
+            panic!("no sections object in {path}");
+        };
+        let mut names: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["batched_rhs", "mixed_precision", "schedule"]);
+    }
+
     #[test]
     fn prec_iterations_counted() {
         let mut cfg = RunConfig::small(SolverKind::BiCgsBjCi);

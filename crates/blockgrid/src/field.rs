@@ -91,45 +91,9 @@ impl<T: Scalar> Field<T> {
         self.buf.copy_from_device(&src.buf);
     }
 
-    /// Swap storage with `other` (pointer swap, used by the Chebyshev
-    /// `z`/`y`/`w` rotation).
-    pub fn swap(&mut self, other: &mut Self) {
-        assert_eq!(self.padded, other.padded, "field shape mismatch");
-        self.buf.swap(&mut other.buf);
-    }
-
     /// Zero the full padded array (device-side).
     pub fn fill_zero(&mut self) {
         self.buf.as_mut_slice().fill(T::ZERO);
-    }
-
-    /// Zero all six ghost layers, leaving the interior untouched.
-    ///
-    /// This is the restriction operator of the non-overlapping Block
-    /// Jacobi preconditioner (Eq. 13): dropping inter-subdomain couplings
-    /// is exactly "ghost = 0" for a matrix-free stencil.
-    pub fn zero_halo(&mut self) {
-        let [px, py, pz] = self.padded;
-        let data = self.buf.as_mut_slice();
-        let idx = |i: usize, j: usize, k: usize| i + px * (j + py * k);
-        for k in 0..pz {
-            for j in 0..py {
-                data[idx(0, j, k)] = T::ZERO;
-                data[idx(px - 1, j, k)] = T::ZERO;
-            }
-        }
-        for k in 0..pz {
-            for i in 0..px {
-                data[idx(i, 0, k)] = T::ZERO;
-                data[idx(i, py - 1, k)] = T::ZERO;
-            }
-        }
-        for j in 0..py {
-            for i in 0..px {
-                data[idx(i, j, 0)] = T::ZERO;
-                data[idx(i, j, pz - 1)] = T::ZERO;
-            }
-        }
     }
 }
 
@@ -170,26 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_halo_preserves_interior() {
+    fn copy_from_copies_the_field() {
         let dev = Serial::new(Recorder::disabled());
         let grid = bg(2);
-        let mut f = Field::from_interior(&dev, &grid, &[2.0f64; 8]);
-        // scribble on the halo
-        let idx = f.idx(0, 1, 1);
-        f.as_mut_slice()[idx] = 9.0;
-        f.zero_halo();
-        assert_eq!(f.as_slice()[idx], 0.0);
-        assert_eq!(f.interior_to_host(&grid), vec![2.0; 8]);
-    }
-
-    #[test]
-    fn swap_and_copy() {
-        let dev = Serial::new(Recorder::disabled());
-        let grid = bg(2);
-        let mut a = Field::from_interior(&dev, &grid, &[1.0f64; 8]);
-        let mut b = Field::from_interior(&dev, &grid, &[2.0f64; 8]);
-        a.swap(&mut b);
-        assert_eq!(a.interior_to_host(&grid), vec![2.0; 8]);
+        let a = Field::from_interior(&dev, &grid, &[2.0f64; 8]);
+        let mut b = Field::from_interior(&dev, &grid, &[1.0f64; 8]);
         b.copy_from(&a);
         assert_eq!(b.interior_to_host(&grid), vec![2.0; 8]);
     }

@@ -220,11 +220,6 @@ impl BlockGrid {
     pub fn local_coord(&self, axis: usize, i: usize) -> f64 {
         self.global.coord(axis, self.offset[axis] + i)
     }
-
-    /// `true` if this rank touches the physical boundary on `axis`/`side`.
-    pub fn at_physical_boundary(&self, axis: usize, side: usize) -> bool {
-        !self.boundary(axis, side).is_interface()
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +298,7 @@ mod tests {
             right.boundary(0, 1),
             LocalBoundary::Physical(BcKind::Neumann)
         );
-        assert!(left.at_physical_boundary(1, 0));
+        assert!(!left.boundary(1, 0).is_interface());
     }
 
     #[test]

@@ -126,13 +126,4 @@ mod request_tests {
             assert_eq!(v[0], 3.0);
         });
     }
-
-    #[test]
-    fn sendrecv_exchanges_pairwise() {
-        run_ranks::<f64, _, _>(2, ReduceOrder::RankOrder, |comm| {
-            let peer = 1 - comm.rank();
-            let got = comm.sendrecv(peer, 3, vec![comm.rank() as f64], peer, 3);
-            assert_eq!(got, vec![peer as f64]);
-        });
-    }
 }

@@ -226,19 +226,6 @@ pub trait Communicator<T: Scalar>: Send + Sync + 'static {
         reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
-    /// Combined send + blocking receive (`MPI_Sendrecv`).
-    fn sendrecv(
-        &self,
-        dest: usize,
-        send_tag: Tag,
-        data: Vec<T>,
-        src: usize,
-        recv_tag: Tag,
-    ) -> Vec<T> {
-        self.send(dest, send_tag, data);
-        self.recv(src, recv_tag)
-    }
-
     /// Begin a split-phase reduction (`MPI_Iallreduce`): contribute `vals`
     /// to the collective and return a completion handle without waiting
     /// for the other ranks. The fold topology (RankOrder vs Arrival) is

@@ -444,99 +444,6 @@ impl<E: Scalar> ChebyshevIteration<E> {
     }
 }
 
-/// Outcome of using the Chebyshev iteration as the *main* solver.
-#[derive(Clone, Debug)]
-pub struct ChebyOutcome {
-    /// `true` if the residual tolerance was met.
-    pub converged: bool,
-    /// Total Chebyshev sweeps performed (across restarts).
-    pub sweeps: usize,
-    /// Residual 2-norm after each restart cycle, starting with `‖r_0‖`.
-    pub residual_history: Vec<f64>,
-    /// Final residual 2-norm.
-    pub final_residual: f64,
-}
-
-impl<T: Scalar> ChebyshevIteration<T> {
-    /// Use the Chebyshev iteration as the *main solver* (Sec. III-A notes
-    /// this is possible but slower than Krylov methods — asserted in the
-    /// test suite): restarted `iterMax`-sweep cycles with a true-residual
-    /// check between cycles (iterative refinement),
-    ///
-    /// ```text
-    /// r = b − A x;  if ‖r‖ < tol stop;  x += CI(r)
-    /// ```
-    ///
-    /// Convergence requires the iteration to approximate the *global*
-    /// inverse, i.e. [`ChebyMode::Global`] on multi-rank worlds (the
-    /// restricted modes are preconditioners, not solvers, once the domain
-    /// is split). `x` holds the initial guess on entry.
-    pub fn solve_monitored<D: Device, C: Communicator<T>>(
-        &mut self,
-        ctx: &RankCtx<T, D, C>,
-        b: &Field<T>,
-        x: &mut Field<T>,
-        tol: f64,
-        max_sweeps: usize,
-    ) -> ChebyOutcome {
-        use crate::kernels::{axpy_inplace, norm2_axpy, INFO_BICGS2, INFO_NORM2AXPY};
-        use comm::ReduceOp;
-
-        let mut residual = ctx.field();
-        let mut correction = ctx.field();
-        let mut sweeps = 0usize;
-        let mut history = Vec::new();
-        loop {
-            // A x, staged in `correction` (refilled by the CI below)
-            if ctx.split_phase_halo(self.mode == ChebyMode::Global) {
-                let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, x);
-                apply_physical_bcs(&ctx.grid, x, &ctx.recorder, false);
-                ctx.lap
-                    .apply_interior(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-                ctx.halo.finish(&ctx.dev, &ctx.comm, pending, x);
-                ctx.lap
-                    .apply_shell(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-            } else {
-                refresh_ghosts(self.mode, ctx, x);
-                ctx.lap
-                    .apply(&ctx.dev, stencil::INFO_APPLY, x, &mut correction);
-            }
-            // r = b − A x and ‖r‖² in one fused sweep — no per-cycle
-            // temporary field, no separate copy/axpy/dot triple.
-            let mut s = [norm2_axpy(
-                &ctx.dev,
-                INFO_NORM2AXPY,
-                &ctx.grid,
-                &mut residual,
-                b,
-                &correction,
-            )];
-            ctx.comm.all_reduce(&mut s, ReduceOp::Sum);
-            let res = s[0].to_f64().max(0.0).sqrt();
-            history.push(res);
-            if res < tol {
-                return ChebyOutcome {
-                    converged: true,
-                    sweeps,
-                    residual_history: history,
-                    final_residual: res,
-                };
-            }
-            if sweeps >= max_sweeps || !res.is_finite() {
-                return ChebyOutcome {
-                    converged: false,
-                    sweeps,
-                    residual_history: history,
-                    final_residual: res,
-                };
-            }
-            // x += CI(r)
-            sweeps += self.solve(ctx, &mut residual, &mut correction);
-            axpy_inplace(&ctx.dev, INFO_BICGS2, &ctx.grid, x, &correction, T::ONE);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1068,105 +975,5 @@ mod tests {
             SpectralBounds { min: 1.0, max: 2.0 },
             0,
         );
-    }
-}
-
-#[cfg(test)]
-mod main_solver_tests {
-    use super::*;
-    use crate::bicgstab::{bicgstab_solve, Scope, SolveParams};
-    use crate::ctx::Workspace;
-    use crate::precond::IdentityPrec;
-    use accel::{Recorder, Serial};
-    use blockgrid::{BlockGrid, Decomp, Field, GlobalGrid};
-    use comm::SelfComm;
-
-    fn ctx() -> RankCtx<f64, Serial, SelfComm<f64>> {
-        let grid = BlockGrid::new(
-            GlobalGrid::dirichlet([8, 8, 8], [0.2; 3], [0.0; 3]),
-            Decomp::single(),
-            0,
-        );
-        RankCtx::new(Serial::new(Recorder::disabled()), SelfComm::default(), grid)
-    }
-
-    fn rhs(n: usize) -> Vec<f64> {
-        (0..n).map(|i| ((i as f64) * 0.37).sin()).collect()
-    }
-
-    #[test]
-    fn chebyshev_main_solver_converges() {
-        let ctx = ctx();
-        let b_host = rhs(512);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
-        let mut x = ctx.field();
-        let mut ci =
-            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
-        let out = ci.solve_monitored(&ctx, &b, &mut x, 1e-8 * bnorm, 100_000);
-        assert!(out.converged, "{out:?}");
-        assert!(out.final_residual < 1e-8 * bnorm);
-        // residual history decreases monotonically for a fixed iteration
-        for w in out.residual_history.windows(2) {
-            assert!(
-                w[1] < w[0],
-                "restarted CI must contract: {:?}",
-                out.residual_history
-            );
-        }
-    }
-
-    #[test]
-    fn chebyshev_is_slower_than_bicgstab() {
-        // the paper: "its convergence rate is known to be slower compared
-        // to iterative Krylov methods" — compare matrix applications.
-        let ctx = ctx();
-        let b_host = rhs(512);
-        let bnorm: f64 = b_host.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let tol = 1e-8 * bnorm;
-        let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_host);
-
-        let mut x = ctx.field();
-        let mut ci =
-            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
-        let ci_out = ci.solve_monitored(&ctx, &b, &mut x, tol, 100_000);
-        assert!(ci_out.converged);
-        // CI matvecs: one per sweep plus one residual check per cycle
-        let ci_matvecs = ci_out.sweeps + ci_out.residual_history.len();
-
-        let mut x2 = ctx.field();
-        let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-        let bi_out = bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x2,
-            &mut IdentityPrec,
-            &mut ws,
-            &SolveParams {
-                tol,
-                max_iters: 10_000,
-                record_history: false,
-                ..Default::default()
-            },
-        );
-        assert!(bi_out.converged);
-        let bi_matvecs = 2 * bi_out.iterations;
-        assert!(
-            ci_matvecs > bi_matvecs,
-            "CI should need more operator applications: {ci_matvecs} vs {bi_matvecs}"
-        );
-    }
-
-    #[test]
-    fn main_solver_honours_sweep_budget() {
-        let ctx = ctx();
-        let b = Field::from_interior(&ctx.dev, &ctx.grid, &rhs(512));
-        let mut x = ctx.field();
-        let mut ci =
-            ChebyshevIteration::<f64>::new(&ctx, ChebyMode::Global, global_bounds(&ctx), 16);
-        let out = ci.solve_monitored(&ctx, &b, &mut x, 1e-300, 32);
-        assert!(!out.converged);
-        assert!(out.sweeps <= 48, "budget roughly honoured: {}", out.sweeps);
     }
 }

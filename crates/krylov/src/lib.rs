@@ -52,8 +52,6 @@ mod ctx;
 pub mod kernels;
 mod precond;
 pub mod reference;
-mod richardson;
-mod schwarz;
 #[cfg(test)]
 mod testutil;
 
@@ -61,11 +59,9 @@ pub use bicgstab::{
     bicgstab_solve, bicgstab_solve_batch, Breakdown, Scope, SolveOutcome, SolveParams,
 };
 pub use cancel::CancelToken;
-pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyOutcome, ChebyshevIteration};
+pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyshevIteration};
 pub use config::{SolverKind, SolverOptions};
 pub use ctx::{RankCtx, Workspace};
 pub use precond::{
     ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner, SharedPrec,
 };
-pub use richardson::RichardsonPrec;
-pub use schwarz::RasPrec;

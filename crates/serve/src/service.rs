@@ -81,7 +81,7 @@ pub struct ServiceConfig {
     /// Most lanes one worker may coalesce into a single batched
     /// multi-RHS solve. After popping a job, the worker pulls up to
     /// `batch_window - 1` still-queued jobs with the same session
-    /// fingerprint (identical [`SessionKey`] plus solve envelope) into
+    /// fingerprint (identical `SessionKey` plus solve envelope) into
     /// the same solve, amortising stencil sweeps, halo exchanges and
     /// allreduce latency across all of them; each lane keeps its own
     /// cancel token, deadline and metrics, and its result is

@@ -85,7 +85,7 @@ const ANNOTATION_WINDOW: u32 = 2;
 
 impl SrcInfo<'_> {
     /// True when `// LINT: <marker>(…)` appears on `line` or within the
-    /// [`ANNOTATION_WINDOW`] lines above it.
+    /// `ANNOTATION_WINDOW` lines above it.
     pub fn annotated(&self, line: u32, marker: &str) -> bool {
         let needle = format!("LINT: {marker}");
         let idx = (line as usize).saturating_sub(1); // 0-based index of `line`

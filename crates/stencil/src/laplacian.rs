@@ -674,7 +674,7 @@ impl Laplacian {
     /// Window rows that miss an x-edge cell — an x face is in flight —
     /// are folded by [`Laplacian::apply_shell_dot`] once the cell has
     /// landed. Complete the sweep with it and fold the slots with
-    /// [`PendingDotFold::fold`]; the composed result is bitwise identical
+    /// `PendingDotFold::fold`; the composed result is bitwise identical
     /// to the monolithic fused-dot sweep.
     pub fn apply_interior_dot<T: Scalar, D: Device, F, const NR: usize>(
         &self,
