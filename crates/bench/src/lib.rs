@@ -270,7 +270,6 @@ fn run_world(cfg: &RunConfig, reference: bool) -> RunResult {
                 record_history: true,
                 true_residual_every: cfg2.params_extra.true_residual_every,
                 max_restarts: cfg2.params_extra.max_restarts,
-                cancel: None,
             };
             let t0 = Instant::now();
             let outcome = solver.solve(cfg2.kind, &cfg2.opts, &params);

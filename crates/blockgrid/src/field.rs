@@ -29,21 +29,18 @@ impl<T: Scalar> Field<T> {
     /// Field with the given interior values (x-fastest order over
     /// `local_n`) and zeroed halos; records one H2D upload.
     pub fn from_interior<D: Device>(dev: &D, grid: &BlockGrid, interior: &[T]) -> Self {
-        let n = grid.local_n;
-        assert_eq!(interior.len(), n[0] * n[1] * n[2], "interior size mismatch");
-        let mut host = vec![T::ZERO; grid.padded_len()];
-        let mut src = 0;
-        for k in 0..n[2] {
-            for j in 0..n[1] {
-                let dst = grid.idx(1, j + 1, k + 1);
-                host[dst..dst + n[0]].copy_from_slice(&interior[src..src + n[0]]);
-                src += n[0];
-            }
-        }
         Self {
-            buf: DeviceBuffer::from_host(dev, &host),
+            buf: DeviceBuffer::from_host(dev, &padded_host(grid, interior)),
             padded: grid.padded(),
         }
+    }
+
+    /// Overwrite the field in place with the given interior values and
+    /// zeroed halos — [`Field::from_interior`] into an existing
+    /// allocation; records one H2D upload.
+    pub fn upload_interior(&mut self, grid: &BlockGrid, interior: &[T]) {
+        assert_eq!(self.padded, grid.padded(), "field shape mismatch");
+        self.buf.upload(&padded_host(grid, interior));
     }
 
     /// Padded dims of the field.
@@ -97,6 +94,23 @@ impl<T: Scalar> Field<T> {
     }
 }
 
+/// The padded host image of a field with the given interior values (x-fastest
+/// order over `local_n`) and zeroed halos.
+fn padded_host<T: Scalar>(grid: &BlockGrid, interior: &[T]) -> Vec<T> {
+    let n = grid.local_n;
+    assert_eq!(interior.len(), n[0] * n[1] * n[2], "interior size mismatch");
+    let mut host = vec![T::ZERO; grid.padded_len()];
+    let mut src = 0;
+    for k in 0..n[2] {
+        for j in 0..n[1] {
+            let dst = grid.idx(1, j + 1, k + 1);
+            host[dst..dst + n[0]].copy_from_slice(&interior[src..src + n[0]]);
+            src += n[0];
+        }
+    }
+    host
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +155,23 @@ mod tests {
         let mut b = Field::from_interior(&dev, &grid, &[1.0f64; 8]);
         b.copy_from(&a);
         assert_eq!(b.interior_to_host(&grid), vec![2.0; 8]);
+    }
+
+    #[test]
+    fn upload_interior_rewrites_in_place_like_from_interior() {
+        let rec = Recorder::enabled();
+        let dev = Serial::new(rec.clone());
+        let grid = bg(2);
+        let fresh = Field::from_interior(&dev, &grid, &[3.0f64; 8]);
+        let mut reused = Field::from_interior(&dev, &grid, &[1.0f64; 8]);
+        reused.as_mut_slice().fill(7.0); // ghosts dirty too
+        let data = reused.as_slice().as_ptr();
+        rec.drain();
+        reused.upload_interior(&grid, &[3.0; 8]);
+        assert_eq!(reused.as_slice(), fresh.as_slice());
+        assert_eq!(reused.as_slice().as_ptr(), data, "no new allocation");
+        let bytes = (grid.padded_len() * 8) as u64;
+        assert_eq!(rec.drain(), vec![accel::Event::H2D { bytes }]);
     }
 
     #[test]

@@ -67,7 +67,9 @@ mod tests {
     fn single_rank_world_works() {
         let out = run_ranks::<f64, _, _>(1, ReduceOrder::RankOrder, |comm| {
             assert_eq!(comm.size(), 1);
-            comm.all_reduce_scalar(4.0)
+            let mut v = [4.0];
+            comm.all_reduce(&mut v, crate::ReduceOp::Sum);
+            v[0]
         });
         assert_eq!(out, vec![4.0]);
     }

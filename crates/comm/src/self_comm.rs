@@ -101,7 +101,6 @@ mod tests {
         c.barrier();
         assert_eq!(c.rank(), 0);
         assert_eq!(c.size(), 1);
-        assert_eq!(c.all_reduce_scalar(5.0), 5.0);
     }
 
     #[test]
@@ -145,14 +144,6 @@ mod tests {
         let mut out = [0.0; 2];
         c.reduce_finish(req, &mut out);
         assert_eq!(out, [3.0, 4.0]);
-        let mut a = [1.0];
-        let mut b = [2.0, 3.0];
-        c.reduce_batch(&mut [&mut a, &mut b], ReduceOp::Sum);
-        assert_eq!((a, b), ([1.0], [2.0, 3.0]));
-        let batched = c.iall_reduce_batch(&[&[5.0], &[6.0]], ReduceOp::Max);
-        let mut out = [0.0; 2];
-        c.reduce_finish(batched, &mut out);
-        assert_eq!(out, [5.0, 6.0]);
-        assert_eq!(c.stats().allreduces, 3);
+        assert_eq!(c.stats().allreduces, 1);
     }
 }

@@ -755,36 +755,6 @@ mod stress_tests {
         });
     }
 
-    /// A batched request ships N scalars in ONE collective round and the
-    /// message counter reflects that.
-    #[test]
-    fn iall_reduce_batch_is_one_message() {
-        run_ranks::<f64, _, _>(3, ReduceOrder::RankOrder, |comm| {
-            let a = [comm.rank() as f64];
-            let b = [1.0, 2.0];
-            let req = comm.iall_reduce_batch(&[&a, &b], ReduceOp::Sum);
-            assert_eq!(req.len, 3);
-            let mut out = [0.0; 3];
-            comm.reduce_finish(req, &mut out);
-            assert_eq!(out, [3.0, 3.0, 6.0]);
-            assert_eq!(comm.stats().allreduces, 1);
-        });
-    }
-
-    /// `reduce_batch` (the blocking batched form) unpacks each group in
-    /// place and also costs a single message.
-    #[test]
-    fn reduce_batch_unpacks_groups_in_place() {
-        run_ranks::<f64, _, _>(4, ReduceOrder::RankOrder, |comm| {
-            let mut a = [comm.rank() as f64];
-            let mut b = [10.0, 20.0];
-            comm.reduce_batch(&mut [&mut a, &mut b], ReduceOp::Sum);
-            assert_eq!(a, [6.0]);
-            assert_eq!(b, [40.0, 80.0]);
-            assert_eq!(comm.stats().allreduces, 1);
-        });
-    }
-
     /// A chunked many-scalar reduction past `MAX_REDUCE_SCALARS` matches
     /// the blocking `all_reduce` of the same payload bitwise, chunk
     /// boundaries included (element-wise folds are packing-transparent).

@@ -200,13 +200,6 @@ pub trait Communicator<T: Scalar>: Send + Sync + 'static {
     /// The event stream this communicator reports collectives to.
     fn recorder(&self) -> &Recorder;
 
-    /// Convenience: reduce a single scalar with [`ReduceOp::Sum`].
-    fn all_reduce_scalar(&self, v: T) -> T {
-        let mut buf = [v];
-        self.all_reduce(&mut buf, ReduceOp::Sum);
-        buf[0]
-    }
-
     /// Post a non-blocking receive (`MPI_Irecv`).
     #[must_use = "a posted receive must be completed with wait/wait_all"]
     fn irecv(&self, src: usize, tag: Tag) -> RecvRequest {
@@ -265,55 +258,6 @@ pub trait Communicator<T: Scalar>: Send + Sync + 'static {
             .resolved
             .expect("reduce_finish on a request this communicator did not begin");
         out.copy_from_slice(&resolved[..req.len]);
-    }
-
-    /// Reduce several independent vectors in one message: pack, one
-    /// [`all_reduce`](Communicator::all_reduce), unpack in place. Because
-    /// the fold is element-wise, each group's result is bitwise-identical
-    /// to reducing it in its own call — batching only changes the message
-    /// count, never the values.
-    fn reduce_batch(&self, groups: &mut [&mut [T]], op: ReduceOp) {
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        // Scalar batches (the solver hot path) pack through fixed stack
-        // storage; only oversized batches pay for a heap buffer.
-        let mut stack = [T::ZERO; MAX_REDUCE_SCALARS];
-        // LINT: alloc-ok(Vec::new is non-allocating; the heap path only
-        // engages beyond MAX_REDUCE_SCALARS, off the solver hot path)
-        let mut heap: Vec<T> = Vec::new();
-        let packed: &mut [T] = if total <= MAX_REDUCE_SCALARS {
-            &mut stack[..total]
-        } else {
-            heap.resize(total, T::ZERO);
-            &mut heap
-        };
-        let mut off = 0;
-        for g in groups.iter() {
-            packed[off..off + g.len()].copy_from_slice(g);
-            off += g.len();
-        }
-        self.all_reduce(packed, op);
-        let mut off = 0;
-        for g in groups.iter_mut() {
-            g.copy_from_slice(&packed[off..off + g.len()]);
-            off += g.len();
-        }
-    }
-
-    /// Begin a batched split-phase reduction: several scalar groups packed
-    /// into one [`iall_reduce`](Communicator::iall_reduce) message (at
-    /// most [`MAX_REDUCE_SCALARS`] in total). The reduced groups come back
-    /// concatenated in request order from
-    /// [`reduce_finish`](Communicator::reduce_finish). Packing stages
-    /// through fixed stack storage — no allocation.
-    #[must_use = "a begun reduction must be completed with reduce_finish"]
-    fn iall_reduce_batch(&self, groups: &[&[T]], op: ReduceOp) -> ReduceRequest<T> {
-        let mut buf = [T::ZERO; MAX_REDUCE_SCALARS];
-        let mut n = 0;
-        for g in groups {
-            buf[n..n + g.len()].copy_from_slice(g);
-            n += g.len();
-        }
-        self.iall_reduce(&buf[..n], op)
     }
 
     /// Begin a chunked many-scalar reduction: the first
@@ -399,12 +343,6 @@ impl<T: Scalar, C: Communicator<T>> Communicator<T> for Arc<C> {
     }
     fn reduce_finish(&self, req: ReduceRequest<T>, out: &mut [T]) {
         (**self).reduce_finish(req, out)
-    }
-    fn reduce_batch(&self, groups: &mut [&mut [T]], op: ReduceOp) {
-        (**self).reduce_batch(groups, op)
-    }
-    fn iall_reduce_batch(&self, groups: &[&[T]], op: ReduceOp) -> ReduceRequest<T> {
-        (**self).iall_reduce_batch(groups, op)
     }
     fn iall_reduce_many(&self, vals: &[T], op: ReduceOp) -> ReduceManyRequest<T> {
         (**self).iall_reduce_many(vals, op)

@@ -15,8 +15,9 @@
 //! ```
 //!
 //! There is one driver: the loop runs over a group of *lanes* — the
-//! right-hand sides of a multi-RHS batch, solved together — of which
-//! [`bicgstab_solve`] passes one and [`bicgstab_solve_batch`] many.
+//! right-hand sides of a multi-RHS batch, solved together under one
+//! preconditioner — of which [`bicgstab_solve`] passes one and
+//! [`bicgstab_solve_batch`] any number, each a [`LaneSystem`] record.
 //! Nothing about the schedule is selectable — the driver derives it from
 //! the world it is handed:
 //!
@@ -98,7 +99,9 @@ pub enum Scope {
     Local,
 }
 
-/// Stopping parameters of one Bi-CGSTAB solve.
+/// Stopping parameters of one Bi-CGSTAB solve, shared by every lane of a
+/// batch. Cancellation is not among them: it is per lane, a token on the
+/// lane's [`LaneSystem`].
 #[derive(Clone, Debug)]
 pub struct SolveParams {
     /// Absolute tolerance on the residual 2-norm (the caller normalises
@@ -118,12 +121,6 @@ pub struct SolveParams {
     /// (`r̃ = r`, recomputed true residual) up to this many times before
     /// reporting the breakdown.
     pub max_restarts: usize,
-    /// Cooperative cancellation flag, polled collectively once per outer
-    /// iteration (see [`CancelToken`]). `None` adds no messages and no
-    /// polling; on a multi-rank world an installed token adds no
-    /// messages either — the flag rides the M1 batch as one extra
-    /// scalar rather than a dedicated blocking reduction.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for SolveParams {
@@ -134,7 +131,6 @@ impl Default for SolveParams {
             record_history: true,
             true_residual_every: 0,
             max_restarts: 0,
-            cancel: None,
         }
     }
 }
@@ -243,14 +239,30 @@ impl<X> DerefMut for Lanes<X> {
     }
 }
 
-/// One lane of a solve: its system, workspace and preconditioner, the
-/// scalar recurrence and the outcome under construction.
-struct Lane<'a, T, P: ?Sized> {
+/// One lane of a [`bicgstab_solve_batch`] group: the system it solves,
+/// the buffers it solves it in, and how it may be stopped.
+pub struct LaneSystem<'a, T> {
+    /// The right-hand side.
+    pub b: &'a Field<T>,
+    /// The initial guess on entry, the solution on exit.
+    pub x: &'a mut Field<T>,
+    /// The lane's Krylov vectors.
+    pub ws: &'a mut Workspace<T>,
+    /// Cooperative cancellation flag, polled collectively once per outer
+    /// iteration (see [`CancelToken`]); a rank-uniform choice — every
+    /// rank installs a token on the same lanes. `None` on every lane adds
+    /// no messages and no polling; on a multi-rank world installed tokens
+    /// add no messages either — the flags ride the M1 batch as one extra
+    /// scalar per lane rather than a dedicated blocking reduction.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+/// One lane of a solve: its system, the scalar recurrence and the
+/// outcome under construction.
+struct Lane<'a, T> {
     b: &'a Field<T>,
     x: &'a mut Field<T>,
     ws: &'a mut Workspace<T>,
-    prec: &'a mut P,
-    /// Polled collectively once per iteration (see [`CancelToken`]).
     cancel: Option<&'a CancelToken>,
     out: SolveOutcome,
     rho: T,
@@ -264,19 +276,13 @@ struct Lane<'a, T, P: ?Sized> {
     lag: Option<T>,
 }
 
-impl<'a, T: Scalar, P: ?Sized> Lane<'a, T, P> {
-    fn new(
-        b: &'a Field<T>,
-        x: &'a mut Field<T>,
-        ws: &'a mut Workspace<T>,
-        prec: &'a mut P,
-        cancel: Option<&'a CancelToken>,
-    ) -> Self {
+impl<'a, T: Scalar> Lane<'a, T> {
+    fn new(system: LaneSystem<'a, T>) -> Self {
+        let LaneSystem { b, x, ws, cancel } = system;
         Self {
             b,
             x,
             ws,
-            prec,
             cancel,
             out: SolveOutcome::default(),
             rho: T::ZERO,
@@ -319,10 +325,8 @@ pub(crate) fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
     refresh_lane_ghosts(ctx, scope, stage, 1, std::slice::from_mut(f), |f| f);
 }
 
-/// Sum `vals` across ranks in [`Scope::Global`]; local identity otherwise.
-///
-/// Routed through [`Communicator::reduce_batch`] so the blocking call
-/// sites share the same pack/fold path as the split-phase M1 batch.
+/// Sum `vals` across ranks in [`Scope::Global`] (one blocking message);
+/// local identity otherwise.
 pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
@@ -332,7 +336,7 @@ pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     if scope == Scope::Global {
         let comm = &ctx.comm;
         ctx.recorder
-            .stage(stage, || comm.reduce_batch(&mut [vals], ReduceOp::Sum));
+            .stage(stage, || comm.all_reduce(vals, ReduceOp::Sum));
     }
 }
 
@@ -353,12 +357,14 @@ fn dot_operands<T: Scalar>(
 
 /// Up to [`MAX_LANES`] lanes solved together by the one driver loop
 /// ([`LaneGroup::solve`], see the module docs): the world, the stopping
-/// parameters and the lanes.
+/// parameters, the preconditioner every lane applies in turn, and the
+/// lanes.
 struct LaneGroup<'g, 'a, T: Scalar, D: Device, C: Communicator<T>, P: ?Sized> {
     ctx: &'g RankCtx<T, D, C>,
     scope: Scope,
     params: &'g SolveParams,
-    lanes: &'g mut [Lane<'a, T, P>],
+    prec: &'g mut P,
+    lanes: &'g mut [Lane<'a, T>],
 }
 
 impl<T, D, C, P> LaneGroup<'_, '_, T, D, C, P>
@@ -639,7 +645,7 @@ where
         // the lag would only spend an extra preconditioner application.
         let lag = scope == Scope::Global && comm.size() > 1;
         let has_tokens = self.lanes.iter().any(|l| l.cancel.is_some());
-        let cancel_flag = |lane: &Lane<'_, T, P>| match lane.cancel {
+        let cancel_flag = |lane: &Lane<'_, T>| match lane.cancel {
             Some(token) if token.is_cancelled() => T::ONE,
             _ => T::ZERO,
         };
@@ -676,12 +682,12 @@ where
             // the next iteration.
             let mut run = live;
 
-            // Solve M p̂ = p (preconditioners are per-lane state; the lane
-            // order is fixed, so any collectives inside a communicating
-            // preconditioner stay rank-uniform).
+            // Solve M p̂ = p (the one preconditioner serves the lanes in
+            // turn, in fixed lane order, so any collectives inside a
+            // communicating preconditioner stay rank-uniform).
             for l in pick_mut(self.lanes, run) {
                 l.out.iterations = i;
-                let apply = || l.prec.apply(ctx, &mut l.ws.p, &mut l.ws.p_hat);
+                let apply = || self.prec.apply(ctx, &mut l.ws.p, &mut l.ws.p_hat);
                 l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
             }
             // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂,
@@ -780,7 +786,7 @@ where
 
             // Solve M r̂ = r
             for l in pick_mut(self.lanes, run) {
-                let apply = || l.prec.apply(ctx, &mut l.ws.r, &mut l.ws.r_hat);
+                let apply = || self.prec.apply(ctx, &mut l.ws.r, &mut l.ws.r_hat);
                 l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
             }
             // MPI3 + BCs, then KernelBiCGS3F: t = A r̂ with p1 = tᵀ r,
@@ -926,7 +932,8 @@ where
     }
 }
 
-/// Solve `A x = b` with preconditioned Bi-CGSTAB (Alg. 3).
+/// Solve `A x = b` with preconditioned Bi-CGSTAB (Alg. 3) — the
+/// one-lane [`bicgstab_solve_batch`], without a cancel token.
 ///
 /// `x` holds the initial guess on entry and the solution on exit.
 /// In [`Scope::Global`] the outcome is identical on every rank (all
@@ -946,11 +953,13 @@ where
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
-    let mut lanes = [Lane::new(b, x, ws, prec, params.cancel.as_ref())];
+    let cancel = None;
+    let mut lanes = [Lane::new(LaneSystem { b, x, ws, cancel })];
     LaneGroup {
         ctx,
         scope,
         params,
+        prec,
         lanes: &mut lanes,
     }
     .solve();
@@ -958,76 +967,58 @@ where
     lane.out
 }
 
-/// Solve `A x_b = b_b` for a batch of right-hand sides with one
-/// Bi-CGSTAB instance per lane, amortising sweeps, halo messages and
-/// reductions across the batch (see the module docs): every full-grid
-/// vector sweep is **one** launch, every halo exchange **one** message
-/// per face, and an iteration's scalars travel in the two reductions of
-/// a solo solve instead of `2 B` — a multi-rank batch ships
-/// `2·iters(longest lane) + 2` allreduces. (The split-phase M1 carries
-/// up to three scalars per lane; past [`comm::MAX_REDUCE_SCALARS`] of them —
-/// 22 lanes with cancel tokens installed — the excess follows as one
-/// blocking message.)
+/// Solve `A x_b = b_b` for a batch of right-hand sides — one
+/// [`LaneSystem`] each — with one Bi-CGSTAB instance per lane, amortising
+/// sweeps, halo messages and reductions across the batch (see the module
+/// docs): every full-grid vector sweep is **one** launch, every halo
+/// exchange **one** message per face, and an iteration's scalars travel
+/// in the two reductions of a solo solve instead of `2 B` — a multi-rank
+/// batch ships `2·iters(longest lane) + 2` allreduces. (The split-phase M1
+/// carries up to three scalars per lane; past [`comm::MAX_REDUCE_SCALARS`]
+/// of them — 22 lanes with cancel tokens installed — the excess follows
+/// as one blocking message.)
 ///
-/// Lane `b` runs the schedule and features of a solo solve — split-phase
-/// halos, lagged reductions, true-residual guard, restarts — and its
-/// iterates, residual history and stopping decisions are **bitwise
-/// identical** to `bicgstab_solve(ctx, scope, bs[b], xs[b], precs[b],
-/// …, params)` under a deterministic [`comm::ReduceOrder`]: batching
-/// only regroups which scalars share a message and which sweep covers a
-/// row, never the arithmetic order inside a lane.
+/// The lanes share `prec`, which applies to each lane in turn: a batch
+/// holds one set of its buffers — the Chebyshev rotation fields, an inner
+/// solve's workspace — not one per lane. That is sound for a
+/// preconditioner whose output depends on its input alone, carrying
+/// nothing from one application to the next — every one
+/// [`crate::SolverKind::build_preconditioner`] builds: a Chebyshev
+/// iteration runs a fixed polynomial over buffers it overwrites before
+/// reading, and an inner Bi-CGSTAB starts from zero in a workspace it
+/// overwrites the same way. Lane `b` then runs the schedule and features
+/// of a solo solve — split-phase halos, lagged reductions, true-residual
+/// guard, restarts — and its iterates, residual history and stopping
+/// decisions are **bitwise identical** to `bicgstab_solve(ctx, scope, b,
+/// x, prec, ws, params)` on its record under a deterministic
+/// [`comm::ReduceOrder`]: batching only regroups which scalars share a
+/// message and which sweep covers a row, never the arithmetic order
+/// inside a lane.
 ///
-/// Cancellation is **per lane** via `cancels` (empty slice: none;
-/// otherwise one optional token per lane, present on every rank);
-/// [`SolveParams::cancel`] must be `None`. `wss` needs one workspace per
-/// lane (a longer slice is fine; the first `bs.len()` are used). Every
-/// rank must pass the same batch width. A batch wider than one lane
-/// group (32 lanes) runs group after group, each paying its own sweeps
-/// and messages.
-#[allow(clippy::too_many_arguments)]
-pub fn bicgstab_solve_batch<T, D, C, P>(
+/// Every rank must pass the same number of lanes, with tokens on the
+/// same ones. A batch wider than one lane group (32 lanes) runs group
+/// after group, each paying its own sweeps and messages.
+pub fn bicgstab_solve_batch<'a, T, D, C, P>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
-    bs: &[&Field<T>],
-    xs: &mut [&mut Field<T>],
-    precs: &mut [&mut P],
-    wss: &mut [Workspace<T>],
+    lanes: impl IntoIterator<Item = LaneSystem<'a, T>>,
+    prec: &mut P,
     params: &SolveParams,
-    cancels: &[Option<CancelToken>],
 ) -> Vec<SolveOutcome>
 where
-    T: Scalar,
+    T: Scalar + 'a,
     D: Device,
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
-    let nb = bs.len();
-    assert!(
-        xs.len() == nb && precs.len() == nb && wss.len() >= nb,
-        "one iterate, preconditioner and workspace per right-hand side"
-    );
-    assert!(
-        cancels.is_empty() || cancels.len() == nb,
-        "cancels must be empty or carry one optional token per lane"
-    );
-    assert!(
-        params.cancel.is_none(),
-        "batched solves take per-lane tokens via `cancels`, not SolveParams::cancel"
-    );
-    let systems = bs.iter().zip(xs.iter_mut()).zip(wss.iter_mut());
-    let mut lanes: Vec<_> = systems
-        .zip(precs.iter_mut())
-        .enumerate()
-        .map(|(b, (((rhs, x), ws), prec))| {
-            let cancel = cancels.get(b).and_then(Option::as_ref);
-            Lane::new(rhs, x, ws, &mut **prec, cancel)
-        })
-        .collect(); // LINT: alloc-ok(the lane records, once per solve)
+    // LINT: alloc-ok(the lane records, once per solve)
+    let mut lanes: Vec<_> = lanes.into_iter().map(Lane::new).collect();
     for group in lanes.chunks_mut(MAX_LANES) {
         LaneGroup {
             ctx,
             scope,
             params,
+            prec: &mut *prec,
             lanes: group,
         }
         .solve();
@@ -1105,10 +1096,16 @@ mod tests {
                 tol: tol_rel * bnorm,
                 max_iters: 20_000,
                 record_history: true,
-                cancel: cancel.clone(),
                 ..Default::default()
             };
-            let out = bicgstab_solve(ctx, Scope::Global, &b, &mut x, &mut *prec, &mut ws, &params);
+            let lane = LaneSystem {
+                b: &b,
+                x: &mut x,
+                ws: &mut ws,
+                cancel: cancel.as_ref(),
+            };
+            let out =
+                bicgstab_solve_batch(ctx, Scope::Global, [lane], &mut *prec, &params).remove(0);
             (
                 out,
                 x.interior_to_host(&ctx.grid),
@@ -1407,29 +1404,30 @@ mod feature_tests {
         RankCtx::new(Serial::new(Recorder::disabled()), SelfComm::default(), grid)
     }
 
-    fn solve_with(params: &SolveParams) -> SolveOutcome {
+    fn solve_with(params: &SolveParams, cancel: Option<&CancelToken>) -> SolveOutcome {
         let ctx = ctx();
         let b = Field::from_interior(&ctx.dev, &ctx.grid, &rng_values(216, 7));
         let mut x = ctx.field();
         let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
-        bicgstab_solve(
-            &ctx,
-            Scope::Global,
-            &b,
-            &mut x,
-            &mut IdentityPrec,
-            &mut ws,
-            params,
-        )
+        let lane = LaneSystem {
+            b: &b,
+            x: &mut x,
+            ws: &mut ws,
+            cancel,
+        };
+        bicgstab_solve_batch(&ctx, Scope::Global, [lane], &mut IdentityPrec, params).remove(0)
     }
 
     #[test]
     fn true_residual_sampling_matches_recursive_residual() {
-        let out = solve_with(&SolveParams {
-            tol: 1e-12,
-            true_residual_every: 3,
-            ..Default::default()
-        });
+        let out = solve_with(
+            &SolveParams {
+                tol: 1e-12,
+                true_residual_every: 3,
+                ..Default::default()
+            },
+            None,
+        );
         assert!(out.converged);
         assert!(!out.true_residuals.is_empty(), "samples must be taken");
         for (i, tres) in &out.true_residuals {
@@ -1450,11 +1448,11 @@ mod feature_tests {
     fn pre_cancelled_token_stops_before_the_first_iteration() {
         let token = CancelToken::new();
         token.cancel();
-        let out = solve_with(&SolveParams {
+        let params = SolveParams {
             tol: 1e-14,
-            cancel: Some(token),
             ..Default::default()
-        });
+        };
+        let out = solve_with(&params, Some(&token));
         assert!(out.cancelled);
         assert!(!out.converged);
         assert_eq!(out.iterations, 0);
@@ -1464,15 +1462,12 @@ mod feature_tests {
     fn uncancelled_token_changes_nothing_bitwise() {
         // Installing a token that never fires must not perturb the
         // iteration: identical history and iteration count.
-        let plain = solve_with(&SolveParams {
+        let params = SolveParams {
             tol: 1e-10,
             ..Default::default()
-        });
-        let tokened = solve_with(&SolveParams {
-            tol: 1e-10,
-            cancel: Some(CancelToken::new()),
-            ..Default::default()
-        });
+        };
+        let plain = solve_with(&params, None);
+        let tokened = solve_with(&params, Some(&CancelToken::new()));
         assert!(plain.converged && tokened.converged);
         assert!(!tokened.cancelled);
         assert_eq!(plain.iterations, tokened.iterations);
@@ -1487,11 +1482,12 @@ mod feature_tests {
 
     #[test]
     fn clean_solves_take_no_restarts() {
-        let out = solve_with(&SolveParams {
+        let params = SolveParams {
             tol: 1e-10,
             max_restarts: 3,
             ..Default::default()
-        });
+        };
+        let out = solve_with(&params, None);
         assert!(out.converged);
         assert_eq!(out.restarts, 0);
     }
@@ -1552,7 +1548,7 @@ mod feature_tests {
 mod batch_tests {
     use super::*;
     use crate::precond::{IdentityPrec, PrecTraits};
-    use crate::testutil::{bits, paper_bcs, rng_values, scatter};
+    use crate::testutil::{bits, lane_systems, paper_bcs, rng_values, scatter};
     use accel::{Event, GpuSimParams, Recorder, Serial, SimGpu, Threads, HALO_OVERLAP_STAGE};
     use blockgrid::{BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks, run_ranks_recorded, ReduceOrder, SelfComm, ThreadComm};
@@ -1626,24 +1622,12 @@ mod batch_tests {
             .iter()
             .map(|bh| Field::from_interior(&ctx.dev, &ctx.grid, bh))
             .collect();
-        let bs: Vec<&Field<f64>> = bfields.iter().collect();
         let mut xfields: Vec<Field<f64>> = (0..nb).map(|_| ctx.field()).collect();
-        let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
-        let mut ps: Vec<IdentityPrec> = (0..nb).map(|_| IdentityPrec).collect();
-        let mut precs: Vec<&mut IdentityPrec> = ps.iter_mut().collect();
         let mut bws: Vec<_> = (0..nb)
             .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
             .collect();
-        let outs = bicgstab_solve_batch(
-            &ctx,
-            Scope::Global,
-            &bs,
-            &mut xs,
-            &mut precs,
-            &mut bws,
-            &params,
-            &[],
-        );
+        let lanes = lane_systems(&bfields, &mut xfields, &mut bws);
+        let outs = bicgstab_solve_batch(&ctx, Scope::Global, lanes, &mut IdentityPrec, &params);
         for (l, (s, bo)) in solo.iter().zip(&outs).enumerate() {
             let bx = xfields[l].interior_to_host(&ctx.grid);
             assert_lane_matches_solo(&format!("{label} lane {l}"), s, bo, &bx);
@@ -1722,26 +1706,13 @@ mod batch_tests {
                 .iter()
                 .map(|l| Field::from_interior(&ctx.dev, &ctx.grid, l))
                 .collect();
-            let bs: Vec<&Field<f64>> = bfields.iter().collect();
             let mut xfields: Vec<Field<f64>> = (0..nb).map(|_| ctx.field()).collect();
-            let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
-            let mut boxes: Vec<_> = (0..nb)
-                .map(|_| SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts))
-                .collect();
-            let mut precs: Vec<_> = boxes.iter_mut().map(|p| &mut **p).collect();
+            let mut prec = SolverKind::BiCgsGCi.build_preconditioner(&ctx, &opts);
             let mut bws: Vec<_> = (0..nb)
                 .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
                 .collect();
-            let outs = bicgstab_solve_batch(
-                &ctx,
-                Scope::Global,
-                &bs,
-                &mut xs,
-                &mut precs,
-                &mut bws,
-                &params,
-                &[],
-            );
+            let lanes = lane_systems(&bfields, &mut xfields, &mut bws);
+            let outs = bicgstab_solve_batch(&ctx, Scope::Global, lanes, &mut *prec, &params);
             let batch: Vec<(SolveOutcome, Vec<f64>)> = outs
                 .into_iter()
                 .zip(&xfields)
@@ -1816,27 +1787,18 @@ mod batch_tests {
                 .iter()
                 .map(|l| Field::from_interior(&ctx.dev, &ctx.grid, l))
                 .collect();
-            let bs: Vec<&Field<f64>> = bfields.iter().collect();
             let mut xfields: Vec<Field<f64>> = (0..nb).map(|_| ctx.field()).collect();
-            let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
-            let mut ps: Vec<IdentityPrec> = (0..nb).map(|_| IdentityPrec).collect();
-            let mut precs: Vec<&mut IdentityPrec> = ps.iter_mut().collect();
             let mut bws: Vec<_> = (0..nb)
                 .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
                 .collect();
-            let cancels = vec![Some(CancelToken::new()); if tokens { nb } else { 0 }];
+            let token = CancelToken::new();
+            let lanes = lane_systems(&bfields, &mut xfields, &mut bws).map(|lane| LaneSystem {
+                cancel: tokens.then_some(&token),
+                ..lane
+            });
             rec.drain();
             let before_batch = ctx.comm.stats().allreduces;
-            let outs = bicgstab_solve_batch(
-                &ctx,
-                Scope::Global,
-                &bs,
-                &mut xs,
-                &mut precs,
-                &mut bws,
-                &params,
-                &cancels,
-            );
+            let outs = bicgstab_solve_batch(&ctx, Scope::Global, lanes, &mut IdentityPrec, &params);
             let batch_msgs = ctx.comm.stats().allreduces - before_batch;
             let batch_iters: Vec<usize> = outs.iter().map(|o| o.iterations).collect();
             assert!(outs.iter().all(|o| o.converged), "{outs:?}");
@@ -1920,11 +1882,26 @@ mod batch_tests {
         batch_ships_its_longest_lanes_bill([2, 1, 1], MAX_LANES + 1, false);
     }
 
-    /// An identity preconditioner whose `at`-th application returns zero.
+    /// The addresses of a workspace's `p` and `r` — the inputs of its
+    /// lane's two preconditioner applications per iteration — by which the
+    /// one preconditioner of a group tells that lane's applications from
+    /// the other lanes'.
+    fn inputs_of<T: Scalar>(ws: &Workspace<T>) -> [usize; 2] {
+        [&ws.p, &ws.r].map(|f| f.as_slice().as_ptr() as usize)
+    }
+
+    /// Whether `rhs` is one of the lane `inputs` name.
+    fn is_input<T: Scalar>(inputs: [usize; 2], rhs: &Field<T>) -> bool {
+        inputs.contains(&(rhs.as_slice().as_ptr() as usize))
+    }
+
+    /// An identity preconditioner that returns zero for the `at`-th
+    /// application to one lane — the lane whose workspace `inputs` names.
     /// On a `p̂` application (odd `at`) that forces `r̃ᵀ A p̂ = 0`, a
     /// `PSumZero` breakdown; on an `r̂` application (even) `t = A r̂ = 0`,
     /// hence `ω = 0` — the eager-finish breakdown path `RhoZero` shares.
     struct ZeroAt {
+        inputs: [usize; 2],
         at: usize,
         count: usize,
     }
@@ -1936,8 +1913,10 @@ mod batch_tests {
             rhs: &mut Field<T>,
             out: &mut Field<T>,
         ) -> usize {
-            self.count += 1;
-            if self.count == self.at {
+            if is_input(self.inputs, rhs) {
+                self.count += 1;
+            }
+            if is_input(self.inputs, rhs) && self.count == self.at {
                 out.fill_zero();
             } else {
                 out.copy_from(rhs);
@@ -1959,9 +1938,9 @@ mod batch_tests {
     }
 
     /// Solve three seeded right-hand sides on `ranks`, each alone and then
-    /// all together, lane 0 under `ZeroAt { at: zero_at }` and the others
-    /// under the identity, and assert every lane of the batch matches its
-    /// solo run bitwise. Returns rank 0's batch outcomes.
+    /// all together, under a `ZeroAt { at: zero_at }` aimed at lane 0, and
+    /// assert every lane of the batch matches its solo run bitwise.
+    /// Returns rank 0's batch outcomes.
     fn lanes_match_solo_with(
         ranks: [usize; 3],
         zero_at: usize,
@@ -1982,43 +1961,34 @@ mod batch_tests {
                 .iter()
                 .map(|bh| Field::from_interior(&ctx.dev, &ctx.grid, &scatter(&ctx.grid, bh)))
                 .collect();
-            let precs = || -> Vec<ZeroAt> {
-                let at = |l| if l == 0 { zero_at } else { usize::MAX };
-                (0..nb)
-                    .map(|l| ZeroAt {
-                        at: at(l),
-                        count: 0,
-                    })
-                    .collect()
-            };
 
             let mut solo = Vec::new();
-            for (b, mut prec) in bfields.iter().zip(precs()) {
+            for (l, b) in bfields.iter().enumerate() {
                 let mut x = ctx.field();
                 let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+                let at = if l == 0 { zero_at } else { usize::MAX };
+                let inputs = inputs_of(&ws);
+                let mut prec = ZeroAt {
+                    inputs,
+                    at,
+                    count: 0,
+                };
                 let out =
                     bicgstab_solve(&ctx, Scope::Global, b, &mut x, &mut prec, &mut ws, &params);
                 solo.push((out, x.interior_to_host(&ctx.grid)));
             }
 
-            let bs: Vec<&Field<f64>> = bfields.iter().collect();
             let mut xfields: Vec<Field<f64>> = (0..nb).map(|_| ctx.field()).collect();
-            let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
-            let mut ps = precs();
-            let mut precs: Vec<&mut ZeroAt> = ps.iter_mut().collect();
             let mut bws: Vec<_> = (0..nb)
                 .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
                 .collect();
-            let outs = bicgstab_solve_batch(
-                &ctx,
-                Scope::Global,
-                &bs,
-                &mut xs,
-                &mut precs,
-                &mut bws,
-                &params,
-                &[],
-            );
+            let mut prec = ZeroAt {
+                inputs: inputs_of(&bws[0]),
+                at: zero_at,
+                count: 0,
+            };
+            let lanes = lane_systems(&bfields, &mut xfields, &mut bws);
+            let outs = bicgstab_solve_batch(&ctx, Scope::Global, lanes, &mut prec, &params);
             for (l, (s, bo)) in solo.iter().zip(&outs).enumerate() {
                 let bx = xfields[l].interior_to_host(&ctx.grid);
                 assert_lane_matches_solo(&format!("rank {rank} lane {l}"), s, bo, &bx);
@@ -2118,39 +2088,27 @@ mod batch_tests {
         );
         let solo = (solo_out, x_solo.interior_to_host(&ctx.grid));
 
-        let b_zero = ctx.field();
-        let bs = [&b_zero, &b_live];
-        let mut x0 = ctx.field();
-        let mut x1 = ctx.field();
-        let mut xs = [&mut x0, &mut x1];
-        let mut p0 = IdentityPrec;
-        let mut p1 = IdentityPrec;
-        let mut precs = [&mut p0, &mut p1];
+        let bs = [ctx.field(), b_live];
+        let mut xs = [ctx.field(), ctx.field()];
         let mut bws: Vec<_> = (0..2)
             .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
             .collect();
-        let outs = bicgstab_solve_batch(
-            &ctx,
-            Scope::Global,
-            &bs,
-            &mut xs,
-            &mut precs,
-            &mut bws,
-            &params,
-            &[],
-        );
+        let lanes = lane_systems(&bs, &mut xs, &mut bws);
+        let outs = bicgstab_solve_batch(&ctx, Scope::Global, lanes, &mut IdentityPrec, &params);
         assert!(outs[0].converged, "{:?}", outs[0]);
         assert_eq!(outs[0].iterations, 0);
         assert_eq!(outs[0].residual_history, vec![0.0]);
-        assert!(x0.interior_to_host(&ctx.grid).iter().all(|&v| v == 0.0));
-        let bx = x1.interior_to_host(&ctx.grid);
+        assert!(xs[0].interior_to_host(&ctx.grid).iter().all(|&v| v == 0.0));
+        let bx = xs[1].interior_to_host(&ctx.grid);
         assert_lane_matches_solo("live lane", &solo, &outs[1], &bx);
     }
 
     /// An identity preconditioner that fires a cancel token after a set
-    /// number of applications — a deterministic stand-in for a client
-    /// abandoning one lane mid-solve.
+    /// number of applications to one lane — the lane whose workspace
+    /// `inputs` names: a deterministic stand-in for a client abandoning
+    /// that lane mid-solve.
     struct CancelAfter {
+        inputs: [usize; 2],
         token: CancelToken,
         after: usize,
         count: usize,
@@ -2163,9 +2121,11 @@ mod batch_tests {
             rhs: &mut Field<T>,
             out: &mut Field<T>,
         ) -> usize {
-            self.count += 1;
-            if self.count == self.after {
-                self.token.cancel();
+            if is_input(self.inputs, rhs) {
+                self.count += 1;
+                if self.count == self.after {
+                    self.token.cancel();
+                }
             }
             out.copy_from(rhs);
             0
@@ -2199,44 +2159,24 @@ mod batch_tests {
             max_iters: 5_000,
             ..Default::default()
         };
-        let hosts: Vec<Vec<f64>> = seeds.iter().map(|&s| rng_values(n, s)).collect();
-        let bfields: Vec<Field<f64>> = hosts
+        let bfields: Vec<Field<f64>> = seeds
             .iter()
-            .map(|h| Field::from_interior(&ctx.dev, &ctx.grid, h))
+            .map(|&s| Field::from_interior(&ctx.dev, &ctx.grid, &rng_values(n, s)))
             .collect();
-        let bs: Vec<&Field<f64>> = bfields.iter().collect();
         let mut xfields: Vec<Field<f64>> = (0..2).map(|_| ctx.field()).collect();
-        let mut xs: Vec<&mut Field<f64>> = xfields.iter_mut().collect();
+        let mut bws: Vec<_> = (0..2)
+            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
+            .collect();
         let token = CancelToken::new();
-        let mut p0 = CancelAfter {
+        let mut prec = CancelAfter {
+            inputs: inputs_of(&bws[0]),
             token: token.clone(),
             after: fire_after.unwrap_or(usize::MAX),
             count: 0,
         };
-        let mut p1 = CancelAfter {
-            token: CancelToken::new(),
-            after: usize::MAX,
-            count: 0,
-        };
-        let mut precs = [&mut p0, &mut p1];
-        let mut bws: Vec<_> = (0..2)
-            .map(|_| Workspace::new(&ctx.dev, &ctx.grid))
-            .collect();
-        let cancels = if fire_after.is_some() {
-            vec![Some(token), None]
-        } else {
-            Vec::new()
-        };
-        let outs = bicgstab_solve_batch(
-            &ctx,
-            Scope::Global,
-            &bs,
-            &mut xs,
-            &mut precs,
-            &mut bws,
-            &params,
-            &cancels,
-        );
+        let mut lanes: Vec<_> = lane_systems(&bfields, &mut xfields, &mut bws).collect();
+        lanes[0].cancel = fire_after.map(|_| &token);
+        let outs = bicgstab_solve_batch(&ctx, Scope::Global, lanes, &mut prec, &params);
         let sols = xfields
             .iter()
             .map(|x| x.interior_to_host(&ctx.grid))

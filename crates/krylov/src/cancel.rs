@@ -3,7 +3,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A cloneable cancellation flag observed by [`bicgstab_solve`].
+/// A cloneable cancellation flag observed by [`bicgstab_solve_batch`] for
+/// the lane whose [`LaneSystem`](crate::LaneSystem) carries it.
 ///
 /// The solver polls the token once per outer iteration, *collectively*:
 /// every rank contributes its local view of the flag to a reduction, so
@@ -12,14 +13,14 @@ use std::sync::Arc;
 /// boundary with its iterate fully updated and reports
 /// [`SolveOutcome::cancelled`](crate::SolveOutcome::cancelled).
 ///
-/// Without a token installed ([`SolveParams::cancel`](crate::SolveParams::cancel)
-/// is `None`) the solver ships no extra messages: the poll and its
-/// reduction exist only when someone can actually cancel. On a
-/// multi-rank world even an installed token is free of extra
-/// messages — the flag rides the per-iteration M1 batch as one
-/// more scalar, preserving the 2-messages-per-iteration guarantee.
+/// Without a token installed on any lane the solver ships no extra
+/// messages: the poll and its reduction exist only when someone can
+/// actually cancel. On a multi-rank world even installed tokens are free
+/// of extra messages — the flags ride the per-iteration M1 batch as one
+/// more scalar per lane, preserving the 2-messages-per-iteration
+/// guarantee.
 ///
-/// [`bicgstab_solve`]: crate::bicgstab_solve
+/// [`bicgstab_solve_batch`]: crate::bicgstab_solve_batch
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

@@ -100,31 +100,6 @@ pub fn axpy_inplace<T: Scalar, D: Device>(
     });
 }
 
-/// `y ← y + a1 x1 + a2 x2` over the interior (`KernelBiCGS4` shape).
-#[allow(clippy::too_many_arguments)]
-pub fn axpy2_inplace<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    y: &mut Field<T>,
-    x1: &Field<T>,
-    a1: T,
-    x2: &Field<T>,
-    a2: T,
-) {
-    let map = grid.interior_map();
-    let x1s = x1.as_slice();
-    let x2s = x2.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
-    dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a1 * x1s[b + i] + a2 * x2s[b + i];
-        }
-    });
-}
-
 /// `KernelBiCGS5`: `r ← r − ω t`, returning the local partial sums
 /// `(r̃ · r, r · r)` of the updated residual.
 pub fn residual_update_fused<T: Scalar, D: Device>(
@@ -280,9 +255,8 @@ pub fn axpy_dot<T: Scalar, D: Device>(
 /// (`ins[s] = (x1, a1, x2, a2)`) — the two split halves of the x-update
 /// re-merged into one sweep (`KernelBiCGS4` traffic) while keeping the
 /// *grouping* of the two sequential axpys, so the result is bitwise
-/// identical to running `KernelBiCGS4a` then `KernelBiCGS4b`. Contrast
-/// [`axpy2_inplace`], which groups as `y + (a1 x1 + a2 x2)` and rounds
-/// differently.
+/// identical to running `KernelBiCGS4a` then `KernelBiCGS4b`. (Summing
+/// the two terms first, `y + (a1 x1 + a2 x2)`, would round differently.)
 pub fn axpy2_chained_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -546,19 +520,6 @@ mod tests {
         }
         // halos untouched (still zero)
         assert_eq!(y.as_slice()[0], 0.0);
-    }
-
-    #[test]
-    fn axpy2_combines_two_fields() {
-        let (dev, grid) = setup();
-        let mut y = field_iota(&dev, &grid, 0.0);
-        let x1 = field_iota(&dev, &grid, 1.0);
-        let x2 = field_iota(&dev, &grid, -1.0);
-        axpy2_inplace(&dev, INFO_BICGS4, &grid, &mut y, &x1, 2.0, &x2, 3.0);
-        let yi = y.interior_to_host(&grid);
-        for (i, v) in yi.iter().enumerate() {
-            assert_eq!(*v, 2.0 * i as f64 - 3.0 * i as f64);
-        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! decisions are taken on allreduced scalars so every rank returns the
 //! identical [`SolveOutcome`]. There is one driver loop, written over a
 //! group of lanes: [`bicgstab_solve`] runs it with one right-hand side,
-//! [`bicgstab_solve_batch`] with several that share every kernel launch,
-//! halo message and reduction message — same schedule, same features,
-//! each lane bitwise its solo solve. Likewise there is one Chebyshev
+//! [`bicgstab_solve_batch`] with several [`LaneSystem`]s that share one
+//! preconditioner and every kernel launch, halo message and reduction
+//! message — same schedule, same features, each lane bitwise its solo
+//! solve. Likewise there is one Chebyshev
 //! iteration, [`ChebyshevIteration<E>`], generic over its sweep element:
 //! [`ChebyPrecond<E>`] at `E = T` is the paper's preconditioner, and at
 //! `E = f32` under an `f64` solve the mixed-precision one
@@ -56,12 +57,10 @@ pub mod reference;
 mod testutil;
 
 pub use bicgstab::{
-    bicgstab_solve, bicgstab_solve_batch, Breakdown, Scope, SolveOutcome, SolveParams,
+    bicgstab_solve, bicgstab_solve_batch, Breakdown, LaneSystem, Scope, SolveOutcome, SolveParams,
 };
 pub use cancel::CancelToken;
 pub use cheby::{global_bounds, local_bounds, ChebyMode, ChebyshevIteration};
 pub use config::{SolverKind, SolverOptions};
 pub use ctx::{RankCtx, Workspace};
-pub use precond::{
-    ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner, SharedPrec,
-};
+pub use precond::{ChebyPrecond, IdentityPrec, InnerBiCgsPrec, PrecTraits, Preconditioner};

@@ -14,8 +14,6 @@
 //! | `G(CI)`         | Chebyshev    | global          | no        | yes            | yes   |
 //! | `GNoComm(CI)`   | Chebyshev    | block, global λ | yes       | yes            | yes   |
 
-use std::sync::{Mutex, MutexGuard};
-
 use accel::{Device, Scalar};
 use blockgrid::Field;
 use comm::Communicator;
@@ -73,55 +71,6 @@ impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for Ident
 
     fn name(&self) -> &'static str {
         "Identity"
-    }
-}
-
-/// One preconditioner applied by every lane of a batch in turn: the
-/// lanes of [`crate::bicgstab_solve_batch`] each hold a handle to the
-/// same `P`, so a batch keeps one set of its buffers — the Chebyshev
-/// rotation fields, an inner solve's workspace — instead of one per lane.
-///
-/// Sound for a preconditioner that carries nothing from one application
-/// to the next, whose output depends on its input alone — every one
-/// [`crate::SolverKind::build_preconditioner`] builds: a Chebyshev
-/// iteration runs a fixed polynomial over buffers it overwrites before
-/// reading, and an inner Bi-CGSTAB starts from zero in a workspace it
-/// overwrites the same way. Each lane then gets exactly what its own
-/// preconditioner would have given it, bit for bit. The batched
-/// Bi-CGSTAB loop applies lanes one after the other on one thread, so the
-/// lock is never contended.
-pub struct SharedPrec<'a, P: ?Sized>(&'a Mutex<&'a mut P>);
-
-impl<'a, P: ?Sized> SharedPrec<'a, P> {
-    /// A handle to the preconditioner `shared` wraps; make one per lane.
-    pub fn new(shared: &'a Mutex<&'a mut P>) -> Self {
-        Self(shared)
-    }
-
-    fn get(&self) -> MutexGuard<'a, &'a mut P> {
-        self.0
-            .lock()
-            .expect("a lane panicked while applying the batch's preconditioner")
-    }
-}
-
-impl<T, D, C, P> Preconditioner<T, D, C> for SharedPrec<'_, P>
-where
-    T: Scalar,
-    D: Device,
-    C: Communicator<T>,
-    P: Preconditioner<T, D, C> + ?Sized,
-{
-    fn apply(&mut self, ctx: &RankCtx<T, D, C>, rhs: &mut Field<T>, out: &mut Field<T>) -> usize {
-        self.get().apply(ctx, rhs, out)
-    }
-
-    fn traits(&self) -> PrecTraits {
-        self.get().traits()
-    }
-
-    fn name(&self) -> &'static str {
-        self.get().name()
     }
 }
 

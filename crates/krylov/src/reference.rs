@@ -162,7 +162,7 @@ mod tests {
     use super::*;
     use crate::bicgstab::{bicgstab_solve, bicgstab_solve_batch, SolveParams};
     use crate::config::{SolverKind, SolverOptions};
-    use crate::testutil::{bits, rng_values, scatter};
+    use crate::testutil::{bits, lane_systems, rng_values, scatter};
     use accel::{AnyDevice, Event, Recorder};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks_recorded, ReduceOrder, ThreadComm};
@@ -267,19 +267,9 @@ mod tests {
                             &ctx, self.scope, &bs[0], x, prec, ws, &params,
                         )]
                     } else {
-                        let bs: Vec<&Field<f64>> = bs.iter().collect();
-                        let mut xs: Vec<&mut Field<f64>> = xs.iter_mut().collect();
-                        let mut precs: Vec<_> = precs.iter_mut().map(|p| &mut **p).collect();
-                        bicgstab_solve_batch(
-                            &ctx,
-                            self.scope,
-                            &bs,
-                            &mut xs,
-                            &mut precs,
-                            &mut wss,
-                            &params,
-                            &[],
-                        )
+                        // the lanes share lane 0's preconditioner
+                        let lanes = lane_systems(&bs, &mut xs, &mut wss);
+                        bicgstab_solve_batch(&ctx, self.scope, lanes, &mut *precs[0], &params)
                     };
                     RankRun {
                         outs,

@@ -4,7 +4,7 @@ use accel::{Device, Recorder, Scalar, Serial};
 use blockgrid::{BcKind, BlockGrid, Decomp, Field, GlobalGrid};
 use comm::{run_ranks, Communicator, ReduceOrder, ThreadComm};
 
-use crate::RankCtx;
+use crate::{LaneSystem, RankCtx, Workspace};
 
 /// `n` reproducible pseudo-random values in `[-1, 1)`.
 pub(crate) fn rng_values(n: usize, seed: u64) -> Vec<f64> {
@@ -62,6 +62,18 @@ pub(crate) fn world<R: Send>(
         let ctx = RankCtx::new(Serial::new(Recorder::disabled()), comm, grid);
         body(&ctx, &scatter(&ctx.grid, &b_host))
     })
+}
+
+/// One token-free [`LaneSystem`] per right-hand side of `bs`, each with
+/// its iterate and workspace.
+pub(crate) fn lane_systems<'a, T: Scalar>(
+    bs: &'a [Field<T>],
+    xs: &'a mut [Field<T>],
+    wss: &'a mut [Workspace<T>],
+) -> impl Iterator<Item = LaneSystem<'a, T>> {
+    let cancel = None;
+    let lane = move |((b, x), ws)| LaneSystem { b, x, ws, cancel };
+    bs.iter().zip(xs).zip(wss).map(lane)
 }
 
 /// Bit patterns of `v`, for exact comparisons with readable failures.

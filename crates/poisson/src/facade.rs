@@ -1,13 +1,11 @@
 //! High-level per-rank solver facade.
 
-use std::sync::Mutex;
-
 use accel::{Device, Scalar};
 use blockgrid::{BlockGrid, Decomp, Field};
 use comm::{Communicator, ReduceOp};
 use krylov::{
-    bicgstab_solve, bicgstab_solve_batch, CancelToken, RankCtx, Scope, SharedPrec, SolveOutcome,
-    SolveParams, SolverKind, SolverOptions, Workspace,
+    bicgstab_solve_batch, CancelToken, LaneSystem, RankCtx, Scope, SolveOutcome, SolveParams,
+    SolverKind, SolverOptions, Workspace,
 };
 
 use crate::assemble::{local_exact, local_rhs};
@@ -63,28 +61,67 @@ impl std::fmt::Display for SetupError {
 
 impl std::error::Error for SetupError {}
 
-/// One rank's fully wired Poisson solver: subdomain, operator, assembled
-/// and normalised right-hand side, and reusable Krylov workspace.
+/// One rank's fully wired Poisson solver: subdomain, operator, and one
+/// *slot* per right-hand side — the normalised RHS, its norm, the iterate
+/// and the Krylov workspace of one lane of a solve.
 ///
 /// Construction performs the paper's setup phase — assemble `b` on the
 /// host, normalise it globally (all tolerances become relative), offload
-/// to the device once. `solve` then runs any of the six Table I solver
-/// configurations; the solution stays device-resident until
-/// [`PoissonSolver::solution_local`] copies it back (the paper's single
-/// end-of-run D2H transfer).
+/// to the device once — into slot 0, the solver's own lane. Every solve
+/// runs a list of lanes ([`PoissonSolver::solve_lanes`]), lane `l` in
+/// slot `l`: [`solve`](PoissonSolver::solve),
+/// [`set_rhs`](PoissonSolver::set_rhs) and
+/// [`resolve_with_rhs`](PoissonSolver::resolve_with_rhs) act on slot 0,
+/// [`solve_batch`](PoissonSolver::solve_batch) on as many slots as it
+/// has right-hand sides; slots are added as wider batches need them and
+/// kept for the next call. Any of the six Table I solver configurations
+/// runs; solutions stay device-resident until
+/// [`PoissonSolver::solution_local`] copies slot 0's back (the paper's
+/// single end-of-run D2H transfer).
 pub struct PoissonSolver<T: Scalar, D: Device, C: Communicator<T>> {
     ctx: RankCtx<T, D, C>,
-    ws: Workspace<T>,
-    b: Field<T>,
-    b_norm: f64,
-    x: Field<T>,
+    slots: Vec<Slot<T>>,
     problem: PoissonProblem,
-    /// Lane workspaces for [`PoissonSolver::solve_batch`], grown lazily
-    /// to the widest batch seen and reused across batches (the warm
-    /// path of a batching serving layer).
-    batch_ws: Vec<Workspace<T>>,
-    /// Per-lane iterates for `solve_batch`, same growth policy.
-    batch_xs: Vec<Field<T>>,
+}
+
+/// One right-hand side's device state: the normalised RHS `b`, its
+/// global norm, the iterate `x` and the Krylov workspace.
+struct Slot<T> {
+    b: Field<T>,
+    /// `0` until a right-hand side is loaded.
+    norm: f64,
+    x: Field<T>,
+    ws: Workspace<T>,
+}
+
+impl<T: Scalar> Slot<T> {
+    fn new<D: Device>(dev: &D, grid: &BlockGrid, b: Field<T>, norm: f64) -> Self {
+        let ws = Workspace::new(dev, grid);
+        let x = Field::zeros(dev, grid);
+        Self { b, norm, x, ws }
+    }
+
+    /// This rank's interior solution, un-normalised back to the original
+    /// RHS scale (one D2H transfer).
+    fn solution(&self, grid: &BlockGrid) -> Vec<f64> {
+        self.x
+            .interior_to_host(grid)
+            .into_iter()
+            .map(|v| v.to_f64() * self.norm)
+            .collect()
+    }
+}
+
+/// Where a lane of [`PoissonSolver::solve_lanes`] takes its right-hand
+/// side from.
+#[derive(Clone, Copy, Debug)]
+pub enum LaneRhs<'a> {
+    /// Keep the one its slot holds, loaded by an earlier call (a slot
+    /// never loaded refuses with [`SetupError::ZeroRhs`]).
+    Keep,
+    /// Load this rank's slice of a new one into the slot: validated,
+    /// normalised and uploaded in place.
+    Load(&'a [f64]),
 }
 
 /// One lane's result from a batched facade solve
@@ -98,6 +135,11 @@ pub struct LaneSolve {
     pub solution_local: Vec<f64>,
     /// Global RHS norm used for this lane's normalisation.
     pub rhs_norm: f64,
+}
+
+/// `rhs / norm` at the solver's precision.
+fn scaled<T: Scalar>(rhs: &[f64], norm: f64) -> Vec<T> {
+    rhs.iter().map(|&v| T::from_f64(v / norm)).collect()
 }
 
 impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
@@ -131,66 +173,32 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         let ctx: RankCtx<T, D, C> = RankCtx::new(dev, comm, grid);
 
         // Assemble and globally normalise the RHS (Sec. IV: "we always
-        // normalize the right-hand side").
+        // normalize the right-hand side") into slot 0.
         let b_host = local_rhs(&problem, &ctx.grid);
-        let (b_scaled, b_norm) = Self::normalised(&ctx, &b_host)?;
-        let b = Field::from_interior(&ctx.dev, &ctx.grid, &b_scaled);
-
-        let ws = Workspace::new(&ctx.dev, &ctx.grid);
-        let x = Field::zeros(&ctx.dev, &ctx.grid);
+        let norm = Self::norms(&ctx, &[&b_host]).remove(0)?;
+        let b = Field::from_interior(&ctx.dev, &ctx.grid, &scaled(&b_host, norm));
+        let slot = Slot::new(&ctx.dev, &ctx.grid, b, norm);
         Ok(Self {
             ctx,
-            ws,
-            b,
-            b_norm,
-            x,
+            slots: vec![slot],
             problem,
-            batch_ws: Vec::new(),
-            batch_xs: Vec::new(),
         })
     }
 
-    /// Validate and globally normalise a local RHS slice.
+    /// Validate local right-hand sides and compute their global norms
+    /// with **one** reduction carrying every lane's squared norm and
+    /// validity flag — per-lane slots fold element-wise, so each lane's
+    /// verdict and norm are bitwise those of a lane validated alone — and
+    /// none when `rhs_locals` is empty.
     ///
     /// The per-rank size check rides inside the norm reduction as a
     /// validity flag, so a rank with a malformed slice never leaves its
-    /// peers blocked in the collective: all ranks observe the flagged
-    /// failure and return together.
-    fn normalised(ctx: &RankCtx<T, D, C>, rhs_local: &[f64]) -> Result<(Vec<T>, f64), SetupError> {
-        let expected: usize = ctx.grid.local_n.iter().product();
-        let (local_sq, bad) = if rhs_local.len() == expected {
-            (rhs_local.iter().map(|v| v * v).sum::<f64>(), 0.0)
-        } else {
-            (0.0, 1.0)
-        };
-        let mut sums = [T::from_f64(local_sq), T::from_f64(bad)];
-        ctx.comm.all_reduce(&mut sums, ReduceOp::Sum);
-        if sums[1].to_f64() != 0.0 {
-            return Err(SetupError::RhsSizeMismatch {
-                expected,
-                got: rhs_local.len(),
-            });
+    /// peers blocked in the collective: verdicts derive from reduced
+    /// values, and every rank returns the same per-lane `Result`s.
+    fn norms(ctx: &RankCtx<T, D, C>, rhs_locals: &[&[f64]]) -> Vec<Result<f64, SetupError>> {
+        if rhs_locals.is_empty() {
+            return Vec::new();
         }
-        let b_norm = sums[0].to_f64().max(0.0).sqrt();
-        if !(b_norm > 0.0 && b_norm.is_finite()) {
-            return Err(SetupError::ZeroRhs);
-        }
-        let b_scaled: Vec<T> = rhs_local.iter().map(|&v| T::from_f64(v / b_norm)).collect();
-        Ok((b_scaled, b_norm))
-    }
-
-    /// Validate and globally normalise a batch of local RHS slices with
-    /// **one** reduction carrying every lane's squared norm and validity
-    /// flag (the batched counterpart of
-    /// [`normalised`](PoissonSolver::normalised); per-lane slots fold
-    /// element-wise, so each lane's verdict and scale are bitwise those
-    /// of a solo normalisation). Verdicts derive from reduced values, so
-    /// every rank returns the same per-lane `Result`s.
-    #[allow(clippy::type_complexity)]
-    fn normalised_many(
-        ctx: &RankCtx<T, D, C>,
-        rhs_locals: &[&[f64]],
-    ) -> Vec<Result<(Vec<T>, f64), SetupError>> {
         let expected: usize = ctx.grid.local_n.iter().product();
         let mut sums: Vec<T> = Vec::with_capacity(2 * rhs_locals.len());
         for rhs in rhs_locals {
@@ -205,42 +213,123 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         ctx.comm.all_reduce(&mut sums, ReduceOp::Sum);
         rhs_locals
             .iter()
-            .enumerate()
-            .map(|(l, rhs)| {
-                if sums[2 * l + 1].to_f64() != 0.0 {
+            .zip(sums.chunks_exact(2))
+            .map(|(rhs, sum)| {
+                if sum[1].to_f64() != 0.0 {
                     return Err(SetupError::RhsSizeMismatch {
                         expected,
                         got: rhs.len(),
                     });
                 }
-                let b_norm = sums[2 * l].to_f64().max(0.0).sqrt();
-                if !(b_norm > 0.0 && b_norm.is_finite()) {
+                let norm = sum[0].to_f64().max(0.0).sqrt();
+                if !(norm > 0.0 && norm.is_finite()) {
                     return Err(SetupError::ZeroRhs);
                 }
-                let b_scaled: Vec<T> = rhs.iter().map(|&v| T::from_f64(v / b_norm)).collect();
-                Ok((b_scaled, b_norm))
+                Ok(norm)
             })
             .collect()
     }
 
-    /// Solve one batch of right-hand sides concurrently over this rank's
-    /// subdomain ([`krylov::bicgstab_solve_batch`]): every sweep, halo
-    /// exchange and reduction is amortised across the batch, and each
-    /// lane's iterates are bitwise those of a solo
-    /// [`solve`](PoissonSolver::solve) against the same RHS. The lanes run
-    /// through the same driver loop as a solo solve, so everything
-    /// `params` can ask of one — true-residual guard, breakdown restarts —
-    /// holds per lane.
+    /// Bring lane `l`'s right-hand side into slot `l` for every lane,
+    /// adding the slots a wider list needs: the [`LaneRhs::Load`] lanes
+    /// are validated and normalised together ([`PoissonSolver::norms`])
+    /// and uploaded over their slot's `b` — no new field. Returns each
+    /// lane's verdict; a refused lane's slot is left as it was.
+    fn load(&mut self, lanes: &[LaneRhs<'_>]) -> Vec<Result<(), SetupError>> {
+        let (dev, grid) = (&self.ctx.dev, &self.ctx.grid);
+        while self.slots.len() < lanes.len() {
+            let slot = Slot::new(dev, grid, Field::zeros(dev, grid), 0.0);
+            self.slots.push(slot);
+        }
+        let loads: Vec<&[f64]> = lanes
+            .iter()
+            .filter_map(|lane| match lane {
+                LaneRhs::Load(rhs) => Some(*rhs),
+                LaneRhs::Keep => None,
+            })
+            .collect();
+        let mut norms = Self::norms(&self.ctx, &loads).into_iter();
+        lanes
+            .iter()
+            .zip(&mut self.slots)
+            .map(|(lane, slot)| match lane {
+                LaneRhs::Keep if slot.norm > 0.0 => Ok(()),
+                LaneRhs::Keep => Err(SetupError::ZeroRhs),
+                LaneRhs::Load(rhs) => {
+                    let norm = norms.next().expect("one verdict per loaded lane")?;
+                    slot.b.upload_interior(grid, &scaled(rhs, norm));
+                    slot.norm = norm;
+                    Ok(())
+                }
+            })
+            .collect()
+    }
+
+    /// Solve a list of lanes over this rank's subdomain, lane `l` in slot
+    /// `l` from a zero initial guess, each against a new right-hand side
+    /// or the one its slot keeps ([`LaneRhs`]). The lanes run as one
+    /// [`krylov::bicgstab_solve_batch`] under one preconditioner built for
+    /// the call: every sweep, halo exchange and reduction is amortised
+    /// across them, and each lane's iterates are bitwise those of the
+    /// lane solved alone. Everything `params` can ask of a solve —
+    /// true-residual guard, breakdown restarts — holds per lane;
+    /// `params.tol` is relative to the lane's RHS (the stored `b` is
+    /// normalised).
     ///
-    /// Lanes are validated and normalised collectively (one reduction);
-    /// an invalid lane gets its [`SetupError`] while the remaining lanes
-    /// ride the batch — the valid-lane set is identical on every rank.
-    /// `cancels` is empty (no cancellation) or one optional token per
-    /// input lane; `params.cancel` must be `None` (per-lane tokens
-    /// replace it). Lane workspaces are allocated lazily and kept for
-    /// the next batch. The lanes share one preconditioner, built per call
-    /// and applied by each lane in turn ([`SharedPrec`]): a batch holds
-    /// one set of its buffers, not one per lane.
+    /// New right-hand sides are validated and normalised collectively
+    /// (one reduction, none when every lane keeps its own); a refused
+    /// lane gets its [`SetupError`] while the remaining lanes solve — the
+    /// set of solved lanes is identical on every rank, as must be the
+    /// list itself. `cancels` is empty (no cancellation) or one optional
+    /// token per lane, installed on the same lanes on every rank.
+    pub fn solve_lanes(
+        &mut self,
+        lanes: &[LaneRhs<'_>],
+        kind: SolverKind,
+        opts: &SolverOptions,
+        params: &SolveParams,
+        cancels: &[Option<CancelToken>],
+    ) -> Vec<Result<SolveOutcome, SetupError>> {
+        assert!(
+            cancels.is_empty() || cancels.len() == lanes.len(),
+            "cancels must be empty or carry one optional token per lane"
+        );
+        let loaded = self.load(lanes);
+        let outs = if loaded.iter().any(Result::is_ok) {
+            let (ctx, slots) = (&self.ctx, &mut self.slots);
+            let systems = slots
+                .iter_mut()
+                .zip(&loaded)
+                .enumerate()
+                .filter(|(_, (_, verdict))| verdict.is_ok())
+                .map(|(l, (slot, _))| {
+                    let Slot { b, x, ws, .. } = slot;
+                    x.fill_zero();
+                    let cancel = cancels.get(l).and_then(Option::as_ref);
+                    LaneSystem { b, x, ws, cancel }
+                });
+            let mut prec = kind.build_preconditioner(ctx, opts);
+            bicgstab_solve_batch(ctx, Scope::Global, systems, &mut *prec, params)
+        } else {
+            Vec::new()
+        };
+        let mut outs = outs.into_iter();
+        loaded
+            .into_iter()
+            .map(|verdict| verdict.map(|()| outs.next().expect("one outcome per solved lane")))
+            .collect()
+    }
+
+    /// Solve one batch of right-hand sides concurrently: load every one
+    /// into its slot, solve them as one list of lanes
+    /// ([`solve_lanes`](PoissonSolver::solve_lanes)), download every
+    /// solution. Each lane's result is bitwise that of a solo
+    /// [`resolve_with_rhs`](PoissonSolver::resolve_with_rhs) against the
+    /// same RHS; a malformed lane gets its [`SetupError`] without
+    /// poisoning the batch. Lane 0 runs in slot 0, so afterwards
+    /// [`solution_local`](PoissonSolver::solution_local) and
+    /// [`rhs_norm`](PoissonSolver::rhs_norm) report it (if it was
+    /// accepted). `cancels` is empty or one optional token per lane.
     pub fn solve_batch(
         &mut self,
         rhs_locals: &[&[f64]],
@@ -249,106 +338,27 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         params: &SolveParams,
         cancels: &[Option<CancelToken>],
     ) -> Vec<Result<LaneSolve, SetupError>> {
-        let nb = rhs_locals.len();
-        assert!(
-            cancels.is_empty() || cancels.len() == nb,
-            "cancels must be empty or carry one optional token per lane"
-        );
-        if nb == 0 {
-            return Vec::new();
-        }
-        let mut errs: Vec<Option<SetupError>> = Vec::with_capacity(nb);
-        let mut b_fields: Vec<Field<T>> = Vec::new();
-        let mut norms: Vec<f64> = Vec::new();
-        for lane in Self::normalised_many(&self.ctx, rhs_locals) {
-            match lane {
-                Ok((scaled, b_norm)) => {
-                    b_fields.push(Field::from_interior(&self.ctx.dev, &self.ctx.grid, &scaled));
-                    norms.push(b_norm);
-                    errs.push(None);
-                }
-                Err(e) => errs.push(Some(e)),
-            }
-        }
-
-        let nv = b_fields.len();
-        let outs = if nv > 0 {
-            while self.batch_ws.len() < nv {
-                self.batch_ws
-                    .push(Workspace::new(&self.ctx.dev, &self.ctx.grid));
-            }
-            while self.batch_xs.len() < nv {
-                self.batch_xs
-                    .push(Field::zeros(&self.ctx.dev, &self.ctx.grid));
-            }
-            for x in self.batch_xs.iter_mut().take(nv) {
-                x.fill_zero();
-            }
-            let bs: Vec<&Field<T>> = b_fields.iter().collect();
-            let mut xs: Vec<&mut Field<T>> = self.batch_xs.iter_mut().take(nv).collect();
-            // One preconditioner for the whole batch, applied by each lane
-            // in turn: none the facade builds carries state between
-            // applications (see `SharedPrec`).
-            let mut prec = kind.build_preconditioner(&self.ctx, opts);
-            let shared = Mutex::new(&mut *prec);
-            let mut handles: Vec<_> = (0..nv).map(|_| SharedPrec::new(&shared)).collect();
-            let mut precs: Vec<_> = handles.iter_mut().collect();
-            let lane_cancels: Vec<Option<CancelToken>> = if cancels.is_empty() {
-                Vec::new()
-            } else {
-                (0..nb)
-                    .filter(|&l| errs[l].is_none())
-                    .map(|l| cancels[l].clone())
-                    .collect()
-            };
-            bicgstab_solve_batch(
-                &self.ctx,
-                Scope::Global,
-                &bs,
-                &mut xs,
-                &mut precs,
-                &mut self.batch_ws,
-                params,
-                &lane_cancels,
-            )
-        } else {
-            Vec::new()
-        };
-
-        let mut solved = outs.into_iter();
-        let mut slot = 0usize;
-        errs.into_iter()
-            .map(|e| match e {
-                Some(err) => Err(err),
-                None => {
-                    let outcome = solved.next().expect("one outcome per valid lane");
-                    let rhs_norm = norms[slot];
-                    let solution_local: Vec<f64> = self.batch_xs[slot]
-                        .interior_to_host(&self.ctx.grid)
-                        .into_iter()
-                        .map(|v| v.to_f64() * rhs_norm)
-                        .collect();
-                    slot += 1;
-                    Ok(LaneSolve {
-                        outcome,
-                        solution_local,
-                        rhs_norm,
-                    })
-                }
+        let lanes: Vec<LaneRhs<'_>> = rhs_locals.iter().map(|&rhs| LaneRhs::Load(rhs)).collect();
+        let outs = self.solve_lanes(&lanes, kind, opts, params, cancels);
+        outs.into_iter()
+            .zip(&self.slots)
+            .map(|(verdict, slot)| {
+                verdict.map(|outcome| LaneSolve {
+                    outcome,
+                    solution_local: slot.solution(&self.ctx.grid),
+                    rhs_norm: slot.norm,
+                })
             })
             .collect()
     }
 
-    /// Swap in a fresh local right-hand side, keeping the grid, the
-    /// operator, the Krylov [`Workspace`] and every device allocation of
-    /// this solver: only the new RHS is re-normalised and offloaded (the
-    /// warm path of a serving layer — the setup phase the paper
-    /// amortises is skipped entirely).
+    /// Swap in a fresh local right-hand side for slot 0, keeping the
+    /// grid, the operator, the Krylov [`Workspace`] and every device
+    /// allocation of this solver: only the new RHS is re-normalised and
+    /// uploaded (the warm path of a serving layer — the setup phase the
+    /// paper amortises is skipped entirely).
     pub fn set_rhs(&mut self, rhs_local: &[f64]) -> Result<(), SetupError> {
-        let (b_scaled, b_norm) = Self::normalised(&self.ctx, rhs_local)?;
-        self.b = Field::from_interior(&self.ctx.dev, &self.ctx.grid, &b_scaled);
-        self.b_norm = b_norm;
-        Ok(())
+        self.load(&[LaneRhs::Load(rhs_local)]).remove(0)
     }
 
     /// [`set_rhs`](PoissonSolver::set_rhs) followed by
@@ -364,8 +374,8 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         opts: &SolverOptions,
         params: &SolveParams,
     ) -> Result<SolveOutcome, SetupError> {
-        self.set_rhs(rhs_local)?;
-        Ok(self.solve(kind, opts, params))
+        let lane = [LaneRhs::Load(rhs_local)];
+        self.solve_lanes(&lane, kind, opts, params, &[]).remove(0)
     }
 
     /// The rank context (device, communicator, grid, operator).
@@ -383,12 +393,13 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         &self.problem
     }
 
-    /// Global RHS norm used for the normalisation.
+    /// Global norm slot 0's right-hand side was normalised by.
     pub fn rhs_norm(&self) -> f64 {
-        self.b_norm
+        self.slots[0].norm
     }
 
-    /// Run one solver configuration from a zero initial guess.
+    /// Solve slot 0's right-hand side with one solver configuration from
+    /// a zero initial guess.
     ///
     /// `params.tol` is relative to the RHS (the stored `b` is normalised).
     pub fn solve(
@@ -397,27 +408,15 @@ impl<T: Scalar, D: Device, C: Communicator<T>> PoissonSolver<T, D, C> {
         opts: &SolverOptions,
         params: &SolveParams,
     ) -> SolveOutcome {
-        self.x.fill_zero();
-        let mut prec = kind.build_preconditioner(&self.ctx, opts);
-        bicgstab_solve(
-            &self.ctx,
-            Scope::Global,
-            &self.b,
-            &mut self.x,
-            &mut *prec,
-            &mut self.ws,
-            params,
-        )
+        let keep = [LaneRhs::Keep];
+        let out = self.solve_lanes(&keep, kind, opts, params, &[]).remove(0);
+        out.expect("slot 0 holds a right-hand side from construction on")
     }
 
-    /// Download this rank's interior solution, un-normalised back to the
-    /// original RHS scale (one D2H transfer).
+    /// Download slot 0's interior solution on this rank, un-normalised
+    /// back to the original RHS scale (one D2H transfer).
     pub fn solution_local(&self) -> Vec<f64> {
-        self.x
-            .interior_to_host(&self.ctx.grid)
-            .into_iter()
-            .map(|v| v.to_f64() * self.b_norm)
-            .collect()
+        self.slots[0].solution(&self.ctx.grid)
     }
 
     /// Global relative L2 error and absolute max error against the
@@ -831,6 +830,56 @@ mod tests {
             let sb: Vec<u64> = lane.solution_local.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ss, sb, "{what}: cache reuse perturbed the lane");
         }
+    }
+
+    /// Slots outlive the call: after a batch, slot 0 is the solver's own
+    /// lane again (`solution_local`/`rhs_norm` report the batch's lane 0),
+    /// and a later `solve_lanes` that keeps every slot's right-hand side
+    /// re-solves each lane bitwise, while a slot no call has loaded
+    /// refuses.
+    #[test]
+    fn kept_slots_resolve_bitwise_and_unloaded_slots_refuse() {
+        let kind = SolverKind::BiCgsGNoCommCi;
+        let opts = SolverOptions {
+            eig_min_factor: 10.0,
+            ..Default::default()
+        };
+        let params = SolveParams {
+            tol: 1e-10,
+            max_iters: 20_000,
+            record_history: true,
+            ..Default::default()
+        };
+        let p = paper_problem(9);
+        let mut solver: PoissonSolver<f64, _, _> = PoissonSolver::new(
+            p.clone(),
+            Decomp::single(),
+            Serial::new(Recorder::disabled()),
+            SelfComm::default(),
+        );
+        let rhs_paper = crate::assemble::local_rhs(&p, solver.grid());
+        let rhs_other: Vec<f64> = rhs_paper.iter().map(|v| 2.0 * v + 0.5).collect();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+
+        let lanes = solver.solve_batch(&[&rhs_other, &rhs_paper], kind, &opts, &params, &[]);
+        let lanes: Vec<LaneSolve> = lanes.into_iter().map(|l| l.expect("valid")).collect();
+        assert_eq!(
+            bits(&solver.solution_local()),
+            bits(&lanes[0].solution_local)
+        );
+        assert_eq!(solver.rhs_norm().to_bits(), lanes[0].rhs_norm.to_bits());
+
+        let again = solver.solve_lanes(&[LaneRhs::Keep; 3], kind, &opts, &params, &[]);
+        for (l, lane) in lanes.iter().enumerate() {
+            let kept = again[l].as_ref().expect("a loaded slot keeps its RHS");
+            assert_eq!(kept.iterations, lane.outcome.iterations, "lane {l}");
+            assert_eq!(
+                bits(&kept.residual_history),
+                bits(&lane.outcome.residual_history),
+                "lane {l}: a kept RHS must solve like the loaded one"
+            );
+        }
+        assert_eq!(again[2].as_ref().unwrap_err(), &SetupError::ZeroRhs);
     }
 
     /// Collective lane validation: a malformed lane gets its

@@ -42,5 +42,5 @@ pub mod assemble;
 mod facade;
 mod problem;
 
-pub use facade::{LaneSolve, PoissonSolver, SetupError};
+pub use facade::{LaneRhs, LaneSolve, PoissonSolver, SetupError};
 pub use problem::{paper_problem, unit_cube_dirichlet, PoissonProblem, SpaceFn};

@@ -6,8 +6,10 @@
 //! fixed worker/device pool that reuses warm sessions whenever a
 //! request matches a previously constructed solver (same
 //! discretisation, decomposition, device lease and solver
-//! configuration — the hot path skips assembly, normalisation and
-//! offload and re-runs only the solve against a fresh right-hand side).
+//! configuration — the hot path skips grid, operator and workspace
+//! setup, and re-runs only the solve: against the right-hand side a
+//! solver slot already holds when the tenant's problem is the one it was
+//! assembled from, against a freshly loaded one otherwise).
 //!
 //! The pieces:
 //!

@@ -17,7 +17,7 @@ use blockgrid::Decomp;
 use check::{try_run_ranks_checked, CheckConfig, Checked};
 use comm::ReduceOrder;
 use krylov::{CancelToken, SolveOutcome, SolveParams};
-use poisson::PoissonSolver;
+use poisson::{LaneRhs, PoissonSolver};
 
 use crate::job::{JobError, JobHandle, JobMetrics, JobOutput, JobResult, JobShared, SubmitError};
 use crate::metrics::{ServiceStats, StatsInner};
@@ -333,39 +333,50 @@ fn worker_loop(inner: &ServiceInner) {
         }
         job.set_running();
         let lease = inner.pool.acquire();
-        let primary = Lane {
-            job,
-            request,
-            queue_wait,
-        };
-        let (lanes, key) = form_batch(inner, primary, &lease);
-        let results = match key {
-            Some(key) if lanes.len() > 1 => execute_batch(inner, &lanes, key, &lease),
-            _ => {
-                // LINT: panic-ok(form_batch always returns at least the
-                // primary job as lane 0)
-                let lane = &lanes[0];
-                vec![execute(
-                    inner,
-                    &lane.job,
-                    &lane.request,
-                    &lease,
-                    lane.queue_wait,
-                )]
+        // LINT: panic-ok(the pool is built with exactly one spec per slot)
+        let spec = inner.specs[lease.slot()].clone();
+        let results: Vec<(Arc<JobShared>, JobResult)> = if request.checked {
+            let result = execute_checked(inner, &job, &request, &spec, queue_wait);
+            vec![(job, result)]
+        } else {
+            // The key derivation discretises the problem, which panics on
+            // singular input — isolate it like any other job panic.
+            match catch_unwind(AssertUnwindSafe(|| {
+                SessionKey::of(&request, &spec, lease.slot())
+            })) {
+                Ok(key) => {
+                    let primary = Lane {
+                        job,
+                        request,
+                        queue_wait,
+                    };
+                    let lanes = form_batch(inner, primary, &key, &spec, lease.slot());
+                    let results = execute(inner, &lanes, key, &lease, &spec);
+                    lanes
+                        .into_iter()
+                        .map(|lane| lane.job)
+                        .zip(results)
+                        .collect()
+                }
+                Err(payload) => {
+                    inner.stats.bump(&inner.stats.panicked);
+                    let msg = panic_message(payload);
+                    vec![(job, JobResult::Failed(JobError::Panicked(msg)))]
+                }
             }
         };
         // Return the slot before publishing the results: a submitter
         // reacting to a completion must find the device (and its
         // per-slot warm session) available again, not still leased.
         drop(lease);
-        for (lane, result) in lanes.iter().zip(results) {
+        for (job, result) in results {
             match &result {
                 JobResult::Done(_) => inner.stats.bump(&inner.stats.completed),
                 JobResult::Failed(_) => inner.stats.bump(&inner.stats.failed),
                 JobResult::Cancelled => inner.stats.bump(&inner.stats.cancelled),
                 JobResult::Shed => inner.stats.bump(&inner.stats.shed),
             };
-            lane.job.finish(result);
+            job.finish(result);
         }
     }
 }
@@ -394,34 +405,26 @@ fn lane_compatible(
 }
 
 /// Coalesce still-queued jobs compatible with the popped `primary`
-/// into one batch, bounded by the configured window. Lanes are claimed
-/// in pop order; a claimed lane whose cancel fired or deadline expired
-/// while queued is finished right here (Cancelled/Shed) and never
-/// occupies a lane. Returns the lanes (primary first) and the session
-/// key they share — `None` when batching is off, the job is checked,
-/// or the key derivation panicked (the solo path re-derives and
-/// reports that panic properly).
+/// (whose session key is `key`) into one batch, bounded by the
+/// configured window. Lanes are claimed in pop order; a claimed lane
+/// whose cancel fired or deadline expired while queued is finished
+/// right here (Cancelled/Shed) and never occupies a lane. Returns the
+/// lanes, primary first — only the primary when batching is off.
 fn form_batch(
     inner: &ServiceInner,
     primary: Lane,
-    lease: &DeviceLease<AnyDevice>,
-) -> (Vec<Lane>, Option<SessionKey>) {
-    if inner.batch_window <= 1 || primary.request.checked {
-        return (vec![primary], None);
+    key: &SessionKey,
+    spec: &str,
+    slot: usize,
+) -> Vec<Lane> {
+    if inner.batch_window <= 1 {
+        return vec![primary];
     }
-    // LINT: panic-ok(the pool is built with exactly one spec per slot)
-    let spec = inner.specs[lease.slot()].clone();
-    let slot = lease.slot();
-    let Ok(key) = catch_unwind(AssertUnwindSafe(|| {
-        SessionKey::of(&primary.request, &spec, slot)
-    })) else {
-        return (vec![primary], None);
-    };
     let mates = inner
         .queue
         .take_batchmates(inner.batch_window - 1, |candidate| {
             candidate
-                .peek_request(|req| lane_compatible(&key, &primary.request, &spec, slot, req))
+                .peek_request(|req| lane_compatible(key, &primary.request, spec, slot, req))
                 .unwrap_or(false)
         });
     let mut lanes = vec![primary];
@@ -448,44 +451,44 @@ fn form_batch(
             queue_wait,
         });
     }
-    (lanes, Some(key))
+    lanes
 }
 
-/// Execute a formed batch as one multi-RHS solve on the leased device,
-/// returning one terminal result per lane (in lane order). Session
-/// acquisition mirrors the solo path: one warm checkout or one cold
-/// build serves every lane; a panic anywhere condemns the whole batch
-/// and quarantines the session.
-fn execute_batch(
+/// Execute a formed batch — a solo job is a one-lane batch — as one
+/// multi-RHS solve on the leased device, returning one terminal result
+/// per lane (in lane order). One warm checkout or one cold build serves
+/// every lane; a panic anywhere condemns the whole batch and quarantines
+/// the session (nothing of a stillborn one ever reaches the cache).
+fn execute(
     inner: &ServiceInner,
     lanes: &[Lane],
     key: SessionKey,
     lease: &DeviceLease<AnyDevice>,
+    spec: &str,
 ) -> Vec<JobResult> {
-    // LINT: panic-ok(the pool is built with exactly one spec per slot)
-    let spec = inner.specs[lease.slot()].clone();
+    // A panic condemns every lane; the session is dropped instead of
+    // checked in: one tenant's panic quarantines the shared world.
+    let condemn = |msg: String| -> Vec<JobResult> {
+        inner.stats.bump(&inner.stats.quarantined);
+        let failed = |_| {
+            inner.stats.bump(&inner.stats.panicked);
+            JobResult::Failed(JobError::Panicked(msg.clone()))
+        };
+        lanes.iter().map(failed).collect()
+    };
     let setup_start = Instant::now();
     let (mut session, warm) = match inner.cache.checkout(&key) {
         Some(session) => {
             inner.stats.bump(&inner.stats.warm_hits);
             (session, true)
         }
-        // LINT: panic-ok(execute_batch is only called with >= 2 lanes)
+        // LINT: panic-ok(form_batch always returns the primary as lane 0)
         None => match Session::build(&key, &lanes[0].request, inner.order, lease) {
             Ok(session) => {
                 inner.stats.bump(&inner.stats.cold_builds);
                 (session, false)
             }
-            Err(JobError::Panicked(msg)) => {
-                inner.stats.bump(&inner.stats.quarantined);
-                return lanes
-                    .iter()
-                    .map(|_| {
-                        inner.stats.bump(&inner.stats.panicked);
-                        JobResult::Failed(JobError::Panicked(msg.clone()))
-                    })
-                    .collect();
-            }
+            Err(JobError::Panicked(msg)) => return condemn(msg),
             Err(e) => return lanes.iter().map(|_| JobResult::Failed(e.clone())).collect(),
         },
     };
@@ -494,7 +497,7 @@ fn execute_batch(
     let cancels: Vec<Option<CancelToken>> =
         lanes.iter().map(|l| Some(l.job.cancel.clone())).collect();
     let solve_start = Instant::now();
-    match session.run_batch(&reqs, &cancels) {
+    match session.run(&reqs, &cancels) {
         Ok(per_lane) => {
             let solve = solve_start.elapsed();
             if inner.cache.checkin(key, session) {
@@ -513,113 +516,13 @@ fn execute_batch(
                         solve,
                         warm,
                         lanes.len(),
-                        spec.clone(),
+                        spec.to_string(),
                     )),
                     Err(e) => JobResult::Failed(JobError::Setup(e)),
                 })
                 .collect()
         }
-        Err(JobError::Panicked(msg)) => {
-            // The session is dropped instead of checked in: one
-            // tenant's panic quarantines the shared world for the
-            // whole batch.
-            inner.stats.bump(&inner.stats.quarantined);
-            lanes
-                .iter()
-                .map(|_| {
-                    inner.stats.bump(&inner.stats.panicked);
-                    JobResult::Failed(JobError::Panicked(msg.clone()))
-                })
-                .collect()
-        }
-        Err(e) => {
-            if inner.cache.checkin(key, session) {
-                inner.stats.bump(&inner.stats.evicted);
-            }
-            lanes.iter().map(|_| JobResult::Failed(e.clone())).collect()
-        }
-    }
-}
-
-/// Execute one admitted job on the leased device; returns its terminal
-/// result (terminal counters are the caller's job, quarantine/session
-/// counters are bumped here where the decisions happen).
-fn execute(
-    inner: &ServiceInner,
-    job: &JobShared,
-    request: &SolveRequest,
-    lease: &DeviceLease<AnyDevice>,
-    queue_wait: Duration,
-) -> JobResult {
-    // LINT: panic-ok(the pool is built with exactly one spec per slot)
-    let spec = inner.specs[lease.slot()].clone();
-    if request.checked {
-        return execute_checked(inner, job, request, &spec, queue_wait);
-    }
-    let setup_start = Instant::now();
-    // The key derivation discretises the problem, which panics on
-    // singular input — isolate it like any other job panic.
-    let key = match catch_unwind(AssertUnwindSafe(|| {
-        SessionKey::of(request, &spec, lease.slot())
-    })) {
-        Ok(key) => key,
-        Err(payload) => {
-            inner.stats.bump(&inner.stats.panicked);
-            return JobResult::Failed(JobError::Panicked(panic_message(payload)));
-        }
-    };
-    let (mut session, warm) = match inner.cache.checkout(&key) {
-        Some(session) => {
-            inner.stats.bump(&inner.stats.warm_hits);
-            (session, true)
-        }
-        None => match Session::build(&key, request, inner.order, lease) {
-            Ok(session) => {
-                inner.stats.bump(&inner.stats.cold_builds);
-                (session, false)
-            }
-            Err(JobError::Panicked(msg)) => {
-                // The stillborn session is quarantined: nothing of it
-                // ever reaches the cache.
-                inner.stats.bump(&inner.stats.panicked);
-                inner.stats.bump(&inner.stats.quarantined);
-                return JobResult::Failed(JobError::Panicked(msg));
-            }
-            Err(e) => return JobResult::Failed(e),
-        },
-    };
-    let setup = setup_start.elapsed();
-    let solve_start = Instant::now();
-    match session.run(request, job.cancel.clone()) {
-        Ok(outcome) => {
-            let solve = solve_start.elapsed();
-            if inner.cache.checkin(key, session) {
-                inner.stats.bump(&inner.stats.evicted);
-            }
-            if outcome.cancelled {
-                JobResult::Cancelled
-            } else {
-                JobResult::Done(done(
-                    inner, outcome, queue_wait, setup, solve, warm, 1, spec,
-                ))
-            }
-        }
-        Err(JobError::Panicked(msg)) => {
-            // `session` is dropped here instead of checked in: the
-            // quarantine that keeps one tenant's panic from poisoning
-            // the next tenant's solve.
-            inner.stats.bump(&inner.stats.panicked);
-            inner.stats.bump(&inner.stats.quarantined);
-            JobResult::Failed(JobError::Panicked(msg))
-        }
-        Err(e) => {
-            // A clean setup refusal (e.g. malformed RHS override)
-            // leaves the session untouched and reusable.
-            if inner.cache.checkin(key, session) {
-                inner.stats.bump(&inner.stats.evicted);
-            }
-            JobResult::Failed(e)
-        }
+        Err(msg) => condemn(msg),
     }
 }
 
@@ -642,9 +545,9 @@ fn execute_checked(
         tol: request.tol,
         max_iters: request.max_iters,
         record_history: false,
-        cancel: Some(job.cancel.clone()),
         ..SolveParams::default()
     };
+    let cancels = [Some(job.cancel.clone())];
     let setup_start = Instant::now();
     let ran = try_run_ranks_checked::<f64, _, _>(ranks, config, |comm| {
         let dev = Checked::new(
@@ -654,13 +557,15 @@ fn execute_checked(
         );
         let decomp = Decomp::new(request.decomp);
         let mut solver = PoissonSolver::try_new(request.problem.clone(), decomp, dev, comm)?;
-        match &request.rhs {
-            Some(global) => {
-                let local = scatter(solver.grid(), global)?;
-                solver.resolve_with_rhs(&local, request.kind, &request.opts, &params)
-            }
-            None => Ok(solver.solve(request.kind, &request.opts, &params)),
-        }
+        let local = match &request.rhs {
+            Some(global) => Some(scatter(solver.grid(), global)?),
+            None => None,
+        };
+        let lane = local.as_deref().map_or(LaneRhs::Keep, LaneRhs::Load);
+        let (kind, opts) = (request.kind, &request.opts);
+        solver
+            .solve_lanes(&[lane], kind, opts, &params, &cancels)
+            .remove(0)
     });
     let solve = setup_start.elapsed();
     match ran {

@@ -1,25 +1,25 @@
 //! Warm sessions: constructed solvers kept alive across jobs.
 //!
-//! A session is one fully set-up [`PoissonSolver`] world — single-rank
-//! ([`SelfComm`]) or a persistent ranks-as-threads world
-//! ([`ThreadComm`]) — cached under a [`SessionKey`]. A warm hit skips
-//! the paper's entire setup phase (grid, operator, workspace and RHS
-//! assembly, normalisation, offload) and re-runs only `solve`, swapping
-//! in a fresh RHS when the job brings one.
+//! A session is one fully set-up world of [`PoissonSolver`]s — one per
+//! rank of a persistent ranks-as-threads world ([`ThreadComm`]), one rank
+//! or many — cached under a [`SessionKey`]. A warm hit skips the paper's
+//! entire setup phase (grid, operator, workspace and RHS assembly,
+//! normalisation, offload) and re-runs only the solve, loading a lane's
+//! RHS only when its solver slot does not already hold it.
 //!
 //! Panic isolation: every rank closure runs under `catch_unwind`; on a
-//! multi-rank panic the world is poisoned so blocked peers unwind
-//! instead of deadlocking, and the caller quarantines the session.
+//! panic the world is poisoned so blocked peers unwind instead of
+//! deadlocking, and the caller quarantines the session.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use accel::{AnyDevice, Recorder};
 use blockgrid::{BlockGrid, Decomp};
-use comm::{Poisoner, ReduceOrder, SelfComm, ThreadComm};
+use comm::{Poisoner, ReduceOrder, ThreadComm};
 use krylov::{CancelToken, SolveOutcome, SolveParams, SolverKind, SolverOptions};
 use poisson::assemble::local_rhs;
-use poisson::{PoissonProblem, PoissonSolver, SetupError};
+use poisson::{LaneRhs, PoissonProblem, PoissonSolver, SetupError};
 
 use crate::job::JobError;
 use crate::request::SolveRequest;
@@ -31,8 +31,8 @@ use crate::request::SolveRequest;
 /// [`Session::run`]).
 ///
 /// The slot is part of the key because a session embeds its own device
-/// handles (a clone of the leased device single-rank, per-rank devices
-/// built from the spec multi-rank): keying the cache per slot means a
+/// handles (the leased device in a one-rank world, per-rank devices
+/// built from the spec in wider ones): keying the cache per slot means a
 /// session only ever runs under the lease it was built on, so the
 /// `DevicePool` bounds *device* concurrency, not just job concurrency —
 /// two workers holding different slots can never drive the same
@@ -129,21 +129,16 @@ impl RhsSource {
     }
 }
 
-enum SessionWorld {
-    Single(Box<PoissonSolver<f64, AnyDevice, SelfComm<f64>>>),
-    Multi {
-        ranks: Vec<PoissonSolver<f64, AnyDevice, ThreadComm<f64>>>,
-        poisoner: Poisoner<f64>,
-    },
-}
-
 /// A constructed solver world, reusable across jobs with equal
 /// [`SessionKey`]s.
 pub(crate) struct Session {
-    world: SessionWorld,
-    /// Provenance of the RHS currently offloaded in `b`: the closures
-    /// it was assembled from, or `None` after an explicit override.
-    b_source: Option<RhsSource>,
+    /// One solver per rank, in rank order.
+    ranks: Vec<PoissonSolver<f64, AnyDevice, ThreadComm<f64>>>,
+    poisoner: Poisoner<f64>,
+    /// Provenance of the RHS each solver slot holds (the same on every
+    /// rank): the closures it was assembled from, or `None` after an
+    /// explicit override (or before the slot's first load).
+    sources: Vec<Option<RhsSource>>,
     /// Completed solves on this session (diagnostics).
     pub(crate) solves: u64,
 }
@@ -192,86 +187,102 @@ pub(crate) fn scatter(grid: &BlockGrid, global: &[f64]) -> Result<Vec<f64>, Setu
     Ok(local)
 }
 
-/// How this job's RHS reaches the solver.
-#[derive(Clone, Copy)]
-enum RhsPlan<'a> {
-    /// The offloaded `b` already matches the request; solve directly.
-    Keep,
-    /// Re-assemble from the request problem's closures, then swap.
-    Assemble(&'a PoissonProblem),
-    /// Scatter the request's global override, then swap.
-    Scatter(&'a [f64]),
-}
-
-fn run_one<C: comm::Communicator<f64>>(
-    solver: &mut PoissonSolver<f64, AnyDevice, C>,
-    plan: RhsPlan<'_>,
-    kind: SolverKind,
-    opts: &SolverOptions,
-    params: &SolveParams,
-) -> Result<SolveOutcome, SetupError> {
-    match plan {
-        RhsPlan::Keep => Ok(solver.solve(kind, opts, params)),
-        RhsPlan::Assemble(problem) => {
-            let local = local_rhs(problem, solver.grid());
-            solver.resolve_with_rhs(&local, kind, opts, params)
+/// Run `f` once per rank of a world — rank 0 on the calling thread, the
+/// others on scoped threads — each under `catch_unwind`: a panicking rank
+/// poisons the world so that peers blocked in a collective unwind too.
+/// Returns the per-rank results in rank order, or the root-cause panic's
+/// message.
+fn on_ranks<X: Send, R: Send>(
+    poisoner: &Poisoner<f64>,
+    per_rank: impl IntoIterator<Item = X>,
+    f: impl Fn(X) -> R + Sync,
+) -> Result<Vec<R>, String> {
+    let run = |x: X| {
+        let r = catch_unwind(AssertUnwindSafe(|| f(x)));
+        if r.is_err() {
+            poisoner.poison();
         }
-        RhsPlan::Scatter(global) => {
-            let local = scatter(solver.grid(), global)?;
-            solver.resolve_with_rhs(&local, kind, opts, params)
+        r
+    };
+    let run = &run;
+    let results: Vec<_> = std::thread::scope(|s| {
+        let mut per_rank = per_rank.into_iter();
+        let rank0 = per_rank.next();
+        let others: Vec<_> = per_rank.map(|x| s.spawn(move || run(x))).collect();
+        let joined = others.into_iter().map(|h| {
+            // LINT: panic-ok(rank closures run under catch_unwind)
+            h.join().expect("rank threads catch their panics")
+        });
+        rank0.map(run).into_iter().chain(joined).collect()
+    });
+    let mut outs = Vec::with_capacity(results.len());
+    let mut panics = Vec::new();
+    for r in results {
+        match r {
+            Ok(out) => outs.push(out),
+            Err(p) => panics.push(panic_message(p)),
         }
+    }
+    if panics.is_empty() {
+        Ok(outs)
+    } else {
+        Err(primary_panic(panics))
     }
 }
 
-/// Run every lane of a coalesced batch through one multi-RHS solve on
-/// this rank's solver. Per-lane setup refusals (zero RHS, size
-/// mismatch) come back in the lane's slot without poisoning the batch;
+/// One rank's part of [`Session::run`]: bring every lane's RHS to its
+/// solver slot — kept where `keep` says so, scattered from the lane's
+/// global override, or assembled from its problem's closures — and solve
+/// the lanes as one list. Per-lane setup refusals (zero RHS, size
+/// mismatch) come back in the lane's verdict without poisoning the list;
 /// the verdicts are collective, so every rank returns the same vec.
-///
-/// Every lane brings its own RHS (a scattered override or a fresh
-/// assembly from its problem closures) — the batched path never reuses
-/// the session's offloaded `b`, so `b_source` provenance is untouched.
-fn run_lanes<C: comm::Communicator<f64>>(
-    solver: &mut PoissonSolver<f64, AnyDevice, C>,
+fn run_lanes(
+    solver: &mut PoissonSolver<f64, AnyDevice, ThreadComm<f64>>,
     reqs: &[&SolveRequest],
+    keep: &[bool],
     params: &SolveParams,
     cancels: &[Option<CancelToken>],
 ) -> Vec<Result<SolveOutcome, SetupError>> {
     // LINT: panic-ok(callers always pass at least one lane request)
     let head = reqs[0];
-    let assembled: Vec<Result<Vec<f64>, SetupError>> = reqs
+    let loads: Vec<Result<Option<Vec<f64>>, SetupError>> = reqs
         .iter()
-        .map(|req| match &req.rhs {
-            Some(global) => scatter(solver.grid(), global),
-            None => Ok(local_rhs(&req.problem, solver.grid())),
+        .zip(keep)
+        .map(|(req, &keep)| match &req.rhs {
+            Some(global) => scatter(solver.grid(), global).map(Some),
+            None if keep => Ok(None),
+            None => Ok(Some(local_rhs(&req.problem, solver.grid()))),
         })
         .collect();
-    // Lanes whose scatter failed stay in the batch as empty slices so
+    // A lane whose scatter failed stays in the list as an empty slice so
     // lane indexing (and the collective normalisation) stays aligned on
-    // every rank; their recorded error wins below. A global-size
-    // mismatch is rank-uniform, so this stays collective.
-    let rhs_locals: Vec<&[f64]> = assembled
+    // every rank; its recorded error wins below. A global-size mismatch
+    // is rank-uniform, so this stays collective.
+    let lanes: Vec<LaneRhs<'_>> = loads
         .iter()
-        .map(|r| r.as_deref().unwrap_or(&[]))
-        .collect();
-    let lanes = solver.solve_batch(&rhs_locals, head.kind, &head.opts, params, cancels);
-    lanes
-        .into_iter()
-        .zip(assembled)
-        .map(|(lane, pre)| match pre {
-            Err(e) => Err(e),
-            Ok(_) => lane.map(|l| l.outcome),
+        .map(|load| match load {
+            Ok(Some(local)) => LaneRhs::Load(local),
+            Ok(None) => LaneRhs::Keep,
+            Err(_) => LaneRhs::Load(&[]),
         })
+        .collect();
+    let outs = solver.solve_lanes(&lanes, head.kind, &head.opts, params, cancels);
+    loads
+        .into_iter()
+        .zip(outs)
+        .map(|(load, out)| load.and(out))
         .collect()
 }
 
 impl Session {
-    /// Construct the session for `req` cold. The single-rank flavour
-    /// runs on a clone of the leased device; multi-rank worlds build
-    /// one device per rank from the key's spec. Any panic during
-    /// construction is caught (and, multi-rank, the half-built world
-    /// poisoned) and reported as [`JobError::Panicked`] — the caller
-    /// counts the stillborn session as quarantined.
+    /// Construct the session for `req` cold: a world of
+    /// `req.decomp`-many ranks, each assembling and offloading `req`'s
+    /// RHS into its solver's slot 0. A one-rank world runs on the leased
+    /// device itself; wider worlds build one device per rank from the
+    /// key's spec. Any panic during construction is caught (and the
+    /// half-built world poisoned) and reported as
+    /// [`JobError::Panicked`] — the caller counts the stillborn session
+    /// as quarantined.
     pub(crate) fn build(
         key: &SessionKey,
         req: &SolveRequest,
@@ -279,258 +290,88 @@ impl Session {
         leased: &AnyDevice,
     ) -> Result<Self, JobError> {
         let decomp = Decomp::new(req.decomp);
-        let ranks = decomp.ranks();
-        let b_source = Some(RhsSource::of(&req.problem));
-        if ranks == 1 {
-            let problem = req.problem.clone();
-            let dev = leased.clone();
-            let built = catch_unwind(AssertUnwindSafe(|| {
-                PoissonSolver::try_new(problem, decomp, dev, SelfComm::default())
-            }));
-            match built {
-                Ok(Ok(solver)) => Ok(Self {
-                    world: SessionWorld::Single(Box::new(solver)),
-                    b_source,
-                    solves: 0,
-                }),
-                Ok(Err(e)) => Err(JobError::Setup(e)),
-                Err(p) => Err(JobError::Panicked(panic_message(p))),
-            }
-        } else {
-            let comms = ThreadComm::<f64>::world(ranks, order, vec![Recorder::disabled(); ranks]);
-            // LINT: panic-ok(world(ranks, ..) returns exactly ranks >= 2
-            // communicators on this branch)
-            let poisoner = comms[0].poisoner();
-            let spec = key.device().to_string();
-            let results: Vec<_> = std::thread::scope(|s| {
-                let handles: Vec<_> = comms
-                    .into_iter()
-                    .map(|comm| {
-                        let problem = req.problem.clone();
-                        let poi = poisoner.clone();
-                        let spec = spec.clone();
-                        s.spawn(move || {
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                let dev = AnyDevice::from_spec(&spec, Recorder::disabled())
-                                    // LINT: panic-ok(try_start built a device from this exact spec)
-                                    .expect("device spec validated at service start");
-                                PoissonSolver::try_new(problem, decomp, dev, comm)
-                            }));
-                            if r.is_err() {
-                                // unblock peers stuck in collectives so
-                                // they unwind too
-                                poi.poison();
-                            }
-                            r
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // LINT: panic-ok(rank closures run under catch_unwind)
-                    .map(|h| h.join().expect("rank threads catch their panics"))
-                    .collect()
-            });
-            let mut solvers = Vec::with_capacity(ranks);
-            let mut panics = Vec::new();
-            let mut setup = None;
-            for r in results {
-                match r {
-                    Ok(Ok(s)) => solvers.push(s),
-                    Ok(Err(e)) => setup = Some(e),
-                    Err(p) => panics.push(panic_message(p)),
-                }
-            }
-            if !panics.is_empty() {
-                Err(JobError::Panicked(primary_panic(panics)))
-            } else if let Some(e) = setup {
-                Err(JobError::Setup(e))
+        let size = decomp.ranks();
+        let comms = ThreadComm::<f64>::world(size, order, vec![Recorder::disabled(); size]);
+        // LINT: panic-ok(world(size, ..) returns exactly size >= 1 communicators)
+        let poisoner = comms[0].poisoner();
+        let built = on_ranks(&poisoner, comms, |comm| {
+            let dev = if size == 1 {
+                leased.clone()
             } else {
-                Ok(Self {
-                    world: SessionWorld::Multi {
-                        ranks: solvers,
-                        poisoner,
-                    },
-                    b_source,
-                    solves: 0,
-                })
-            }
-        }
+                AnyDevice::from_spec(key.device(), Recorder::disabled())
+                    // LINT: panic-ok(try_start built a device from this exact spec)
+                    .expect("device spec validated at service start")
+            };
+            PoissonSolver::try_new(req.problem.clone(), decomp, dev, comm)
+        })
+        .map_err(JobError::Panicked)?;
+        let ranks = built
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(JobError::Setup)?;
+        Ok(Self {
+            ranks,
+            poisoner,
+            sources: vec![Some(RhsSource::of(&req.problem))],
+            solves: 0,
+        })
     }
 
-    /// Execute one job on this session.
-    ///
-    /// `Err(JobError::Panicked)` means the session state can no longer
-    /// be trusted — the caller must quarantine it. `Err(JobError::Setup)`
-    /// is a clean collective refusal (every rank returned before
-    /// touching solver state): the session stays reusable.
-    pub(crate) fn run(
-        &mut self,
-        req: &SolveRequest,
-        cancel: CancelToken,
-    ) -> Result<SolveOutcome, JobError> {
-        let plan = match &req.rhs {
-            Some(global) => RhsPlan::Scatter(global),
-            None if self
-                .b_source
-                .as_ref()
-                .is_some_and(|s| s.matches(&req.problem)) =>
-            {
-                RhsPlan::Keep
-            }
-            None => RhsPlan::Assemble(&req.problem),
-        };
-        let params = SolveParams {
-            tol: req.tol,
-            max_iters: req.max_iters,
-            record_history: false,
-            cancel: Some(cancel),
-            ..Default::default()
-        };
-        let outcome = match &mut self.world {
-            SessionWorld::Single(solver) => {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_one(solver, plan, req.kind, &req.opts, &params)
-                })) {
-                    Ok(Ok(out)) => Ok(out),
-                    Ok(Err(e)) => Err(JobError::Setup(e)),
-                    Err(p) => Err(JobError::Panicked(panic_message(p))),
-                }
-            }
-            SessionWorld::Multi { ranks, poisoner } => {
-                let results: Vec<_> = std::thread::scope(|s| {
-                    let handles: Vec<_> = ranks
-                        .iter_mut()
-                        .map(|solver| {
-                            let poi = poisoner.clone();
-                            let params = params.clone();
-                            s.spawn(move || {
-                                let r = catch_unwind(AssertUnwindSafe(|| {
-                                    run_one(solver, plan, req.kind, &req.opts, &params)
-                                }));
-                                if r.is_err() {
-                                    poi.poison();
-                                }
-                                r
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        // LINT: panic-ok(rank closures run under catch_unwind)
-                        .map(|h| h.join().expect("rank threads catch their panics"))
-                        .collect()
-                });
-                let mut out = None;
-                let mut panics = Vec::new();
-                let mut setup = None;
-                for r in results {
-                    match r {
-                        Ok(Ok(o)) => out = out.or(Some(o)),
-                        Ok(Err(e)) => setup = Some(e),
-                        Err(p) => panics.push(panic_message(p)),
-                    }
-                }
-                if !panics.is_empty() {
-                    Err(JobError::Panicked(primary_panic(panics)))
-                } else if let Some(e) = setup {
-                    Err(JobError::Setup(e))
-                } else {
-                    // LINT: panic-ok(no panics and no setup error means
-                    // every rank returned Ok, and ranks >= 2 here)
-                    Ok(out.expect("every rank returned an outcome"))
-                }
-            }
-        }?;
-        self.solves += 1;
-        self.b_source = match &req.rhs {
-            Some(_) => None,
-            None => Some(RhsSource::of(&req.problem)),
-        };
-        Ok(outcome)
-    }
-
-    /// Execute a coalesced batch of jobs as one multi-RHS solve.
+    /// Execute jobs on this session as one multi-RHS solve: a solo job
+    /// is a one-lane list, a coalesced batch a wider one. Lane `l` runs in
+    /// slot `l` of every rank's solver; a lane without an RHS override
+    /// keeps the slot's RHS when the slot was assembled from the very
+    /// closures of the lane's problem ([`RhsSource`]), and every other
+    /// lane loads its own.
     ///
     /// Callers guarantee the requests share this session's key plus the
     /// solve envelope (`tol`, `max_iters`) — batch formation enforces
     /// it. Each lane carries its own cancel token; cancelling one lane
     /// freezes it and leaves every other lane bitwise-unchanged.
     ///
-    /// `Ok` carries one slot per lane: the lane's outcome, or its own
-    /// clean setup refusal (a bad lane never poisons its batchmates).
-    /// `Err(JobError::Panicked)` condemns the whole batch and the
-    /// caller must quarantine the session, exactly like [`Session::run`].
-    pub(crate) fn run_batch(
+    /// `Ok` carries one verdict per lane: the lane's outcome, or its own
+    /// clean setup refusal — collective, so every rank agrees, it leaves
+    /// the session reusable and never poisons the lane's batchmates.
+    /// `Err` is a panic's message and condemns every lane: the session
+    /// state can no longer be trusted and the caller must quarantine it.
+    pub(crate) fn run(
         &mut self,
         reqs: &[&SolveRequest],
         cancels: &[Option<CancelToken>],
-    ) -> Result<Vec<Result<SolveOutcome, SetupError>>, JobError> {
+    ) -> Result<Vec<Result<SolveOutcome, SetupError>>, String> {
         // LINT: panic-ok(callers always pass at least one lane request)
         let head = reqs[0];
         let params = SolveParams {
             tol: head.tol,
             max_iters: head.max_iters,
             record_history: false,
-            // Per-lane tokens travel through `cancels`; a params-level
-            // token is a solo-path concept the batched driver rejects.
-            cancel: None,
             ..Default::default()
         };
-        let out = match &mut self.world {
-            SessionWorld::Single(solver) => {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_lanes(solver, reqs, &params, cancels)
-                })) {
-                    Ok(lanes) => Ok(lanes),
-                    Err(p) => Err(JobError::Panicked(panic_message(p))),
-                }
+        // Decided once, for every rank alike.
+        let width = self.sources.len().max(reqs.len());
+        self.sources.resize(width, None);
+        let keep: Vec<bool> = reqs
+            .iter()
+            .zip(&self.sources)
+            .map(|(req, source)| {
+                req.rhs.is_none() && source.as_ref().is_some_and(|s| s.matches(&req.problem))
+            })
+            .collect();
+        let per_rank = on_ranks(&self.poisoner, &mut self.ranks, |solver| {
+            run_lanes(solver, reqs, &keep, &params, cancels)
+        })?;
+        // Lane verdicts are collective: every rank's vec is identical, so
+        // rank 0's stands for all.
+        // LINT: panic-ok(a world has at least one rank)
+        let verdicts = per_rank.into_iter().next().expect("one rank at least");
+        for ((req, verdict), source) in reqs.iter().zip(&verdicts).zip(&mut self.sources) {
+            // A refused lane left its slot as it was.
+            if verdict.is_ok() {
+                *source = req.rhs.is_none().then(|| RhsSource::of(&req.problem));
             }
-            SessionWorld::Multi { ranks, poisoner } => {
-                let results: Vec<_> = std::thread::scope(|s| {
-                    let handles: Vec<_> = ranks
-                        .iter_mut()
-                        .map(|solver| {
-                            let poi = poisoner.clone();
-                            let params = params.clone();
-                            s.spawn(move || {
-                                let r = catch_unwind(AssertUnwindSafe(|| {
-                                    run_lanes(solver, reqs, &params, cancels)
-                                }));
-                                if r.is_err() {
-                                    poi.poison();
-                                }
-                                r
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        // LINT: panic-ok(rank closures run under catch_unwind)
-                        .map(|h| h.join().expect("rank threads catch their panics"))
-                        .collect()
-                });
-                let mut out = None;
-                let mut panics = Vec::new();
-                for r in results {
-                    match r {
-                        // Lane verdicts are collective: every rank's vec
-                        // is identical, so rank 0's stands for all.
-                        Ok(lanes) => out = out.or(Some(lanes)),
-                        Err(p) => panics.push(panic_message(p)),
-                    }
-                }
-                if !panics.is_empty() {
-                    Err(JobError::Panicked(primary_panic(panics)))
-                } else {
-                    // LINT: panic-ok(no panics means every rank returned
-                    // its lane vec, and ranks >= 2 here)
-                    Ok(out.expect("every rank returned lane outcomes"))
-                }
-            }
-        }?;
+        }
         self.solves += reqs.len() as u64;
-        Ok(out)
+        Ok(verdicts)
     }
 }
 

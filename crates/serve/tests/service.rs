@@ -1,7 +1,7 @@
 //! End-to-end service tests: lifecycle, warm reuse, panic isolation,
 //! scheduling semantics and the checked-mode harness.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -556,6 +556,90 @@ fn multi_rank_jobs_coalesce_and_match_their_solo_runs() {
             "multi-rank lane {i} must match its solo solve bitwise"
         );
     }
+}
+
+/// A tenant whose RHS closure counts its evaluations in `calls` — the
+/// cost of assembling its right-hand side — with `amp` telling tenants
+/// apart.
+fn counted_problem(calls: &Arc<AtomicUsize>, amp: f64) -> PoissonProblem {
+    let mut p = unit_cube_dirichlet(9);
+    let calls = calls.clone();
+    p.rhs = Arc::new(move |x, y, z| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        amp * (1.0 + x + 2.0 * y - z)
+    });
+    p.exact = None;
+    p
+}
+
+#[test]
+fn warm_lanes_keep_their_slot_rhs_instead_of_reassembling() {
+    // Three tenants, same session fingerprint, distinct RHS closures,
+    // coalesced into one batch behind a gated blocker — twice — then
+    // lane 0's tenant alone. Cold, every RHS is assembled exactly once:
+    // lane 0's by the session build, which its slot keeps, and the
+    // others' into their own slots. Warm, every lane finds its slot
+    // already holding its tenant's RHS and assembles nothing, and so
+    // does the solo job in slot 0. Every answer is bitwise its cold one.
+    let svc = SolveService::start(ServiceConfig {
+        workers: 1,
+        batch_window: 4,
+        ..ServiceConfig::default()
+    });
+    let calls: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let reqs: Vec<SolveRequest> = calls
+        .iter()
+        .enumerate()
+        .map(|(i, c)| quick(counted_problem(c, 1.0 + i as f64)))
+        .collect();
+    let counts = || -> Vec<usize> { calls.iter().map(|c| c.load(Ordering::SeqCst)).collect() };
+    let coalesced = |reqs: &[SolveRequest]| {
+        let gate = Arc::new(AtomicBool::new(false));
+        let blocker = svc.submit(quick(gated_problem(&gate))).unwrap();
+        wait_until_running(&blocker);
+        let handles: Vec<JobHandle> = reqs
+            .iter()
+            .map(|r| svc.submit(r.clone()).unwrap())
+            .collect();
+        gate.store(true, Ordering::SeqCst);
+        assert!(blocker.wait().output().is_some());
+        handles
+            .iter()
+            .map(|h| h.wait().output().expect("lane completes").clone())
+            .collect::<Vec<_>>()
+    };
+
+    let cold = coalesced(&reqs);
+    let assembled = counts();
+    assert!(assembled[0] > 0, "{assembled:?}");
+    assert!(
+        assembled.iter().all(|&n| n == assembled[0]),
+        "each RHS assembled exactly once cold: {assembled:?}"
+    );
+    let warm = coalesced(&reqs);
+    assert_eq!(counts(), assembled, "warm lanes must keep their slots' RHS");
+    let solo = svc.submit(reqs[0].clone()).unwrap().wait();
+    let solo = solo.output().expect("solo job completes").clone();
+    assert_eq!(counts(), assembled, "a solo job must keep slot 0's RHS");
+
+    for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
+        assert_eq!((c.metrics.batch_size, w.metrics.batch_size), (3, 3));
+        assert!(!c.metrics.warm && w.metrics.warm, "lane {i}");
+        assert!(c.outcome.converged, "lane {i}");
+        assert_eq!(c.outcome.iterations, w.outcome.iterations, "lane {i}");
+        assert_eq!(
+            c.outcome.final_residual.to_bits(),
+            w.outcome.final_residual.to_bits(),
+            "lane {i}: a kept RHS must solve bitwise like the assembled one"
+        );
+    }
+    assert_eq!(solo.metrics.batch_size, 1);
+    assert!(solo.metrics.warm);
+    assert_eq!(
+        solo.outcome.final_residual.to_bits(),
+        cold[0].outcome.final_residual.to_bits(),
+        "the solo job must solve bitwise like its cold lane"
+    );
 }
 
 mod no_job_lost {

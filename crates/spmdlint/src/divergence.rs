@@ -25,9 +25,7 @@ use crate::{Finding, SrcInfo};
 const COLLECTIVES: &[&str] = &[
     "all_reduce",
     "iall_reduce",
-    "iall_reduce_batch",
     "iall_reduce_many",
-    "reduce_batch",
     "reduce_finish",
     "reduce_finish_many",
     "barrier",

@@ -48,7 +48,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/ctx.rs", "split_phase_halo"),
     // Fused vector kernels.
     ("crates/krylov/src/kernels.rs", "axpy_inplace"),
-    ("crates/krylov/src/kernels.rs", "axpy2_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_chained_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_chained_batch"),
     ("crates/krylov/src/kernels.rs", "axpy3_inplace"),
@@ -143,9 +142,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/comm/src/thread_comm.rs", "barrier"),
     ("crates/comm/src/thread_comm.rs", "iall_reduce"),
     ("crates/comm/src/thread_comm.rs", "reduce_finish"),
-    // Communicator trait defaults (SelfComm fallbacks).
-    ("crates/comm/src/types.rs", "reduce_batch"),
-    ("crates/comm/src/types.rs", "iall_reduce_batch"),
     // The run launch of every back-end, the run geometry and the per-row
     // wrappers every element-wise kernel launches through. SimGpu books
     // one partial slot per simulated thread block (`alloc-ok`).

@@ -1,6 +1,6 @@
 //! SPMD001 — split-phase begin/finish pairing.
 //!
-//! Every split-phase begin (`iall_reduce`/`iall_reduce_batch` returning a
+//! Every split-phase begin (`iall_reduce` returning a
 //! `ReduceRequest`, `iall_reduce_many` returning a `ReduceManyRequest`,
 //! `halo.begin`/`halo.begin_lanes` returning a `PendingExchange`,
 //! `apply_shell_dot` returning a `PendingDotFold`) must reach its finish
@@ -41,7 +41,7 @@ struct BeginClass {
 
 const CLASSES: &[BeginClass] = &[
     BeginClass {
-        begins: &["iall_reduce", "iall_reduce_batch"],
+        begins: &["iall_reduce"],
         finish: "reduce_finish",
         handle: "ReduceRequest",
         contextual_halo: false,

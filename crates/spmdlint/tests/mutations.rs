@@ -265,7 +265,6 @@ fn registry_entries_without_a_definition_are_findings() {
     // in the workspace carries can no longer be paired.
     let defined: std::collections::BTreeSet<String> = [
         "iall_reduce",
-        "iall_reduce_batch",
         "reduce_finish",
         "iall_reduce_many",
         "reduce_finish_many",

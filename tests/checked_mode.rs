@@ -34,8 +34,8 @@ fn params() -> SolveParams {
 #[test]
 fn all_backends_solve_identically_under_the_sanitizer() {
     for spec in ["serial", "threads:3", "mi250x"] {
-        let (plain_iters, plain_sol) = run_one(spec, false);
-        let (checked_iters, checked_sol) = run_one(spec, true);
+        let (plain_iters, plain_sol) = solve_spec(spec, false);
+        let (checked_iters, checked_sol) = solve_spec(spec, true);
         assert_eq!(plain_iters, checked_iters, "{spec}");
         for (a, b) in plain_sol.iter().zip(&checked_sol) {
             assert_eq!(a.to_bits(), b.to_bits(), "{spec}");
@@ -43,7 +43,7 @@ fn all_backends_solve_identically_under_the_sanitizer() {
     }
 }
 
-fn run_one(spec: &str, checked: bool) -> (usize, Vec<f64>) {
+fn solve_spec(spec: &str, checked: bool) -> (usize, Vec<f64>) {
     let dev = AnyDevice::from_spec(spec, Recorder::disabled()).unwrap();
     if checked {
         solve_with(Checked::new(dev))

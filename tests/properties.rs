@@ -262,12 +262,12 @@ proptest! {
     }
 
     /// Batching transparency of the split-phase reduction: one
-    /// `iall_reduce_batch` over N single-scalar groups returns exactly
-    /// the bits of N sequential blocking `all_reduce` calls under
-    /// RankOrder, with the local scalars produced by the device dot
-    /// kernel on every back-end. This is the invariant that lets the
-    /// overlapped Bi-CGSTAB merge its per-iteration dots into two
-    /// batched messages without perturbing a single bit.
+    /// `iall_reduce_many` over N scalars returns exactly the bits of N
+    /// sequential blocking `all_reduce` calls under RankOrder, with the
+    /// local scalars produced by the device dot kernel on every
+    /// back-end. This is the invariant that lets the overlapped
+    /// Bi-CGSTAB merge its per-iteration dots into two batched messages
+    /// without perturbing a single bit.
     #[test]
     fn batched_iall_reduce_matches_sequential_all_reduce(
         (global, input) in grid_strategy(),
@@ -292,10 +292,9 @@ proptest! {
                     .map(|s| base * (0.25 + 0.5 * s as f64) - s as f64)
                     .collect();
                 let reduced: Vec<f64> = if batched {
-                    let groups: Vec<&[f64]> = vals.iter().map(std::slice::from_ref).collect();
-                    let req = comm.iall_reduce_batch(&groups, ReduceOp::Sum);
+                    let req = comm.iall_reduce_many(&vals, ReduceOp::Sum);
                     let mut out = vec![0.0; nscalars];
-                    comm.reduce_finish(req, &mut out);
+                    comm.reduce_finish_many(req, &mut out);
                     out
                 } else {
                     vals.iter()
