@@ -64,24 +64,29 @@ impl Device for Serial {
         }
     }
 
-    fn launch_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
     {
-        self.recorder.kernel(info, ny * nz);
-        let mut acc = [T::ZERO; NR];
-        for k in 0..nz {
-            for j in 0..ny {
-                acc = add_partials(acc, f(j, k));
-            }
+        if accs.is_empty() {
+            return;
         }
-        acc
+        self.recorder.kernel(info, ny * nz * accs.len());
+        for (s, acc) in accs.iter_mut().enumerate() {
+            let mut sum = [T::ZERO; NR];
+            for k in 0..nz {
+                for j in 0..ny {
+                    sum = add_partials(sum, f(s, j, k));
+                }
+            }
+            *acc = sum;
+        }
     }
 }
 

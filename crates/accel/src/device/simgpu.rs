@@ -155,29 +155,35 @@ impl Device for SimGpu {
         }
     }
 
-    fn launch_reduce<T: Scalar, F, const NR: usize>(
+    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
+        accs: &mut [[T; NR]],
         f: F,
-    ) -> [T; NR]
-    where
-        F: Fn(usize, usize) -> [T; NR] + Sync,
+    ) where
+        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
     {
-        self.recorder.kernel(info, ny * nz);
+        if accs.is_empty() {
+            return;
+        }
+        self.recorder.kernel(info, ny * nz * accs.len());
         let rows = ny * nz;
         let bs = self.params.block_rows;
         let blocks = rows.div_ceil(bs);
         let mut block_partials = Vec::with_capacity(blocks);
-        for b in 0..blocks {
-            let mut acc = [T::ZERO; NR];
-            for r in b * bs..((b + 1) * bs).min(rows) {
-                acc = add_partials(acc, f(r % ny, r / ny));
+        for (s, acc) in accs.iter_mut().enumerate() {
+            block_partials.clear();
+            for b in 0..blocks {
+                let mut part = [T::ZERO; NR];
+                for r in b * bs..((b + 1) * bs).min(rows) {
+                    part = add_partials(part, f(s, r % ny, r / ny));
+                }
+                block_partials.push(part);
             }
-            block_partials.push(acc);
+            *acc = tree_reduce(&mut block_partials);
         }
-        tree_reduce(&mut block_partials)
     }
 }
 

@@ -7,11 +7,11 @@ use comm::{run_ranks, ReduceOrder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use krylov::kernels::{
     axpy3_inplace, axpy_dot, axpy_inplace, dot, residual_p_update_fused, residual_update_fused,
-    INFO_BICGS2, INFO_BICGS2F, INFO_BICGS5, INFO_BICGS56, INFO_BICGS6, INFO_CI1, INFO_CI2,
-    INFO_DOT,
+    INFO_BICGS2, INFO_BICGS2F, INFO_BICGS3F, INFO_BICGS5, INFO_BICGS56, INFO_BICGS6, INFO_CI1,
+    INFO_CI2, INFO_DOT,
 };
 use krylov::{global_bounds, ChebyMode, ChebyshevIteration, RankCtx};
-use stencil::{apply_physical_bcs, Laplacian, INFO_APPLY};
+use stencil::{apply_physical_bcs, Laplacian, Part, INFO_APPLY};
 
 fn grid(n: usize) -> BlockGrid {
     BlockGrid::new(
@@ -50,21 +50,38 @@ fn bench_stencil(c: &mut Criterion) {
                 b.iter(|| lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w, &r0t));
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("fused_dot2(KernelBiCGS3)", n),
-            &n,
-            |b, _| {
-                b.iter(|| lap.apply_fused_dot2(&dev, INFO_APPLY, &u, &mut w, &r0t));
-            },
-        );
         let z = filled(&dev, &g, 3);
+        let (rs, gs) = (r0t.as_slice(), z.as_slice());
+        let dots3 = |_, c: usize, v: f64| [v * rs[c], v * v, gs[c] * v];
+        let id = BenchmarkId::new("fused_dots3(KernelBiCGS3F)", n);
+        group.bench_with_input(id, &n, |b, _| {
+            b.iter(|| {
+                let (mut acc, us) = ([[0.0; 3]], &[u.as_slice()]);
+                let outs = &mut [w.as_mut_slice()];
+                lap.apply_part_dots(
+                    &dev,
+                    INFO_BICGS3F,
+                    &Part::Whole,
+                    us,
+                    outs,
+                    &mut [],
+                    &mut acc,
+                    &dots3,
+                )
+                .fold(&dev, INFO_BICGS3F, &[], &mut acc);
+                acc
+            });
+        });
         group.bench_with_input(BenchmarkId::new("combine(KernelCI1)", n), &n, |b, _| {
-            b.iter(|| lap.apply_combine(&dev, INFO_CI1, &u, &mut w, -0.1, [(&u, 1.5)]));
+            b.iter(|| {
+                let terms = [(&u, 1.5)];
+                lap.apply_combine(&dev, INFO_CI1, &Part::Whole, &u, &mut w, -0.1, terms)
+            });
         });
         group.bench_with_input(BenchmarkId::new("combine(KernelCI2)", n), &n, |b, _| {
             b.iter(|| {
                 let terms = [(&u, 1.5), (&r0t, -0.5), (&z, 0.25)];
-                lap.apply_combine(&dev, INFO_CI2, &u, &mut w, -0.1, terms)
+                lap.apply_combine(&dev, INFO_CI2, &Part::Whole, &u, &mut w, -0.1, terms)
             });
         });
         group.bench_with_input(BenchmarkId::new("physical_bcs", n), &n, |b, _| {

@@ -502,6 +502,7 @@ pub fn sweeps_per_iteration(run: impl Fn(&RunConfig) -> RunResult) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencil::Part;
 
     #[test]
     fn mean_std_basics() {
@@ -636,7 +637,7 @@ mod tests {
         let terms = [(&u, 1.5), (&f1, -0.5), (&f2, 0.25)];
         let (apply, combine) = best_times(
             &mut || lap.apply(&dev, INFO_APPLY, &u, &mut wa),
-            &mut || lap.apply_combine(&dev, INFO_APPLY, &u, &mut wb, -0.1, terms),
+            &mut || lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut wb, -0.1, terms),
         );
         let ratio = combine / apply;
         println!(
@@ -662,11 +663,13 @@ mod tests {
         let dev = accel::Serial::new(Recorder::disabled());
         let (lap, [u, f1, f2], [mut wa, mut wb]) = sweep_fixture(64, [2, 1, 1]);
         let terms = [(&u, 1.5), (&f1, -0.5), (&f2, 0.25)];
+        let faces = lap.grid().interface_mask();
         let (whole, split) = best_times(
-            &mut || lap.apply_combine(&dev, INFO_APPLY, &u, &mut wa, -0.1, terms),
+            &mut || lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut wa, -0.1, terms),
             &mut || {
-                lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut wb, -0.1, terms);
-                lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut wb, -0.1, terms);
+                for part in &[Part::Window(faces), Part::Shell(faces)] {
+                    lap.apply_combine(&dev, INFO_APPLY, part, &u, &mut wb, -0.1, terms);
+                }
             },
         );
         let ratio = split / whole;
@@ -706,7 +709,7 @@ mod tests {
         let (whole, wavefront) = best_times(
             &mut || {
                 for _ in 0..24 {
-                    lap.apply_combine(&dev, INFO_CI2, &y, &mut wa, -0.1, terms);
+                    lap.apply_combine(&dev, INFO_CI2, &Part::Whole, &y, &mut wa, -0.1, terms);
                     stencil::apply_physical_bcs(lap.grid(), &mut wa, &Recorder::disabled(), true);
                 }
             },
@@ -759,7 +762,7 @@ mod tests {
         let sweeps = |lap: &stencil::Laplacian, y, b, z, out: &mut blockgrid::Field<f64>| {
             let terms = [(y, 1.5), (b, -0.5), (z, 0.25)];
             for _ in 0..200 {
-                lap.apply_combine_planes(&dev, INFO_CI2, 1..2, y, out, -0.1, terms);
+                lap.apply_combine(&dev, INFO_CI2, &Part::Planes(1..2), y, out, -0.1, terms);
             }
         };
         // The quietest of many short alternated samples: a sub-ms sample

@@ -27,13 +27,15 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 /// unpacked — the buffered-`Isend`/`Irecv`/`Waitall` pattern, which is
 /// deadlock-free by construction.
 ///
-/// Two modes are offered, each for any number of *lanes* (the fields of
-/// a multi-RHS batch, whose face planes share one message per face; a
-/// single field is the one-lane case) and any field element `E` no wider
-/// than the communicator's wire word `T`:
+/// Two modes are offered for any field element `E` no wider than the
+/// communicator's wire word `T`:
 ///
-/// * [`HaloExchange::exchange_lanes`] — the classic synchronous exchange.
-/// * [`HaloExchange::begin_lanes`] / [`HaloExchange::finish_lanes`] — a
+/// * [`HaloExchange::exchange`] — the classic synchronous exchange of one
+///   field.
+/// * [`HaloExchange::begin_lanes`] / [`HaloExchange::finish_lanes`] — for
+///   any number of *lanes* (the fields of a multi-RHS batch, whose face
+///   planes share one message per face; `begin`/`finish` are their
+///   one-lane calls), a
 ///   split-phase exchange that lets the caller overlap interior compute
 ///   with the in-flight messages (the paper's Sec. V communication-hiding
 ///   discussion). `begin` packs and posts everything; the caller then
@@ -79,11 +81,21 @@ impl<T: Scalar> Clone for HaloExchange<T> {
 #[derive(Debug)]
 pub struct PendingExchange<E: Scalar> {
     recvs: [[Option<RecvRequest>; 2]; 3],
+    faces: u8,
     lanes: usize,
     msgs: u32,
     bytes: u64,
     overlap: bool,
     width: PhantomData<E>,
+}
+
+impl<E: Scalar> PendingExchange<E> {
+    /// The faces in flight (bit `axis * 2 + side`, the `in_flight` of
+    /// [`accel::RowMap::halo_window`]), whose ghosts nothing may read
+    /// before `finish`; zero without a neighbour or a lane.
+    pub fn faces(&self) -> u8 {
+        self.faces
+    }
 }
 
 /// Message tag for a face moving from side `1 - side` toward `side` along
@@ -159,11 +171,6 @@ impl<T: Scalar> HaloExchange<T> {
             grid: grid.clone(),
             pool: Mutex::new([Vec::new(), Vec::new(), Vec::new()]),
         }
-    }
-
-    /// Number of interface faces this rank exchanges.
-    pub fn interface_faces(&self) -> usize {
-        self.grid.interface_mask().count_ones() as usize
     }
 
     /// Elements in the face plane orthogonal to `axis`.
@@ -351,7 +358,19 @@ impl<T: Scalar> HaloExchange<T> {
         overlap: bool,
     ) -> PendingExchange<E> {
         let nl = lanes.len();
-        assert!(nl > 0, "a halo exchange carries at least one lane");
+        // An exchange of no lanes has nothing in flight and books nothing;
+        // one without faces opens no overlap window (nothing to hide).
+        let faces = if nl == 0 {
+            0
+        } else {
+            self.grid.interface_mask()
+        };
+        let overlap = overlap && faces != 0;
+        let in_flight = |axis: usize, side: usize| {
+            let bit = faces >> (axis * 2 + side) & 1 == 1;
+            bit.then(|| self.grid.boundary(axis, side).neighbor())
+                .flatten()
+        };
         let k = per_word::<E, T>();
         let [info, _] = pack_infos::<E>();
         // Post all receives first (`MPI_Irecv`), as the paper's
@@ -359,7 +378,7 @@ impl<T: Scalar> HaloExchange<T> {
         let mut recvs: [[Option<RecvRequest>; 2]; 3] = [[None; 2]; 3];
         for (axis, slots) in recvs.iter_mut().enumerate() {
             for (side, slot) in slots.iter_mut().enumerate() {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
+                if let Some(neighbor) = in_flight(axis, side) {
                     *slot = Some(comm.irecv(neighbor, face_tag(axis, 1 - side, nl, k > 1)));
                 }
             }
@@ -372,7 +391,7 @@ impl<T: Scalar> HaloExchange<T> {
         for axis in 0..3 {
             let flen = self.face_len(axis);
             for side in 0..2 {
-                if let Some(neighbor) = self.grid.boundary(axis, side).neighbor() {
+                if let Some(neighbor) = in_flight(axis, side) {
                     let mut face = self.acquire(axis, flen * nl);
                     for (lane, plane) in lanes.iter().zip(face.chunks_exact_mut(flen)) {
                         self.pack_face(dev, info, lane, axis, side, plane);
@@ -402,6 +421,7 @@ impl<T: Scalar> HaloExchange<T> {
         }
         PendingExchange {
             recvs,
+            faces,
             lanes: nl,
             msgs,
             bytes,
@@ -419,10 +439,11 @@ impl<T: Scalar> HaloExchange<T> {
     /// lane's ghosts are bitwise those of an exchange of that lane alone.
     /// All ranks must pass the same number of lanes (the live-lane set of
     /// a batched solve is decided from reduced values, so it is
-    /// rank-uniform by construction).
+    /// rank-uniform by construction). An exchange of no lanes (that of a
+    /// block-restricted operator) posts and books nothing.
     ///
-    /// The caller may now run any kernel that does not read the lanes'
-    /// interface ghosts, then must call [`HaloExchange::finish_lanes`]
+    /// The caller may now run any kernel that does not read the ghosts of
+    /// [`PendingExchange::faces`], then must call [`HaloExchange::finish_lanes`]
     /// with the same lanes to complete the exchange before the ghosts are
     /// consumed.
     pub fn begin_lanes<E: Scalar, D: Device, C: Communicator<T>>(
@@ -475,28 +496,12 @@ impl<T: Scalar> HaloExchange<T> {
             comm.recorder().record(Event::End {
                 name: HALO_OVERLAP_STAGE,
             });
-        } else {
+        } else if pending.lanes > 0 {
             comm.recorder().record(Event::Halo {
                 msgs: pending.msgs,
                 bytes: pending.bytes,
             });
         }
-    }
-
-    /// Exchange all interface ghost layers of every field in `lanes` with
-    /// the neighbours (synchronous: begin + finish back to back).
-    ///
-    /// Physical-boundary ghosts are left untouched (the boundary-condition
-    /// kernel owns them). One [`Event::Halo`] with the total message count
-    /// and bytes is recorded on the communicator's recorder.
-    pub fn exchange_lanes<E: Scalar, D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        lanes: &mut [&mut [E]],
-    ) {
-        let pending = self.begin_impl(dev, comm, lanes, false);
-        self.finish_lanes(dev, comm, pending, lanes);
     }
 
     /// [`HaloExchange::begin_lanes`] for a single field.
@@ -520,14 +525,21 @@ impl<T: Scalar> HaloExchange<T> {
         self.finish_lanes(dev, comm, pending, &mut [field.as_mut_slice()]);
     }
 
-    /// [`HaloExchange::exchange_lanes`] for a single field.
+    /// Exchange all interface ghost layers of `field` with the
+    /// neighbours (synchronous: begin + finish back to back).
+    ///
+    /// Physical-boundary ghosts are left untouched (the boundary-condition
+    /// kernel owns them). One [`Event::Halo`] with the total message count
+    /// and bytes is recorded on the communicator's recorder.
     pub fn exchange<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         field: &mut Field<E>,
     ) {
-        self.exchange_lanes(dev, comm, &mut [field.as_mut_slice()]);
+        let lanes = &mut [field.as_mut_slice()];
+        let pending = self.begin_impl(dev, comm, lanes, false);
+        self.finish_lanes(dev, comm, pending, lanes);
     }
 }
 
@@ -742,7 +754,7 @@ mod tests {
                 let pending = halo.begin_lanes(&dev, &comm, &views);
                 halo.finish_lanes(&dev, &comm, pending, &mut refs);
             } else {
-                halo.exchange_lanes(&dev, &comm, &mut refs);
+                halo.exchange(&dev, &comm, &mut fields[0]);
             }
             rec.drain()
         })
@@ -864,8 +876,10 @@ mod tests {
             let mut batched: Vec<Field<E>> = (0..lanes)
                 .map(|b| make_lane_field(&dev, &grid, b))
                 .collect();
+            let views: Vec<&[E]> = batched.iter().map(|f| f.as_slice()).collect();
+            let pending = halo.begin_lanes(&dev, &comm, &views);
             let mut refs: Vec<&mut [E]> = batched.iter_mut().map(|f| f.as_mut_slice()).collect();
-            halo.exchange_lanes(&dev, &comm, &mut refs);
+            halo.finish_lanes(&dev, &comm, pending, &mut refs);
             for (b, lane) in batched.iter().enumerate() {
                 let mut solo = make_lane_field(&dev, &grid, b);
                 // LINT: collective-uniform(`batched` holds the same
@@ -895,7 +909,7 @@ mod tests {
     fn batched_exchange_sends_one_message_per_face() {
         // One interface face along x; the single message carries all
         // four lanes' planes.
-        for evs in two_rank_events::<f64>(4, false) {
+        for evs in two_rank_events::<f64>(4, true) {
             assert!(
                 one_message_of(&evs, 4 * 9 * 8),
                 "missing batched halo event: {evs:?}"
@@ -908,7 +922,7 @@ mod tests {
         lanes_match_solo::<f32>(3);
         // three 9-element f32 planes: ceil(27/2) = 14 wire words in one
         // message per face, on the narrow three-lane tag band
-        for evs in two_rank_events::<f32>(3, false) {
+        for evs in two_rank_events::<f32>(3, true) {
             assert!(
                 one_message_of(&evs, 14 * 8),
                 "missing f32 lanes event: {evs:?}"

@@ -29,4 +29,4 @@ mod halo;
 pub use bc::{BcKind, LocalBoundary};
 pub use field::Field;
 pub use grid::{BlockGrid, Decomp, GlobalGrid};
-pub use halo::HaloExchange;
+pub use halo::{HaloExchange, PendingExchange};

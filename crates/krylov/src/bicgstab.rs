@@ -21,11 +21,13 @@
 //! Nothing about the schedule is selectable — the driver derives it from
 //! the world it is handed:
 //!
-//! * **Halo.** The two operator applications run split-phase
-//!   (`begin → BCs → interior sweep → finish → shell sweep → row fold`)
-//!   exactly when [`RankCtx::split_phase_halo`] says so: the scope
-//!   communicates *and* this rank has an interface face. Otherwise one
-//!   monolithic fused sweep does the same arithmetic in one launch.
+//! * **Halo.** Every operator application is `begin → BCs → window →
+//!   finish → shell → fold` ([`LaneGroup::apply_op`]), the exchange begun
+//!   in [`Scope::Global`] only. Window and shell are sized by the faces
+//!   the exchange has in flight: with none — one rank, or the
+//!   communication-free `Scope::Local` — the window is the whole
+//!   interior, the shell and the fold are empty, and the fused sweep is
+//!   one launch folding straight into the lane accumulators.
 //! * **Reductions.** In [`Scope::Global`] on more than one rank M1 is
 //!   posted split-phase with the previous iteration's merged x-update
 //!   computing under it (its `p̂` survives the next preconditioner
@@ -78,7 +80,7 @@ use std::ops::{Deref, DerefMut};
 use accel::{Device, Scalar, REDUCE_OVERLAP_STAGE};
 use blockgrid::Field;
 use comm::{Communicator, ReduceOp};
-use stencil::apply_physical_bcs;
+use stencil::{apply_physical_bcs, Part};
 
 use crate::cancel::CancelToken;
 use crate::ctx::{RankCtx, Workspace};
@@ -294,35 +296,19 @@ impl<'a, T: Scalar> Lane<'a, T> {
     }
 }
 
-/// Refresh the ghost layers of one field per lane of `set` for an
-/// operator application in `scope`: one halo exchange carrying every
-/// lane's face planes per message, then the per-lane physical-BC kernels.
-fn refresh_lane_ghosts<T: Scalar, D: Device, C: Communicator<T>, L>(
-    ctx: &RankCtx<T, D, C>,
-    scope: Scope,
-    stage: &'static str,
-    set: LaneSet,
-    lanes: &mut [L],
-    field: impl for<'l> Fn(&'l mut L) -> &'l mut Field<T>,
-) {
-    if scope == Scope::Global {
-        let mut us = Lanes::of(pick_mut(lanes, set).map(|l| field(l).as_mut_slice()));
-        let exchange = || ctx.halo.exchange_lanes(&ctx.dev, &ctx.comm, &mut us);
-        ctx.recorder.stage(stage, exchange);
-    }
-    for l in pick_mut(lanes, set) {
-        apply_physical_bcs(&ctx.grid, field(l), &ctx.recorder, scope == Scope::Local);
-    }
-}
-
-/// Refresh ghost layers for an operator application in `scope`.
+/// Refresh ghost layers for an operator application in `scope` (the
+/// reference schedule's blocking exchange).
 pub(crate) fn refresh_ghosts<T: Scalar, D: Device, C: Communicator<T>>(
     ctx: &RankCtx<T, D, C>,
     scope: Scope,
     stage: &'static str,
     f: &mut Field<T>,
 ) {
-    refresh_lane_ghosts(ctx, scope, stage, 1, std::slice::from_mut(f), |f| f);
+    if scope == Scope::Global {
+        let exchange = || ctx.halo.exchange(&ctx.dev, &ctx.comm, f);
+        ctx.recorder.stage(stage, exchange);
+    }
+    apply_physical_bcs(&ctx.grid, f, &ctx.recorder, scope == Scope::Local);
 }
 
 /// Sum `vals` across ranks in [`Scope::Global`] (one blocking message);
@@ -340,19 +326,33 @@ pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
     }
 }
 
-/// A lane's operands of the iteration's first fused operator application
-/// (`w = A p̂`) or its `second` (`t = A r̂`): the input, the output, the
-/// slot buffer of the split form, and the `r` and `r̃` the dots read.
+/// The operands of the iteration's first fused operator application
+/// (`w = A p̂`) or its `second` (`t = A r̂`), per lane of `set`: the
+/// inputs, the outputs, the slot buffers and the `(r, r̃)` the dots read.
 #[allow(clippy::type_complexity)]
-fn dot_operands<T: Scalar>(
-    ws: &mut Workspace<T>,
+fn dot_operands<'l, T: Scalar>(
+    lanes: &'l mut [Lane<'_, T>],
+    set: LaneSet,
     second: bool,
-) -> (&mut Field<T>, &mut Field<T>, &mut [T], &[T], &[T]) {
-    let (u, out) = match second {
-        false => (&mut ws.p_hat, &mut ws.w),
-        true => (&mut ws.r_hat, &mut ws.t),
-    };
-    (u, out, &mut ws.slots, ws.r.as_slice(), ws.r0t.as_slice())
+) -> (
+    Lanes<&'l [T]>,
+    Lanes<&'l mut [T]>,
+    Lanes<&'l mut [T]>,
+    Lanes<(&'l [T], &'l [T])>,
+) {
+    let (mut us, mut outs, mut slots, mut ins) = Default::default();
+    for l in pick_mut(lanes, set) {
+        let ws = &mut *l.ws;
+        let (u, out) = match second {
+            false => (&ws.p_hat, &mut ws.w),
+            true => (&ws.r_hat, &mut ws.t),
+        };
+        Lanes::push(&mut us, u.as_slice());
+        Lanes::push(&mut outs, out.as_mut_slice());
+        Lanes::push(&mut slots, &mut ws.slots[..]);
+        Lanes::push(&mut ins, (ws.r.as_slice(), ws.r0t.as_slice()));
+    }
+    (us, outs, slots, ins)
 }
 
 /// Up to [`MAX_LANES`] lanes solved together by the one driver loop
@@ -374,111 +374,96 @@ where
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
-    /// `out = A x` for every lane of `set`, ghosts refreshed in scope.
-    ///
-    /// When the solve runs split-phase ([`RankCtx::split_phase_halo`])
-    /// the halo exchange is hidden behind the ghost-independent work:
-    /// `begin → KernelNeumannBCs → apply_interior → finish → apply_shell`,
-    /// one lanes-wide exchange around the per-lane sweeps. The
-    /// boundary-condition kernel and the window sweep touch no interface
-    /// ghost, so they run while the messages are in flight; the shell
-    /// sweep completes the cover afterwards. Each interior cell is
-    /// written exactly once with the same arithmetic as the monolithic
-    /// sweep, so `out` is bitwise-identical to the synchronous path.
+    /// One operator application to the `input` field of every lane of
+    /// `set`, the only halo schedule: `begin` (one message per face for
+    /// all lanes; no lane in [`Scope::Local`]) → `KernelNeumannBCs` →
+    /// `sweep` of the window → `finish` → `sweep` of the shell, both
+    /// sized by the faces the exchange has in flight: with none (one
+    /// rank, or `Scope::Local`, whose restricted BCs zero the interface
+    /// ghosts) the window is the whole interior and the shell is empty.
+    /// The BCs and the window read no in-flight ghost, so they hide the
+    /// messages; every cell gets the same arithmetic whatever is in flight.
+    fn apply_op(
+        &mut self,
+        set: LaneSet,
+        input: impl for<'l> Fn(&'l mut Lane<'_, T>) -> &'l mut Field<T>,
+        mut sweep: impl FnMut(&mut [Lane<'_, T>], Part),
+    ) {
+        let ctx = self.ctx;
+        let (dev, comm) = (&ctx.dev, &ctx.comm);
+        // The lanes whose ghosts the exchange refreshes: none in
+        // `Scope::Local`, whose exchange then has nothing in flight.
+        let local = self.scope == Scope::Local;
+        let exchanged = if local { 0 } else { set };
+        let us = Lanes::of(pick_mut(self.lanes, exchanged).map(|l| input(l).as_slice()));
+        let pending = ctx.halo.begin_lanes(dev, comm, &us);
+        let faces = pending.faces();
+        for l in pick_mut(self.lanes, set) {
+            apply_physical_bcs(&ctx.grid, input(l), &ctx.recorder, local);
+        }
+        sweep(self.lanes, Part::Window(faces));
+        let mut us = Lanes::of(pick_mut(self.lanes, exchanged).map(|l| input(l).as_mut_slice()));
+        ctx.halo.finish_lanes(dev, comm, pending, &mut us);
+        sweep(self.lanes, Part::Shell(faces));
+    }
+
+    /// `out = A x` for every lane of `set` ([`LaneGroup::apply_op`]), one
+    /// plain sweep per lane and piece.
     fn refresh_and_apply(
         &mut self,
-        stage: &'static str,
         set: LaneSet,
         out: impl for<'w> Fn(&'w mut Workspace<T>) -> &'w mut Field<T>,
     ) {
-        let ctx = self.ctx;
-        let info = stencil::INFO_APPLY;
-        let (dev, comm, grid) = (&ctx.dev, &ctx.comm, &ctx.grid);
-        if ctx.split_phase_halo(self.scope == Scope::Global) {
-            let us = Lanes::of(pick_mut(self.lanes, set).map(|l| l.x.as_slice()));
-            let pending = ctx.halo.begin_lanes(dev, comm, &us);
-            for l in pick_mut(self.lanes, set) {
-                apply_physical_bcs(grid, l.x, &ctx.recorder, false);
-                ctx.lap.apply_interior(dev, info, l.x, out(l.ws));
-            }
-            let mut us = Lanes::of(pick_mut(self.lanes, set).map(|l| l.x.as_mut_slice()));
-            ctx.halo.finish_lanes(dev, comm, pending, &mut us);
-            for l in pick_mut(self.lanes, set) {
-                ctx.lap.apply_shell(dev, info, l.x, out(l.ws));
-            }
-        } else {
-            refresh_lane_ghosts(ctx, self.scope, stage, set, self.lanes, |l| l.x);
-            for l in pick_mut(self.lanes, set) {
-                ctx.lap.apply(dev, info, l.x, out(l.ws));
-            }
-        }
+        let (ctx, info) = (self.ctx, stencil::INFO_APPLY);
+        self.apply_op(
+            set,
+            |l| &mut *l.x,
+            |lanes, part| {
+                for l in pick_mut(lanes, set) {
+                    ctx.lap.apply_part(&ctx.dev, info, &part, l.x, out(l.ws));
+                }
+            },
+        );
     }
 
     /// One of the iteration's two operator applications with its dots
-    /// fused in — the first (MPI1, `KernelBiCGS1`) or the `second` (MPI3,
-    /// `KernelBiCGS3F`), see [`dot_operands`] — for every lane of `set`:
-    /// ghosts refreshed in scope, then `out = A u` and the `NR` sums over
-    /// the interior of `terms(r, r̃, c, v)` — the dot terms of the cell at
+    /// fused in — the first (`KernelBiCGS1`, `w = A p̂`) or the `second`
+    /// (`KernelBiCGS3F`, `t = A r̂`) — for every lane of `set`
+    /// ([`LaneGroup::apply_op`]): `out = A u` and the `NR` sums over the
+    /// interior of `terms(r, r̃, c, v)`, the dot terms of the cell at
     /// padded index `c`, `v` the stencil value there. Returns the lanes'
-    /// sums, in lane order of `set`.
-    ///
-    /// Split-phase, the window and shell sweeps *keep* their dots: each
-    /// piece deposits per-row partials into the slot buffer and a row
-    /// fold completes the scalars — still one full-grid
-    /// sweep, bitwise equal to the monolithic fused sweep, with one
-    /// lanes-wide exchange in flight around the per-lane window sweeps.
+    /// sums, in lane order of `set`. Each piece is one launch for all
+    /// lanes ([`stencil::Laplacian::apply_part_dots`]).
     fn apply_dots<const NR: usize>(
         &mut self,
         set: LaneSet,
         second: bool,
         terms: impl Fn(&[T], &[T], usize, T) -> [T; NR] + Sync,
     ) -> [[T; NR]; MAX_LANES] {
-        let ctx = self.ctx;
-        let (stage, info, fold_info) = match second {
-            false => ("MPI1", INFO_BICGS1, INFO_FOLD1),
-            true => ("MPI3", INFO_BICGS3F, INFO_FOLD3),
+        let (ctx, dev) = (self.ctx, &self.ctx.dev);
+        let (info, fold_info) = match second {
+            false => (INFO_BICGS1, INFO_FOLD1),
+            true => (INFO_BICGS3F, INFO_FOLD3),
         };
-        let (dev, comm, grid) = (&ctx.dev, &ctx.comm, &ctx.grid);
         let mut dots = [[T::ZERO; NR]; MAX_LANES];
-        if ctx.split_phase_halo(self.scope == Scope::Global) {
-            let us = Lanes::of(
-                pick_mut(self.lanes, set).map(|l| dot_operands(l.ws, second).0.as_slice()),
-            );
-            let pending = ctx.halo.begin_lanes(dev, comm, &us);
-            for l in pick_mut(self.lanes, set) {
-                let (u, out, slots, r, r0t) = dot_operands(l.ws, second);
-                apply_physical_bcs(grid, u, &ctx.recorder, false);
-                let terms = |c: usize, v: T| terms(r, r0t, c, v);
-                ctx.lap.apply_interior_dot(dev, info, u, out, slots, &terms);
-            }
-            let mut us = Lanes::of(
-                pick_mut(self.lanes, set).map(|l| dot_operands(l.ws, second).0.as_mut_slice()),
-            );
-            ctx.halo.finish_lanes(dev, comm, pending, &mut us);
-            for (l, sums) in pick_mut(self.lanes, set).zip(&mut dots) {
-                let (u, out, slots, r, r0t) = dot_operands(l.ws, second);
-                let terms = |c: usize, v: T| terms(r, r0t, c, v);
-                let fold = ctx.lap.apply_shell_dot(dev, info, u, out, slots, &terms);
-                *sums = fold.fold(dev, fold_info, slots);
-            }
-        } else {
-            refresh_lane_ghosts(ctx, self.scope, stage, set, self.lanes, |l| {
-                dot_operands(l.ws, second).0
-            });
-            let mut us = Lanes::default();
-            let mut outs = Lanes::default();
-            let mut ins = Lanes::default();
-            for l in pick_mut(self.lanes, set) {
-                let (u, out, _, r, r0t) = dot_operands(l.ws, second);
-                us.push(u.as_slice());
-                outs.push(out.as_mut_slice());
-                ins.push((r, r0t));
-            }
-            let terms = |s: usize, c: usize, v: T| terms(ins[s].0, ins[s].1, c, v);
-            let accs = &mut dots[..us.len()];
-            ctx.lap
-                .apply_fused_dots(dev, info, &us, &mut outs, accs, &terms);
-        }
+        let accs = &mut dots[..set.count_ones() as usize];
+        self.apply_op(
+            set,
+            |l| {
+                if second {
+                    &mut l.ws.r_hat
+                } else {
+                    &mut l.ws.p_hat
+                }
+            },
+            |lanes, part| {
+                let (us, mut outs, mut slots, ins) = dot_operands(lanes, set, second);
+                let terms = |s: usize, c: usize, v: T| terms(ins[s].0, ins[s].1, c, v);
+                let (o, sl, lap) = (&mut *outs, &mut *slots, &ctx.lap);
+                let fold = lap.apply_part_dots(dev, info, &part, &us, o, sl, accs, &terms);
+                fold.fold(dev, fold_info, sl, accs);
+            },
+        );
         dots
     }
 
@@ -491,7 +476,7 @@ where
     /// tolerance; the others have converged.
     fn form_residual(&mut self, set: LaneSet) -> LaneSet {
         let ctx = self.ctx;
-        self.refresh_and_apply("MPI0", set, |ws| &mut ws.w);
+        self.refresh_and_apply(set, |ws| &mut ws.w);
         let mut outs = Lanes::default();
         let mut ins = Lanes::default();
         for l in pick_mut(self.lanes, set) {
@@ -576,7 +561,7 @@ where
         // recursive residual can decouple from it in long stagnating
         // solves) and let it decide convergence too.
         if guard != 0 {
-            self.refresh_and_apply("MPI6", guard, |ws| &mut ws.t);
+            self.refresh_and_apply(guard, |ws| &mut ws.t);
             let mut s = [T::ZERO; MAX_LANES];
             for b in members(guard) {
                 let l = &self.lanes[b];
@@ -1737,7 +1722,9 @@ mod batch_tests {
     /// batch wider than [`MAX_LANES`] pays that bill once per lane group,
     /// and with cancel `tokens` installed an M1 of more than
     /// `MAX_REDUCE_SCALARS` slots (three per lane once a lane lags)
-    /// ships its excess as one more, blocking, message.
+    /// ships its excess as one more, blocking, message. Its split fused
+    /// sweeps are one launch per piece for all lanes, so it launches
+    /// them as often as its longest lane does alone.
     fn batch_ships_its_longest_lanes_bill(ranks: [usize; 3], nb: usize, tokens: bool) {
         let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
@@ -1751,7 +1738,7 @@ mod batch_tests {
         let run = move |comm: ThreadComm<f64>| {
             let rec = comm.recorder().clone();
             let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
-            let dev = Serial::new(Recorder::disabled());
+            let dev = Serial::new(rec.clone());
             let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev, comm, grid);
             let locals: Vec<Vec<f64>> = b_hosts.iter().map(|bh| scatter(&ctx.grid, bh)).collect();
             let params = SolveParams {
@@ -1764,10 +1751,12 @@ mod batch_tests {
             // Solo message bill, lane by lane.
             let before_solo = ctx.comm.stats().allreduces;
             let mut solo_iters = Vec::new();
+            let mut solo_launches = Vec::new();
             for local in &locals {
                 let b = Field::from_interior(&ctx.dev, &ctx.grid, local);
                 let mut x = ctx.field();
                 let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+                rec.drain();
                 let out = bicgstab_solve(
                     &ctx,
                     Scope::Global,
@@ -1779,6 +1768,7 @@ mod batch_tests {
                 );
                 assert!(out.converged);
                 solo_iters.push(out.iterations);
+                solo_launches.push(split_launches(&rec.drain()));
             }
             let solo_msgs = ctx.comm.stats().allreduces - before_solo;
 
@@ -1802,9 +1792,9 @@ mod batch_tests {
             let batch_msgs = ctx.comm.stats().allreduces - before_batch;
             let batch_iters: Vec<usize> = outs.iter().map(|o| o.iterations).collect();
             assert!(outs.iter().all(|o| o.converged), "{outs:?}");
-            let faces = ctx.halo.interface_faces() as u32;
+            let faces = ctx.grid.interface_mask().count_ones();
             (
-                solo_iters,
+                (solo_iters, solo_launches),
                 solo_msgs,
                 batch_iters,
                 batch_msgs,
@@ -1815,10 +1805,21 @@ mod batch_tests {
         let results =
             run_ranks_recorded::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, recorders, run);
 
-        for (rank, (solo_iters, solo_msgs, batch_iters, batch_msgs, faces, events)) in
-            results.iter().enumerate()
+        for (
+            rank,
+            ((solo_iters, solo_launches), solo_msgs, batch_iters, batch_msgs, faces, events),
+        ) in results.iter().enumerate()
         {
             assert_eq!(solo_iters, batch_iters, "rank {rank}: lane iterations");
+            // Per lane group, the split-sweep launches of its longest lane.
+            let groups = batch_iters
+                .chunks(MAX_LANES)
+                .zip(solo_launches.chunks(MAX_LANES));
+            let bill = groups.fold([0; 5], |bill, (iters, launches)| {
+                let longest = (0..iters.len()).max_by_key(|&l| iters[l]).unwrap();
+                std::array::from_fn(|k| bill[k] + launches[longest][k])
+            });
+            assert_eq!(split_launches(events), bill, "rank {rank}: split launches");
             // One pass of the driver per group of MAX_LANES lanes, each
             // as long as its longest lane.
             let longest: u64 = batch_iters
@@ -1862,6 +1863,17 @@ mod batch_tests {
                 "rank {rank}: one message per interface face per exchange: {exchanges:?}"
             );
         }
+    }
+
+    /// Launches of the split fused sweeps' kernels in an event stream.
+    fn split_launches(events: &[Event]) -> [usize; 5] {
+        ["BiCGS1", "BiCGS3F", "FoldWindow", "Fold1", "Fold3"].map(|k| {
+            let kernel = |e: &&Event| match e {
+                Event::Kernel { name, .. } => name.strip_prefix("Kernel") == Some(k),
+                _ => false,
+            };
+            events.iter().filter(kernel).count()
+        })
     }
 
     #[test]

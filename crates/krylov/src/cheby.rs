@@ -31,13 +31,12 @@
 //! the same way. The outer recurrence and its residual stay in `T`.
 
 use std::any::{Any, TypeId};
-use std::ops::Range;
 
 use accel::{Device, DeviceKind, Scalar};
 use blockgrid::Field;
 use comm::Communicator;
 use stencil::{
-    apply_physical_bcs, apply_physical_bcs_planes, physical_bc_elems, spectrum, Laplacian,
+    apply_physical_bcs, apply_physical_bcs_planes, physical_bc_elems, spectrum, Part,
     SpectralBounds, INFO_NEUMANN_BCS,
 };
 
@@ -93,23 +92,6 @@ pub fn local_bounds<T: Scalar, D: Device, C: Communicator<T>>(
     spectrum::kronecker_bounds(&ctx.lap.local_ops(), ctx.grid.global.h)
 }
 
-/// Refresh a field's ghost layers according to the iteration's mode.
-fn refresh_ghosts<E: Scalar, T: Scalar, D: Device, C: Communicator<T>>(
-    mode: ChebyMode,
-    ctx: &RankCtx<T, D, C>,
-    f: &mut Field<E>,
-) {
-    match mode {
-        ChebyMode::Global => {
-            ctx.halo.exchange(&ctx.dev, &ctx.comm, f);
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
-        }
-        ChebyMode::GlobalNoComm | ChebyMode::BlockJacobi => {
-            apply_physical_bcs(&ctx.grid, f, &ctx.recorder, true);
-        }
-    }
-}
-
 /// `f` as a field of the sweep element: `Some` exactly when `E = T`.
 fn as_sweep_field<E: Scalar, T: Scalar>(f: &mut Field<T>) -> Option<&mut Field<E>> {
     (f as &mut dyn Any).downcast_mut()
@@ -150,38 +132,6 @@ fn sweep_input<'a, E>(
         b
     } else {
         &mut bufs[(i - 1) % 3]
-    }
-}
-
-/// The cells one [`ChebyshevIteration::sweep`] call covers.
-enum Part {
-    /// The interior z planes of a range (all of them: a whole sweep).
-    Planes(Range<usize>),
-    /// The window of a split-phase sweep, swept while its halo is in
-    /// flight.
-    Window,
-    /// The rest of a split-phase sweep, swept after the exchange.
-    Shell,
-}
-
-impl Part {
-    /// `out = ca · (A u) + Σ cₙ fₙ` over this part of the interior.
-    #[allow(clippy::too_many_arguments)]
-    fn combine<E: Scalar, D: Device, const N: usize>(
-        self,
-        lap: &Laplacian,
-        dev: &D,
-        info: accel::KernelInfo,
-        u: &Field<E>,
-        out: &mut Field<E>,
-        ca: E,
-        terms: [(&Field<E>, E); N],
-    ) {
-        match self {
-            Self::Planes(planes) => lap.apply_combine_planes(dev, info, planes, u, out, ca, terms),
-            Self::Window => lap.apply_combine_interior(dev, info, u, out, ca, terms),
-            Self::Shell => lap.apply_combine_shell(dev, info, u, out, ca, terms),
-        }
     }
 }
 
@@ -319,12 +269,15 @@ impl<E: Scalar> ChebyshevIteration<E> {
     /// one lands in `x`, or in its rotation buffer when there is no `x`
     /// of this width.
     ///
-    /// Split-phase only when the mode communicates and this rank has a
-    /// neighbour. Otherwise after `z = b/θ` the sweeps run as z-plane
+    /// [`ChebyMode::Global`] runs every sweep as `begin → BCs → window →
+    /// finish → shell` on its input, window and shell sized by the faces
+    /// the exchange has in flight (the whole interior and nothing on a
+    /// rank without neighbours). The comm-free modes refresh the
+    /// restricted ghosts, then after `z = b/θ` run the sweeps as z-plane
     /// wavefronts of [`ChebyshevIteration::depth`] sweeps in flight — one
-    /// plane per step on a comm-free `Serial` iteration, whose sweeps
-    /// then stream from cache instead of memory — or one whole sweep
-    /// after the other. Every schedule is bitwise-identical.
+    /// plane per step on a `Serial` device, whose sweeps then stream from
+    /// cache instead of memory — or one whole sweep after the other.
+    /// Every schedule is bitwise-identical.
     fn sweeps<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
@@ -334,12 +287,13 @@ impl<E: Scalar> ChebyshevIteration<E> {
         let (dev, comm, grid, m) = (&ctx.dev, &ctx.comm, &ctx.grid, self.iterations);
         let [info_scale, info_ci1, info_ci2] = infos::<E>();
         let inv_theta = self.coef[0][0];
-        if ctx.split_phase_halo(self.mode == ChebyMode::Global) {
+        if self.mode == ChebyMode::Global {
             // The exchange of each sweep's input (b, then y) hides behind
-            // its BCs and window part — and, for the first, behind the
+            // its BCs and window — and, for the first, behind the
             // ghost-independent scale kernel.
             for i in 1..=m {
                 let pending = ctx.halo.begin(dev, comm, sweep_input(&mut self.bufs, b, i));
+                let faces = pending.faces();
                 apply_physical_bcs(
                     grid,
                     sweep_input(&mut self.bufs, b, i),
@@ -349,15 +303,15 @@ impl<E: Scalar> ChebyshevIteration<E> {
                 if i == 1 {
                     crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, inv_theta);
                 }
-                self.sweep(ctx, i, Part::Window, b, &mut x);
+                self.sweep(ctx, i, Part::Window(faces), b, &mut x);
                 ctx.halo
                     .finish(dev, comm, pending, sweep_input(&mut self.bufs, b, i));
-                self.sweep(ctx, i, Part::Shell, b, &mut x);
+                self.sweep(ctx, i, Part::Shell(faces), b, &mut x);
             }
             return;
         }
-        // MPI1 + KernelNeumannBCs on b, then z = b/θ
-        refresh_ghosts(self.mode, ctx, b);
+        // KernelNeumannBCs (restricted) on b, then z = b/θ
+        apply_physical_bcs(grid, b, &ctx.recorder, true);
         crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, inv_theta);
         if self.depth == 1 {
             return self.wavefront(ctx, b, &mut x);
@@ -381,7 +335,7 @@ impl<E: Scalar> ChebyshevIteration<E> {
     /// sweep `i` covers a plane right after sweep `i − 1` has covered the
     /// next one, and each output plane gets its ghosts as soon as it
     /// lands. At depth 1 the block is all planes: the plain sequence of
-    /// whole sweeps, each followed by the mode's refresh of its output.
+    /// whole sweeps, each followed by the restricted BCs of its output.
     fn wavefront<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
@@ -403,11 +357,11 @@ impl<E: Scalar> ChebyshevIteration<E> {
                     if i == m {
                         continue;
                     }
-                    // MPI2 + KernelNeumannBCs on the new y (a single
-                    // plane only in a comm-free wavefront)
+                    // KernelNeumannBCs (restricted) on the new y (a
+                    // single plane only in a plane-by-plane wavefront)
                     let y = &mut self.bufs[i % 3];
                     if depth == 1 {
-                        refresh_ghosts(self.mode, ctx, y);
+                        apply_physical_bcs(&ctx.grid, y, &ctx.recorder, true);
                     } else {
                         apply_physical_bcs_planes(&ctx.grid, y, true, lo..hi);
                     }
@@ -436,10 +390,18 @@ impl<E: Scalar> ChebyshevIteration<E> {
         };
         let (lap, dev) = (&ctx.lap, &ctx.dev);
         if i == 1 {
-            part.combine(lap, dev, info_ci1, b, out, ca, [(b, c0)]);
+            lap.apply_combine(dev, info_ci1, &part, b, out, ca, [(b, c0)]);
         } else {
             let (y, z) = (&*y, &*z);
-            part.combine(lap, dev, info_ci2, y, out, ca, [(y, c0), (b, c1), (z, c2)]);
+            lap.apply_combine(
+                dev,
+                info_ci2,
+                &part,
+                y,
+                out,
+                ca,
+                [(y, c0), (b, c1), (z, c2)],
+            );
         }
     }
 }
@@ -713,7 +675,10 @@ mod tests {
                 ctx,
                 cheb.parameters(),
                 12,
-                |f| refresh_ghosts(ChebyMode::Global, ctx, f),
+                |f| {
+                    ctx.halo.exchange(&ctx.dev, &ctx.comm, f);
+                    apply_physical_bcs(&ctx.grid, f, &ctx.recorder, false);
+                },
                 b_e,
             );
             let want: Vec<f64> = sweeps[12]
@@ -912,7 +877,8 @@ mod tests {
                     cheb.solve(&ctx, &mut b, &mut x);
                     let mut b_e = Field::<E>::zeros(&ctx.dev, grid);
                     cast(&ctx.dev, INFO_CAST_DOWN, grid, &mut b_e, &b);
-                    let refresh = |f: &mut Field<E>| refresh_ghosts(mode, &ctx, f);
+                    let refresh =
+                        |f: &mut Field<E>| apply_physical_bcs(grid, f, &ctx.recorder, true);
                     let want =
                         chebyshev_sync_oracle(&ctx, cheb.parameters(), iterations, refresh, b_e);
                     prop_assert_eq!(

@@ -9,6 +9,12 @@ use stencil::Laplacian;
 /// communicator handle, its subdomain, the matrix-free operator and the
 /// halo-exchange plan. One `RankCtx` is built per MPI-rank-equivalent
 /// thread (the paper's per-process solver state).
+///
+/// It carries no schedule decision: every operator application runs
+/// `begin → BCs → window → finish → shell`, and the window and shell are
+/// sized by the faces the begun exchange has in flight
+/// (`PendingExchange::faces`) — the whole interior and nothing when no
+/// exchange is begun or the subdomain has no neighbour.
 pub struct RankCtx<T: Scalar, D: Device, C: Communicator<T>> {
     /// The accelerator this rank offloads to (one GPU / GCD per rank in
     /// the paper's runs).
@@ -43,18 +49,6 @@ impl<T: Scalar, D: Device, C: Communicator<T>> RankCtx<T, D, C> {
         }
     }
 
-    /// The one halo-schedule decision of the solver stack: an operator
-    /// application takes the split-phase path (`begin` → ghost-independent
-    /// work → `finish` → shell sweep) exactly when it `communicates` —
-    /// a [`crate::Scope::Global`] solve or a [`crate::ChebyMode::Global`]
-    /// sweep — **and** this rank has an interface face to exchange.
-    /// Without one (a single-rank world) there is nothing in flight to
-    /// hide, and the split sweep would only cost its extra launches, so
-    /// the monolithic sweep runs instead; the results are bitwise equal.
-    pub fn split_phase_halo(&self, communicates: bool) -> bool {
-        communicates && self.halo.interface_faces() > 0
-    }
-
     /// Allocate a zeroed field on this rank's device.
     pub fn field(&self) -> Field<T> {
         Field::zeros(&self.dev, &self.grid)
@@ -86,10 +80,14 @@ pub struct Workspace<T> {
     /// — so the two buffers ping-pong via `std::mem::swap` instead of
     /// copying.
     pub p_hat_prev: Field<T>,
-    /// Per-row dot partials for the fused split-phase stencil sweeps
-    /// (`Laplacian::apply_interior_dot` / `apply_shell_dot`): sized for
+    /// Per-row dot partials of this lane's fused stencil sweeps when
+    /// they run split around an exchange in flight
+    /// (`Laplacian::apply_part_dots` over a window and a shell, one launch
+    /// per piece for all lanes, each writing its own slots): sized for
     /// the widest fused dot group (`slot_len(3)`, the three KernelBiCGS3F
-    /// components), reused by the one-component KernelBiCGS1 fold.
+    /// components), reused by the one-component KernelBiCGS1 fold. Unused
+    /// when nothing is in flight: the sweep then folds straight into the
+    /// lane accumulators.
     pub slots: Vec<T>,
 }
 

@@ -28,9 +28,9 @@ pub const INFO_BICGS4B: KernelInfo = KernelInfo::new("KernelBiCGS4b", 24, 2);
 pub const INFO_BICGS5: KernelInfo = KernelInfo::new("KernelBiCGS5", 32, 6);
 /// `KernelBiCGS6`: `p ← r + β (p − ω w)`.
 pub const INFO_BICGS6: KernelInfo = KernelInfo::new("KernelBiCGS6", 32, 4);
-/// `KernelBiCGS1` (stencil + dot, launched via `Laplacian::apply_fused_dot`).
+/// `KernelBiCGS1` (stencil + dot, launched via `Laplacian::apply_part_dots`).
 pub const INFO_BICGS1: KernelInfo = KernelInfo::new("KernelBiCGS1", 40, 12);
-/// `KernelBiCGS3` (stencil + two dots, via `Laplacian::apply_fused_dot2`).
+/// `KernelBiCGS3` (stencil + the dots `t·r`, `t·t`): the base of [`INFO_BICGS3F`].
 pub const INFO_BICGS3: KernelInfo = KernelInfo::new("KernelBiCGS3", 48, 14);
 /// `KernelCI1`: Chebyshev start step `z = b/θ`, `y = c1 b + ca A b`.
 pub const INFO_CI1: KernelInfo = KernelInfo::new("KernelCI1", 40, 12);
@@ -374,11 +374,12 @@ pub fn dot<T: Scalar, D: Device>(
 }
 
 /// Local interior dot pair `(a · b, a · a)` in one reduction — the
-/// standalone form of the dots fused into `KernelBiCGS3`, used by the
-/// overlapped operator path. Each component folds per row in the
+/// standalone form of the first two dots fused into `KernelBiCGS3F`, used
+/// by the reference schedule. Each component folds per row in the
 /// canonical edge-last order, rows in `(j, k)` order with the back-end
-/// partial merge, matching [`stencil::Laplacian::apply_fused_dot2`]
-/// exactly, so given the same `a` the results are bitwise identical.
+/// partial merge, matching the fused sweeps of
+/// [`stencil::Laplacian::apply_part_dots`] exactly, so given the same
+/// `a` the results are bitwise identical.
 pub fn dot2<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,

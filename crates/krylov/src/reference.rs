@@ -400,10 +400,13 @@ mod tests {
             .count()
     }
 
-    /// The one schedule decision, read off real event streams: without
-    /// an interface face a `Scope::Global` solve sweeps monolithically
-    /// (one launch per fused sweep, no overlap window, no row fold);
-    /// with one, the same solve runs every sweep split-phase.
+    /// The one halo schedule, read off real event streams: its window is
+    /// sized by the faces the exchange has in flight. Without an
+    /// interface face a `Scope::Global` solve has none in flight and
+    /// sweeps monolithically (one launch per fused sweep, no overlap
+    /// window, no row fold); with one, the same solve runs every sweep
+    /// split-phase; and a `Scope::Local` solve begins no exchange, so it
+    /// sweeps monolithically on that same interfaced world.
     #[test]
     fn halo_schedule_follows_the_interface_faces() {
         let mut global = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
@@ -447,6 +450,21 @@ mod tests {
             assert_eq!(launches(ev, "KernelBiCGS3F"), 3 * iters);
             assert_eq!(launches(ev, "KernelCI2"), 3 * 5 * (2 * iters + 1));
             assert_eq!(launches(ev, "KernelFoldWindow"), 2 * iters + 1);
+        }
+
+        let local = Case {
+            kind: SolverKind::BiCgs,
+            scope: Scope::Local,
+            ..case([2, 1, 1])
+        };
+        for run in local.run(true, true) {
+            let (iters, ev) = (run.outs[0].iterations, &run.events);
+            assert!(run.outs[0].converged && iters > 0, "{:?}", run.outs);
+            assert_eq!(overlap_windows(ev), 0);
+            let folds = ["KernelFold1", "KernelFold3", "KernelFoldWindow"];
+            assert_eq!(folds.map(|f| launches(ev, f)), [0; 3]);
+            assert_eq!(launches(ev, "KernelBiCGS1"), iters);
+            assert_eq!(launches(ev, "KernelBiCGS3F"), iters);
         }
     }
 }

@@ -3,6 +3,7 @@
 use accel::{Device, Recorder, Scalar, Serial};
 use blockgrid::{BcKind, BlockGrid, Decomp, Field, GlobalGrid};
 use comm::{run_ranks, Communicator, ReduceOrder, ThreadComm};
+use stencil::Part;
 
 use crate::{LaneSystem, RankCtx, Workspace};
 
@@ -112,7 +113,8 @@ where
     let c1 = E::from_f64(4.0 * rho / delta);
     let ca = E::from_f64(-2.0 * rho / (delta * theta));
     let mut y = field();
-    ctx.lap.apply_combine(dev, info, &b, &mut y, ca, [(&b, c1)]);
+    ctx.lap
+        .apply_combine(dev, info, &Part::Whole, &b, &mut y, ca, [(&b, c1)]);
     let mut outs = vec![z, y];
     for i in 2..=iterations {
         rho_old = rho;
@@ -124,8 +126,9 @@ where
         refresh(&mut outs[i - 1]);
         let (y, z) = (&outs[i - 1], &outs[i - 2]);
         let mut w = field();
+        let terms = [(y, cy), (&b, cb), (z, cz)];
         ctx.lap
-            .apply_combine(dev, info, y, &mut w, ca, [(y, cy), (&b, cb), (z, cz)]);
+            .apply_combine(dev, info, &Part::Whole, y, &mut w, ca, terms);
         outs.push(w);
     }
     outs

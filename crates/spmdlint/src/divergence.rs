@@ -33,14 +33,7 @@ const COLLECTIVES: &[&str] = &[
 
 /// Collectives that need a halo-ish receiver to count (`begin`, `finish`
 /// and `exchange` are too generic otherwise).
-const HALO_COLLECTIVES: &[&str] = &[
-    "begin",
-    "finish",
-    "exchange",
-    "begin_lanes",
-    "finish_lanes",
-    "exchange_lanes",
-];
+const HALO_COLLECTIVES: &[&str] = &["begin", "finish", "exchange", "begin_lanes", "finish_lanes"];
 
 /// Run SPMD002 over every function of a file (test code included — the
 /// balanced-arms rule keeps legitimate rank-scripted tests quiet).

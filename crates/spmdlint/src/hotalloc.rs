@@ -34,8 +34,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/bicgstab.rs", "finish_iteration"),
     ("crates/krylov/src/bicgstab.rs", "update_x"),
     ("crates/krylov/src/bicgstab.rs", "stop_cancelled"),
-    ("crates/krylov/src/bicgstab.rs", "refresh_lane_ghosts"),
     ("crates/krylov/src/bicgstab.rs", "refresh_ghosts"),
+    ("crates/krylov/src/bicgstab.rs", "apply_op"),
     ("crates/krylov/src/bicgstab.rs", "refresh_and_apply"),
     ("crates/krylov/src/bicgstab.rs", "apply_dots"),
     ("crates/krylov/src/bicgstab.rs", "dot_operands"),
@@ -45,7 +45,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/bicgstab.rs", "push"),
     ("crates/krylov/src/bicgstab.rs", "of"),
     ("crates/krylov/src/bicgstab.rs", "new"),
-    ("crates/krylov/src/ctx.rs", "split_phase_halo"),
     // Fused vector kernels.
     ("crates/krylov/src/kernels.rs", "axpy_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_chained_inplace"),
@@ -67,20 +66,16 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/kernels.rs", "norm2_local"),
     ("crates/krylov/src/kernels.rs", "scale"),
     ("crates/krylov/src/kernels.rs", "cast"),
-    // Chebyshev preconditioner inner loop (either sweep width) +
-    // stencil combine.
+    // Chebyshev preconditioner inner loop (either sweep width).
     ("crates/krylov/src/cheby.rs", "solve"),
     ("crates/krylov/src/cheby.rs", "sweeps"),
-    ("crates/krylov/src/cheby.rs", "refresh_ghosts"),
     ("crates/krylov/src/cheby.rs", "infos"),
     ("crates/krylov/src/cheby.rs", "rotation"),
     ("crates/krylov/src/cheby.rs", "sweep_input"),
-    ("crates/krylov/src/cheby.rs", "combine"),
     ("crates/krylov/src/cheby.rs", "sweep"),
-    // The comm-free Serial z-plane wavefront, its plane-ranged sweep and
-    // ghost refresh, and the mute that keeps its events logical.
+    // The comm-free Serial z-plane wavefront, its plane-ranged ghost
+    // refresh, and the mute that keeps its events logical.
     ("crates/krylov/src/cheby.rs", "wavefront"),
-    ("crates/stencil/src/laplacian.rs", "apply_combine_planes"),
     ("crates/stencil/src/laplacian.rs", "apply_physical_bcs"),
     (
         "crates/stencil/src/laplacian.rs",
@@ -89,18 +84,22 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "physical_faces"),
     ("crates/stencil/src/laplacian.rs", "physical_bc_elems"),
     ("crates/accel/src/events.rs", "muted"),
+    // The sweep families: plain and combine over a `Part`, and the
+    // lanes-wide fused dots, window, shell and fold.
     ("crates/stencil/src/laplacian.rs", "apply"),
+    ("crates/stencil/src/laplacian.rs", "apply_part"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
     ("crates/stencil/src/laplacian.rs", "apply_shell"),
-    ("crates/stencil/src/laplacian.rs", "apply_fused_dots"),
-    ("crates/stencil/src/laplacian.rs", "apply_fused_dots_one"),
-    ("crates/stencil/src/laplacian.rs", "apply_fused_dot"),
-    ("crates/stencil/src/laplacian.rs", "apply_fused_dot2"),
-    ("crates/stencil/src/laplacian.rs", "apply_fused_dot3"),
     ("crates/stencil/src/laplacian.rs", "apply_combine"),
-    ("crates/stencil/src/laplacian.rs", "apply_combine_interior"),
-    ("crates/stencil/src/laplacian.rs", "apply_combine_shell"),
-    ("crates/stencil/src/laplacian.rs", "sweep_on_map"),
+    ("crates/stencil/src/laplacian.rs", "for_each_map"),
+    ("crates/stencil/src/laplacian.rs", "sweep"),
+    ("crates/stencil/src/laplacian.rs", "apply_fused_dot"),
+    ("crates/stencil/src/laplacian.rs", "apply_part_dots"),
+    ("crates/stencil/src/laplacian.rs", "refold"),
+    ("crates/stencil/src/laplacian.rs", "dots_on_map"),
+    ("crates/stencil/src/laplacian.rs", "slot_map_for"),
+    ("crates/stencil/src/laplacian.rs", "piece_origin"),
+    ("crates/stencil/src/laplacian.rs", "fold"),
     // The 7-point row core every sweep above runs through: the run bodies
     // (one arm pick per run, the row loop inside) and the row arithmetic.
     ("crates/stencil/src/laplacian.rs", "row_core"),
@@ -111,12 +110,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "stencil_row"),
     ("crates/stencil/src/laplacian.rs", "rows_run"),
     ("crates/stencil/src/laplacian.rs", "rows_run_avx2"),
-    ("crates/stencil/src/laplacian.rs", "apply_on_map"),
-    ("crates/stencil/src/laplacian.rs", "apply_rows_dot"),
-    ("crates/stencil/src/laplacian.rs", "fold_row_into"),
-    ("crates/stencil/src/laplacian.rs", "apply_interior_dot"),
-    ("crates/stencil/src/laplacian.rs", "apply_shell_dot"),
-    ("crates/stencil/src/laplacian.rs", "fold"),
     // Halo pack/unpack and the split-phase exchange path.
     ("crates/blockgrid/src/halo.rs", "pack_face"),
     ("crates/blockgrid/src/halo.rs", "unpack_face"),
@@ -126,11 +119,10 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "begin_impl"),
     ("crates/blockgrid/src/halo.rs", "begin_lanes"),
     ("crates/blockgrid/src/halo.rs", "finish_lanes"),
-    ("crates/blockgrid/src/halo.rs", "exchange_lanes"),
     ("crates/blockgrid/src/halo.rs", "begin"),
     ("crates/blockgrid/src/halo.rs", "finish"),
     ("crates/blockgrid/src/halo.rs", "exchange"),
-    ("crates/blockgrid/src/halo.rs", "interface_faces"),
+    ("crates/blockgrid/src/halo.rs", "faces"),
     // Narrow (f32) faces: in-place compaction into wire words.
     ("crates/blockgrid/src/halo.rs", "to_wire"),
     ("crates/blockgrid/src/halo.rs", "from_wire"),
@@ -146,6 +138,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     // wrappers every element-wise kernel launches through. SimGpu books
     // one partial slot per simulated thread block (`alloc-ok`).
     ("crates/accel/src/device/mod.rs", "launch_rows_reduce"),
+    ("crates/accel/src/device/mod.rs", "launch_reduce"),
     ("crates/accel/src/device/mod.rs", "launch_lanes_reduce"),
     ("crates/accel/src/device/mod.rs", "launch_lanes2_reduce"),
     ("crates/accel/src/device/mod.rs", "validate_runs"),
@@ -153,11 +146,12 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/accel/src/index.rs", "from_raw"),
     ("crates/accel/src/index.rs", "next"),
     ("crates/accel/src/device/serial.rs", "launch_runs"),
+    ("crates/accel/src/device/serial.rs", "launch_reduce_lanes"),
     ("crates/accel/src/device/simgpu.rs", "launch_runs"),
     // Threads back-end: every launch, its stack-slot sweep and the team's
     // hand-off (job slot, countdown, spin-then-park) — no per-launch heap.
     ("crates/accel/src/device/threads.rs", "launch_runs"),
-    ("crates/accel/src/device/threads.rs", "launch_reduce"),
+    ("crates/accel/src/device/threads.rs", "launch_reduce_lanes"),
     ("crates/accel/src/device/threads.rs", "sweep"),
     ("crates/accel/src/pool.rs", "run_chunks"),
     ("crates/accel/src/pool.rs", "run_owned"),

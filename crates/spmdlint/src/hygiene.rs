@@ -1,18 +1,115 @@
-//! SPMD005–SPMD007 — the checks migrated from the original `xtask lint`
-//! pass, now running on the shared lexer.
+//! SPMD004, SPMD005, SPMD007 — source hygiene.
 //!
-//! - **SPMD005** unsafe allowlist: `unsafe` may appear only in the
-//!   modules listed in [`UNSAFE_ALLOWLIST`], each occurrence documented
-//!   by a nearby `// SAFETY:` comment (or `# Safety` doc section).
-//! - **SPMD006** `#[must_use]` registry: split-phase handle types whose
-//!   silent drop loses messages must carry the attribute.
+//! - **SPMD004** panic hygiene: `crates/serve` hosts multi-tenant jobs,
+//!   and a panic on the request path kills a worker or quarantines it.
+//!   Non-test code under `crates/serve/src` must not call
+//!   `.unwrap()`/`.expect(…)`, invoke `panic!`-family macros, or use
+//!   bracket indexing; provably-infallible sites carry
+//!   `// LINT: panic-ok(<reason>)`.
+//! - **SPMD005** unsafe allowlist: `unsafe` only in the modules of
+//!   [`UNSAFE_ALLOWLIST`], each use under a nearby `// SAFETY:` comment
+//!   (or `# Safety` doc section).
 //! - **SPMD007** missing-docs opt-in: every library crate root must
 //!   `#![warn(missing_docs)]` (or deny).
 
 use std::path::Path;
 
 use crate::lexer::{has_word, strip_comments_and_strings};
-use crate::Finding;
+use crate::tree::{FnItem, Tree};
+use crate::{Finding, SrcInfo};
+
+/// Path fragment selecting the files this pass covers.
+const SERVE_SRC: &str = "crates/serve/src/";
+
+/// Identifier keywords that legitimately precede a `[` without forming
+/// an index expression (`&mut [T]`, `if cond [..]` never parses, but be
+/// conservative).
+const NON_INDEX_PREV: &[&str] = &[
+    "mut", "ref", "dyn", "as", "in", "if", "else", "match", "return", "let", "move", "box",
+    "while", "loop", "for", "break", "continue", "unsafe", "where", "impl", "fn", "pub", "use",
+    "mod", "struct", "enum", "trait", "type", "const", "static", "crate",
+];
+
+/// Run SPMD004 over non-test functions of serve source files.
+pub fn check(src: &SrcInfo<'_>, fns: &[FnItem], findings: &mut Vec<Finding>) {
+    if !src.rel.contains(SERVE_SRC) {
+        return;
+    }
+    for f in fns.iter().filter(|f| !f.is_test) {
+        scan(src, &f.body, findings);
+    }
+}
+
+fn scan(src: &SrcInfo<'_>, items: &[Tree], findings: &mut Vec<Finding>) {
+    for (i, t) in items.iter().enumerate() {
+        if let Some((line, what)) = panic_site(items, i) {
+            if !src.annotated(line, "panic-ok") {
+                findings.push(Finding {
+                    code: "SPMD004",
+                    path: src.rel.to_string(),
+                    line,
+                    message: format!(
+                        "`{what}` on the serve request path can panic a multi-tenant worker; \
+                         return a typed error (`SubmitError`/`JobError`/`StartError`) or \
+                         justify with `// LINT: panic-ok(<reason>)`"
+                    ),
+                });
+            }
+        }
+        if let Tree::Group { items: g, .. } = t {
+            scan(src, g, findings);
+        }
+    }
+}
+
+/// Identify a panic-capable construct at `items[at]`.
+fn panic_site(items: &[Tree], at: usize) -> Option<(u32, String)> {
+    let t = &items[at];
+    if let Some(name) = t.ident() {
+        let next = items.get(at + 1);
+        let prev = at.checked_sub(1).map(|p| &items[p]);
+        // .unwrap() / .expect(…)
+        if matches!(name, "unwrap" | "expect")
+            && matches!(prev, Some(p) if p.is_punct(b'.'))
+            && matches!(next, Some(n) if n.is_group(b'('))
+        {
+            return Some((t.line(), format!(".{name}()")));
+        }
+        // panic! / unreachable! / todo! / unimplemented! / assert!-family
+        if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
+            && matches!(next, Some(n) if n.is_punct(b'!'))
+        {
+            return Some((t.line(), format!("{name}!")));
+        }
+        return None;
+    }
+    // Bracket indexing: `expr[…]` — a `[` group directly after an
+    // identifier (that is not a keyword) or a call/index result.
+    if let Tree::Group {
+        delim: b'[',
+        open_line,
+        ..
+    } = t
+    {
+        match at.checked_sub(1).map(|p| &items[p]) {
+            Some(Tree::Leaf(prev_tok)) => {
+                if let Some(name) = prev_tok.ident() {
+                    if !NON_INDEX_PREV.contains(&name) {
+                        return Some((*open_line, format!("{name}[…]")));
+                    }
+                }
+            }
+            Some(Tree::Group {
+                delim: b')' | b'(' | b'[',
+                ..
+            }) => {
+                return Some((*open_line, "(…)[…]".to_string()));
+            }
+            _ => {}
+        }
+    }
+    None
+}
 
 /// Modules allowed to contain `unsafe` code, relative to the repo root.
 ///
@@ -42,25 +139,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/check/tests/mutations.rs",
 ];
 
-/// `(file, type)` pairs that must be `#[must_use]`: dropping one of
-/// these silently abandons an in-flight message or a borrowed ghost
-/// region.
-pub const MUST_USE_TYPES: &[(&str, &str)] = &[
-    ("crates/comm/src/types.rs", "RecvRequest"),
-    ("crates/comm/src/types.rs", "ReduceRequest"),
-    // Dropping a chunked handle abandons both the in-flight head chunk
-    // and the never-reduced tail scalars.
-    ("crates/comm/src/types.rs", "ReduceManyRequest"),
-    // Generic over the field width (`PendingExchange<E>`): one handle
-    // for full- and single-precision exchanges.
-    ("crates/blockgrid/src/halo.rs", "PendingExchange"),
-    // Dropping a job handle silently discards the tenant's result.
-    ("crates/serve/src/job.rs", "JobHandle"),
-    // Dropping the fold handle abandons the slot partials of a fused
-    // split-phase dot — the scalar would silently never be produced.
-    ("crates/stencil/src/laplacian.rs", "PendingDotFold"),
-];
-
 /// How many lines above an `unsafe` token a `SAFETY` comment may sit.
 pub const SAFETY_WINDOW: usize = 10;
 
@@ -80,7 +158,7 @@ pub fn audit_unsafe(rel: &str, text: &str, findings: &mut Vec<Finding>) {
                 path: rel.to_string(),
                 line: lineno,
                 message: "`unsafe` outside the allowlist (UNSAFE_ALLOWLIST in \
-                          crates/spmdlint/src/legacy.rs)"
+                          crates/spmdlint/src/hygiene.rs)"
                     .to_string(),
             });
             continue;
@@ -97,47 +175,6 @@ pub fn audit_unsafe(rel: &str, text: &str, findings: &mut Vec<Finding>) {
                 message: format!(
                     "`unsafe` without a `// SAFETY:` comment within {SAFETY_WINDOW} lines"
                 ),
-            });
-        }
-    }
-}
-
-/// SPMD006: check that the listed split-phase handle types are
-/// `#[must_use]`.
-pub fn audit_must_use(root: &Path, findings: &mut Vec<Finding>) {
-    for (rel, ty) in MUST_USE_TYPES {
-        let path = root.join(rel);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            findings.push(Finding {
-                code: "SPMD006",
-                path: (*rel).to_string(),
-                line: 1,
-                message: format!("missing (expected to define {ty})"),
-            });
-            continue;
-        };
-        let lines: Vec<&str> = text.lines().collect();
-        let decl = lines
-            .iter()
-            .position(|l| has_word(l, "struct") && has_word(l, ty));
-        let Some(decl) = decl else {
-            findings.push(Finding {
-                code: "SPMD006",
-                path: (*rel).to_string(),
-                line: 1,
-                message: format!("type {ty} not found"),
-            });
-            continue;
-        };
-        let lo = decl.saturating_sub(SAFETY_WINDOW);
-        // Both `#[must_use]` and `#[must_use = "reason"]` count.
-        let marked = lines[lo..=decl].iter().any(|l| l.contains("#[must_use"));
-        if !marked {
-            findings.push(Finding {
-                code: "SPMD006",
-                path: (*rel).to_string(),
-                line: (decl + 1) as u32,
-                message: format!("{ty} must be #[must_use] (dropping it loses in-flight messages)"),
             });
         }
     }

@@ -9,10 +9,10 @@
 //! | `SPMD001` | [`split_phase`] | every split-phase begin reaches its finish on every path |
 //! | `SPMD002` | [`divergence`]  | no collective under a rank-dependent branch |
 //! | `SPMD003` | [`hotalloc`]    | registered hot functions stay allocation-free |
-//! | `SPMD004` | [`panic_hygiene`] | no panics/unwraps/indexing on the serve request path |
-//! | `SPMD005` | [`legacy`] | `unsafe` allowlist + `// SAFETY:` comments |
-//! | `SPMD006` | [`legacy`] | split-phase handle types are `#[must_use]` |
-//! | `SPMD007` | [`legacy`] | library crates opt into `missing_docs` |
+//! | `SPMD004` | [`hygiene`]     | no panics/unwraps/indexing on the serve request path |
+//! | `SPMD005` | [`hygiene`]     | `unsafe` allowlist + `// SAFETY:` comments |
+//! | `SPMD006` | [`split_phase`] | split-phase handle types are `#[must_use]` |
+//! | `SPMD007` | [`hygiene`]     | library crates opt into `missing_docs` |
 //!
 //! The analyzer is dependency-free and control-flow-*approximate*: it
 //! interprets token trees, not typed HIR. False positives are silenced
@@ -28,9 +28,8 @@
 
 pub mod divergence;
 pub mod hotalloc;
-pub mod legacy;
+pub mod hygiene;
 pub mod lexer;
-pub mod panic_hygiene;
 pub mod split_phase;
 pub mod tree;
 
@@ -123,8 +122,8 @@ fn analyze(rel: &str, text: &str) -> (Vec<Finding>, Vec<String>) {
     split_phase::check(&src, &fns, &mut findings);
     divergence::check(&src, &fns, &mut findings);
     hotalloc::check(&src, &fns, &mut findings);
-    panic_hygiene::check(&src, &fns, &mut findings);
-    legacy::audit_unsafe(rel, text, &mut findings);
+    hygiene::check(&src, &fns, &mut findings);
+    hygiene::audit_unsafe(rel, text, &mut findings);
     let defined = fns
         .into_iter()
         .filter(|f| !f.is_test)
@@ -168,8 +167,8 @@ pub fn run_workspace(root: &Path) -> Report {
     }
     split_phase::audit_registry(&defined, &mut findings);
     hotalloc::audit_registry_files(root, &mut findings);
-    legacy::audit_must_use(root, &mut findings);
-    legacy::audit_missing_docs(root, &mut findings);
+    split_phase::audit_must_use(root, &mut findings);
+    hygiene::audit_missing_docs(root, &mut findings);
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.code).cmp(&(b.path.as_str(), b.line, b.code)));
     Report {

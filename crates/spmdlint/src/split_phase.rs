@@ -1,9 +1,9 @@
-//! SPMD001 — split-phase begin/finish pairing.
+//! SPMD001 and SPMD006 — the split-phase protocols.
 //!
-//! Every split-phase begin (`iall_reduce` returning a
+//! **SPMD001**, begin/finish pairing: every split-phase begin (`iall_reduce` returning a
 //! `ReduceRequest`, `iall_reduce_many` returning a `ReduceManyRequest`,
 //! `halo.begin`/`halo.begin_lanes` returning a `PendingExchange`,
-//! `apply_shell_dot` returning a `PendingDotFold`) must reach its finish
+//! `apply_part_dots` returning a `PendingDotFold`) must reach its finish
 //! (`reduce_finish`, `reduce_finish_many`, `finish`/`finish_lanes`,
 //! `fold`) on **every** control-flow path. The walker interprets a
 //! function body statement-by-statement over the token tree:
@@ -14,14 +14,22 @@
 //! Consumption is occurrence-based: once a handle is let-bound, any later
 //! mention of the binding on a path counts as reaching the finish (the
 //! finish call takes the handle by value, so mentioning it without
-//! finishing does not compile). Handles that escape — tail expressions,
-//! `return` values, results passed straight into another call, or stores
-//! into existing places — are the caller's obligation and are not
-//! tracked. Suppress a deliberate violation with
+//! finishing does not compile) — except a call of one of its other
+//! methods, which only borrows it (`pending.faces()`). Handles that
+//! escape — tail expressions, `return` values, results passed straight
+//! into another call, or stores into existing places — are the caller's
+//! obligation and are not tracked. Suppress a deliberate violation with
 //! `// LINT: split-phase-ok(<reason>)` next to the begin site.
+//!
+//! **SPMD006**, the `#[must_use]` registry: the handle types whose
+//! silent drop loses messages ([`MUST_USE_TYPES`]) must carry the
+//! attribute.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
+use crate::hygiene::SAFETY_WINDOW;
+use crate::lexer::has_word;
 use crate::tree::{FnItem, Tree};
 use crate::{Finding, SrcInfo};
 
@@ -59,11 +67,30 @@ const CLASSES: &[BeginClass] = &[
         contextual_halo: true,
     },
     BeginClass {
-        begins: &["apply_shell_dot"],
+        begins: &["apply_part_dots"],
         finish: "fold",
         handle: "PendingDotFold",
         contextual_halo: false,
     },
+];
+
+/// `(file, type)` pairs that must be `#[must_use]`: dropping one of
+/// these silently abandons an in-flight message or a borrowed ghost
+/// region.
+pub const MUST_USE_TYPES: &[(&str, &str)] = &[
+    ("crates/comm/src/types.rs", "RecvRequest"),
+    ("crates/comm/src/types.rs", "ReduceRequest"),
+    // Dropping a chunked handle abandons both the in-flight head chunk
+    // and the never-reduced tail scalars.
+    ("crates/comm/src/types.rs", "ReduceManyRequest"),
+    // Generic over the field width (`PendingExchange<E>`): one handle
+    // for full- and single-precision exchanges.
+    ("crates/blockgrid/src/halo.rs", "PendingExchange"),
+    // Dropping a job handle silently discards the tenant's result.
+    ("crates/serve/src/job.rs", "JobHandle"),
+    // Dropping the fold handle abandons the slot partials of a fused
+    // split-phase dot — the scalar would silently never be produced.
+    ("crates/stencil/src/laplacian.rs", "PendingDotFold"),
 ];
 
 /// The classes match call sites by method name, so a renamed begin or
@@ -268,9 +295,7 @@ impl Walker<'_, '_> {
                 }
                 Tree::Leaf(tok) => {
                     if let Some(name) = tok.ident() {
-                        if let Some(h) = handles.iter_mut().find(|h| h.var == name) {
-                            h.consumed = true;
-                        }
+                        mention(items, i, name, handles);
                         if !returning {
                             if let Some(class) = begin_class_at(items, i) {
                                 last_begin = Some((class, tok.line()));
@@ -583,17 +608,31 @@ impl Walker<'_, '_> {
 
 /// Mark every handle mentioned anywhere in `items` as consumed.
 fn consume_occurrences(items: &[Tree], handles: &mut [Handle]) {
-    for t in items {
+    for (i, t) in items.iter().enumerate() {
         match t {
             Tree::Leaf(tok) => {
                 if let Some(name) = tok.ident() {
-                    if let Some(h) = handles.iter_mut().find(|h| h.var == name) {
-                        h.consumed = true;
-                    }
+                    mention(items, i, name, handles);
                 }
             }
             Tree::Group { items, .. } => consume_occurrences(items, handles),
         }
+    }
+}
+
+/// The identifier `name` at `items[at]` mentions a live handle: it
+/// consumes the handle, unless it only calls a method of it other than
+/// its finish (`pending.faces()` borrows; `fold.fold(…)` finishes).
+fn mention(items: &[Tree], at: usize, name: &str, handles: &mut [Handle]) {
+    let Some(h) = handles.iter_mut().find(|h| h.var == name) else {
+        return;
+    };
+    let method = match (items.get(at + 1), items.get(at + 2)) {
+        (Some(dot), Some(m)) if dot.is_punct(b'.') => m.ident(),
+        _ => None,
+    };
+    if method.is_none_or(|m| m == CLASSES[h.class].finish) {
+        h.consumed = true;
     }
 }
 
@@ -662,4 +701,45 @@ fn receiver_is_halo(items: &[Tree], at: usize) -> bool {
         }
     }
     false
+}
+
+/// SPMD006: check that the listed split-phase handle types are
+/// `#[must_use]`.
+pub fn audit_must_use(root: &Path, findings: &mut Vec<Finding>) {
+    for (rel, ty) in MUST_USE_TYPES {
+        let path = root.join(rel);
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            findings.push(Finding {
+                code: "SPMD006",
+                path: (*rel).to_string(),
+                line: 1,
+                message: format!("missing (expected to define {ty})"),
+            });
+            continue;
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        let decl = lines
+            .iter()
+            .position(|l| has_word(l, "struct") && has_word(l, ty));
+        let Some(decl) = decl else {
+            findings.push(Finding {
+                code: "SPMD006",
+                path: (*rel).to_string(),
+                line: 1,
+                message: format!("type {ty} not found"),
+            });
+            continue;
+        };
+        let lo = decl.saturating_sub(SAFETY_WINDOW);
+        // Both `#[must_use]` and `#[must_use = "reason"]` count.
+        let marked = lines[lo..=decl].iter().any(|l| l.contains("#[must_use"));
+        if !marked {
+            findings.push(Finding {
+                code: "SPMD006",
+                path: (*rel).to_string(),
+                line: (decl + 1) as u32,
+                message: format!("{ty} must be #[must_use] (dropping it loses in-flight messages)"),
+            });
+        }
+    }
 }

@@ -21,8 +21,13 @@ pub fn finished_on_one_branch_only(ctx: &Ctx, split: bool) {
 }
 
 pub fn dropped_entirely(lap: &Laplacian, dev: &Dev) {
-    let fold = lap.apply_shell_dot(dev, INFO, &u, &mut w); // EXPECT: SPMD001
+    let fold = lap.apply_part_dots(dev, INFO, &part, &us, &mut ws, &mut slots, &mut accs, &terms); // EXPECT: SPMD001
     other_work(dev);
+}
+
+pub fn borrowed_but_never_finished(ctx: &Ctx) -> u8 {
+    let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ctx.u); // EXPECT: SPMD001
+    pending.faces()
 }
 
 pub fn properly_paired_is_clean(comm: &Comm, flag: bool) -> f64 {

@@ -113,15 +113,15 @@ fn dropped_halo_finish_is_caught_spmd001() {
 fn dropped_dot_fold_is_caught_spmd001() {
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    let fold = line_of(&text, "*sums = fold.fold(dev, fold_info, slots);");
-    let begin = line_of(&text, "let fold = ctx.lap.apply_shell_dot(");
+    let fold = line_of(&text, "fold.fold(dev, fold_info, sl, accs);");
+    let begin = line_of(&text, "let fold = lap.apply_part_dots(");
     let mutant = blank_line(&text, fold);
     let found = findings_with(rel, &mutant, "SPMD001");
     assert!(
         found
             .iter()
             .any(|(l, m)| *l == begin && m.contains("PendingDotFold")),
-        "expected SPMD001 at the apply_shell_dot line {begin}, got {found:?}"
+        "expected SPMD001 at the apply_part_dots line {begin}, got {found:?}"
     );
 }
 
@@ -129,7 +129,7 @@ fn dropped_dot_fold_is_caught_spmd001() {
 fn rank_guarded_collective_is_caught_spmd002() {
     let rel = "crates/krylov/src/bicgstab.rs";
     let text = load(rel);
-    // Mutation: make the lanes-wide halo exchange of refresh_lane_ghosts
+    // Mutation: make the blocking halo exchange of refresh_ghosts
     // conditional on being rank 0.
     let guard = "if scope == Scope::Global {";
     let cond_line = line_of(&text, guard);
@@ -271,7 +271,7 @@ fn registry_entries_without_a_definition_are_findings() {
         "begin",
         "begin_lanes",
         "finish_lanes",
-        "apply_shell_dot",
+        "apply_part_dots",
     ]
     .map(String::from)
     .into();
@@ -332,7 +332,7 @@ fn stripped_must_use_is_caught_spmd006() {
 
     std::fs::write(&file, "pub struct PendingDotFold<const NR: usize> {}\n").unwrap();
     let mut findings = Vec::new();
-    spmdlint::legacy::audit_must_use(&dir, &mut findings);
+    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
@@ -346,7 +346,7 @@ fn stripped_must_use_is_caught_spmd006() {
     )
     .unwrap();
     let mut findings = Vec::new();
-    spmdlint::legacy::audit_must_use(&dir, &mut findings);
+    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
     assert!(
         !findings
             .iter()
@@ -366,7 +366,7 @@ fn stripped_generic_halo_must_use_is_caught_spmd006() {
 
     std::fs::write(&file, "pub struct PendingExchange<E: Scalar> {}\n").unwrap();
     let mut findings = Vec::new();
-    spmdlint::legacy::audit_must_use(&dir, &mut findings);
+    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
@@ -381,7 +381,7 @@ fn stripped_generic_halo_must_use_is_caught_spmd006() {
     )
     .unwrap();
     let mut findings = Vec::new();
-    spmdlint::legacy::audit_must_use(&dir, &mut findings);
+    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
     assert!(
         !findings
             .iter()

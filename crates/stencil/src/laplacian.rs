@@ -42,9 +42,6 @@ fn info_fold_window<T: Scalar>(nx: usize) -> KernelInfo {
 #[derive(Clone, Debug)]
 pub struct Laplacian {
     grid: BlockGrid,
-    /// [`BlockGrid::interface_mask`]: the faces a halo exchange of this
-    /// subdomain has in flight, which the split sweeps peel.
-    in_flight: u8,
 }
 
 /// The 7-point row core: per-axis `1/h²`, the padded strides and the
@@ -245,10 +242,7 @@ impl Laplacian {
                 grid.local_n[a]
             );
         }
-        Self {
-            grid: grid.clone(),
-            in_flight: grid.interface_mask(),
-        }
+        Self { grid: grid.clone() }
     }
 
     /// The subdomain this operator acts on.
@@ -299,47 +293,25 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        self.apply_on_map(dev, info, self.grid.interior_map(), u, w);
+        self.apply_part(dev, info, &Part::Whole, u, w);
     }
 
-    /// The part of the interior a split sweep covers while the halo
-    /// exchange is in flight ([`RowMap::halo_window`] of this subdomain's
-    /// interface faces).
-    #[inline(always)]
-    fn window(&self) -> Option<RowMap> {
-        RowMap::halo_window(self.grid.interior(), self.in_flight)
-    }
-
-    /// The rest of the interior, swept after the exchange has finished.
-    #[inline(always)]
-    fn shell(&self) -> accel::ShellMaps {
-        RowMap::halo_shell(self.grid.interior(), self.in_flight)
-    }
-
-    /// Stencil sweep restricted to one sub-map of the interior.
-    fn apply_on_map<T: Scalar, D: Device>(
+    /// `w = A u` over one [`Part`] of the interior. Window and shell of
+    /// one exchange's faces together are [`Laplacian::apply`], cell for
+    /// cell and bit for bit.
+    pub fn apply_part<T: Scalar, D: Device>(
         &self,
         dev: &D,
         info: KernelInfo,
-        map: RowMap,
+        part: &Part,
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        self.sweep_on_map::<T, D, false, 0>(dev, info, map, u, w, T::ZERO, []);
+        self.sweep::<T, D, false, 0>(dev, info, part, u, w, T::ZERO, []);
     }
 
-    /// `w = A u` over the *window* of the interior: the first half of a
-    /// split sweep, safe to run while a split-phase halo exchange
-    /// (`HaloExchange::begin`) is in flight. It reads every ghost except
-    /// those of interface faces, so the physical ghosts
-    /// ([`apply_physical_bcs`]) must be current; pair with
-    /// [`Laplacian::apply_shell`] after `finish` to complete the sweep.
-    ///
-    /// The window peels only the cells next to interface faces and spans
-    /// only as many leading z planes as it takes to outnumber the cells in
-    /// flight; a subdomain without interfaces is swept whole. No-op when
-    /// the block is too thin to leave a window (`apply_shell` then covers
-    /// the interior).
+    /// `w = A u` over the window of all of this subdomain's interface
+    /// faces ([`Part::Window`]); pair with [`Laplacian::apply_shell`].
     pub fn apply_interior<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -347,18 +319,11 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        if let Some(map) = self.window() {
-            self.apply_on_map(dev, info, map, u, w);
-        }
+        let faces = self.grid.interface_mask();
+        self.apply_part(dev, info, &Part::Window(faces), u, w);
     }
 
-    /// `w = A u` over the *shell* of the interior — the complement of
-    /// [`Laplacian::apply_interior`]: the window's peeled cells (still in
-    /// cache) and every plane behind it as full rows. Requires all ghost
-    /// layers (halo + physical) to be current. Together the two cover each
-    /// interior cell exactly once with arithmetic identical to
-    /// [`Laplacian::apply`], so the split sweep is bitwise-equal to the
-    /// monolithic one.
+    /// `w = A u` over the matching shell ([`Part::Shell`]).
     pub fn apply_shell<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -366,98 +331,58 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        for map in self.shell() {
-            self.apply_on_map(dev, info, map, u, w);
-        }
+        let faces = self.grid.interface_mask();
+        self.apply_part(dev, info, &Part::Shell(faces), u, w);
     }
 
     /// Fused affine stencil sweep: `out = ca * (A u) + sum_i c_i * f_i`
-    /// over the interior; the number of extra fields is part of the type,
-    /// so the term loop unrolls at compile time.
+    /// over `part` of the interior; the number of extra fields is part of
+    /// the type, so the term loop unrolls at compile time.
     ///
     /// This is the shape of the Chebyshev kernels of Algorithm 4:
     /// `KernelCI1` is `y = c1*b + ca*(A b)` and `KernelCI2` is
     /// `w = c1*y + c2*b + c3*z + ca*(A y)` — one stencil sweep each, no
     /// reductions (the iteration is reduction-free by construction).
+    #[allow(clippy::too_many_arguments)]
     pub fn apply_combine<T: Scalar, D: Device, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
+        part: &Part,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
         terms: [(&Field<T>, T); N],
     ) {
-        self.sweep_on_map::<T, D, true, N>(dev, info, self.grid.interior_map(), u, out, ca, terms);
+        self.sweep::<T, D, true, N>(dev, info, part, u, out, ca, terms);
     }
 
-    /// [`Laplacian::apply_combine`] over the interior z planes `planes`
-    /// (0-based, non-empty, within `0..nz`) only — the step a z-plane
-    /// wavefront advances a sweep by. It reads `u` on planes
-    /// `planes.start − 1 ..= planes.end` (a ghost plane at either end of
-    /// the interior), whose ghosts must be current, and the terms on
-    /// `planes`; cell for cell it is [`Laplacian::apply_combine`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_combine_planes<T: Scalar, D: Device, const N: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        planes: Range<usize>,
-        u: &Field<T>,
-        out: &mut Field<T>,
-        ca: T,
-        terms: [(&Field<T>, T); N],
-    ) {
-        let all = self.grid.interior_map();
-        let map = RowMap {
-            base: all.row_offset(0, planes.start),
-            nz: planes.len(),
-            ..all
-        };
-        self.sweep_on_map::<T, D, true, N>(dev, info, map, u, out, ca, terms);
-    }
-
-    /// [`Laplacian::apply_combine`] over the window only (see
-    /// [`Laplacian::apply_interior`] for the overlap contract).
-    pub fn apply_combine_interior<T: Scalar, D: Device, const N: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        out: &mut Field<T>,
-        ca: T,
-        terms: [(&Field<T>, T); N],
-    ) {
-        if let Some(map) = self.window() {
-            self.sweep_on_map::<T, D, true, N>(dev, info, map, u, out, ca, terms);
-        }
-    }
-
-    /// [`Laplacian::apply_combine`] over the shell (see
-    /// [`Laplacian::apply_shell`] for the overlap contract).
-    pub fn apply_combine_shell<T: Scalar, D: Device, const N: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        out: &mut Field<T>,
-        ca: T,
-        terms: [(&Field<T>, T); N],
-    ) {
-        for map in self.shell() {
-            self.sweep_on_map::<T, D, true, N>(dev, info, map, u, out, ca, terms);
+    /// `f(map)` for the row maps of `part`, in sweep order.
+    fn for_each_map(&self, part: &Part, mut f: impl FnMut(RowMap)) {
+        let (interior, all) = (self.grid.interior(), self.grid.interior_map());
+        match part {
+            Part::Whole => f(all),
+            Part::Planes(k) => f(RowMap {
+                base: all.row_offset(0, k.start),
+                nz: k.len(),
+                ..all
+            }),
+            Part::Window(faces) => RowMap::halo_window(interior, *faces)
+                .into_iter()
+                .for_each(f),
+            Part::Shell(faces) => RowMap::halo_shell(interior, *faces).into_iter().for_each(f),
         }
     }
 
     /// `out = ca · (A u) + Σₜ cₜ fₜ` (`ca` unused without `SCALED`) over
-    /// one sub-map of the interior: the run body of every plain and
-    /// combine sweep.
+    /// `part`: the one body of every plain and combine sweep, a launch
+    /// per row map of the part.
     #[allow(clippy::too_many_arguments)]
-    fn sweep_on_map<T: Scalar, D: Device, const SCALED: bool, const N: usize>(
+    fn sweep<T: Scalar, D: Device, const SCALED: bool, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
-        map: RowMap,
+        part: &Part,
         u: &Field<T>,
         out: &mut Field<T>,
         ca: T,
@@ -466,58 +391,18 @@ impl Laplacian {
         let core = self.row_core::<T>();
         let us = u.as_slice();
         let fs = terms.map(|(f, c)| (f.as_slice(), c));
-        dev.on_stencil_read(info.name, map, us);
-        let lanes = &mut [out.as_mut_slice()];
-        dev.launch_runs(info, map, lanes, None, &mut [[]], |_, run, _| {
-            core.stencil_run::<SCALED, N>(us, &map, run, ca, fs, |_, _, _, _| {});
-        });
-    }
-
-    /// `out = A u` fused with `NR` local dot products per lane — the one
-    /// body of the monolithic fused stencil-dot sweeps (`KernelBiCGS1`,
-    /// `KernelBiCGS3`, `KernelBiCGS3F`), every lane of a multi-RHS solve
-    /// in one launch. `terms` receives the lane, the padded linear index
-    /// `c` and the stencil value `v` there and returns the `NR`
-    /// per-element dot terms. The device strides lanes inside a single
-    /// grid sweep (one kernel-launch event for the whole batch) while
-    /// folding each lane's rows with a private accumulator, so a lane's
-    /// field and scalars do not depend on which other lanes ride along.
-    /// Slices are full padded lane arrays with current ghosts; per-lane
-    /// dots land in `accs[s]`.
-    ///
-    /// Each dot folds its rows in the canonical edge-last order
-    /// ([`fold_row_edge_last_n`]), so the result is bitwise identical to
-    /// the split halo-overlap form ([`Laplacian::apply_interior_dot`] +
-    /// [`Laplacian::apply_shell_dot`] + fold) of the same `terms` and to
-    /// plain dots over `out` after a separate apply.
-    pub fn apply_fused_dots<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        us: &[&[T]],
-        outs: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        terms: &F,
-    ) where
-        F: Fn(usize, usize, T) -> [T; NR] + Sync,
-    {
-        assert_eq!(us.len(), outs.len(), "lane count mismatch");
-        let core = self.row_core::<T>();
-        let map = self.grid.interior_map();
-        let [nx, ny, nz] = self.grid.local_n;
-        dev.launch_runs(info, map, outs, None, accs, |s, run, acc| {
-            let k = run.k;
-            core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, _| {
-                let mid = row_has_deep_middle(nx, ny, nz, j, k);
-                let dots = fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]));
-                *acc = add_partials(*acc, dots);
+        self.for_each_map(part, |map| {
+            dev.on_stencil_read(info.name, map, us);
+            let lanes = &mut [out.as_mut_slice()];
+            dev.launch_runs(info, map, lanes, None, &mut [[]], |_, run, _| {
+                core.stencil_run::<SCALED, N>(us, &map, run, ca, fs, |_, _, _, _| {});
             });
         });
     }
 
     /// `w = A u` fused with the local dot `g · w` (the paper's
-    /// `KernelBiCGS1`: `w = A p̂`, `p_sum = r̃ᵀ w`): the one-lane
-    /// [`Laplacian::apply_fused_dots`].
+    /// `KernelBiCGS1`: `w = A p̂`, `p_sum = r̃ᵀ w`): one lane of
+    /// [`Laplacian::apply_part_dots`] over the whole interior.
     pub fn apply_fused_dot<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -527,62 +412,159 @@ impl Laplacian {
         g: &Field<T>,
     ) -> T {
         let gs = g.as_slice();
-        let [dot] = self.apply_fused_dots_one(dev, info, u, w, &|_, c, v| [gs[c] * v]);
-        dot
+        let mut acc = [[T::ZERO]];
+        let (us, outs) = (&[u.as_slice()], &mut [w.as_mut_slice()]);
+        let terms = |_, c: usize, v: T| [gs[c] * v];
+        let whole = &Part::Whole;
+        let fold = self.apply_part_dots(dev, info, whole, us, outs, &mut [], &mut acc, &terms);
+        fold.fold(dev, info, &[], &mut acc);
+        acc[0][0]
     }
 
-    /// `t = A u` fused with the two local dots `(t · r, t · t)` (the
-    /// paper's `KernelBiCGS3`), as one lane of
-    /// [`Laplacian::apply_fused_dots`].
-    pub fn apply_fused_dot2<T: Scalar, D: Device>(
+    /// `out = A u` fused with `NR` local dots per lane over `part`, every
+    /// lane of a multi-RHS solve in each launch — the one body of
+    /// `KernelBiCGS1` and `KernelBiCGS3F`. `terms` receives the lane, the
+    /// padded linear index `c` and the stencil value `v` there and
+    /// returns the `NR` per-element dot terms. Slices are full padded
+    /// lane arrays; a lane's fields and dots do not depend on which other
+    /// lanes ride along. The returned fold completes the dots in `accs`:
+    ///
+    /// * The whole interior, a plane range, and the window of an exchange
+    ///   with nothing in flight fold their rows straight into `accs`, in
+    ///   one launch and no slot buffer; their fold is empty.
+    /// * The window of an exchange with faces in flight (see
+    ///   [`accel::RowMap::halo_window`] for what it may read) deposits
+    ///   each full row's dots into its lane's `slots` (one `NR`-slot row
+    ///   per interior row, [`Laplacian::slot_len`]); rows missing an
+    ///   x-edge cell land their values only. Its fold is empty too.
+    /// * The shell of those faces (requires current ghosts) does the same
+    ///   for its pieces, one launch each, then one `KernelFoldWindow`
+    ///   launch refolds from the stored `out` the window rows whose
+    ///   x-edge cell has just landed — the window is small and still in
+    ///   cache — and its fold reduces the slots into `accs`, which serve
+    ///   the launches as scratch until then.
+    ///
+    /// Every row folds in the canonical edge-last order
+    /// ([`fold_row_edge_last_n`]), so window + shell is bitwise the whole
+    /// sweep.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_part_dots<T: Scalar, D: Device, F, const NR: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
-        u: &Field<T>,
-        t: &mut Field<T>,
-        r: &Field<T>,
-    ) -> (T, T) {
-        let rs = r.as_slice();
-        let [tr, tt] = self.apply_fused_dots_one(dev, info, u, t, &|_, c, v| [v * rs[c], v * v]);
-        (tr, tt)
-    }
-
-    /// `t = A u` fused with the three local dots `(t · r, t · t, g · t)`
-    /// — the `KernelBiCGS3F` sweep: the second stencil apply of the
-    /// Bi-CGSTAB iteration produces every scalar the ω-step needs
-    /// (`p1 = t·r`, `p2 = t·t`, `c4 = r̃ᵀ t`) in one pass. One lane of
-    /// [`Laplacian::apply_fused_dots`].
-    pub fn apply_fused_dot3<T: Scalar, D: Device>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        t: &mut Field<T>,
-        r: &Field<T>,
-        g: &Field<T>,
-    ) -> (T, T, T) {
-        let (rs, gs) = (r.as_slice(), g.as_slice());
-        let terms = |_, c: usize, v: T| [v * rs[c], v * v, gs[c] * v];
-        let [tr, tt, gt] = self.apply_fused_dots_one(dev, info, u, t, &terms);
-        (tr, tt, gt)
-    }
-
-    /// [`Laplacian::apply_fused_dots`] over the single field `u`.
-    fn apply_fused_dots_one<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        out: &mut Field<T>,
+        part: &Part,
+        us: &[&[T]],
+        outs: &mut [&mut [T]],
+        slots: &mut [&mut [T]],
+        accs: &mut [[T; NR]],
         terms: &F,
-    ) -> [T; NR]
+    ) -> PendingDotFold<NR>
     where
         F: Fn(usize, usize, T) -> [T; NR] + Sync,
     {
-        let mut acc = [[T::ZERO; NR]];
-        let outs = &mut [out.as_mut_slice()];
-        self.apply_fused_dots(dev, info, &[u.as_slice()], outs, &mut acc, terms);
-        acc[0]
+        let [nx, ny, nz] = self.grid.local_n;
+        let interior = self.grid.interior();
+        let rows = match *part {
+            Part::Window(faces) if !RowMap::halo_shell(interior, faces).is_empty() => {
+                if let Some(map) = RowMap::halo_window(interior, faces) {
+                    self.dots_on_map(dev, info, map, Dots::Slots, us, outs, slots, accs, terms);
+                }
+                false
+            }
+            Part::Shell(faces) => {
+                let shell = RowMap::halo_shell(interior, faces);
+                for map in shell {
+                    self.dots_on_map(dev, info, map, Dots::Slots, us, outs, slots, accs, terms);
+                }
+                if let Some(window) = RowMap::halo_window(interior, faces).filter(|m| m.len < nx) {
+                    self.refold(dev, window, outs, slots, accs, terms);
+                }
+                !shell.is_empty()
+            }
+            _ => {
+                self.for_each_map(part, |map| {
+                    self.dots_on_map(dev, info, map, Dots::Fold, us, outs, slots, accs, terms);
+                });
+                false
+            }
+        };
+        PendingDotFold { ny, nz, rows }
+    }
+
+    /// The `KernelFoldWindow` launch of a shell: refold into the slots,
+    /// from the stored `outs`, the rows of `window` (a split sweep's
+    /// window missing its x-edge cells), one launch for all lanes.
+    fn refold<T: Scalar, D: Device, F, const NR: usize>(
+        &self,
+        dev: &D,
+        window: RowMap,
+        outs: &[&mut [T]],
+        slots: &mut [&mut [T]],
+        accs: &mut [[T; NR]],
+        terms: &F,
+    ) where
+        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+    {
+        let [nx, ny, nz] = self.grid.local_n;
+        let core = self.row_core::<T>();
+        let (i0, j0, k0) = self.piece_origin(window);
+        let info = info_fold_window::<T>(nx);
+        let slot_map = self.slot_map_for::<NR>(window);
+        dev.launch_runs(info, slot_map, slots, None, accs, |s, run, _| {
+            let k = run.k;
+            core.rows_run(run, |j, slot| {
+                let b = window.row_offset(j, k) - i0;
+                let row = &outs[s][b..b + nx];
+                let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k0 + k);
+                let dots = fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]));
+                slot.copy_from_slice(&dots);
+            });
+        });
+    }
+
+    /// `out = A u` over one piece `map` of the interior for every lane in
+    /// one launch, each row's dots going where `dots` says: the one body
+    /// of the fused-dot sweeps. Rows shorter than the interior's (an x
+    /// face is in flight) land their values only; the shell refolds them.
+    #[allow(clippy::too_many_arguments)]
+    fn dots_on_map<T: Scalar, D: Device, F, const NR: usize>(
+        &self,
+        dev: &D,
+        info: KernelInfo,
+        map: RowMap,
+        dots: Dots,
+        us: &[&[T]],
+        outs: &mut [&mut [T]],
+        slots: &mut [&mut [T]],
+        accs: &mut [[T; NR]],
+        terms: &F,
+    ) where
+        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+    {
+        assert_eq!(us.len(), outs.len(), "lane count mismatch");
+        let core = self.row_core::<T>();
+        let (_, j0, k0) = self.piece_origin(map);
+        for u in us {
+            dev.on_stencil_read(info.name, map, u);
+        }
+        let [nx, ny, nz] = self.grid.local_n;
+        if map.len < nx {
+            return dev.launch_runs(info, map, outs, None, accs, |s, run, _| {
+                core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |_, _, _, _| {});
+            });
+        }
+        let second = (dots == Dots::Slots).then(|| (self.slot_map_for::<NR>(map), slots));
+        dev.launch_runs(info, map, outs, second, accs, |s, run, acc| {
+            let k = k0 + run.k;
+            core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, slot| {
+                let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
+                let dots_of_row = fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]));
+                match dots {
+                    Dots::Fold => *acc = add_partials(*acc, dots_of_row),
+                    Dots::Slots => slot.copy_from_slice(&dots_of_row),
+                }
+            });
+        });
     }
 
     /// Slot-buffer row map for the rows of `piece`: the `NR` slots of
@@ -610,168 +592,76 @@ impl Laplacian {
         )
     }
 
-    /// Fold the `NR` dot products of interior row `(j, k)` — its stencil
-    /// values in `row`, its first cell at padded offset `b` — into the
-    /// row's slots, in the canonical order of the monolithic fused sweeps.
-    #[inline(always)]
-    fn fold_row_into<T: Scalar, F, const NR: usize>(
-        &self,
-        (j, k): (usize, usize),
-        b: usize,
-        row: &[T],
-        terms: &F,
-        slot: &mut [T],
-    ) where
-        F: Fn(usize, T) -> [T; NR],
-    {
-        let [nx, ny, nz] = self.grid.local_n;
-        let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        slot.copy_from_slice(&fold_row_edge_last_n(nx, mid, |i| terms(b + i, row[i])));
-    }
-
-    /// Stencil sweep over a piece made of *full* interior rows that also
-    /// folds each row's `NR` dot products into the row's slots
-    /// ([`Laplacian::fold_row_into`]). `terms` receives the padded linear
-    /// index `c` and the stencil value `v` there and returns the `NR`
-    /// per-element dot terms.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_rows_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        map: RowMap,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        let core = self.row_core::<T>();
-        let (_, j0, k0) = self.piece_origin(map);
-        let us = u.as_slice();
-        dev.on_stencil_read(info.name, map, us);
-        let slots = Some((self.slot_map_for::<NR>(map), &mut [slots][..]));
-        let lanes = &mut [w.as_mut_slice()];
-        dev.launch_runs(info, map, lanes, slots, &mut [[]], |_, run, _| {
-            let k = run.k;
-            core.stencil_run::<false, 0>(us, &map, run, T::ZERO, [], |j, b, row, slot| {
-                self.fold_row_into((j0 + j, k0 + k), b, row, terms, slot);
-            });
-        });
-    }
-
-    /// Number of slot elements [`Laplacian::apply_interior_dot`] /
-    /// [`Laplacian::apply_shell_dot`] need for an `NR`-way fused dot:
-    /// one `NR`-slot row per interior `(j, k)` row.
+    /// Number of slot elements an `NR`-way split fused-dot sweep needs
+    /// per lane: one `NR`-slot row per interior `(j, k)` row.
     pub fn slot_len(&self, nr: usize) -> usize {
         self.grid.local_n[1] * self.grid.local_n[2] * nr
     }
-
-    /// Window half of a split fused `apply + NR-way dot` sweep: `w = A u`
-    /// over the window (see [`Laplacian::apply_interior`] for the overlap
-    /// contract), folding each full window row's dot terms into `slots`.
-    /// Window rows that miss an x-edge cell — an x face is in flight —
-    /// are folded by [`Laplacian::apply_shell_dot`] once the cell has
-    /// landed. Complete the sweep with it and fold the slots with
-    /// `PendingDotFold::fold`; the composed result is bitwise identical
-    /// to the monolithic fused-dot sweep.
-    pub fn apply_interior_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        match self.window() {
-            Some(map) if map.len == self.grid.local_n[0] => {
-                self.apply_rows_dot(dev, info, map, u, w, slots, terms);
-            }
-            Some(map) => self.apply_on_map(dev, info, map, u, w),
-            None => {}
-        }
-    }
-
-    /// Shell half of the split fused `apply + NR-way dot` sweep (pair of
-    /// [`Laplacian::apply_interior_dot`]). Requires current ghosts.
-    /// Every slot row the window left open is written: full-row pieces
-    /// fold as they sweep, x-face pieces only land their one-cell rows,
-    /// and the window rows they complete are then refolded from the
-    /// stored `w` — the window is small and still in cache — so every
-    /// row folds in the canonical order and the composition is bitwise
-    /// identical to the monolithic sweep.
-    pub fn apply_shell_dot<T: Scalar, D: Device, F, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        u: &Field<T>,
-        w: &mut Field<T>,
-        slots: &mut [T],
-        terms: &F,
-    ) -> PendingDotFold<NR>
-    where
-        F: Fn(usize, T) -> [T; NR] + Sync,
-    {
-        let [nx, ny, nz] = self.grid.local_n;
-        for map in self.shell() {
-            if map.len == nx {
-                self.apply_rows_dot(dev, info, map, u, w, slots, terms);
-            } else {
-                self.apply_on_map(dev, info, map, u, w);
-            }
-        }
-        if let Some(window) = self.window().filter(|m| m.len < nx) {
-            let core = self.row_core::<T>();
-            let (i0, j0, k0) = self.piece_origin(window);
-            let ws = w.as_slice();
-            let slot_map = self.slot_map_for::<NR>(window);
-            let info = info_fold_window::<T>(nx);
-            dev.launch_runs(
-                info,
-                slot_map,
-                &mut [slots],
-                None,
-                &mut [[]],
-                |_, run, _| {
-                    let k = run.k;
-                    core.rows_run(run, |j, slot| {
-                        let b = window.row_offset(j, k) - i0;
-                        self.fold_row_into((j0 + j, k0 + k), b, &ws[b..b + nx], terms, slot);
-                    });
-                },
-            );
-        }
-        PendingDotFold { ny, nz }
-    }
 }
 
-/// Obligation to fold the per-row dot partials deposited by a split
-/// fused-dot sweep ([`Laplacian::apply_interior_dot`] +
-/// [`Laplacian::apply_shell_dot`]) into the `NR` local dot values.
+/// The part of the interior one sweep call covers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Part {
+    /// The whole interior.
+    Whole,
+    /// The interior z planes of a non-empty range within `0..nz` (a
+    /// wavefront step), reading input planes `start − 1 ..= end`.
+    Planes(Range<usize>),
+    /// The window of a split sweep around an exchange with these faces in
+    /// flight ([`accel::RowMap::halo_window`]): safe to sweep before the
+    /// exchange finishes; the whole interior when nothing is in flight.
+    Window(u8),
+    /// The rest of that split sweep ([`accel::RowMap::halo_shell`]), swept
+    /// after the exchange has finished; empty when nothing is in flight.
+    Shell(u8),
+}
+
+/// Where the rows of a fused-dot piece leave their dots.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Dots {
+    /// Folded into the lane accumulators as the rows sweep.
+    Fold,
+    /// Into each row's slots, reduced later by [`PendingDotFold::fold`].
+    Slots,
+}
+
+/// Obligation to complete the dots of a fused-dot piece
+/// ([`Laplacian::apply_part_dots`]): the shell of a split sweep folds the
+/// per-row dot partials its window and shell deposited into the lanes'
+/// `NR` local dot values; every other piece has folded its own rows, and
+/// its fold launches nothing.
 ///
-/// The fold launches one reduction over the same `(ny, nz)` row set as
-/// the monolithic fused sweep, so the back-end's partial merge is
-/// identical and the folded dots are bitwise equal to the monolithic
+/// The fold launches one reduction for all lanes over the same `(ny, nz)`
+/// row set as the monolithic fused sweep, so the back-end's partial merge
+/// is identical and the folded dots are bitwise equal to the monolithic
 /// ones.
 #[must_use = "slot partials must be folded to complete the fused dot"]
 #[derive(Debug)]
 pub struct PendingDotFold<const NR: usize> {
     ny: usize,
     nz: usize,
+    /// The sweep left rows in the slots (it had a shell).
+    rows: bool,
 }
 
 impl<const NR: usize> PendingDotFold<NR> {
-    /// Reduce the slot buffer to the `NR` local dot values.
-    pub fn fold<T: Scalar, D: Device>(self, dev: &D, info: KernelInfo, slots: &[T]) -> [T; NR] {
+    /// Reduce lane `s`'s slot buffer `slots[s]` to its `NR` local dot
+    /// values in `accs[s]`.
+    pub fn fold<T: Scalar, D: Device>(
+        self,
+        dev: &D,
+        info: KernelInfo,
+        slots: &[&mut [T]],
+        accs: &mut [[T; NR]],
+    ) {
+        if !self.rows {
+            return;
+        }
         let (ny, nz) = (self.ny, self.nz);
-        dev.launch_reduce(info, ny, nz, |j, k| {
+        dev.launch_reduce_lanes(info, ny, nz, accs, |s, j, k| {
             let off = (j + ny * k) * NR;
-            std::array::from_fn(|q| slots[off + q])
-        })
+            std::array::from_fn(|q| slots[s][off + q])
+        });
     }
 }
 
@@ -900,68 +790,86 @@ mod tests {
             .collect()
     }
 
+    /// The fused `NR`-dot sweep of every lane of `us` into `outs` around
+    /// an exchange with `faces` in flight — window, shell, fold — on
+    /// slots that start poisoned (the split must write every row it
+    /// folds). Returns each lane's dots.
+    fn fused_dots<T: Scalar, D: Device, F, const NR: usize>(
+        dev: &D,
+        lap: &Laplacian,
+        faces: u8,
+        us: &[&Field<T>],
+        outs: &mut [&mut Field<T>],
+        terms: &F,
+    ) -> Vec<[T; NR]>
+    where
+        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+    {
+        let usl: Vec<&[T]> = us.iter().map(|f| f.as_slice()).collect();
+        let mut outs: Vec<&mut [T]> = outs.iter_mut().map(|f| f.as_mut_slice()).collect();
+        let mut bufs = vec![vec![T::from_f64(f64::NAN); lap.slot_len(NR)]; us.len()];
+        let mut slots: Vec<&mut [T]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
+        let mut accs = vec![[T::ZERO; NR]; us.len()];
+        let (o, sl, a) = (&mut outs, &mut slots, &mut accs);
+        for part in [Part::Window(faces), Part::Shell(faces)] {
+            lap.apply_part_dots(dev, INFO_APPLY, &part, &usl, o, sl, a, terms)
+                .fold(dev, INFO_APPLY, sl, a);
+        }
+        accs
+    }
+
     #[test]
     fn batched_fused_dots_bitwise_match_solo_per_lane() {
-        // A many-lane apply_fused_dots must leave each lane — output
-        // field and reduction scalars — bitwise identical to the one-lane
-        // fused sweeps, on every back-end.
-        let bc = [[BcKind::Dirichlet, BcKind::Neumann]; 3];
-        let grid = single_rank_grid([5, 4, 3], bc);
-        let lap = Laplacian::new(&grid);
+        // A many-lane fused-dot sweep — whole, and split around a corner's
+        // in-flight faces — must leave each lane (output field and dots)
+        // bitwise identical to the one-lane sweep, on every back-end, in
+        // as many launches as the one-lane sweep.
         let nb = 3;
-        let n = grid.global.unknowns();
-        let run = |dev: &dyn Fn() -> accel::AnyDevice| {
-            let dev = dev();
-            let mk = |seed: u64| {
-                let mut f = Field::from_interior(&dev, &grid, &rng_values(n, seed));
-                apply_physical_bcs(&grid, &mut f, &Recorder::disabled(), false);
-                f
+        let run = |dev: &dyn Fn(Recorder) -> accel::AnyDevice, grid: &BlockGrid| {
+            let (lap, rec) = (Laplacian::new(grid), Recorder::enabled());
+            let dev = dev(rec.clone());
+            let mk = |seed: u64| random_padded::<f64, _>(&dev, grid, seed);
+            let fields = |seed: u64| (0..nb).map(|l| mk(seed + l as u64)).collect::<Vec<_>>();
+            let (us, rs, gs) = (fields(70), fields(80), fields(90));
+            let us: Vec<&Field<f64>> = us.iter().collect();
+            let terms = |s: usize, c: usize, v: f64| {
+                let (r, g) = (rs[s].as_slice(), gs[s].as_slice());
+                [v * r[c], v * v, g[c] * v]
             };
-            let us: Vec<Field<f64>> = (0..nb).map(|l| mk(70 + l as u64)).collect();
-            let rs: Vec<Field<f64>> = (0..nb).map(|l| mk(80 + l as u64)).collect();
-            let gs: Vec<Field<f64>> = (0..nb).map(|l| mk(90 + l as u64)).collect();
-            let mut w_b: Vec<Field<f64>> = (0..nb).map(|_| Field::zeros(&dev, &grid)).collect();
-            let mut accs1 = vec![[0.0f64; 1]; nb];
-            {
-                let usl: Vec<&[f64]> = us.iter().map(|f| f.as_slice()).collect();
-                let gsl: Vec<&[f64]> = gs.iter().map(|f| f.as_slice()).collect();
-                let mut wm: Vec<&mut [f64]> = w_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-                let terms = |s: usize, c: usize, v: f64| [gsl[s][c] * v];
-                lap.apply_fused_dots(&dev, INFO_APPLY, &usl, &mut wm, &mut accs1, &terms);
-            }
-            let mut t_b: Vec<Field<f64>> = (0..nb).map(|_| Field::zeros(&dev, &grid)).collect();
-            let mut accs3 = vec![[0.0f64; 3]; nb];
-            {
-                let usl: Vec<&[f64]> = us.iter().map(|f| f.as_slice()).collect();
-                let rsl: Vec<&[f64]> = rs.iter().map(|f| f.as_slice()).collect();
-                let gsl: Vec<&[f64]> = gs.iter().map(|f| f.as_slice()).collect();
-                let mut tm: Vec<&mut [f64]> = t_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-                let terms = |s: usize, c: usize, v: f64| [v * rsl[s][c], v * v, gsl[s][c] * v];
-                lap.apply_fused_dots(&dev, INFO_APPLY, &usl, &mut tm, &mut accs3, &terms);
-            }
-            for l in 0..nb {
-                let mut w_ref = Field::zeros(&dev, &grid);
-                let d = lap.apply_fused_dot(&dev, INFO_APPLY, &us[l], &mut w_ref, &gs[l]);
-                assert_eq!(accs1[l][0].to_bits(), d.to_bits());
-                for (a, b) in w_b[l].as_slice().iter().zip(w_ref.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                let mut t_ref = Field::zeros(&dev, &grid);
-                let (tr, tt, gt) =
-                    lap.apply_fused_dot3(&dev, INFO_APPLY, &us[l], &mut t_ref, &rs[l], &gs[l]);
-                assert_eq!(accs3[l][0].to_bits(), tr.to_bits());
-                assert_eq!(accs3[l][1].to_bits(), tt.to_bits());
-                assert_eq!(accs3[l][2].to_bits(), gt.to_bits());
-                for (a, b) in t_b[l].as_slice().iter().zip(t_ref.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
+            for faces in [0, grid.interface_mask()] {
+                let mut t = fields(60);
+                rec.drain();
+                let dots = fused_dots(
+                    &dev,
+                    &lap,
+                    faces,
+                    &us,
+                    &mut t.iter_mut().collect::<Vec<_>>(),
+                    &terms,
+                );
+                let launches = rec.drain().len();
+                for l in 0..nb {
+                    let mut t1 = mk(60 + l as u64);
+                    let solo = |_, c: usize, v: f64| terms(l, c, v);
+                    let d1 = fused_dots(&dev, &lap, faces, &us[l..=l], &mut [&mut t1], &solo);
+                    assert_eq!(
+                        rec.drain().len(),
+                        launches,
+                        "one launch per piece for all lanes"
+                    );
+                    assert_bitwise(&t[l], &t1, "batched t");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&dots[l]), bits(&d1[0]), "lane {l} faces {faces}");
                 }
             }
         };
-        run(&|| accel::AnyDevice::Serial(Serial::new(Recorder::disabled())));
-        run(&|| accel::AnyDevice::Threads(Threads::new(3, Recorder::disabled())));
-        run(&|| {
-            accel::AnyDevice::SimGpu(SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled()))
-        });
+        for rank in [0, 5] {
+            let grid = rank_grid([5, 4, 3], [2, 2, 2], rank);
+            run(&|r| accel::AnyDevice::Serial(Serial::new(r)), &grid);
+            run(&|r| accel::AnyDevice::Threads(Threads::new(3, r)), &grid);
+            let gpu = |r| accel::AnyDevice::SimGpu(SimGpu::new(GpuSimParams::mi250x(), r));
+            run(&gpu, &grid);
+        }
     }
 
     fn single_rank_grid(n: [usize; 3], bc: [[BcKind; 2]; 3]) -> BlockGrid {
@@ -1046,7 +954,11 @@ mod tests {
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let r = Field::from_interior(&dev, &grid, &rv);
         let mut t = Field::zeros(&dev, &grid);
-        let (tr, tt) = lap.apply_fused_dot2(&dev, INFO_APPLY, &u, &mut t, &r);
+        let rs = r.as_slice();
+        let terms = |_, c: usize, v: f64| [v * rs[c], v * v];
+        let [[tr, tt]] = fused_dots(&dev, &lap, 0, &[&u], &mut [&mut t], &terms)[..] else {
+            unreachable!()
+        };
         let ti = t.interior_to_host(&grid);
         let e_tr: f64 = ti.iter().zip(&rv).map(|(a, b)| a * b).sum();
         let e_tt: f64 = ti.iter().map(|a| a * a).sum();
@@ -1070,7 +982,8 @@ mod tests {
         let f2 = Field::from_interior(&dev, &grid, &f2v);
         let mut out = Field::zeros(&dev, &grid);
         let (ca, c1, c2) = (0.25, -1.5, 2.0);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, ca, [(&f1, c1), (&f2, c2)]);
+        let terms = [(&f1, c1), (&f2, c2)];
+        lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut out, ca, terms);
         // reference: separate apply then axpys
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
@@ -1094,7 +1007,7 @@ mod tests {
         let mut u = Field::from_interior(&dev, &grid, &uv);
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let mut out = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, -1.0, []);
+        lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut out, -1.0, []);
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
         let a = out.interior_to_host(&grid);
@@ -1228,31 +1141,19 @@ mod tests {
         let mut want = random_padded::<T, D>(dev, grid, 99);
         let (mut mono, mut split, mut planes) = (want.clone(), want.clone(), want.clone());
         oracle_combine(lap, &fields[0], &mut want, ca, &terms);
-        lap.apply_combine(dev, INFO_APPLY, &fields[0], &mut mono, ca, terms);
-        lap.apply_combine_interior(dev, INFO_APPLY, &fields[0], &mut split, ca, terms);
-        lap.apply_combine_shell(dev, INFO_APPLY, &fields[0], &mut split, ca, terms);
+        let faces = grid.interface_mask();
+        let combine = |part: &Part, out: &mut Field<T>| {
+            lap.apply_combine(dev, INFO_APPLY, part, &fields[0], out, ca, terms);
+        };
+        combine(&Part::Whole, &mut mono);
+        combine(&Part::Window(faces), &mut split);
+        combine(&Part::Shell(faces), &mut split);
         // one plane at a time, last plane first, then a two-plane block
         let nz = grid.local_n[2];
         for k in (1..nz).rev() {
-            lap.apply_combine_planes(
-                dev,
-                INFO_APPLY,
-                k..k + 1,
-                &fields[0],
-                &mut planes,
-                ca,
-                terms,
-            );
+            combine(&Part::Planes(k..k + 1), &mut planes);
         }
-        lap.apply_combine_planes(
-            dev,
-            INFO_APPLY,
-            0..nz.min(2),
-            &fields[0],
-            &mut planes,
-            ca,
-            terms,
-        );
+        combine(&Part::Planes(0..nz.min(2)), &mut planes);
         assert_bitwise(&mono, &want, &format!("{what} N={N} monolithic"));
         assert_bitwise(&split, &want, &format!("{what} N={N} split"));
         assert_bitwise(&planes, &want, &format!("{what} N={N} plane by plane"));
@@ -1281,33 +1182,23 @@ mod tests {
         let [u, r, g, _] = &fields;
         let (rs, gs) = (r.as_slice(), g.as_slice());
         let mut want = random_padded::<T, D>(dev, grid, 99);
-        let mut got: [Field<T>; 7] = std::array::from_fn(|_| want.clone());
+        let mut got: [Field<T>; 6] = std::array::from_fn(|_| want.clone());
         oracle_combine(&lap, u, &mut want, T::ONE, &[]);
-        let [plain, split, dot1, dot2, dot3, split_dot1, split_dot3] = &mut got;
+        let [plain, split, dot1, dot3, split_dot1, split_dot3] = &mut got;
         lap.apply(dev, INFO_APPLY, u, plain);
         lap.apply_interior(dev, INFO_APPLY, u, split);
         lap.apply_shell(dev, INFO_APPLY, u, split);
         let d1 = lap.apply_fused_dot(dev, INFO_APPLY, u, dot1, g);
-        let _ = lap.apply_fused_dot2(dev, INFO_APPLY, u, dot2, r);
-        let d3 = lap.apply_fused_dot3(dev, INFO_APPLY, u, dot3, r, g);
-        // slots start poisoned: the split must write every row it folds
-        let mut slots = vec![T::from_f64(f64::NAN); lap.slot_len(3)];
-        let terms = |c: usize, v: T| [gs[c] * v];
-        lap.apply_interior_dot(dev, INFO_APPLY, u, split_dot1, &mut slots, &terms);
-        let s1 = lap
-            .apply_shell_dot(dev, INFO_APPLY, u, split_dot1, &mut slots, &terms)
-            .fold(dev, INFO_APPLY, &slots);
-        slots.fill(T::from_f64(f64::NAN));
-        let terms = |c: usize, v: T| [v * rs[c], v * v, gs[c] * v];
-        lap.apply_interior_dot(dev, INFO_APPLY, u, split_dot3, &mut slots, &terms);
-        let s3 = lap
-            .apply_shell_dot(dev, INFO_APPLY, u, split_dot3, &mut slots, &terms)
-            .fold(dev, INFO_APPLY, &slots);
+        let terms3 = |_, c: usize, v: T| [v * rs[c], v * v, gs[c] * v];
+        let d3 = fused_dots(dev, &lap, 0, &[u], &mut [dot3], &terms3);
+        let faces = grid.interface_mask();
+        let terms1 = |_, c: usize, v: T| [gs[c] * v];
+        let s1 = fused_dots(dev, &lap, faces, &[u], &mut [split_dot1], &terms1);
+        let s3 = fused_dots(dev, &lap, faces, &[u], &mut [split_dot3], &terms3);
         for (f, name) in got.iter().zip([
             "apply",
             "apply split",
             "fused_dot",
-            "fused_dot2",
             "fused_dot3",
             "split dot",
             "split dot3",
@@ -1315,12 +1206,8 @@ mod tests {
             assert_bitwise(f, &want, &format!("{what} {name}"));
         }
         let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&s1), bits(&[d1]), "{what}: split dot vs fused");
-        assert_eq!(
-            bits(&s3),
-            bits(&[d3.0, d3.1, d3.2]),
-            "{what}: split dot3 vs fused"
-        );
+        assert_eq!(bits(&s1[0]), bits(&[d1]), "{what}: split dot vs fused");
+        assert_eq!(bits(&s3[0]), bits(&d3[0]), "{what}: split dot3 vs fused");
     }
 
     thread_local! {
@@ -1385,10 +1272,9 @@ mod tests {
             let u = random_padded::<f64, _>(&dev, grid, 3);
             let mut w = Field::zeros(&dev, grid);
             if dot {
-                let mut slots = vec![0.0; lap.slot_len(1)];
-                let terms = |_: usize, v: f64| [v];
-                lap.apply_interior_dot(&dev, INFO_APPLY, &u, &mut w, &mut slots, &terms);
-                let _ = lap.apply_shell_dot(&dev, INFO_APPLY, &u, &mut w, &mut slots, &terms);
+                let faces = grid.interface_mask();
+                let terms = |_, _, v: f64| [v];
+                let _ = fused_dots(&dev, &lap, faces, &[&u], &mut [&mut w], &terms);
             } else {
                 lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
                 lap.apply_shell(&dev, INFO_APPLY, &u, &mut w);
@@ -1405,12 +1291,12 @@ mod tests {
         assert_eq!(launches(&single, false), [apply]);
         assert_eq!(launches(&single, true), [apply]);
         // one x face: window, its peeled column, the planes behind — and
-        // for the fused dot the refold of the window rows
+        // for the fused dot the refold of the window rows and the fold
         let half = rank_grid([6, 6, 6], [2, 1, 1], 0);
         assert_eq!(launches(&half, false), [apply; 3]);
         assert_eq!(
             launches(&half, true),
-            [apply, apply, apply, "KernelFoldWindow"]
+            [apply, apply, apply, "KernelFoldWindow", apply]
         );
         // three faces, none of them z-low: window, y and x pieces, rest
         let corner = rank_grid([6, 6, 6], [2, 2, 2], 0);
@@ -1522,9 +1408,13 @@ mod tests {
                 }
                 let mut split = out.clone();
                 let terms = [(&u, 0.5), (&f1, -2.0)];
-                lap.apply_combine(&dev, INFO_APPLY, &u, &mut out, 0.25, terms);
-                lap.apply_combine_interior(&dev, INFO_APPLY, &u, &mut split, 0.25, terms);
-                lap.apply_combine_shell(&dev, INFO_APPLY, &u, &mut split, 0.25, terms);
+                let faces = grid.interface_mask();
+                let combine = |part: &Part, out: &mut Field<f64>| {
+                    lap.apply_combine(&dev, INFO_APPLY, part, &u, out, 0.25, terms);
+                };
+                combine(&Part::Whole, &mut out);
+                combine(&Part::Window(faces), &mut split);
+                combine(&Part::Shell(faces), &mut split);
                 (out, split)
             };
             let (clean, _) = run(false);
