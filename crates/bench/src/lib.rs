@@ -296,13 +296,16 @@ fn run_world(cfg: &RunConfig, reference: bool) -> RunResult {
 }
 
 /// Extract the events of the solve's *first outer iteration* from a
-/// recorded stream: everything from the first `Begin("Preconditioner")`
-/// to just before the second one... more precisely, one full cycle —
-/// two preconditioner stages, the kernels and the reduction messages
-/// (two batched ones on a multi-rank world, three blocking ones from
-/// the reference schedule).
+/// recorded stream: one full cycle — the kernels and the reduction
+/// messages (two batched ones on a multi-rank world, three blocking ones
+/// from the reference schedule). An iteration opens with its `p̂`
+/// stage: a `Begin("Preconditioner")` (every second one; an iteration
+/// applies the preconditioner twice), or — in a production `M = I`
+/// stream, which has no such stage — the opening of its `w = A p`
+/// application: the halo packing, overlap window and BCs that lead its
+/// first `KernelBiCGS1` launch.
 pub fn first_iteration_profile(events: &[Event]) -> Vec<Event> {
-    let starts: Vec<usize> = events
+    let stages: Vec<usize> = events
         .iter()
         .enumerate()
         .filter_map(|(i, e)| match e {
@@ -310,12 +313,43 @@ pub fn first_iteration_profile(events: &[Event]) -> Vec<Event> {
             _ => None,
         })
         .collect();
-    match starts.len() {
-        0 => events.to_vec(),
-        1 | 2 => events[starts[0]..].to_vec(),
-        // an outer iteration contains exactly two Preconditioner stages
-        _ => events[starts[0]..starts[2]].to_vec(),
+    let starts = if stages.is_empty() {
+        identity_iteration_starts(events)
+    } else {
+        stages.into_iter().step_by(2).collect()
+    };
+    match starts[..] {
+        [] => events.to_vec(),
+        [start] => events[start..].to_vec(),
+        [start, next, ..] => events[start..next].to_vec(),
     }
+}
+
+/// Where the iterations of a production `M = I` stream open: at the
+/// first `KernelBiCGS1` launch of each iteration (the first after a
+/// `KernelBiCGS2F`), backed up over the prologue of its operator
+/// application — halo packing, the overlap window it opens, and the BCs.
+fn identity_iteration_starts(events: &[Event]) -> Vec<usize> {
+    let prologue = |e: &Event| match e {
+        Event::Kernel { name, .. } => *name == "KernelNeumannBCs" || *name == "KernelHaloPack",
+        Event::Begin { name } => *name == accel::HALO_OVERLAP_STAGE,
+        Event::Halo { .. } => true,
+        _ => false,
+    };
+    let mut starts = Vec::new();
+    let mut open = true;
+    for (i, e) in events.iter().enumerate() {
+        match e {
+            Event::Kernel { name, .. } if *name == "KernelBiCGS1" && open => {
+                let lead = events[..i].iter().rev().take_while(|e| prologue(e)).count();
+                starts.push(i - lead);
+                open = false;
+            }
+            Event::Kernel { name, .. } if *name == "KernelBiCGS2F" => open = true,
+            _ => {}
+        }
+    }
+    starts
 }
 
 /// Mean and population standard deviation.
@@ -552,6 +586,49 @@ mod tests {
         // on >1 rank the iteration's dots travel as the two batched
         // messages M1 and M2
         assert_eq!(allreduces, 2, "M1 [σ, ‖r‖²_prev] and M2 [σ₁..σ₄]");
+    }
+
+    #[test]
+    fn identity_streams_profile_one_iteration() {
+        // M = I records no Preconditioner stage: the cycle opens where the
+        // iteration's w = A p application does, on one rank and on two.
+        for decomp in [[1, 1, 1], [2, 1, 1]] {
+            let mut cfg = RunConfig::small(SolverKind::BiCgs);
+            cfg.nodes = 13;
+            cfg.decomp = decomp;
+            cfg.record_events = true;
+            let res = run_once(&cfg);
+            assert!(res.outcome.converged && res.outcome.iterations > 2);
+            let events = &res.events[0];
+            let profile = first_iteration_profile(events);
+            let count = |kernel: &str| {
+                let named = |e: &&Event| matches!(e, Event::Kernel { name, .. } if *name == kernel);
+                profile.iter().filter(named).count()
+            };
+            let once = ["KernelBiCGS2F", "KernelBiCGS4", "KernelBiCGS56"].map(count);
+            assert_eq!(once, [1; 3], "{decomp:?}");
+            let allreduces = profile
+                .iter()
+                .filter(|e| matches!(e, Event::AllReduce { .. }))
+                .count();
+            assert_eq!(allreduces, if decomp[0] == 1 { 3 } else { 2 }, "{decomp:?}");
+            // every cycle opens like the first: with the BCs on one rank,
+            // with the halo packing of the exchange on two
+            let opening = if decomp[0] == 1 {
+                "KernelNeumannBCs"
+            } else {
+                "KernelHaloPack"
+            };
+            let starts = identity_iteration_starts(events);
+            assert_eq!(
+                starts.len(),
+                res.outcome.iterations + usize::from(decomp[0] > 1)
+            );
+            for s in starts {
+                let opens = matches!(events[s], Event::Kernel { name, .. } if name == opening);
+                assert!(opens, "{decomp:?}: cycle at {s} opens with {:?}", events[s]);
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,26 @@
 //! KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
+//! That is the multi-rank schedule under a real preconditioner. With
+//! `M = I` (plain Bi-CGSTAB, and the inner solves of `G(BiCGS)` and
+//! `BJ(BiCGS)`) there is no `Preconditioner` stage and no copy: `p̂ ≡ p`
+//! and `r̂ ≡ r`, so `KernelBiCGS1` sweeps `p` and `KernelBiCGS3F` sweeps
+//! `r` in place — their BCs and halos land in `p`'s and `r`'s ghosts — and
+//! `KernelBiCGS4` reads `p` and `r`:
+//!
+//! ```text
+//! MPI1+BCs  KernelBiCGS1 (w = A p ⊕ σ)   M1   KernelBiCGS2F (r −= αw ⊕ σ₃)
+//! MPI3+BCs  KernelBiCGS3F (t = A r ⊕ σ₁,σ₂,σ₄)   M2
+//! KernelBiCGS4 (x ← (x+α p)+ω r)   KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← …)
+//! ```
+//!
+//! Hence the **x-update placement rule**: an x-update that is not
+//! deferred runs *before* the sweep that overwrites `p` and `r` —
+//! `KernelBiCGS56`, or `KernelBiCGS5` on the breakdown path — whatever the
+//! preconditioner (neither sweep touches `p̂` or `r̂`, so under a real one
+//! the move changes no value). Only a lane whose `p̂`/`r̂` a real
+//! preconditioner wrote defers it into the next M1 window.
+//!
 //! There is one driver: the loop runs over a group of *lanes* — the
 //! right-hand sides of a multi-RHS batch, solved together under one
 //! preconditioner — of which [`bicgstab_solve`] passes one and
@@ -32,9 +52,15 @@
 //!   posted split-phase with the previous iteration's merged x-update
 //!   computing under it (its `p̂` survives the next preconditioner
 //!   application in the `Workspace::p_hat_prev` ping-pong buffer) and
-//!   the stopping decision is read one message late. Elsewhere
+//!   the stopping decision is read one message late. With `M = I` only
+//!   the stopping decision lags: the x-update runs eagerly, since the
+//!   next iteration's sweeps overwrite the `p` and `r` it reads. Elsewhere
 //!   reductions are free, so each stage reduces in place and nothing
 //!   lags.
+//! * **Preconditioner.** The driver asks the preconditioner whether it
+//!   is the identity ([`Preconditioner::is_identity`]); if so it never
+//!   applies it and the operator sweeps read `p` and `r` directly (see
+//!   above), leaving `p̂`, `r̂` and `p̂_prev` unwritten.
 //! * **Lanes.** Every full-grid vector sweep strides all participating
 //!   lanes inside one kernel launch, every halo exchange packs their face
 //!   planes into one message per face, and every reduction ships their
@@ -272,9 +298,11 @@ struct Lane<'a, T> {
     omega: T,
     beta: T,
     /// Lagged schedule: the last iteration's not-yet-reduced `‖r‖²`. Its
-    /// stopping decision and its merged x-update
-    /// `x ← (x + α p̂) + ω r̂` (`α`, `ω` stay that iteration's until
-    /// then) both complete under the next iteration's M1.
+    /// stopping decision completes under the next iteration's M1, and so
+    /// — when a real preconditioner wrote `p̂` and `r̂` — does its merged
+    /// x-update `x ← (x + α p̂) + ω r̂` (`α`, `ω` stay that iteration's
+    /// until then). With `M = I` that update already ran, eagerly, before
+    /// `KernelBiCGS56` overwrote the `p` and `r` it reads.
     lag: Option<T>,
 }
 
@@ -328,12 +356,14 @@ pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
 
 /// The operands of the iteration's first fused operator application
 /// (`w = A p̂`) or its `second` (`t = A r̂`), per lane of `set`: the
-/// inputs, the outputs, the slot buffers and the `(r, r̃)` the dots read.
+/// inputs — with `M = I` (`identity`) `p` and `r` themselves — the
+/// outputs, the slot buffers and the `(r, r̃)` the dots read.
 #[allow(clippy::type_complexity)]
 fn dot_operands<'l, T: Scalar>(
     lanes: &'l mut [Lane<'_, T>],
     set: LaneSet,
     second: bool,
+    identity: bool,
 ) -> (
     Lanes<&'l [T]>,
     Lanes<&'l mut [T]>,
@@ -343,9 +373,12 @@ fn dot_operands<'l, T: Scalar>(
     let (mut us, mut outs, mut slots, mut ins) = Default::default();
     for l in pick_mut(lanes, set) {
         let ws = &mut *l.ws;
-        let (u, out) = match second {
-            false => (&ws.p_hat, &mut ws.w),
-            true => (&ws.r_hat, &mut ws.t),
+        let out = if second { &mut ws.t } else { &mut ws.w };
+        let u = match (second, identity) {
+            (false, false) => &ws.p_hat,
+            (false, true) => &ws.p,
+            (true, false) => &ws.r_hat,
+            (true, true) => &ws.r,
         };
         Lanes::push(&mut us, u.as_slice());
         Lanes::push(&mut outs, out.as_mut_slice());
@@ -428,7 +461,8 @@ where
 
     /// One of the iteration's two operator applications with its dots
     /// fused in — the first (`KernelBiCGS1`, `w = A p̂`) or the `second`
-    /// (`KernelBiCGS3F`, `t = A r̂`) — for every lane of `set`
+    /// (`KernelBiCGS3F`, `t = A r̂`; with `M = I` the sweeps read `p` and
+    /// `r` in place) — for every lane of `set`
     /// ([`LaneGroup::apply_op`]): `out = A u` and the `NR` sums over the
     /// interior of `terms(r, r̃, c, v)`, the dot terms of the cell at
     /// padded index `c`, `v` the stencil value there. Returns the lanes'
@@ -445,19 +479,22 @@ where
             false => (INFO_BICGS1, INFO_FOLD1),
             true => (INFO_BICGS3F, INFO_FOLD3),
         };
+        let identity = self.prec.is_identity();
         let mut dots = [[T::ZERO; NR]; MAX_LANES];
         let accs = &mut dots[..set.count_ones() as usize];
         self.apply_op(
             set,
             |l| {
-                if second {
-                    &mut l.ws.r_hat
-                } else {
-                    &mut l.ws.p_hat
+                let ws = &mut *l.ws;
+                match (second, identity) {
+                    (false, false) => &mut ws.p_hat,
+                    (false, true) => &mut ws.p,
+                    (true, false) => &mut ws.r_hat,
+                    (true, true) => &mut ws.r,
                 }
             },
             |lanes, part| {
-                let (us, mut outs, mut slots, ins) = dot_operands(lanes, set, second);
+                let (us, mut outs, mut slots, ins) = dot_operands(lanes, set, second, identity);
                 let terms = |s: usize, c: usize, v: T| terms(ins[s].0, ins[s].1, c, v);
                 let (o, sl, lap) = (&mut *outs, &mut *slots, &ctx.lap);
                 let fold = lap.apply_part_dots(dev, info, &part, &us, o, sl, accs, &terms);
@@ -585,19 +622,24 @@ where
 
     /// `KernelBiCGS4` for the lanes of `set`: `x ← (x + α p̂) + ω r̂`,
     /// chained exactly as the reference's 4a/4b pair so the iterate
-    /// matches bitwise. A `deferred` update reads the `p̂` its iteration
-    /// left in the ping-pong buffer.
+    /// matches bitwise. With `M = I` it reads `p` and `r`, so it must run
+    /// before the sweep that overwrites them. A `deferred` update (never
+    /// with `M = I`) reads the `p̂` its iteration left in the ping-pong
+    /// buffer.
     fn update_x(&mut self, set: LaneSet, deferred: bool) {
+        let identity = self.prec.is_identity();
+        debug_assert!(!(identity && deferred), "M = I never defers its x-update");
         let mut ys = Lanes::default();
         let mut ins = Lanes::default();
         for l in pick_mut(self.lanes, set) {
-            let p_hat = if deferred {
-                &l.ws.p_hat_prev
-            } else {
-                &l.ws.p_hat
+            let ws = &*l.ws;
+            let (p_hat, r_hat) = match (identity, deferred) {
+                (true, _) => (&ws.p, &ws.r),
+                (false, true) => (&ws.p_hat_prev, &ws.r_hat),
+                (false, false) => (&ws.p_hat, &ws.r_hat),
             };
             ys.push(l.x.as_mut_slice());
-            ins.push((p_hat.as_slice(), l.alpha, l.ws.r_hat.as_slice(), l.omega));
+            ins.push((p_hat.as_slice(), l.alpha, r_hat.as_slice(), l.omega));
         }
         axpy2_chained_batch(&self.ctx.dev, INFO_BICGS4, &self.ctx.grid, &mut ys, &ins);
     }
@@ -629,6 +671,11 @@ where
         // (and in the reduction-local `Scope::Local`) they are free and
         // the lag would only spend an extra preconditioner application.
         let lag = scope == Scope::Global && comm.size() > 1;
+        // With M = I the sweeps read p and r in place, and the x-update
+        // reading them cannot wait for the next M1: only the stopping
+        // decision lags.
+        let identity = self.prec.is_identity();
+        let defer = lag && !identity;
         let has_tokens = self.lanes.iter().any(|l| l.cancel.is_some());
         let cancel_flag = |lane: &Lane<'_, T>| match lane.cancel {
             Some(token) if token.is_cancelled() => T::ONE,
@@ -669,11 +716,14 @@ where
 
             // Solve M p̂ = p (the one preconditioner serves the lanes in
             // turn, in fixed lane order, so any collectives inside a
-            // communicating preconditioner stay rank-uniform).
+            // communicating preconditioner stay rank-uniform); with M = I
+            // p̂ is p.
             for l in pick_mut(self.lanes, run) {
                 l.out.iterations = i;
-                let apply = || self.prec.apply(ctx, &mut l.ws.p, &mut l.ws.p_hat);
-                l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
+                if !identity {
+                    let apply = || self.prec.apply(ctx, &mut l.ws.p, &mut l.ws.p_hat);
+                    l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
+                }
             }
             // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂,
             // σ = r̃ᵀ w.
@@ -705,9 +755,10 @@ where
                 // The cancel poll piggybacks on M1 as one more group, so
                 // an installed token adds no message: the flags are
                 // sampled here instead of at the loop top, and the
-                // decision lands after the deferred x-update below
-                // completes the previous iterate — the same iteration
-                // boundary the blocking poll stops at.
+                // decision lands once the previous iterate is complete
+                // (under a deferring schedule, after the x-update below)
+                // — the same iteration boundary the blocking poll stops
+                // at.
                 let cancel_at = n;
                 if has_tokens {
                     for b in members(run) {
@@ -717,7 +768,9 @@ where
                 }
                 let req = comm.iall_reduce_many(&m1[..n], ReduceOp::Sum);
                 // KernelBiCGS4 deferred from iteration i−1.
-                self.update_x(lagging, true);
+                if defer {
+                    self.update_x(lagging, true);
+                }
                 comm.reduce_finish_many(req, &mut m1[..n]);
                 ctx.recorder.end(REDUCE_OVERLAP_STAGE);
                 // iteration i−1's stopping decisions, one message late
@@ -769,10 +822,12 @@ where
                 }
             }
 
-            // Solve M r̂ = r
-            for l in pick_mut(self.lanes, run) {
-                let apply = || self.prec.apply(ctx, &mut l.ws.r, &mut l.ws.r_hat);
-                l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
+            // Solve M r̂ = r; with M = I r̂ is r.
+            if !identity {
+                for l in pick_mut(self.lanes, run) {
+                    let apply = || self.prec.apply(ctx, &mut l.ws.r, &mut l.ws.r_hat);
+                    l.out.prec_iterations += ctx.recorder.stage("Preconditioner", apply) as u64;
+                }
             }
             // MPI3 + BCs, then KernelBiCGS3F: t = A r̂ with p1 = tᵀ r,
             // p2 = tᵀ t and σ₄ = r̃ᵀ t (second half of the ρ recurrence),
@@ -783,8 +838,9 @@ where
             }
 
             // M2: all four scalars of every lane in one blocking batch —
-            // both x-halves ride in next iteration's merged KernelBiCGS4
-            // sweep, so there is nothing left to hide under this message.
+            // both x-halves ride in one merged KernelBiCGS4 sweep, which
+            // needs this message's ω, so there is nothing left to hide
+            // under it.
             global_sum(ctx, scope, "MPI4", &mut m2[..4 * nb]);
 
             // β only exists when ρ and ω are both non-zero, so breakdown
@@ -822,12 +878,14 @@ where
             }
 
             // Breakdown pre-empts the fusion and the lag: β is undefined,
-            // so those lanes finish the iteration eagerly with the plain
-            // residual update, the merged x sweep and a blocking norm
+            // so those lanes finish the iteration eagerly with the merged
+            // x sweep, the plain residual update and a blocking norm
             // reduction — convergence keeps its priority over the
             // breakdown and a restart resumes from the fully-updated
-            // iterate.
+            // iterate. The x sweep goes first: with M = I it reads the r
+            // that KernelBiCGS5 overwrites.
             if broken != 0 {
+                self.update_x(broken, false);
                 let mut rnorm2 = [T::ZERO; MAX_LANES];
                 for (b, l) in members(broken).zip(pick_mut(self.lanes, broken)) {
                     let ws = &mut *l.ws;
@@ -841,7 +899,6 @@ where
                         &ws.r0t,
                     );
                 }
-                self.update_x(broken, false);
                 global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
                 let stopped = self.finish_iteration(broken, i, &rnorm2);
                 let open = broken & !stopped;
@@ -854,6 +911,11 @@ where
                 continue;
             }
 
+            // KernelBiCGS4 unless it defers: with M = I it reads the p
+            // and r that KernelBiCGS56 overwrites.
+            if !defer {
+                self.update_x(healthy, false);
+            }
             // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w) in
             // one sweep. The direct ‖r‖² is kept — ρ already came from
             // the recurrence (the direct norm avoids the cancellation a
@@ -883,15 +945,16 @@ where
                 }
             }
             if lag {
-                // The x-update and the stopping decision defer into next
-                // iteration's M1 window; keep this p̂ alive across the
-                // swap.
+                // The stopping decision — and a deferred x-update — wait
+                // for next iteration's M1 window; keep a deferred
+                // update's p̂ alive across the swap.
                 for (b, l) in members(healthy).zip(pick_mut(self.lanes, healthy)) {
                     l.lag = Some(rnorm2[b]);
-                    std::mem::swap(&mut l.ws.p_hat, &mut l.ws.p_hat_prev);
+                    if defer {
+                        std::mem::swap(&mut l.ws.p_hat, &mut l.ws.p_hat_prev);
+                    }
                 }
             } else {
-                self.update_x(healthy, false);
                 global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
                 live &= !self.finish_iteration(healthy, i, &rnorm2);
             }
@@ -899,8 +962,8 @@ where
 
         // Drain the lag when the iteration budget ran out with the last
         // iteration's bookkeeping still in flight: apply its deferred
-        // x-updates (their p̂ live in the swapped buffers) and take its
-        // stopping decisions.
+        // x-updates (their p̂ live in the swapped buffers; M = I has none)
+        // and take its stopping decisions.
         let mut lagging = 0;
         let mut rnorm2 = [T::ZERO; MAX_LANES];
         for (b, lane) in self.lanes.iter_mut().enumerate() {
@@ -910,7 +973,9 @@ where
             }
         }
         if lagging != 0 {
-            self.update_x(lagging, true);
+            if defer {
+                self.update_x(lagging, true);
+            }
             global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
             self.finish_iteration(lagging, params.max_iters, &rnorm2);
         }
@@ -2066,6 +2131,107 @@ mod batch_tests {
                 assert_eq!(sampled, every_third, "{ranks:?} lane {l}");
             }
         }
+    }
+
+    /// One solo run or batch lane of [`identity_runs`]: its outcome and
+    /// solution, and whether its `p̂`, `r̂` and `p̂_prev` were all NaN
+    /// after the solve.
+    type IdentityRun = ((SolveOutcome, Vec<f64>), bool);
+
+    /// Solve three seeded right-hand sides with `M = I` in `scope` on
+    /// `ranks`, over the device `dev` builds per rank — each lane alone,
+    /// then all three as one batch — with every lane's `p̂`, `r̂` and
+    /// `p̂_prev` filled with NaN beforehand when `poison`. Returns rank
+    /// by rank the three solo runs, then the three batch lanes.
+    fn identity_runs<D: Device>(
+        ranks: [usize; 3],
+        scope: Scope,
+        dev: impl Fn() -> D + Sync,
+        poison: bool,
+    ) -> Vec<Vec<IdentityRun>> {
+        let mut g = GlobalGrid::dirichlet([8, 6, 5], [0.15; 3], [0.0; 3]);
+        g.bc = paper_bcs();
+        let n = g.unknowns();
+        let nb = 3;
+        let b_hosts: Vec<Vec<f64>> = (0..nb).map(|l| rng_values(n, 60 + l as u64)).collect();
+        let params = SolveParams {
+            tol: 1e-9,
+            max_iters: 2_000,
+            ..Default::default()
+        };
+        let decomp = Decomp::new(ranks);
+        run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
+            let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
+            let ctx: RankCtx<f64, _, ThreadComm<f64>> = RankCtx::new(dev(), comm, grid);
+            let bs: Vec<Field<f64>> = b_hosts
+                .iter()
+                .map(|bh| Field::from_interior(&ctx.dev, &ctx.grid, &scatter(&ctx.grid, bh)))
+                .collect();
+            let workspace = || {
+                let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
+                if poison {
+                    for f in [&mut ws.p_hat, &mut ws.r_hat, &mut ws.p_hat_prev] {
+                        f.as_mut_slice().fill(f64::NAN);
+                    }
+                }
+                ws
+            };
+            let untouched = |ws: &Workspace<f64>| {
+                let hats = [&ws.p_hat, &ws.r_hat, &ws.p_hat_prev];
+                hats.iter().all(|f| f.as_slice().iter().all(|v| v.is_nan()))
+            };
+            let mut runs = Vec::new();
+            for b in &bs {
+                let mut x = ctx.field();
+                let mut ws = workspace();
+                let out =
+                    bicgstab_solve(&ctx, scope, b, &mut x, &mut IdentityPrec, &mut ws, &params);
+                runs.push(((out, x.interior_to_host(&ctx.grid)), untouched(&ws)));
+            }
+            let mut xs: Vec<Field<f64>> = (0..nb).map(|_| ctx.field()).collect();
+            let mut wss: Vec<_> = (0..nb).map(|_| workspace()).collect();
+            let lanes = lane_systems(&bs, &mut xs, &mut wss);
+            let outs = bicgstab_solve_batch(&ctx, scope, lanes, &mut IdentityPrec, &params);
+            for ((out, x), ws) in outs.into_iter().zip(&xs).zip(&wss) {
+                runs.push(((out, x.interior_to_host(&ctx.grid)), untouched(ws)));
+            }
+            runs
+        })
+    }
+
+    /// With `M = I` the driver sweeps `p` and `r` in place and updates x
+    /// before the sweep that overwrites them: `p̂`, `r̂` and `p̂_prev`
+    /// poisoned with NaN stay all NaN and change no bit of any lane — on
+    /// one rank (Serial and Threads), under the lagged two-rank schedule
+    /// and block-restricted, solo and batched.
+    #[test]
+    fn identity_solves_never_write_the_preconditioned_buffers() {
+        fn check<D: Device>(
+            label: &str,
+            ranks: [usize; 3],
+            scope: Scope,
+            dev: impl Fn() -> D + Sync,
+        ) {
+            let clean = identity_runs(ranks, scope, &dev, false);
+            let poisoned = identity_runs(ranks, scope, &dev, true);
+            for (rank, (clean, poisoned)) in clean.iter().zip(&poisoned).enumerate() {
+                for (k, ((run, _), ((po, px), untouched))) in clean.iter().zip(poisoned).enumerate()
+                {
+                    let how = if k < 3 { "solo" } else { "batch lane" };
+                    let tag = format!("{label} rank {rank} {how} {}", k % 3);
+                    assert!(run.0.converged, "{tag}: {:?}", run.0);
+                    assert_lane_matches_solo(&tag, run, po, px);
+                    assert!(untouched, "{tag}: p̂, r̂ or p̂_prev was written");
+                }
+            }
+        }
+        let serial = || Serial::new(Recorder::disabled());
+        check("serial", [1, 1, 1], Scope::Global, serial);
+        check("threads:2", [1, 1, 1], Scope::Global, || {
+            Threads::new(2, Recorder::disabled())
+        });
+        check("lagged", [2, 1, 1], Scope::Global, serial);
+        check("local", [2, 1, 1], Scope::Local, serial);
     }
 
     /// A zero RHS converges at setup (iteration 0) and freezes; its

@@ -65,9 +65,11 @@ pub struct Workspace<T> {
     pub r0t: Field<T>,
     /// Search direction `p`.
     pub p: Field<T>,
-    /// Preconditioned direction `p̂`.
+    /// Preconditioned direction `p̂`. Never written when `M = I`: the
+    /// driver then sweeps `p` in its place.
     pub p_hat: Field<T>,
-    /// Preconditioned residual `r̂`.
+    /// Preconditioned residual `r̂`. Never written when `M = I`: the
+    /// driver then sweeps `r` in its place.
     pub r_hat: Field<T>,
     /// `w = A p̂`.
     pub w: Field<T>,
@@ -78,7 +80,7 @@ pub struct Workspace<T> {
     /// (`x ← (x + α p̂) + ω r̂`) is deferred into the *next* iteration's
     /// M1 window, after the preconditioner has already refilled `p_hat`
     /// — so the two buffers ping-pong via `std::mem::swap` instead of
-    /// copying.
+    /// copying. Never written when `M = I`, whose x-update never defers.
     pub p_hat_prev: Field<T>,
     /// Per-row dot partials of this lane's fused stencil sweeps when
     /// they run split around an exchange in flight

@@ -50,15 +50,27 @@ pub trait Preconditioner<T: Scalar, D: Device, C: Communicator<T>>: Send {
 
     /// Short name for reports (e.g. `"GNoComm(CI)"`).
     fn name(&self) -> &'static str;
+
+    /// `true` only for `M = I`: the Bi-CGSTAB driver then never applies
+    /// it and sweeps `p` and `r` in place of `p̂` and `r̂`.
+    fn is_identity(&self) -> bool {
+        false
+    }
 }
 
-/// The identity preconditioner (`M = I`, plain Bi-CGSTAB).
+/// The identity preconditioner (`M = I`, plain Bi-CGSTAB). The production
+/// driver never applies it (see [`Preconditioner::is_identity`]); `apply`
+/// is the plain copy the reference schedule runs.
 pub struct IdentityPrec;
 
 impl<T: Scalar, D: Device, C: Communicator<T>> Preconditioner<T, D, C> for IdentityPrec {
     fn apply(&mut self, _ctx: &RankCtx<T, D, C>, rhs: &mut Field<T>, out: &mut Field<T>) -> usize {
         out.copy_from(rhs);
         0
+    }
+
+    fn is_identity(&self) -> bool {
+        true
     }
 
     fn traits(&self) -> PrecTraits {

@@ -84,7 +84,8 @@ fn fused_solve_is_allocation_free_after_warmup() {
         };
         // The production schedule of a multi-rank world: fused kernels,
         // split-phase halo exchange and lagged batched reductions, under
-        // a Chebyshev preconditioner. An unreachable tolerance pins the iteration
+        // a Chebyshev preconditioner and under M = I (whose sweeps run
+        // in place on p and r). An unreachable tolerance pins the iteration
         // count so the audit covers full steady-state loop bodies.
         // The mixed-precision flavours share the audit: their f32 state
         // fields, f32 halo pool and cast kernels must be just as
@@ -100,6 +101,7 @@ fn fused_solve_is_allocation_free_after_warmup() {
             SolverKind::BiCgsGCi.build_preconditioner(&ctx, &mixed_opts),
             SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &opts),
             SolverKind::BiCgsGNoCommCi.build_preconditioner(&ctx, &mixed_opts),
+            SolverKind::BiCgs.build_preconditioner(&ctx, &opts),
         ];
         let params = SolveParams {
             tol: 1e-300,
