@@ -464,10 +464,11 @@ where
     /// (`KernelBiCGS3F`, `t = A r̂`; with `M = I` the sweeps read `p` and
     /// `r` in place) — for every lane of `set`
     /// ([`LaneGroup::apply_op`]): `out = A u` and the `NR` sums over the
-    /// interior of `terms(r, r̃, c, v)`, the dot terms of the cell at
-    /// padded index `c`, `v` the stencil value there. Returns the lanes'
-    /// sums, in lane order of `set`. Each piece is one launch for all
-    /// lanes ([`stencil::Laplacian::apply_part_dots`]).
+    /// interior of `terms(r, r̃, i, v)`, the dot terms of a cell: `r` and
+    /// `r̃` are the lane's windows of the cell's row, sliced once per row,
+    /// `i` the cell's index in them and `v` the stencil value there.
+    /// Returns the lanes' sums, in lane order of `set`. Each piece is one
+    /// launch for all lanes ([`stencil::Laplacian::apply_part_dots`]).
     fn apply_dots<const NR: usize>(
         &mut self,
         set: LaneSet,
@@ -495,9 +496,12 @@ where
             },
             |lanes, part| {
                 let (us, mut outs, mut slots, ins) = dot_operands(lanes, set, second, identity);
-                let terms = |s: usize, c: usize, v: T| terms(ins[s].0, ins[s].1, c, v);
+                let row_terms = |s: usize, b: usize, n: usize| {
+                    let (r, r0, terms) = (&ins[s].0[b..b + n], &ins[s].1[b..b + n], &terms);
+                    move |i: usize, v: T| terms(r, r0, i, v)
+                };
                 let (o, sl, lap) = (&mut *outs, &mut *slots, &ctx.lap);
-                let fold = lap.apply_part_dots(dev, info, &part, &us, o, sl, accs, &terms);
+                let fold = lap.apply_part_dots(dev, info, &part, &us, o, sl, accs, &row_terms);
                 fold.fold(dev, fold_info, sl, accs);
             },
         );
@@ -728,7 +732,7 @@ where
             // MPI1 + KernelNeumannBCs, then KernelBiCGS1: w = A p̂,
             // σ = r̃ᵀ w.
             let mut m1 = [T::ZERO; 3 * MAX_LANES];
-            let sigmas = self.apply_dots(run, false, |_, r0, c, v| [r0[c] * v]);
+            let sigmas = self.apply_dots(run, false, |_, r0, i, v| [r0[i] * v]);
             for (b, [sigma]) in members(run).zip(sigmas) {
                 m1[b] = sigma;
             }
@@ -832,7 +836,7 @@ where
             // MPI3 + BCs, then KernelBiCGS3F: t = A r̂ with p1 = tᵀ r,
             // p2 = tᵀ t and σ₄ = r̃ᵀ t (second half of the ρ recurrence),
             // all three dots riding in the stencil sweep.
-            let dots = self.apply_dots(run, true, |r, r0, c, v| [v * r[c], v * v, r0[c] * v]);
+            let dots = self.apply_dots(run, true, |r, r0, i, v| [v * r[i], v * v, r0[i] * v]);
             for (b, [p1, p2, c4]) in members(run).zip(dots) {
                 (m2[b], m2[nb + b], m2[3 * nb + b]) = (p1, p2, c4);
             }

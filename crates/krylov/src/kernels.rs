@@ -9,6 +9,15 @@
 //! production driver have one body each, the lane-strided `*_batch` form
 //! (one launch over every lane of a multi-RHS solve); their single-field
 //! forms are its one-lane calls.
+//!
+//! Every body works on row windows: each row slices its operands to the
+//! row once (`&x[b..b + n]`) and loops over row-local indices, so the
+//! loops carry no bounds checks and the updates vectorise. A reduction
+//! that shares a sweep with an update (`KernelBiCGS5`'s two sums,
+//! `KernelBiCGS56`'s `‖r‖²`) is a second pass over the row just written,
+//! adding the same terms in the same order: LLVM must not reorder a
+//! float sum, so a loop that both updates and accumulates stays scalar
+//! as a whole. Bits are those of the fused per-element loops.
 
 use accel::{fold_row_edge_last, row_has_deep_middle, Device, KernelInfo, Scalar};
 use blockgrid::{BlockGrid, Field};
@@ -79,7 +88,7 @@ pub const INFO_CAST_DOWN: KernelInfo = KernelInfo::new("KernelCastDown", 12, 0);
 /// Up-cast `f32 → f64` exit sweep (4 B read + 8 B write per element).
 pub const INFO_CAST_UP: KernelInfo = KernelInfo::new("KernelCastUp", 12, 0);
 
-/// `y ← y + a x` over the interior.
+/// `y ← y + a x` over the interior, `x` sliced to each row's window.
 pub fn axpy_inplace<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -90,18 +99,21 @@ pub fn axpy_inplace<T: Scalar, D: Device>(
 ) {
     let map = grid.interior_map();
     let xs = x.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a * xs[b + i];
+        let b = map.row_offset(j, k);
+        let n = row.len();
+        for (v, &xv) in row.iter_mut().zip(&xs[b..b + n]) {
+            *v += a * xv;
         }
     });
 }
 
 /// `KernelBiCGS5`: `r ← r − ω t`, returning the local partial sums
 /// `(r̃ · r, r · r)` of the updated residual.
+///
+/// The two sums are a second pass over the row just written, adding the
+/// same terms in the same order as a fused loop would: a float sum
+/// sharing the update's loop keeps LLVM from vectorising the update.
 pub fn residual_update_fused<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -114,16 +126,16 @@ pub fn residual_update_fused<T: Scalar, D: Device>(
     let map = grid.interior_map();
     let ts = t.as_slice();
     let r0s = r0t.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     let [p1, p2] = dev.launch_rows_reduce(info, map, r.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
+        let b = map.row_offset(j, k);
+        let n = row.len();
+        for (v, &tv) in row.iter_mut().zip(&ts[b..b + n]) {
+            *v -= omega * tv;
+        }
         let mut s1 = T::ZERO;
         let mut s2 = T::ZERO;
-        for (i, v) in row.iter_mut().enumerate() {
-            let rv = *v - omega * ts[b + i];
-            *v = rv;
-            s1 += r0s[b + i] * rv;
+        for (&rv, &gv) in row.iter().zip(&r0s[b..b + n]) {
+            s1 += gv * rv;
             s2 += rv * rv;
         }
         [s1, s2]
@@ -132,7 +144,8 @@ pub fn residual_update_fused<T: Scalar, D: Device>(
 }
 
 /// `KernelBiCGS6`: `p ← r + β (p − ω w)` — a three-stream axpy-style
-/// update (read `r`, `w`, read-modify-write `p`) in one sweep.
+/// update (read `r`, `w`, read-modify-write `p`) in one sweep, `r` and
+/// `w` sliced to each row's window.
 #[allow(clippy::too_many_arguments)]
 pub fn axpy3_inplace<T: Scalar, D: Device>(
     dev: &D,
@@ -147,12 +160,11 @@ pub fn axpy3_inplace<T: Scalar, D: Device>(
     let map = grid.interior_map();
     let rs = r.as_slice();
     let ws = w.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, p.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = rs[b + i] + beta * (*v - omega * ws[b + i]);
+        let b = map.row_offset(j, k);
+        let n = row.len();
+        for ((v, &rv), &wv) in row.iter_mut().zip(&rs[b..b + n]).zip(&ws[b..b + n]) {
+            *v = rv + beta * (*v - omega * wv);
         }
     });
 }
@@ -162,7 +174,8 @@ pub fn axpy3_inplace<T: Scalar, D: Device>(
 /// (since `r̃ = r` at setup) in one pass, for every lane of a multi-RHS
 /// solve in one launch; `ins[s]` is lane `s`'s `(b, w)`. Bitwise
 /// identical per lane to `copy + axpy(-1) + dot(r, r)`: `b + (−1)·w`
-/// rounds as `b − w`, and the norm folds edge-last like [`dot`].
+/// rounds as `b − w`, and the norm folds edge-last like [`dot`] in a
+/// second pass over the row just written.
 ///
 /// Like every `*_batch` kernel here: the device sweeps all lanes inside
 /// a single grid pass (one kernel-launch event, amortising launch and
@@ -170,7 +183,8 @@ pub fn axpy3_inplace<T: Scalar, D: Device>(
 /// private accumulator, so a lane's field and scalar do not depend on
 /// which other lanes ride along. Slices are full padded lane arrays, the
 /// read-only operands and coefficients of lane `s` travel as one record
-/// `ins[s]`, and per-lane results land in `accs[s]`.
+/// `ins[s]`, and per-lane results land in `accs[s]`. Each row slices its
+/// lane's operands to the row window once.
 pub fn norm2_axpy_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -183,13 +197,14 @@ pub fn norm2_axpy_batch<T: Scalar, D: Device>(
     let map = grid.interior_map();
     let [nx, ny, nz] = grid.local_n;
     dev.launch_lanes_reduce(info, map, outs, accs, |s, j, k, row| {
-        let b0 = map.row_offset(j, k);
+        let b = map.row_offset(j, k);
+        let n = row.len();
         let (bsl, wsl) = ins[s];
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = bsl[b0 + i] - wsl[b0 + i];
+        for ((v, &bv), &wv) in row.iter_mut().zip(&bsl[b..b + n]).zip(&wsl[b..b + n]) {
+            *v = bv - wv;
         }
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| row[i] * row[i])]
+        [fold_row_edge_last(n, mid, |i| row[i] * row[i])]
     });
 }
 
@@ -210,9 +225,10 @@ pub fn norm2_axpy<T: Scalar, D: Device>(
 
 /// `y ← y + a x` fused with the dot `g · y` over the updated values, per
 /// lane (`ins[s] = (x, a, g)`) — the `KernelBiCGS2F` sweep (`r ← r − α w`
-/// producing `r̃ᵀ r` in the same pass). The dot folds edge-last per row,
-/// bitwise identical to running [`axpy_inplace`] followed by
-/// [`dot`]`(g, y)`.
+/// producing `r̃ᵀ r` in the same pass). `x` and `g` are sliced to each
+/// row's window once; the dot is a second pass over the row just
+/// written, folding edge-last, bitwise identical to running
+/// [`axpy_inplace`] followed by [`dot`]`(g, y)`.
 pub fn axpy_dot_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -226,12 +242,14 @@ pub fn axpy_dot_batch<T: Scalar, D: Device>(
     let [nx, ny, nz] = grid.local_n;
     dev.launch_lanes_reduce(info, map, ys, accs, |s, j, k, row| {
         let b = map.row_offset(j, k);
+        let n = row.len();
         let (xsl, a, gsl) = ins[s];
-        for (i, v) in row.iter_mut().enumerate() {
-            *v += a * xsl[b + i];
+        for (v, &xv) in row.iter_mut().zip(&xsl[b..b + n]) {
+            *v += a * xv;
         }
+        let g = &gsl[b..b + n];
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
+        [fold_row_edge_last(n, mid, |i| g[i] * row[i])]
     });
 }
 
@@ -257,6 +275,7 @@ pub fn axpy_dot<T: Scalar, D: Device>(
 /// *grouping* of the two sequential axpys, so the result is bitwise
 /// identical to running `KernelBiCGS4a` then `KernelBiCGS4b`. (Summing
 /// the two terms first, `y + (a1 x1 + a2 x2)`, would round differently.)
+/// `x1` and `x2` are sliced to each row's window once.
 pub fn axpy2_chained_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -268,10 +287,11 @@ pub fn axpy2_chained_batch<T: Scalar, D: Device>(
     let map = grid.interior_map();
     dev.launch_lanes(info, map, ys, |s, j, k, row| {
         let b = map.row_offset(j, k);
+        let n = row.len();
         let (x1, a1, x2, a2) = ins[s];
-        for (i, v) in row.iter_mut().enumerate() {
-            let v1 = *v + a1 * x1[b + i];
-            *v = v1 + a2 * x2[b + i];
+        for ((v, &x1v), &x2v) in row.iter_mut().zip(&x1[b..b + n]).zip(&x2[b..b + n]) {
+            let v1 = *v + a1 * x1v;
+            *v = v1 + a2 * x2v;
         }
     });
 }
@@ -294,11 +314,13 @@ pub fn axpy2_chained_inplace<T: Scalar, D: Device>(
 
 /// `KernelBiCGS56`: `r ← r − ω t` with `‖r‖²` **and** `p ← r + β (p −
 /// ω w)` in one two-output sweep per lane (`ins[s] = (t, w, ω, β)`), the
-/// fresh residual value consumed in-register. The norm accumulates in
-/// plain row order — exactly the order `KernelBiCGS5`'s `r·r` partial
-/// uses — and the `p` formula matches [`axpy3_inplace`]
-/// element-for-element, so the fused sweep is bitwise identical to
-/// `KernelBiCGS5` + `KernelBiCGS6`.
+/// fresh residual value consumed in-register. `t` and `w` are sliced to
+/// each row's window once. The norm is a second pass over the row of `r`
+/// just written (a float sum in the update loop would keep LLVM from
+/// vectorising it) and accumulates in plain row order — exactly the
+/// order `KernelBiCGS5`'s `r·r` partial uses — and the `p` formula
+/// matches [`axpy3_inplace`] element-for-element, so the fused sweep is
+/// bitwise identical to `KernelBiCGS5` + `KernelBiCGS6`.
 pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -312,13 +334,17 @@ pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
     let map = grid.interior_map();
     dev.launch_lanes2_reduce(info, map, rs, map, ps, accs, |s, j, k, row_r, row_p| {
         let b = map.row_offset(j, k);
+        let n = row_r.len();
         let (tsl, wsl, omega, beta) = ins[s];
+        let (t, w) = (&tsl[b..b + n], &wsl[b..b + n]);
+        for (((r, p), &tv), &wv) in row_r.iter_mut().zip(row_p.iter_mut()).zip(t).zip(w) {
+            let rv = *r - omega * tv;
+            *r = rv;
+            *p = rv + beta * (*p - omega * wv);
+        }
         let mut acc = T::ZERO;
-        for i in 0..row_r.len() {
-            let rv = row_r[i] - omega * tsl[b + i];
-            row_r[i] = rv;
+        for &rv in row_r.iter() {
             acc += rv * rv;
-            row_p[i] = rv + beta * (row_p[i] - omega * wsl[b + i]);
         }
         [acc]
     });
@@ -347,9 +373,10 @@ pub fn residual_p_update_fused<T: Scalar, D: Device>(
 
 /// Local interior dot product `a · b` (reduced per back-end policy).
 ///
-/// Rows fold in the canonical edge-last order ([`fold_row_edge_last`]),
-/// making the result bitwise identical to the split halo-overlap form
-/// of the same dot (window sweep + shell pieces + fold).
+/// Each row slices `a` and `b` to its window once and folds in the
+/// canonical edge-last order ([`fold_row_edge_last`]), making the result
+/// bitwise identical to the split halo-overlap form of the same dot
+/// (window sweep + shell pieces + fold).
 pub fn dot<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -359,27 +386,24 @@ pub fn dot<T: Scalar, D: Device>(
 ) -> T {
     let map = grid.interior_map();
     let [nx, ny, nz] = grid.local_n;
-    let asl = a.as_slice();
-    let bsl = b.as_slice();
-    let base0 = map.base;
-    let (len, sy, sz) = (map.len, map.sy, map.sz);
+    let (asl, bsl) = (a.as_slice(), b.as_slice());
+    let len = map.len;
     let [s] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
-        let off = base0 + j * sy + k * sz;
+        let o = map.row_offset(j, k);
+        let (a, b) = (&asl[o..o + len], &bsl[o..o + len]);
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
-        [fold_row_edge_last(len, mid, |i| {
-            asl[off + i] * bsl[off + i]
-        })]
+        [fold_row_edge_last(len, mid, |i| a[i] * b[i])]
     });
     s
 }
 
 /// Local interior dot pair `(a · b, a · a)` in one reduction — the
 /// standalone form of the first two dots fused into `KernelBiCGS3F`, used
-/// by the reference schedule. Each component folds per row in the
-/// canonical edge-last order, rows in `(j, k)` order with the back-end
-/// partial merge, matching the fused sweeps of
-/// [`stencil::Laplacian::apply_part_dots`] exactly, so given the same
-/// `a` the results are bitwise identical.
+/// by the reference schedule. Each row slices `a` and `b` to its window
+/// once; each component folds per row in the canonical edge-last order,
+/// rows in `(j, k)` order with the back-end partial merge, matching the
+/// fused sweeps of [`stencil::Laplacian::apply_part_dots`] exactly, so
+/// given the same `a` the results are bitwise identical.
 pub fn dot2<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -389,26 +413,23 @@ pub fn dot2<T: Scalar, D: Device>(
 ) -> (T, T) {
     let map = grid.interior_map();
     let [nx, ny, nz] = grid.local_n;
-    let asl = a.as_slice();
-    let bsl = b.as_slice();
-    let base0 = map.base;
-    let (len, sy, sz) = (map.len, map.sy, map.sz);
+    let (asl, bsl) = (a.as_slice(), b.as_slice());
+    let len = map.len;
     let [ab, aa] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
-        let off = base0 + j * sy + k * sz;
+        let o = map.row_offset(j, k);
+        let (a, b) = (&asl[o..o + len], &bsl[o..o + len]);
         let mid = row_has_deep_middle(nx, ny, nz, j, k);
         [
-            fold_row_edge_last(len, mid, |i| asl[off + i] * bsl[off + i]),
-            fold_row_edge_last(len, mid, |i| {
-                let av = asl[off + i];
-                av * av
-            }),
+            fold_row_edge_last(len, mid, |i| a[i] * b[i]),
+            fold_row_edge_last(len, mid, |i| a[i] * a[i]),
         ]
     });
     (ab, aa)
 }
 
 /// Local interior squared difference norm `Σ (a − b)²` (true-residual
-/// evaluation `‖b − A x‖²` without materialising the difference).
+/// evaluation `‖b − A x‖²` without materialising the difference), `a`
+/// and `b` sliced to each row's window once.
 pub fn diff_norm2<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -417,15 +438,13 @@ pub fn diff_norm2<T: Scalar, D: Device>(
     b: &Field<T>,
 ) -> T {
     let map = grid.interior_map();
-    let asl = a.as_slice();
-    let bsl = b.as_slice();
-    let base0 = map.base;
-    let (len, sy, sz) = (map.len, map.sy, map.sz);
+    let (asl, bsl) = (a.as_slice(), b.as_slice());
+    let len = map.len;
     let [s] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
-        let off = base0 + j * sy + k * sz;
+        let o = map.row_offset(j, k);
         let mut acc = T::ZERO;
-        for i in 0..len {
-            let d = asl[off + i] - bsl[off + i];
+        for (&av, &bv) in asl[o..o + len].iter().zip(&bsl[o..o + len]) {
+            let d = av - bv;
             acc += d * d;
         }
         [acc]
@@ -448,7 +467,7 @@ pub fn norm2_local<T: Scalar, D: Device>(
 /// its outer solve (`KernelCastDown` on entry, `KernelCastUp` on exit).
 /// A narrowing cast rounds each element to nearest (ties to even), a
 /// widening one is exact; ghosts are not touched — the caller refreshes
-/// them in the target precision.
+/// them in the target precision. `src` is sliced to each row's window.
 pub fn cast<S: Scalar, E: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -458,17 +477,17 @@ pub fn cast<S: Scalar, E: Scalar, D: Device>(
 ) {
     let map = grid.interior_map();
     let ss = src.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = E::from_f64(ss[b + i].to_f64());
+        let b = map.row_offset(j, k);
+        let n = row.len();
+        for (v, &sv) in row.iter_mut().zip(&ss[b..b + n]) {
+            *v = E::from_f64(sv.to_f64());
         }
     });
 }
 
-/// `out ← factor * src` over the interior.
+/// `out ← factor * src` over the interior, `src` sliced to each row's
+/// window.
 pub fn scale<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -479,12 +498,11 @@ pub fn scale<T: Scalar, D: Device>(
 ) {
     let map = grid.interior_map();
     let ss = src.as_slice();
-    let base0 = map.base;
-    let (sy, sz) = (map.sy, map.sz);
     dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = base0 + j * sy + k * sz;
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = factor * ss[b + i];
+        let b = map.row_offset(j, k);
+        let n = row.len();
+        for (v, &sv) in row.iter_mut().zip(&ss[b..b + n]) {
+            *v = factor * sv;
         }
     });
 }
@@ -604,18 +622,21 @@ mod tests {
         (Serial::new(Recorder::disabled()), grid)
     }
 
-    fn rng_field(dev: &Serial, grid: &BlockGrid, seed: u64) -> Field<f64> {
-        let n = grid.local_n.iter().product();
+    fn rng_values(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        let vals: Vec<f64> = (0..n)
+        (0..n)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
             })
-            .collect();
-        Field::from_interior(dev, grid, &vals)
+            .collect()
+    }
+
+    fn rng_field(dev: &Serial, grid: &BlockGrid, seed: u64) -> Field<f64> {
+        let n = grid.local_n.iter().product();
+        Field::from_interior(dev, grid, &rng_values(n, seed))
     }
 
     #[test]
@@ -720,7 +741,7 @@ mod tests {
 
     /// Overwrite every non-interior (ghost/padding) cell with NaN, the
     /// most contagious contaminant: one stray read poisons the result.
-    fn poison_ghosts(grid: &BlockGrid, f: &mut Field<f64>) {
+    fn poison_ghosts<T: Scalar>(grid: &BlockGrid, f: &mut Field<T>) {
         let mi = grid.interior_map();
         let mut interior = vec![false; f.as_slice().len()];
         for k in 0..mi.nz {
@@ -733,7 +754,7 @@ mod tests {
         }
         for (v, keep) in f.as_mut_slice().iter_mut().zip(&interior) {
             if !keep {
-                *v = f64::NAN;
+                *v = T::from_f64(f64::NAN);
             }
         }
     }
@@ -954,5 +975,510 @@ mod tests {
         assert_eq!(INFO_BICGS2F.flops_per_elem, 4);
         assert_eq!(INFO_BICGS3F.bytes_per_elem, 48);
         assert_eq!(INFO_BICGS3F.flops_per_elem, 16);
+    }
+
+    /// Test-only copies of the kernel bodies that predate row windows:
+    /// whole padded arrays indexed per element (`xs[b + i]`), and the
+    /// reductions of `KernelBiCGS5`/`KernelBiCGS56` summed inside their
+    /// update loops. The oracle of
+    /// `vector_kernels_bitwise_match_scalar_oracle`.
+    mod oracle {
+        use accel::{fold_row_edge_last, row_has_deep_middle, Device, KernelInfo, Scalar};
+        use blockgrid::{BlockGrid, Field};
+
+        pub(super) fn axpy_inplace<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            y: &mut Field<T>,
+            x: &Field<T>,
+            a: T,
+        ) {
+            let map = grid.interior_map();
+            let xs = x.as_slice();
+            let base0 = map.base;
+            let (sy, sz) = (map.sy, map.sz);
+            dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
+                let b = base0 + j * sy + k * sz;
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v += a * xs[b + i];
+                }
+            });
+        }
+
+        pub(super) fn residual_update_fused<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            r: &mut Field<T>,
+            t: &Field<T>,
+            omega: T,
+            r0t: &Field<T>,
+        ) -> (T, T) {
+            let map = grid.interior_map();
+            let ts = t.as_slice();
+            let r0s = r0t.as_slice();
+            let base0 = map.base;
+            let (sy, sz) = (map.sy, map.sz);
+            let [p1, p2] = dev.launch_rows_reduce(info, map, r.as_mut_slice(), |j, k, row| {
+                let b = base0 + j * sy + k * sz;
+                let mut s1 = T::ZERO;
+                let mut s2 = T::ZERO;
+                for (i, v) in row.iter_mut().enumerate() {
+                    let rv = *v - omega * ts[b + i];
+                    *v = rv;
+                    s1 += r0s[b + i] * rv;
+                    s2 += rv * rv;
+                }
+                [s1, s2]
+            });
+            (p1, p2)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn axpy3_inplace<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            p: &mut Field<T>,
+            r: &Field<T>,
+            w: &Field<T>,
+            beta: T,
+            omega: T,
+        ) {
+            let map = grid.interior_map();
+            let rs = r.as_slice();
+            let ws = w.as_slice();
+            let base0 = map.base;
+            let (sy, sz) = (map.sy, map.sz);
+            dev.launch_rows(info, map, p.as_mut_slice(), |j, k, row| {
+                let b = base0 + j * sy + k * sz;
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = rs[b + i] + beta * (*v - omega * ws[b + i]);
+                }
+            });
+        }
+
+        pub(super) fn norm2_axpy_batch<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            outs: &mut [&mut [T]],
+            ins: &[(&[T], &[T])],
+            accs: &mut [[T; 1]],
+        ) {
+            assert_eq!(outs.len(), ins.len(), "lane count mismatch");
+            let map = grid.interior_map();
+            let [nx, ny, nz] = grid.local_n;
+            dev.launch_lanes_reduce(info, map, outs, accs, |s, j, k, row| {
+                let b0 = map.row_offset(j, k);
+                let (bsl, wsl) = ins[s];
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = bsl[b0 + i] - wsl[b0 + i];
+                }
+                let mid = row_has_deep_middle(nx, ny, nz, j, k);
+                [fold_row_edge_last(row.len(), mid, |i| row[i] * row[i])]
+            });
+        }
+
+        pub(super) fn axpy_dot_batch<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            ys: &mut [&mut [T]],
+            ins: &[(&[T], T, &[T])],
+            accs: &mut [[T; 1]],
+        ) {
+            assert_eq!(ys.len(), ins.len(), "lane count mismatch");
+            let map = grid.interior_map();
+            let [nx, ny, nz] = grid.local_n;
+            dev.launch_lanes_reduce(info, map, ys, accs, |s, j, k, row| {
+                let b = map.row_offset(j, k);
+                let (xsl, a, gsl) = ins[s];
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v += a * xsl[b + i];
+                }
+                let mid = row_has_deep_middle(nx, ny, nz, j, k);
+                [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
+            });
+        }
+
+        pub(super) fn axpy2_chained_batch<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            ys: &mut [&mut [T]],
+            ins: &[(&[T], T, &[T], T)],
+        ) {
+            assert_eq!(ys.len(), ins.len(), "lane count mismatch");
+            let map = grid.interior_map();
+            dev.launch_lanes(info, map, ys, |s, j, k, row| {
+                let b = map.row_offset(j, k);
+                let (x1, a1, x2, a2) = ins[s];
+                for (i, v) in row.iter_mut().enumerate() {
+                    let v1 = *v + a1 * x1[b + i];
+                    *v = v1 + a2 * x2[b + i];
+                }
+            });
+        }
+
+        pub(super) fn residual_p_update_fused_batch<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            rs: &mut [&mut [T]],
+            ps: &mut [&mut [T]],
+            ins: &[(&[T], &[T], T, T)],
+            accs: &mut [[T; 1]],
+        ) {
+            assert_eq!(rs.len(), ins.len(), "lane count mismatch");
+            let map = grid.interior_map();
+            dev.launch_lanes2_reduce(info, map, rs, map, ps, accs, |s, j, k, row_r, row_p| {
+                let b = map.row_offset(j, k);
+                let (tsl, wsl, omega, beta) = ins[s];
+                let mut acc = T::ZERO;
+                for i in 0..row_r.len() {
+                    let rv = row_r[i] - omega * tsl[b + i];
+                    row_r[i] = rv;
+                    acc += rv * rv;
+                    row_p[i] = rv + beta * (row_p[i] - omega * wsl[b + i]);
+                }
+                [acc]
+            });
+        }
+
+        pub(super) fn dot<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            a: &Field<T>,
+            b: &Field<T>,
+        ) -> T {
+            let map = grid.interior_map();
+            let [nx, ny, nz] = grid.local_n;
+            let asl = a.as_slice();
+            let bsl = b.as_slice();
+            let base0 = map.base;
+            let (len, sy, sz) = (map.len, map.sy, map.sz);
+            let [s] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
+                let off = base0 + j * sy + k * sz;
+                let mid = row_has_deep_middle(nx, ny, nz, j, k);
+                [fold_row_edge_last(len, mid, |i| {
+                    asl[off + i] * bsl[off + i]
+                })]
+            });
+            s
+        }
+
+        pub(super) fn dot2<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            a: &Field<T>,
+            b: &Field<T>,
+        ) -> (T, T) {
+            let map = grid.interior_map();
+            let [nx, ny, nz] = grid.local_n;
+            let asl = a.as_slice();
+            let bsl = b.as_slice();
+            let base0 = map.base;
+            let (len, sy, sz) = (map.len, map.sy, map.sz);
+            let [ab, aa] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
+                let off = base0 + j * sy + k * sz;
+                let mid = row_has_deep_middle(nx, ny, nz, j, k);
+                [
+                    fold_row_edge_last(len, mid, |i| asl[off + i] * bsl[off + i]),
+                    fold_row_edge_last(len, mid, |i| {
+                        let av = asl[off + i];
+                        av * av
+                    }),
+                ]
+            });
+            (ab, aa)
+        }
+
+        pub(super) fn diff_norm2<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            a: &Field<T>,
+            b: &Field<T>,
+        ) -> T {
+            let map = grid.interior_map();
+            let asl = a.as_slice();
+            let bsl = b.as_slice();
+            let base0 = map.base;
+            let (len, sy, sz) = (map.len, map.sy, map.sz);
+            let [s] = dev.launch_reduce(info.per_row(len), map.ny, map.nz, |j, k| {
+                let off = base0 + j * sy + k * sz;
+                let mut acc = T::ZERO;
+                for i in 0..len {
+                    let d = asl[off + i] - bsl[off + i];
+                    acc += d * d;
+                }
+                [acc]
+            });
+            s
+        }
+
+        pub(super) fn cast<S: Scalar, E: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            out: &mut Field<E>,
+            src: &Field<S>,
+        ) {
+            let map = grid.interior_map();
+            let ss = src.as_slice();
+            let base0 = map.base;
+            let (sy, sz) = (map.sy, map.sz);
+            dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
+                let b = base0 + j * sy + k * sz;
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = E::from_f64(ss[b + i].to_f64());
+                }
+            });
+        }
+
+        pub(super) fn scale<T: Scalar, D: Device>(
+            dev: &D,
+            info: KernelInfo,
+            grid: &BlockGrid,
+            out: &mut Field<T>,
+            src: &Field<T>,
+            factor: T,
+        ) {
+            let map = grid.interior_map();
+            let ss = src.as_slice();
+            let base0 = map.base;
+            let (sy, sz) = (map.sy, map.sz);
+            dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
+                let b = base0 + j * sy + k * sz;
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = factor * ss[b + i];
+                }
+            });
+        }
+    }
+
+    mod windows {
+        use super::*;
+        use accel::AnyDevice;
+        use proptest::prelude::*;
+
+        /// Random interior values from `seed`, every ghost and pad cell NaN.
+        fn poisoned<T: Scalar>(grid: &BlockGrid, seed: u64) -> Field<T> {
+            let dev = Serial::new(Recorder::disabled());
+            let n = grid.local_n.iter().product();
+            let vals: Vec<T> = rng_values(n, seed).into_iter().map(T::from_f64).collect();
+            let mut f = Field::from_interior(&dev, grid, &vals);
+            poison_ghosts(grid, &mut f);
+            f
+        }
+
+        fn slices<T: Scalar>(fs: &mut [Field<T>]) -> Vec<&mut [T]> {
+            fs.iter_mut().map(|f| f.as_mut_slice()).collect()
+        }
+
+        fn assert_fields<T: Scalar>(got: &[Field<T>], want: &[Field<T>], what: &str) {
+            for (l, (g, w)) in got.iter().zip(want).enumerate() {
+                let bits = |f: &Field<T>| {
+                    f.as_slice()
+                        .iter()
+                        .map(|v| v.to_bits64())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(g), bits(w), "{what}: lane {l} padded output");
+            }
+        }
+
+        fn assert_sums<const NR: usize>(got: &[[f64; NR]], want: &[[f64; NR]], what: &str) {
+            for (l, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(
+                    g.map(f64::to_bits),
+                    w.map(f64::to_bits),
+                    "{what}: lane {l} sums"
+                );
+            }
+        }
+
+        /// Every row-window kernel against its [`oracle`] body on `nb`
+        /// lanes of NaN-ghosted fields: whole padded outputs and every
+        /// sum bitwise.
+        fn check_vector_kernels(
+            dev: &AnyDevice,
+            grid: &BlockGrid,
+            nb: usize,
+            seed: u64,
+            what: &str,
+        ) {
+            let lanes = |s: u64| -> Vec<Field<f64>> {
+                (0..nb)
+                    .map(|l| poisoned(grid, seed ^ (s << 48) ^ (l as u64) << 56))
+                    .collect()
+            };
+            let coefs = rng_values(4 * nb, seed ^ 0x5EED);
+            let coef = |c: usize, l: usize| 3.0 * coefs[c * nb + l];
+            let (xs, gs, ts, ws) = (lanes(1), lanes(2), lanes(3), lanes(4));
+            let batch = |kernel: &str| format!("{kernel} on {what}, {nb} lanes");
+
+            // KernelNorm2Axpy
+            let (mut got, mut want) = (lanes(5), lanes(5));
+            let (mut sg, mut sw) = (vec![[0.0]; nb], vec![[0.0]; nb]);
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (xs[l].as_slice(), ws[l].as_slice()))
+                .collect();
+            norm2_axpy_batch(
+                dev,
+                INFO_NORM2AXPY,
+                grid,
+                &mut slices(&mut got),
+                &ins,
+                &mut sg,
+            );
+            oracle::norm2_axpy_batch(
+                dev,
+                INFO_NORM2AXPY,
+                grid,
+                &mut slices(&mut want),
+                &ins,
+                &mut sw,
+            );
+            assert_fields(&got, &want, &batch("KernelNorm2Axpy"));
+            assert_sums(&sg, &sw, &batch("KernelNorm2Axpy"));
+
+            // KernelBiCGS2F
+            let (mut got, mut want) = (lanes(6), lanes(6));
+            let (mut sg, mut sw) = (vec![[0.0]; nb], vec![[0.0]; nb]);
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (ws[l].as_slice(), coef(0, l), gs[l].as_slice()))
+                .collect();
+            axpy_dot_batch(
+                dev,
+                INFO_BICGS2F,
+                grid,
+                &mut slices(&mut got),
+                &ins,
+                &mut sg,
+            );
+            oracle::axpy_dot_batch(
+                dev,
+                INFO_BICGS2F,
+                grid,
+                &mut slices(&mut want),
+                &ins,
+                &mut sw,
+            );
+            assert_fields(&got, &want, &batch("KernelBiCGS2F"));
+            assert_sums(&sg, &sw, &batch("KernelBiCGS2F"));
+
+            // KernelBiCGS4
+            let (mut got, mut want) = (lanes(7), lanes(7));
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (xs[l].as_slice(), coef(1, l), ts[l].as_slice(), coef(2, l)))
+                .collect();
+            axpy2_chained_batch(dev, INFO_BICGS4, grid, &mut slices(&mut got), &ins);
+            oracle::axpy2_chained_batch(dev, INFO_BICGS4, grid, &mut slices(&mut want), &ins);
+            assert_fields(&got, &want, &batch("KernelBiCGS4"));
+
+            // KernelBiCGS56
+            let (mut rg, mut rw, mut pg, mut pw) = (lanes(8), lanes(8), lanes(9), lanes(9));
+            let (mut sg, mut sw) = (vec![[0.0]; nb], vec![[0.0]; nb]);
+            let ins: Vec<_> = (0..nb)
+                .map(|l| (ts[l].as_slice(), ws[l].as_slice(), coef(2, l), coef(3, l)))
+                .collect();
+            let (r, p) = (&mut slices(&mut rg), &mut slices(&mut pg));
+            residual_p_update_fused_batch(dev, INFO_BICGS56, grid, r, p, &ins, &mut sg);
+            let (r, p) = (&mut slices(&mut rw), &mut slices(&mut pw));
+            oracle::residual_p_update_fused_batch(dev, INFO_BICGS56, grid, r, p, &ins, &mut sw);
+            assert_fields(&rg, &rw, &batch("KernelBiCGS56 r"));
+            assert_fields(&pg, &pw, &batch("KernelBiCGS56 p"));
+            assert_sums(&sg, &sw, &batch("KernelBiCGS56"));
+
+            // The single-field kernels, once per lane.
+            for l in 0..nb {
+                let (x, g, t, w) = (&xs[l], &gs[l], &ts[l], &ws[l]);
+                let (a, b) = (coef(0, l), coef(1, l));
+                let one = |kernel: &str| format!("{kernel} on {what}, lane {l}");
+
+                let (mut got, mut want) = (lanes(10), lanes(10));
+                axpy_inplace(dev, INFO_BICGS2, grid, &mut got[l], x, a);
+                oracle::axpy_inplace(dev, INFO_BICGS2, grid, &mut want[l], x, a);
+                assert_fields(&got, &want, &one("axpy_inplace"));
+
+                let (mut got, mut want) = (lanes(11), lanes(11));
+                let sg = residual_update_fused(dev, INFO_BICGS5, grid, &mut got[l], t, a, g);
+                let sw =
+                    oracle::residual_update_fused(dev, INFO_BICGS5, grid, &mut want[l], t, a, g);
+                assert_fields(&got, &want, &one("KernelBiCGS5"));
+                assert_sums(&[[sg.0, sg.1]], &[[sw.0, sw.1]], &one("KernelBiCGS5"));
+
+                let (mut got, mut want) = (lanes(12), lanes(12));
+                axpy3_inplace(dev, INFO_BICGS6, grid, &mut got[l], x, w, a, b);
+                oracle::axpy3_inplace(dev, INFO_BICGS6, grid, &mut want[l], x, w, a, b);
+                assert_fields(&got, &want, &one("axpy3_inplace"));
+
+                let (mut got, mut want) = (lanes(13), lanes(13));
+                scale(dev, INFO_SCALE, grid, &mut got[l], x, a);
+                oracle::scale(dev, INFO_SCALE, grid, &mut want[l], x, a);
+                assert_fields(&got, &want, &one("scale"));
+
+                let (mut got, mut want) = ([poisoned::<f32>(grid, seed)], [poisoned(grid, seed)]);
+                cast(dev, INFO_CAST_DOWN, grid, &mut got[0], x);
+                oracle::cast(dev, INFO_CAST_DOWN, grid, &mut want[0], x);
+                assert_fields(&got, &want, &one("cast down"));
+                let (mut up_got, mut up_want) = (lanes(14), lanes(14));
+                cast(dev, INFO_CAST_UP, grid, &mut up_got[l], &got[0]);
+                oracle::cast(dev, INFO_CAST_UP, grid, &mut up_want[l], &got[0]);
+                assert_fields(&up_got, &up_want, &one("cast up"));
+
+                let (ab, aa) = dot2(dev, INFO_DOT, grid, x, g);
+                let got = [
+                    dot(dev, INFO_DOT, grid, x, g),
+                    ab,
+                    aa,
+                    diff_norm2(dev, INFO_DOT, grid, x, g),
+                ];
+                let (ab, aa) = oracle::dot2(dev, INFO_DOT, grid, x, g);
+                let want = [
+                    oracle::dot(dev, INFO_DOT, grid, x, g),
+                    ab,
+                    aa,
+                    oracle::diff_norm2(dev, INFO_DOT, grid, x, g),
+                ];
+                assert_sums(&[got], &[want], &one("dot, dot2, diff_norm2"));
+            }
+        }
+
+        /// Row lengths 1, 2 and 3 (the shortest windows, and the shortest
+        /// rows that fold edge-last) and whatever else 1..14 draws.
+        fn extent() -> impl Strategy<Value = usize> {
+            prop_oneof![Just(1usize), Just(2), Just(3), 1usize..14]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The row-window kernels are bitwise their indexed oracles on
+            /// every back-end, for 1–3 lanes of every extent, with NaN in
+            /// every ghost: a slice off by one cell or a sum regrouped
+            /// shows as a differing bit.
+            #[test]
+            fn vector_kernels_bitwise_match_scalar_oracle(
+                nx in extent(), ny in 1usize..14, nz in 1usize..14,
+                nb in 1usize..4, seed in 1u64..1 << 40,
+            ) {
+                let grid = BlockGrid::new(
+                    GlobalGrid::dirichlet([nx, ny, nz], [0.1; 3], [0.0; 3]),
+                    Decomp::single(),
+                    0,
+                );
+                for spec in ["serial", "threads:2", "threads:3", "simgpu:2"] {
+                    let dev = AnyDevice::from_spec(spec, Recorder::disabled()).unwrap();
+                    let what = format!("{:?} {spec}", grid.local_n);
+                    check_vector_kernels(&dev, &grid, nb, seed, &what);
+                }
+            }
+        }
     }
 }

@@ -414,7 +414,10 @@ impl Laplacian {
         let gs = g.as_slice();
         let mut acc = [[T::ZERO]];
         let (us, outs) = (&[u.as_slice()], &mut [w.as_mut_slice()]);
-        let terms = |_, c: usize, v: T| [gs[c] * v];
+        let terms = |_, b: usize, n: usize| {
+            let g = &gs[b..b + n];
+            move |i: usize, v: T| [g[i] * v]
+        };
         let whole = &Part::Whole;
         let fold = self.apply_part_dots(dev, info, whole, us, outs, &mut [], &mut acc, &terms);
         fold.fold(dev, info, &[], &mut acc);
@@ -423,11 +426,20 @@ impl Laplacian {
 
     /// `out = A u` fused with `NR` local dots per lane over `part`, every
     /// lane of a multi-RHS solve in each launch — the one body of
-    /// `KernelBiCGS1` and `KernelBiCGS3F`. `terms` receives the lane, the
-    /// padded linear index `c` and the stencil value `v` there and
-    /// returns the `NR` per-element dot terms. Slices are full padded
-    /// lane arrays; a lane's fields and dots do not depend on which other
-    /// lanes ride along. The returned fold completes the dots in `accs`:
+    /// `KernelBiCGS1` and `KernelBiCGS3F`. Slices are full padded lane
+    /// arrays; a lane's fields and dots do not depend on which other
+    /// lanes ride along.
+    ///
+    /// `terms` is called once per row that folds: `terms(s, b, n)` gets
+    /// the lane `s`, the padded offset `b` of the row's first cell and
+    /// the row length `n`, and returns the row's term function `t`, which
+    /// maps a row-local index `i < n` and the stencil value `v` at padded
+    /// index `b + i` to the `NR` dot terms of that cell. The caller slices
+    /// its operands to `b..b + n` there, once per row, so `t` indexes
+    /// row windows without bounds checks. The fold order stays here: each
+    /// row folds `t(i, v)` through [`fold_row_edge_last_n`].
+    ///
+    /// The returned fold completes the dots in `accs`:
     ///
     /// * The whole interior, a plane range, and the window of an exchange
     ///   with nothing in flight fold their rows straight into `accs`, in
@@ -448,7 +460,7 @@ impl Laplacian {
     /// ([`fold_row_edge_last_n`]), so window + shell is bitwise the whole
     /// sweep.
     #[allow(clippy::too_many_arguments)]
-    pub fn apply_part_dots<T: Scalar, D: Device, F, const NR: usize>(
+    pub fn apply_part_dots<T: Scalar, D: Device, F, G, const NR: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
@@ -460,7 +472,8 @@ impl Laplacian {
         terms: &F,
     ) -> PendingDotFold<NR>
     where
-        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+        F: Fn(usize, usize, usize) -> G + Sync,
+        G: Fn(usize, T) -> [T; NR],
     {
         let [nx, ny, nz] = self.grid.local_n;
         let interior = self.grid.interior();
@@ -494,7 +507,7 @@ impl Laplacian {
     /// The `KernelFoldWindow` launch of a shell: refold into the slots,
     /// from the stored `outs`, the rows of `window` (a split sweep's
     /// window missing its x-edge cells), one launch for all lanes.
-    fn refold<T: Scalar, D: Device, F, const NR: usize>(
+    fn refold<T: Scalar, D: Device, F, G, const NR: usize>(
         &self,
         dev: &D,
         window: RowMap,
@@ -503,7 +516,8 @@ impl Laplacian {
         accs: &mut [[T; NR]],
         terms: &F,
     ) where
-        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+        F: Fn(usize, usize, usize) -> G + Sync,
+        G: Fn(usize, T) -> [T; NR],
     {
         let [nx, ny, nz] = self.grid.local_n;
         let core = self.row_core::<T>();
@@ -516,7 +530,8 @@ impl Laplacian {
                 let b = window.row_offset(j, k) - i0;
                 let row = &outs[s][b..b + nx];
                 let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k0 + k);
-                let dots = fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]));
+                let t = terms(s, b, nx);
+                let dots = fold_row_edge_last_n(nx, mid, |i| t(i, row[i]));
                 slot.copy_from_slice(&dots);
             });
         });
@@ -527,7 +542,7 @@ impl Laplacian {
     /// of the fused-dot sweeps. Rows shorter than the interior's (an x
     /// face is in flight) land their values only; the shell refolds them.
     #[allow(clippy::too_many_arguments)]
-    fn dots_on_map<T: Scalar, D: Device, F, const NR: usize>(
+    fn dots_on_map<T: Scalar, D: Device, F, G, const NR: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
@@ -539,7 +554,8 @@ impl Laplacian {
         accs: &mut [[T; NR]],
         terms: &F,
     ) where
-        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+        F: Fn(usize, usize, usize) -> G + Sync,
+        G: Fn(usize, T) -> [T; NR],
     {
         assert_eq!(us.len(), outs.len(), "lane count mismatch");
         let core = self.row_core::<T>();
@@ -558,10 +574,14 @@ impl Laplacian {
             let k = k0 + run.k;
             core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, slot| {
                 let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
-                let dots_of_row = fold_row_edge_last_n(nx, mid, |i| terms(s, b + i, row[i]));
+                let t = terms(s, b, nx);
                 match dots {
-                    Dots::Fold => *acc = add_partials(*acc, dots_of_row),
-                    Dots::Slots => slot.copy_from_slice(&dots_of_row),
+                    Dots::Fold => {
+                        *acc = add_partials(*acc, fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
+                    }
+                    Dots::Slots => {
+                        slot.copy_from_slice(&fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
+                    }
                 }
             });
         });
@@ -794,7 +814,7 @@ mod tests {
     /// an exchange with `faces` in flight — window, shell, fold — on
     /// slots that start poisoned (the split must write every row it
     /// folds). Returns each lane's dots.
-    fn fused_dots<T: Scalar, D: Device, F, const NR: usize>(
+    fn fused_dots<T: Scalar, D: Device, F, G, const NR: usize>(
         dev: &D,
         lap: &Laplacian,
         faces: u8,
@@ -803,7 +823,8 @@ mod tests {
         terms: &F,
     ) -> Vec<[T; NR]>
     where
-        F: Fn(usize, usize, T) -> [T; NR] + Sync,
+        F: Fn(usize, usize, usize) -> G + Sync,
+        G: Fn(usize, T) -> [T; NR],
     {
         let usl: Vec<&[T]> = us.iter().map(|f| f.as_slice()).collect();
         let mut outs: Vec<&mut [T]> = outs.iter_mut().map(|f| f.as_mut_slice()).collect();
@@ -832,9 +853,9 @@ mod tests {
             let fields = |seed: u64| (0..nb).map(|l| mk(seed + l as u64)).collect::<Vec<_>>();
             let (us, rs, gs) = (fields(70), fields(80), fields(90));
             let us: Vec<&Field<f64>> = us.iter().collect();
-            let terms = |s: usize, c: usize, v: f64| {
-                let (r, g) = (rs[s].as_slice(), gs[s].as_slice());
-                [v * r[c], v * v, g[c] * v]
+            let terms = |s: usize, b: usize, n: usize| {
+                let (r, g) = (&rs[s].as_slice()[b..b + n], &gs[s].as_slice()[b..b + n]);
+                move |i: usize, v: f64| [v * r[i], v * v, g[i] * v]
             };
             for faces in [0, grid.interface_mask()] {
                 let mut t = fields(60);
@@ -850,7 +871,7 @@ mod tests {
                 let launches = rec.drain().len();
                 for l in 0..nb {
                     let mut t1 = mk(60 + l as u64);
-                    let solo = |_, c: usize, v: f64| terms(l, c, v);
+                    let solo = |_, b: usize, n: usize| terms(l, b, n);
                     let d1 = fused_dots(&dev, &lap, faces, &us[l..=l], &mut [&mut t1], &solo);
                     assert_eq!(
                         rec.drain().len(),
@@ -955,7 +976,10 @@ mod tests {
         let r = Field::from_interior(&dev, &grid, &rv);
         let mut t = Field::zeros(&dev, &grid);
         let rs = r.as_slice();
-        let terms = |_, c: usize, v: f64| [v * rs[c], v * v];
+        let terms = |_, b: usize, n: usize| {
+            let r = &rs[b..b + n];
+            move |i: usize, v: f64| [v * r[i], v * v]
+        };
         let [[tr, tt]] = fused_dots(&dev, &lap, 0, &[&u], &mut [&mut t], &terms)[..] else {
             unreachable!()
         };
@@ -1189,10 +1213,16 @@ mod tests {
         lap.apply_interior(dev, INFO_APPLY, u, split);
         lap.apply_shell(dev, INFO_APPLY, u, split);
         let d1 = lap.apply_fused_dot(dev, INFO_APPLY, u, dot1, g);
-        let terms3 = |_, c: usize, v: T| [v * rs[c], v * v, gs[c] * v];
+        let terms3 = |_, b: usize, n: usize| {
+            let (r, g) = (&rs[b..b + n], &gs[b..b + n]);
+            move |i: usize, v: T| [v * r[i], v * v, g[i] * v]
+        };
         let d3 = fused_dots(dev, &lap, 0, &[u], &mut [dot3], &terms3);
         let faces = grid.interface_mask();
-        let terms1 = |_, c: usize, v: T| [gs[c] * v];
+        let terms1 = |_, b: usize, n: usize| {
+            let g = &gs[b..b + n];
+            move |i: usize, v: T| [g[i] * v]
+        };
         let s1 = fused_dots(dev, &lap, faces, &[u], &mut [split_dot1], &terms1);
         let s3 = fused_dots(dev, &lap, faces, &[u], &mut [split_dot3], &terms3);
         for (f, name) in got.iter().zip([
@@ -1273,7 +1303,7 @@ mod tests {
             let mut w = Field::zeros(&dev, grid);
             if dot {
                 let faces = grid.interface_mask();
-                let terms = |_, _, v: f64| [v];
+                let terms = |_, _, _| |_, v: f64| [v];
                 let _ = fused_dots(&dev, &lap, faces, &[&u], &mut [&mut w], &terms);
             } else {
                 lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
