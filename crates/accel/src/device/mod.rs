@@ -184,12 +184,12 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// reduction per lane.
     ///
     /// `lanes[s]` is the backing slice of lane `s`'s field; all lanes
-    /// share `map`, which must validate against each slice. With
-    /// `second = Some((map_b, lanes_b))` the launch also writes a second
-    /// buffer per lane (`lanes_b[s]`, its rows under `map_b`, which must
-    /// agree with `map` on `ny`/`nz`): a fused sweep that updates two
+    /// share `map`, which must validate against each slice. Each of the
+    /// `N` entries `(map_o, lanes_o)` of `outs` is one more buffer per lane
+    /// the launch writes (`lanes_o[s]`, its rows under `map_o`, which must
+    /// agree with `map` on `ny`/`nz`): a fused sweep that updates several
     /// fields, or deposits per-row partials into a slot buffer, in one
-    /// pass, its runs carrying both buffers' rows ([`Run::rows2`]).
+    /// pass, its runs carrying every buffer's rows ([`Run::rows_n`]).
     ///
     /// The body `f(s, run, acc)` receives the lane index `s` (so it can
     /// look up per-lane operands), a run of that lane and the accumulator
@@ -203,19 +203,19 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// kernel runs.
     ///
     /// One kernel launch is recorded, with `map.elems() * lanes.len()`
-    /// elements — `info` for a two-map kernel must therefore account for
-    /// *all* traffic of the fused sweep per `map` element (see
+    /// elements — `info` for a multi-output kernel must therefore account
+    /// for *all* traffic of the fused sweep per `map` element (see
     /// [`KernelInfo::fused`]). An empty lane set launches nothing.
-    fn launch_runs<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &mut [&mut [T]],
-        second: Option<(RowMap, &mut [&mut [T]])>,
+        outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync;
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync;
 
     /// Launch a kernel over the rows of `out` described by `map`, fusing an
     /// `NR`-way sum reduction (the paper's `KernelBiCGS1/3/5` fuse the
@@ -304,45 +304,35 @@ pub trait Device: Clone + Send + Sync + 'static {
     ) where
         F: Fn(usize, usize, usize, &mut [T]) -> [T; NR] + Sync,
     {
-        self.launch_runs(info, map, lanes, None, accs, |s, run, acc| {
-            let k = run.k;
-            for (j, row) in run.rows() {
-                *acc = add_partials(*acc, f(s, j, k, row));
-            }
+        self.launch_lanes_n_reduce(info, map, lanes, [], accs, |s, j, k, row, []| {
+            f(s, j, k, row)
         });
     }
 
-    /// Lane-batched two-buffer launch (see [`Device::launch_lanes_reduce`]):
-    /// the kernel receives lane `s`'s `(j, k)` row of each buffer — the
-    /// entry point of fused sweeps that update two fields in one pass
-    /// (e.g. the fused `KernelBiCGS56` residual+direction update). One
-    /// launch is recorded, with `map_a.elems() * lanes_a.len()` elements.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_lanes2_reduce<T: Scalar, F, const NR: usize>(
+    /// Lane-batched `1 + N`-output launch (see
+    /// [`Device::launch_lanes_reduce`]): the kernel receives lane `s`'s
+    /// `(j, k)` row of the lane buffer and of each of the `N` `outs` — the
+    /// entry point of fused sweeps that update several fields in one pass
+    /// (`KernelBiCGS56` writes `r` and `p`, `KernelBiCGS456` `r`, `p` and
+    /// `x`). One launch is recorded, with `map.elems() * lanes.len()`
+    /// elements.
+    fn launch_lanes_n_reduce<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
-        map_a: RowMap,
-        lanes_a: &mut [&mut [T]],
-        map_b: RowMap,
-        lanes_b: &mut [&mut [T]],
+        map: RowMap,
+        lanes: &mut [&mut [T]],
+        outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, usize, usize, &mut [T], &mut [T]) -> [T; NR] + Sync,
+        F: Fn(usize, usize, usize, &mut [T], [&mut [T]; N]) -> [T; NR] + Sync,
     {
-        self.launch_runs(
-            info,
-            map_a,
-            lanes_a,
-            Some((map_b, lanes_b)),
-            accs,
-            |s, run, acc| {
-                let k = run.k;
-                for (j, a, b) in run.rows2() {
-                    *acc = add_partials(*acc, f(s, j, k, a, b));
-                }
-            },
-        );
+        self.launch_runs(info, map, lanes, outs, accs, |s, run, acc| {
+            let k = run.k;
+            for (j, row, rows) in run.rows_n() {
+                *acc = add_partials(*acc, f(s, j, k, row, rows));
+            }
+        });
     }
 
     /// Lane-batched launch with no reduction (element-wise update of every
@@ -386,13 +376,13 @@ pub trait Device: Clone + Send + Sync + 'static {
 /// Shared precondition check of [`Device::launch_runs`]: `map` must
 /// validate against every lane's backing slice (the `&mut` lane slices
 /// are necessarily disjoint allocations, which is what makes concurrent
-/// per-lane run handout sound), a second map against every second-buffer
-/// slice and agree with `map` on its row set, and there must be one
-/// second buffer and one accumulator slot per lane.
-pub(crate) fn validate_runs<T>(
+/// per-lane run handout sound), each output's map against every slice of
+/// that output and agree with `map` on its row set, and there must be
+/// one buffer of each output and one accumulator slot per lane.
+pub(crate) fn validate_runs<T, const N: usize>(
     map: &RowMap,
     lanes: &[&mut [T]],
-    second: &Option<(RowMap, &mut [&mut [T]])>,
+    outs: &[(RowMap, &mut [&mut [T]]); N],
     accs_len: usize,
 ) {
     assert_eq!(
@@ -403,12 +393,12 @@ pub(crate) fn validate_runs<T>(
     for lane in lanes {
         map.validate(lane.len());
     }
-    if let Some((map_b, lanes_b)) = second {
+    for (map_b, lanes_b) in outs {
         assert_eq!(lanes.len(), lanes_b.len(), "lane count mismatch");
         assert_eq!(
             (map.ny, map.nz),
             (map_b.ny, map_b.nz),
-            "two-map launch requires matching row sets"
+            "multi-output launch requires matching row sets"
         );
         for lane in lanes_b.iter() {
             map_b.validate(lane.len());
@@ -492,21 +482,21 @@ impl Device for AnyDevice {
         }
     }
 
-    fn launch_runs<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &mut [&mut [T]],
-        second: Option<(RowMap, &mut [&mut [T]])>,
+        outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync,
     {
         match self {
-            Self::Serial(d) => d.launch_runs(info, map, lanes, second, accs, f),
-            Self::Threads(d) => d.launch_runs(info, map, lanes, second, accs, f),
-            Self::SimGpu(d) => d.launch_runs(info, map, lanes, second, accs, f),
+            Self::Serial(d) => d.launch_runs(info, map, lanes, outs, accs, f),
+            Self::Threads(d) => d.launch_runs(info, map, lanes, outs, accs, f),
+            Self::SimGpu(d) => d.launch_runs(info, map, lanes, outs, accs, f),
         }
     }
 
@@ -682,7 +672,7 @@ mod tests {
         };
         let rows = map_a.rows();
         let nl = 3;
-        let kernel = |s: usize, j: usize, k: usize, a: &mut [f64], b: &mut [f64]| {
+        let kernel = |s: usize, j: usize, k: usize, a: &mut [f64], [b]: [&mut [f64]; 1]| {
             let mut acc = 0.0;
             for (i, v) in a.iter_mut().enumerate() {
                 *v = 1.0 / ((s * 700 + k * 50 + j * 7 + i) as f64 + 2.0);
@@ -698,13 +688,14 @@ mod tests {
             let mut la: Vec<&mut [f64]> = fa.iter_mut().map(|f| f.as_mut_slice()).collect();
             let mut lb: Vec<&mut [f64]> = fb.iter_mut().map(|f| f.as_mut_slice()).collect();
             let mut accs = [[0.0f64; 1]; 3];
-            dev.launch_lanes2_reduce(info, map_a, &mut la, map_b, &mut lb, &mut accs, kernel);
+            dev.launch_lanes_n_reduce(info, map_a, &mut la, [(map_b, &mut lb)], &mut accs, kernel);
             for s in 0..nl {
                 let mut sa = vec![0.0f64; padded];
                 let mut sb = vec![0.0f64; rows];
                 let mut r = [[0.0f64; 1]];
                 let (la, lb) = (&mut [&mut sa[..]], &mut [&mut sb[..]]);
-                dev.launch_lanes2_reduce(info, map_a, la, map_b, lb, &mut r, |_, j, k, a, b| {
+                let outs = [(map_b, &mut lb[..])];
+                dev.launch_lanes_n_reduce(info, map_a, la, outs, &mut r, |_, j, k, a, b| {
                     kernel(s, j, k, a, b)
                 });
                 assert_eq!(accs[s][0].to_bits(), r[0][0].to_bits(), "{spec}: lane {s}");
@@ -827,14 +818,14 @@ mod run_proptests {
     }
 
     /// The per-row kernel both sides run: inexact values in every cell of
-    /// both rows, so any change in which cell a row lands on or in the
-    /// fold grouping shows in the bits.
-    fn row_kernel<const NR: usize>(
+    /// every output's row, so any change in which cell a row lands on or
+    /// in the fold grouping shows in the bits.
+    fn row_kernel<const NR: usize, const N: usize>(
         s: usize,
         j: usize,
         k: usize,
         a: &mut [f64],
-        b: &mut [f64],
+        outs: [&mut [f64]; N],
     ) -> [f64; NR] {
         let mut acc = [0.0; NR];
         for (i, v) in a.iter_mut().enumerate() {
@@ -843,18 +834,20 @@ mod run_proptests {
                 *p += v.powi(q as i32 + 1);
             }
         }
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = -1.0 / ((s * 7 + k * 5 + j * 3 + i) as f64 + 1.5);
+        for (o, b) in outs.into_iter().enumerate() {
+            for (i, v) in b.iter_mut().enumerate() {
+                *v = -1.0 / ((s * 7 + k * 5 + j * 3 + i + 13 * o) as f64 + 1.5);
+            }
         }
         acc
     }
 
     /// The oracle: every owner folds its rows one `row_kernel` call at a
     /// time into a partial of its own, then the policy combines them.
-    fn oracle<const NR: usize>(
+    fn oracle<const NR: usize, const N: usize>(
         kind: &DeviceKind,
         (map, lanes): (RowMap, &mut [Vec<f64>]),
-        mut second: Option<(RowMap, &mut [Vec<f64>])>,
+        mut outs: [(RowMap, &mut [Vec<f64>]); N],
     ) -> Vec<[f64; NR]> {
         let mut accs = Vec::new();
         for (s, lane) in lanes.iter_mut().enumerate() {
@@ -865,14 +858,11 @@ mod run_proptests {
                     let (j, k) = map.row_jk(r);
                     let off = map.row_offset(j, k);
                     let a = &mut lane[off..off + map.len];
-                    let b: &mut [f64] = match &mut second {
-                        Some((mb, lb)) => {
-                            let off = mb.row_offset(j, k);
-                            &mut lb[s][off..off + mb.len]
-                        }
-                        None => &mut [],
-                    };
-                    acc = add_partials(acc, row_kernel::<NR>(s, j, k, a, b));
+                    let bs = outs.each_mut().map(|(mb, lb)| {
+                        let off = mb.row_offset(j, k);
+                        &mut lb[s][off..off + mb.len]
+                    });
+                    acc = add_partials(acc, row_kernel::<NR, N>(s, j, k, a, bs));
                 }
                 parts.push(acc);
             }
@@ -881,8 +871,10 @@ mod run_proptests {
         accs
     }
 
-    /// One run launch against the oracle, fields and partials bit for bit.
-    fn check<const NR: usize>(dev: &AnyDevice, map: RowMap, len: usize, nl: usize, two: bool) {
+    /// One run launch against the oracle, fields and partials bit for bit:
+    /// the lane buffer and `N` further outputs — a slot buffer under a map
+    /// of its own, then padded fields under the lane map.
+    fn check<const NR: usize, const N: usize>(dev: &AnyDevice, map: RowMap, len: usize, nl: usize) {
         let info = KernelInfo::new("runs", 8, 1);
         let slots = RowMap {
             base: 1,
@@ -895,33 +887,56 @@ mod run_proptests {
         let slot_len = slots.row_offset(map.ny - 1, map.nz - 1) + slots.len + 1;
         let fresh =
             |n: usize| -> Vec<Vec<f64>> { (0..nl).map(|s| vec![s as f64 + 0.5; n]).collect() };
-        let (mut a, mut b) = (fresh(len), fresh(slot_len));
+        let out_maps: [(RowMap, usize); N] = std::array::from_fn(|o| {
+            if o == 0 {
+                (slots, slot_len)
+            } else {
+                (map, len)
+            }
+        });
+        let mut a = fresh(len);
+        let mut b = out_maps.map(|(_, n)| fresh(n));
         let (mut oa, mut ob) = (a.clone(), b.clone());
         let mut accs = vec![[f64::NAN; NR]; nl];
         {
             let mut la: Vec<&mut [f64]> = a.iter_mut().map(Vec::as_mut_slice).collect();
-            let mut lb: Vec<&mut [f64]> = b.iter_mut().map(Vec::as_mut_slice).collect();
-            let second = two.then_some((slots, &mut lb[..]));
-            dev.launch_runs(info, map, &mut la, second, &mut accs, |s, run, acc| {
+            let mut lb = b
+                .each_mut()
+                .map(|o| o.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+            let mut maps = out_maps.iter().map(|(m, _)| *m);
+            let outs = lb
+                .each_mut()
+                .map(|l| (maps.next().expect("a map per output"), &mut l[..]));
+            dev.launch_runs(info, map, &mut la, outs, &mut accs, |s, run, acc| {
                 let k = run.k;
-                for (j, ra, rb) in run.rows2() {
-                    *acc = add_partials(*acc, row_kernel::<NR>(s, j, k, ra, rb));
+                for (j, ra, rb) in run.rows_n() {
+                    *acc = add_partials(*acc, row_kernel::<NR, N>(s, j, k, ra, rb));
                 }
             });
         }
-        let want = oracle::<NR>(
-            &dev.kind(),
-            (map, &mut oa),
-            two.then_some((slots, &mut ob[..])),
-        );
+        let mut maps = out_maps.iter().map(|(m, _)| *m);
+        let outs = ob
+            .each_mut()
+            .map(|l| (maps.next().expect("a map per output"), &mut l[..]));
+        let want = oracle::<NR, N>(&dev.kind(), (map, &mut oa), outs);
         let bits =
             |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
-        let what = format!("{} {map:?} lanes {nl} NR {NR} two-map {two}", dev.name());
+        let what = format!("{} {map:?} lanes {nl} NR {NR} outputs 1 + {N}", dev.name());
         assert_eq!(bits(&a), bits(&oa), "{what}: fields");
-        assert_eq!(bits(&b), bits(&ob), "{what}: second buffers");
+        for (b, ob) in b.iter().zip(&ob) {
+            assert_eq!(bits(b), bits(ob), "{what}: further outputs");
+        }
         let acc_bits =
             |v: &[[f64; NR]]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
         assert_eq!(acc_bits(&accs), acc_bits(&want), "{what}: partials");
+    }
+
+    /// [`check`] at every reduction width up to three.
+    fn check_nr<const N: usize>(dev: &AnyDevice, map: RowMap, len: usize, nl: usize) {
+        check::<0, N>(dev, map, len, nl);
+        check::<1, N>(dev, map, len, nl);
+        check::<2, N>(dev, map, len, nl);
+        check::<3, N>(dev, map, len, nl);
     }
 
     proptest! {
@@ -937,7 +952,7 @@ mod run_proptests {
                 (1usize..9).prop_map(|b| 100 + b),
             ],
             nl in 1usize..4,
-            two in 0u8..2,
+            outs in 0u8..3,
         ) {
             let dev = match device {
                 0 => AnyDevice::Serial(Serial::new(Recorder::disabled())),
@@ -952,12 +967,12 @@ mod run_proptests {
             let maps = std::iter::once(RowMap::halo_interior(e))
                 .chain(RowMap::halo_window(e, in_flight))
                 .chain(RowMap::halo_shell(e, in_flight));
-            let two = two == 1;
             for map in maps {
-                check::<0>(&dev, map, len, nl, two);
-                check::<1>(&dev, map, len, nl, two);
-                check::<2>(&dev, map, len, nl, two);
-                check::<3>(&dev, map, len, nl, two);
+                match outs {
+                    0 => check_nr::<0>(&dev, map, len, nl),
+                    1 => check_nr::<1>(&dev, map, len, nl),
+                    _ => check_nr::<2>(&dev, map, len, nl),
+                }
             }
         }
     }

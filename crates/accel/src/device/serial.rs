@@ -35,18 +35,18 @@ impl Device for Serial {
         &self.recorder
     }
 
-    fn launch_runs<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &mut [&mut [T]],
-        mut second: Option<(RowMap, &mut [&mut [T]])>,
+        mut outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync,
     {
-        super::validate_runs(&map, lanes, &second, accs.len());
+        super::validate_runs(&map, lanes, &outs, accs.len());
         if lanes.is_empty() {
             return;
         }
@@ -58,7 +58,7 @@ impl Device for Serial {
         for (s, (lane, acc)) in lanes.iter_mut().zip(accs.iter_mut()).enumerate() {
             *acc = [T::ZERO; NR];
             for (k, js) in map.runs(0..map.rows()) {
-                let b = second.as_mut().map(|(m, l)| (&*m, &mut *l[s]));
+                let b = outs.each_mut().map(|(m, l)| (&*m, &mut *l[s]));
                 f(s, Run::new(k, js, (&map, &mut **lane), b), acc);
             }
         }

@@ -112,18 +112,18 @@ impl Device for SimGpu {
         &self.recorder
     }
 
-    fn launch_runs<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &mut [&mut [T]],
-        mut second: Option<(RowMap, &mut [&mut [T]])>,
+        mut outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync,
     {
-        super::validate_runs(&map, lanes, &second, accs.len());
+        super::validate_runs(&map, lanes, &outs, accs.len());
         if lanes.is_empty() {
             return;
         }
@@ -144,8 +144,8 @@ impl Device for SimGpu {
         for b in 0..blocks {
             for (k, js) in map.runs(b * bs..((b + 1) * bs).min(rows)) {
                 for (s, lane) in lanes.iter_mut().enumerate() {
-                    let second = second.as_mut().map(|(m, l)| (&*m, &mut *l[s]));
-                    let run = Run::new(k, js.start..js.end, (&map, &mut **lane), second);
+                    let bufs = outs.each_mut().map(|(m, l)| (&*m, &mut *l[s]));
+                    let run = Run::new(k, js.start..js.end, (&map, &mut **lane), bufs);
                     f(s, run, &mut block_partials[s * blocks + b]);
                 }
             }

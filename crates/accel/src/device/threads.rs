@@ -127,29 +127,29 @@ impl Device for Threads {
         &self.recorder
     }
 
-    fn launch_runs<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &mut [&mut [T]],
-        second: Option<(RowMap, &mut [&mut [T]])>,
+        outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync,
     {
-        super::validate_runs(&map, lanes, &second, accs.len());
+        super::validate_runs(&map, lanes, &outs, accs.len());
         if lanes.is_empty() {
             return;
         }
         self.recorder.kernel(info, map.elems() * lanes.len());
         let table = SendPtr(lanes.as_mut_ptr());
-        let second = second.map(|(m, l)| (m, SendPtr(l.as_mut_ptr())));
+        let outs = outs.map(|(m, l)| (m, SendPtr(l.as_mut_ptr())));
         self.sweep(map.rows(), accs, |s, rows| {
             // SAFETY: `s < accs.len()`, the length of every lane table.
             let a = unsafe { lane_ptr(table, s) };
             // SAFETY: as above.
-            let b = second.map(|(m, t)| (m, unsafe { lane_ptr(t, s) }));
+            let b = outs.map(|(m, t)| (m, unsafe { lane_ptr(t, s) }));
             let mut acc = [T::ZERO; NR];
             for (k, js) in map.runs(rows) {
                 // SAFETY: the maps validated against every lane slice of
@@ -157,7 +157,7 @@ impl Device for Threads {
                 // each row belongs to exactly one chunk, so no two
                 // participants ever touch the same (lane, row).
                 let run =
-                    unsafe { Run::from_raw(k, js, (&map, a), b.as_ref().map(|(m, p)| (m, *p))) };
+                    unsafe { Run::from_raw(k, js, (&map, a), b.each_ref().map(|(m, p)| (m, *p))) };
                 f(s, run, &mut acc);
             }
             acc
@@ -272,7 +272,7 @@ mod tests {
             sz: map_a.ny,
         };
         let padded = 7 * 6 * 5;
-        let kernel = |_: usize, j: usize, k: usize, a: &mut [f64], b: &mut [f64]| {
+        let kernel = |_: usize, j: usize, k: usize, a: &mut [f64], [b]: [&mut [f64]; 1]| {
             let mut s = 0.0;
             for (i, v) in a.iter_mut().enumerate() {
                 *v = (i + 3 * j + 7 * k) as f64;
@@ -290,16 +290,16 @@ mod tests {
             (a, b, s)
         };
         let (a0, b0, s0) = run(&|a, b, s| {
-            Serial::new(Recorder::disabled())
-                .launch_lanes2_reduce(INFO, map_a, a, map_b, b, s, kernel)
+            let dev = Serial::new(Recorder::disabled());
+            dev.launch_lanes_n_reduce(INFO, map_a, a, [(map_b, b)], s, kernel)
         });
         let (a1, b1, s1) = run(&|a, b, s| {
-            Threads::new(3, Recorder::disabled())
-                .launch_lanes2_reduce(INFO, map_a, a, map_b, b, s, kernel)
+            let dev = Threads::new(3, Recorder::disabled());
+            dev.launch_lanes_n_reduce(INFO, map_a, a, [(map_b, b)], s, kernel)
         });
         let (a2, b2, s2) = run(&|a, b, s| {
-            SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled())
-                .launch_lanes2_reduce(INFO, map_a, a, map_b, b, s, kernel)
+            let dev = SimGpu::new(GpuSimParams::mi250x(), Recorder::disabled());
+            dev.launch_lanes_n_reduce(INFO, map_a, a, [(map_b, b)], s, kernel)
         });
         assert_eq!(a0, a1);
         assert_eq!(a0, a2);

@@ -274,37 +274,34 @@ impl RowMap {
 /// One run of a launch: the consecutive rows `js` of plane `k` that a
 /// single owner sweeps — a whole plane on [`crate::Serial`], the plane's
 /// part of a chunk on [`crate::Threads`], of a block on
-/// [`crate::SimGpu`] — as row-exact `&mut` slices of each buffer the
-/// launch writes.
+/// [`crate::SimGpu`] — as row-exact `&mut` slices of the launch's lane
+/// buffer and of each of its `N` further outputs.
 ///
 /// A kernel body receives one run at a time and loops its rows itself, so
 /// whatever it sets up per call — a vector arm, coefficients, windows —
 /// it pays once per run instead of once per row.
-pub struct Run<'a, T> {
+pub struct Run<'a, T, const N: usize = 0> {
     /// The run's plane: row index `k` of the launch's map.
     pub k: usize,
     /// The run's rows `j0..j1` of that plane.
     pub js: Range<usize>,
     a: RunRows<'a, T>,
-    b: RunRows<'a, T>,
+    outs: [RunRows<'a, T>; N],
 }
 
-impl<'a, T> Run<'a, T> {
-    /// The run of rows `js` of plane `k` in `a` under `map_a` and, for a
-    /// two-map launch, in `b` under its map.
+impl<'a, T, const N: usize> Run<'a, T, N> {
+    /// The run of rows `js` of plane `k` in `a` under `map_a` and in each
+    /// further output under its own map.
     #[inline(always)]
     pub(crate) fn new(
         k: usize,
         js: Range<usize>,
         (map_a, a): (&RowMap, &'a mut [T]),
-        b: Option<(&RowMap, &'a mut [T])>,
+        outs: [(&RowMap, &'a mut [T]); N],
     ) -> Self {
-        let b = match b {
-            Some((map_b, b)) => RunRows::new(&mut b[map_b.run_span(k, &js)], map_b),
-            None => RunRows::none(),
-        };
+        let outs = outs.map(|(m, b)| RunRows::new(&mut b[m.run_span(k, &js)], m));
         let a = RunRows::new(&mut a[map_a.run_span(k, &js)], map_a);
-        Self { k, js, a, b }
+        Self { k, js, a, outs }
     }
 
     /// [`Run::new`] over lane base pointers, for back-ends whose owners
@@ -313,46 +310,52 @@ impl<'a, T> Run<'a, T> {
     /// # Safety
     /// Each map must have been validated against the allocation its
     /// pointer addresses ([`RowMap::validate`]), and no other live slice
-    /// may overlap the rows `js` of plane `k` of either buffer: callers
-    /// hand each row of a launch to exactly one owner.
+    /// may overlap the rows `js` of plane `k` of any buffer: callers hand
+    /// each row of a launch to exactly one owner.
     #[inline(always)]
     pub(crate) unsafe fn from_raw(
         k: usize,
         js: Range<usize>,
         (map_a, a): (&RowMap, SendPtr<T>),
-        b: Option<(&RowMap, SendPtr<T>)>,
+        outs: [(&RowMap, SendPtr<T>); N],
     ) -> Self {
-        // SAFETY: the caller guarantees both spans lie inside validated
-        // allocations and belong to this owner alone.
+        // SAFETY: the caller guarantees every span lies inside a validated
+        // allocation and belongs to this owner alone.
         let span = |map: &RowMap, p: SendPtr<T>| unsafe {
             let r = map.run_span(k, &js);
-            std::slice::from_raw_parts_mut(p.0.add(r.start), r.len())
+            RunRows::new(
+                std::slice::from_raw_parts_mut(p.0.add(r.start), r.len()),
+                map,
+            )
         };
-        let b = match b {
-            Some((map_b, b)) => RunRows::new(span(map_b, b), map_b),
-            None => RunRows::none(),
-        };
-        let a = RunRows::new(span(map_a, a), map_a);
-        Self { k, js, a, b }
+        let outs = outs.map(|(m, p)| span(m, p));
+        let a = span(map_a, a);
+        Self { k, js, a, outs }
     }
 
     /// `(j, row)` for every row of the run, in order.
     #[inline(always)]
     pub fn rows(self) -> impl Iterator<Item = (usize, &'a mut [T])> {
-        self.js.zip(self.a)
+        self.rows_n().map(|(j, row, _)| (j, row))
     }
 
-    /// `(j, row, row_b)` for every row of the run, in order: the row of
-    /// each buffer of a two-map launch (`row_b` is empty in a one-map
-    /// launch).
+    /// `(j, row, outs)` for every row of the run, in order: the row of the
+    /// lane buffer and the same row of each further output.
     #[inline(always)]
-    pub fn rows2(self) -> impl Iterator<Item = (usize, &'a mut [T], &'a mut [T])> {
-        self.js.zip(self.a.zip(self.b)).map(|(j, (a, b))| (j, a, b))
+    pub fn rows_n(self) -> impl Iterator<Item = (usize, &'a mut [T], [&'a mut [T]; N])> {
+        let Self {
+            js,
+            mut a,
+            mut outs,
+            ..
+        } = self;
+        js.map(move |j| (j, a.take(), outs.each_mut().map(RunRows::take)))
     }
 }
 
 /// The row slices of one buffer over a run: `len` cells every `stride`,
-/// carved off the front of the run's span.
+/// carved off the front of the run's span, which holds one row per row
+/// of the run.
 struct RunRows<'a, T> {
     span: &'a mut [T],
     len: usize,
@@ -360,16 +363,6 @@ struct RunRows<'a, T> {
 }
 
 impl<'a, T> RunRows<'a, T> {
-    /// The rows of a one-map launch's absent second buffer: empty, endless.
-    #[inline(always)]
-    fn none() -> Self {
-        Self {
-            span: &mut [],
-            len: 0,
-            stride: 0,
-        }
-    }
-
     #[inline(always)]
     fn new(span: &'a mut [T], map: &RowMap) -> Self {
         Self {
@@ -378,20 +371,13 @@ impl<'a, T> RunRows<'a, T> {
             stride: map.sy,
         }
     }
-}
 
-impl<'a, T> Iterator for RunRows<'a, T> {
-    type Item = &'a mut [T];
-
+    /// The next row.
     #[inline(always)]
-    fn next(&mut self) -> Option<&'a mut [T]> {
-        let span = std::mem::take(&mut self.span);
-        if span.len() < self.len {
-            return None;
-        }
-        let (row, rest) = span.split_at_mut(self.len);
+    fn take(&mut self) -> &'a mut [T] {
+        let (row, rest) = std::mem::take(&mut self.span).split_at_mut(self.len);
         self.span = rest.get_mut(self.stride - self.len..).unwrap_or_default();
-        Some(row)
+        row
     }
 }
 

@@ -298,13 +298,11 @@ fn ablation_schedule() -> Vec<ReplayRow> {
     };
     let allreduces = [&ref_streams, &prod_streams].map(|s| allreduces_per_iteration(s));
     assert_eq!(allreduces, [3, 2], "allreduces per iteration");
-    let sweeps = [
-        bench::sweeps_per_iteration(bench::run_reference),
-        bench::sweeps_per_iteration(bench::run_once),
-    ];
+    let sweeps = [bench::run_reference, bench::run_once]
+        .map(|run| bench::sweeps_per_iteration(run, SolverKind::BiCgs));
     assert!(
-        (sweeps[0] - 11.0).abs() < 0.01 && (sweeps[1] - 5.0).abs() < 0.01,
-        "expected 11 -> 5 sweeps per iteration, measured {sweeps:?}"
+        (sweeps[0] - 11.0).abs() < 0.01 && (sweeps[1] - 4.0).abs() < 0.01,
+        "expected 11 -> 4 sweeps per iteration, measured {sweeps:?}"
     );
 
     let grid = MODEL_RANKS

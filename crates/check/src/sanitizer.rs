@@ -227,18 +227,18 @@ impl<D: Device> Checked<D> {
     /// read-before-init. The replay runs on [`Serial`] — the row order
     /// every back-end's runs reproduce per owner — with its recorder off.
     #[allow(clippy::too_many_arguments)]
-    fn audit_fresh_reads<T: Scalar, F, const NR: usize>(
+    fn audit_fresh_reads<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &[&mut [T]],
-        second: Option<(RowMap, &[&mut [T]])>,
+        outs: [(RowMap, &[&mut [T]]); N],
         mapped: &[Vec<bool>],
         f: &F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync,
     {
-        let bufs = buffers(map, lanes, second).map(|(_, b)| b);
+        let bufs = buffers(map, lanes, outs).map(|(_, b)| b);
         let uninit: Vec<Vec<usize>> = bufs.clone().map(|b| self.uninit_cells(b)).collect();
         if uninit.iter().all(Vec::is_empty) {
             return;
@@ -261,11 +261,17 @@ impl<D: Device> Checked<D> {
         let nl = lanes.len();
         let run = |mut bufs: Vec<Vec<T>>| {
             let mut accs = vec![[T::ZERO; NR]; nl];
-            let (a, b) = bufs.split_at_mut(nl);
-            let mut a: Vec<&mut [T]> = a.iter_mut().map(Vec::as_mut_slice).collect();
-            let mut b: Vec<&mut [T]> = b.iter_mut().map(Vec::as_mut_slice).collect();
-            let second = second.map(|(m, _)| (m, b.as_mut_slice()));
-            replay.launch_runs(info, map, &mut a, second, &mut accs, f);
+            let mut groups = bufs
+                .chunks_mut(nl)
+                .map(|g| g.iter_mut().map(Vec::as_mut_slice));
+            let mut a: Vec<&mut [T]> = groups.next().into_iter().flatten().collect();
+            let mut b: [Vec<&mut [T]>; N] =
+                std::array::from_fn(|_| groups.next().into_iter().flatten().collect());
+            let mut maps = outs.iter().map(|(m, _)| *m);
+            let outs = b
+                .each_mut()
+                .map(|l| (maps.next().expect("a map per output"), &mut l[..]));
+            replay.launch_runs(info, map, &mut a, outs, &mut accs, f);
             (bufs, accs)
         };
         let (bufs_a, accs_a) = run(shadow(1.0e30));
@@ -318,16 +324,23 @@ impl<D: Device> Checked<D> {
 }
 
 /// Every buffer a run launch writes, with its map: each lane under
-/// `map`, then each second buffer under its own.
-fn buffers<'b, T>(
+/// `map`, then each buffer of each further output under its own.
+fn buffers<'b, T, const N: usize>(
     map: RowMap,
     lanes: &'b [&mut [T]],
-    second: Option<(RowMap, &'b [&mut [T]])>,
+    outs: [(RowMap, &'b [&mut [T]]); N],
 ) -> impl Iterator<Item = (RowMap, &'b [T])> + Clone {
-    let second = second
+    let outs = outs
         .into_iter()
         .flat_map(|(m, l)| l.iter().map(move |b| (m, &**b)));
-    lanes.iter().map(move |b| (map, &**b)).chain(second)
+    lanes.iter().map(move |b| (map, &**b)).chain(outs)
+}
+
+/// A read-only view of a launch's further outputs.
+fn read_only<'b, T, const N: usize>(
+    outs: &'b [(RowMap, &mut [&mut [T]]); N],
+) -> [(RowMap, &'b [&'b mut [T]]); N] {
+    outs.each_ref().map(|(m, l)| (*m, &**l))
 }
 
 #[inline]
@@ -348,24 +361,23 @@ impl<D: Device> Device for Checked<D> {
         self.inner.recorder()
     }
 
-    fn launch_runs<T: Scalar, F, const NR: usize>(
+    fn launch_runs<T: Scalar, F, const NR: usize, const N: usize>(
         &self,
         info: KernelInfo,
         map: RowMap,
         lanes: &mut [&mut [T]],
-        mut second: Option<(RowMap, &mut [&mut [T]])>,
+        mut outs: [(RowMap, &mut [&mut [T]]); N],
         accs: &mut [[T; NR]],
         f: F,
     ) where
-        F: Fn(usize, Run<'_, T>, &mut [T; NR]) + Sync,
+        F: Fn(usize, Run<'_, T, N>, &mut [T; NR]) + Sync,
     {
         // A launch is audited exactly once, whatever it writes: every
         // lane's map walked, every buffer's write-set diffed, and the
         // fresh-read replay runs the body on shadow copies of all buffers
         // together.
-        let second_ro = second.as_ref().map(|(m, l)| (*m, &**l));
         let mut mapped = Vec::new();
-        for (m, buf) in buffers(map, lanes, second_ro) {
+        for (m, buf) in buffers(map, lanes, read_only(&outs)) {
             let Some(cells) = self.audit_map(info.name, &m, buf.len()) else {
                 // Invalid map under Policy::Record: the violation is
                 // recorded and the launch is skipped (the back-end would
@@ -376,17 +388,17 @@ impl<D: Device> Device for Checked<D> {
             self.audit_hazards(info.name, buf, &cells);
             mapped.push(cells);
         }
-        self.audit_fresh_reads(info, map, lanes, second_ro, &mapped, &f);
-        let before: Vec<Vec<u64>> = buffers(map, lanes, second_ro)
+        self.audit_fresh_reads(info, map, lanes, read_only(&outs), &mapped, &f);
+        let before: Vec<Vec<u64>> = buffers(map, lanes, read_only(&outs))
             .map(|(_, b)| b.iter().map(|&v| bits(v)).collect())
             .collect();
         // `&F: Fn + Sync` whenever `F` is, so delegating by reference keeps
         // the real launch bitwise identical to the unwrapped back-end.
-        let second_rw = second.as_mut().map(|(m, l)| (*m, &mut **l));
-        self.inner
-            .launch_runs(info, map, lanes, second_rw, accs, &f);
-        let second_ro = second.as_ref().map(|(m, l)| (*m, &**l));
-        let after = buffers(map, lanes, second_ro).zip(&mapped).zip(&before);
+        let outs_rw = outs.each_mut().map(|(m, l)| (*m, &mut **l));
+        self.inner.launch_runs(info, map, lanes, outs_rw, accs, &f);
+        let after = buffers(map, lanes, read_only(&outs))
+            .zip(&mapped)
+            .zip(&before);
         for (((_, buf), cells), before) in after {
             let escaped = before
                 .iter()

@@ -11,28 +11,29 @@ use blockgrid::{BlockGrid, Decomp, Field, GlobalGrid, HaloExchange};
 use check::{try_run_ranks_checked, CheckConfig, Checked, VerifiedComm};
 use comm::{CommStats, Communicator, ReduceOp, Tag};
 
+/// A raw pointer into a launch's buffer, written from inside a kernel
+/// body that owns other rows — the seeded mutants below.
+struct Esc(*mut f64);
+// SAFETY: deliberately unsound test fixture — the pointer is written from
+// inside a kernel that owns only other rows, exactly the seeded mutant the
+// sanitizer exists to catch. Each escaped write lands on a cell no other
+// owner touches, so the write itself is not a data race.
+unsafe impl Send for Esc {}
+// SAFETY: see above.
+unsafe impl Sync for Esc {}
+impl Esc {
+    // Accessor so a closure captures `&Esc` (Sync) rather than the
+    // raw-pointer field itself.
+    fn ptr(&self) -> *mut f64 {
+        self.0
+    }
+}
+
 /// Mutation 1: a kernel that escapes its row slice through a raw pointer
 /// (the bug class `RowMap` validation cannot see). The sanitizer's
 /// snapshot diff must name the kernel and the out-of-map cell.
 #[test]
 fn seeded_out_of_row_write_is_caught() {
-    struct Esc(*mut f64);
-    // SAFETY: deliberately unsound test fixture — the pointer is written
-    // from inside a kernel that only owns a different row slice, exactly
-    // the seeded mutant the sanitizer exists to catch. The Serial
-    // back-end runs the closure on this thread, so the write itself is
-    // not a data race.
-    unsafe impl Send for Esc {}
-    // SAFETY: see above; single-threaded use only.
-    unsafe impl Sync for Esc {}
-    impl Esc {
-        // Accessor so the closure captures `&Esc` (Sync) rather than the
-        // raw-pointer field itself.
-        fn ptr(&self) -> *mut f64 {
-            self.0
-        }
-    }
-
     let dev = Checked::new(Serial::new(Recorder::disabled()));
     let mut out = vec![0.0f64; 16];
     let esc = Esc(out.as_mut_ptr());
@@ -67,6 +68,17 @@ fn seeded_out_of_row_write_is_caught() {
     assert!(msg.contains("escaped its row slice"), "{msg}");
 }
 
+/// The launch of the run-body mutants: rows of 4 cells, 6 apart, so
+/// cells 4 and 5 of each stride are ghosts.
+const RUNS: RowMap = RowMap {
+    base: 0,
+    len: 4,
+    ny: 3,
+    nz: 2,
+    sy: 6,
+    sz: 18,
+};
+
 /// Mutation 1b: a run body — one call per run of rows, the shape every
 /// stencil sweep launches with — that writes one cell past the end of
 /// each row it was handed, onto the ghost column between two rows. The
@@ -74,29 +86,6 @@ fn seeded_out_of_row_write_is_caught() {
 /// snapshot diff must flag it, on every back-end.
 #[test]
 fn seeded_run_body_writing_past_its_row_is_caught() {
-    struct Esc(*mut f64);
-    // SAFETY: deliberately unsound test fixture — the pointer is written
-    // from inside a run body that owns only its rows, exactly the seeded
-    // mutant the sanitizer exists to catch. Each escaped write lands on a
-    // cell no other owner touches.
-    unsafe impl Send for Esc {}
-    // SAFETY: see above.
-    unsafe impl Sync for Esc {}
-    impl Esc {
-        fn ptr(&self) -> *mut f64 {
-            self.0
-        }
-    }
-
-    // Rows of 4 cells, 6 apart: cells 4 and 5 of each stride are ghosts.
-    let map = RowMap {
-        base: 0,
-        len: 4,
-        ny: 3,
-        nz: 2,
-        sy: 6,
-        sz: 18,
-    };
     let devices = [
         AnyDevice::Serial(Serial::new(Recorder::disabled())),
         AnyDevice::Threads(Threads::new(2, Recorder::disabled())),
@@ -110,9 +99,9 @@ fn seeded_run_body_writing_past_its_row_is_caught() {
         let err = catch_unwind(AssertUnwindSafe(|| {
             dev.launch_runs(
                 KernelInfo::new("KernelRunMutant", 8, 0),
-                map,
+                RUNS,
                 &mut [&mut out[..]],
-                None,
+                [],
                 &mut [[]],
                 |_, run, _| {
                     let k = run.k;
@@ -120,7 +109,7 @@ fn seeded_run_body_writing_past_its_row_is_caught() {
                         row.fill(1.0);
                         // SAFETY: intentionally violates the row-exclusive
                         // contract (the cell after the row) — the mutant.
-                        unsafe { *esc.ptr().add(map.row_offset(j, k) + map.len) = 99.0 };
+                        unsafe { *esc.ptr().add(RUNS.row_offset(j, k) + RUNS.len) = 99.0 };
                     }
                 },
             );
@@ -130,6 +119,47 @@ fn seeded_run_body_writing_past_its_row_is_caught() {
         assert!(msg.contains("KernelRunMutant"), "{name}: {msg}");
         assert!(msg.contains("element 4"), "{name}: {msg}");
         assert!(msg.contains("escaped its row slice"), "{name}: {msg}");
+    }
+}
+
+/// Mutation 1c: a three-output run launch — the shape of the fused
+/// `KernelBiCGS456` sweep, which writes `r`, `p` and `x` — whose body
+/// writes one cell past each row of its *third* output only. The
+/// snapshot diff must audit every output, not just the first two.
+#[test]
+fn seeded_third_output_write_past_its_row_is_caught() {
+    for spec in ["serial", "threads:2", "mi250x"] {
+        let dev = Checked::new(AnyDevice::from_spec(spec, Recorder::disabled()).unwrap());
+        let mut bufs = [[0.0f64; 36]; 3];
+        let esc = Esc(bufs[2].as_mut_ptr());
+        let [r, p, x] = &mut bufs;
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            let (p, x) = (&mut [&mut p[..]], &mut [&mut x[..]]);
+            let outs = [(RUNS, &mut p[..]), (RUNS, &mut x[..])];
+            dev.launch_runs(
+                KernelInfo::new("KernelThirdOutputMutant", 24, 0),
+                RUNS,
+                &mut [&mut r[..]],
+                outs,
+                &mut [[]],
+                |_, run, _| {
+                    let k = run.k;
+                    for (j, r, [p, x]) in run.rows_n() {
+                        r.fill(1.0);
+                        p.fill(2.0);
+                        x.fill(3.0);
+                        // SAFETY: intentionally violates the row-exclusive
+                        // contract of the third output — the mutant.
+                        unsafe { *esc.ptr().add(RUNS.row_offset(j, k) + RUNS.len) = 99.0 };
+                    }
+                },
+            );
+        }))
+        .expect_err("the sanitizer must flag the escaped third-output write");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("KernelThirdOutputMutant"), "{spec}: {msg}");
+        assert!(msg.contains("element 4"), "{spec}: {msg}");
+        assert!(msg.contains("escaped its row slice"), "{spec}: {msg}");
     }
 }
 

@@ -2,8 +2,9 @@
 //! on the one production schedule.
 //!
 //! One outer iteration is two preconditioner applications, two halo
-//! exchanges and **five** full-grid sweeps; on a multi-rank world its
-//! scalars travel in exactly **two** batched reduction messages:
+//! exchanges and **four** full-grid sweeps — **five** where the x-update
+//! defers (see below); on a multi-rank world its scalars travel in
+//! exactly **two** batched reduction messages:
 //!
 //! ```text
 //! Preconditioner  MPI1+BCs  KernelBiCGS1 (w = A p̂ ⊕ σ = r̃ᵀw)
@@ -14,25 +15,30 @@
 //! KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
-//! That is the multi-rank schedule under a real preconditioner. With
-//! `M = I` (plain Bi-CGSTAB, and the inner solves of `G(BiCGS)` and
-//! `BJ(BiCGS)`) there is no `Preconditioner` stage and no copy: `p̂ ≡ p`
-//! and `r̂ ≡ r`, so `KernelBiCGS1` sweeps `p` and `KernelBiCGS3F` sweeps
-//! `r` in place — their BCs and halos land in `p`'s and `r`'s ghosts — and
-//! `KernelBiCGS4` reads `p` and `r`:
+//! That is the multi-rank schedule under a real preconditioner, the one
+//! place a standalone `KernelBiCGS4` runs: the previous iteration's
+//! x-update, deferred into the M1 window. With `M = I` (plain
+//! Bi-CGSTAB, and the inner solves of `G(BiCGS)` and `BJ(BiCGS)`) there
+//! is no `Preconditioner` stage and no copy: `p̂ ≡ p` and `r̂ ≡ r`, so
+//! `KernelBiCGS1` sweeps `p` and `KernelBiCGS3F` sweeps `r` in place —
+//! their BCs and halos land in `p`'s and `r`'s ghosts — and the x-update
+//! rides in the sweep that overwrites `p` and `r`, which reads them once:
 //!
 //! ```text
 //! MPI1+BCs  KernelBiCGS1 (w = A p ⊕ σ)   M1   KernelBiCGS2F (r −= αw ⊕ σ₃)
 //! MPI3+BCs  KernelBiCGS3F (t = A r ⊕ σ₁,σ₂,σ₄)   M2
-//! KernelBiCGS4 (x ← (x+α p)+ω r)   KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← …)
+//! KernelBiCGS456 (x ← (x+α p)+ω r ⊕ r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
 //! Hence the **x-update placement rule**: an x-update that is not
-//! deferred runs *before* the sweep that overwrites `p` and `r` —
-//! `KernelBiCGS56`, or `KernelBiCGS5` on the breakdown path — whatever the
-//! preconditioner (neither sweep touches `p̂` or `r̂`, so under a real one
-//! the move changes no value). Only a lane whose `p̂`/`r̂` a real
-//! preconditioner wrote defers it into the next M1 window.
+//! deferred rides in the sweep that overwrites `p` and `r` —
+//! `KernelBiCGS456`, or `KernelBiCGS45` (x-update ⊕ `KernelBiCGS5`) on the
+//! breakdown path — whatever the preconditioner; each row updates `x`
+//! first, from `p̂` and `r̂` or from the `p` and `r` rows about to be
+//! overwritten. On one rank, preconditioned or not, and on any rank
+//! count with `M = I`, every iteration runs four sweeps. Only a lane
+//! whose `p̂`/`r̂` a real preconditioner wrote, on more than one rank,
+//! defers it into the next M1 window.
 //!
 //! There is one driver: the loop runs over a group of *lanes* — the
 //! right-hand sides of a multi-RHS batch, solved together under one
@@ -53,8 +59,9 @@
 //!   computing under it (its `p̂` survives the next preconditioner
 //!   application in the `Workspace::p_hat_prev` ping-pong buffer) and
 //!   the stopping decision is read one message late. With `M = I` only
-//!   the stopping decision lags: the x-update runs eagerly, since the
-//!   next iteration's sweeps overwrite the `p` and `r` it reads. Elsewhere
+//!   the stopping decision lags: the x-update rides in `KernelBiCGS456`,
+//!   since the next iteration's sweeps overwrite the `p` and `r` it reads.
+//!   Elsewhere
 //!   reductions are free, so each stage reduces in place and nothing
 //!   lags.
 //! * **Preconditioner.** The driver asks the preconditioner whether it
@@ -111,9 +118,10 @@ use stencil::{apply_physical_bcs, Part};
 use crate::cancel::CancelToken;
 use crate::ctx::{RankCtx, Workspace};
 use crate::kernels::{
-    axpy2_chained_batch, axpy_dot_batch, diff_norm2, norm2_axpy_batch,
-    residual_p_update_fused_batch, residual_update_fused, INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F,
-    INFO_BICGS4, INFO_BICGS5, INFO_BICGS56, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
+    axpy2_chained_batch, axpy_dot_batch, diff_norm2, info_bicgs45, info_bicgs456, norm2_axpy_batch,
+    residual_p_update_fused_batch, x_residual_p_update_fused_batch, x_residual_update_fused_batch,
+    INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_BICGS4, INFO_BICGS56, INFO_DOT, INFO_FOLD1,
+    INFO_FOLD3, INFO_NORM2AXPY,
 };
 use crate::precond::Preconditioner;
 
@@ -301,8 +309,8 @@ struct Lane<'a, T> {
     /// stopping decision completes under the next iteration's M1, and so
     /// — when a real preconditioner wrote `p̂` and `r̂` — does its merged
     /// x-update `x ← (x + α p̂) + ω r̂` (`α`, `ω` stay that iteration's
-    /// until then). With `M = I` that update already ran, eagerly, before
-    /// `KernelBiCGS56` overwrote the `p` and `r` it reads.
+    /// until then). With `M = I` that update already rode in the
+    /// `KernelBiCGS456` sweep that overwrote the `p` and `r` it reads.
     lag: Option<T>,
 }
 
@@ -624,26 +632,23 @@ where
         stopped
     }
 
-    /// `KernelBiCGS4` for the lanes of `set`: `x ← (x + α p̂) + ω r̂`,
-    /// chained exactly as the reference's 4a/4b pair so the iterate
-    /// matches bitwise. With `M = I` it reads `p` and `r`, so it must run
-    /// before the sweep that overwrites them. A `deferred` update (never
-    /// with `M = I`) reads the `p̂` its iteration left in the ping-pong
-    /// buffer.
-    fn update_x(&mut self, set: LaneSet, deferred: bool) {
-        let identity = self.prec.is_identity();
-        debug_assert!(!(identity && deferred), "M = I never defers its x-update");
+    /// `KernelBiCGS4` for the lanes of `set` whose x-update was deferred
+    /// into this M1 window: `x ← (x + α p̂) + ω r̂`, chained exactly as the
+    /// reference's 4a/4b pair so the iterate matches bitwise, reading the
+    /// `p̂` its iteration left in the ping-pong buffer. Every other
+    /// x-update rides in the sweep that overwrites `p` and `r`.
+    fn update_x(&mut self, set: LaneSet) {
         let mut ys = Lanes::default();
         let mut ins = Lanes::default();
         for l in pick_mut(self.lanes, set) {
             let ws = &*l.ws;
-            let (p_hat, r_hat) = match (identity, deferred) {
-                (true, _) => (&ws.p, &ws.r),
-                (false, true) => (&ws.p_hat_prev, &ws.r_hat),
-                (false, false) => (&ws.p_hat, &ws.r_hat),
-            };
             ys.push(l.x.as_mut_slice());
-            ins.push((p_hat.as_slice(), l.alpha, r_hat.as_slice(), l.omega));
+            ins.push((
+                ws.p_hat_prev.as_slice(),
+                l.alpha,
+                ws.r_hat.as_slice(),
+                l.omega,
+            ));
         }
         axpy2_chained_batch(&self.ctx.dev, INFO_BICGS4, &self.ctx.grid, &mut ys, &ins);
     }
@@ -773,7 +778,7 @@ where
                 let req = comm.iall_reduce_many(&m1[..n], ReduceOp::Sum);
                 // KernelBiCGS4 deferred from iteration i−1.
                 if defer {
-                    self.update_x(lagging, true);
+                    self.update_x(lagging);
                 }
                 comm.reduce_finish_many(req, &mut m1[..n]);
                 ctx.recorder.end(REDUCE_OVERLAP_STAGE);
@@ -842,9 +847,8 @@ where
             }
 
             // M2: all four scalars of every lane in one blocking batch —
-            // both x-halves ride in one merged KernelBiCGS4 sweep, which
-            // needs this message's ω, so there is nothing left to hide
-            // under it.
+            // both x-halves need this message's ω, so there is nothing
+            // left to hide under it.
             global_sum(ctx, scope, "MPI4", &mut m2[..4 * nb]);
 
             // β only exists when ρ and ω are both non-zero, so breakdown
@@ -882,26 +886,31 @@ where
             }
 
             // Breakdown pre-empts the fusion and the lag: β is undefined,
-            // so those lanes finish the iteration eagerly with the merged
-            // x sweep, the plain residual update and a blocking norm
-            // reduction — convergence keeps its priority over the
+            // so those lanes finish the iteration eagerly with
+            // KernelBiCGS45 — the x-update riding in the plain residual
+            // update, reading r before it is overwritten — and a blocking
+            // norm reduction: convergence keeps its priority over the
             // breakdown and a restart resumes from the fully-updated
-            // iterate. The x sweep goes first: with M = I it reads the r
-            // that KernelBiCGS5 overwrites.
+            // iterate.
             if broken != 0 {
-                self.update_x(broken, false);
                 let mut rnorm2 = [T::ZERO; MAX_LANES];
-                for (b, l) in members(broken).zip(pick_mut(self.lanes, broken)) {
+                let (mut rs, mut xs, mut ins, mut x_ins) = Default::default();
+                for l in pick_mut(self.lanes, broken) {
                     let ws = &mut *l.ws;
-                    (_, rnorm2[b]) = residual_update_fused(
-                        dev,
-                        INFO_BICGS5,
-                        grid,
-                        &mut ws.r,
-                        &ws.t,
-                        l.omega,
-                        &ws.r0t,
-                    );
+                    let hats = (!identity).then(|| (ws.p_hat.as_slice(), ws.r_hat.as_slice()));
+                    Lanes::push(&mut x_ins, (l.alpha, hats));
+                    let (t, r0, p) = (ws.t.as_slice(), ws.r0t.as_slice(), ws.p.as_slice());
+                    Lanes::push(&mut ins, (t, l.omega, r0, p));
+                    Lanes::push(&mut rs, ws.r.as_mut_slice());
+                    Lanes::push(&mut xs, l.x.as_mut_slice());
+                }
+                let mut accs = [[T::ZERO; 2]; MAX_LANES];
+                let (accs, info) = (&mut accs[..rs.len()], info_bicgs45(identity));
+                x_residual_update_fused_batch(
+                    dev, info, grid, &mut rs, &mut xs, &ins, &x_ins, accs,
+                );
+                for (b, [_, rr]) in members(broken).zip(accs) {
+                    rnorm2[b] = *rr;
                 }
                 global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
                 let stopped = self.finish_iteration(broken, i, &rnorm2);
@@ -915,35 +924,37 @@ where
                 continue;
             }
 
-            // KernelBiCGS4 unless it defers: with M = I it reads the p
-            // and r that KernelBiCGS56 overwrites.
-            if !defer {
-                self.update_x(healthy, false);
-            }
             // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w) in
-            // one sweep. The direct ‖r‖² is kept — ρ already came from
-            // the recurrence (the direct norm avoids the cancellation a
-            // norm recurrence suffers near convergence).
+            // one sweep, with the x-update x ← (x + α p̂) + ω r̂ riding in
+            // it (KernelBiCGS456) unless it defers to the next M1 window:
+            // with M = I it reads the p and r the sweep overwrites, which
+            // the sweep then streams once. The direct ‖r‖² is kept — ρ
+            // already came from the recurrence (the direct norm avoids the
+            // cancellation a norm recurrence suffers near convergence).
             let mut rnorm2 = [T::ZERO; MAX_LANES];
             {
-                let mut rs = Lanes::default();
-                let mut ps = Lanes::default();
-                let mut ins = Lanes::default();
+                let (mut rs, mut ps, mut xs, mut ins, mut x_ins) = Default::default();
                 for l in pick_mut(self.lanes, healthy) {
-                    rs.push(l.ws.r.as_mut_slice());
-                    ps.push(l.ws.p.as_mut_slice());
-                    ins.push((l.ws.t.as_slice(), l.ws.w.as_slice(), l.omega, l.beta));
+                    let ws = &mut *l.ws;
+                    if !defer {
+                        let hats = (!identity).then(|| (ws.p_hat.as_slice(), ws.r_hat.as_slice()));
+                        Lanes::push(&mut x_ins, (l.alpha, hats));
+                        Lanes::push(&mut xs, l.x.as_mut_slice());
+                    }
+                    let (t, w) = (ws.t.as_slice(), ws.w.as_slice());
+                    Lanes::push(&mut ins, (t, w, l.omega, l.beta));
+                    Lanes::push(&mut rs, ws.r.as_mut_slice());
+                    Lanes::push(&mut ps, ws.p.as_mut_slice());
                 }
-                let accs = &mut accs[..rs.len()];
-                residual_p_update_fused_batch(
-                    dev,
-                    INFO_BICGS56,
-                    grid,
-                    &mut rs,
-                    &mut ps,
-                    &ins,
-                    accs,
-                );
+                let (accs, info) = (&mut accs[..rs.len()], info_bicgs456(identity));
+                let (rs, ps, xs) = (&mut *rs, &mut *ps, &mut *xs);
+                if defer {
+                    residual_p_update_fused_batch(dev, INFO_BICGS56, grid, rs, ps, &ins, accs);
+                } else {
+                    x_residual_p_update_fused_batch(
+                        dev, info, grid, rs, ps, xs, &ins, &x_ins, accs,
+                    );
+                }
                 for (b, acc) in members(healthy).zip(accs) {
                     rnorm2[b] = acc[0];
                 }
@@ -978,7 +989,7 @@ where
         }
         if lagging != 0 {
             if defer {
-                self.update_x(lagging, true);
+                self.update_x(lagging);
             }
             global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
             self.finish_iteration(lagging, params.max_iters, &rnorm2);

@@ -63,6 +63,20 @@ pub const INFO_BICGS3F: KernelInfo = KernelInfo::fused("KernelBiCGS3F", INFO_BIC
 /// 48 B/elem vs 64 B for the pair (`r̃ᵀr` is free: it equals ρ_new,
 /// already reduced).
 pub const INFO_BICGS56: KernelInfo = KernelInfo::new("KernelBiCGS56", 48, 8);
+/// `KernelBiCGS456`: `KernelBiCGS4`'s x-update riding in `KernelBiCGS56`.
+/// With `M = I` (`identity`) its `p̂`, `r̂` are the `p`, `r` the sweep
+/// streams anyway: 64 B/elem vs 80 B for the pair; under a real
+/// preconditioner they are buffers of their own and only the launch goes.
+pub const fn info_bicgs456(identity: bool) -> KernelInfo {
+    let shared = if identity { 16 } else { 0 };
+    KernelInfo::fused("KernelBiCGS456", INFO_BICGS4, INFO_BICGS56, shared)
+}
+/// `KernelBiCGS45`: the x-update riding in `KernelBiCGS5` (the breakdown
+/// path), sharing the `r` read with `M = I`: 56 B/elem vs 64 B.
+pub const fn info_bicgs45(identity: bool) -> KernelInfo {
+    let shared = if identity { 8 } else { 0 };
+    KernelInfo::fused("KernelBiCGS45", INFO_BICGS4, INFO_BICGS5, shared)
+}
 /// `KernelNorm2Axpy`: residual formation `r ← b − w` fused with `‖r‖²`
 /// (setup/restart path; replaces copy + axpy + dot at 24 B/elem extra).
 pub const INFO_NORM2AXPY: KernelInfo = KernelInfo::new("KernelNorm2Axpy", 32, 3);
@@ -129,19 +143,58 @@ pub fn residual_update_fused<T: Scalar, D: Device>(
     let [p1, p2] = dev.launch_rows_reduce(info, map, r.as_mut_slice(), |j, k, row| {
         let b = map.row_offset(j, k);
         let n = row.len();
-        for (v, &tv) in row.iter_mut().zip(&ts[b..b + n]) {
-            *v -= omega * tv;
-        }
-        let mut s1 = T::ZERO;
-        let mut s2 = T::ZERO;
-        for (&rv, &gv) in row.iter().zip(&r0s[b..b + n]) {
-            s1 += gv * rv;
-            s2 += rv * rv;
-        }
-        [s1, s2]
+        r_row(row, &ts[b..b + n], &r0s[b..b + n], omega)
     });
     (p1, p2)
 }
+
+/// `KernelBiCGS5`'s row: `r ← r − ω t`, then `(r̃ · r, r · r)` as a second
+/// pass over the row just written.
+#[inline(always)]
+fn r_row<T: Scalar>(r: &mut [T], t: &[T], r0: &[T], omega: T) -> [T; 2] {
+    for (v, &tv) in r.iter_mut().zip(t) {
+        *v -= omega * tv;
+    }
+    let mut s1 = T::ZERO;
+    let mut s2 = T::ZERO;
+    for (&rv, &gv) in r.iter().zip(r0) {
+        s1 += gv * rv;
+        s2 += rv * rv;
+    }
+    [s1, s2]
+}
+
+/// `KernelBiCGS56`'s row: `r ← r − ω t` and `p ← r + β (p − ω w)`, the
+/// fresh residual value consumed in-register, then `r · r` as a second
+/// pass over the row of `r` just written.
+#[inline(always)]
+fn rp_row<T: Scalar>(r: &mut [T], p: &mut [T], t: &[T], w: &[T], omega: T, beta: T) -> T {
+    for (((r, p), &tv), &wv) in r.iter_mut().zip(p.iter_mut()).zip(t).zip(w) {
+        let rv = *r - omega * tv;
+        *r = rv;
+        *p = rv + beta * (*p - omega * wv);
+    }
+    let mut acc = T::ZERO;
+    for &rv in r.iter() {
+        acc += rv * rv;
+    }
+    acc
+}
+
+/// `KernelBiCGS4`'s row: `x ← (x + α p̂) + ω r̂`, grouped as the two
+/// sequential axpys `KernelBiCGS4a`, `KernelBiCGS4b`.
+#[inline(always)]
+fn x_row<T: Scalar>(x: &mut [T], p_hat: &[T], r_hat: &[T], alpha: T, omega: T) {
+    for ((v, &pv), &rv) in x.iter_mut().zip(p_hat).zip(r_hat) {
+        let v1 = *v + alpha * pv;
+        *v = v1 + omega * rv;
+    }
+}
+
+/// One lane's x-update operands in a sweep it rides in: `α` and the
+/// whole padded `(p̂, r̂)` — `None` with `M = I`, where they are `p` and
+/// `r`, read before the sweep overwrites them.
+pub type XUpdate<'a, T> = (T, Option<(&'a [T], &'a [T])>);
 
 /// `KernelBiCGS6`: `p ← r + β (p − ω w)` — a three-stream axpy-style
 /// update (read `r`, `w`, read-modify-write `p`) in one sweep, `r` and
@@ -289,10 +342,7 @@ pub fn axpy2_chained_batch<T: Scalar, D: Device>(
         let b = map.row_offset(j, k);
         let n = row.len();
         let (x1, a1, x2, a2) = ins[s];
-        for ((v, &x1v), &x2v) in row.iter_mut().zip(&x1[b..b + n]).zip(&x2[b..b + n]) {
-            let v1 = *v + a1 * x1v;
-            *v = v1 + a2 * x2v;
-        }
+        x_row(row, &x1[b..b + n], &x2[b..b + n], a1, a2);
     });
 }
 
@@ -332,21 +382,69 @@ pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
 ) {
     assert_eq!(rs.len(), ins.len(), "lane count mismatch");
     let map = grid.interior_map();
-    dev.launch_lanes2_reduce(info, map, rs, map, ps, accs, |s, j, k, row_r, row_p| {
+    dev.launch_lanes_n_reduce(info, map, rs, [(map, ps)], accs, |s, j, k, r, [p]| {
         let b = map.row_offset(j, k);
-        let n = row_r.len();
-        let (tsl, wsl, omega, beta) = ins[s];
-        let (t, w) = (&tsl[b..b + n], &wsl[b..b + n]);
-        for (((r, p), &tv), &wv) in row_r.iter_mut().zip(row_p.iter_mut()).zip(t).zip(w) {
-            let rv = *r - omega * tv;
-            *r = rv;
-            *p = rv + beta * (*p - omega * wv);
-        }
-        let mut acc = T::ZERO;
-        for &rv in row_r.iter() {
-            acc += rv * rv;
-        }
-        [acc]
+        let n = r.len();
+        let (t, w, omega, beta) = ins[s];
+        [rp_row(r, p, &t[b..b + n], &w[b..b + n], omega, beta)]
+    });
+}
+
+/// `KernelBiCGS456`: the x-update `x ← (x + α p̂) + ω r̂` riding in
+/// [`residual_p_update_fused_batch`]'s sweep — one three-output launch
+/// writing `r`, `p` and `x` per lane (`ins[s] = (t, w, ω, β)`, `xs_in[s]`
+/// the lane's [`XUpdate`]). Each row updates `x` first, then runs
+/// `KernelBiCGS56`'s row: every element keeps the arithmetic of the pair
+/// and `‖r‖²` its fold order, so the bits are theirs.
+#[allow(clippy::too_many_arguments)]
+pub fn x_residual_p_update_fused_batch<'a, T: Scalar, D: Device>(
+    dev: &D,
+    info: KernelInfo,
+    grid: &BlockGrid,
+    rs: &mut [&'a mut [T]],
+    ps: &mut [&'a mut [T]],
+    xs: &mut [&'a mut [T]],
+    ins: &[(&[T], &[T], T, T)],
+    xs_in: &[XUpdate<'_, T>],
+    accs: &mut [[T; 1]],
+) {
+    assert_eq!(rs.len(), ins.len(), "lane count mismatch");
+    let map = grid.interior_map();
+    let outs = [(map, ps), (map, xs)];
+    dev.launch_lanes_n_reduce(info, map, rs, outs, accs, |s, j, k, r, [p, x]| {
+        let (b, n, (t, w, omega, beta)) = (map.row_offset(j, k), r.len(), ins[s]);
+        let (alpha, hats) = xs_in[s];
+        let (ph, rh) = hats.map_or((&*p, &*r), |(ph, rh)| (&ph[b..b + n], &rh[b..b + n]));
+        x_row(x, ph, rh, alpha, omega);
+        [rp_row(r, p, &t[b..b + n], &w[b..b + n], omega, beta)]
+    });
+}
+
+/// `KernelBiCGS45`: the x-update riding in `KernelBiCGS5` on the
+/// breakdown path — one two-output launch writing `r` and `x` per lane
+/// (`ins[s] = (t, ω, r̃, p)`), `(r̃ · r, r · r)` per lane in `accs`;
+/// bitwise `KernelBiCGS4` followed by [`residual_update_fused`].
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub fn x_residual_update_fused_batch<T: Scalar, D: Device>(
+    dev: &D,
+    info: KernelInfo,
+    grid: &BlockGrid,
+    rs: &mut [&mut [T]],
+    xs: &mut [&mut [T]],
+    ins: &[(&[T], T, &[T], &[T])],
+    xs_in: &[XUpdate<'_, T>],
+    accs: &mut [[T; 2]],
+) {
+    assert_eq!(rs.len(), ins.len(), "lane count mismatch");
+    let map = grid.interior_map();
+    dev.launch_lanes_n_reduce(info, map, rs, [(map, xs)], accs, |s, j, k, r, [x]| {
+        let (b, n, (t, omega, r0, p)) = (map.row_offset(j, k), r.len(), ins[s]);
+        let (alpha, hats) = xs_in[s];
+        let (ph, rh) = hats.map_or((&p[b..b + n], &*r), |(ph, rh)| {
+            (&ph[b..b + n], &rh[b..b + n])
+        });
+        x_row(x, ph, rh, alpha, omega);
+        r_row(r, &t[b..b + n], &r0[b..b + n], omega)
     });
 }
 
@@ -975,6 +1073,12 @@ mod tests {
         assert_eq!(INFO_BICGS2F.flops_per_elem, 4);
         assert_eq!(INFO_BICGS3F.bytes_per_elem, 48);
         assert_eq!(INFO_BICGS3F.flops_per_elem, 16);
+        // x, r, p read and written, t and w read (x and r, then p, t, r̃
+        // for KernelBiCGS45); p̂, r̂ on top under a real preconditioner.
+        let bytes = [true, false].map(|id| [info_bicgs456(id), info_bicgs45(id)]);
+        let bytes = bytes.map(|[a, b]| [a.bytes_per_elem, b.bytes_per_elem]);
+        assert_eq!(bytes, [[64, 56], [80, 64]]);
+        assert_eq!(info_bicgs456(true).flops_per_elem, 12);
     }
 
     /// Test-only copies of the kernel bodies that predate row windows:
@@ -1133,7 +1237,8 @@ mod tests {
         ) {
             assert_eq!(rs.len(), ins.len(), "lane count mismatch");
             let map = grid.interior_map();
-            dev.launch_lanes2_reduce(info, map, rs, map, ps, accs, |s, j, k, row_r, row_p| {
+            let outs = [(map, ps)];
+            dev.launch_lanes_n_reduce(info, map, rs, outs, accs, |s, j, k, row_r, [row_p]| {
                 let b = map.row_offset(j, k);
                 let (tsl, wsl, omega, beta) = ins[s];
                 let mut acc = T::ZERO;
@@ -1450,6 +1555,76 @@ mod tests {
             }
         }
 
+        /// The lanes of `fs` whose bit is set in `on`, as launch slices.
+        fn picked(fs: &mut [Field<f64>], on: usize) -> Vec<&mut [f64]> {
+            let lanes = fs.iter_mut().enumerate().filter(|(l, _)| on >> l & 1 == 1);
+            lanes.map(|(_, f)| f.as_mut_slice()).collect()
+        }
+
+        /// Both x-update sweeps over the lanes of `nb` set in `on` against
+        /// their unfused pairs run lane by lane: `KernelBiCGS456` against
+        /// `KernelBiCGS4` then `KernelBiCGS56`, `KernelBiCGS45` against
+        /// `KernelBiCGS4` then `KernelBiCGS5`. With `id` (`M = I`) the
+        /// x-update reads the `p` and `r` the sweep overwrites; the lanes
+        /// left out of the launch must come out untouched.
+        fn x_sweeps(dev: &AnyDevice, g: &BlockGrid, nb: usize, on: usize, id: bool, seed: u64) {
+            let lanes = |s: u64| -> Vec<Field<f64>> {
+                let lane = |l: u64| poisoned(g, seed ^ (s << 48) ^ l << 56);
+                (0..nb as u64).map(lane).collect()
+            };
+            let coefs = &rng_values(3 * nb, seed ^ 0xF05E);
+            let [a, o, be] = [0, 1, 2].map(|c| move |l: usize| 3.0 * coefs[c * nb + l]);
+            let (ph, rh, ts, ws, gs) = (lanes(1), lanes(2), lanes(3), lanes(4), lanes(5));
+            let live: Vec<usize> = (0..nb).filter(|l| on >> l & 1 == 1).collect();
+            let hats = |l: usize| (!id).then(|| (ph[l].as_slice(), rh[l].as_slice()));
+            let what = format!("{:?} {}, lanes {live:?}/{nb}", g.local_n, dev.name());
+            let what = |kernel: &str| format!("{kernel} on {what}, M = I {id}");
+
+            let ([mut xg, mut rg, mut pg], [mut xw, mut rw, mut pw]) =
+                [0, 0].map(|_| [6, 7, 8].map(lanes)).into();
+            let ins: Vec<_> = live
+                .iter()
+                .map(|&l| (ts[l].as_slice(), ws[l].as_slice(), o(l), be(l)))
+                .collect();
+            let x_ins: Vec<_> = live.iter().map(|&l| (a(l), hats(l))).collect();
+            let (mut sg, mut sw, info) = (vec![[0.0]; live.len()], Vec::new(), info_bicgs456(id));
+            let [mut r, mut p, mut x] = [&mut rg, &mut pg, &mut xg].map(|f| picked(f, on));
+            x_residual_p_update_fused_batch(
+                dev, info, g, &mut r, &mut p, &mut x, &ins, &x_ins, &mut sg,
+            );
+            for &l in &live {
+                let (p_hat, r_hat) = [(&ph[l], &rh[l]), (&pw[l], &rw[l])][usize::from(id)];
+                axpy2_chained_inplace(dev, INFO_BICGS4, g, &mut xw[l], p_hat, a(l), r_hat, o(l));
+                let (r, p, t, w) = (&mut rw[l], &mut pw[l], &ts[l], &ws[l]);
+                let n2 = residual_p_update_fused(dev, INFO_BICGS56, g, r, p, t, w, o(l), be(l));
+                sw.push([n2]);
+            }
+            for (got, want, field) in [(&xg, &xw, "x"), (&rg, &rw, "r"), (&pg, &pw, "p")] {
+                assert_fields(got, want, &what(&format!("KernelBiCGS456 {field}")));
+            }
+            assert_sums(&sg, &sw, &what("KernelBiCGS456"));
+
+            // KernelBiCGS45 reads `p` (pw, untouched) but writes only r, x.
+            let ([mut xg, mut rg], [mut xw, mut rw]) = [0, 0].map(|_| [9, 10].map(lanes)).into();
+            let ins: Vec<_> = live
+                .iter()
+                .map(|&l| (ts[l].as_slice(), o(l), gs[l].as_slice(), pw[l].as_slice()))
+                .collect();
+            let (mut sg, mut sw, info) = (vec![[0.0; 2]; live.len()], Vec::new(), info_bicgs45(id));
+            let [mut r, mut x] = [&mut rg, &mut xg].map(|f| picked(f, on));
+            x_residual_update_fused_batch(dev, info, g, &mut r, &mut x, &ins, &x_ins, &mut sg);
+            for &l in &live {
+                let (p_hat, r_hat) = [(&ph[l], &rh[l]), (&pw[l], &rw[l])][usize::from(id)];
+                axpy2_chained_inplace(dev, INFO_BICGS4, g, &mut xw[l], p_hat, a(l), r_hat, o(l));
+                let (r, t, r0) = (&mut rw[l], &ts[l], &gs[l]);
+                let (s1, s2) = residual_update_fused(dev, INFO_BICGS5, g, r, t, o(l), r0);
+                sw.push([s1, s2]);
+            }
+            assert_fields(&xg, &xw, &what("KernelBiCGS45 x"));
+            assert_fields(&rg, &rw, &what("KernelBiCGS45 r"));
+            assert_sums(&sg, &sw, &what("KernelBiCGS45"));
+        }
+
         /// Row lengths 1, 2 and 3 (the shortest windows, and the shortest
         /// rows that fold edge-last) and whatever else 1..14 draws.
         fn extent() -> impl Strategy<Value = usize> {
@@ -1477,6 +1652,26 @@ mod tests {
                     let dev = AnyDevice::from_spec(spec, Recorder::disabled()).unwrap();
                     let what = format!("{:?} {spec}", grid.local_n);
                     check_vector_kernels(&dev, &grid, nb, seed, &what);
+                }
+            }
+
+            /// The x-update riding in the residual sweeps is bitwise its
+            /// unfused pair on every back-end, on odd extents, for 1–8
+            /// lanes of which any may be frozen out of the launch.
+            #[test]
+            fn fused_x_update_sweeps_match_their_unfused_pairs(
+                half in [0usize..7, 0usize..7, 0usize..7],
+                nb in 1usize..9, on in 0usize..256, identity in 0u8..2, seed in 1u64..1 << 40,
+            ) {
+                let grid = BlockGrid::new(
+                    GlobalGrid::dirichlet(half.map(|h| 2 * h + 1), [0.1; 3], [0.0; 3]),
+                    Decomp::single(),
+                    0,
+                );
+                let on = on & ((1 << nb) - 1);
+                for spec in ["serial", "threads:1", "threads:2", "threads:3", "simgpu:2"] {
+                    let dev = AnyDevice::from_spec(spec, Recorder::disabled()).unwrap();
+                    x_sweeps(&dev, &grid, nb, on, identity == 1, seed);
                 }
             }
         }

@@ -60,6 +60,17 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
         "residual_p_update_fused_batch",
     ),
     ("crates/krylov/src/kernels.rs", "residual_update_fused"),
+    (
+        "crates/krylov/src/kernels.rs",
+        "x_residual_p_update_fused_batch",
+    ),
+    (
+        "crates/krylov/src/kernels.rs",
+        "x_residual_update_fused_batch",
+    ),
+    ("crates/krylov/src/kernels.rs", "x_row"),
+    ("crates/krylov/src/kernels.rs", "rp_row"),
+    ("crates/krylov/src/kernels.rs", "r_row"),
     ("crates/krylov/src/kernels.rs", "dot"),
     ("crates/krylov/src/kernels.rs", "dot2"),
     ("crates/krylov/src/kernels.rs", "diff_norm2"),
@@ -140,11 +151,12 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/accel/src/device/mod.rs", "launch_rows_reduce"),
     ("crates/accel/src/device/mod.rs", "launch_reduce"),
     ("crates/accel/src/device/mod.rs", "launch_lanes_reduce"),
-    ("crates/accel/src/device/mod.rs", "launch_lanes2_reduce"),
+    ("crates/accel/src/device/mod.rs", "launch_lanes_n_reduce"),
     ("crates/accel/src/device/mod.rs", "validate_runs"),
     ("crates/accel/src/index.rs", "runs"),
     ("crates/accel/src/index.rs", "from_raw"),
-    ("crates/accel/src/index.rs", "next"),
+    ("crates/accel/src/index.rs", "take"),
+    ("crates/accel/src/index.rs", "rows_n"),
     ("crates/accel/src/device/serial.rs", "launch_runs"),
     ("crates/accel/src/device/serial.rs", "launch_reduce_lanes"),
     ("crates/accel/src/device/simgpu.rs", "launch_runs"),

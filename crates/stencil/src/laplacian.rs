@@ -74,11 +74,11 @@ fn avx2_detected() -> bool {
 
 impl<T: Scalar> RowCore<T> {
     /// The stencil rows of one run of `map`: for each row `(j, row,
-    /// row_b)` of `run`, `row[i] = ca · (A u)[b + i] + Σₜ cₜ fₜ[b + i]`
+    /// rows)` of `run`, `row[i] = ca · (A u)[b + i] + Σₜ cₜ fₜ[b + i]`
     /// with `b = map.row_offset(j, run.k)` its padded offset in `u`, the
     /// terms `(fₜ, cₜ)` (whole padded arrays) added in order, then
-    /// `post(j, b, row, row_b)` — where a fused sweep folds the row's dot
-    /// terms. Without `SCALED` the stencil value enters unscaled and `ca`
+    /// `post(j, b, row, rows)` — where a fused sweep folds the row's dot
+    /// terms, `rows` the row of each further output of the launch. Without `SCALED` the stencil value enters unscaled and `ca`
     /// is unused.
     ///
     /// One portable body ([`RowCore::stencil_run_portable`]) compiled
@@ -89,38 +89,38 @@ impl<T: Scalar> RowCore<T> {
     /// `a * b + c`, so both arms do the same roundings in the same order
     /// and agree bit for bit.
     #[inline(always)]
-    fn stencil_run<const SCALED: bool, const N: usize>(
+    fn stencil_run<const SCALED: bool, const N: usize, const M: usize>(
         &self,
         us: &[T],
         map: &RowMap,
-        run: Run<'_, T>,
+        run: Run<'_, T, M>,
         ca: T,
         terms: [(&[T], T); N],
-        post: impl FnMut(usize, usize, &mut [T], &mut [T]),
+        post: impl FnMut(usize, usize, &mut [T], [&mut [T]; M]),
     ) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         if self.avx2 {
             // SAFETY: `avx2` is only set by `avx2_detected`, i.e. after
             // `is_x86_feature_detected!("avx2")` returned true on this
             // machine, so every instruction of the AVX2 arm is supported.
-            return unsafe { self.stencil_run_avx2::<SCALED, N>(us, map, run, ca, terms, post) };
+            return unsafe { self.stencil_run_avx2::<SCALED, N, M>(us, map, run, ca, terms, post) };
         }
-        self.stencil_run_portable::<SCALED, N>(us, map, run, ca, terms, post);
+        self.stencil_run_portable::<SCALED, N, M>(us, map, run, ca, terms, post);
     }
 
     /// [`RowCore::stencil_run_portable`] compiled with AVX2 enabled.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx2")]
-    fn stencil_run_avx2<const SCALED: bool, const N: usize>(
+    fn stencil_run_avx2<const SCALED: bool, const N: usize, const M: usize>(
         &self,
         us: &[T],
         map: &RowMap,
-        run: Run<'_, T>,
+        run: Run<'_, T, M>,
         ca: T,
         terms: [(&[T], T); N],
-        post: impl FnMut(usize, usize, &mut [T], &mut [T]),
+        post: impl FnMut(usize, usize, &mut [T], [&mut [T]; M]),
     ) {
-        self.stencil_run_portable::<SCALED, N>(us, map, run, ca, terms, post);
+        self.stencil_run_portable::<SCALED, N, M>(us, map, run, ca, terms, post);
     }
 
     /// The row loop of a run.
@@ -132,14 +132,14 @@ impl<T: Scalar> RowCore<T> {
     /// of one length at one offset, whose checks the compiler folds into
     /// one per row.
     #[inline(always)]
-    fn stencil_run_portable<'u, const SCALED: bool, const N: usize>(
+    fn stencil_run_portable<'u, const SCALED: bool, const N: usize, const M: usize>(
         &self,
         us: &'u [T],
         map: &RowMap,
-        run: Run<'_, T>,
+        run: Run<'_, T, M>,
         ca: T,
         terms: [(&'u [T], T); N],
-        mut post: impl FnMut(usize, usize, &mut [T], &mut [T]),
+        mut post: impl FnMut(usize, usize, &mut [T], [&mut [T]; M]),
     ) {
         let (n, sy) = (map.len, map.sy);
         let b0 = map.row_offset(run.js.start, run.k);
@@ -149,7 +149,7 @@ impl<T: Scalar> RowCore<T> {
         let (ym, yp) = (at(b0 - self.sy), at(b0 + self.sy));
         let (zm, zp) = (at(b0 - self.sz), at(b0 + self.sz));
         let fs = terms.map(|(f, coef)| (&f[b0..b0 + span], coef));
-        for (r, (j, row, row_b)) in run.rows2().enumerate() {
+        for (r, (j, row, rows)) in run.rows_n().enumerate() {
             let o = r * sy;
             let win = |f: &'u [T]| &f[o..o + n];
             let u = [
@@ -162,7 +162,7 @@ impl<T: Scalar> RowCore<T> {
                 win(zp),
             ];
             self.stencil_row::<SCALED, N>(u, row, ca, fs, o);
-            post(j, b0 + o, row, row_b);
+            post(j, b0 + o, row, rows);
         }
     }
 
@@ -394,8 +394,8 @@ impl Laplacian {
         self.for_each_map(part, |map| {
             dev.on_stencil_read(info.name, map, us);
             let lanes = &mut [out.as_mut_slice()];
-            dev.launch_runs(info, map, lanes, None, &mut [[]], |_, run, _| {
-                core.stencil_run::<SCALED, N>(us, &map, run, ca, fs, |_, _, _, _| {});
+            dev.launch_runs(info, map, lanes, [], &mut [[]], |_, run, _| {
+                core.stencil_run::<SCALED, N, 0>(us, &map, run, ca, fs, |_, _, _, _| {});
             });
         });
     }
@@ -524,7 +524,7 @@ impl Laplacian {
         let (i0, j0, k0) = self.piece_origin(window);
         let info = info_fold_window::<T>(nx);
         let slot_map = self.slot_map_for::<NR>(window);
-        dev.launch_runs(info, slot_map, slots, None, accs, |s, run, _| {
+        dev.launch_runs(info, slot_map, slots, [], accs, |s, run, _| {
             let k = run.k;
             core.rows_run(run, |j, slot| {
                 let b = window.row_offset(j, k) - i0;
@@ -565,26 +565,39 @@ impl Laplacian {
         }
         let [nx, ny, nz] = self.grid.local_n;
         if map.len < nx {
-            return dev.launch_runs(info, map, outs, None, accs, |s, run, _| {
-                core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |_, _, _, _| {});
+            return dev.launch_runs(info, map, outs, [], accs, |s, run, _| {
+                core.stencil_run::<false, 0, 0>(us[s], &map, run, T::ZERO, [], |_, _, _, _| {});
             });
         }
-        let second = (dots == Dots::Slots).then(|| (self.slot_map_for::<NR>(map), slots));
-        dev.launch_runs(info, map, outs, second, accs, |s, run, acc| {
-            let k = k0 + run.k;
-            core.stencil_run::<false, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, slot| {
-                let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
-                let t = terms(s, b, nx);
-                match dots {
-                    Dots::Fold => {
-                        *acc = add_partials(*acc, fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
-                    }
-                    Dots::Slots => {
-                        slot.copy_from_slice(&fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
-                    }
-                }
-            });
-        });
+        match dots {
+            Dots::Fold => dev.launch_runs(info, map, outs, [], accs, |s, run, acc| {
+                let k = k0 + run.k;
+                core.stencil_run::<false, 0, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, []| {
+                    let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
+                    let t = terms(s, b, nx);
+                    *acc = add_partials(*acc, fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
+                });
+            }),
+            Dots::Slots => {
+                let slots = [(self.slot_map_for::<NR>(map), slots)];
+                dev.launch_runs(info, map, outs, slots, accs, |s, run, _| {
+                    let k = k0 + run.k;
+                    let us = us[s];
+                    core.stencil_run::<false, 0, 1>(
+                        us,
+                        &map,
+                        run,
+                        T::ZERO,
+                        [],
+                        |j, b, row, [slot]| {
+                            let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
+                            let t = terms(s, b, nx);
+                            slot.copy_from_slice(&fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
+                        },
+                    );
+                });
+            }
+        }
     }
 
     /// Slot-buffer row map for the rows of `piece`: the `NR` slots of
