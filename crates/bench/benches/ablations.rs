@@ -1,22 +1,66 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out.
 //!
-//! Two kinds of output, kept apart. The criterion groups time the paper's
-//! §V choices on this host's wall clock: preconditioner communication,
-//! Chebyshev sweep count, eigenvalue rescaling, kernel fusion and
-//! reduction ordering. After them, one table prints the modelled
-//! ablations — schedule, batched multi-RHS and mixed precision — as an
-//! MI250X replay of recorded event streams ([`modelled_replays`]). Those
-//! figures are perfmodel output and never print as timings.
+//! Two kinds of output, kept apart. The wall-clock cases time the paper's
+//! §V choices on this host: preconditioner communication, Chebyshev sweep
+//! count, eigenvalue rescaling, kernel fusion and reduction ordering —
+//! each one warm-up call, then `ABLATION_SAMPLES` timed calls (default
+//! 10; 1 under `--test`), printing the mean and the minimum. After them,
+//! one table prints the modelled ablations — schedule, batched multi-RHS
+//! and mixed precision — as an MI250X replay of recorded event streams
+//! ([`modelled_replays`]). Those figures are perfmodel output and never
+//! print as timings.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use accel::{Event, Recorder, Serial};
 use blockgrid::{Decomp, Field};
 use comm::{run_ranks, Communicator, ReduceOp, ReduceOrder};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use krylov::kernels::{dot, INFO_DOT};
 use krylov::{SolveParams, SolverKind, SolverOptions};
 use perfmodel::{CostBreakdown, MachineModel};
 use poisson::{paper_problem, PoissonSolver};
 use stencil::{apply_physical_bcs, Laplacian, INFO_APPLY};
+
+/// Timed samples per wall-clock case: `ABLATION_SAMPLES`, else 10; one
+/// when `cargo test` runs the bench target (`--test`).
+fn samples() -> usize {
+    if std::env::args().any(|a| a == "--test") {
+        return 1;
+    }
+    std::env::var("ABLATION_SAMPLES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(10)
+}
+
+/// One wall-clock case: a warm-up call of `f`, then [`samples`] timed
+/// calls; prints their mean and minimum.
+fn time_case<R>(id: &str, mut f: impl FnMut() -> R) {
+    black_box(f());
+    let n = samples();
+    let times: Vec<f64> = (0..n)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    let mean = times.iter().sum::<f64>() / n as f64;
+    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let show = |s: f64| match s {
+        s if s < 1e-6 => format!("{:.0} ns", s * 1e9),
+        s if s < 1e-3 => format!("{:.2} µs", s * 1e6),
+        s if s < 1.0 => format!("{:.2} ms", s * 1e3),
+        s => format!("{s:.3} s"),
+    };
+    println!(
+        "bench {id:<50} mean {:>12}  min {:>12}  ({n} samples)",
+        show(mean),
+        show(min)
+    );
+}
 
 fn solve_time(kind: SolverKind, opts: &SolverOptions) -> usize {
     let mut solver: PoissonSolver<f64, _, _> = PoissonSolver::new(
@@ -40,9 +84,7 @@ fn solve_time(kind: SolverKind, opts: &SolverOptions) -> usize {
 }
 
 /// G(CI) vs GNoComm(CI): the cost of communicating in the preconditioner.
-fn ablation_comm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_comm");
-    group.sample_size(10);
+fn ablation_comm() {
     let opts = SolverOptions {
         eig_min_factor: 10.0,
         ..Default::default()
@@ -52,50 +94,42 @@ fn ablation_comm(c: &mut Criterion) {
         SolverKind::BiCgsGNoCommCi,
         SolverKind::BiCgsBjCi,
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, &k| {
-            b.iter(|| solve_time(k, &opts));
+        time_case(&format!("ablation_comm/{}", kind.label()), || {
+            solve_time(kind, &opts)
         });
     }
-    group.finish();
 }
 
 /// Chebyshev sweep-count sweep around the paper's N_s/2 bound.
-fn ablation_ci_iters(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_ci_iters");
-    group.sample_size(10);
+fn ablation_ci_iters() {
     for sweeps in [6usize, 12, 24, 48] {
         let opts = SolverOptions {
             eig_min_factor: 10.0,
             ci_iterations: sweeps,
             ..Default::default()
         };
-        group.bench_with_input(BenchmarkId::from_parameter(sweeps), &sweeps, |b, _| {
-            b.iter(|| solve_time(SolverKind::BiCgsGNoCommCi, &opts));
+        time_case(&format!("ablation_ci_iters/{sweeps}"), || {
+            solve_time(SolverKind::BiCgsGNoCommCi, &opts)
         });
     }
-    group.finish();
 }
 
 /// Bergamaschi eigenvalue rescaling on/off.
-fn ablation_rescale(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_rescale");
-    group.sample_size(10);
+fn ablation_rescale() {
     for (label, min_factor) in [("raw_bounds", 1.0), ("rescaled_x10", 10.0)] {
         let opts = SolverOptions {
             eig_min_factor: min_factor,
             ..Default::default()
         };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
-            b.iter(|| solve_time(SolverKind::BiCgsGNoCommCi, &opts));
+        time_case(&format!("ablation_rescale/{label}"), || {
+            solve_time(SolverKind::BiCgsGNoCommCi, &opts)
         });
     }
-    group.finish();
 }
 
 /// Fused stencil+dot (KernelBiCGS1) vs separate apply-then-dot — the
 /// temporal-locality claim of Sec. III-B.
-fn ablation_fusion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_fusion");
+fn ablation_fusion() {
     let n = 32;
     let grid = blockgrid::BlockGrid::new(
         blockgrid::GlobalGrid::dirichlet([n, n, n], [0.1; 3], [0.0; 3]),
@@ -109,41 +143,33 @@ fn ablation_fusion(c: &mut Criterion) {
     apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
     let g = Field::from_interior(&dev, &grid, &vals);
     let mut w = Field::zeros(&dev, &grid);
-    group.bench_function("fused", |b| {
-        b.iter(|| lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w, &g));
+    time_case("ablation_fusion/fused", || {
+        lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w, &g)
     });
-    group.bench_function("separate", |b| {
-        b.iter(|| {
-            lap.apply(&dev, INFO_APPLY, &u, &mut w);
-            dot(&dev, INFO_DOT, &grid, &g, &w)
-        });
+    time_case("ablation_fusion/separate", || {
+        lap.apply(&dev, INFO_APPLY, &u, &mut w);
+        dot(&dev, INFO_DOT, &grid, &g, &w)
     });
-    group.finish();
 }
 
 /// Deterministic (rank-order) vs arrival-order allreduce.
-fn ablation_reduction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_reduction");
-    group.sample_size(10);
+fn ablation_reduction() {
     for (label, order) in [
         ("rank_order", ReduceOrder::RankOrder),
         ("arrival", ReduceOrder::Arrival),
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &order, |b, &order| {
-            b.iter(|| {
-                run_ranks::<f64, _, _>(4, order, |comm_handle| {
-                    let mut acc = 0.0;
-                    for i in 0..200 {
-                        let mut v = [comm_handle.rank() as f64 + i as f64];
-                        comm_handle.all_reduce(&mut v, ReduceOp::Sum);
-                        acc += v[0];
-                    }
-                    acc
-                })
-            });
+        time_case(&format!("ablation_reduction/{label}"), || {
+            run_ranks::<f64, _, _>(4, order, |comm_handle| {
+                let mut acc = 0.0;
+                for i in 0..200 {
+                    let mut v = [comm_handle.rank() as f64 + i as f64];
+                    comm_handle.all_reduce(&mut v, ReduceOp::Sum);
+                    acc += v[0];
+                }
+                acc
+            })
         });
     }
-    group.finish();
 }
 
 /// One line of the modelled replay table: two arms' modelled seconds for
@@ -265,8 +291,8 @@ fn modelled_replays() {
 /// The schedule ablation: the historical "paper" schedule
 /// ([`bench::run_reference`] — eleven unfused sweeps, blocking halo
 /// exchanges, three blocking reductions per iteration) against the one
-/// production schedule (five fused sweeps, split-phase halos, two
-/// batched reductions with compute posted under the first), on a full
+/// production schedule (four fused sweeps, split-phase halos, two
+/// batched reductions, the first posted split-phase), on a full
 /// 8-rank Bi-CGSTAB solve recorded live on the Threads back-end and
 /// replayed on two grids:
 ///
@@ -668,9 +694,11 @@ fn ablation_mixed_precision() -> Vec<ReplayRow> {
     replay
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = ablation_comm, ablation_ci_iters, ablation_rescale, ablation_fusion, ablation_reduction
-);
-criterion_main!(benches, modelled_replays);
+fn main() {
+    ablation_comm();
+    ablation_ci_iters();
+    ablation_rescale();
+    ablation_fusion();
+    ablation_reduction();
+    modelled_replays();
+}

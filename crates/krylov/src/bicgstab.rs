@@ -2,43 +2,26 @@
 //! on the one production schedule.
 //!
 //! One outer iteration is two preconditioner applications, two halo
-//! exchanges and **four** full-grid sweeps — **five** where the x-update
-//! defers (see below); on a multi-rank world its scalars travel in
-//! exactly **two** batched reduction messages:
+//! exchanges and **four** full-grid sweeps; on a multi-rank world its
+//! scalars travel in exactly **two** batched reduction messages:
 //!
 //! ```text
 //! Preconditioner  MPI1+BCs  KernelBiCGS1 (w = A p̂ ⊕ σ = r̃ᵀw)
-//!   M1: iall_reduce [σ, ‖r‖²_prev]  ∥  KernelBiCGS4 (x ← (x+α p̂)+ω r̂)  host α
+//!   M1: iall_reduce [σ, ‖r‖²_prev]                                    host α
 //! KernelBiCGS2F (r −= αw ⊕ σ₃)   Preconditioner
 //! MPI3+BCs  KernelBiCGS3F (t = A r̂ ⊕ σ₁,σ₂,σ₄)
 //!   M2: reduce [σ₁,σ₂,σ₃,σ₄]                                          host ω, ρ, β
-//! KernelBiCGS56 (r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
+//! KernelBiCGS456 (x ← (x+α p̂)+ω r̂ ⊕ r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
 //! ```
 //!
-//! That is the multi-rank schedule under a real preconditioner, the one
-//! place a standalone `KernelBiCGS4` runs: the previous iteration's
-//! x-update, deferred into the M1 window. With `M = I` (plain
-//! Bi-CGSTAB, and the inner solves of `G(BiCGS)` and `BJ(BiCGS)`) there
-//! is no `Preconditioner` stage and no copy: `p̂ ≡ p` and `r̂ ≡ r`, so
-//! `KernelBiCGS1` sweeps `p` and `KernelBiCGS3F` sweeps `r` in place —
-//! their BCs and halos land in `p`'s and `r`'s ghosts — and the x-update
-//! rides in the sweep that overwrites `p` and `r`, which reads them once:
-//!
-//! ```text
-//! MPI1+BCs  KernelBiCGS1 (w = A p ⊕ σ)   M1   KernelBiCGS2F (r −= αw ⊕ σ₃)
-//! MPI3+BCs  KernelBiCGS3F (t = A r ⊕ σ₁,σ₂,σ₄)   M2
-//! KernelBiCGS456 (x ← (x+α p)+ω r ⊕ r −= ωt ⊕ ‖r‖² ⊕ p ← r + β(p − ωw))
-//! ```
-//!
-//! Hence the **x-update placement rule**: an x-update that is not
-//! deferred rides in the sweep that overwrites `p` and `r` —
-//! `KernelBiCGS456`, or `KernelBiCGS45` (x-update ⊕ `KernelBiCGS5`) on the
-//! breakdown path — whatever the preconditioner; each row updates `x`
-//! first, from `p̂` and `r̂` or from the `p` and `r` rows about to be
-//! overwritten. On one rank, preconditioned or not, and on any rank
-//! count with `M = I`, every iteration runs four sweeps. Only a lane
-//! whose `p̂`/`r̂` a real preconditioner wrote, on more than one rank,
-//! defers it into the next M1 window.
+//! The x-update rides in the sweep that overwrites `p` and `r`, each row
+//! updating `x` first, on every world and under every preconditioner.
+//! With `M = I` (plain Bi-CGSTAB, and the inner solves of `G(BiCGS)` and
+//! `BJ(BiCGS)`) there is no `Preconditioner` stage and no copy: `p̂ ≡ p`
+//! and `r̂ ≡ r`, so `KernelBiCGS1` sweeps `p` and `KernelBiCGS3F` sweeps
+//! `r` in place — their BCs and halos land in `p`'s and `r`'s ghosts —
+//! and `KernelBiCGS456` reads the `p` and `r` rows it is about to
+//! overwrite, streaming them once.
 //!
 //! There is one driver: the loop runs over a group of *lanes* — the
 //! right-hand sides of a multi-RHS batch, solved together under one
@@ -55,19 +38,14 @@
 //!   interior, the shell and the fold are empty, and the fused sweep is
 //!   one launch folding straight into the lane accumulators.
 //! * **Reductions.** In [`Scope::Global`] on more than one rank M1 is
-//!   posted split-phase with the previous iteration's merged x-update
-//!   computing under it (its `p̂` survives the next preconditioner
-//!   application in the `Workspace::p_hat_prev` ping-pong buffer) and
-//!   the stopping decision is read one message late. With `M = I` only
-//!   the stopping decision lags: the x-update rides in `KernelBiCGS456`,
-//!   since the next iteration's sweeps overwrite the `p` and `r` it reads.
-//!   Elsewhere
+//!   posted split-phase and carries the previous iteration's `‖r‖²`, so
+//!   the stopping decision is read one message late. Elsewhere
 //!   reductions are free, so each stage reduces in place and nothing
 //!   lags.
 //! * **Preconditioner.** The driver asks the preconditioner whether it
 //!   is the identity ([`Preconditioner::is_identity`]); if so it never
 //!   applies it and the operator sweeps read `p` and `r` directly (see
-//!   above), leaving `p̂`, `r̂` and `p̂_prev` unwritten.
+//!   above), leaving `p̂` and `r̂` unwritten.
 //! * **Lanes.** Every full-grid vector sweep strides all participating
 //!   lanes inside one kernel launch, every halo exchange packs their face
 //!   planes into one message per face, and every reduction ships their
@@ -118,10 +96,8 @@ use stencil::{apply_physical_bcs, Part};
 use crate::cancel::CancelToken;
 use crate::ctx::{RankCtx, Workspace};
 use crate::kernels::{
-    axpy2_chained_batch, axpy_dot_batch, diff_norm2, info_bicgs45, info_bicgs456, norm2_axpy_batch,
-    residual_p_update_fused_batch, x_residual_p_update_fused_batch, x_residual_update_fused_batch,
-    INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_BICGS4, INFO_BICGS56, INFO_DOT, INFO_FOLD1,
-    INFO_FOLD3, INFO_NORM2AXPY,
+    axpy_dot_batch, diff_norm2, info_bicgs456, norm2_axpy_batch, x_residual_p_update_fused_batch,
+    INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
 };
 use crate::precond::Preconditioner;
 
@@ -305,12 +281,9 @@ struct Lane<'a, T> {
     alpha: T,
     omega: T,
     beta: T,
-    /// Lagged schedule: the last iteration's not-yet-reduced `‖r‖²`. Its
-    /// stopping decision completes under the next iteration's M1, and so
-    /// — when a real preconditioner wrote `p̂` and `r̂` — does its merged
-    /// x-update `x ← (x + α p̂) + ω r̂` (`α`, `ω` stay that iteration's
-    /// until then). With `M = I` that update already rode in the
-    /// `KernelBiCGS456` sweep that overwrote the `p` and `r` it reads.
+    /// Lagged schedule: the last iteration's not-yet-reduced `‖r‖²`,
+    /// whose stopping decision completes under the next iteration's M1.
+    /// Its x-update already rode in the `KernelBiCGS456` sweep.
     lag: Option<T>,
 }
 
@@ -632,27 +605,6 @@ where
         stopped
     }
 
-    /// `KernelBiCGS4` for the lanes of `set` whose x-update was deferred
-    /// into this M1 window: `x ← (x + α p̂) + ω r̂`, chained exactly as the
-    /// reference's 4a/4b pair so the iterate matches bitwise, reading the
-    /// `p̂` its iteration left in the ping-pong buffer. Every other
-    /// x-update rides in the sweep that overwrites `p` and `r`.
-    fn update_x(&mut self, set: LaneSet) {
-        let mut ys = Lanes::default();
-        let mut ins = Lanes::default();
-        for l in pick_mut(self.lanes, set) {
-            let ws = &*l.ws;
-            ys.push(l.x.as_mut_slice());
-            ins.push((
-                ws.p_hat_prev.as_slice(),
-                l.alpha,
-                ws.r_hat.as_slice(),
-                l.omega,
-            ));
-        }
-        axpy2_chained_batch(&self.ctx.dev, INFO_BICGS4, &self.ctx.grid, &mut ys, &ins);
-    }
-
     /// Stop the lanes of `set` whose reduced cancel flag (slot `b` of
     /// `flags`) is raised, their iterates complete through iteration
     /// `done`; returns them. Every rank reads the same reduced sums, so
@@ -680,11 +632,7 @@ where
         // (and in the reduction-local `Scope::Local`) they are free and
         // the lag would only spend an extra preconditioner application.
         let lag = scope == Scope::Global && comm.size() > 1;
-        // With M = I the sweeps read p and r in place, and the x-update
-        // reading them cannot wait for the next M1: only the stopping
-        // decision lags.
         let identity = self.prec.is_identity();
-        let defer = lag && !identity;
         let has_tokens = self.lanes.iter().any(|l| l.cancel.is_some());
         let cancel_flag = |lane: &Lane<'_, T>| match lane.cancel {
             Some(token) if token.is_cancelled() => T::ONE,
@@ -744,11 +692,10 @@ where
 
             // M1: reduce σ = r̃ᵀw — lagged, in one message with the
             // previous iteration's ‖r‖² and (tokens installed) the cancel
-            // flags, each a group of per-lane slots, and posted
-            // split-phase so the previous iteration's deferred x-updates
-            // compute while the message is in flight. (A group too wide
-            // for one message — more than `MAX_REDUCE_SCALARS` slots —
-            // ships the excess as a blocking tail when it finishes.)
+            // flags, each a group of per-lane slots, posted split-phase.
+            // (A group too wide for one message — more than
+            // `MAX_REDUCE_SCALARS` slots — ships the excess as a blocking
+            // tail when it finishes.)
             if lag {
                 ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
                 let mut n = nb;
@@ -764,10 +711,8 @@ where
                 // The cancel poll piggybacks on M1 as one more group, so
                 // an installed token adds no message: the flags are
                 // sampled here instead of at the loop top, and the
-                // decision lands once the previous iterate is complete
-                // (under a deferring schedule, after the x-update below)
-                // — the same iteration boundary the blocking poll stops
-                // at.
+                // decision lands once the previous iterate is complete —
+                // the same iteration boundary the blocking poll stops at.
                 let cancel_at = n;
                 if has_tokens {
                     for b in members(run) {
@@ -776,10 +721,6 @@ where
                     n += nb;
                 }
                 let req = comm.iall_reduce_many(&m1[..n], ReduceOp::Sum);
-                // KernelBiCGS4 deferred from iteration i−1.
-                if defer {
-                    self.update_x(lagging);
-                }
                 comm.reduce_finish_many(req, &mut m1[..n]);
                 ctx.recorder.end(REDUCE_OVERLAP_STAGE);
                 // iteration i−1's stopping decisions, one message late
@@ -852,9 +793,8 @@ where
             global_sum(ctx, scope, "MPI4", &mut m2[..4 * nb]);
 
             // β only exists when ρ and ω are both non-zero, so breakdown
-            // is decided *before* the residual/p sweep and the fused
-            // KernelBiCGS56 only runs on the healthy lanes.
-            let mut healthy = 0;
+            // is decided *before* the residual/p sweep; a broken-down lane
+            // rides in it with β = 0.
             let mut broken = 0;
             let mut kinds = [None; MAX_LANES];
             for b in members(run) {
@@ -863,6 +803,7 @@ where
                 if !(p1.is_finite() && p2.is_finite()) {
                     lane.out.breakdown = Some(Breakdown::NonFinite);
                     live &= !(1 << b);
+                    run &= !(1 << b);
                     continue;
                 }
                 // t = 0 can only happen when r is (numerically) zero;
@@ -873,8 +814,8 @@ where
                 if rho_new != T::ZERO && lane.omega != T::ZERO {
                     lane.beta = (rho_new / lane.rho) * (lane.alpha / lane.omega);
                     lane.rho = rho_new;
-                    healthy |= 1 << b;
                 } else {
+                    lane.beta = T::ZERO;
                     broken |= 1 << b;
                     kinds[b] = Some(if rho_new == T::ZERO {
                         Breakdown::RhoZero
@@ -884,101 +825,76 @@ where
                     });
                 }
             }
+            if run == 0 {
+                continue;
+            }
 
-            // Breakdown pre-empts the fusion and the lag: β is undefined,
-            // so those lanes finish the iteration eagerly with
-            // KernelBiCGS45 — the x-update riding in the plain residual
-            // update, reading r before it is overwritten — and a blocking
-            // norm reduction: convergence keeps its priority over the
-            // breakdown and a restart resumes from the fully-updated
-            // iterate.
-            if broken != 0 {
-                let mut rnorm2 = [T::ZERO; MAX_LANES];
-                let (mut rs, mut xs, mut ins, mut x_ins) = Default::default();
-                for l in pick_mut(self.lanes, broken) {
+            // KernelBiCGS456: x ← (x + α p̂) + ω r̂, r ← r − ω t, ‖r‖² and
+            // p ← r + β (p − ω w) in one sweep, each row updating x first
+            // (with M = I from the p and r rows about to be overwritten).
+            // A broken-down lane's p is dead — a restart resets it to r, a
+            // stopped lane never reads it. The direct ‖r‖² is kept — ρ
+            // already came from the recurrence (the direct norm avoids the
+            // cancellation a norm recurrence suffers near convergence).
+            let mut rnorm2 = [T::ZERO; MAX_LANES];
+            {
+                let (mut rs, mut ps, mut xs, mut ins, mut x_ins) = Default::default();
+                for l in pick_mut(self.lanes, run) {
                     let ws = &mut *l.ws;
                     let hats = (!identity).then(|| (ws.p_hat.as_slice(), ws.r_hat.as_slice()));
                     Lanes::push(&mut x_ins, (l.alpha, hats));
-                    let (t, r0, p) = (ws.t.as_slice(), ws.r0t.as_slice(), ws.p.as_slice());
-                    Lanes::push(&mut ins, (t, l.omega, r0, p));
+                    let (t, w) = (ws.t.as_slice(), ws.w.as_slice());
+                    Lanes::push(&mut ins, (t, w, l.omega, l.beta));
                     Lanes::push(&mut rs, ws.r.as_mut_slice());
+                    Lanes::push(&mut ps, ws.p.as_mut_slice());
                     Lanes::push(&mut xs, l.x.as_mut_slice());
                 }
-                let mut accs = [[T::ZERO; 2]; MAX_LANES];
-                let (accs, info) = (&mut accs[..rs.len()], info_bicgs45(identity));
-                x_residual_update_fused_batch(
-                    dev, info, grid, &mut rs, &mut xs, &ins, &x_ins, accs,
-                );
-                for (b, [_, rr]) in members(broken).zip(accs) {
-                    rnorm2[b] = *rr;
+                let (accs, info) = (&mut accs[..rs.len()], info_bicgs456(identity));
+                let (rs, ps, xs) = (&mut *rs, &mut *ps, &mut *xs);
+                x_residual_p_update_fused_batch(dev, info, grid, rs, ps, xs, &ins, &x_ins, accs);
+                for (b, acc) in members(run).zip(accs) {
+                    rnorm2[b] = acc[0];
                 }
-                global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
-                let stopped = self.finish_iteration(broken, i, &rnorm2);
+            }
+
+            // The norms of the lanes of a set, the other slots zero.
+            let only = |set: LaneSet| {
+                let mut s = [T::ZERO; MAX_LANES];
+                members(set).for_each(|b| s[b] = rnorm2[b]);
+                s
+            };
+            // Breakdown pre-empts the lag: those lanes reduce their norm
+            // eagerly in a blocking message, so convergence keeps its
+            // priority over the breakdown and a restart resumes from the
+            // fully-updated iterate.
+            if broken != 0 {
+                let mut s = only(broken);
+                global_sum(ctx, scope, "MPI5", &mut s[..nb]);
+                let stopped = self.finish_iteration(broken, i, &s);
                 let open = broken & !stopped;
                 for b in members(open) {
                     self.lanes[b].out.breakdown = kinds[b];
                 }
                 live &= !(stopped | self.restart_or_stop(open));
             }
+            let healthy = run & !broken;
             if healthy == 0 {
                 continue;
             }
-
-            // KernelBiCGS56: r ← r − ω t, ‖r‖² and p ← r + β (p − ω w) in
-            // one sweep, with the x-update x ← (x + α p̂) + ω r̂ riding in
-            // it (KernelBiCGS456) unless it defers to the next M1 window:
-            // with M = I it reads the p and r the sweep overwrites, which
-            // the sweep then streams once. The direct ‖r‖² is kept — ρ
-            // already came from the recurrence (the direct norm avoids the
-            // cancellation a norm recurrence suffers near convergence).
-            let mut rnorm2 = [T::ZERO; MAX_LANES];
-            {
-                let (mut rs, mut ps, mut xs, mut ins, mut x_ins) = Default::default();
-                for l in pick_mut(self.lanes, healthy) {
-                    let ws = &mut *l.ws;
-                    if !defer {
-                        let hats = (!identity).then(|| (ws.p_hat.as_slice(), ws.r_hat.as_slice()));
-                        Lanes::push(&mut x_ins, (l.alpha, hats));
-                        Lanes::push(&mut xs, l.x.as_mut_slice());
-                    }
-                    let (t, w) = (ws.t.as_slice(), ws.w.as_slice());
-                    Lanes::push(&mut ins, (t, w, l.omega, l.beta));
-                    Lanes::push(&mut rs, ws.r.as_mut_slice());
-                    Lanes::push(&mut ps, ws.p.as_mut_slice());
-                }
-                let (accs, info) = (&mut accs[..rs.len()], info_bicgs456(identity));
-                let (rs, ps, xs) = (&mut *rs, &mut *ps, &mut *xs);
-                if defer {
-                    residual_p_update_fused_batch(dev, INFO_BICGS56, grid, rs, ps, &ins, accs);
-                } else {
-                    x_residual_p_update_fused_batch(
-                        dev, info, grid, rs, ps, xs, &ins, &x_ins, accs,
-                    );
-                }
-                for (b, acc) in members(healthy).zip(accs) {
-                    rnorm2[b] = acc[0];
-                }
-            }
             if lag {
-                // The stopping decision — and a deferred x-update — wait
-                // for next iteration's M1 window; keep a deferred
-                // update's p̂ alive across the swap.
+                // The stopping decision waits for next iteration's M1.
                 for (b, l) in members(healthy).zip(pick_mut(self.lanes, healthy)) {
                     l.lag = Some(rnorm2[b]);
-                    if defer {
-                        std::mem::swap(&mut l.ws.p_hat, &mut l.ws.p_hat_prev);
-                    }
                 }
             } else {
-                global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
-                live &= !self.finish_iteration(healthy, i, &rnorm2);
+                let mut s = only(healthy);
+                global_sum(ctx, scope, "MPI5", &mut s[..nb]);
+                live &= !self.finish_iteration(healthy, i, &s);
             }
         }
 
         // Drain the lag when the iteration budget ran out with the last
-        // iteration's bookkeeping still in flight: apply its deferred
-        // x-updates (their p̂ live in the swapped buffers; M = I has none)
-        // and take its stopping decisions.
+        // iteration's stopping decisions still in flight.
         let mut lagging = 0;
         let mut rnorm2 = [T::ZERO; MAX_LANES];
         for (b, lane) in self.lanes.iter_mut().enumerate() {
@@ -988,9 +904,6 @@ where
             }
         }
         if lagging != 0 {
-            if defer {
-                self.update_x(lagging);
-            }
             global_sum(ctx, scope, "MPI5", &mut rnorm2[..nb]);
             self.finish_iteration(lagging, params.max_iters, &rnorm2);
         }
@@ -2149,14 +2062,14 @@ mod batch_tests {
     }
 
     /// One solo run or batch lane of [`identity_runs`]: its outcome and
-    /// solution, and whether its `p̂`, `r̂` and `p̂_prev` were all NaN
-    /// after the solve.
+    /// solution, and whether its `p̂` and `r̂` were all NaN after the
+    /// solve.
     type IdentityRun = ((SolveOutcome, Vec<f64>), bool);
 
     /// Solve three seeded right-hand sides with `M = I` in `scope` on
     /// `ranks`, over the device `dev` builds per rank — each lane alone,
-    /// then all three as one batch — with every lane's `p̂`, `r̂` and
-    /// `p̂_prev` filled with NaN beforehand when `poison`. Returns rank
+    /// then all three as one batch — with every lane's `p̂` and `r̂`
+    /// filled with NaN beforehand when `poison`. Returns rank
     /// by rank the three solo runs, then the three batch lanes.
     fn identity_runs<D: Device>(
         ranks: [usize; 3],
@@ -2185,14 +2098,14 @@ mod batch_tests {
             let workspace = || {
                 let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
                 if poison {
-                    for f in [&mut ws.p_hat, &mut ws.r_hat, &mut ws.p_hat_prev] {
+                    for f in [&mut ws.p_hat, &mut ws.r_hat] {
                         f.as_mut_slice().fill(f64::NAN);
                     }
                 }
                 ws
             };
             let untouched = |ws: &Workspace<f64>| {
-                let hats = [&ws.p_hat, &ws.r_hat, &ws.p_hat_prev];
+                let hats = [&ws.p_hat, &ws.r_hat];
                 hats.iter().all(|f| f.as_slice().iter().all(|v| v.is_nan()))
             };
             let mut runs = Vec::new();
@@ -2215,8 +2128,8 @@ mod batch_tests {
     }
 
     /// With `M = I` the driver sweeps `p` and `r` in place and updates x
-    /// before the sweep that overwrites them: `p̂`, `r̂` and `p̂_prev`
-    /// poisoned with NaN stay all NaN and change no bit of any lane — on
+    /// before the sweep that overwrites them: `p̂` and `r̂` poisoned
+    /// with NaN stay all NaN and change no bit of any lane — on
     /// one rank (Serial and Threads), under the lagged two-rank schedule
     /// and block-restricted, solo and batched.
     #[test]
@@ -2236,7 +2149,7 @@ mod batch_tests {
                     let tag = format!("{label} rank {rank} {how} {}", k % 3);
                     assert!(run.0.converged, "{tag}: {:?}", run.0);
                     assert_lane_matches_solo(&tag, run, po, px);
-                    assert!(untouched, "{tag}: p̂, r̂ or p̂_prev was written");
+                    assert!(untouched, "{tag}: p̂ or r̂ was written");
                 }
             }
         }

@@ -75,13 +75,6 @@ pub struct Workspace<T> {
     pub w: Field<T>,
     /// `t = A r̂`.
     pub t: Field<T>,
-    /// Previous iteration's `p̂`, kept alive by the lagged reduction
-    /// schedule of multi-rank solves: its merged x-update
-    /// (`x ← (x + α p̂) + ω r̂`) is deferred into the *next* iteration's
-    /// M1 window, after the preconditioner has already refilled `p_hat`
-    /// — so the two buffers ping-pong via `std::mem::swap` instead of
-    /// copying. Never written when `M = I`, whose x-update never defers.
-    pub p_hat_prev: Field<T>,
     /// Per-row dot partials of this lane's fused stencil sweeps when
     /// they run split around an exchange in flight
     /// (`Laplacian::apply_part_dots` over a window and a shell, one launch
@@ -105,7 +98,6 @@ impl<T: Scalar> Workspace<T> {
             r_hat: Field::zeros(dev, grid),
             w: Field::zeros(dev, grid),
             t: Field::zeros(dev, grid),
-            p_hat_prev: Field::zeros(dev, grid),
             slots: vec![T::ZERO; lap.slot_len(3)],
         }
     }

@@ -71,12 +71,6 @@ pub const fn info_bicgs456(identity: bool) -> KernelInfo {
     let shared = if identity { 16 } else { 0 };
     KernelInfo::fused("KernelBiCGS456", INFO_BICGS4, INFO_BICGS56, shared)
 }
-/// `KernelBiCGS45`: the x-update riding in `KernelBiCGS5` (the breakdown
-/// path), sharing the `r` read with `M = I`: 56 B/elem vs 64 B.
-pub const fn info_bicgs45(identity: bool) -> KernelInfo {
-    let shared = if identity { 8 } else { 0 };
-    KernelInfo::fused("KernelBiCGS45", INFO_BICGS4, INFO_BICGS5, shared)
-}
 /// `KernelNorm2Axpy`: residual formation `r ← b − w` fused with `‖r‖²`
 /// (setup/restart path; replaces copy + axpy + dot at 24 B/elem extra).
 pub const INFO_NORM2AXPY: KernelInfo = KernelInfo::new("KernelNorm2Axpy", 32, 3);
@@ -191,9 +185,9 @@ fn x_row<T: Scalar>(x: &mut [T], p_hat: &[T], r_hat: &[T], alpha: T, omega: T) {
     }
 }
 
-/// One lane's x-update operands in a sweep it rides in: `α` and the
-/// whole padded `(p̂, r̂)` — `None` with `M = I`, where they are `p` and
-/// `r`, read before the sweep overwrites them.
+/// One lane's x-update operands in `KernelBiCGS456`: `α` and the whole
+/// padded `(p̂, r̂)` — `None` with `M = I`, where they are `p` and `r`,
+/// read before the sweep overwrites them.
 pub type XUpdate<'a, T> = (T, Option<(&'a [T], &'a [T])>);
 
 /// `KernelBiCGS6`: `p ← r + β (p − ω w)` — a three-stream axpy-style
@@ -417,34 +411,6 @@ pub fn x_residual_p_update_fused_batch<'a, T: Scalar, D: Device>(
         let (ph, rh) = hats.map_or((&*p, &*r), |(ph, rh)| (&ph[b..b + n], &rh[b..b + n]));
         x_row(x, ph, rh, alpha, omega);
         [rp_row(r, p, &t[b..b + n], &w[b..b + n], omega, beta)]
-    });
-}
-
-/// `KernelBiCGS45`: the x-update riding in `KernelBiCGS5` on the
-/// breakdown path — one two-output launch writing `r` and `x` per lane
-/// (`ins[s] = (t, ω, r̃, p)`), `(r̃ · r, r · r)` per lane in `accs`;
-/// bitwise `KernelBiCGS4` followed by [`residual_update_fused`].
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn x_residual_update_fused_batch<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    rs: &mut [&mut [T]],
-    xs: &mut [&mut [T]],
-    ins: &[(&[T], T, &[T], &[T])],
-    xs_in: &[XUpdate<'_, T>],
-    accs: &mut [[T; 2]],
-) {
-    assert_eq!(rs.len(), ins.len(), "lane count mismatch");
-    let map = grid.interior_map();
-    dev.launch_lanes_n_reduce(info, map, rs, [(map, xs)], accs, |s, j, k, r, [x]| {
-        let (b, n, (t, omega, r0, p)) = (map.row_offset(j, k), r.len(), ins[s]);
-        let (alpha, hats) = xs_in[s];
-        let (ph, rh) = hats.map_or((&p[b..b + n], &*r), |(ph, rh)| {
-            (&ph[b..b + n], &rh[b..b + n])
-        });
-        x_row(x, ph, rh, alpha, omega);
-        r_row(r, &t[b..b + n], &r0[b..b + n], omega)
     });
 }
 
@@ -1073,11 +1039,10 @@ mod tests {
         assert_eq!(INFO_BICGS2F.flops_per_elem, 4);
         assert_eq!(INFO_BICGS3F.bytes_per_elem, 48);
         assert_eq!(INFO_BICGS3F.flops_per_elem, 16);
-        // x, r, p read and written, t and w read (x and r, then p, t, r̃
-        // for KernelBiCGS45); p̂, r̂ on top under a real preconditioner.
-        let bytes = [true, false].map(|id| [info_bicgs456(id), info_bicgs45(id)]);
-        let bytes = bytes.map(|[a, b]| [a.bytes_per_elem, b.bytes_per_elem]);
-        assert_eq!(bytes, [[64, 56], [80, 64]]);
+        // x, r, p read and written, t and w read; p̂, r̂ on top under a
+        // real preconditioner.
+        let bytes = [true, false].map(|id| info_bicgs456(id).bytes_per_elem);
+        assert_eq!(bytes, [64, 80]);
         assert_eq!(info_bicgs456(true).flops_per_elem, 12);
     }
 
@@ -1561,12 +1526,11 @@ mod tests {
             lanes.map(|(_, f)| f.as_mut_slice()).collect()
         }
 
-        /// Both x-update sweeps over the lanes of `nb` set in `on` against
-        /// their unfused pairs run lane by lane: `KernelBiCGS456` against
-        /// `KernelBiCGS4` then `KernelBiCGS56`, `KernelBiCGS45` against
-        /// `KernelBiCGS4` then `KernelBiCGS5`. With `id` (`M = I`) the
-        /// x-update reads the `p` and `r` the sweep overwrites; the lanes
-        /// left out of the launch must come out untouched.
+        /// `KernelBiCGS456` over the lanes of `nb` set in `on` against its
+        /// unfused pair, `KernelBiCGS4` then `KernelBiCGS56`, run lane by
+        /// lane. With `id` (`M = I`) the x-update reads the `p` and `r` the
+        /// sweep overwrites; the lanes left out of the launch must come out
+        /// untouched.
         fn x_sweeps(dev: &AnyDevice, g: &BlockGrid, nb: usize, on: usize, id: bool, seed: u64) {
             let lanes = |s: u64| -> Vec<Field<f64>> {
                 let lane = |l: u64| poisoned(g, seed ^ (s << 48) ^ l << 56);
@@ -1574,7 +1538,7 @@ mod tests {
             };
             let coefs = &rng_values(3 * nb, seed ^ 0xF05E);
             let [a, o, be] = [0, 1, 2].map(|c| move |l: usize| 3.0 * coefs[c * nb + l]);
-            let (ph, rh, ts, ws, gs) = (lanes(1), lanes(2), lanes(3), lanes(4), lanes(5));
+            let (ph, rh, ts, ws) = (lanes(1), lanes(2), lanes(3), lanes(4));
             let live: Vec<usize> = (0..nb).filter(|l| on >> l & 1 == 1).collect();
             let hats = |l: usize| (!id).then(|| (ph[l].as_slice(), rh[l].as_slice()));
             let what = format!("{:?} {}, lanes {live:?}/{nb}", g.local_n, dev.name());
@@ -1603,26 +1567,6 @@ mod tests {
                 assert_fields(got, want, &what(&format!("KernelBiCGS456 {field}")));
             }
             assert_sums(&sg, &sw, &what("KernelBiCGS456"));
-
-            // KernelBiCGS45 reads `p` (pw, untouched) but writes only r, x.
-            let ([mut xg, mut rg], [mut xw, mut rw]) = [0, 0].map(|_| [9, 10].map(lanes)).into();
-            let ins: Vec<_> = live
-                .iter()
-                .map(|&l| (ts[l].as_slice(), o(l), gs[l].as_slice(), pw[l].as_slice()))
-                .collect();
-            let (mut sg, mut sw, info) = (vec![[0.0; 2]; live.len()], Vec::new(), info_bicgs45(id));
-            let [mut r, mut x] = [&mut rg, &mut xg].map(|f| picked(f, on));
-            x_residual_update_fused_batch(dev, info, g, &mut r, &mut x, &ins, &x_ins, &mut sg);
-            for &l in &live {
-                let (p_hat, r_hat) = [(&ph[l], &rh[l]), (&pw[l], &rw[l])][usize::from(id)];
-                axpy2_chained_inplace(dev, INFO_BICGS4, g, &mut xw[l], p_hat, a(l), r_hat, o(l));
-                let (r, t, r0) = (&mut rw[l], &ts[l], &gs[l]);
-                let (s1, s2) = residual_update_fused(dev, INFO_BICGS5, g, r, t, o(l), r0);
-                sw.push([s1, s2]);
-            }
-            assert_fields(&xg, &xw, &what("KernelBiCGS45 x"));
-            assert_fields(&rg, &rw, &what("KernelBiCGS45 r"));
-            assert_sums(&sg, &sw, &what("KernelBiCGS45"));
         }
 
         /// Row lengths 1, 2 and 3 (the shortest windows, and the shortest

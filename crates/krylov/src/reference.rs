@@ -450,6 +450,13 @@ mod tests {
             assert_eq!(launches(ev, "KernelBiCGS3F"), 3 * iters);
             assert_eq!(launches(ev, "KernelCI2"), 3 * 5 * (2 * iters + 1));
             assert_eq!(launches(ev, "KernelFoldWindow"), 2 * iters + 1);
+            // the x-update rides in the residual sweep under a real
+            // preconditioner on two ranks too: nothing runs under M1
+            assert_eq!(launches(ev, "KernelBiCGS456"), iters);
+            assert_eq!(
+                launches(ev, "KernelBiCGS4") + launches(ev, "KernelBiCGS56"),
+                0
+            );
         }
 
         let local = Case {

@@ -1,11 +1,10 @@
 //! Steady-state allocation audit of the fused Bi-CGSTAB hot path.
 //!
-//! The fused schedule regroups the per-iteration work into five full-grid
+//! The fused schedule regroups the per-iteration work into four full-grid
 //! sweeps, but it must do so with the same zero-allocation discipline as
-//! the halo path: every vector lives in the preallocated [`Workspace`]
-//! (including the `p_hat_prev` ping-pong buffer the deferred merged
-//! x-update swaps through), the split-phase dot slots are reused, and the
-//! communicator recycles its queues. After one warm-up solve, further
+//! the halo path: every vector lives in the preallocated [`Workspace`],
+//! the split-phase dot slots are reused, and the communicator recycles
+//! its queues. After one warm-up solve, further
 //! solves — fused kernels, split-phase halo and split-phase batched
 //! reductions, as every multi-rank world runs them — may not touch the
 //! heap.

@@ -32,7 +32,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/bicgstab.rs", "form_residual"),
     ("crates/krylov/src/bicgstab.rs", "restart_or_stop"),
     ("crates/krylov/src/bicgstab.rs", "finish_iteration"),
-    ("crates/krylov/src/bicgstab.rs", "update_x"),
     ("crates/krylov/src/bicgstab.rs", "stop_cancelled"),
     ("crates/krylov/src/bicgstab.rs", "refresh_ghosts"),
     ("crates/krylov/src/bicgstab.rs", "apply_op"),
@@ -63,10 +62,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     (
         "crates/krylov/src/kernels.rs",
         "x_residual_p_update_fused_batch",
-    ),
-    (
-        "crates/krylov/src/kernels.rs",
-        "x_residual_update_fused_batch",
     ),
     ("crates/krylov/src/kernels.rs", "x_row"),
     ("crates/krylov/src/kernels.rs", "rp_row"),
