@@ -65,6 +65,7 @@ mod index;
 mod lease;
 mod pool;
 mod scalar;
+mod spin_park;
 
 pub use buffer::DeviceBuffer;
 pub use device::{
@@ -76,3 +77,4 @@ pub use index::{chunk_range, Extent3, RowMap, Run, ShellMaps};
 pub use lease::{DeviceLease, DevicePool};
 pub use pool::ThreadPool;
 pub use scalar::{add_partials, Scalar};
+pub use spin_park::{SpinPark, SPIN_YIELDS};

@@ -16,11 +16,9 @@
 //!   not, so no worker can still be reading the slot when the next launch
 //!   overwrites it.
 //! * **Spin, then park.** A waiting side — a worker between launches, the
-//!   launcher after its own chunks — yields [`SPIN_YIELDS`] times before it
-//!   parks on a condvar, and the other side takes the lock to wake it only
-//!   when it is parked. A yield hands the core to any other runnable
-//!   thread, so an oversubscribed host (eight ranks of two participants on
-//!   two cores) loses little to the spin.
+//!   launcher after its own chunks — waits on a [`SpinPark`]: it yields
+//!   before it parks, and the other side takes a lock to wake it only when
+//!   it is parked.
 //! * **Panics propagate.** A chunk that panics is caught on its thread; the
 //!   epoch is still acknowledged, the launcher re-raises the first payload
 //!   once every participant is done, and the team serves the next launch.
@@ -34,20 +32,13 @@
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-/// Yields a waiting side makes before it parks. Long enough that the gap
-/// between two launches of one solve, or the imbalance between two halves
-/// of a sweep, passes without a futex round trip; short enough that an idle
-/// team is asleep within about half a millisecond (2048 yields take
-/// 0.46–0.51 ms on an idle core of a 2-vCPU x86-64 VM). On that host,
-/// 256 yields left a third of the 2-thread Bi-CGSTAB gain on the table and
-/// 8192 added nothing measurable.
-const SPIN_YIELDS: u32 = 2048;
+use crate::spin_park::SpinPark;
 
 /// The work of one epoch.
 #[derive(Clone, Copy)]
@@ -68,23 +59,17 @@ struct Team {
     /// is between observing an epoch and acknowledging it; read by workers
     /// only in that window.
     job: UnsafeCell<Job>,
-    /// Bumped (`SeqCst`, so also `Release`) after `job` and `pending` are
-    /// written; workers load it with `Acquire`.
-    epoch: AtomicUsize,
+    /// Workers wait here for the next epoch, which is its sequence: the
+    /// launcher wakes it after `job` and `pending` are written, and
+    /// workers read the sequence with `Acquire`.
+    work: SpinPark,
     /// Workers yet to acknowledge the current epoch. Each worker's
     /// decrement releases its chunk writes; the launcher's `Acquire` load
     /// of zero sees all of them (the decrements form one release sequence).
     pending: AtomicUsize,
-    /// Workers parked on `work`. Incremented under `park`, then `epoch` is
-    /// re-checked; the launcher bumps `epoch` then reads this — both
-    /// `SeqCst`, so one of the two sees the other and no wake-up is lost.
-    parked_workers: AtomicUsize,
-    /// The launcher is parked on `done`; the same `SeqCst` pairing with
-    /// `pending` as above.
-    launcher_parked: AtomicBool,
-    park: Mutex<()>,
-    work: Condvar,
-    done: Condvar,
+    /// The launcher waits here for `pending` to reach zero; the last
+    /// worker to acknowledge wakes it.
+    done: SpinPark,
     /// First panic payload of the current launch.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -92,8 +77,8 @@ struct Team {
 // SAFETY: every field but `job` is a sync primitive. `job` holds a raw
 // pointer to a `Sync` closure (sharing it across threads is sound) and is
 // only accessed under the discipline documented on the field: the single
-// writer (submit lock) and the readers are separated by the `epoch`
-// Release/Acquire publication and the `pending` countdown.
+// writer (submit lock) and the readers are separated by the epoch's
+// Release/Acquire publication (`work`) and the `pending` countdown.
 unsafe impl Sync for Team {}
 // SAFETY: as above; nothing in `Team` is tied to the thread that made it.
 unsafe impl Send for Team {}
@@ -113,8 +98,8 @@ impl Team {
         }
     }
 
-    /// Publish a job: write the slot, arm the countdown, bump the epoch,
-    /// and wake the workers if any is parked.
+    /// Publish a job: write the slot, arm the countdown, and start the
+    /// next epoch.
     ///
     /// # Safety
     /// No worker may be between observing an epoch and acknowledging it,
@@ -123,59 +108,26 @@ impl Team {
         // SAFETY: the caller guarantees no reader and no other writer.
         unsafe { *self.job.get() = job };
         self.pending.store(self.participants - 1, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.parked_workers.load(Ordering::SeqCst) > 0 {
-            let _park = self.park.lock();
-            self.work.notify_all();
-        }
+        self.work.wake();
     }
 
     /// Worker side: wait for an epoch other than `seen` and return it.
     fn next_epoch(&self, seen: usize) -> usize {
-        for _ in 0..SPIN_YIELDS {
-            let epoch = self.epoch.load(Ordering::Acquire);
-            if epoch != seen {
-                return epoch;
-            }
-            std::thread::yield_now();
-        }
-        let mut park = self.park.lock();
-        self.parked_workers.fetch_add(1, Ordering::SeqCst);
-        let epoch = loop {
-            let epoch = self.epoch.load(Ordering::SeqCst);
-            if epoch != seen {
-                break epoch;
-            }
-            self.work.wait(&mut park);
-        };
-        self.parked_workers.fetch_sub(1, Ordering::SeqCst);
-        epoch
+        self.work
+            .wait(|| Some(self.work.seq()).filter(|&epoch| epoch != seen))
     }
 
     /// Worker side: this worker is done with the current epoch.
     fn acknowledge(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.launcher_parked.load(Ordering::SeqCst)
-        {
-            let _park = self.park.lock();
-            self.done.notify_one();
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.done.wake();
         }
     }
 
     /// Launcher side: wait until every worker acknowledged the epoch.
     fn wait_acknowledged(&self) {
-        for _ in 0..SPIN_YIELDS {
-            if self.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let mut park = self.park.lock();
-        self.launcher_parked.store(true, Ordering::SeqCst);
-        while self.pending.load(Ordering::SeqCst) != 0 {
-            self.done.wait(&mut park);
-        }
-        self.launcher_parked.store(false, Ordering::Relaxed);
+        self.done
+            .wait(|| (self.pending.load(Ordering::Acquire) == 0).then_some(()));
     }
 
     /// Body of worker participant `me` (1-based among the participants).
@@ -215,13 +167,9 @@ impl ThreadPool {
                 func: None,
                 chunks: 0,
             }),
-            epoch: AtomicUsize::new(0),
+            work: SpinPark::default(),
             pending: AtomicUsize::new(0),
-            parked_workers: AtomicUsize::new(0),
-            launcher_parked: AtomicBool::new(false),
-            park: Mutex::new(()),
-            work: Condvar::new(),
-            done: Condvar::new(),
+            done: SpinPark::default(),
             panic: Mutex::new(None),
         });
         let workers = (1..size)
@@ -461,7 +409,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         pool.run_chunks(3, &|_| {});
         // Wait until both workers have given up spinning and parked.
-        while pool.team.parked_workers.load(Ordering::SeqCst) < 2 {
+        while pool.team.work.parked() < 2 {
             std::thread::yield_now();
         }
         drop(pool);

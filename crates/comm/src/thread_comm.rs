@@ -1,7 +1,7 @@
 //! N-rank in-process communicator.
 
-use accel::{Event, Recorder, Scalar};
-use parking_lot::{Condvar, Mutex};
+use accel::{Event, Recorder, Scalar, SpinPark};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,14 +14,15 @@ type QueueMap<T> = HashMap<(usize, Tag), VecDeque<Vec<T>>>;
 /// Per-destination mailbox.
 struct Mailbox<T> {
     queues: Mutex<QueueMap<T>>,
-    arrived: Condvar,
+    /// Woken by every `send` to this rank.
+    arrived: SpinPark,
 }
 
 impl<T> Default for Mailbox<T> {
     fn default() -> Self {
         Self {
             queues: Mutex::new(HashMap::new()),
-            arrived: Condvar::new(),
+            arrived: SpinPark::default(),
         }
     }
 }
@@ -71,7 +72,8 @@ struct Shared<T> {
     order: ReduceOrder,
     mailboxes: Vec<Mailbox<T>>,
     collective: Mutex<Collective<T>>,
-    collective_cvar: Condvar,
+    /// Woken when a round publishes its result and when it drains.
+    round: SpinPark,
     /// Set by [`ThreadComm::poison`]: every blocked or future blocking call
     /// panics instead of waiting, so a detected deadlock (or a watchdog
     /// timeout) unwinds the whole world instead of hanging it.
@@ -89,14 +91,20 @@ impl<T> Shared<T> {
 
     fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
+        // Every waiter probes `check_poison` once the sequence moves.
         for mailbox in &self.mailboxes {
-            // Acquire the lock so no waiter can miss the wake-up between
-            // its poison check and its condvar wait.
-            let _guard = mailbox.queues.lock();
-            mailbox.arrived.notify_all();
+            mailbox.arrived.wake();
         }
-        let _guard = self.collective.lock();
-        self.collective_cvar.notify_all();
+        self.round.wake();
+    }
+
+    /// Wait on `round` until the collective engine satisfies `ready`, and
+    /// hold its lock.
+    fn await_round(&self, ready: impl Fn(&Collective<T>) -> bool) -> MutexGuard<'_, Collective<T>> {
+        self.round.wait(|| {
+            self.check_poison();
+            Some(self.collective.lock()).filter(|st| ready(st))
+        })
     }
 }
 
@@ -159,7 +167,7 @@ impl<T: Scalar> ThreadComm<T> {
             order,
             mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
             collective: Mutex::new(Collective::default()),
-            collective_cvar: Condvar::new(),
+            round: SpinPark::default(),
             poisoned: AtomicBool::new(false),
         });
         recorders
@@ -189,9 +197,10 @@ impl<T: Scalar> ThreadComm<T> {
     }
 
     /// Non-blocking receive: pop a matching `(src, tag)` message if one has
-    /// already arrived (`MPI_Iprobe` + receive). Used by the `check`
-    /// crate's verified communicator to poll instead of blocking, which is
-    /// what lets it run deadlock detection while "blocked".
+    /// already arrived (`MPI_Iprobe` + receive). `recv` waits on it, and
+    /// the `check` crate's verified communicator polls it instead of
+    /// blocking, which is what lets it run deadlock detection while
+    /// "blocked".
     pub fn try_recv(&self, src: usize, tag: Tag) -> Option<Vec<T>> {
         assert!(src < self.shared.size, "recv from rank {src} outside world");
         self.shared.check_poison();
@@ -235,13 +244,8 @@ impl<T: Scalar> ThreadComm<T> {
     /// makes the split-phase reduction overlap-capable.
     fn collective_begin(&self, vals: &[T], op: ReduceOp) -> u64 {
         let shared = &self.shared;
-        shared.check_poison();
-        let mut st = shared.collective.lock();
         // Entry gate: the previous round must fully drain first.
-        while st.phase == Phase::Distribute {
-            shared.collective_cvar.wait(&mut st);
-            shared.check_poison();
-        }
+        let mut st = shared.await_round(|st| st.phase == Phase::Collect);
         assert!(
             st.contributions.iter().all(|(rank, _)| *rank != self.rank),
             "rank {} began a second collective while one is outstanding \
@@ -280,7 +284,8 @@ impl<T: Scalar> ThreadComm<T> {
             spare.extend(contributions.drain(..).map(|(_, slot)| slot));
             st.phase = Phase::Distribute;
             st.departed = 0;
-            shared.collective_cvar.notify_all();
+            drop(st);
+            shared.round.wake();
         }
         my_generation
     }
@@ -290,18 +295,15 @@ impl<T: Scalar> ThreadComm<T> {
     /// round).
     fn collective_finish(&self, generation: u64, out: &mut [T]) {
         let shared = &self.shared;
-        shared.check_poison();
-        let mut st = shared.collective.lock();
-        while !(st.phase == Phase::Distribute && st.generation == generation) {
-            shared.collective_cvar.wait(&mut st);
-            shared.check_poison();
-        }
+        let mut st =
+            shared.await_round(|st| st.phase == Phase::Distribute && st.generation == generation);
         out.copy_from_slice(&st.result[..out.len()]);
         st.departed += 1;
         if st.departed == shared.size {
             st.phase = Phase::Collect;
             st.generation += 1;
-            shared.collective_cvar.notify_all();
+            drop(st);
+            shared.round.wake();
         }
     }
 
@@ -333,21 +335,13 @@ impl<T: Scalar> Communicator<T> for ThreadComm<T> {
             .entry((self.rank, tag))
             .or_default()
             .push_back(data);
-        mailbox.arrived.notify_all();
+        mailbox.arrived.wake();
     }
 
     fn recv(&self, src: usize, tag: Tag) -> Vec<T> {
-        assert!(src < self.shared.size, "recv from rank {src} outside world");
-        self.shared.check_poison();
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut queues = mailbox.queues.lock();
-        loop {
-            if let Some(msg) = queues.get_mut(&(src, tag)).and_then(VecDeque::pop_front) {
-                return msg;
-            }
-            mailbox.arrived.wait(&mut queues);
-            self.shared.check_poison();
-        }
+        self.shared.mailboxes[self.rank]
+            .arrived
+            .wait(|| self.try_recv(src, tag))
     }
 
     fn all_reduce(&self, vals: &mut [T], op: ReduceOp) {
@@ -708,6 +702,64 @@ mod stress_tests {
             blocked.join()
         });
         assert!(joined.is_err(), "rank 1 panics out of the dead recv");
+    }
+
+    /// Poison rank 1 inside its spin budget: rank 0 sees it about to
+    /// `wait`, yields an eighth of the budget (both sides yield at one
+    /// rate, so rank 1 has not parked) and poisons. Both ranks must panic
+    /// out before the deadline: rank 1 from its spin, rank 0 at its barrier.
+    fn poison_inside_the_spin_window(wait: fn(&ThreadComm<f64>)) {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        for _ in 0..20 {
+            let waiting = Arc::new(AtomicBool::new(false));
+            let ranks: Vec<_> = ThreadComm::<f64>::world_default(2)
+                .into_iter()
+                .map(|comm| {
+                    let waiting = Arc::clone(&waiting);
+                    std::thread::spawn(move || {
+                        if comm.rank() == 1 {
+                            waiting.store(true, Ordering::Release);
+                            return wait(&comm);
+                        }
+                        while !waiting.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        for _ in 0..accel::SPIN_YIELDS / 8 {
+                            std::thread::yield_now();
+                        }
+                        comm.poison();
+                        // LINT: collective-uniform(poisoned: must panic at entry)
+                        comm.barrier();
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !ranks.iter().all(|r| r.is_finished()) {
+                assert!(
+                    Instant::now() < deadline,
+                    "a rank stayed blocked in a poisoned world"
+                );
+                std::thread::park_timeout(Duration::from_millis(1));
+            }
+            let panicked: Vec<bool> = ranks.into_iter().map(|r| r.join().is_err()).collect();
+            assert_eq!(panicked, [true, true], "both ranks panic out");
+        }
+    }
+
+    #[test]
+    fn poison_unblocks_a_spinning_receiver() {
+        poison_inside_the_spin_window(|comm| {
+            let _ = comm.recv(0, 0);
+        });
+    }
+
+    #[test]
+    fn poison_unblocks_a_spinning_collective_finish() {
+        poison_inside_the_spin_window(|comm| {
+            let req = comm.iall_reduce(&[1.0], ReduceOp::Sum);
+            comm.reduce_finish(req, &mut [0.0]);
+        });
     }
 
     /// Split-phase reduction: the result after `reduce_finish` is bitwise

@@ -316,31 +316,12 @@ pub fn axpy_dot<T: Scalar, D: Device>(
     acc[0][0]
 }
 
-/// `y ← (y + a1 x1) + a2 x2` over the interior, per lane
-/// (`ins[s] = (x1, a1, x2, a2)`) — the two split halves of the x-update
-/// re-merged into one sweep (`KernelBiCGS4` traffic) while keeping the
-/// *grouping* of the two sequential axpys, so the result is bitwise
-/// identical to running `KernelBiCGS4a` then `KernelBiCGS4b`. (Summing
-/// the two terms first, `y + (a1 x1 + a2 x2)`, would round differently.)
-/// `x1` and `x2` are sliced to each row's window once.
-pub fn axpy2_chained_batch<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    ys: &mut [&mut [T]],
-    ins: &[(&[T], T, &[T], T)],
-) {
-    assert_eq!(ys.len(), ins.len(), "lane count mismatch");
-    let map = grid.interior_map();
-    dev.launch_lanes(info, map, ys, |s, j, k, row| {
-        let b = map.row_offset(j, k);
-        let n = row.len();
-        let (x1, a1, x2, a2) = ins[s];
-        x_row(row, &x1[b..b + n], &x2[b..b + n], a1, a2);
-    });
-}
-
-/// [`axpy2_chained_batch`] for a single field.
+/// `y ← (y + a1 x1) + a2 x2` over the interior — the two split halves of
+/// the x-update re-merged into one sweep (`KernelBiCGS4` traffic) while
+/// keeping the *grouping* of the two sequential axpys, so the result is
+/// bitwise identical to running `KernelBiCGS4a` then `KernelBiCGS4b`.
+/// (Summing the two terms first, `y + (a1 x1 + a2 x2)`, would round
+/// differently.) `x1` and `x2` are sliced to each row's window once.
 #[allow(clippy::too_many_arguments)]
 pub fn axpy2_chained_inplace<T: Scalar, D: Device>(
     dev: &D,
@@ -352,40 +333,16 @@ pub fn axpy2_chained_inplace<T: Scalar, D: Device>(
     x2: &Field<T>,
     a2: T,
 ) {
-    let ins = [(x1.as_slice(), a1, x2.as_slice(), a2)];
-    axpy2_chained_batch(dev, info, grid, &mut [y.as_mut_slice()], &ins);
-}
-
-/// `KernelBiCGS56`: `r ← r − ω t` with `‖r‖²` **and** `p ← r + β (p −
-/// ω w)` in one two-output sweep per lane (`ins[s] = (t, w, ω, β)`), the
-/// fresh residual value consumed in-register. `t` and `w` are sliced to
-/// each row's window once. The norm is a second pass over the row of `r`
-/// just written (a float sum in the update loop would keep LLVM from
-/// vectorising it) and accumulates in plain row order — exactly the
-/// order `KernelBiCGS5`'s `r·r` partial uses — and the `p` formula
-/// matches [`axpy3_inplace`] element-for-element, so the fused sweep is
-/// bitwise identical to `KernelBiCGS5` + `KernelBiCGS6`.
-pub fn residual_p_update_fused_batch<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    rs: &mut [&mut [T]],
-    ps: &mut [&mut [T]],
-    ins: &[(&[T], &[T], T, T)],
-    accs: &mut [[T; 1]],
-) {
-    assert_eq!(rs.len(), ins.len(), "lane count mismatch");
     let map = grid.interior_map();
-    dev.launch_lanes_n_reduce(info, map, rs, [(map, ps)], accs, |s, j, k, r, [p]| {
-        let b = map.row_offset(j, k);
-        let n = r.len();
-        let (t, w, omega, beta) = ins[s];
-        [rp_row(r, p, &t[b..b + n], &w[b..b + n], omega, beta)]
+    let (x1, x2) = (x1.as_slice(), x2.as_slice());
+    dev.launch_rows(info, map, y.as_mut_slice(), |j, k, row| {
+        let (b, n) = (map.row_offset(j, k), row.len());
+        x_row(row, &x1[b..b + n], &x2[b..b + n], a1, a2);
     });
 }
 
 /// `KernelBiCGS456`: the x-update `x ← (x + α p̂) + ω r̂` riding in
-/// [`residual_p_update_fused_batch`]'s sweep — one three-output launch
+/// [`residual_p_update_fused`]'s sweep — one three-output launch
 /// writing `r`, `p` and `x` per lane (`ins[s] = (t, w, ω, β)`, `xs_in[s]`
 /// the lane's [`XUpdate`]). Each row updates `x` first, then runs
 /// `KernelBiCGS56`'s row: every element keeps the arithmetic of the pair
@@ -414,7 +371,15 @@ pub fn x_residual_p_update_fused_batch<'a, T: Scalar, D: Device>(
     });
 }
 
-/// [`residual_p_update_fused_batch`] for a single field.
+/// `KernelBiCGS56`: `r ← r − ω t` with `‖r‖²` **and** `p ← r + β (p −
+/// ω w)` in one two-output sweep, the fresh residual value consumed
+/// in-register. `t` and `w` are sliced to each row's window once. The
+/// norm is a second pass over the row of `r` just written (a float sum in
+/// the update loop would keep LLVM from vectorising it) and accumulates in
+/// plain row order — exactly the order `KernelBiCGS5`'s `r·r` partial
+/// uses — and the `p` formula matches [`axpy3_inplace`]
+/// element-for-element, so the fused sweep is bitwise identical to
+/// `KernelBiCGS5` + `KernelBiCGS6`.
 #[allow(clippy::too_many_arguments)]
 pub fn residual_p_update_fused<T: Scalar, D: Device>(
     dev: &D,
@@ -427,11 +392,20 @@ pub fn residual_p_update_fused<T: Scalar, D: Device>(
     omega: T,
     beta: T,
 ) -> T {
-    let mut acc = [[T::ZERO]];
-    let rs = &mut [r.as_mut_slice()];
-    let ps = &mut [p.as_mut_slice()];
-    let ins = [(t.as_slice(), w.as_slice(), omega, beta)];
-    residual_p_update_fused_batch(dev, info, grid, rs, ps, &ins, &mut acc);
+    let map = grid.interior_map();
+    let (t, w) = (t.as_slice(), w.as_slice());
+    let (mut acc, ps) = ([[T::ZERO]], &mut [p.as_mut_slice()]);
+    dev.launch_lanes_n_reduce(
+        info,
+        map,
+        &mut [r.as_mut_slice()],
+        [(map, ps)],
+        &mut acc,
+        |_, j, k, r, [p]| {
+            let (b, n) = (map.row_offset(j, k), r.len());
+            [rp_row(r, p, &t[b..b + n], &w[b..b + n], omega, beta)]
+        },
+    );
     acc[0][0]
 }
 
@@ -879,16 +853,11 @@ mod tests {
         let (dev, grid) = setup_rect();
         let nb = 3;
         let coefs: Vec<f64> = vec![0.37, -1.19, 0.73];
-        let omegas: Vec<f64> = vec![0.41, 0.29, -0.63];
-        let betas: Vec<f64> = vec![-0.87, 1.31, 0.11];
 
         // Per-lane field sets, one "batched" copy and one "solo" copy.
         let mk = |seed: u64| rng_field(&dev, &grid, seed);
         let mut r_b: Vec<Field<f64>> = (0..nb).map(|l| mk(100 + l as u64)).collect();
         let mut r_s: Vec<Field<f64>> = (0..nb).map(|l| mk(100 + l as u64)).collect();
-        let mut p_b: Vec<Field<f64>> = (0..nb).map(|l| mk(200 + l as u64)).collect();
-        let mut p_s: Vec<Field<f64>> = (0..nb).map(|l| mk(200 + l as u64)).collect();
-        let t: Vec<Field<f64>> = (0..nb).map(|l| mk(300 + l as u64)).collect();
         let w: Vec<Field<f64>> = (0..nb).map(|l| mk(400 + l as u64)).collect();
         let g: Vec<Field<f64>> = (0..nb).map(|l| mk(500 + l as u64)).collect();
         let b_rhs: Vec<Field<f64>> = (0..nb).map(|l| mk(600 + l as u64)).collect();
@@ -933,69 +902,6 @@ mod tests {
             );
             assert_eq!(accs2[l][0].to_bits(), s.to_bits());
             for (a, b) in r_b[l].as_slice().iter().zip(r_s[l].as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        // residual_p_update_fused_batch vs residual_p_update_fused
-        let mut accs3 = vec![[0.0f64; 1]; nb];
-        {
-            let mut rs: Vec<&mut [f64]> = r_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let mut ps: Vec<&mut [f64]> = p_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let ins: Vec<_> = (0..nb)
-                .map(|l| (t[l].as_slice(), w[l].as_slice(), omegas[l], betas[l]))
-                .collect();
-            residual_p_update_fused_batch(
-                &dev,
-                INFO_BICGS56,
-                &grid,
-                &mut rs,
-                &mut ps,
-                &ins,
-                &mut accs3,
-            );
-        }
-        for l in 0..nb {
-            let n2 = residual_p_update_fused(
-                &dev,
-                INFO_BICGS56,
-                &grid,
-                &mut r_s[l],
-                &mut p_s[l],
-                &t[l],
-                &w[l],
-                omegas[l],
-                betas[l],
-            );
-            assert_eq!(accs3[l][0].to_bits(), n2.to_bits());
-            for (a, b) in r_b[l].as_slice().iter().zip(r_s[l].as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in p_b[l].as_slice().iter().zip(p_s[l].as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        // axpy2_chained_batch vs axpy2_chained_inplace (updates p in place)
-        {
-            let mut ys: Vec<&mut [f64]> = p_b.iter_mut().map(|f| f.as_mut_slice()).collect();
-            let ins: Vec<_> = (0..nb)
-                .map(|l| (t[l].as_slice(), coefs[l], g[l].as_slice(), omegas[l]))
-                .collect();
-            axpy2_chained_batch(&dev, INFO_BICGS4, &grid, &mut ys, &ins);
-        }
-        for l in 0..nb {
-            axpy2_chained_inplace(
-                &dev,
-                INFO_BICGS4,
-                &grid,
-                &mut p_s[l],
-                &t[l],
-                coefs[l],
-                &g[l],
-                omegas[l],
-            );
-            for (a, b) in p_b[l].as_slice().iter().zip(p_s[l].as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1169,51 +1075,6 @@ mod tests {
                 }
                 let mid = row_has_deep_middle(nx, ny, nz, j, k);
                 [fold_row_edge_last(row.len(), mid, |i| gsl[b + i] * row[i])]
-            });
-        }
-
-        pub(super) fn axpy2_chained_batch<T: Scalar, D: Device>(
-            dev: &D,
-            info: KernelInfo,
-            grid: &BlockGrid,
-            ys: &mut [&mut [T]],
-            ins: &[(&[T], T, &[T], T)],
-        ) {
-            assert_eq!(ys.len(), ins.len(), "lane count mismatch");
-            let map = grid.interior_map();
-            dev.launch_lanes(info, map, ys, |s, j, k, row| {
-                let b = map.row_offset(j, k);
-                let (x1, a1, x2, a2) = ins[s];
-                for (i, v) in row.iter_mut().enumerate() {
-                    let v1 = *v + a1 * x1[b + i];
-                    *v = v1 + a2 * x2[b + i];
-                }
-            });
-        }
-
-        pub(super) fn residual_p_update_fused_batch<T: Scalar, D: Device>(
-            dev: &D,
-            info: KernelInfo,
-            grid: &BlockGrid,
-            rs: &mut [&mut [T]],
-            ps: &mut [&mut [T]],
-            ins: &[(&[T], &[T], T, T)],
-            accs: &mut [[T; 1]],
-        ) {
-            assert_eq!(rs.len(), ins.len(), "lane count mismatch");
-            let map = grid.interior_map();
-            let outs = [(map, ps)];
-            dev.launch_lanes_n_reduce(info, map, rs, outs, accs, |s, j, k, row_r, [row_p]| {
-                let b = map.row_offset(j, k);
-                let (tsl, wsl, omega, beta) = ins[s];
-                let mut acc = T::ZERO;
-                for i in 0..row_r.len() {
-                    let rv = row_r[i] - omega * tsl[b + i];
-                    row_r[i] = rv;
-                    acc += rv * rv;
-                    row_p[i] = rv + beta * (row_p[i] - omega * wsl[b + i]);
-                }
-                [acc]
             });
         }
 
@@ -1441,29 +1302,6 @@ mod tests {
             );
             assert_fields(&got, &want, &batch("KernelBiCGS2F"));
             assert_sums(&sg, &sw, &batch("KernelBiCGS2F"));
-
-            // KernelBiCGS4
-            let (mut got, mut want) = (lanes(7), lanes(7));
-            let ins: Vec<_> = (0..nb)
-                .map(|l| (xs[l].as_slice(), coef(1, l), ts[l].as_slice(), coef(2, l)))
-                .collect();
-            axpy2_chained_batch(dev, INFO_BICGS4, grid, &mut slices(&mut got), &ins);
-            oracle::axpy2_chained_batch(dev, INFO_BICGS4, grid, &mut slices(&mut want), &ins);
-            assert_fields(&got, &want, &batch("KernelBiCGS4"));
-
-            // KernelBiCGS56
-            let (mut rg, mut rw, mut pg, mut pw) = (lanes(8), lanes(8), lanes(9), lanes(9));
-            let (mut sg, mut sw) = (vec![[0.0]; nb], vec![[0.0]; nb]);
-            let ins: Vec<_> = (0..nb)
-                .map(|l| (ts[l].as_slice(), ws[l].as_slice(), coef(2, l), coef(3, l)))
-                .collect();
-            let (r, p) = (&mut slices(&mut rg), &mut slices(&mut pg));
-            residual_p_update_fused_batch(dev, INFO_BICGS56, grid, r, p, &ins, &mut sg);
-            let (r, p) = (&mut slices(&mut rw), &mut slices(&mut pw));
-            oracle::residual_p_update_fused_batch(dev, INFO_BICGS56, grid, r, p, &ins, &mut sw);
-            assert_fields(&rg, &rw, &batch("KernelBiCGS56 r"));
-            assert_fields(&pg, &pw, &batch("KernelBiCGS56 p"));
-            assert_sums(&sg, &sw, &batch("KernelBiCGS56"));
 
             // The single-field kernels, once per lane.
             for l in 0..nb {

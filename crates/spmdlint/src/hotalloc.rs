@@ -47,17 +47,12 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     // Fused vector kernels.
     ("crates/krylov/src/kernels.rs", "axpy_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy2_chained_inplace"),
-    ("crates/krylov/src/kernels.rs", "axpy2_chained_batch"),
     ("crates/krylov/src/kernels.rs", "axpy3_inplace"),
     ("crates/krylov/src/kernels.rs", "axpy_dot"),
     ("crates/krylov/src/kernels.rs", "axpy_dot_batch"),
     ("crates/krylov/src/kernels.rs", "norm2_axpy"),
     ("crates/krylov/src/kernels.rs", "norm2_axpy_batch"),
     ("crates/krylov/src/kernels.rs", "residual_p_update_fused"),
-    (
-        "crates/krylov/src/kernels.rs",
-        "residual_p_update_fused_batch",
-    ),
     ("crates/krylov/src/kernels.rs", "residual_update_fused"),
     (
         "crates/krylov/src/kernels.rs",
@@ -136,6 +131,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/comm/src/thread_comm.rs", "collective_begin"),
     ("crates/comm/src/thread_comm.rs", "collective_finish"),
     ("crates/comm/src/thread_comm.rs", "collective_exchange"),
+    ("crates/comm/src/thread_comm.rs", "await_round"),
     ("crates/comm/src/thread_comm.rs", "all_reduce"),
     ("crates/comm/src/thread_comm.rs", "barrier"),
     ("crates/comm/src/thread_comm.rs", "iall_reduce"),
@@ -167,6 +163,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/accel/src/pool.rs", "acknowledge"),
     ("crates/accel/src/pool.rs", "wait_acknowledged"),
     ("crates/accel/src/pool.rs", "serve"),
+    ("crates/accel/src/spin_park.rs", "wait"),
+    ("crates/accel/src/spin_park.rs", "wake"),
 ];
 
 /// Method names whose call allocates an owning container.
