@@ -164,9 +164,9 @@ pub enum DeviceKind {
 /// accumulators according to its back-end policy. A body folds each
 /// row's partial into the accumulator in row order, so a run launch
 /// reduces exactly as a launch that called the body once per row. The
-/// per-row forms ([`Device::launch_rows_reduce`], [`Device::launch_lanes`]
-/// and the rest) are thin wrappers that do just that; together with the
-/// output-free [`Device::launch_reduce_lanes`] they carry every solver kernel —
+/// per-row forms ([`Device::launch_rows_reduce`] and the rest) are thin
+/// wrappers that do just that; together with the output-free
+/// [`Device::launch_reduce_lanes`] they carry every solver kernel —
 /// the fused `KernelBiCGS1..6`, the Chebyshev kernels and the boundary
 /// kernels — and the stencil sweeps use the run launch directly.
 pub trait Device: Clone + Send + Sync + 'static {
@@ -332,25 +332,6 @@ pub trait Device: Clone + Send + Sync + 'static {
             for (j, row, rows) in run.rows_n() {
                 *acc = add_partials(*acc, f(s, j, k, row, rows));
             }
-        });
-    }
-
-    /// Lane-batched launch with no reduction (element-wise update of every
-    /// lane in one sweep).
-    fn launch_lanes<T: Scalar, F>(
-        &self,
-        info: KernelInfo,
-        map: RowMap,
-        lanes: &mut [&mut [T]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize, &mut [T]) + Sync,
-    {
-        // [T; 0] slots are zero-sized, so this Vec never heap-allocates.
-        let mut accs = vec![[T::ZERO; 0]; lanes.len()];
-        self.launch_lanes_reduce(info, map, lanes, &mut accs, |s, j, k, row| {
-            f(s, j, k, row);
-            []
         });
     }
 

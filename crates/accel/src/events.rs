@@ -23,13 +23,6 @@ use std::sync::Arc;
 /// as `max(comm, compute)` by the performance model).
 pub const HALO_OVERLAP_STAGE: &str = "HaloOverlap";
 
-/// Stage name bracketing a reduction/compute overlap window: a
-/// split-phase `iall_reduce` is in flight from `Begin` to `End`, so
-/// kernels recorded inside the window model compute that hides the
-/// reduction latency (replayed as `max(allreduce, compute)` by the
-/// performance model).
-pub const REDUCE_OVERLAP_STAGE: &str = "ReduceOverlap";
-
 /// Static cost metadata for one kernel, per element of the launch.
 ///
 /// `bytes_per_elem` counts distinct reads + writes per interior element

@@ -128,9 +128,14 @@ fn ablation_rescale() {
 }
 
 /// Fused stencil+dot (KernelBiCGS1) vs separate apply-then-dot — the
-/// temporal-locality claim of Sec. III-B.
+/// temporal-locality claim of Sec. III-B — at 32³ (ids without a size
+/// suffix) and 64³.
 fn ablation_fusion() {
-    let n = 32;
+    ablation_fusion_at(32, "");
+    ablation_fusion_at(64, "/64");
+}
+
+fn ablation_fusion_at(n: usize, suffix: &str) {
     let grid = blockgrid::BlockGrid::new(
         blockgrid::GlobalGrid::dirichlet([n, n, n], [0.1; 3], [0.0; 3]),
         Decomp::single(),
@@ -143,10 +148,10 @@ fn ablation_fusion() {
     apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
     let g = Field::from_interior(&dev, &grid, &vals);
     let mut w = Field::zeros(&dev, &grid);
-    time_case("ablation_fusion/fused", || {
+    time_case(&format!("ablation_fusion/fused{suffix}"), || {
         lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w, &g)
     });
-    time_case("ablation_fusion/separate", || {
+    time_case(&format!("ablation_fusion/separate{suffix}"), || {
         lap.apply(&dev, INFO_APPLY, &u, &mut w);
         dot(&dev, INFO_DOT, &grid, &g, &w)
     });

@@ -515,42 +515,3 @@ pub(crate) fn teardown_report(shared: &VerifierShared) -> Vec<String> {
     );
     findings
 }
-
-#[cfg(test)]
-mod tests {
-    use crate::runner::{run_ranks_checked, try_run_ranks_checked, CheckConfig};
-    use comm::{Communicator, ReduceOp, MAX_REDUCE_SCALARS};
-
-    /// The chunked many-scalar reduction is fully audited through the
-    /// verifier: the begin/finish pair flows through the tracked
-    /// `iall_reduce` slot and the blocking tail chunks enter the global
-    /// collective log, so a clean world tears down with no findings.
-    #[test]
-    fn chunked_reduction_is_verified_clean() {
-        let len = MAX_REDUCE_SCALARS + 9;
-        let results = run_ranks_checked::<f64, _, _>(4, CheckConfig::default(), move |comm| {
-            let mine: Vec<f64> = (0..len).map(|i| (comm.rank() + i) as f64).collect();
-            let req = comm.iall_reduce_many(&mine, ReduceOp::Sum);
-            let mut out = vec![0.0; len];
-            comm.reduce_finish_many(req, &mut out);
-            out[0]
-        });
-        assert!(results.iter().all(|&v| v == 6.0));
-    }
-
-    /// Dropping a chunked handle without finishing it is flagged at
-    /// teardown exactly like a dropped `iall_reduce`.
-    #[test]
-    fn dropped_chunked_reduction_is_reported() {
-        let err = try_run_ranks_checked::<f64, _, _>(2, CheckConfig::default(), |comm| {
-            let req = comm.iall_reduce_many(&[comm.rank() as f64], ReduceOp::Sum);
-            drop(req);
-        })
-        .expect_err("dropped reduction must be reported");
-        assert!(
-            err.findings.iter().any(|f| f.contains("dropped reduction")),
-            "findings: {:?}",
-            err.findings
-        );
-    }
-}

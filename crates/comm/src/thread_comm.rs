@@ -807,67 +807,6 @@ mod stress_tests {
         });
     }
 
-    /// A chunked many-scalar reduction past `MAX_REDUCE_SCALARS` matches
-    /// the blocking `all_reduce` of the same payload bitwise, chunk
-    /// boundaries included (element-wise folds are packing-transparent).
-    #[test]
-    fn iall_reduce_many_matches_blocking_all_reduce() {
-        use crate::types::MAX_REDUCE_SCALARS;
-        let len = 2 * MAX_REDUCE_SCALARS + 22; // head + two tail chunks
-        run_ranks::<f64, _, _>(4, ReduceOrder::RankOrder, move |comm| {
-            let mine: Vec<f64> = (0..len)
-                .map(|i| (comm.rank() * len + i) as f64 * 0.25)
-                .collect();
-            let req = comm.iall_reduce_many(&mine, ReduceOp::Sum);
-            assert_eq!(req.len(), len);
-            assert_eq!(req.messages(), 3, "head chunk plus two tail chunks");
-            let mut split = vec![0.0; len];
-            comm.reduce_finish_many(req, &mut split);
-            let mut blocking = mine;
-            comm.all_reduce(&mut blocking, ReduceOp::Sum);
-            assert_eq!(
-                split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                blocking.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            // one split-phase head + two blocking tail chunks + the
-            // reference reduction
-            assert_eq!(comm.stats().allreduces, 4);
-        });
-    }
-
-    /// An in-budget many-scalar reduction costs exactly one message and
-    /// stays fully split-phase (no blocking tail).
-    #[test]
-    fn iall_reduce_many_within_budget_is_one_message() {
-        run_ranks::<f64, _, _>(3, ReduceOrder::RankOrder, |comm| {
-            let mine = [comm.rank() as f64, 1.0, 2.0];
-            let req = comm.iall_reduce_many(&mine, ReduceOp::Sum);
-            assert_eq!(req.messages(), 1);
-            let mut out = [0.0; 3];
-            comm.reduce_finish_many(req, &mut out);
-            assert_eq!(out, [3.0, 3.0, 6.0]);
-            assert_eq!(comm.stats().allreduces, 1);
-        });
-    }
-
-    /// Min/Max ride the chunked path too (the operator is applied per
-    /// chunk, not fixed to Sum).
-    #[test]
-    fn iall_reduce_many_honours_the_operator() {
-        use crate::types::MAX_REDUCE_SCALARS;
-        let len = MAX_REDUCE_SCALARS + 5;
-        run_ranks::<f64, _, _>(3, ReduceOrder::Arrival, move |comm| {
-            let mine: Vec<f64> = (0..len).map(|i| (comm.rank() + i) as f64).collect();
-            let req = comm.iall_reduce_many(&mine, ReduceOp::Max);
-            let mut out = vec![0.0; len];
-            comm.reduce_finish_many(req, &mut out);
-            // rank 2 holds the maximum of every slot
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, (2 + i) as f64);
-            }
-        });
-    }
-
     /// Beginning a second split-phase reduction while one is outstanding
     /// is a protocol violation and must fail loudly, not corrupt the fold.
     #[test]

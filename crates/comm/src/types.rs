@@ -89,15 +89,11 @@ pub struct RecvRequest {
 
 /// Capacity ceiling for one split-phase reduction, in scalars.
 ///
-/// Split-phase reductions carry the solver's *dot-product groups*. One
-/// Bi-CGSTAB lane puts at most four scalars in a message, and the driver
-/// widens every group to the `B` lanes it solves together (σ/‖r‖²/cancel
-/// blocks in M1, the four ω/ρ dots in M2), so the ceiling leaves room for
-/// 16 lanes at four scalars each. Bounding the payload lets every layer
-/// stage it in fixed stack/inline storage, which is what keeps the
-/// steady-state iteration allocation-free. Larger payloads go through the
-/// chunked [`Communicator::iall_reduce_many`] or the blocking
-/// [`Communicator::all_reduce`] instead.
+/// Bounding the payload lets every layer stage a split-phase reduction
+/// in fixed stack/inline storage, so posting one allocates nothing. The
+/// solver posts none: its batched dot-product groups — up to three
+/// scalars per lane in M1, four in M2, for up to 32 lanes — travel in
+/// blocking [`Communicator::all_reduce`] calls, which take any length.
 pub const MAX_REDUCE_SCALARS: usize = 64;
 
 /// A begun split-phase reduction (the `MPI_Iallreduce` request object).
@@ -123,48 +119,6 @@ pub struct ReduceRequest<T: Scalar> {
     /// complete the reduction at begin time (`SelfComm`, the blocking
     /// default). Inline storage: resolving must not touch the heap.
     pub(crate) resolved: Option<[T; MAX_REDUCE_SCALARS]>,
-}
-
-/// A begun chunked many-scalar reduction — the batched-RHS analogue of
-/// [`ReduceRequest`] for payloads that may exceed [`MAX_REDUCE_SCALARS`].
-///
-/// The head chunk is a true split-phase reduction already in flight; any
-/// remaining scalars are carried locally in the handle and reduced with
-/// blocking collectives when the handle is completed by
-/// [`Communicator::reduce_finish_many`]. Overlap therefore hides the head
-/// chunk's latency and the tail costs one extra message per further
-/// [`MAX_REDUCE_SCALARS`] scalars at finish time. Every rank chunks the
-/// same way (the payload length is collectively uniform), so the chunk
-/// sequence is collective-safe by construction.
-#[derive(Debug)]
-#[must_use = "a begun chunked reduction must be completed with reduce_finish_many"]
-pub struct ReduceManyRequest<T: Scalar> {
-    /// Split-phase handle on the in-flight head chunk.
-    head: ReduceRequest<T>,
-    /// Not-yet-reduced tail (empty when the payload fits one chunk).
-    tail: Vec<T>,
-    /// Reduction operator for the tail chunks.
-    op: ReduceOp,
-    /// Total number of scalars across head and tail.
-    len: usize,
-}
-
-impl<T: Scalar> ReduceManyRequest<T> {
-    /// Total number of scalars the handle reduces.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the handle carries no scalars at all.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of collective messages the whole reduction costs
-    /// (the in-flight head plus one per tail chunk).
-    pub fn messages(&self) -> usize {
-        1 + self.tail.len().div_ceil(MAX_REDUCE_SCALARS)
-    }
 }
 
 /// The message-passing interface the solver is written against.
@@ -259,57 +213,6 @@ pub trait Communicator<T: Scalar>: Send + Sync + 'static {
             .expect("reduce_finish on a request this communicator did not begin");
         out.copy_from_slice(&resolved[..req.len]);
     }
-
-    /// Begin a chunked many-scalar reduction: the first
-    /// [`MAX_REDUCE_SCALARS`] values enter a split-phase reduction
-    /// immediately (overlappable exactly like
-    /// [`iall_reduce`](Communicator::iall_reduce)); any remainder rides in
-    /// the handle and is reduced chunk-by-chunk inside
-    /// [`reduce_finish_many`](Communicator::reduce_finish_many). Chunking
-    /// is element-wise and therefore bitwise-transparent: each scalar
-    /// reduces exactly as it would in a dedicated call. Every rank must
-    /// pass the same `vals.len()` so the chunk schedule is identical
-    /// world-wide.
-    #[must_use = "a begun chunked reduction must be completed with reduce_finish_many"]
-    fn iall_reduce_many(&self, vals: &[T], op: ReduceOp) -> ReduceManyRequest<T> {
-        let split = vals.len().min(MAX_REDUCE_SCALARS);
-        // LINT: alloc-ok(the tail only exists past MAX_REDUCE_SCALARS —
-        // beyond any solver hot-path payload; in-budget requests carry an
-        // empty Vec, which does not allocate)
-        ReduceManyRequest {
-            head: self.iall_reduce(&vals[..split], op),
-            tail: vals[split..].to_vec(),
-            op,
-            len: vals.len(),
-        }
-    }
-
-    /// Complete a chunked many-scalar reduction begun with
-    /// [`iall_reduce_many`](Communicator::iall_reduce_many): finish the
-    /// in-flight head chunk, then reduce any carried tail chunks with
-    /// blocking collectives, filling `out` (whose length must equal the
-    /// request's `len`) in contribution order.
-    fn reduce_finish_many(&self, req: ReduceManyRequest<T>, out: &mut [T]) {
-        assert_eq!(
-            out.len(),
-            req.len,
-            "reduce_finish_many output buffer does not match the request length"
-        );
-        let ReduceManyRequest {
-            head,
-            mut tail,
-            op,
-            len: _,
-        } = req;
-        let split = head.len;
-        self.reduce_finish(head, &mut out[..split]);
-        let mut off = split;
-        for chunk in tail.chunks_mut(MAX_REDUCE_SCALARS) {
-            self.all_reduce(chunk, op);
-            out[off..off + chunk.len()].copy_from_slice(chunk);
-            off += chunk.len();
-        }
-    }
 }
 
 /// Blanket impl so `Arc<C>` is usable wherever a communicator is expected.
@@ -343,12 +246,6 @@ impl<T: Scalar, C: Communicator<T>> Communicator<T> for Arc<C> {
     }
     fn reduce_finish(&self, req: ReduceRequest<T>, out: &mut [T]) {
         (**self).reduce_finish(req, out)
-    }
-    fn iall_reduce_many(&self, vals: &[T], op: ReduceOp) -> ReduceManyRequest<T> {
-        (**self).iall_reduce_many(vals, op)
-    }
-    fn reduce_finish_many(&self, req: ReduceManyRequest<T>, out: &mut [T]) {
-        (**self).reduce_finish_many(req, out)
     }
 }
 

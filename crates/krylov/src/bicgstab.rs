@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! Preconditioner  MPI1+BCs  KernelBiCGS1 (w = A p̂ ⊕ σ = r̃ᵀw)
-//!   M1: iall_reduce [σ, ‖r‖²_prev]                                    host α
+//!   M1: reduce [σ, ‖r‖²_prev]                                         host α
 //! KernelBiCGS2F (r −= αw ⊕ σ₃)   Preconditioner
 //! MPI3+BCs  KernelBiCGS3F (t = A r̂ ⊕ σ₁,σ₂,σ₄)
 //!   M2: reduce [σ₁,σ₂,σ₃,σ₄]                                          host ω, ρ, β
@@ -37,11 +37,11 @@
 //!   communication-free `Scope::Local` — the window is the whole
 //!   interior, the shell and the fold are empty, and the fused sweep is
 //!   one launch folding straight into the lane accumulators.
-//! * **Reductions.** In [`Scope::Global`] on more than one rank M1 is
-//!   posted split-phase and carries the previous iteration's `‖r‖²`, so
-//!   the stopping decision is read one message late. Elsewhere
-//!   reductions are free, so each stage reduces in place and nothing
-//!   lags.
+//! * **Reductions.** Every reduction is one blocking message. In
+//!   [`Scope::Global`] on more than one rank M1 also carries the previous
+//!   iteration's `‖r‖²`, so the stopping decision is read one message
+//!   late. Elsewhere reductions are free, so `‖r‖²` is reduced at once
+//!   and nothing lags.
 //! * **Preconditioner.** The driver asks the preconditioner whether it
 //!   is the identity ([`Preconditioner::is_identity`]); if so it never
 //!   applies it and the operator sweeps read `p` and `r` directly (see
@@ -88,7 +88,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use accel::{Device, Scalar, REDUCE_OVERLAP_STAGE};
+use accel::{Device, Scalar};
 use blockgrid::Field;
 use comm::{Communicator, ReduceOp};
 use stencil::{apply_physical_bcs, Part};
@@ -262,10 +262,8 @@ pub struct LaneSystem<'a, T> {
     pub ws: &'a mut Workspace<T>,
     /// Cooperative cancellation flag, polled collectively once per outer
     /// iteration (see [`CancelToken`]); a rank-uniform choice — every
-    /// rank installs a token on the same lanes. `None` on every lane adds
-    /// no messages and no polling; on a multi-rank world installed tokens
-    /// add no messages either — the flags ride the M1 batch as one extra
-    /// scalar per lane rather than a dedicated blocking reduction.
+    /// rank installs a token on the same lanes. Installed tokens add no
+    /// messages: the flags ride the M1 batch as one extra scalar per lane.
     pub cancel: Option<&'a CancelToken>,
 }
 
@@ -627,17 +625,14 @@ where
         let (dev, comm, grid) = (&ctx.dev, &ctx.comm, &ctx.grid);
         let nb = self.lanes.len();
         debug_assert!((1..=MAX_LANES).contains(&nb));
-        // The scalars take the lagged two-message schedule only where
-        // reductions cost something: a real multi-rank world. On one rank
-        // (and in the reduction-local `Scope::Local`) they are free and
-        // the lag would only spend an extra preconditioner application.
+        // A lane's ‖r‖² waits for the next M1 only where reductions cost
+        // something: a real multi-rank world. On one rank (and in the
+        // reduction-local `Scope::Local`) they are free, so it is reduced
+        // in `"MPI5"` at once and the lag would only spend an extra
+        // preconditioner application.
         let lag = scope == Scope::Global && comm.size() > 1;
         let identity = self.prec.is_identity();
         let has_tokens = self.lanes.iter().any(|l| l.cancel.is_some());
-        let cancel_flag = |lane: &Lane<'_, T>| match lane.cancel {
-            Some(token) if token.is_cancelled() => T::ONE,
-            _ => T::ZERO,
-        };
 
         // Lanes still iterating; the others have their final outcome.
         let mut live = self.form_residual(LaneSet::MAX >> (MAX_LANES - nb));
@@ -648,21 +643,6 @@ where
         }
 
         for i in 1..=params.max_iters {
-            // Cooperative cancellation, decided collectively so every
-            // rank stops a lane on the same iteration: each rank reduces
-            // its local view of the flags and any rank's request counts.
-            // Under the lagged schedule the flags ride the M1 batch
-            // instead (see below) — a dedicated blocking reduction here
-            // would reintroduce the per-iteration synchronous message the
-            // batching removed.
-            if !lag && has_tokens && live != 0 {
-                let mut flags = [T::ZERO; MAX_LANES];
-                for b in members(live) {
-                    flags[b] = cancel_flag(&self.lanes[b]);
-                }
-                global_sum(ctx, scope, "MPIC", &mut flags[..nb]);
-                live &= !self.stop_cancelled(live, &flags, i - 1);
-            }
             if live == 0 {
                 break;
             }
@@ -690,48 +670,33 @@ where
                 m1[b] = sigma;
             }
 
-            // M1: reduce σ = r̃ᵀw — lagged, in one message with the
-            // previous iteration's ‖r‖² and (tokens installed) the cancel
-            // flags, each a group of per-lane slots, posted split-phase.
-            // (A group too wide for one message — more than
-            // `MAX_REDUCE_SCALARS` slots — ships the excess as a blocking
-            // tail when it finishes.)
-            if lag {
-                ctx.recorder.begin(REDUCE_OVERLAP_STAGE);
-                let mut n = nb;
-                let mut lagging = 0;
-                for b in members(run) {
-                    if let Some(rnorm2) = self.lanes[b].lag.take() {
-                        m1[n + b] = rnorm2;
-                        lagging |= 1 << b;
-                    }
+            // M1: σ = r̃ᵀw in one blocking message with two more groups
+            // of per-lane slots — the lagged ‖r‖² of the lanes that lag,
+            // and the cancel flags if tokens are installed, so a token
+            // adds no message. Each rank sends its local view of the
+            // flags and any rank's request counts; the decisions land at
+            // iteration i−1's boundary, the x-update of i still to come.
+            let mut n = nb;
+            let mut lagging = 0;
+            for b in members(run) {
+                if let Some(rnorm2) = self.lanes[b].lag.take() {
+                    m1[n + b] = rnorm2;
+                    lagging |= 1 << b;
                 }
-                let rnorm2_at = n;
-                n += if lagging != 0 { nb } else { 0 };
-                // The cancel poll piggybacks on M1 as one more group, so
-                // an installed token adds no message: the flags are
-                // sampled here instead of at the loop top, and the
-                // decision lands once the previous iterate is complete —
-                // the same iteration boundary the blocking poll stops at.
-                let cancel_at = n;
-                if has_tokens {
-                    for b in members(run) {
-                        m1[n + b] = cancel_flag(&self.lanes[b]);
-                    }
-                    n += nb;
-                }
-                let req = comm.iall_reduce_many(&m1[..n], ReduceOp::Sum);
-                comm.reduce_finish_many(req, &mut m1[..n]);
-                ctx.recorder.end(REDUCE_OVERLAP_STAGE);
-                // iteration i−1's stopping decisions, one message late
-                live &= !self.finish_iteration(lagging, i - 1, &m1[rnorm2_at..]);
-                if has_tokens {
-                    live &= !self.stop_cancelled(run & live, &m1[cancel_at..], i - 1);
-                }
-                run &= live;
-            } else {
-                global_sum(ctx, scope, "MPI2", &mut m1[..nb]);
             }
+            n += if lagging != 0 { nb } else { 0 };
+            let cancel_at = n;
+            if has_tokens {
+                for b in members(run) {
+                    let cancelled = self.lanes[b].cancel.is_some_and(|t| t.is_cancelled());
+                    m1[n + b] = if cancelled { T::ONE } else { T::ZERO };
+                }
+                n += nb;
+            }
+            global_sum(ctx, scope, "MPI2", &mut m1[..n]);
+            live &= !self.finish_iteration(lagging, i - 1, &m1[nb..]);
+            live &= !self.stop_cancelled(run & live, &m1[cancel_at..], i - 1);
+            run &= live;
             let mut broken = 0;
             for (b, sigma) in members(run).map(|b| (b, m1[b])) {
                 let lane = &mut self.lanes[b];
@@ -951,10 +916,7 @@ where
 /// docs): every full-grid vector sweep is **one** launch, every halo
 /// exchange **one** message per face, and an iteration's scalars travel
 /// in the two reductions of a solo solve instead of `2 B` — a multi-rank
-/// batch ships `2·iters(longest lane) + 2` allreduces. (The split-phase M1
-/// carries up to three scalars per lane; past [`comm::MAX_REDUCE_SCALARS`]
-/// of them — 22 lanes with cancel tokens installed — the excess follows
-/// as one blocking message.)
+/// batch ships `2·iters(longest lane) + 2` allreduces.
 ///
 /// The lanes share `prec`, which applies to each lane in turn: a batch
 /// holds one set of its buffers — the Chebyshev rotation fields, an inner
@@ -1047,10 +1009,21 @@ mod tests {
         (x.interior_to_host(&ctx.grid), out)
     }
 
-    /// Solve the seeded 2×2×2 [`world`] problem with `kind`'s preconditioner;
-    /// every rank returns `(outcome, local solution, allreduces)`.
-    /// `tol_rel` is relative to the global RHS norm.
+    /// [`solve_world`] on a 2×2×2 decomposition.
     fn solve_world8(
+        seed: u64,
+        kind: SolverKind,
+        tol_rel: f64,
+        cancel: Option<CancelToken>,
+    ) -> Vec<(SolveOutcome, Vec<f64>, u64)> {
+        solve_world([2, 2, 2], seed, kind, tol_rel, cancel)
+    }
+
+    /// Solve the seeded [`world`] problem on `decomp` with `kind`'s
+    /// preconditioner; every rank returns `(outcome, local solution,
+    /// allreduces)`. `tol_rel` is relative to the global RHS norm.
+    fn solve_world(
+        decomp: [usize; 3],
         seed: u64,
         kind: SolverKind,
         tol_rel: f64,
@@ -1061,7 +1034,7 @@ mod tests {
             .map(|v| v * v)
             .sum::<f64>()
             .sqrt();
-        world([2, 2, 2], seed, |ctx, b_local| {
+        world(decomp, seed, |ctx, b_local| {
             let b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
             let mut x = ctx.field();
             let mut ws = Workspace::new(&ctx.dev, &ctx.grid);
@@ -1269,6 +1242,22 @@ mod tests {
                 "rank {rank}: residual histories diverge"
             );
         }
+    }
+
+    #[test]
+    fn cancel_poll_adds_no_messages_on_a_one_rank_world() {
+        // On one rank too a never-fired token rides M1: the solve ships
+        // the token-free bill — ρ₀, then M1, M2 and the eager ‖r‖² per
+        // iteration — and the iteration is bitwise untouched.
+        let token = Some(CancelToken::new());
+        let plain = solve_world([1, 1, 1], 61, SolverKind::BiCgs, 1e-8, None);
+        let tokened = solve_world([1, 1, 1], 61, SolverKind::BiCgs, 1e-8, token);
+        let ((po, _, pa), (to, _, ta)) = (&plain[0], &tokened[0]);
+        assert!(po.converged && to.converged && !to.cancelled, "{to:?}");
+        assert_eq!(po.iterations, to.iterations);
+        assert_eq!(*pa, 3 * po.iterations as u64 + 1);
+        assert_eq!(pa, ta, "an uncancelled token must not add messages");
+        assert_eq!(bits(&po.residual_history), bits(&to.residual_history));
     }
 
     #[test]
@@ -1711,13 +1700,10 @@ mod batch_tests {
     /// schedule's message count of its *longest* lane (2 per iteration,
     /// plus 2) instead of every lane's solo bill, and its halo exchanges
     /// run split-phase with one message per interface face, whatever the
-    /// number of lanes riding in it. Two costs of width are pinned too: a
-    /// batch wider than [`MAX_LANES`] pays that bill once per lane group,
-    /// and with cancel `tokens` installed an M1 of more than
-    /// `MAX_REDUCE_SCALARS` slots (three per lane once a lane lags)
-    /// ships its excess as one more, blocking, message. Its split fused
-    /// sweeps are one launch per piece for all lanes, so it launches
-    /// them as often as its longest lane does alone.
+    /// number of lanes riding in it, cancel `tokens` installed or not. A
+    /// batch wider than [`MAX_LANES`] pays that bill once per lane group.
+    /// Its split fused sweeps are one launch per piece for all lanes, so
+    /// it launches them as often as its longest lane does alone.
     fn batch_ships_its_longest_lanes_bill(ranks: [usize; 3], nb: usize, tokens: bool) {
         let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
@@ -1822,12 +1808,9 @@ mod batch_tests {
             let groups = nb.div_ceil(MAX_LANES) as u64;
             let solo_bill: u64 = solo_iters.iter().map(|&i| 2 * i as u64 + 2).sum();
             assert_eq!(*solo_msgs, solo_bill, "rank {rank}: solo bill");
-            // Every M1 but a group's first carries the lagged ‖r‖² too.
-            let wide_m1 = tokens && 3 * nb.min(MAX_LANES) > comm::MAX_REDUCE_SCALARS;
-            let m1_tails = if wide_m1 { longest } else { 0 };
             assert_eq!(
                 *batch_msgs,
-                2 * longest + 2 * groups + m1_tails,
+                2 * longest + 2 * groups,
                 "rank {rank}: the batch must ship its longest lane's solo bill"
             );
             assert!(
@@ -1875,11 +1858,10 @@ mod batch_tests {
         batch_ships_its_longest_lanes_bill([2, 1, 1], 3, true);
     }
 
-    /// Width costs what the docs say and no more: 18 lanes — more than
-    /// one message's worth of M2 scalars under the split-phase ceiling —
-    /// still ship two reductions per iteration; 22 lanes with tokens
-    /// overflow M1 into one blocking tail; one lane past [`MAX_LANES`]
-    /// runs as a second group.
+    /// Width costs what the docs say and no more: 18 lanes (72 M2
+    /// scalars) and 22 lanes with tokens (66 M1 scalars once lanes lag),
+    /// both past [`comm::MAX_REDUCE_SCALARS`], still ship two reductions
+    /// per iteration; one lane past [`MAX_LANES`] runs as a second group.
     #[test]
     fn wide_batches_pay_the_documented_message_bill() {
         batch_ships_its_longest_lanes_bill([2, 1, 1], 18, false);

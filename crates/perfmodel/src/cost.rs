@@ -53,58 +53,45 @@ pub fn event_cost_s(ev: &Event, machine: &MachineModel, ranks: usize) -> f64 {
 
 /// Replay one rank's event stream through a machine model.
 ///
-/// Communication posted inside an overlap window proceeds concurrently
-/// with the kernels launched inside the window, so the window contributes
-/// `max(comm, compute)` to the modeled wall time: kernel time is booked
-/// as compute and only the *excess* of the communication time over it is
-/// booked as communication. Two window kinds exist, and each hides only
-/// its own communication class:
-///
-/// * [`accel::HALO_OVERLAP_STAGE`] — the split-phase halo exchange of
-///   `HaloExchange::begin`/`finish`; hides [`Event::Halo`] costs.
-/// * [`accel::REDUCE_OVERLAP_STAGE`] — the split-phase batched
-///   `iall_reduce` of the reduction-overlap Bi-CGSTAB schedule; hides
-///   [`Event::AllReduce`] costs.
-///
-/// The solver never nests the two (each window brackets a pure compute
-/// span), so a single open window suffices; communication of the *other*
-/// class inside a window is conservatively booked synchronously.
+/// A halo exchange posted inside an overlap window — the
+/// [`accel::HALO_OVERLAP_STAGE`] span between `HaloExchange::begin` and
+/// `finish` — proceeds concurrently with the kernels launched inside the
+/// window, so the window contributes `max(comm, compute)` to the modeled
+/// wall time: kernel time is booked as compute and only the *excess* of
+/// the [`Event::Halo`] time over it is booked as communication. Windows
+/// do not nest, and an [`Event::AllReduce`] is always booked
+/// synchronously: every reduction the solver posts is blocking.
 pub fn replay(events: &[Event], machine: &MachineModel, ranks: usize) -> CostBreakdown {
     let mut out = CostBreakdown::default();
-    // Open overlap window: Some((stage, comm_s, compute_s)).
-    let mut window: Option<(&str, f64, f64)> = None;
+    // Open overlap window: Some((comm_s, compute_s)).
+    let mut window: Option<(f64, f64)> = None;
     for ev in events {
         let c = event_cost_s(ev, machine, ranks);
         match ev {
-            Event::Begin { name }
-                if *name == accel::HALO_OVERLAP_STAGE || *name == accel::REDUCE_OVERLAP_STAGE =>
-            {
-                window = Some((name, 0.0, 0.0));
+            Event::Begin { name } if *name == accel::HALO_OVERLAP_STAGE => {
+                window = Some((0.0, 0.0));
             }
-            Event::End { name } if window.is_some_and(|(w, _, _)| w == *name) => {
-                if let Some((_, comm, compute)) = window.take() {
+            Event::End { name } if *name == accel::HALO_OVERLAP_STAGE => {
+                if let Some((comm, compute)) = window.take() {
                     out.compute_s += compute;
                     out.comm_s += (comm - compute).max(0.0);
                 }
             }
             Event::Kernel { .. } => match &mut window {
-                Some((_, _, compute)) => *compute += c,
+                Some((_, compute)) => *compute += c,
                 None => out.compute_s += c,
             },
             Event::Halo { .. } => match &mut window {
-                Some((w, comm, _)) if *w == accel::HALO_OVERLAP_STAGE => *comm += c,
-                _ => out.comm_s += c,
+                Some((comm, _)) => *comm += c,
+                None => out.comm_s += c,
             },
-            Event::AllReduce { .. } => match &mut window {
-                Some((w, comm, _)) if *w == accel::REDUCE_OVERLAP_STAGE => *comm += c,
-                _ => out.comm_s += c,
-            },
+            Event::AllReduce { .. } => out.comm_s += c,
             Event::H2D { .. } | Event::D2H { .. } => out.transfer_s += c,
             Event::Begin { .. } | Event::End { .. } => {}
         }
     }
     // An unterminated window degrades gracefully to the synchronous model.
-    if let Some((_, comm, compute)) = window {
+    if let Some((comm, compute)) = window {
         out.compute_s += compute;
         out.comm_s += comm;
     }
@@ -313,82 +300,6 @@ mod tests {
         // compute is always fully booked; only comm shrinks
         assert!((bo.compute_s - k).abs() < 1e-15);
         assert!((bo.comm_s - (h - k).max(0.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn reduce_overlap_window_models_max_of_reduce_and_compute() {
-        let m = MachineModel::mi250x();
-        let kernel = Event::Kernel {
-            name: "KernelBiCGS4a",
-            elems: 200_000,
-            bytes: 4_800_000,
-            flops: 400_000,
-        };
-        let red = Event::AllReduce {
-            elems: 4,
-            bytes: 32,
-        };
-        let sync = vec![red.clone(), kernel.clone()];
-        let overlapped = vec![
-            Event::Begin {
-                name: accel::REDUCE_OVERLAP_STAGE,
-            },
-            red.clone(),
-            kernel.clone(),
-            Event::End {
-                name: accel::REDUCE_OVERLAP_STAGE,
-            },
-        ];
-        let k = m.kernel_cost_s(4_800_000, 400_000);
-        let r = m.allreduce_cost_s(32, 512);
-        let bs = replay(&sync, &m, 512);
-        let bo = replay(&overlapped, &m, 512);
-        assert!((bs.total_s() - (k + r)).abs() < 1e-15, "sync adds");
-        assert!(
-            (bo.total_s() - k.max(r)).abs() < 1e-15,
-            "overlap takes the max"
-        );
-        // compute is always fully booked; only the reduction shrinks
-        assert!((bo.compute_s - k).abs() < 1e-15);
-        assert!((bo.comm_s - (r - k).max(0.0)).abs() < 1e-15);
-        // a halo event inside a *reduce* window is not hidden by it
-        let mixed = vec![
-            Event::Begin {
-                name: accel::REDUCE_OVERLAP_STAGE,
-            },
-            Event::Halo {
-                msgs: 2,
-                bytes: 1000,
-            },
-            Event::End {
-                name: accel::REDUCE_OVERLAP_STAGE,
-            },
-        ];
-        let bm = replay(&mixed, &m, 512);
-        assert!((bm.comm_s - m.halo_cost_s(2, 1000, 512)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn unterminated_reduce_window_falls_back_to_sync() {
-        let m = MachineModel::mi250x();
-        let evs = vec![
-            Event::Begin {
-                name: accel::REDUCE_OVERLAP_STAGE,
-            },
-            Event::AllReduce {
-                elems: 2,
-                bytes: 16,
-            },
-            Event::Kernel {
-                name: "k",
-                elems: 10,
-                bytes: 320,
-                flops: 100,
-            },
-        ];
-        let b = replay(&evs, &m, 8);
-        let expect = m.allreduce_cost_s(16, 8) + m.kernel_cost_s(320, 100);
-        assert!((b.total_s() - expect).abs() < 1e-15);
     }
 
     #[test]

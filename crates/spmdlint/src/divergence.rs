@@ -22,14 +22,7 @@ use crate::tree::{FnItem, Tree};
 use crate::{Finding, SrcInfo};
 
 /// Names whose *call* is a collective: all ranks must reach it together.
-const COLLECTIVES: &[&str] = &[
-    "all_reduce",
-    "iall_reduce",
-    "iall_reduce_many",
-    "reduce_finish",
-    "reduce_finish_many",
-    "barrier",
-];
+const COLLECTIVES: &[&str] = &["all_reduce", "iall_reduce", "reduce_finish", "barrier"];
 
 /// Collectives that need a halo-ish receiver to count (`begin`, `finish`
 /// and `exchange` are too generic otherwise).

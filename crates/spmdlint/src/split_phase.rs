@@ -1,10 +1,9 @@
 //! SPMD001 and SPMD006 — the split-phase protocols.
 //!
 //! **SPMD001**, begin/finish pairing: every split-phase begin (`iall_reduce` returning a
-//! `ReduceRequest`, `iall_reduce_many` returning a `ReduceManyRequest`,
-//! `halo.begin`/`halo.begin_lanes` returning a `PendingExchange`,
-//! `apply_part_dots` returning a `PendingDotFold`) must reach its finish
-//! (`reduce_finish`, `reduce_finish_many`, `finish`/`finish_lanes`,
+//! `ReduceRequest`, `halo.begin`/`halo.begin_lanes` returning a
+//! `PendingExchange`, `apply_part_dots` returning a `PendingDotFold`)
+//! must reach its finish (`reduce_finish`, `finish`/`finish_lanes`,
 //! `fold`) on **every** control-flow path. The walker interprets a
 //! function body statement-by-statement over the token tree:
 //! `if`/`else` and `match` arms are merged with AND semantics (finished
@@ -55,12 +54,6 @@ const CLASSES: &[BeginClass] = &[
         contextual_halo: false,
     },
     BeginClass {
-        begins: &["iall_reduce_many"],
-        finish: "reduce_finish_many",
-        handle: "ReduceManyRequest",
-        contextual_halo: false,
-    },
-    BeginClass {
         begins: &["begin", "begin_lanes"],
         finish: "finish_lanes",
         handle: "PendingExchange",
@@ -80,9 +73,6 @@ const CLASSES: &[BeginClass] = &[
 pub const MUST_USE_TYPES: &[(&str, &str)] = &[
     ("crates/comm/src/types.rs", "RecvRequest"),
     ("crates/comm/src/types.rs", "ReduceRequest"),
-    // Dropping a chunked handle abandons both the in-flight head chunk
-    // and the never-reduced tail scalars.
-    ("crates/comm/src/types.rs", "ReduceManyRequest"),
     // Generic over the field width (`PendingExchange<E>`): one handle
     // for full- and single-precision exchanges.
     ("crates/blockgrid/src/halo.rs", "PendingExchange"),
