@@ -166,7 +166,7 @@ pub enum DeviceKind {
 /// reduces exactly as a launch that called the body once per row. The
 /// per-row forms ([`Device::launch_rows_reduce`] and the rest) are thin
 /// wrappers that do just that; together with the output-free
-/// [`Device::launch_reduce_lanes`] they carry every solver kernel —
+/// [`Device::launch_reduce`] they carry every solver kernel —
 /// the fused `KernelBiCGS1..6`, the Chebyshev kernels and the boundary
 /// kernels — and the stencil sweeps use the run launch directly.
 pub trait Device: Clone + Send + Sync + 'static {
@@ -188,8 +188,8 @@ pub trait Device: Clone + Send + Sync + 'static {
     /// `N` entries `(map_o, lanes_o)` of `outs` is one more buffer per lane
     /// the launch writes (`lanes_o[s]`, its rows under `map_o`, which must
     /// agree with `map` on `ny`/`nz`): a fused sweep that updates several
-    /// fields, or deposits per-row partials into a slot buffer, in one
-    /// pass, its runs carrying every buffer's rows ([`Run::rows_n`]).
+    /// fields in one pass, its runs carrying every buffer's rows
+    /// ([`Run::rows_n`]).
     ///
     /// The body `f(s, run, acc)` receives the lane index `s` (so it can
     /// look up per-lane operands), a run of that lane and the accumulator
@@ -239,26 +239,10 @@ pub trait Device: Clone + Send + Sync + 'static {
     }
 
     /// Launch a pure reduction kernel over `ny * nz` rows (no output
-    /// field) in every lane of a batch: `f(s, j, k)` is row `(j, k)`'s
-    /// partial of lane `s`, and lane `s`'s sum lands in `accs[s]`. Rows
-    /// are grouped and merged as by [`Device::launch_runs`] over the same
-    /// row count — per lane, independent of the lane count — so each
-    /// lane's sum is bitwise that of a one-lane launch, and that of a
-    /// run launch whose body folds the same partials row by row. One
-    /// launch of `ny * nz * accs.len()` elements is recorded; an empty
-    /// lane set launches nothing.
-    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
-        &self,
-        info: KernelInfo,
-        ny: usize,
-        nz: usize,
-        accs: &mut [[T; NR]],
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize) -> [T; NR] + Sync;
-
-    /// Launch a pure reduction kernel over `ny * nz` rows (no output
-    /// field): the one-lane [`Device::launch_reduce_lanes`].
+    /// field): `f(j, k)` is row `(j, k)`'s partial. Rows are grouped and
+    /// merged as by [`Device::launch_runs`] over the same row count, so
+    /// the sum is bitwise that of a run launch whose body folds the same
+    /// partials row by row. One launch of `ny * nz` elements is recorded.
     fn launch_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
@@ -267,12 +251,7 @@ pub trait Device: Clone + Send + Sync + 'static {
         f: F,
     ) -> [T; NR]
     where
-        F: Fn(usize, usize) -> [T; NR] + Sync,
-    {
-        let mut acc = [[T::ZERO; NR]];
-        self.launch_reduce_lanes(info, ny, nz, &mut acc, |_, j, k| f(j, k));
-        acc[0]
-    }
+        F: Fn(usize, usize) -> [T; NR] + Sync;
 
     /// Launch a kernel with no reduction (element-wise update).
     fn launch_rows<T: Scalar, F>(&self, info: KernelInfo, map: RowMap, out: &mut [T], f: F)
@@ -481,20 +460,20 @@ impl Device for AnyDevice {
         }
     }
 
-    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
+    fn launch_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
-        accs: &mut [[T; NR]],
         f: F,
-    ) where
-        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
+    ) -> [T; NR]
+    where
+        F: Fn(usize, usize) -> [T; NR] + Sync,
     {
         match self {
-            Self::Serial(d) => d.launch_reduce_lanes(info, ny, nz, accs, f),
-            Self::Threads(d) => d.launch_reduce_lanes(info, ny, nz, accs, f),
-            Self::SimGpu(d) => d.launch_reduce_lanes(info, ny, nz, accs, f),
+            Self::Serial(d) => d.launch_reduce(info, ny, nz, f),
+            Self::Threads(d) => d.launch_reduce(info, ny, nz, f),
+            Self::SimGpu(d) => d.launch_reduce(info, ny, nz, f),
         }
     }
 
@@ -717,24 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_reduction_is_bitwise_solo_per_lane_in_one_event() {
-        let (info, part) = (KernelInfo::new("fold", 8, 1), |s, j, k| {
-            [1.0 / ((s * 70 + k * 9 + j) as f64 + 2.0)]
-        });
-        for spec in ["serial", "threads:3", "mi250x"] {
-            let rec = Recorder::enabled();
-            let dev = AnyDevice::from_spec(spec, rec.clone()).unwrap();
-            let mut accs = [[0.0f64; 1]; 3];
-            dev.launch_reduce_lanes(info, 7, 5, &mut accs, part);
-            assert_eq!(rec.len(), 1, "{spec}: one launch for every lane");
-            for (s, acc) in accs.iter().enumerate() {
-                let [solo] = dev.launch_reduce(info, 7, 5, |j, k| part(s, j, k));
-                assert_eq!(acc[0].to_bits(), solo.to_bits(), "{spec}: lane {s}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_lane_set_is_a_no_op() {
         let info = KernelInfo::new("lanes", 8, 1);
         let map = RowMap::contiguous(8);
@@ -743,7 +704,6 @@ mod tests {
         let mut lanes: Vec<&mut [f64]> = Vec::new();
         let mut accs: [[f64; 1]; 0] = [];
         dev.launch_lanes_reduce(info, map, &mut lanes, &mut accs, lane_kernel);
-        dev.launch_reduce_lanes(info, 4, 2, &mut accs, |_, _, _| [1.0]);
         assert_eq!(rec.len(), 0);
     }
 }

@@ -64,29 +64,24 @@ impl Device for Serial {
         }
     }
 
-    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
+    fn launch_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
-        accs: &mut [[T; NR]],
         f: F,
-    ) where
-        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
+    ) -> [T; NR]
+    where
+        F: Fn(usize, usize) -> [T; NR] + Sync,
     {
-        if accs.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, ny * nz * accs.len());
-        for (s, acc) in accs.iter_mut().enumerate() {
-            let mut sum = [T::ZERO; NR];
-            for k in 0..nz {
-                for j in 0..ny {
-                    sum = add_partials(sum, f(s, j, k));
-                }
+        self.recorder.kernel(info, ny * nz);
+        let mut sum = [T::ZERO; NR];
+        for k in 0..nz {
+            for j in 0..ny {
+                sum = add_partials(sum, f(j, k));
             }
-            *acc = sum;
         }
+        sum
     }
 }
 

@@ -155,35 +155,28 @@ impl Device for SimGpu {
         }
     }
 
-    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
+    fn launch_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
-        accs: &mut [[T; NR]],
         f: F,
-    ) where
-        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
+    ) -> [T; NR]
+    where
+        F: Fn(usize, usize) -> [T; NR] + Sync,
     {
-        if accs.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, ny * nz * accs.len());
+        self.recorder.kernel(info, ny * nz);
         let rows = ny * nz;
         let bs = self.params.block_rows;
-        let blocks = rows.div_ceil(bs);
-        let mut block_partials = Vec::with_capacity(blocks);
-        for (s, acc) in accs.iter_mut().enumerate() {
-            block_partials.clear();
-            for b in 0..blocks {
-                let mut part = [T::ZERO; NR];
-                for r in b * bs..((b + 1) * bs).min(rows) {
-                    part = add_partials(part, f(s, r % ny, r / ny));
-                }
-                block_partials.push(part);
-            }
-            *acc = tree_reduce(&mut block_partials);
-        }
+        let mut block_partials: Vec<[T; NR]> = (0..rows.div_ceil(bs))
+            .map(|b| {
+                let rows = b * bs..((b + 1) * bs).min(rows);
+                rows.fold([T::ZERO; NR], |part, r| {
+                    add_partials(part, f(r % ny, r / ny))
+                })
+            })
+            .collect();
+        tree_reduce(&mut block_partials)
     }
 }
 

@@ -164,27 +164,26 @@ impl Device for Threads {
         });
     }
 
-    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
+    fn launch_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
-        accs: &mut [[T; NR]],
         f: F,
-    ) where
-        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
+    ) -> [T; NR]
+    where
+        F: Fn(usize, usize) -> [T; NR] + Sync,
     {
-        if accs.is_empty() {
-            return;
-        }
-        self.recorder.kernel(info, ny * nz * accs.len());
-        self.sweep(ny * nz, accs, |s, rows| {
+        self.recorder.kernel(info, ny * nz);
+        let mut acc = [[T::ZERO; NR]];
+        self.sweep(ny * nz, &mut acc, |_, rows| {
             let mut acc = [T::ZERO; NR];
             for r in rows {
-                acc = add_partials(acc, f(s, r % ny, r / ny));
+                acc = add_partials(acc, f(r % ny, r / ny));
             }
             acc
         });
+        acc[0]
     }
 }
 

@@ -1,20 +1,17 @@
 //! Canonical row-fold order for fused dot-producing kernels.
 //!
 //! A fused `apply + dot` sweep folds each row's dot terms in one fixed,
-//! *canonical* grouping, whether the sweep runs monolithically or split
-//! around a halo exchange (`RowMap::halo_window` in flight, then
-//! `RowMap::halo_shell`): rows away from every subdomain face fold as
+//! *canonical* grouping: rows away from every subdomain face fold as
 //! `(Σ middle) + edge_first + edge_last`, all others plain left to
 //! right. The grouping is what a deep-interior launch followed by an
-//! x-low and an x-high launch would deposit into a shared per-row slot;
-//! it is kept because every recorded digest depends on it, not because
-//! the split still has that shape. [`fold_row_edge_last`] is the fold
-//! and [`row_has_deep_middle`] the predicate deciding which rows have a
-//! middle; both depend on the interior extent only, never on which faces
-//! are in flight, so every rank folds a given row the same way in every
-//! schedule. A split sweep folds full rows exactly as the monolithic
-//! kernel does, and refolds from the stored row the few window rows
-//! whose x-edge cell lands after the exchange.
+//! x-low and an x-high launch would deposit into a shared per-row slot.
+//! No sweep has that shape any more — the fused sweeps run over the
+//! whole interior after their exchange — so the grouping stays only
+//! because every recorded digest depends on it. [`fold_row_edge_last`]
+//! is the fold and [`row_has_deep_middle`] the predicate deciding which
+//! rows have a middle; both depend on the interior extent only, so every
+//! rank folds a given row the same way in every schedule, and the
+//! separate dots of the reference schedule fold in the same order.
 //!
 //! Both orders start their accumulator at `+0.0`; an IEEE-754 sum seeded
 //! from `+0.0` never produces `-0.0` unless a term is `-0.0` *and* the

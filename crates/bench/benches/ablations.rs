@@ -3,8 +3,8 @@
 //! Two kinds of output, kept apart. The wall-clock cases time the paper's
 //! §V choices on this host: preconditioner communication, Chebyshev sweep
 //! count, eigenvalue rescaling, kernel fusion and reduction ordering —
-//! each one warm-up call, then `ABLATION_SAMPLES` timed calls (default
-//! 10; 1 under `--test`), printing the mean and the minimum. After them,
+//! each arm one warm-up call, then `ABLATION_SAMPLES` timed calls (default
+//! 10; 1 under `--test`), printing the median and the minimum. After them,
 //! one table prints the modelled ablations — schedule, batched multi-RHS
 //! and mixed precision — as an MI250X replay of recorded event streams
 //! ([`modelled_replays`]). Those figures are perfmodel output and never
@@ -35,31 +35,44 @@ fn samples() -> usize {
         .unwrap_or(10)
 }
 
-/// One wall-clock case: a warm-up call of `f`, then [`samples`] timed
-/// calls; prints their mean and minimum.
-fn time_case<R>(id: &str, mut f: impl FnMut() -> R) {
-    black_box(f());
-    let n = samples();
-    let times: Vec<f64> = (0..n)
-        .map(|_| {
+/// One wall-clock case of one or more arms `(id, f)`: a warm-up call of
+/// each, then [`samples`] rounds that time every arm once — in reversed
+/// order every other round, so host drift lands on all arms alike;
+/// prints each arm's median and minimum.
+fn time_arms(arms: &mut [(String, &mut dyn FnMut())]) {
+    arms.iter_mut().for_each(|(_, f)| f());
+    let (n, na) = (samples(), arms.len());
+    let mut times = vec![Vec::with_capacity(n); na];
+    for round in 0..n {
+        for i in 0..na {
+            let a = if round % 2 == 0 { i } else { na - 1 - i };
             let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    let mean = times.iter().sum::<f64>() / n as f64;
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+            (arms[a].1)();
+            times[a].push(t.elapsed().as_secs_f64());
+        }
+    }
     let show = |s: f64| match s {
         s if s < 1e-6 => format!("{:.0} ns", s * 1e9),
         s if s < 1e-3 => format!("{:.2} µs", s * 1e6),
         s if s < 1.0 => format!("{:.2} ms", s * 1e3),
         s => format!("{s:.3} s"),
     };
-    println!(
-        "bench {id:<50} mean {:>12}  min {:>12}  ({n} samples)",
-        show(mean),
-        show(min)
-    );
+    for ((id, _), t) in arms.iter().zip(&mut times) {
+        t.sort_by(f64::total_cmp);
+        let median = (t[(n - 1) / 2] + t[n / 2]) / 2.0;
+        println!(
+            "bench {id:<50} median {:>12}  min {:>12}  ({n} samples)",
+            show(median),
+            show(t[0])
+        );
+    }
+}
+
+/// [`time_arms`] of the one arm `f`.
+fn time_case<R>(id: &str, mut f: impl FnMut() -> R) {
+    time_arms(&mut [(id.to_string(), &mut || {
+        black_box(f());
+    })]);
 }
 
 fn solve_time(kind: SolverKind, opts: &SolverOptions) -> usize {
@@ -129,7 +142,7 @@ fn ablation_rescale() {
 
 /// Fused stencil+dot (KernelBiCGS1) vs separate apply-then-dot — the
 /// temporal-locality claim of Sec. III-B — at 32³ (ids without a size
-/// suffix) and 64³.
+/// suffix) and 64³, the two arms timed alternately.
 fn ablation_fusion() {
     ablation_fusion_at(32, "");
     ablation_fusion_at(64, "/64");
@@ -147,14 +160,18 @@ fn ablation_fusion_at(n: usize, suffix: &str) {
     let mut u = Field::from_interior(&dev, &grid, &vals);
     apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
     let g = Field::from_interior(&dev, &grid, &vals);
-    let mut w = Field::zeros(&dev, &grid);
-    time_case(&format!("ablation_fusion/fused{suffix}"), || {
-        lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut w, &g)
-    });
-    time_case(&format!("ablation_fusion/separate{suffix}"), || {
-        lap.apply(&dev, INFO_APPLY, &u, &mut w);
-        dot(&dev, INFO_DOT, &grid, &g, &w)
-    });
+    let (mut wf, mut ws) = (Field::zeros(&dev, &grid), Field::zeros(&dev, &grid));
+    let mut fused = || {
+        black_box(lap.apply_fused_dot(&dev, INFO_APPLY, &u, &mut wf, &g));
+    };
+    let mut separate = || {
+        lap.apply(&dev, INFO_APPLY, &u, &mut ws);
+        black_box(dot(&dev, INFO_DOT, &grid, &g, &ws));
+    };
+    time_arms(&mut [
+        (format!("ablation_fusion/fused{suffix}"), &mut fused),
+        (format!("ablation_fusion/separate{suffix}"), &mut separate),
+    ]);
 }
 
 /// Deterministic (rank-order) vs arrival-order allreduce.

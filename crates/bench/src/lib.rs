@@ -328,11 +328,13 @@ pub fn first_iteration_profile(events: &[Event]) -> Vec<Event> {
 /// Where the iterations of a production `M = I` stream open: at the
 /// first `KernelBiCGS1` launch of each iteration (the first after a
 /// `KernelBiCGS2F`), backed up over the prologue of its operator
-/// application — halo packing, the overlap window it opens, and the BCs.
+/// application — the exchange (packing, unpacking, its `Halo` event) and
+/// the BCs.
 fn identity_iteration_starts(events: &[Event]) -> Vec<usize> {
     let prologue = |e: &Event| match e {
-        Event::Kernel { name, .. } => *name == "KernelNeumannBCs" || *name == "KernelHaloPack",
-        Event::Begin { name } => *name == accel::HALO_OVERLAP_STAGE,
+        Event::Kernel { name, .. } => {
+            *name == "KernelNeumannBCs" || *name == "KernelHaloPack" || *name == "KernelHaloUnpack"
+        }
         Event::Halo { .. } => true,
         _ => false,
     };
@@ -474,10 +476,8 @@ pub fn update_summary(section: &str, value: serde::Value) {
 
 /// Sum the elements streamed by the Bi-CGSTAB hot-path full-grid
 /// sweeps in an event stream: kernels outside `Preconditioner`
-/// stages, excluding the O(faces) boundary/halo-staging kernels and
-/// the O(ny·nz) slot folds. The split interior/shell pieces of one
-/// overlapped sweep sum to exactly one interior's worth of elements,
-/// so elements ÷ interior = full-grid sweep count. Reduction kernels
+/// stages, excluding the O(faces) boundary/halo-staging kernels, so
+/// elements ÷ interior = full-grid sweep count. Reduction kernels
 /// record their *row* count as `elems`, but each launch streams the
 /// whole grid once — so a dot launch counts as one interior.
 ///
@@ -501,10 +501,7 @@ pub fn hot_sweep_elems(events: &[Event]) -> (u64, u64) {
             Event::Kernel { name, elems, .. } if depth == 0 => {
                 if name.starts_with("KernelDot") {
                     total += interior;
-                } else if *name != "KernelNeumannBCs"
-                    && !name.starts_with("KernelFold")
-                    && !name.starts_with("KernelHalo")
-                {
+                } else if *name != "KernelNeumannBCs" && !name.starts_with("KernelHalo") {
                     total += elems;
                 }
             }
@@ -619,20 +616,20 @@ mod tests {
                 .filter(|e| matches!(e, Event::AllReduce { .. }))
                 .count();
             assert_eq!(allreduces, if decomp[0] == 1 { 3 } else { 2 }, "{decomp:?}");
-            // every cycle opens like the first: with the BCs on one rank,
-            // with the halo packing of the exchange on two
-            let opening = if decomp[0] == 1 {
-                "KernelNeumannBCs"
-            } else {
-                "KernelHaloPack"
-            };
+            // every cycle opens like the first, with its exchange: the
+            // empty exchange's halo event on one rank, the halo packing
+            // on two
             let starts = identity_iteration_starts(events);
             assert_eq!(
                 starts.len(),
                 res.outcome.iterations + usize::from(decomp[0] > 1)
             );
             for s in starts {
-                let opens = matches!(events[s], Event::Kernel { name, .. } if name == opening);
+                let opens = match events[s] {
+                    Event::Halo { msgs: 0, .. } => decomp[0] == 1,
+                    Event::Kernel { name, .. } => decomp[0] > 1 && name == "KernelHaloPack",
+                    _ => false,
+                };
                 assert!(opens, "{decomp:?}: cycle at {s} opens with {:?}", events[s]);
             }
         }

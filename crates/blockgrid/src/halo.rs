@@ -30,13 +30,12 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 /// Two modes are offered for any field element `E` no wider than the
 /// communicator's wire word `T`:
 ///
-/// * [`HaloExchange::exchange`] — the classic synchronous exchange of one
-///   field.
-/// * [`HaloExchange::begin_lanes`] / [`HaloExchange::finish_lanes`] — for
-///   any number of *lanes* (the fields of a multi-RHS batch, whose face
-///   planes share one message per face; `begin`/`finish` are their
-///   one-lane calls), a
-///   split-phase exchange that lets the caller overlap interior compute
+/// * [`HaloExchange::exchange_lanes`] — the synchronous exchange of any
+///   number of *lanes* (the fields of a multi-RHS batch, whose face
+///   planes share one message per face); [`HaloExchange::exchange`] is
+///   its one-lane call.
+/// * [`HaloExchange::begin`] / [`HaloExchange::finish`] — for one field,
+///   a split-phase exchange that lets the caller overlap interior compute
 ///   with the in-flight messages (the paper's Sec. V communication-hiding
 ///   discussion). `begin` packs and posts everything; the caller then
 ///   runs kernels that read no *interface* ghost — physical-boundary
@@ -82,7 +81,6 @@ impl<T: Scalar> Clone for HaloExchange<T> {
 pub struct PendingExchange<E: Scalar> {
     recvs: [[Option<RecvRequest>; 2]; 3],
     faces: u8,
-    lanes: usize,
     msgs: u32,
     bytes: u64,
     overlap: bool,
@@ -92,7 +90,7 @@ pub struct PendingExchange<E: Scalar> {
 impl<E: Scalar> PendingExchange<E> {
     /// The faces in flight (bit `axis * 2 + side`, the `in_flight` of
     /// [`accel::RowMap::halo_window`]), whose ghosts nothing may read
-    /// before `finish`; zero without a neighbour or a lane.
+    /// before `finish`; zero without a neighbour.
     pub fn faces(&self) -> u8 {
         self.faces
     }
@@ -350,6 +348,9 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
+    /// Pack every interface face of `lanes` and post all sends and
+    /// receives, one message per face for all lanes; with `overlap` the
+    /// kernels up to the finish are booked as hiding the traffic.
     fn begin_impl<E: Scalar, D: Device, C: Communicator<T>, F: Deref<Target = [E]>>(
         &self,
         dev: &D,
@@ -358,13 +359,9 @@ impl<T: Scalar> HaloExchange<T> {
         overlap: bool,
     ) -> PendingExchange<E> {
         let nl = lanes.len();
-        // An exchange of no lanes has nothing in flight and books nothing;
-        // one without faces opens no overlap window (nothing to hide).
-        let faces = if nl == 0 {
-            0
-        } else {
-            self.grid.interface_mask()
-        };
+        // An exchange without faces opens no overlap window (nothing to
+        // hide).
+        let faces = self.grid.interface_mask();
         let overlap = overlap && faces != 0;
         let in_flight = |axis: usize, side: usize| {
             let bit = faces >> (axis * 2 + side) & 1 == 1;
@@ -422,7 +419,6 @@ impl<T: Scalar> HaloExchange<T> {
         PendingExchange {
             recvs,
             faces,
-            lanes: nl,
             msgs,
             bytes,
             overlap,
@@ -430,44 +426,17 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// Start a split-phase exchange of every field in `lanes` (padded
-    /// backing slices of fields on this grid): pack every interface face
-    /// and post all sends and receives, returning without waiting. Each
-    /// face travels as **one** message carrying all lanes' planes, so a
-    /// B-lane solve pays the per-message latency once per face instead of
-    /// once per face per lane; pack and unpack are pure copies, so each
-    /// lane's ghosts are bitwise those of an exchange of that lane alone.
-    /// All ranks must pass the same number of lanes (the live-lane set of
-    /// a batched solve is decided from reduced values, so it is
-    /// rank-uniform by construction). An exchange of no lanes (that of a
-    /// block-restricted operator) posts and books nothing.
-    ///
-    /// The caller may now run any kernel that does not read the ghosts of
-    /// [`PendingExchange::faces`], then must call [`HaloExchange::finish_lanes`]
-    /// with the same lanes to complete the exchange before the ghosts are
-    /// consumed.
-    pub fn begin_lanes<E: Scalar, D: Device, C: Communicator<T>>(
-        &self,
-        dev: &D,
-        comm: &C,
-        lanes: &[&[E]],
-    ) -> PendingExchange<E> {
-        self.begin_impl(dev, comm, lanes, true)
-    }
-
-    /// Complete a split-phase exchange: wait for every posted receive
-    /// (`MPI_Waitall`) and unpack the ghost planes into `lanes`.
-    ///
-    /// Received buffers are recycled into the pool, so the next `begin`
-    /// allocates nothing.
-    pub fn finish_lanes<E: Scalar, D: Device, C: Communicator<T>>(
+    /// Complete an exchange of `lanes`, the fields it began with: wait
+    /// for every posted receive (`MPI_Waitall`) and unpack the ghost
+    /// planes. Received buffers are recycled into the pool, so the next
+    /// exchange allocates nothing.
+    fn finish_impl<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         pending: PendingExchange<E>,
         lanes: &mut [&mut [E]],
     ) {
-        assert_eq!(lanes.len(), pending.lanes, "finish must see begin's lanes");
         let k = per_word::<E, T>();
         let [_, info] = pack_infos::<E>();
         // The exchange is being completed: the ghost planes return to the
@@ -496,7 +465,7 @@ impl<T: Scalar> HaloExchange<T> {
             comm.recorder().record(Event::End {
                 name: HALO_OVERLAP_STAGE,
             });
-        } else if pending.lanes > 0 {
+        } else {
             comm.recorder().record(Event::Halo {
                 msgs: pending.msgs,
                 bytes: pending.bytes,
@@ -504,17 +473,24 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// [`HaloExchange::begin_lanes`] for a single field.
+    /// Start a split-phase exchange of `field`: pack every interface face
+    /// and post all sends and receives, returning without waiting.
+    ///
+    /// The caller may now run any kernel that does not read the ghosts of
+    /// [`PendingExchange::faces`], then must call [`HaloExchange::finish`]
+    /// with the same field to complete the exchange before the ghosts are
+    /// consumed.
     pub fn begin<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         field: &Field<E>,
     ) -> PendingExchange<E> {
-        self.begin_lanes(dev, comm, &[field.as_slice()])
+        self.begin_impl(dev, comm, &[field.as_slice()], true)
     }
 
-    /// [`HaloExchange::finish_lanes`] for a single field.
+    /// Complete a split-phase exchange of `field`
+    /// ([`HaloExchange::begin`]) and fill its interface ghost layers.
     pub fn finish<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
@@ -522,24 +498,40 @@ impl<T: Scalar> HaloExchange<T> {
         pending: PendingExchange<E>,
         field: &mut Field<E>,
     ) {
-        self.finish_lanes(dev, comm, pending, &mut [field.as_mut_slice()]);
+        self.finish_impl(dev, comm, pending, &mut [field.as_mut_slice()]);
     }
 
-    /// Exchange all interface ghost layers of `field` with the
-    /// neighbours (synchronous: begin + finish back to back).
+    /// Exchange all interface ghost layers of every field in `lanes`
+    /// (padded backing slices of fields on this grid) with the neighbours,
+    /// synchronously. Each face travels as **one** message carrying all
+    /// lanes' planes, so a B-lane solve pays the per-message latency once
+    /// per face instead of once per face per lane; pack and unpack are
+    /// pure copies, so each lane's ghosts are bitwise those of an exchange
+    /// of that lane alone. All ranks must pass the same number of lanes
+    /// (the live-lane set of a batched solve is decided from reduced
+    /// values, so it is rank-uniform by construction).
     ///
     /// Physical-boundary ghosts are left untouched (the boundary-condition
     /// kernel owns them). One [`Event::Halo`] with the total message count
     /// and bytes is recorded on the communicator's recorder.
+    pub fn exchange_lanes<E: Scalar, D: Device, C: Communicator<T>>(
+        &self,
+        dev: &D,
+        comm: &C,
+        lanes: &mut [&mut [E]],
+    ) {
+        let pending = self.begin_impl(dev, comm, lanes, false);
+        self.finish_impl(dev, comm, pending, lanes);
+    }
+
+    /// [`HaloExchange::exchange_lanes`] for a single field.
     pub fn exchange<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         field: &mut Field<E>,
     ) {
-        let lanes = &mut [field.as_mut_slice()];
-        let pending = self.begin_impl(dev, comm, lanes, false);
-        self.finish_lanes(dev, comm, pending, lanes);
+        self.exchange_lanes(dev, comm, &mut [field.as_mut_slice()]);
     }
 }
 
@@ -735,7 +727,7 @@ mod tests {
     /// Per-rank event streams (device and communicator share one
     /// recorder) of one exchange of `lanes` provenance fields of width
     /// `E` on a `[2,1,1]` world of `[4,3,3]` — one 9-element interface
-    /// face per rank.
+    /// face per rank; `split` begins and finishes the one field.
     fn two_rank_events<E: Scalar>(lanes: usize, split: bool) -> Vec<Vec<Event>> {
         let recorders = (0..2).map(|_| Recorder::enabled()).collect();
         comm::run_ranks_recorded::<f64, _, _>(2, ReduceOrder::RankOrder, recorders, |comm| {
@@ -746,15 +738,14 @@ mod tests {
             let mut fields: Vec<Field<E>> = (0..lanes)
                 .map(|b| make_lane_field(&dev, &grid, b))
                 .collect();
-            let mut refs: Vec<&mut [E]> = fields.iter_mut().map(|f| f.as_mut_slice()).collect();
             rec.drain(); // discard the H2D uploads
             let halo = HaloExchange::new(&grid);
             if split {
-                let views: Vec<&[E]> = refs.iter().map(|r| &**r).collect();
-                let pending = halo.begin_lanes(&dev, &comm, &views);
-                halo.finish_lanes(&dev, &comm, pending, &mut refs);
+                let pending = halo.begin(&dev, &comm, &fields[0]);
+                halo.finish(&dev, &comm, pending, &mut fields[0]);
             } else {
-                halo.exchange(&dev, &comm, &mut fields[0]);
+                let mut refs: Vec<&mut [E]> = fields.iter_mut().map(|f| f.as_mut_slice()).collect();
+                halo.exchange_lanes(&dev, &comm, &mut refs);
             }
             rec.drain()
         })
@@ -876,10 +867,8 @@ mod tests {
             let mut batched: Vec<Field<E>> = (0..lanes)
                 .map(|b| make_lane_field(&dev, &grid, b))
                 .collect();
-            let views: Vec<&[E]> = batched.iter().map(|f| f.as_slice()).collect();
-            let pending = halo.begin_lanes(&dev, &comm, &views);
             let mut refs: Vec<&mut [E]> = batched.iter_mut().map(|f| f.as_mut_slice()).collect();
-            halo.finish_lanes(&dev, &comm, pending, &mut refs);
+            halo.exchange_lanes(&dev, &comm, &mut refs);
             for (b, lane) in batched.iter().enumerate() {
                 let mut solo = make_lane_field(&dev, &grid, b);
                 // LINT: collective-uniform(`batched` holds the same
@@ -909,7 +898,7 @@ mod tests {
     fn batched_exchange_sends_one_message_per_face() {
         // One interface face along x; the single message carries all
         // four lanes' planes.
-        for evs in two_rank_events::<f64>(4, true) {
+        for evs in two_rank_events::<f64>(4, false) {
             assert!(
                 one_message_of(&evs, 4 * 9 * 8),
                 "missing batched halo event: {evs:?}"
@@ -922,7 +911,7 @@ mod tests {
         lanes_match_solo::<f32>(3);
         // three 9-element f32 planes: ceil(27/2) = 14 wire words in one
         // message per face, on the narrow three-lane tag band
-        for evs in two_rank_events::<f32>(3, true) {
+        for evs in two_rank_events::<f32>(3, false) {
             assert!(
                 one_message_of(&evs, 14 * 8),
                 "missing f32 lanes event: {evs:?}"
@@ -938,13 +927,12 @@ mod tests {
             let global = GlobalGrid::dirichlet([7, 5, 6], [0.1; 3], [0.0; 3]);
             let grid = BlockGrid::new(global, decomp, comm.rank());
             let halo = HaloExchange::new(&grid);
-            // One lane uses one tag band whichever entry point posts it:
-            // a single-field begin pairs with a one-lane finish.
+            // One lane uses one tag band whichever entry point posts it.
             let mut batched = make_lane_field::<f64>(&dev, &grid, 0);
-            let pending = halo.begin(&dev, &comm, &batched);
-            halo.finish_lanes(&dev, &comm, pending, &mut [batched.as_mut_slice()]);
+            halo.exchange_lanes(&dev, &comm, &mut [batched.as_mut_slice()]);
             let mut solo = make_lane_field::<f64>(&dev, &grid, 0);
-            halo.exchange(&dev, &comm, &mut solo);
+            let pending = halo.begin(&dev, &comm, &solo);
+            halo.finish(&dev, &comm, pending, &mut solo);
             assert_eq!(batched.as_slice(), solo.as_slice());
             check_ghosts(&grid, &batched);
         });

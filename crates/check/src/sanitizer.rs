@@ -415,18 +415,18 @@ impl<D: Device> Device for Checked<D> {
         }
     }
 
-    fn launch_reduce_lanes<T: Scalar, F, const NR: usize>(
+    fn launch_reduce<T: Scalar, F, const NR: usize>(
         &self,
         info: KernelInfo,
         ny: usize,
         nz: usize,
-        accs: &mut [[T; NR]],
         f: F,
-    ) where
-        F: Fn(usize, usize, usize) -> [T; NR] + Sync,
+    ) -> [T; NR]
+    where
+        F: Fn(usize, usize) -> [T; NR] + Sync,
     {
         // Pure reductions have no output buffer to audit.
-        self.inner.launch_reduce_lanes(info, ny, nz, accs, f);
+        self.inner.launch_reduce(info, ny, nz, f)
     }
 
     fn on_exchange_begin(&self, hazard: ExchangeHazard) {

@@ -30,13 +30,12 @@
 //! Nothing about the schedule is selectable — the driver derives it from
 //! the world it is handed:
 //!
-//! * **Halo.** Every operator application is `begin → BCs → window →
-//!   finish → shell → fold` ([`LaneGroup::apply_op`]), the exchange begun
-//!   in [`Scope::Global`] only. Window and shell are sized by the faces
-//!   the exchange has in flight: with none — one rank, or the
-//!   communication-free `Scope::Local` — the window is the whole
-//!   interior, the shell and the fold are empty, and the fused sweep is
-//!   one launch folding straight into the lane accumulators.
+//! * **Halo.** Every operator application is `exchange → BCs → sweep`
+//!   ([`LaneGroup::refresh_lanes`]): one blocking lanes-wide exchange in
+//!   [`Scope::Global`] only, then `KernelNeumannBCs`, then one launch over
+//!   the whole interior for all lanes — the fused sweeps fold their dots
+//!   straight into the lane accumulators, as Alg. 3's `KernelBiCGS1/3`
+//!   do after `MPI1/3`.
 //! * **Reductions.** Every reduction is one blocking message. In
 //!   [`Scope::Global`] on more than one rank M1 also carries the previous
 //!   iteration's `‖r‖²`, so the stopping decision is read one message
@@ -91,13 +90,13 @@ use std::ops::{Deref, DerefMut};
 use accel::{Device, Scalar};
 use blockgrid::Field;
 use comm::{Communicator, ReduceOp};
-use stencil::{apply_physical_bcs, Part};
+use stencil::{apply_physical_bcs, INFO_APPLY};
 
 use crate::cancel::CancelToken;
 use crate::ctx::{RankCtx, Workspace};
 use crate::kernels::{
     axpy_dot_batch, diff_norm2, info_bicgs456, norm2_axpy_batch, x_residual_p_update_fused_batch,
-    INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_DOT, INFO_FOLD1, INFO_FOLD3, INFO_NORM2AXPY,
+    INFO_BICGS1, INFO_BICGS2F, INFO_BICGS3F, INFO_DOT, INFO_NORM2AXPY,
 };
 use crate::precond::Preconditioner;
 
@@ -336,7 +335,7 @@ pub(crate) fn global_sum<T: Scalar, D: Device, C: Communicator<T>>(
 /// The operands of the iteration's first fused operator application
 /// (`w = A p̂`) or its `second` (`t = A r̂`), per lane of `set`: the
 /// inputs — with `M = I` (`identity`) `p` and `r` themselves — the
-/// outputs, the slot buffers and the `(r, r̃)` the dots read.
+/// outputs and the `(r, r̃)` the dots read.
 #[allow(clippy::type_complexity)]
 fn dot_operands<'l, T: Scalar>(
     lanes: &'l mut [Lane<'_, T>],
@@ -346,10 +345,9 @@ fn dot_operands<'l, T: Scalar>(
 ) -> (
     Lanes<&'l [T]>,
     Lanes<&'l mut [T]>,
-    Lanes<&'l mut [T]>,
     Lanes<(&'l [T], &'l [T])>,
 ) {
-    let (mut us, mut outs, mut slots, mut ins) = Default::default();
+    let (mut us, mut outs, mut ins) = Default::default();
     for l in pick_mut(lanes, set) {
         let ws = &mut *l.ws;
         let out = if second { &mut ws.t } else { &mut ws.w };
@@ -361,10 +359,9 @@ fn dot_operands<'l, T: Scalar>(
         };
         Lanes::push(&mut us, u.as_slice());
         Lanes::push(&mut outs, out.as_mut_slice());
-        Lanes::push(&mut slots, &mut ws.slots[..]);
         Lanes::push(&mut ins, (ws.r.as_slice(), ws.r0t.as_slice()));
     }
-    (us, outs, slots, ins)
+    (us, outs, ins)
 }
 
 /// Up to [`MAX_LANES`] lanes solved together by the one driver loop
@@ -386,104 +383,77 @@ where
     C: Communicator<T>,
     P: Preconditioner<T, D, C> + ?Sized,
 {
-    /// One operator application to the `input` field of every lane of
-    /// `set`, the only halo schedule: `begin` (one message per face for
-    /// all lanes; no lane in [`Scope::Local`]) → `KernelNeumannBCs` →
-    /// `sweep` of the window → `finish` → `sweep` of the shell, both
-    /// sized by the faces the exchange has in flight: with none (one
-    /// rank, or `Scope::Local`, whose restricted BCs zero the interface
-    /// ghosts) the window is the whole interior and the shell is empty.
-    /// The BCs and the window read no in-flight ghost, so they hide the
-    /// messages; every cell gets the same arithmetic whatever is in flight.
-    fn apply_op(
+    /// Make the ghosts of the `input` field of every lane of `set`
+    /// current for an operator application: one blocking exchange for
+    /// all lanes (one message per face; none in [`Scope::Local`], whose
+    /// restricted BCs zero the interface ghosts), then `KernelNeumannBCs`.
+    fn refresh_lanes(
         &mut self,
         set: LaneSet,
         input: impl for<'l> Fn(&'l mut Lane<'_, T>) -> &'l mut Field<T>,
-        mut sweep: impl FnMut(&mut [Lane<'_, T>], Part),
     ) {
         let ctx = self.ctx;
-        let (dev, comm) = (&ctx.dev, &ctx.comm);
-        // The lanes whose ghosts the exchange refreshes: none in
-        // `Scope::Local`, whose exchange then has nothing in flight.
         let local = self.scope == Scope::Local;
-        let exchanged = if local { 0 } else { set };
-        let us = Lanes::of(pick_mut(self.lanes, exchanged).map(|l| input(l).as_slice()));
-        let pending = ctx.halo.begin_lanes(dev, comm, &us);
-        let faces = pending.faces();
+        if !local {
+            let mut us = Lanes::of(pick_mut(self.lanes, set).map(|l| input(l).as_mut_slice()));
+            ctx.halo.exchange_lanes(&ctx.dev, &ctx.comm, &mut us);
+        }
         for l in pick_mut(self.lanes, set) {
             apply_physical_bcs(&ctx.grid, input(l), &ctx.recorder, local);
         }
-        sweep(self.lanes, Part::Window(faces));
-        let mut us = Lanes::of(pick_mut(self.lanes, exchanged).map(|l| input(l).as_mut_slice()));
-        ctx.halo.finish_lanes(dev, comm, pending, &mut us);
-        sweep(self.lanes, Part::Shell(faces));
     }
 
-    /// `out = A x` for every lane of `set` ([`LaneGroup::apply_op`]), one
-    /// plain sweep per lane and piece.
+    /// `out = A x` for every lane of `set`: [`LaneGroup::refresh_lanes`],
+    /// then one plain sweep per lane.
     fn refresh_and_apply(
         &mut self,
         set: LaneSet,
         out: impl for<'w> Fn(&'w mut Workspace<T>) -> &'w mut Field<T>,
     ) {
-        let (ctx, info) = (self.ctx, stencil::INFO_APPLY);
-        self.apply_op(
-            set,
-            |l| &mut *l.x,
-            |lanes, part| {
-                for l in pick_mut(lanes, set) {
-                    ctx.lap.apply_part(&ctx.dev, info, &part, l.x, out(l.ws));
-                }
-            },
-        );
+        let ctx = self.ctx;
+        self.refresh_lanes(set, |l| &mut *l.x);
+        for l in pick_mut(self.lanes, set) {
+            ctx.lap.apply(&ctx.dev, INFO_APPLY, l.x, out(l.ws));
+        }
     }
 
     /// One of the iteration's two operator applications with its dots
     /// fused in — the first (`KernelBiCGS1`, `w = A p̂`) or the `second`
     /// (`KernelBiCGS3F`, `t = A r̂`; with `M = I` the sweeps read `p` and
     /// `r` in place) — for every lane of `set`
-    /// ([`LaneGroup::apply_op`]): `out = A u` and the `NR` sums over the
-    /// interior of `terms(r, r̃, i, v)`, the dot terms of a cell: `r` and
-    /// `r̃` are the lane's windows of the cell's row, sliced once per row,
-    /// `i` the cell's index in them and `v` the stencil value there.
-    /// Returns the lanes' sums, in lane order of `set`. Each piece is one
-    /// launch for all lanes ([`stencil::Laplacian::apply_part_dots`]).
+    /// ([`LaneGroup::refresh_lanes`], then one launch for all lanes,
+    /// [`stencil::Laplacian::apply_fused_dots`]): `out = A u` and the `NR`
+    /// sums over the interior of `terms(r, r̃, i, v)`, the dot terms of a
+    /// cell: `r` and `r̃` are the lane's windows of the cell's row, sliced
+    /// once per row, `i` the cell's index in them and `v` the stencil
+    /// value there. Returns the lanes' sums, in lane order of `set`.
     fn apply_dots<const NR: usize>(
         &mut self,
         set: LaneSet,
         second: bool,
         terms: impl Fn(&[T], &[T], usize, T) -> [T; NR] + Sync,
     ) -> [[T; NR]; MAX_LANES] {
-        let (ctx, dev) = (self.ctx, &self.ctx.dev);
-        let (info, fold_info) = match second {
-            false => (INFO_BICGS1, INFO_FOLD1),
-            true => (INFO_BICGS3F, INFO_FOLD3),
-        };
+        let ctx = self.ctx;
+        let info = if second { INFO_BICGS3F } else { INFO_BICGS1 };
         let identity = self.prec.is_identity();
+        self.refresh_lanes(set, |l| {
+            let ws = &mut *l.ws;
+            match (second, identity) {
+                (false, false) => &mut ws.p_hat,
+                (false, true) => &mut ws.p,
+                (true, false) => &mut ws.r_hat,
+                (true, true) => &mut ws.r,
+            }
+        });
+        let (us, mut outs, ins) = dot_operands(self.lanes, set, second, identity);
+        let row_terms = |s: usize, b: usize, n: usize| {
+            let (r, r0, terms) = (&ins[s].0[b..b + n], &ins[s].1[b..b + n], &terms);
+            move |i: usize, v: T| terms(r, r0, i, v)
+        };
         let mut dots = [[T::ZERO; NR]; MAX_LANES];
-        let accs = &mut dots[..set.count_ones() as usize];
-        self.apply_op(
-            set,
-            |l| {
-                let ws = &mut *l.ws;
-                match (second, identity) {
-                    (false, false) => &mut ws.p_hat,
-                    (false, true) => &mut ws.p,
-                    (true, false) => &mut ws.r_hat,
-                    (true, true) => &mut ws.r,
-                }
-            },
-            |lanes, part| {
-                let (us, mut outs, mut slots, ins) = dot_operands(lanes, set, second, identity);
-                let row_terms = |s: usize, b: usize, n: usize| {
-                    let (r, r0, terms) = (&ins[s].0[b..b + n], &ins[s].1[b..b + n], &terms);
-                    move |i: usize, v: T| terms(r, r0, i, v)
-                };
-                let (o, sl, lap) = (&mut *outs, &mut *slots, &ctx.lap);
-                let fold = lap.apply_part_dots(dev, info, &part, &us, o, sl, accs, &row_terms);
-                fold.fold(dev, fold_info, sl, accs);
-            },
-        );
+        let accs = &mut dots[..outs.len()];
+        ctx.lap
+            .apply_fused_dots(&ctx.dev, info, &us, &mut outs, accs, &row_terms);
         dots
     }
 
@@ -927,7 +897,7 @@ where
 /// iteration runs a fixed polynomial over buffers it overwrites before
 /// reading, and an inner Bi-CGSTAB starts from zero in a workspace it
 /// overwrites the same way. Lane `b` then runs the schedule and features
-/// of a solo solve — split-phase halos, lagged reductions, true-residual
+/// of a solo solve — lanes-wide halos, lagged reductions, true-residual
 /// guard, restarts — and its iterates, residual history and stopping
 /// decisions are **bitwise identical** to `bicgstab_solve(ctx, scope, b,
 /// x, prec, ws, params)` on its record under a deterministic
@@ -1516,7 +1486,7 @@ mod batch_tests {
     use super::*;
     use crate::precond::{IdentityPrec, PrecTraits};
     use crate::testutil::{bits, lane_systems, paper_bcs, rng_values, scatter};
-    use accel::{Event, GpuSimParams, Recorder, Serial, SimGpu, Threads, HALO_OVERLAP_STAGE};
+    use accel::{Event, GpuSimParams, Recorder, Serial, SimGpu, Threads};
     use blockgrid::{BlockGrid, Decomp, GlobalGrid};
     use comm::{run_ranks, run_ranks_recorded, ReduceOrder, SelfComm, ThreadComm};
     use proptest::prelude::*;
@@ -1698,12 +1668,12 @@ mod batch_tests {
 
     /// The headline amortisation guarantee: a batch ships the solo lagged
     /// schedule's message count of its *longest* lane (2 per iteration,
-    /// plus 2) instead of every lane's solo bill, and its halo exchanges
-    /// run split-phase with one message per interface face, whatever the
+    /// plus 2) instead of every lane's solo bill, and each of its halo
+    /// exchanges ships one message per interface face, whatever the
     /// number of lanes riding in it, cancel `tokens` installed or not. A
     /// batch wider than [`MAX_LANES`] pays that bill once per lane group.
-    /// Its split fused sweeps are one launch per piece for all lanes, so
-    /// it launches them as often as its longest lane does alone.
+    /// Its fused sweeps are one launch for all lanes, so it launches them
+    /// as often as its longest lane does alone.
     fn batch_ships_its_longest_lanes_bill(ranks: [usize; 3], nb: usize, tokens: bool) {
         let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
         g.bc = paper_bcs();
@@ -1747,7 +1717,7 @@ mod batch_tests {
                 );
                 assert!(out.converged);
                 solo_iters.push(out.iterations);
-                solo_launches.push(split_launches(&rec.drain()));
+                solo_launches.push(fused_launches(&rec.drain()));
             }
             let solo_msgs = ctx.comm.stats().allreduces - before_solo;
 
@@ -1790,15 +1760,15 @@ mod batch_tests {
         ) in results.iter().enumerate()
         {
             assert_eq!(solo_iters, batch_iters, "rank {rank}: lane iterations");
-            // Per lane group, the split-sweep launches of its longest lane.
+            // Per lane group, the fused-sweep launches of its longest lane.
             let groups = batch_iters
                 .chunks(MAX_LANES)
                 .zip(solo_launches.chunks(MAX_LANES));
-            let bill = groups.fold([0; 5], |bill, (iters, launches)| {
+            let bill = groups.fold([0; 2], |bill, (iters, launches)| {
                 let longest = (0..iters.len()).max_by_key(|&l| iters[l]).unwrap();
                 std::array::from_fn(|k| bill[k] + launches[longest][k])
             });
-            assert_eq!(split_launches(events), bill, "rank {rank}: split launches");
+            assert_eq!(fused_launches(events), bill, "rank {rank}: fused launches");
             // One pass of the driver per group of MAX_LANES lanes, each
             // as long as its longest lane.
             let longest: u64 = batch_iters
@@ -1819,13 +1789,7 @@ mod batch_tests {
             );
             // Setup, then two operator applications per iteration (the
             // lag speculates one past the longest lane's last): each one
-            // split-phase exchange, one message per interface face.
-            let windows = events
-                .iter()
-                .filter(|e| matches!(e, Event::Begin { name } if *name == HALO_OVERLAP_STAGE))
-                .count() as u64;
-            let applications = 2 * longest + 2 * groups;
-            assert_eq!(windows, applications, "rank {rank}: overlap windows");
+            // exchange, one message per interface face.
             let exchanges: Vec<u32> = events
                 .iter()
                 .filter_map(|e| match e {
@@ -1833,7 +1797,12 @@ mod batch_tests {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(exchanges.len() as u64, windows, "rank {rank}: exchanges");
+            let applications = 2 * longest + 2 * groups;
+            assert_eq!(
+                exchanges.len() as u64,
+                applications,
+                "rank {rank}: exchanges"
+            );
             assert!(
                 exchanges.iter().all(|m| m == faces),
                 "rank {rank}: one message per interface face per exchange: {exchanges:?}"
@@ -1841,9 +1810,9 @@ mod batch_tests {
         }
     }
 
-    /// Launches of the split fused sweeps' kernels in an event stream.
-    fn split_launches(events: &[Event]) -> [usize; 5] {
-        ["BiCGS1", "BiCGS3F", "FoldWindow", "Fold1", "Fold3"].map(|k| {
+    /// Launches of the fused sweeps' kernels in an event stream.
+    fn fused_launches(events: &[Event]) -> [usize; 2] {
+        ["BiCGS1", "BiCGS3F"].map(|k| {
             let kernel = |e: &&Event| match e {
                 Event::Kernel { name, .. } => name.strip_prefix("Kernel") == Some(k),
                 _ => false,
@@ -1987,7 +1956,7 @@ mod batch_tests {
 
     /// What the batched path used to refuse: with a restart budget, a lane
     /// that breaks down restarts exactly like its solo run — on one rank
-    /// and under the lagged split-phase schedule of two — while the other
+    /// and under the lagged schedule of two — while the other
     /// lanes of the batch are bitwise untouched.
     #[test]
     fn broken_lane_restarts_like_solo_and_leaves_the_others_alone() {

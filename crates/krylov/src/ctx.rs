@@ -10,11 +10,12 @@ use stencil::Laplacian;
 /// halo-exchange plan. One `RankCtx` is built per MPI-rank-equivalent
 /// thread (the paper's per-process solver state).
 ///
-/// It carries no schedule decision: every operator application runs
-/// `begin → BCs → window → finish → shell`, and the window and shell are
-/// sized by the faces the begun exchange has in flight
-/// (`PendingExchange::faces`) — the whole interior and nothing when no
-/// exchange is begun or the subdomain has no neighbour.
+/// It carries no schedule decision: every Bi-CGSTAB operator
+/// application runs `exchange → BCs → sweep`, and every `G(CI)`
+/// Chebyshev sweep `begin → BCs → window → finish → shell`, the window
+/// and shell sized by the faces the begun exchange has in flight
+/// (`PendingExchange::faces`) — the whole interior and nothing when the
+/// subdomain has no neighbour.
 pub struct RankCtx<T: Scalar, D: Device, C: Communicator<T>> {
     /// The accelerator this rank offloads to (one GPU / GCD per rank in
     /// the paper's runs).
@@ -75,21 +76,11 @@ pub struct Workspace<T> {
     pub w: Field<T>,
     /// `t = A r̂`.
     pub t: Field<T>,
-    /// Per-row dot partials of this lane's fused stencil sweeps when
-    /// they run split around an exchange in flight
-    /// (`Laplacian::apply_part_dots` over a window and a shell, one launch
-    /// per piece for all lanes, each writing its own slots): sized for
-    /// the widest fused dot group (`slot_len(3)`, the three KernelBiCGS3F
-    /// components), reused by the one-component KernelBiCGS1 fold. Unused
-    /// when nothing is in flight: the sweep then folds straight into the
-    /// lane accumulators.
-    pub slots: Vec<T>,
 }
 
 impl<T: Scalar> Workspace<T> {
     /// Allocate the workspace on `dev` for `grid`.
     pub fn new<D: Device>(dev: &D, grid: &BlockGrid) -> Self {
-        let lap = Laplacian::new(grid);
         Self {
             r: Field::zeros(dev, grid),
             r0t: Field::zeros(dev, grid),
@@ -98,7 +89,6 @@ impl<T: Scalar> Workspace<T> {
             r_hat: Field::zeros(dev, grid),
             w: Field::zeros(dev, grid),
             t: Field::zeros(dev, grid),
-            slots: vec![T::ZERO; lap.slot_len(3)],
         }
     }
 }

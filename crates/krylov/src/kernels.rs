@@ -37,7 +37,7 @@ pub const INFO_BICGS4B: KernelInfo = KernelInfo::new("KernelBiCGS4b", 24, 2);
 pub const INFO_BICGS5: KernelInfo = KernelInfo::new("KernelBiCGS5", 32, 6);
 /// `KernelBiCGS6`: `p ← r + β (p − ω w)`.
 pub const INFO_BICGS6: KernelInfo = KernelInfo::new("KernelBiCGS6", 32, 4);
-/// `KernelBiCGS1` (stencil + dot, launched via `Laplacian::apply_part_dots`).
+/// `KernelBiCGS1` (stencil + dot, launched via `Laplacian::apply_fused_dots`).
 pub const INFO_BICGS1: KernelInfo = KernelInfo::new("KernelBiCGS1", 40, 12);
 /// `KernelBiCGS3` (stencil + the dots `t·r`, `t·t`): the base of [`INFO_BICGS3F`].
 pub const INFO_BICGS3: KernelInfo = KernelInfo::new("KernelBiCGS3", 48, 14);
@@ -74,14 +74,6 @@ pub const fn info_bicgs456(identity: bool) -> KernelInfo {
 /// `KernelNorm2Axpy`: residual formation `r ← b − w` fused with `‖r‖²`
 /// (setup/restart path; replaces copy + axpy + dot at 24 B/elem extra).
 pub const INFO_NORM2AXPY: KernelInfo = KernelInfo::new("KernelNorm2Axpy", 32, 3);
-/// Fold of per-row dot partials deposited by a split fused-dot sweep
-/// (`NR = 1`). Named with the `KernelFold` prefix so sweep-count
-/// accounting can exclude these row-sized launches from full-grid
-/// sweep totals.
-pub const INFO_FOLD1: KernelInfo = KernelInfo::new("KernelFold1", 8, 1);
-/// Fold of per-row dot partials for a three-way split fused dot
-/// (`NR = 3`, `KernelBiCGS3F` split form).
-pub const INFO_FOLD3: KernelInfo = KernelInfo::new("KernelFold3", 24, 3);
 /// `KernelCI1f32`: the Chebyshev start step in single precision — the
 /// same sweep as `KernelCI1` at half the element width (40 B → 20 B).
 pub const INFO_CI1_F32: KernelInfo = KernelInfo::new("KernelCI1f32", 20, 12);
@@ -413,8 +405,7 @@ pub fn residual_p_update_fused<T: Scalar, D: Device>(
 ///
 /// Each row slices `a` and `b` to its window once and folds in the
 /// canonical edge-last order ([`fold_row_edge_last`]), making the result
-/// bitwise identical to the split halo-overlap form of the same dot
-/// (window sweep + shell pieces + fold).
+/// bitwise identical to the same dot fused into a stencil sweep.
 pub fn dot<T: Scalar, D: Device>(
     dev: &D,
     info: KernelInfo,
@@ -440,7 +431,7 @@ pub fn dot<T: Scalar, D: Device>(
 /// by the reference schedule. Each row slices `a` and `b` to its window
 /// once; each component folds per row in the canonical edge-last order,
 /// rows in `(j, k)` order with the back-end partial merge, matching the
-/// fused sweeps of [`stencil::Laplacian::apply_part_dots`] exactly, so
+/// fused sweeps of [`stencil::Laplacian::apply_fused_dots`] exactly, so
 /// given the same `a` the results are bitwise identical.
 pub fn dot2<T: Scalar, D: Device>(
     dev: &D,

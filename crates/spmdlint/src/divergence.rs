@@ -26,7 +26,7 @@ const COLLECTIVES: &[&str] = &["all_reduce", "iall_reduce", "reduce_finish", "ba
 
 /// Collectives that need a halo-ish receiver to count (`begin`, `finish`
 /// and `exchange` are too generic otherwise).
-const HALO_COLLECTIVES: &[&str] = &["begin", "finish", "exchange", "begin_lanes", "finish_lanes"];
+const HALO_COLLECTIVES: &[&str] = &["begin", "finish", "exchange", "exchange_lanes"];
 
 /// Run SPMD002 over every function of a file (test code included — the
 /// balanced-arms rule keeps legitimate rank-scripted tests quiet).

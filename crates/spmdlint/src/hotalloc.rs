@@ -34,7 +34,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/bicgstab.rs", "finish_iteration"),
     ("crates/krylov/src/bicgstab.rs", "stop_cancelled"),
     ("crates/krylov/src/bicgstab.rs", "refresh_ghosts"),
-    ("crates/krylov/src/bicgstab.rs", "apply_op"),
+    ("crates/krylov/src/bicgstab.rs", "refresh_lanes"),
     ("crates/krylov/src/bicgstab.rs", "refresh_and_apply"),
     ("crates/krylov/src/bicgstab.rs", "apply_dots"),
     ("crates/krylov/src/bicgstab.rs", "dot_operands"),
@@ -86,7 +86,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "physical_bc_elems"),
     ("crates/accel/src/events.rs", "muted"),
     // The sweep families: plain and combine over a `Part`, and the
-    // lanes-wide fused dots, window, shell and fold.
+    // lanes-wide fused dots.
     ("crates/stencil/src/laplacian.rs", "apply"),
     ("crates/stencil/src/laplacian.rs", "apply_part"),
     ("crates/stencil/src/laplacian.rs", "apply_interior"),
@@ -95,12 +95,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "for_each_map"),
     ("crates/stencil/src/laplacian.rs", "sweep"),
     ("crates/stencil/src/laplacian.rs", "apply_fused_dot"),
-    ("crates/stencil/src/laplacian.rs", "apply_part_dots"),
-    ("crates/stencil/src/laplacian.rs", "refold"),
-    ("crates/stencil/src/laplacian.rs", "dots_on_map"),
-    ("crates/stencil/src/laplacian.rs", "slot_map_for"),
-    ("crates/stencil/src/laplacian.rs", "piece_origin"),
-    ("crates/stencil/src/laplacian.rs", "fold"),
+    ("crates/stencil/src/laplacian.rs", "apply_fused_dots"),
     // The 7-point row core every sweep above runs through: the run bodies
     // (one arm pick per run, the row loop inside) and the row arithmetic.
     ("crates/stencil/src/laplacian.rs", "row_core"),
@@ -109,19 +104,18 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "stencil_run_avx2"),
     ("crates/stencil/src/laplacian.rs", "stencil_run_portable"),
     ("crates/stencil/src/laplacian.rs", "stencil_row"),
-    ("crates/stencil/src/laplacian.rs", "rows_run"),
-    ("crates/stencil/src/laplacian.rs", "rows_run_avx2"),
-    // Halo pack/unpack and the split-phase exchange path.
+    // Halo pack/unpack, the blocking lanes-wide exchange and the
+    // split-phase one.
     ("crates/blockgrid/src/halo.rs", "pack_face"),
     ("crates/blockgrid/src/halo.rs", "unpack_face"),
     ("crates/blockgrid/src/halo.rs", "acquire"),
     ("crates/blockgrid/src/halo.rs", "recycle"),
     ("crates/blockgrid/src/halo.rs", "hazard"),
     ("crates/blockgrid/src/halo.rs", "begin_impl"),
-    ("crates/blockgrid/src/halo.rs", "begin_lanes"),
-    ("crates/blockgrid/src/halo.rs", "finish_lanes"),
+    ("crates/blockgrid/src/halo.rs", "finish_impl"),
     ("crates/blockgrid/src/halo.rs", "begin"),
     ("crates/blockgrid/src/halo.rs", "finish"),
+    ("crates/blockgrid/src/halo.rs", "exchange_lanes"),
     ("crates/blockgrid/src/halo.rs", "exchange"),
     ("crates/blockgrid/src/halo.rs", "faces"),
     // Narrow (f32) faces: in-place compaction into wire words.
@@ -149,12 +143,12 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/accel/src/index.rs", "take"),
     ("crates/accel/src/index.rs", "rows_n"),
     ("crates/accel/src/device/serial.rs", "launch_runs"),
-    ("crates/accel/src/device/serial.rs", "launch_reduce_lanes"),
+    ("crates/accel/src/device/serial.rs", "launch_reduce"),
     ("crates/accel/src/device/simgpu.rs", "launch_runs"),
     // Threads back-end: every launch, its stack-slot sweep and the team's
     // hand-off (job slot, countdown, spin-then-park) — no per-launch heap.
     ("crates/accel/src/device/threads.rs", "launch_runs"),
-    ("crates/accel/src/device/threads.rs", "launch_reduce_lanes"),
+    ("crates/accel/src/device/threads.rs", "launch_reduce"),
     ("crates/accel/src/device/threads.rs", "sweep"),
     ("crates/accel/src/pool.rs", "run_chunks"),
     ("crates/accel/src/pool.rs", "run_owned"),

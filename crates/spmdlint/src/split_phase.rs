@@ -1,10 +1,9 @@
 //! SPMD001 and SPMD006 — the split-phase protocols.
 //!
 //! **SPMD001**, begin/finish pairing: every split-phase begin (`iall_reduce` returning a
-//! `ReduceRequest`, `halo.begin`/`halo.begin_lanes` returning a
-//! `PendingExchange`, `apply_part_dots` returning a `PendingDotFold`)
-//! must reach its finish (`reduce_finish`, `finish`/`finish_lanes`,
-//! `fold`) on **every** control-flow path. The walker interprets a
+//! `ReduceRequest`, `halo.begin` returning a `PendingExchange`) must
+//! reach its finish (`reduce_finish`, `finish`) on **every** control-flow
+//! path. The walker interprets a
 //! function body statement-by-statement over the token tree:
 //! `if`/`else` and `match` arms are merged with AND semantics (finished
 //! only if finished on every arm), loops with OR, and `return` / `?` are
@@ -54,16 +53,10 @@ const CLASSES: &[BeginClass] = &[
         contextual_halo: false,
     },
     BeginClass {
-        begins: &["begin", "begin_lanes"],
-        finish: "finish_lanes",
+        begins: &["begin"],
+        finish: "finish",
         handle: "PendingExchange",
         contextual_halo: true,
-    },
-    BeginClass {
-        begins: &["apply_part_dots"],
-        finish: "fold",
-        handle: "PendingDotFold",
-        contextual_halo: false,
     },
 ];
 
@@ -78,9 +71,6 @@ pub const MUST_USE_TYPES: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "PendingExchange"),
     // Dropping a job handle silently discards the tenant's result.
     ("crates/serve/src/job.rs", "JobHandle"),
-    // Dropping the fold handle abandons the slot partials of a fused
-    // split-phase dot — the scalar would silently never be produced.
-    ("crates/stencil/src/laplacian.rs", "PendingDotFold"),
 ];
 
 /// The classes match call sites by method name, so a renamed begin or

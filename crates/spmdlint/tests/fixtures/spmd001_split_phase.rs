@@ -20,11 +20,6 @@ pub fn finished_on_one_branch_only(ctx: &Ctx, split: bool) {
     // fallthrough arm drops the exchange
 }
 
-pub fn dropped_entirely(lap: &Laplacian, dev: &Dev) {
-    let fold = lap.apply_part_dots(dev, INFO, &part, &us, &mut ws, &mut slots, &mut accs, &terms); // EXPECT: SPMD001
-    other_work(dev);
-}
-
 pub fn borrowed_but_never_finished(ctx: &Ctx) -> u8 {
     let pending = ctx.halo.begin(&ctx.dev, &ctx.comm, &ctx.u); // EXPECT: SPMD001
     pending.faces()

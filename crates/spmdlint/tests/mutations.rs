@@ -76,33 +76,26 @@ fn unmutated_sources_are_clean() {
 
 #[test]
 fn dropped_halo_finish_is_caught_spmd001() {
-    let rel = "crates/krylov/src/bicgstab.rs";
+    // The split-phase sweeps of a Chebyshev G(CI) application: drop the
+    // `ctx.halo` / `.finish(…)` statement that completes each exchange.
+    let rel = "crates/krylov/src/cheby.rs";
     let text = load(rel);
-    let finish = line_of(&text, "ctx.halo.finish_lanes(dev, comm, pending, &mut us);");
-    let begin = line_of(&text, "let pending = ctx.halo.begin_lanes(dev, comm, &us);");
-    let mutant = blank_line(&text, finish);
+    let finish = line_of(&text, ".finish(dev, comm, pending, sweep_input(");
+    let begin = line_of(
+        &text,
+        "let pending = ctx.halo.begin(dev, comm, sweep_input(",
+    );
+    assert_eq!(
+        text.lines().nth(finish as usize - 2).map(str::trim),
+        Some("ctx.halo")
+    );
+    let mutant = blank_line(&blank_line(&text, finish), finish - 1);
     let found = findings_with(rel, &mutant, "SPMD001");
     assert!(
         found
             .iter()
             .any(|(l, m)| *l == begin && m.contains("PendingExchange")),
         "expected SPMD001 at the halo begin line {begin}, got {found:?}"
-    );
-}
-
-#[test]
-fn dropped_dot_fold_is_caught_spmd001() {
-    let rel = "crates/krylov/src/bicgstab.rs";
-    let text = load(rel);
-    let fold = line_of(&text, "fold.fold(dev, fold_info, sl, accs);");
-    let begin = line_of(&text, "let fold = lap.apply_part_dots(");
-    let mutant = blank_line(&text, fold);
-    let found = findings_with(rel, &mutant, "SPMD001");
-    assert!(
-        found
-            .iter()
-            .any(|(l, m)| *l == begin && m.contains("PendingDotFold")),
-        "expected SPMD001 at the apply_part_dots line {begin}, got {found:?}"
     );
 }
 
@@ -244,20 +237,13 @@ fn renamed_hot_function_is_caught_spmd003() {
 fn registry_entries_without_a_definition_are_findings() {
     // Split-phase classes match call sites by method name; a name no fn
     // in the workspace carries can no longer be paired.
-    let defined: std::collections::BTreeSet<String> = [
-        "iall_reduce",
-        "reduce_finish",
-        "begin",
-        "begin_lanes",
-        "finish_lanes",
-        "apply_part_dots",
-    ]
-    .map(String::from)
-    .into();
+    let defined: std::collections::BTreeSet<String> = ["iall_reduce", "reduce_finish", "begin"]
+        .map(String::from)
+        .into();
     let mut found = Vec::new();
     spmdlint::split_phase::audit_registry(&defined, &mut found);
     assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].code == "SPMD001" && found[0].message.contains("`fold`"));
+    assert!(found[0].code == "SPMD001" && found[0].message.contains("`finish`"));
 
     // ... and a hot-registry file that no longer exists is reported once.
     let mut found = Vec::new();
@@ -302,26 +288,26 @@ fn fresh_unwrap_in_serve_is_caught_spmd004() {
 
 #[test]
 fn stripped_must_use_is_caught_spmd006() {
-    // Seeded mutation: a PendingDotFold declaration stripped of its
+    // Seeded mutation: a ReduceRequest declaration stripped of its
     // `#[must_use]` marker must produce a finding, and the marked form
     // must not — the lint reads the attribute, not just the type name.
     let dir = std::env::temp_dir().join(format!("spmdlint-mustuse-{}", std::process::id()));
-    let file = dir.join("crates/stencil/src/laplacian.rs");
+    let file = dir.join("crates/comm/src/types.rs");
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
 
-    std::fs::write(&file, "pub struct PendingDotFold<const NR: usize> {}\n").unwrap();
+    std::fs::write(&file, "pub struct ReduceRequest<T: Scalar> {}\n").unwrap();
     let mut findings = Vec::new();
     spmdlint::split_phase::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
-            .any(|f| f.code == "SPMD006" && f.message.contains("PendingDotFold")),
+            .any(|f| f.code == "SPMD006" && f.message.contains("ReduceRequest must be")),
         "unmarked mutant not caught: {findings:?}"
     );
 
     std::fs::write(
         &file,
-        "#[must_use = \"fold the partials\"]\npub struct PendingDotFold<const NR: usize> {}\n",
+        "#[must_use = \"finish the reduction\"]\npub struct ReduceRequest<T: Scalar> {}\n",
     )
     .unwrap();
     let mut findings = Vec::new();
@@ -329,7 +315,7 @@ fn stripped_must_use_is_caught_spmd006() {
     assert!(
         !findings
             .iter()
-            .any(|f| f.message.contains("PendingDotFold")),
+            .any(|f| f.message.contains("ReduceRequest must be")),
         "marked declaration flagged: {findings:?}"
     );
     std::fs::remove_dir_all(&dir).ok();

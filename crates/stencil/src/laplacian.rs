@@ -29,15 +29,6 @@ pub const INFO_APPLY: KernelInfo = KernelInfo::new("KernelApplyA", 32, 10);
 /// nominal per-element cost; it touches O(N²) of an O(N³) field).
 pub const INFO_NEUMANN_BCS: KernelInfo = KernelInfo::new("KernelNeumannBCs", 16, 0);
 
-/// The refold of the window rows of a split fused-dot sweep whose x-edge
-/// cell landed after the exchange: per slot element, one write and one
-/// canonical fold of an `nx`-cell row. The rows it reads were swept
-/// moments ago and are cache-resident — what sizing the window by the
-/// message buys — so they add no streaming traffic.
-fn info_fold_window<T: Scalar>(nx: usize) -> KernelInfo {
-    KernelInfo::new("KernelFoldWindow", T::BYTES as u32, 2 * nx as u32)
-}
-
 /// The matrix-free 7-point Laplacian on one subdomain.
 #[derive(Clone, Debug)]
 pub struct Laplacian {
@@ -197,28 +188,6 @@ impl<T: Scalar> RowCore<T> {
             }
             row[i] = v;
         }
-    }
-
-    /// `body(j, row)` for every row of `run`, on the core's arm: the run
-    /// body of a sweep that folds stored rows rather than computing
-    /// stencil ones (the window refold).
-    #[inline(always)]
-    fn rows_run(&self, run: Run<'_, T>, mut body: impl FnMut(usize, &mut [T])) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if self.avx2 {
-            // SAFETY: `avx2` is only set by `avx2_detected`, i.e. after
-            // `is_x86_feature_detected!("avx2")` returned true on this
-            // machine, so every instruction of the AVX2 arm is supported.
-            return unsafe { Self::rows_run_avx2(run, body) };
-        }
-        run.rows().for_each(|(j, row)| body(j, row));
-    }
-
-    /// [`RowCore::rows_run`]'s row loop compiled with AVX2 enabled.
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    #[target_feature(enable = "avx2")]
-    fn rows_run_avx2(run: Run<'_, T>, mut body: impl FnMut(usize, &mut [T])) {
-        run.rows().for_each(|(j, row)| body(j, row));
     }
 }
 
@@ -402,7 +371,7 @@ impl Laplacian {
 
     /// `w = A u` fused with the local dot `g · w` (the paper's
     /// `KernelBiCGS1`: `w = A p̂`, `p_sum = r̃ᵀ w`): one lane of
-    /// [`Laplacian::apply_part_dots`] over the whole interior.
+    /// [`Laplacian::apply_fused_dots`].
     pub fn apply_fused_dot<T: Scalar, D: Device>(
         &self,
         dev: &D,
@@ -418,139 +387,31 @@ impl Laplacian {
             let g = &gs[b..b + n];
             move |i: usize, v: T| [g[i] * v]
         };
-        let whole = &Part::Whole;
-        let fold = self.apply_part_dots(dev, info, whole, us, outs, &mut [], &mut acc, &terms);
-        fold.fold(dev, info, &[], &mut acc);
+        self.apply_fused_dots(dev, info, us, outs, &mut acc, &terms);
         acc[0][0]
     }
 
-    /// `out = A u` fused with `NR` local dots per lane over `part`, every
-    /// lane of a multi-RHS solve in each launch — the one body of
-    /// `KernelBiCGS1` and `KernelBiCGS3F`. Slices are full padded lane
-    /// arrays; a lane's fields and dots do not depend on which other
-    /// lanes ride along.
+    /// `out = A u` over the whole interior fused with `NR` local dots per
+    /// lane, every lane of a multi-RHS solve in one launch — the one body
+    /// of `KernelBiCGS1` and `KernelBiCGS3F`. Slices are full padded lane
+    /// arrays whose ghosts must be current; a lane's field and dots do
+    /// not depend on which other lanes ride along. Lane `s`'s dots land
+    /// in `accs[s]`.
     ///
-    /// `terms` is called once per row that folds: `terms(s, b, n)` gets
-    /// the lane `s`, the padded offset `b` of the row's first cell and
-    /// the row length `n`, and returns the row's term function `t`, which
-    /// maps a row-local index `i < n` and the stencil value `v` at padded
-    /// index `b + i` to the `NR` dot terms of that cell. The caller slices
-    /// its operands to `b..b + n` there, once per row, so `t` indexes
-    /// row windows without bounds checks. The fold order stays here: each
-    /// row folds `t(i, v)` through [`fold_row_edge_last_n`].
-    ///
-    /// The returned fold completes the dots in `accs`:
-    ///
-    /// * The whole interior, a plane range, and the window of an exchange
-    ///   with nothing in flight fold their rows straight into `accs`, in
-    ///   one launch and no slot buffer; their fold is empty.
-    /// * The window of an exchange with faces in flight (see
-    ///   [`accel::RowMap::halo_window`] for what it may read) deposits
-    ///   each full row's dots into its lane's `slots` (one `NR`-slot row
-    ///   per interior row, [`Laplacian::slot_len`]); rows missing an
-    ///   x-edge cell land their values only. Its fold is empty too.
-    /// * The shell of those faces (requires current ghosts) does the same
-    ///   for its pieces, one launch each, then one `KernelFoldWindow`
-    ///   launch refolds from the stored `out` the window rows whose
-    ///   x-edge cell has just landed — the window is small and still in
-    ///   cache — and its fold reduces the slots into `accs`, which serve
-    ///   the launches as scratch until then.
-    ///
-    /// Every row folds in the canonical edge-last order
-    /// ([`fold_row_edge_last_n`]), so window + shell is bitwise the whole
-    /// sweep.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_part_dots<T: Scalar, D: Device, F, G, const NR: usize>(
+    /// `terms` is called once per row: `terms(s, b, n)` gets the lane
+    /// `s`, the padded offset `b` of the row's first cell and the row
+    /// length `n`, and returns the row's term function `t`, which maps a
+    /// row-local index `i < n` and the stencil value `v` at padded index
+    /// `b + i` to the `NR` dot terms of that cell. The caller slices its
+    /// operands to `b..b + n` there, once per row, so `t` indexes row
+    /// windows without bounds checks. The fold order stays here: each row
+    /// folds `t(i, v)` through [`fold_row_edge_last_n`].
+    pub fn apply_fused_dots<T: Scalar, D: Device, F, G, const NR: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
-        part: &Part,
         us: &[&[T]],
         outs: &mut [&mut [T]],
-        slots: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        terms: &F,
-    ) -> PendingDotFold<NR>
-    where
-        F: Fn(usize, usize, usize) -> G + Sync,
-        G: Fn(usize, T) -> [T; NR],
-    {
-        let [nx, ny, nz] = self.grid.local_n;
-        let interior = self.grid.interior();
-        let rows = match *part {
-            Part::Window(faces) if !RowMap::halo_shell(interior, faces).is_empty() => {
-                if let Some(map) = RowMap::halo_window(interior, faces) {
-                    self.dots_on_map(dev, info, map, Dots::Slots, us, outs, slots, accs, terms);
-                }
-                false
-            }
-            Part::Shell(faces) => {
-                let shell = RowMap::halo_shell(interior, faces);
-                for map in shell {
-                    self.dots_on_map(dev, info, map, Dots::Slots, us, outs, slots, accs, terms);
-                }
-                if let Some(window) = RowMap::halo_window(interior, faces).filter(|m| m.len < nx) {
-                    self.refold(dev, window, outs, slots, accs, terms);
-                }
-                !shell.is_empty()
-            }
-            _ => {
-                self.for_each_map(part, |map| {
-                    self.dots_on_map(dev, info, map, Dots::Fold, us, outs, slots, accs, terms);
-                });
-                false
-            }
-        };
-        PendingDotFold { ny, nz, rows }
-    }
-
-    /// The `KernelFoldWindow` launch of a shell: refold into the slots,
-    /// from the stored `outs`, the rows of `window` (a split sweep's
-    /// window missing its x-edge cells), one launch for all lanes.
-    fn refold<T: Scalar, D: Device, F, G, const NR: usize>(
-        &self,
-        dev: &D,
-        window: RowMap,
-        outs: &[&mut [T]],
-        slots: &mut [&mut [T]],
-        accs: &mut [[T; NR]],
-        terms: &F,
-    ) where
-        F: Fn(usize, usize, usize) -> G + Sync,
-        G: Fn(usize, T) -> [T; NR],
-    {
-        let [nx, ny, nz] = self.grid.local_n;
-        let core = self.row_core::<T>();
-        let (i0, j0, k0) = self.piece_origin(window);
-        let info = info_fold_window::<T>(nx);
-        let slot_map = self.slot_map_for::<NR>(window);
-        dev.launch_runs(info, slot_map, slots, [], accs, |s, run, _| {
-            let k = run.k;
-            core.rows_run(run, |j, slot| {
-                let b = window.row_offset(j, k) - i0;
-                let row = &outs[s][b..b + nx];
-                let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k0 + k);
-                let t = terms(s, b, nx);
-                let dots = fold_row_edge_last_n(nx, mid, |i| t(i, row[i]));
-                slot.copy_from_slice(&dots);
-            });
-        });
-    }
-
-    /// `out = A u` over one piece `map` of the interior for every lane in
-    /// one launch, each row's dots going where `dots` says: the one body
-    /// of the fused-dot sweeps. Rows shorter than the interior's (an x
-    /// face is in flight) land their values only; the shell refolds them.
-    #[allow(clippy::too_many_arguments)]
-    fn dots_on_map<T: Scalar, D: Device, F, G, const NR: usize>(
-        &self,
-        dev: &D,
-        info: KernelInfo,
-        map: RowMap,
-        dots: Dots,
-        us: &[&[T]],
-        outs: &mut [&mut [T]],
-        slots: &mut [&mut [T]],
         accs: &mut [[T; NR]],
         terms: &F,
     ) where
@@ -559,76 +420,19 @@ impl Laplacian {
     {
         assert_eq!(us.len(), outs.len(), "lane count mismatch");
         let core = self.row_core::<T>();
-        let (_, j0, k0) = self.piece_origin(map);
+        let map = self.grid.interior_map();
         for u in us {
             dev.on_stencil_read(info.name, map, u);
         }
         let [nx, ny, nz] = self.grid.local_n;
-        if map.len < nx {
-            return dev.launch_runs(info, map, outs, [], accs, |s, run, _| {
-                core.stencil_run::<false, 0, 0>(us[s], &map, run, T::ZERO, [], |_, _, _, _| {});
+        dev.launch_runs(info, map, outs, [], accs, |s, run, acc| {
+            let k = run.k;
+            core.stencil_run::<false, 0, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, []| {
+                let mid = row_has_deep_middle(nx, ny, nz, j, k);
+                let t = terms(s, b, nx);
+                *acc = add_partials(*acc, fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
             });
-        }
-        match dots {
-            Dots::Fold => dev.launch_runs(info, map, outs, [], accs, |s, run, acc| {
-                let k = k0 + run.k;
-                core.stencil_run::<false, 0, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, []| {
-                    let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
-                    let t = terms(s, b, nx);
-                    *acc = add_partials(*acc, fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
-                });
-            }),
-            Dots::Slots => {
-                let slots = [(self.slot_map_for::<NR>(map), slots)];
-                dev.launch_runs(info, map, outs, slots, accs, |s, run, _| {
-                    let k = k0 + run.k;
-                    let us = us[s];
-                    core.stencil_run::<false, 0, 1>(
-                        us,
-                        &map,
-                        run,
-                        T::ZERO,
-                        [],
-                        |j, b, row, [slot]| {
-                            let mid = row_has_deep_middle(nx, ny, nz, j0 + j, k);
-                            let t = terms(s, b, nx);
-                            slot.copy_from_slice(&fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
-                        },
-                    );
-                });
-            }
-        }
-    }
-
-    /// Slot-buffer row map for the rows of `piece`: the `NR` slots of
-    /// interior row `(J, K)` live at offset `(J + ny·K) · NR`.
-    fn slot_map_for<const NR: usize>(&self, piece: RowMap) -> RowMap {
-        let (_, j0, k0) = self.piece_origin(piece);
-        let ny = self.grid.local_n[1];
-        RowMap {
-            base: (j0 + ny * k0) * NR,
-            len: NR,
-            ny: piece.ny,
-            nz: piece.nz,
-            sy: NR,
-            sz: ny * NR,
-        }
-    }
-
-    /// Interior coordinates of the first cell of a window/shell piece.
-    fn piece_origin(&self, piece: RowMap) -> (usize, usize, usize) {
-        let [px, py, _] = self.grid.padded();
-        (
-            piece.base % px - 1,
-            piece.base / px % py - 1,
-            piece.base / (px * py) - 1,
-        )
-    }
-
-    /// Number of slot elements an `NR`-way split fused-dot sweep needs
-    /// per lane: one `NR`-slot row per interior `(j, k)` row.
-    pub fn slot_len(&self, nr: usize) -> usize {
-        self.grid.local_n[1] * self.grid.local_n[2] * nr
+        });
     }
 }
 
@@ -647,55 +451,6 @@ pub enum Part {
     /// The rest of that split sweep ([`accel::RowMap::halo_shell`]), swept
     /// after the exchange has finished; empty when nothing is in flight.
     Shell(u8),
-}
-
-/// Where the rows of a fused-dot piece leave their dots.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dots {
-    /// Folded into the lane accumulators as the rows sweep.
-    Fold,
-    /// Into each row's slots, reduced later by [`PendingDotFold::fold`].
-    Slots,
-}
-
-/// Obligation to complete the dots of a fused-dot piece
-/// ([`Laplacian::apply_part_dots`]): the shell of a split sweep folds the
-/// per-row dot partials its window and shell deposited into the lanes'
-/// `NR` local dot values; every other piece has folded its own rows, and
-/// its fold launches nothing.
-///
-/// The fold launches one reduction for all lanes over the same `(ny, nz)`
-/// row set as the monolithic fused sweep, so the back-end's partial merge
-/// is identical and the folded dots are bitwise equal to the monolithic
-/// ones.
-#[must_use = "slot partials must be folded to complete the fused dot"]
-#[derive(Debug)]
-pub struct PendingDotFold<const NR: usize> {
-    ny: usize,
-    nz: usize,
-    /// The sweep left rows in the slots (it had a shell).
-    rows: bool,
-}
-
-impl<const NR: usize> PendingDotFold<NR> {
-    /// Reduce lane `s`'s slot buffer `slots[s]` to its `NR` local dot
-    /// values in `accs[s]`.
-    pub fn fold<T: Scalar, D: Device>(
-        self,
-        dev: &D,
-        info: KernelInfo,
-        slots: &[&mut [T]],
-        accs: &mut [[T; NR]],
-    ) {
-        if !self.rows {
-            return;
-        }
-        let (ny, nz) = (self.ny, self.nz);
-        dev.launch_reduce_lanes(info, ny, nz, accs, |s, j, k| {
-            let off = (j + ny * k) * NR;
-            std::array::from_fn(|q| slots[s][off + q])
-        });
-    }
 }
 
 /// Update the physical-boundary ghost layers of `field` (the paper's
@@ -823,14 +578,11 @@ mod tests {
             .collect()
     }
 
-    /// The fused `NR`-dot sweep of every lane of `us` into `outs` around
-    /// an exchange with `faces` in flight — window, shell, fold — on
-    /// slots that start poisoned (the split must write every row it
-    /// folds). Returns each lane's dots.
+    /// The fused `NR`-dot sweep of every lane of `us` into `outs`.
+    /// Returns each lane's dots.
     fn fused_dots<T: Scalar, D: Device, F, G, const NR: usize>(
         dev: &D,
         lap: &Laplacian,
-        faces: u8,
         us: &[&Field<T>],
         outs: &mut [&mut Field<T>],
         terms: &F,
@@ -841,23 +593,16 @@ mod tests {
     {
         let usl: Vec<&[T]> = us.iter().map(|f| f.as_slice()).collect();
         let mut outs: Vec<&mut [T]> = outs.iter_mut().map(|f| f.as_mut_slice()).collect();
-        let mut bufs = vec![vec![T::from_f64(f64::NAN); lap.slot_len(NR)]; us.len()];
-        let mut slots: Vec<&mut [T]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
         let mut accs = vec![[T::ZERO; NR]; us.len()];
-        let (o, sl, a) = (&mut outs, &mut slots, &mut accs);
-        for part in [Part::Window(faces), Part::Shell(faces)] {
-            lap.apply_part_dots(dev, INFO_APPLY, &part, &usl, o, sl, a, terms)
-                .fold(dev, INFO_APPLY, sl, a);
-        }
+        lap.apply_fused_dots(dev, INFO_APPLY, &usl, &mut outs, &mut accs, terms);
         accs
     }
 
     #[test]
     fn batched_fused_dots_bitwise_match_solo_per_lane() {
-        // A many-lane fused-dot sweep — whole, and split around a corner's
-        // in-flight faces — must leave each lane (output field and dots)
-        // bitwise identical to the one-lane sweep, on every back-end, in
-        // as many launches as the one-lane sweep.
+        // A many-lane fused-dot sweep must leave each lane (output field
+        // and dots) bitwise identical to the one-lane sweep, on every
+        // back-end, in one launch like the one-lane sweep.
         let nb = 3;
         let run = |dev: &dyn Fn(Recorder) -> accel::AnyDevice, grid: &BlockGrid| {
             let (lap, rec) = (Laplacian::new(grid), Recorder::enabled());
@@ -870,31 +615,24 @@ mod tests {
                 let (r, g) = (&rs[s].as_slice()[b..b + n], &gs[s].as_slice()[b..b + n]);
                 move |i: usize, v: f64| [v * r[i], v * v, g[i] * v]
             };
-            for faces in [0, grid.interface_mask()] {
-                let mut t = fields(60);
-                rec.drain();
-                let dots = fused_dots(
-                    &dev,
-                    &lap,
-                    faces,
-                    &us,
-                    &mut t.iter_mut().collect::<Vec<_>>(),
-                    &terms,
-                );
-                let launches = rec.drain().len();
-                for l in 0..nb {
-                    let mut t1 = mk(60 + l as u64);
-                    let solo = |_, b: usize, n: usize| terms(l, b, n);
-                    let d1 = fused_dots(&dev, &lap, faces, &us[l..=l], &mut [&mut t1], &solo);
-                    assert_eq!(
-                        rec.drain().len(),
-                        launches,
-                        "one launch per piece for all lanes"
-                    );
-                    assert_bitwise(&t[l], &t1, "batched t");
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&dots[l]), bits(&d1[0]), "lane {l} faces {faces}");
-                }
+            let mut t = fields(60);
+            rec.drain();
+            let dots = fused_dots(
+                &dev,
+                &lap,
+                &us,
+                &mut t.iter_mut().collect::<Vec<_>>(),
+                &terms,
+            );
+            assert_eq!(rec.drain().len(), 1, "one launch for all lanes");
+            for l in 0..nb {
+                let mut t1 = mk(60 + l as u64);
+                let solo = |_, b: usize, n: usize| terms(l, b, n);
+                let d1 = fused_dots(&dev, &lap, &us[l..=l], &mut [&mut t1], &solo);
+                assert_eq!(rec.drain().len(), 1, "one launch for one lane");
+                assert_bitwise(&t[l], &t1, "batched t");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dots[l]), bits(&d1[0]), "lane {l}");
             }
         };
         for rank in [0, 5] {
@@ -993,7 +731,7 @@ mod tests {
             let r = &rs[b..b + n];
             move |i: usize, v: f64| [v * r[i], v * v]
         };
-        let [[tr, tt]] = fused_dots(&dev, &lap, 0, &[&u], &mut [&mut t], &terms)[..] else {
+        let [[tr, tt]] = fused_dots(&dev, &lap, &[&u], &mut [&mut t], &terms)[..] else {
             unreachable!()
         };
         let ti = t.interior_to_host(&grid);
@@ -1205,7 +943,8 @@ mod tests {
 
     /// Every sweep of the operator — monolithic and split around the
     /// subdomain's interface faces — against the oracle on one back-end:
-    /// fields over the whole padded array, fused dots against each other.
+    /// fields over the whole padded array, the one-dot sweep's dot
+    /// against the three-dot sweep's matching component.
     fn check_row_core<T: Scalar, D: Device>(dev: &D, grid: &BlockGrid, seed: u64, what: &str) {
         let lap = Laplacian::new(grid);
         let fields: [Field<T>; 4] =
@@ -1219,9 +958,9 @@ mod tests {
         let [u, r, g, _] = &fields;
         let (rs, gs) = (r.as_slice(), g.as_slice());
         let mut want = random_padded::<T, D>(dev, grid, 99);
-        let mut got: [Field<T>; 6] = std::array::from_fn(|_| want.clone());
+        let mut got: [Field<T>; 4] = std::array::from_fn(|_| want.clone());
         oracle_combine(&lap, u, &mut want, T::ONE, &[]);
-        let [plain, split, dot1, dot3, split_dot1, split_dot3] = &mut got;
+        let [plain, split, dot1, dot3] = &mut got;
         lap.apply(dev, INFO_APPLY, u, plain);
         lap.apply_interior(dev, INFO_APPLY, u, split);
         lap.apply_shell(dev, INFO_APPLY, u, split);
@@ -1230,27 +969,19 @@ mod tests {
             let (r, g) = (&rs[b..b + n], &gs[b..b + n]);
             move |i: usize, v: T| [v * r[i], v * v, g[i] * v]
         };
-        let d3 = fused_dots(dev, &lap, 0, &[u], &mut [dot3], &terms3);
-        let faces = grid.interface_mask();
-        let terms1 = |_, b: usize, n: usize| {
-            let g = &gs[b..b + n];
-            move |i: usize, v: T| [g[i] * v]
-        };
-        let s1 = fused_dots(dev, &lap, faces, &[u], &mut [split_dot1], &terms1);
-        let s3 = fused_dots(dev, &lap, faces, &[u], &mut [split_dot3], &terms3);
-        for (f, name) in got.iter().zip([
-            "apply",
-            "apply split",
-            "fused_dot",
-            "fused_dot3",
-            "split dot",
-            "split dot3",
-        ]) {
+        let d3 = fused_dots(dev, &lap, &[u], &mut [dot3], &terms3);
+        for (f, name) in got
+            .iter()
+            .zip(["apply", "apply split", "fused_dot", "fused_dot3"])
+        {
             assert_bitwise(f, &want, &format!("{what} {name}"));
         }
-        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&s1[0]), bits(&[d1]), "{what}: split dot vs fused");
-        assert_eq!(bits(&s3[0]), bits(&d3[0]), "{what}: split dot3 vs fused");
+        // g · (A u) is both sweeps' same fold of the same products
+        assert_eq!(
+            d1.to_f64().to_bits(),
+            d3[0][2].to_f64().to_bits(),
+            "{what}: dots"
+        );
     }
 
     thread_local! {
@@ -1308,20 +1039,14 @@ mod tests {
 
     #[test]
     fn split_sweep_launches_follow_the_interface_faces() {
-        let launches = |grid: &BlockGrid, dot: bool| {
+        let launches = |grid: &BlockGrid| {
             let rec = Recorder::enabled();
             let dev = Serial::new(rec.clone());
             let lap = Laplacian::new(grid);
             let u = random_padded::<f64, _>(&dev, grid, 3);
             let mut w = Field::zeros(&dev, grid);
-            if dot {
-                let faces = grid.interface_mask();
-                let terms = |_, _, _| |_, v: f64| [v];
-                let _ = fused_dots(&dev, &lap, faces, &[&u], &mut [&mut w], &terms);
-            } else {
-                lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
-                lap.apply_shell(&dev, INFO_APPLY, &u, &mut w);
-            }
+            lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
+            lap.apply_shell(&dev, INFO_APPLY, &u, &mut w);
             let names = |e: Event| match e {
                 Event::Kernel { name, .. } => name,
                 other => panic!("unexpected event {other:?}"),
@@ -1330,25 +1055,13 @@ mod tests {
         };
         let apply = INFO_APPLY.name;
         // no interface face: everything in the first call, nothing after
-        let single = rank_grid([6, 6, 6], [1, 1, 1], 0);
-        assert_eq!(launches(&single, false), [apply]);
-        assert_eq!(launches(&single, true), [apply]);
-        // one x face: window, its peeled column, the planes behind — and
-        // for the fused dot the refold of the window rows and the fold
-        let half = rank_grid([6, 6, 6], [2, 1, 1], 0);
-        assert_eq!(launches(&half, false), [apply; 3]);
-        assert_eq!(
-            launches(&half, true),
-            [apply, apply, apply, "KernelFoldWindow", apply]
-        );
+        assert_eq!(launches(&rank_grid([6, 6, 6], [1, 1, 1], 0)), [apply]);
+        // one x face: window, its peeled column, the planes behind
+        assert_eq!(launches(&rank_grid([6, 6, 6], [2, 1, 1], 0)), [apply; 3]);
         // three faces, none of them z-low: window, y and x pieces, rest
-        let corner = rank_grid([6, 6, 6], [2, 2, 2], 0);
-        assert_eq!(launches(&corner, false), [apply; 4]);
+        assert_eq!(launches(&rank_grid([6, 6, 6], [2, 2, 2], 0)), [apply; 4]);
         // ... and with z-low in flight, its plane too
-        assert_eq!(
-            launches(&rank_grid([6, 6, 12], [2, 2, 2], 7), false),
-            [apply; 5]
-        );
+        assert_eq!(launches(&rank_grid([6, 6, 12], [2, 2, 2], 7)), [apply; 5]);
     }
 
     #[test]

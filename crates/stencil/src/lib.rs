@@ -24,8 +24,8 @@ mod op1d;
 pub mod spectrum;
 
 pub use laplacian::{
-    apply_physical_bcs, apply_physical_bcs_planes, physical_bc_elems, Laplacian, Part,
-    PendingDotFold, INFO_APPLY, INFO_NEUMANN_BCS,
+    apply_physical_bcs, apply_physical_bcs_planes, physical_bc_elems, Laplacian, Part, INFO_APPLY,
+    INFO_NEUMANN_BCS,
 };
 pub use op1d::{EndKind, Op1d};
 pub use spectrum::SpectralBounds;
