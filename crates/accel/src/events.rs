@@ -17,12 +17,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Stage name bracketing a communication/compute overlap window: the
-/// halo exchange is in flight from `Begin` to `End`, so events recorded
-/// inside the window model work that hides the communication (replayed
-/// as `max(comm, compute)` by the performance model).
-pub const HALO_OVERLAP_STAGE: &str = "HaloOverlap";
-
 /// Static cost metadata for one kernel, per element of the launch.
 ///
 /// `bytes_per_elem` counts distinct reads + writes per interior element

@@ -9,7 +9,8 @@
 //! are disjoint and in bounds, which is what lets the back-ends hand each
 //! worker an exclusive `&mut [T]` without data races.
 //!
-//! A sweep that overlaps a halo exchange is divided in two by
+//! A sweep split around a halo exchange (the stencil probes' split
+//! sweep; every solver sweep runs after its exchange) is divided in two by
 //! [`RowMap::halo_window`] and [`RowMap::halo_shell`]: a *window* that
 //! peels only the faces in flight and is sized by the message, swept
 //! while the exchange runs, and a *shell* — the window's peeled cells,

@@ -71,7 +71,7 @@ pub use buffer::DeviceBuffer;
 pub use device::{
     AnyDevice, Device, DeviceKind, ExchangeHazard, GpuSimParams, Serial, SimGpu, Threads,
 };
-pub use events::{Event, KernelInfo, Recorder, HALO_OVERLAP_STAGE};
+pub use events::{Event, KernelInfo, Recorder};
 pub use fold::{fold_row_edge_last, fold_row_edge_last_n, row_has_deep_middle};
 pub use index::{chunk_range, Extent3, RowMap, Run, ShellMaps};
 pub use lease::{DeviceLease, DevicePool};

@@ -274,9 +274,9 @@ fn worst_scaled(streams: &[Vec<Event>], model_ranks: usize, local: usize) -> Cos
 /// cores, so wall time cannot show what a schedule, a batch or a narrower
 /// element buys on a real interconnect and GPU. These ablations run real
 /// 8-rank Threads solves, record each rank's event stream — kernel
-/// footprints, halo messages, overlap windows and reductions, measured
-/// rather than synthesized — and replay the streams through the MI250X
-/// machine model, reporting the slowest rank. Each asserts its bar,
+/// footprints, halo messages and reductions, measured rather than
+/// synthesized — and replay the streams through the MI250X machine
+/// model, reporting the slowest rank. Each asserts its bar,
 /// writes `BENCH_<name>.json` and merges its section into the committed
 /// `results/bench_summary.json`.
 fn modelled_replays() {
@@ -313,15 +313,15 @@ fn modelled_replays() {
 /// The schedule ablation: the historical "paper" schedule
 /// ([`bench::run_reference`] — eleven unfused sweeps, blocking halo
 /// exchanges, three blocking reductions per iteration) against the one
-/// production schedule (four fused sweeps, split-phase halos, two
-/// batched reductions, the first posted split-phase), on a full
+/// production schedule (four fused sweeps, the same blocking halo
+/// exchanges, two blocking batched reductions per iteration), on a full
 /// 8-rank Bi-CGSTAB solve recorded live on the Threads back-end and
 /// replayed on two grids:
 ///
 /// * **model ranks 8–512** at the recorded 16³ block: the allreduce term
 ///   grows with `ceil(log2 P)` while the local compute stays fixed, the
 ///   strong-scaling regime of the paper's Fig. 6, where the 3-to-2
-///   message cut and the window pay off (bar: ≥ 1.15× at ≥ 256 ranks);
+///   message cut pays off (bar: ≥ 1.15× at ≥ 256 ranks);
 /// * **local blocks 64³–320³** at 8 ranks (kernel footprints scaled by
 ///   volume, halos by face area): the bandwidth-bound regime where
 ///   264 → 200 B/elem of streaming traffic pays off (bar: ≥ 1.25× at

@@ -734,11 +734,12 @@ mod tests {
     #[test]
     #[ignore = "wall-clock ratio: run with --release (CI fusion-suite does)"]
     fn split_sweep_costs_at_most_1_25x_monolithic() {
-        // A Chebyshev sweep split around the halo exchange must cost
-        // about what it hides: on rank 0 of [2,1,1] at 64^3 the window,
-        // its peeled x column and the planes behind it together sweep
-        // the interior once, nearly all of it as full rows (reads 1.0-1.1x;
-        // peeling all six faces into 7688 cold one-cell rows read 1.9-2.0x).
+        // Guards the split geometry the benchmark's stencil probes time
+        // (every solver sweep runs whole): on rank 0 of [2,1,1] at 64^3
+        // the window, its peeled x column and the planes behind it
+        // together sweep the interior once, nearly all of it as full rows
+        // (reads 1.0-1.1x; peeling all six faces into 7688 cold one-cell
+        // rows read 1.9-2.0x).
         use stencil::INFO_APPLY;
         let dev = accel::Serial::new(Recorder::disabled());
         let (lap, [u, f1, f2], [mut wa, mut wb]) = sweep_fixture(64, [2, 1, 1]);

@@ -4,7 +4,7 @@ use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Mutex;
 
-use accel::{Device, Event, ExchangeHazard, KernelInfo, RowMap, Scalar, HALO_OVERLAP_STAGE};
+use accel::{Device, Event, ExchangeHazard, KernelInfo, RowMap, Scalar};
 use comm::{Communicator, RecvRequest, Tag};
 
 use crate::field::Field;
@@ -27,24 +27,16 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 /// unpacked — the buffered-`Isend`/`Irecv`/`Waitall` pattern, which is
 /// deadlock-free by construction.
 ///
-/// Two modes are offered for any field element `E` no wider than the
-/// communicator's wire word `T`:
-///
-/// * [`HaloExchange::exchange_lanes`] — the synchronous exchange of any
-///   number of *lanes* (the fields of a multi-RHS batch, whose face
-///   planes share one message per face); [`HaloExchange::exchange`] is
-///   its one-lane call.
-/// * [`HaloExchange::begin`] / [`HaloExchange::finish`] — for one field,
-///   a split-phase exchange that lets the caller overlap interior compute
-///   with the in-flight messages (the paper's Sec. V communication-hiding
-///   discussion). `begin` packs and posts everything; the caller then
-///   runs kernels that read no *interface* ghost — physical-boundary
-///   ghosts are not part of the exchange and may be refreshed and read
-///   meanwhile (e.g. the stencil over [`accel::RowMap::halo_window`],
-///   which peels exactly the faces in flight and is sized by the
-///   message); `finish` completes the receives and fills the ghost
-///   layers, after which [`accel::RowMap::halo_shell`] completes the
-///   sweep.
+/// [`HaloExchange::exchange_lanes`] exchanges any number of *lanes* (the
+/// fields of a multi-RHS batch, whose face planes share one message per
+/// face) for any field element `E` no wider than the communicator's wire
+/// word `T`; [`HaloExchange::exchange`] is its one-lane call. Every
+/// communicating solver sweep refreshes its input through it, blocking,
+/// before it reads a ghost. [`HaloExchange::begin`] /
+/// [`HaloExchange::finish`] are the same exchange of one field cut in
+/// two — `begin` packs and posts everything, `finish` completes the
+/// receives and fills the ghost layers — and book the same events as
+/// `exchange`.
 ///
 /// A field as wide as the wire packs straight into the message buffer.
 /// A narrower one (`f32` faces on an `f64` communicator) is packed into
@@ -80,20 +72,9 @@ impl<T: Scalar> Clone for HaloExchange<T> {
 #[derive(Debug)]
 pub struct PendingExchange<E: Scalar> {
     recvs: [[Option<RecvRequest>; 2]; 3],
-    faces: u8,
     msgs: u32,
     bytes: u64,
-    overlap: bool,
     width: PhantomData<E>,
-}
-
-impl<E: Scalar> PendingExchange<E> {
-    /// The faces in flight (bit `axis * 2 + side`, the `in_flight` of
-    /// [`accel::RowMap::halo_window`]), whose ghosts nothing may read
-    /// before `finish`; zero without a neighbour.
-    pub fn faces(&self) -> u8 {
-        self.faces
-    }
 }
 
 /// Message tag for a face moving from side `1 - side` toward `side` along
@@ -349,20 +330,15 @@ impl<T: Scalar> HaloExchange<T> {
     }
 
     /// Pack every interface face of `lanes` and post all sends and
-    /// receives, one message per face for all lanes; with `overlap` the
-    /// kernels up to the finish are booked as hiding the traffic.
+    /// receives, one message per face for all lanes.
     fn begin_impl<E: Scalar, D: Device, C: Communicator<T>, F: Deref<Target = [E]>>(
         &self,
         dev: &D,
         comm: &C,
         lanes: &[F],
-        overlap: bool,
     ) -> PendingExchange<E> {
         let nl = lanes.len();
-        // An exchange without faces opens no overlap window (nothing to
-        // hide).
         let faces = self.grid.interface_mask();
-        let overlap = overlap && faces != 0;
         let in_flight = |axis: usize, side: usize| {
             let bit = faces >> (axis * 2 + side) & 1 == 1;
             bit.then(|| self.grid.boundary(axis, side).neighbor())
@@ -402,15 +378,6 @@ impl<T: Scalar> HaloExchange<T> {
                 }
             }
         }
-        if overlap {
-            // Open the overlap window: the halo traffic is in flight from
-            // here until `finish`, so kernels recorded inside the window
-            // are modeled as hiding it (perfmodel's overlap-aware replay).
-            comm.recorder().record(Event::Begin {
-                name: HALO_OVERLAP_STAGE,
-            });
-            comm.recorder().record(Event::Halo { msgs, bytes });
-        }
         // From here until `finish`, every lane's interface ghost planes
         // belong to the exchange; tell any sanitizing device wrapper.
         for lane in lanes {
@@ -418,18 +385,17 @@ impl<T: Scalar> HaloExchange<T> {
         }
         PendingExchange {
             recvs,
-            faces,
             msgs,
             bytes,
-            overlap,
             width: PhantomData,
         }
     }
 
     /// Complete an exchange of `lanes`, the fields it began with: wait
     /// for every posted receive (`MPI_Waitall`) and unpack the ghost
-    /// planes. Received buffers are recycled into the pool, so the next
-    /// exchange allocates nothing.
+    /// planes, then record one [`Event::Halo`] of the exchange's traffic.
+    /// Received buffers are recycled into the pool, so the next exchange
+    /// allocates nothing.
     fn finish_impl<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
@@ -461,32 +427,26 @@ impl<T: Scalar> HaloExchange<T> {
                 }
             }
         }
-        if pending.overlap {
-            comm.recorder().record(Event::End {
-                name: HALO_OVERLAP_STAGE,
-            });
-        } else {
-            comm.recorder().record(Event::Halo {
-                msgs: pending.msgs,
-                bytes: pending.bytes,
-            });
-        }
+        comm.recorder().record(Event::Halo {
+            msgs: pending.msgs,
+            bytes: pending.bytes,
+        });
     }
 
     /// Start a split-phase exchange of `field`: pack every interface face
     /// and post all sends and receives, returning without waiting.
     ///
-    /// The caller may now run any kernel that does not read the ghosts of
-    /// [`PendingExchange::faces`], then must call [`HaloExchange::finish`]
-    /// with the same field to complete the exchange before the ghosts are
-    /// consumed.
+    /// The caller may now run any kernel that reads no interface ghost
+    /// (the stencil over [`accel::RowMap::halo_window`], say), then must
+    /// call [`HaloExchange::finish`] with the same field to complete the
+    /// exchange before the ghosts are consumed.
     pub fn begin<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
         comm: &C,
         field: &Field<E>,
     ) -> PendingExchange<E> {
-        self.begin_impl(dev, comm, &[field.as_slice()], true)
+        self.begin_impl(dev, comm, &[field.as_slice()])
     }
 
     /// Complete a split-phase exchange of `field`
@@ -520,7 +480,7 @@ impl<T: Scalar> HaloExchange<T> {
         comm: &C,
         lanes: &mut [&mut [E]],
     ) {
-        let pending = self.begin_impl(dev, comm, lanes, false);
+        let pending = self.begin_impl(dev, comm, lanes);
         self.finish_impl(dev, comm, pending, lanes);
     }
 
@@ -777,44 +737,28 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_records_overlap_window() {
-        let streams = [
-            two_rank_events::<f64>(1, true),
-            two_rank_events::<f32>(1, true),
-        ];
-        for evs in streams.iter().flatten() {
-            let begin = evs
-                .iter()
-                .position(|e| matches!(e, Event::Begin { name } if *name == HALO_OVERLAP_STAGE))
-                .expect("missing overlap Begin");
-            let halo = evs
-                .iter()
-                .position(|e| matches!(e, Event::Halo { msgs: 1, .. }))
-                .expect("missing halo event");
-            let end = evs
-                .iter()
-                .position(|e| matches!(e, Event::End { name } if *name == HALO_OVERLAP_STAGE))
-                .expect("missing overlap End");
-            assert!(begin < halo && halo < end, "window out of order: {evs:?}");
-        }
-    }
-
-    #[test]
     fn pack_unpack_run_as_device_kernels() {
         let widths = [
             (
                 two_rank_events::<f64>(1, false),
+                two_rank_events::<f64>(1, true),
                 INFO_HALO_PACK,
                 INFO_HALO_UNPACK,
             ),
             (
                 two_rank_events::<f32>(1, false),
+                two_rank_events::<f32>(1, true),
                 INFO_HALO_PACK_F32,
                 INFO_HALO_UNPACK_F32,
             ),
         ];
-        for (streams, pack, unpack) in widths {
+        for (streams, split, pack, unpack) in widths {
+            // begin → finish books exactly what exchange books: the same
+            // pack and unpack launches and one halo event of equal traffic
+            assert_eq!(split, streams, "begin → finish differs from exchange");
             for evs in streams {
+                let halos = evs.iter().filter(|e| matches!(e, Event::Halo { .. }));
+                assert_eq!(halos.count(), 1, "one halo event per exchange: {evs:?}");
                 for info in [pack, unpack] {
                     assert!(
                         evs.iter().any(|e| matches!(

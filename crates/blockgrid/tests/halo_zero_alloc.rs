@@ -1,6 +1,6 @@
 //! Steady-state allocation audit of the halo-exchange path.
 //!
-//! The split-phase exchange recycles its face buffers through a per-axis
+//! The halo exchange recycles its face buffers through a per-axis
 //! pool and the in-process communicator reuses its per-(peer, tag) message
 //! queues, so after a short warm-up no exchange — synchronous or
 //! split-phase — may touch the heap. A counting global allocator with a

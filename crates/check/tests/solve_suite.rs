@@ -52,12 +52,10 @@ fn checked_solve_is_bitwise_identical_to_plain() {
 }
 
 /// Distributed solve with sanitized devices and verified communicators:
-/// the overlap-windowed halo exchanges, boundary kernels and collectives
-/// of the real solver must produce no diagnostics (zero false
-/// positives) and still converge to the manufactured solution. With
-/// `G(CI)` every Chebyshev sweep runs split around a three-face
-/// exchange: its window reads physical ghosts while the exchange is in
-/// flight — allowed — and never a ghost the exchange still owns.
+/// the halo exchanges, boundary kernels and collectives of the real
+/// solver must produce no diagnostics (zero false positives) and still
+/// converge to the manufactured solution. With `G(CI)` every Chebyshev
+/// sweep runs after a blocking three-face exchange of its input.
 #[test]
 fn distributed_solve_runs_clean_under_full_checking() {
     let decomp = Decomp::new([2, 2, 2]);

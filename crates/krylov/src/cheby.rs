@@ -121,18 +121,18 @@ fn rotation<E>(
     }
 }
 
-/// The field sweep `i` applies the operator to: `b` for `KernelCI1`,
-/// the previous sweep's output `y` after it.
-fn sweep_input<'a, E>(
-    bufs: &'a mut [Field<E>; 3],
-    b: &'a mut Field<E>,
-    i: usize,
-) -> &'a mut Field<E> {
-    if i == 1 {
-        b
-    } else {
-        &mut bufs[(i - 1) % 3]
+/// Refresh `f`'s ghosts before a sweep reads them: the blocking halo
+/// exchange on [`ChebyMode::Global`], then `KernelNeumannBCs`, restricted
+/// (interface ghosts zeroed) iff the mode is comm-free.
+fn refresh<E: Scalar, T: Scalar, D: Device, C: Communicator<T>>(
+    ctx: &RankCtx<T, D, C>,
+    mode: ChebyMode,
+    f: &mut Field<E>,
+) {
+    if mode == ChebyMode::Global {
+        ctx.halo.exchange(&ctx.dev, &ctx.comm, f);
     }
+    apply_physical_bcs(&ctx.grid, f, &ctx.recorder, mode.comm_free());
 }
 
 /// A configured Chebyshev iteration sweeping in `E`, with its own
@@ -269,50 +269,23 @@ impl<E: Scalar> ChebyshevIteration<E> {
     /// one lands in `x`, or in its rotation buffer when there is no `x`
     /// of this width.
     ///
-    /// [`ChebyMode::Global`] runs every sweep as `begin → BCs → window →
-    /// finish → shell` on its input, window and shell sized by the faces
-    /// the exchange has in flight (the whole interior and nothing on a
-    /// rank without neighbours). The comm-free modes refresh the
-    /// restricted ghosts, then after `z = b/θ` run the sweeps as z-plane
-    /// wavefronts of [`ChebyshevIteration::depth`] sweeps in flight — one
-    /// plane per step on a `Serial` device, whose sweeps then stream from
-    /// cache instead of memory — or one whole sweep after the other.
-    /// Every schedule is bitwise-identical.
+    /// Every mode refreshes `b`'s ghosts ([`refresh`]), then after
+    /// `z = b/θ` runs the sweeps as z-plane wavefronts of
+    /// [`ChebyshevIteration::depth`] sweeps in flight — one plane per step
+    /// on a comm-free iteration on a `Serial` device, whose sweeps then
+    /// stream from cache instead of memory — or one whole sweep after the
+    /// other, each output refreshed before the next sweep reads it. Every
+    /// schedule is bitwise-identical.
     fn sweeps<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
         b: &mut Field<E>,
         mut x: Option<&mut Field<E>>,
     ) {
-        let (dev, comm, grid, m) = (&ctx.dev, &ctx.comm, &ctx.grid, self.iterations);
+        let (dev, grid, m) = (&ctx.dev, &ctx.grid, self.iterations);
         let [info_scale, info_ci1, info_ci2] = infos::<E>();
-        let inv_theta = self.coef[0][0];
-        if self.mode == ChebyMode::Global {
-            // The exchange of each sweep's input (b, then y) hides behind
-            // its BCs and window — and, for the first, behind the
-            // ghost-independent scale kernel.
-            for i in 1..=m {
-                let pending = ctx.halo.begin(dev, comm, sweep_input(&mut self.bufs, b, i));
-                let faces = pending.faces();
-                apply_physical_bcs(
-                    grid,
-                    sweep_input(&mut self.bufs, b, i),
-                    &ctx.recorder,
-                    false,
-                );
-                if i == 1 {
-                    crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, inv_theta);
-                }
-                self.sweep(ctx, i, Part::Window(faces), b, &mut x);
-                ctx.halo
-                    .finish(dev, comm, pending, sweep_input(&mut self.bufs, b, i));
-                self.sweep(ctx, i, Part::Shell(faces), b, &mut x);
-            }
-            return;
-        }
-        // KernelNeumannBCs (restricted) on b, then z = b/θ
-        apply_physical_bcs(grid, b, &ctx.recorder, true);
-        crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, inv_theta);
+        refresh(ctx, self.mode, b);
+        crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, self.coef[0][0]);
         if self.depth == 1 {
             return self.wavefront(ctx, b, &mut x);
         }
@@ -335,7 +308,7 @@ impl<E: Scalar> ChebyshevIteration<E> {
     /// sweep `i` covers a plane right after sweep `i − 1` has covered the
     /// next one, and each output plane gets its ghosts as soon as it
     /// lands. At depth 1 the block is all planes: the plain sequence of
-    /// whole sweeps, each followed by the restricted BCs of its output.
+    /// whole sweeps, each followed by the [`refresh`] of its output.
     fn wavefront<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
@@ -357,11 +330,11 @@ impl<E: Scalar> ChebyshevIteration<E> {
                     if i == m {
                         continue;
                     }
-                    // KernelNeumannBCs (restricted) on the new y (a
-                    // single plane only in a plane-by-plane wavefront)
+                    // refresh the new y (the restricted BCs of a single
+                    // plane only in a plane-by-plane wavefront)
                     let y = &mut self.bufs[i % 3];
                     if depth == 1 {
-                        apply_physical_bcs(&ctx.grid, y, &ctx.recorder, true);
+                        refresh(ctx, self.mode, y);
                     } else {
                         apply_physical_bcs_planes(&ctx.grid, y, true, lo..hi);
                     }
@@ -658,11 +631,11 @@ mod tests {
         repeated_applications_agree::<f32>();
     }
 
-    /// On a communicating world the iteration runs split-phase (begin →
-    /// interior → finish → shell); at sweep width `E` it must not change
-    /// a bit relative to blocking exchanges and monolithic sweeps on the
-    /// same down-cast right-hand side.
-    fn split_matches_sync_oracle<E: Scalar>(decomp: [usize; 3], seed: u64) {
+    /// On a communicating world every sweep exchanges its input's halo,
+    /// refreshes its BCs and sweeps the whole interior; at sweep width
+    /// `E` that must be bitwise the oracle's blocking sweeps on the same
+    /// down-cast right-hand side.
+    fn global_matches_sync_oracle<E: Scalar>(decomp: [usize; 3], seed: u64) {
         let results = world(decomp, seed, |ctx, b_local| {
             let bounds = global_bounds(ctx).rescaled(1e-4, 10.0);
             let mut cheb = ChebyshevIteration::<E>::new(ctx, ChebyMode::Global, bounds, 12);
@@ -694,12 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_sweeps_match_the_synchronous_oracle_at_both_widths() {
-        // 8 ranks: every rank has x, y and z faces in flight; 2 ranks
-        // along x: one face, so the windowed split peels a real window.
+    fn global_sweeps_match_the_synchronous_oracle_at_both_widths() {
+        // 8 ranks: every rank exchanges x, y and z faces; 2 ranks along
+        // x: one face per rank.
         for (decomp, seed) in [([2, 2, 2], 29), ([2, 1, 1], 23)] {
-            split_matches_sync_oracle::<f64>(decomp, seed);
-            split_matches_sync_oracle::<f32>(decomp, seed);
+            global_matches_sync_oracle::<f64>(decomp, seed);
+            global_matches_sync_oracle::<f32>(decomp, seed);
         }
     }
 

@@ -10,12 +10,10 @@ use stencil::Laplacian;
 /// halo-exchange plan. One `RankCtx` is built per MPI-rank-equivalent
 /// thread (the paper's per-process solver state).
 ///
-/// It carries no schedule decision: every Bi-CGSTAB operator
-/// application runs `exchange → BCs → sweep`, and every `G(CI)`
-/// Chebyshev sweep `begin → BCs → window → finish → shell`, the window
-/// and shell sized by the faces the begun exchange has in flight
-/// (`PendingExchange::faces`) — the whole interior and nothing when the
-/// subdomain has no neighbour.
+/// It carries no schedule decision: every operator application —
+/// Bi-CGSTAB's and every `G(CI)` Chebyshev sweep — runs
+/// `exchange → BCs → sweep`, one blocking exchange and one launch over
+/// the whole interior.
 pub struct RankCtx<T: Scalar, D: Device, C: Communicator<T>> {
     /// The accelerator this rank offloads to (one GPU / GCD per rank in
     /// the paper's runs).

@@ -393,20 +393,18 @@ mod tests {
             .count()
     }
 
-    fn overlap_windows(events: &[Event]) -> usize {
+    /// Halo exchanges in an event stream, each one `Event::Halo`.
+    fn exchanges(events: &[Event]) -> usize {
         events
             .iter()
-            .filter(|e| matches!(e, Event::Begin { name } if *name == accel::HALO_OVERLAP_STAGE))
+            .filter(|e| matches!(e, Event::Halo { .. }))
             .count()
     }
 
-    /// The halo schedules, read off real event streams. Every Bi-CGSTAB
-    /// operator application exchanges first, then sweeps the whole
-    /// interior in one launch, whatever the world. The Chebyshev sweeps
-    /// of `G(CI)` run split-phase, their window sized by the faces the
-    /// exchange has in flight: without an interface face they sweep in
-    /// one launch and open no overlap window, with one they open a
-    /// window per sweep. A `Scope::Local` solve exchanges nothing.
+    /// The halo schedule, read off real event streams: every operator
+    /// application — Bi-CGSTAB's and each Chebyshev sweep of `G(CI)` —
+    /// exchanges first, then sweeps the whole interior in one launch,
+    /// whatever the world. A `Scope::Local` solve exchanges nothing.
     #[test]
     fn halo_schedule_follows_the_interface_faces() {
         let mut global = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
@@ -426,28 +424,30 @@ mod tests {
         let iters = single.outs[0].iterations;
         assert!(single.outs[0].converged && iters > 0, "{:?}", single.outs);
         let ev = &single.events;
-        assert_eq!(overlap_windows(ev), 0);
         assert_eq!(launches(ev, "KernelBiCGS1"), iters);
         assert_eq!(launches(ev, "KernelBiCGS3F"), iters);
         // 6 CI sweeps per application, two applications per iteration
         assert_eq!(launches(ev, "KernelCI1"), 2 * iters);
         assert_eq!(launches(ev, "KernelCI2"), 2 * iters * 5);
+        // every one of them, and every Bi-CGSTAB application, runs its
+        // (empty) exchange first
+        assert_eq!(exchanges(ev), 6 * 2 * iters + 2 * iters + 1);
 
         for run in case([2, 1, 1]).run(true, true) {
             // the lag speculates one preconditioner application and one
             // KernelBiCGS1 sweep past the converged iteration
             let (iters, ev) = (run.outs[0].iterations, &run.events);
             assert!(run.outs[0].converged, "{:?}", run.outs);
-            // only the Chebyshev sweeps hide their exchange
-            assert_eq!(overlap_windows(ev), 6 * (2 * iters + 1));
             // the fused sweeps run after their exchange, one launch each
             assert_eq!(launches(ev, "KernelBiCGS1"), iters + 1);
             assert_eq!(launches(ev, "KernelBiCGS3F"), iters);
-            let folds = ["KernelFold1", "KernelFold3", "KernelFoldWindow"];
-            assert_eq!(folds.map(|f| launches(ev, f)), [0; 3]);
-            // one x face in flight: the window, its peeled column and
-            // the planes behind it per split Chebyshev sweep
-            assert_eq!(launches(ev, "KernelCI2"), 3 * 5 * (2 * iters + 1));
+            // so does every Chebyshev sweep: 6 per application, two
+            // applications per iteration plus the speculated one
+            assert_eq!(launches(ev, "KernelCI1"), 2 * iters + 1);
+            assert_eq!(launches(ev, "KernelCI2"), 5 * (2 * iters + 1));
+            // one exchange per Chebyshev sweep, per fused sweep and for
+            // the set-up residual
+            assert_eq!(exchanges(ev), 6 * (2 * iters + 1) + 2 * iters + 2);
             // the x-update rides in the residual sweep under a real
             // preconditioner on two ranks too: nothing runs under M1
             assert_eq!(launches(ev, "KernelBiCGS456"), iters);
@@ -465,7 +465,7 @@ mod tests {
         for run in local.run(true, true) {
             let (iters, ev) = (run.outs[0].iterations, &run.events);
             assert!(run.outs[0].converged && iters > 0, "{:?}", run.outs);
-            assert_eq!(overlap_windows(ev), 0);
+            assert_eq!(exchanges(ev), 0);
             assert_eq!(launches(ev, "KernelBiCGS1"), iters);
             assert_eq!(launches(ev, "KernelBiCGS3F"), iters);
         }

@@ -83,8 +83,8 @@ pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// Sequential Chebyshev oracle for every schedule of
-/// [`crate::ChebyshevIteration`] — split-phase sweeps, z-plane
-/// wavefronts: Algorithm 4 sweep for sweep at element width `E`, each
+/// [`crate::ChebyshevIteration`] — whole sweeps, z-plane wavefronts:
+/// Algorithm 4 sweep for sweep at element width `E`, each
 /// sweep one monolithic `apply_combine` into a field of its own after a
 /// blocking ghost `refresh` of its input (exchange → BCs for a
 /// communicating iteration, the restricted BCs for a comm-free one).

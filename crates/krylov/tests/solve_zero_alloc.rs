@@ -2,12 +2,11 @@
 //!
 //! The fused schedule regroups the per-iteration work into four full-grid
 //! sweeps, but it must do so with the same zero-allocation discipline as
-//! the halo path: every vector lives in the preallocated [`Workspace`],
-//! the split-phase dot slots are reused, and the communicator recycles
-//! its queues. After one warm-up solve, further
-//! solves — fused kernels, split-phase halo and split-phase batched
-//! reductions, as every multi-rank world runs them — may not touch the
-//! heap.
+//! the halo path: every vector lives in the preallocated [`Workspace`]
+//! and the communicator recycles its queues. After one warm-up solve,
+//! further solves — fused kernels, blocking halo exchanges and blocking
+//! batched reductions, as every multi-rank world runs them — may not
+//! touch the heap.
 //!
 //! This file holds a single test on purpose: a `#[global_allocator]` is
 //! binary-wide, and a lone test keeps other harness threads from muddying
@@ -82,7 +81,7 @@ fn fused_solve_is_allocation_free_after_warmup() {
             ..SolverOptions::default()
         };
         // The production schedule of a multi-rank world: fused kernels,
-        // split-phase halo exchange and lagged batched reductions, under
+        // blocking halo exchanges and lagged batched reductions, under
         // a Chebyshev preconditioner and under M = I (whose sweeps run
         // in place on p and r). An unreachable tolerance pins the iteration
         // count so the audit covers full steady-state loop bodies.

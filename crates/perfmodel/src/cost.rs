@@ -53,47 +53,19 @@ pub fn event_cost_s(ev: &Event, machine: &MachineModel, ranks: usize) -> f64 {
 
 /// Replay one rank's event stream through a machine model.
 ///
-/// A halo exchange posted inside an overlap window — the
-/// [`accel::HALO_OVERLAP_STAGE`] span between `HaloExchange::begin` and
-/// `finish` — proceeds concurrently with the kernels launched inside the
-/// window, so the window contributes `max(comm, compute)` to the modeled
-/// wall time: kernel time is booked as compute and only the *excess* of
-/// the [`Event::Halo`] time over it is booked as communication. Windows
-/// do not nest, and an [`Event::AllReduce`] is always booked
-/// synchronously: every reduction the solver posts is blocking.
+/// Every event is booked synchronously, in its own bucket: every halo
+/// exchange and every reduction the solver posts is blocking, so no
+/// communication hides behind a kernel.
 pub fn replay(events: &[Event], machine: &MachineModel, ranks: usize) -> CostBreakdown {
     let mut out = CostBreakdown::default();
-    // Open overlap window: Some((comm_s, compute_s)).
-    let mut window: Option<(f64, f64)> = None;
     for ev in events {
         let c = event_cost_s(ev, machine, ranks);
         match ev {
-            Event::Begin { name } if *name == accel::HALO_OVERLAP_STAGE => {
-                window = Some((0.0, 0.0));
-            }
-            Event::End { name } if *name == accel::HALO_OVERLAP_STAGE => {
-                if let Some((comm, compute)) = window.take() {
-                    out.compute_s += compute;
-                    out.comm_s += (comm - compute).max(0.0);
-                }
-            }
-            Event::Kernel { .. } => match &mut window {
-                Some((_, compute)) => *compute += c,
-                None => out.compute_s += c,
-            },
-            Event::Halo { .. } => match &mut window {
-                Some((comm, _)) => *comm += c,
-                None => out.comm_s += c,
-            },
-            Event::AllReduce { .. } => out.comm_s += c,
+            Event::Kernel { .. } => out.compute_s += c,
+            Event::Halo { .. } | Event::AllReduce { .. } => out.comm_s += c,
             Event::H2D { .. } | Event::D2H { .. } => out.transfer_s += c,
             Event::Begin { .. } | Event::End { .. } => {}
         }
-    }
-    // An unterminated window degrades gracefully to the synchronous model.
-    if let Some((comm, compute)) = window {
-        out.compute_s += compute;
-        out.comm_s += comm;
     }
     out
 }
@@ -261,68 +233,6 @@ mod tests {
         let m = MachineModel::mi250x();
         let only_markers = vec![Event::Begin { name: "a" }, Event::End { name: "a" }];
         assert_eq!(replay(&only_markers, &m, 4).total_s(), 0.0);
-    }
-
-    #[test]
-    fn overlap_window_models_max_of_comm_and_compute() {
-        let m = MachineModel::mi250x();
-        let kernel = Event::Kernel {
-            name: "KernelApplyA",
-            elems: 1000,
-            bytes: 32_000,
-            flops: 10_000,
-        };
-        let halo = Event::Halo {
-            msgs: 6,
-            bytes: 4800,
-        };
-        let sync = vec![kernel.clone(), halo.clone()];
-        let overlapped = vec![
-            Event::Begin {
-                name: accel::HALO_OVERLAP_STAGE,
-            },
-            halo.clone(),
-            kernel.clone(),
-            Event::End {
-                name: accel::HALO_OVERLAP_STAGE,
-            },
-        ];
-        let bs = replay(&sync, &m, 64);
-        let bo = replay(&overlapped, &m, 64);
-        let k = m.kernel_cost_s(32_000, 10_000);
-        let h = m.halo_cost_s(6, 4800, 64);
-        assert!((bs.total_s() - (k + h)).abs() < 1e-15, "sync adds");
-        assert!(
-            (bo.total_s() - k.max(h)).abs() < 1e-15,
-            "overlap takes the max"
-        );
-        assert!(bo.total_s() <= bs.total_s());
-        // compute is always fully booked; only comm shrinks
-        assert!((bo.compute_s - k).abs() < 1e-15);
-        assert!((bo.comm_s - (h - k).max(0.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn unterminated_overlap_window_falls_back_to_sync() {
-        let m = MachineModel::mi250x();
-        let evs = vec![
-            Event::Begin {
-                name: accel::HALO_OVERLAP_STAGE,
-            },
-            Event::Halo {
-                msgs: 2,
-                bytes: 1000,
-            },
-            Event::Kernel {
-                name: "k",
-                elems: 10,
-                bytes: 320,
-                flops: 100,
-            },
-        ];
-        let b = replay(&evs, &m, 8);
-        let expect = m.halo_cost_s(2, 1000, 8) + m.kernel_cost_s(320, 100);
-        assert!((b.total_s() - expect).abs() < 1e-15);
     }
 
     #[test]

@@ -987,7 +987,7 @@ mod tests {
         }
     }
 
-    /// The same warm-path guarantee distributed: 8 ranks, overlapped
+    /// The same warm-path guarantee distributed: 8 ranks, blocking
     /// reductions, RHS swapped between two solves.
     #[test]
     fn distributed_resolve_with_rhs_matches_fresh_solver() {

@@ -72,7 +72,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/cheby.rs", "sweeps"),
     ("crates/krylov/src/cheby.rs", "infos"),
     ("crates/krylov/src/cheby.rs", "rotation"),
-    ("crates/krylov/src/cheby.rs", "sweep_input"),
+    ("crates/krylov/src/cheby.rs", "refresh"),
     ("crates/krylov/src/cheby.rs", "sweep"),
     // The comm-free Serial z-plane wavefront, its plane-ranged ghost
     // refresh, and the mute that keeps its events logical.
@@ -104,8 +104,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/stencil/src/laplacian.rs", "stencil_run_avx2"),
     ("crates/stencil/src/laplacian.rs", "stencil_run_portable"),
     ("crates/stencil/src/laplacian.rs", "stencil_row"),
-    // Halo pack/unpack, the blocking lanes-wide exchange and the
-    // split-phase one.
+    // Halo pack/unpack, the blocking lanes-wide exchange and its
+    // begin/finish halves.
     ("crates/blockgrid/src/halo.rs", "pack_face"),
     ("crates/blockgrid/src/halo.rs", "unpack_face"),
     ("crates/blockgrid/src/halo.rs", "acquire"),
@@ -117,7 +117,6 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "finish"),
     ("crates/blockgrid/src/halo.rs", "exchange_lanes"),
     ("crates/blockgrid/src/halo.rs", "exchange"),
-    ("crates/blockgrid/src/halo.rs", "faces"),
     // Narrow (f32) faces: in-place compaction into wire words.
     ("crates/blockgrid/src/halo.rs", "to_wire"),
     ("crates/blockgrid/src/halo.rs", "from_wire"),

@@ -13,7 +13,7 @@
 //! mention of the binding on a path counts as reaching the finish (the
 //! finish call takes the handle by value, so mentioning it without
 //! finishing does not compile) — except a call of one of its other
-//! methods, which only borrows it (`pending.faces()`). Handles that
+//! methods (`handle.method()`), which only borrows it. Handles that
 //! escape — tail expressions, `return` values, results passed straight
 //! into another call, or stores into existing places — are the caller's
 //! obligation and are not tracked. Suppress a deliberate violation with
@@ -602,7 +602,8 @@ fn consume_occurrences(items: &[Tree], handles: &mut [Handle]) {
 
 /// The identifier `name` at `items[at]` mentions a live handle: it
 /// consumes the handle, unless it only calls a method of it other than
-/// its finish (`pending.faces()` borrows; `fold.fold(…)` finishes).
+/// its finish (`handle.method()` borrows; `handle.finish(…)`, named
+/// like its class's finish, finishes).
 fn mention(items: &[Tree], at: usize, name: &str, handles: &mut [Handle]) {
     let Some(h) = handles.iter_mut().find(|h| h.var == name) else {
         return;

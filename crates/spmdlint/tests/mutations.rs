@@ -30,15 +30,6 @@ fn line_of(text: &str, needle: &str) -> u32 {
         + 1) as u32
 }
 
-/// Blank the (1-based) line, preserving line numbering.
-fn blank_line(text: &str, line: u32) -> String {
-    text.lines()
-        .enumerate()
-        .map(|(i, l)| if i as u32 + 1 == line { "" } else { l })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn findings_with(rel: &str, text: &str, code: &str) -> Vec<(u32, String)> {
     spmdlint::analyze_source(rel, text)
         .into_iter()
@@ -72,31 +63,6 @@ fn unmutated_sources_are_clean() {
             "{rel} must be finding-free before mutation: {findings:?}"
         );
     }
-}
-
-#[test]
-fn dropped_halo_finish_is_caught_spmd001() {
-    // The split-phase sweeps of a Chebyshev G(CI) application: drop the
-    // `ctx.halo` / `.finish(…)` statement that completes each exchange.
-    let rel = "crates/krylov/src/cheby.rs";
-    let text = load(rel);
-    let finish = line_of(&text, ".finish(dev, comm, pending, sweep_input(");
-    let begin = line_of(
-        &text,
-        "let pending = ctx.halo.begin(dev, comm, sweep_input(",
-    );
-    assert_eq!(
-        text.lines().nth(finish as usize - 2).map(str::trim),
-        Some("ctx.halo")
-    );
-    let mutant = blank_line(&blank_line(&text, finish), finish - 1);
-    let found = findings_with(rel, &mutant, "SPMD001");
-    assert!(
-        found
-            .iter()
-            .any(|(l, m)| *l == begin && m.contains("PendingExchange")),
-        "expected SPMD001 at the halo begin line {begin}, got {found:?}"
-    );
 }
 
 #[test]
