@@ -63,7 +63,7 @@ fn main() {
             .map(|(_, t)| *t)
             .unwrap_or(0.0)
     };
-    let ci = time_of("KernelCI2") + time_of("KernelCI1") + time_of("KernelScale");
+    let ci = time_of("KernelCI2") + time_of("KernelCI1");
     let device: f64 = totals
         .iter()
         .filter(|(n, _)| n.starts_with("Kernel"))

@@ -708,26 +708,28 @@ mod tests {
     #[test]
     #[ignore = "wall-clock ratio: run with --release (CI fusion-suite does)"]
     fn combine_sweep_costs_at_most_2_5x_plain_apply() {
-        // KernelCI2 (stencil + 3 terms) streams 5 fields where the plain
-        // apply streams 2, so at the memory roof it costs <= 2.5x per
-        // cell. The indexed body it replaced read 3.9x.
+        // KernelCI2 (a weighted stencil + 2 terms) streams 4 fields where
+        // the plain apply streams 2, so at the memory roof it costs <= 2x
+        // per cell. Reads 1.44-1.70 on a 2-vCPU Xeon, the three-term
+        // sweep it replaced 1.57-1.70 alternated with it; the indexed body
+        // before that read 3.9x.
         use stencil::INFO_APPLY;
         let dev = accel::Serial::new(Recorder::disabled());
         let (lap, [u, f1, f2], [mut wa, mut wb]) = sweep_fixture(63, [1, 1, 1]);
-        let terms = [(&u, 1.5), (&f1, -0.5), (&f2, 0.25)];
+        let (k, terms) = (lap.combine_weights(-0.1, 1.5), [(&f1, -0.5), (&f2, 0.25)]);
         let (apply, combine) = best_times(
             &mut || lap.apply(&dev, INFO_APPLY, &u, &mut wa),
-            &mut || lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut wb, -0.1, terms),
+            &mut || lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut wb, k, terms),
         );
         let ratio = combine / apply;
         println!(
-            "apply {:.0} us, combine(3 terms) {:.0} us, ratio {ratio:.2}",
+            "apply {:.0} us, combine(2 terms) {:.0} us, ratio {ratio:.2}",
             apply * 1e6,
             combine * 1e6
         );
         assert!(
             ratio <= 2.5,
-            "apply_combine with 3 terms costs {ratio:.2}x plain apply per cell (bound 2.5x)"
+            "apply_combine with 2 terms costs {ratio:.2}x plain apply per cell (bound 2.5x)"
         );
     }
 
@@ -743,19 +745,19 @@ mod tests {
         use stencil::INFO_APPLY;
         let dev = accel::Serial::new(Recorder::disabled());
         let (lap, [u, f1, f2], [mut wa, mut wb]) = sweep_fixture(64, [2, 1, 1]);
-        let terms = [(&u, 1.5), (&f1, -0.5), (&f2, 0.25)];
+        let (k, terms) = (lap.combine_weights(-0.1, 1.5), [(&f1, -0.5), (&f2, 0.25)]);
         let faces = lap.grid().interface_mask();
         let (whole, split) = best_times(
-            &mut || lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut wa, -0.1, terms),
+            &mut || lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut wa, k, terms),
             &mut || {
                 for part in &[Part::Window(faces), Part::Shell(faces)] {
-                    lap.apply_combine(&dev, INFO_APPLY, part, &u, &mut wb, -0.1, terms);
+                    lap.apply_combine(&dev, INFO_APPLY, part, &u, &mut wb, k, terms);
                 }
             },
         );
         let ratio = split / whole;
         println!(
-            "combine(3 terms) {:.0} us, window + shell {:.0} us, ratio {ratio:.2}",
+            "combine(2 terms) {:.0} us, window + shell {:.0} us, ratio {ratio:.2}",
             whole * 1e6,
             split * 1e6
         );
@@ -772,11 +774,12 @@ mod tests {
         // sweeps as z-plane wavefronts, so they stream from cache; the
         // same work as 24 whole KernelCI2 sweeps plus their restricted
         // BCs streams every sweep through the shared L3. Measured on a
-        // 2-vCPU Xeon (2 MiB L2 per core): 0.86-0.90; with the wavefront
-        // off 1.04-1.05, with both sides on the portable (SSE2) arm
-        // 0.94-0.96. At the compute roof of an
-        // in-cache sweep (~1.17 against ~1.42 ns/cell whole) it would read
-        // ~0.82; the rest is each group's trip through L3.
+        // 2-vCPU Xeon (2 MiB L2 per core): 0.71-0.78 (one application
+        // 8.6-9.2 ms) with the weighted two-term sweeps; 0.90-0.96 (10.8-
+        // 13.1 ms) alternated with it for the three-term sweeps and the
+        // z = b/θ scale they replaced, which read 0.86-0.90 on a quieter
+        // host, 1.04-1.05 with the wavefront off and 0.94-0.96 with both
+        // sides on the portable (SSE2) arm.
         use krylov::kernels::INFO_CI2;
         use krylov::{global_bounds, ChebyMode, ChebyshevIteration, RankCtx};
         let (lap, [y, b, z], [mut wa, mut wb]) = sweep_fixture(64, [1, 1, 1]);
@@ -786,11 +789,11 @@ mod tests {
         let mut cheb =
             ChebyshevIteration::<f64>::new(&ctx, ChebyMode::GlobalNoComm, global_bounds(&ctx), 24);
         let mut rhs = b.clone();
-        let terms = [(&y, 1.5), (&b, -0.5), (&z, 0.25)];
+        let (k, terms) = (lap.combine_weights(-0.1, 1.5), [(&b, -0.5), (&z, 0.25)]);
         let (whole, wavefront) = best_times(
             &mut || {
                 for _ in 0..24 {
-                    lap.apply_combine(&dev, INFO_CI2, &Part::Whole, &y, &mut wa, -0.1, terms);
+                    lap.apply_combine(&dev, INFO_CI2, &Part::Whole, &y, &mut wa, k, terms);
                     stencil::apply_physical_bcs(lap.grid(), &mut wa, &Recorder::disabled(), true);
                 }
             },
@@ -813,13 +816,15 @@ mod tests {
     #[test]
     #[ignore = "wall-clock ratio: run with --release (CI fusion-suite does)"]
     fn short_rows_cost_at_most_1_15x_long_rows_per_cell() {
-        // One hot z plane of KernelCI2 (stencil + 3 terms), swept over and
-        // over so it stays in cache, on a 32-cell-wide plane and on a
+        // One hot z plane of KernelCI2 (weighted stencil + 2 terms), swept
+        // over and over so it stays in cache, on a 32-cell-wide plane and on a
         // 128-wide one of the same cell count: launch costs cancel, and
         // the per-cell ratio is what each row's fixed cost adds to the
         // short rows. A sweep that picks its vector arm, slices its
         // windows and broadcasts its coefficients once per run of rows
-        // reads 1.06-1.09 on a 2-vCPU Xeon; once per row it read 1.23-1.27.
+        // reads 1.03-1.10 on a 2-vCPU Xeon (0.91-1.23 ns/cell on the
+        // 128-wide plane; the three-term sweep, alternated with it, 1.01-
+        // 1.07 at 1.05-1.30 ns/cell); once per row it read 1.23-1.27.
         use krylov::kernels::INFO_CI2;
         let dev = accel::Serial::new(Recorder::disabled());
         let plane = |nx: usize, ny: usize| {
@@ -841,9 +846,9 @@ mod tests {
         let (short_lap, [y, b, z, mut short_out]) = plane(32, 128);
         let (long_lap, [ly, lb, lz, mut long_out]) = plane(128, 32);
         let sweeps = |lap: &stencil::Laplacian, y, b, z, out: &mut blockgrid::Field<f64>| {
-            let terms = [(y, 1.5), (b, -0.5), (z, 0.25)];
+            let (k, terms) = (lap.combine_weights(-0.1, 1.5), [(b, -0.5), (z, 0.25)]);
             for _ in 0..200 {
-                lap.apply_combine(&dev, INFO_CI2, &Part::Planes(1..2), y, out, -0.1, terms);
+                lap.apply_combine(&dev, INFO_CI2, &Part::Planes(1..2), y, out, k, terms);
             }
         };
         // The quietest of many short alternated samples: a sub-ms sample

@@ -29,6 +29,13 @@
 //! does: `(θ, δ, σ)` and the `ρ` recurrence stay in host `f64`, each
 //! sweep's coefficients rounded to `E` once, so every application rounds
 //! the same way. The outer recurrence and its residual stay in `T`.
+//!
+//! Each sweep is one weighted 7-point sweep
+//! ([`stencil::Laplacian::apply_combine`]): the recurrence's
+//! `ca · (A y) + cu · y` folds into the stencil weights, so `KernelCI1`
+//! is a weighted sweep of `b` alone and `KernelCI2` adds the `b` and `z`
+//! terms. Algorithm 4's `z = b/θ` is only ever read by sweep 2, which
+//! folds it into its `b` coefficient: no sweep writes it.
 
 use std::any::{Any, TypeId};
 
@@ -42,8 +49,8 @@ use stencil::{
 
 use crate::ctx::RankCtx;
 use crate::kernels::{
-    cast, INFO_CAST_DOWN, INFO_CAST_UP, INFO_CI1, INFO_CI1_F32, INFO_CI2, INFO_CI2_F32, INFO_SCALE,
-    INFO_SCALE_F32,
+    cast, INFO_CAST_DOWN, INFO_CAST_UP, INFO_CI1, INFO_CI1_F32, INFO_CI2, INFO_CI2_F32,
+    INFO_CI2_NO_Z, INFO_CI2_NO_Z_F32,
 };
 
 /// Cache budget of a z-plane wavefront (see [`wavefront_depth`]).
@@ -97,18 +104,19 @@ fn as_sweep_field<E: Scalar, T: Scalar>(f: &mut Field<T>) -> Option<&mut Field<E
     (f as &mut dyn Any).downcast_mut()
 }
 
-/// The sweep kernels' traffic accounting at element width `E`:
-/// `[KernelScale, KernelCI1, KernelCI2]`.
-fn infos<E: Scalar>() -> [accel::KernelInfo; 3] {
-    if E::BYTES == f32::BYTES {
-        [INFO_SCALE_F32, INFO_CI1_F32, INFO_CI2_F32]
+/// The traffic accounting of sweep `i ≥ 1` at element width `E`:
+/// `KernelCI1`, then `KernelCI2` without and with a `z` read.
+fn info<E: Scalar>(i: usize) -> accel::KernelInfo {
+    let infos = if E::BYTES == f32::BYTES {
+        [INFO_CI1_F32, INFO_CI2_NO_Z_F32, INFO_CI2_F32]
     } else {
-        [INFO_SCALE, INFO_CI1, INFO_CI2]
-    }
+        [INFO_CI1, INFO_CI2_NO_Z, INFO_CI2]
+    };
+    infos[i.min(3) - 1]
 }
 
 /// `(w, y, z)` of sweep `i`: `bufs[i % 3]`, `bufs[(i − 1) % 3]` and
-/// `bufs[(i − 2) % 3]`.
+/// `bufs[(i − 2) % 3]` (sweeps 1 and 2 read no `z`).
 fn rotation<E>(
     bufs: &mut [Field<E>; 3],
     i: usize,
@@ -143,16 +151,21 @@ pub struct ChebyshevIteration<E> {
     theta: f64,
     delta: f64,
     sigma: f64,
-    /// The coefficients of every sweep, from the host-`f64` ρ recurrence,
-    /// each rounded to `E` once: `coef[0] = [1/θ, …]` scales `b` into
-    /// `z`, `coef[1] = [ca, c1, …]` is `KernelCI1`, and `coef[i] =
-    /// [ca, cy, cb, cz]` the `KernelCI2` of sweep `i ≥ 2`.
-    coef: Vec<[E; 4]>,
-    /// The rotation buffers. Sweep `i` (the scale into `z` is sweep 0)
-    /// writes `bufs[i % 3]` and reads `y = bufs[(i − 1) % 3]` and
-    /// `z = bufs[(i − 2) % 3]`: by the time it writes a plane, nothing
-    /// still needs sweep `i − 3`'s values there, so the buffers rotate
-    /// by index, with nothing copied or swapped.
+    /// The weights of sweep `i`'s weighted stencil, at `weights[i − 1]`
+    /// ([`stencil::Laplacian::combine_weights`]). Like `terms`, they come
+    /// from the host-`f64` ρ recurrence and `h`, each rounded to `E`
+    /// once. (Two small tables rather than one of 48-byte rows: at 24
+    /// sweeps in `f64` one table outgrew glibc's per-thread cache, and
+    /// building it each solve cost the 64³ benchmark 6 MiB of peak RSS.)
+    weights: Vec<[E; 4]>,
+    /// Sweep `i`'s term coefficients `[c_b, c_z]`, at `terms[i − 1]`:
+    /// unused by `KernelCI1`, and only the folded `c_b + c_z/θ` for
+    /// sweep 2.
+    terms: Vec<[E; 2]>,
+    /// The rotation buffers. Sweep `i ≥ 1` writes `bufs[i % 3]` and reads
+    /// `y = bufs[(i − 1) % 3]` and `z = bufs[(i − 2) % 3]`: by the time it
+    /// writes a plane, nothing still needs sweep `i − 3`'s values there,
+    /// so the buffers rotate by index, with nothing copied or swapped.
     bufs: [Field<E>; 3],
     /// Sweeps in flight per z-plane wavefront: [`wavefront_depth`] for a
     /// comm-free iteration on a [`DeviceKind::CpuSerial`] device, 1
@@ -184,23 +197,25 @@ impl<E: Scalar> ChebyshevIteration<E> {
         let sigma = theta / delta;
         let mut rho_old = 1.0 / sigma;
         let mut rho = 1.0 / (2.0 * sigma - rho_old);
-        let zero = E::ZERO;
-        let mut coef = Vec::with_capacity(iterations + 1);
-        coef.push([E::from_f64(1.0 / theta), zero, zero, zero]);
-        // KernelCI1: z = b/θ ; y = 2 ρ/δ (2 b − A b / θ)
-        let ca = E::from_f64(-2.0 * rho / (delta * theta));
-        coef.push([ca, E::from_f64(4.0 * rho / delta), zero, zero]);
-        for _ in 2..=iterations {
+        let weigh = |ca: f64, cu: f64| ctx.lap.combine_weights(ca, cu).map(E::from_f64);
+        let mut weights = Vec::with_capacity(iterations);
+        let mut terms = Vec::with_capacity(iterations);
+        // KernelCI1: y = 2 ρ/δ (2 b − A b / θ)
+        weights.push(weigh(-2.0 * rho / (delta * theta), 4.0 * rho / delta));
+        terms.push([E::ZERO; 2]);
+        for i in 2..=iterations {
             rho_old = rho;
             rho = 1.0 / (2.0 * sigma - rho_old);
-            // KernelCI2: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)
-            let c = [
-                -2.0 * rho / delta,
-                2.0 * sigma * rho,
-                2.0 * rho / delta,
-                -rho * rho_old,
-            ];
-            coef.push(c.map(E::from_f64));
+            // KernelCI2: w = ρ (2σ y + 2/δ (b − A y) − ρ_old z), where
+            // sweep 2's z is b/θ
+            weights.push(weigh(-2.0 * rho / delta, 2.0 * sigma * rho));
+            let (cb, cz) = (2.0 * rho / delta, -rho * rho_old);
+            let c = if i == 2 {
+                [cb + cz / theta, 0.0]
+            } else {
+                [cb, cz]
+            };
+            terms.push(c.map(E::from_f64));
         }
         let [px, py, _] = ctx.grid.padded();
         let depth = if mode.comm_free() && ctx.dev.kind() == DeviceKind::CpuSerial {
@@ -215,7 +230,8 @@ impl<E: Scalar> ChebyshevIteration<E> {
             theta,
             delta,
             sigma,
-            coef,
+            weights,
+            terms,
             bufs: [field(), field(), field()],
             depth,
             b: (TypeId::of::<E>() != TypeId::of::<T>()).then(field),
@@ -269,8 +285,8 @@ impl<E: Scalar> ChebyshevIteration<E> {
     /// one lands in `x`, or in its rotation buffer when there is no `x`
     /// of this width.
     ///
-    /// Every mode refreshes `b`'s ghosts ([`refresh`]), then after
-    /// `z = b/θ` runs the sweeps as z-plane wavefronts of
+    /// Every mode refreshes `b`'s ghosts ([`refresh`]), then runs the
+    /// sweeps as z-plane wavefronts of
     /// [`ChebyshevIteration::depth`] sweeps in flight — one plane per step
     /// on a comm-free iteration on a `Serial` device, whose sweeps then
     /// stream from cache instead of memory — or one whole sweep after the
@@ -282,10 +298,8 @@ impl<E: Scalar> ChebyshevIteration<E> {
         b: &mut Field<E>,
         mut x: Option<&mut Field<E>>,
     ) {
-        let (dev, grid, m) = (&ctx.dev, &ctx.grid, self.iterations);
-        let [info_scale, info_ci1, info_ci2] = infos::<E>();
+        let (grid, m) = (&ctx.grid, self.iterations);
         refresh(ctx, self.mode, b);
-        crate::kernels::scale(dev, info_scale, grid, &mut self.bufs[0], b, self.coef[0][0]);
         if self.depth == 1 {
             return self.wavefront(ctx, b, &mut x);
         }
@@ -295,8 +309,7 @@ impl<E: Scalar> ChebyshevIteration<E> {
         ctx.recorder.muted(|| self.wavefront(ctx, b, &mut x));
         let (cells, ghosts) = (grid.interior_map().elems(), physical_bc_elems(grid, true));
         for i in 1..=m {
-            ctx.recorder
-                .kernel(if i == 1 { info_ci1 } else { info_ci2 }, cells);
+            ctx.recorder.kernel(info::<E>(i), cells);
             if i < m {
                 ctx.recorder.kernel(INFO_NEUMANN_BCS, ghosts);
             }
@@ -344,8 +357,9 @@ impl<E: Scalar> ChebyshevIteration<E> {
     }
 
     /// Sweep `i ≥ 1` of Algorithm 4 over `part` of the interior:
-    /// `KernelCI1` from `b`, or `KernelCI2` from `y`, `b` and `z`; into
-    /// `x` if this is the last sweep and there is one, else `bufs[i % 3]`.
+    /// `KernelCI1` from `b`, or `KernelCI2` from `y` and `b`, and from
+    /// `z` too after sweep 2; into `x` if this is the last sweep and there
+    /// is one, else `bufs[i % 3]`.
     fn sweep<T: Scalar, D: Device, C: Communicator<T>>(
         &mut self,
         ctx: &RankCtx<T, D, C>,
@@ -354,27 +368,17 @@ impl<E: Scalar> ChebyshevIteration<E> {
         b: &Field<E>,
         x: &mut Option<&mut Field<E>>,
     ) {
-        let [_, info_ci1, info_ci2] = infos::<E>();
-        let [ca, c0, c1, c2] = self.coef[i];
+        let (k, [cb, cz]) = (self.weights[i - 1], self.terms[i - 1]);
         let (w, y, z) = rotation(&mut self.bufs, i);
         let out = match x {
             Some(x) if i == self.iterations => &mut **x,
             _ => w,
         };
-        let (lap, dev) = (&ctx.lap, &ctx.dev);
-        if i == 1 {
-            lap.apply_combine(dev, info_ci1, &part, b, out, ca, [(b, c0)]);
-        } else {
-            let (y, z) = (&*y, &*z);
-            lap.apply_combine(
-                dev,
-                info_ci2,
-                &part,
-                y,
-                out,
-                ca,
-                [(y, c0), (b, c1), (z, c2)],
-            );
+        let (lap, dev, info) = (&ctx.lap, &ctx.dev, info::<E>(i));
+        match i {
+            1 => lap.apply_combine(dev, info, &part, b, out, k, []),
+            2 => lap.apply_combine(dev, info, &part, y, out, k, [(b, cb)]),
+            _ => lap.apply_combine(dev, info, &part, y, out, k, [(b, cb), (&*z, cz)]),
         }
     }
 }
@@ -383,7 +387,7 @@ impl<E: Scalar> ChebyshevIteration<E> {
 mod tests {
     use super::*;
     use crate::kernels::{norm2_local, INFO_DOT};
-    use crate::testutil::{bits, chebyshev_sync_oracle, rng_values, world};
+    use crate::testutil::{bits, chebyshev_sync_oracle, rng_values, world, world_on};
     use accel::{Recorder, Serial};
     use blockgrid::{BcKind, BlockGrid, Decomp, GlobalGrid};
     use comm::SelfComm;
@@ -762,21 +766,193 @@ mod tests {
         };
         let (serial, depth) = application_events::<f64>("serial");
         assert!(depth > 1, "the serial application must run a wavefront");
-        let mut want = vec![("KernelNeumannBCs", ghosts), ("KernelScale", 210)];
+        let mut want = vec![("KernelNeumannBCs", ghosts)];
         want.extend(sweeps("KernelCI1", "KernelCI2"));
         check(&serial, &want);
         assert_eq!(serial, application_events::<f64>("threads:2").0);
 
         let (serial, _) = application_events::<f32>("serial");
-        let mut want = vec![
-            ("KernelCastDown", 210),
-            ("KernelNeumannBCs", ghosts),
-            ("KernelScaleF32", 210),
-        ];
+        let mut want = vec![("KernelCastDown", 210), ("KernelNeumannBCs", ghosts)];
         want.extend(sweeps("KernelCI1f32", "KernelCI2f32"));
         want.push(("KernelCastUp", 210));
         check(&serial, &want);
         assert_eq!(serial, application_events::<f32>("threads:2").0);
+    }
+
+    #[test]
+    fn one_application_books_the_bytes_its_sweeps_stream() {
+        // Per cell of a 5-sweep application: KernelCI1 streams b and y
+        // (32 B in f64), sweep 2 y, b and w (40 B), sweeps 3-5 also z
+        // (48 B each); plus 16 B per ghost of each of the 5 BC refreshes
+        // (b's and those of sweeps 1-4). f32 sweeps stream half, and the
+        // precision boundary adds its two casts at 12 B per cell.
+        let ghosts = |events: &[accel::Event]| {
+            let bcs = events.iter().filter_map(|e| match e {
+                accel::Event::Kernel { name, elems, .. } if *name == "KernelNeumannBCs" => {
+                    Some(*elems)
+                }
+                _ => None,
+            });
+            bcs.sum::<u64>()
+        };
+        let bytes = |events: &[accel::Event]| {
+            let kernels = events.iter().map(|e| match e {
+                accel::Event::Kernel { bytes, .. } => *bytes,
+                _ => 0,
+            });
+            kernels.sum::<u64>()
+        };
+        let booked = |events: &[accel::Event]| bytes(events) - 16 * ghosts(events);
+        for dev in ["serial", "threads:2"] {
+            let (wide, _) = application_events::<f64>(dev);
+            assert_eq!(booked(&wide), 210 * (32 + 40 + 3 * 48), "f64 on {dev}");
+            let (narrow, _) = application_events::<f32>(dev);
+            let want = 210 * (16 + 20 + 3 * 24 + 2 * 12);
+            assert_eq!(booked(&narrow), want, "f32 on {dev}");
+        }
+    }
+
+    /// Bounds of `mode` on `ctx`: the subdomain's own for `BJ`, the
+    /// global ones otherwise.
+    fn mode_bounds<D: Device, C: Communicator<f64>>(
+        ctx: &RankCtx<f64, D, C>,
+        mode: ChebyMode,
+    ) -> SpectralBounds {
+        match mode {
+            ChebyMode::BlockJacobi => local_bounds(ctx),
+            _ => global_bounds(ctx),
+        }
+    }
+
+    /// Algorithm 4 as the textbook writes it, unfolded and in `f64` on
+    /// the host: `z = b/θ`, then `w = ρ (2σ y + 2/δ (b − A y) − ρ_old z)`
+    /// sweep after sweep from `y = z` and a zero `z` (so the first sweep
+    /// is `2 ρ/δ (2 b − A b/θ)`), `A y` one plain operator sweep after the
+    /// ghost refresh of `mode`.
+    fn textbook<D: Device, C: Communicator<f64>>(
+        ctx: &RankCtx<f64, D, C>,
+        mode: ChebyMode,
+        bounds: SpectralBounds,
+        sweeps: usize,
+        b: &[f64],
+    ) -> Vec<f64> {
+        let theta = 0.5 * (bounds.max + bounds.min);
+        let delta = 0.5 * (bounds.max - bounds.min);
+        let sigma = theta / delta;
+        let mut rho = 1.0 / sigma;
+        let mut z = vec![0.0; b.len()];
+        let mut y: Vec<f64> = b.iter().map(|b| b / theta).collect();
+        for _ in 0..sweeps {
+            let rho_old = rho;
+            rho = 1.0 / (2.0 * sigma - rho_old);
+            let mut yf = Field::from_interior(&ctx.dev, &ctx.grid, &y);
+            refresh(ctx, mode, &mut yf);
+            let mut ay = ctx.field();
+            ctx.lap.apply(&ctx.dev, INFO_APPLY, &yf, &mut ay);
+            let ay = ay.interior_to_host(&ctx.grid);
+            let w = (0..b.len())
+                .map(|c| rho * (2.0 * sigma * y[c] + 2.0 / delta * (b[c] - ay[c]) - rho_old * z[c]))
+                .collect();
+            z = std::mem::replace(&mut y, w);
+        }
+        y
+    }
+
+    /// `‖got − want‖ / ‖want‖`.
+    fn relative_error(got: &[f64], want: &[f64]) -> f64 {
+        let diff: f64 = got.iter().zip(want).map(|(g, w)| (g - w) * (g - w)).sum();
+        let norm: f64 = want.iter().map(|w| w * w).sum();
+        (diff / norm).sqrt()
+    }
+
+    /// The folded sweeps against the unfolded textbook recurrence, on
+    /// every rank of a `decomp` world: the worst relative error.
+    fn folded_error<E: Scalar>(mode: ChebyMode, decomp: [usize; 3], sweeps: usize) -> f64 {
+        let errors = world(decomp, 67, |ctx, b_local| {
+            let bounds = mode_bounds(ctx, mode);
+            let mut cheb = ChebyshevIteration::<E>::new(ctx, mode, bounds, sweeps);
+            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
+            let mut x = ctx.field();
+            cheb.solve(ctx, &mut b, &mut x);
+            let want = textbook(ctx, mode, bounds, sweeps, b_local);
+            relative_error(&x.interior_to_host(&ctx.grid), &want)
+        });
+        errors.into_iter().fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn folded_sweeps_match_the_unfolded_textbook_recurrence() {
+        // The folded weights, the folded z = b/θ and the bitwise oracles
+        // share one coefficient table; this recurrence shares none of it,
+        // so a wrong sign or weight shows here as an O(1) error.
+        let modes = [
+            ChebyMode::Global,
+            ChebyMode::GlobalNoComm,
+            ChebyMode::BlockJacobi,
+        ];
+        for mode in modes {
+            for decomp in [[1, 1, 1], [2, 1, 1]] {
+                for sweeps in [1, 2, 3, 24] {
+                    let wide = folded_error::<f64>(mode, decomp, sweeps);
+                    let narrow = folded_error::<f32>(mode, decomp, sweeps);
+                    let what = format!("{mode:?} on {decomp:?}, {sweeps} sweeps");
+                    assert!(wide <= 1e-12, "{what}: f64 relative error {wide:e}");
+                    assert!(narrow <= 1e-5, "{what}: f32 relative error {narrow:e}");
+                }
+            }
+        }
+    }
+
+    /// One `E`-width application of 24 `mode` sweeps on every rank of a
+    /// `decomp` world of `dev` devices: each rank's result bits, and
+    /// whether the application ran a wavefront.
+    fn application_on<E: Scalar>(
+        dev: &str,
+        mode: ChebyMode,
+        decomp: [usize; 3],
+    ) -> Vec<(Vec<u64>, bool)> {
+        let dev = || accel::AnyDevice::from_spec(dev, Recorder::disabled()).unwrap();
+        world_on(dev, decomp, 71, |ctx, b_local| {
+            let bounds = mode_bounds(ctx, mode);
+            let mut cheb = ChebyshevIteration::<E>::new(ctx, mode, bounds, 24);
+            let mut b = Field::from_interior(&ctx.dev, &ctx.grid, b_local);
+            let mut x = ctx.field();
+            cheb.solve(ctx, &mut b, &mut x);
+            (bits(&x.interior_to_host(&ctx.grid)), cheb.depth > 1)
+        })
+    }
+
+    #[test]
+    fn one_application_is_bitwise_identical_across_backends() {
+        // Serial runs a comm-free application as a plane wavefront,
+        // Threads and SimGpu as whole sweeps split their own ways: every
+        // result bit must agree.
+        let cases = [
+            (ChebyMode::GlobalNoComm, [1, 1, 1]),
+            (ChebyMode::BlockJacobi, [1, 1, 1]),
+            (ChebyMode::Global, [2, 1, 1]),
+        ];
+        for (mode, decomp) in cases {
+            for wide in [true, false] {
+                let run = |dev: &str| {
+                    if wide {
+                        application_on::<f64>(dev, mode, decomp)
+                    } else {
+                        application_on::<f32>(dev, mode, decomp)
+                    }
+                };
+                let serial = run("serial");
+                let wavefront = serial.iter().all(|(_, w)| *w);
+                assert_eq!(wavefront, mode.comm_free(), "{mode:?}: serial schedule");
+                for dev in ["threads:2", "threads:3", "mi250x"] {
+                    let got = run(dev);
+                    for (rank, (got, want)) in got.iter().zip(&serial).enumerate() {
+                        let what = format!("{mode:?} on {decomp:?}, f64 {wide}, {dev} rank {rank}");
+                        assert_eq!(got.0, want.0, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     mod wavefront_proptests {
@@ -861,8 +1037,9 @@ mod tests {
                         tag
                     );
                     // the last three sweeps' fields: sweeps that fed a
-                    // next one with their refreshed ghosts, the scale and
-                    // a last sweep left in its buffer by their interiors
+                    // next one with their refreshed ghosts, the unwritten
+                    // x₀ buffer and a last sweep left in its buffer by
+                    // their interiors
                     let in_x = E::BYTES == f64::BYTES;
                     for j in iterations.saturating_sub(2)..=iterations {
                         let got = &cheb.bufs[j % 3];

@@ -41,14 +41,18 @@ pub const INFO_BICGS6: KernelInfo = KernelInfo::new("KernelBiCGS6", 32, 4);
 pub const INFO_BICGS1: KernelInfo = KernelInfo::new("KernelBiCGS1", 40, 12);
 /// `KernelBiCGS3` (stencil + the dots `t·r`, `t·t`): the base of [`INFO_BICGS3F`].
 pub const INFO_BICGS3: KernelInfo = KernelInfo::new("KernelBiCGS3", 48, 14);
-/// `KernelCI1`: Chebyshev start step `z = b/θ`, `y = c1 b + ca A b`.
-pub const INFO_CI1: KernelInfo = KernelInfo::new("KernelCI1", 40, 12);
-/// `KernelCI2`: Chebyshev sweep `w = ca A y + c1 y + c2 b + c3 z`.
-pub const INFO_CI2: KernelInfo = KernelInfo::new("KernelCI2", 56, 16);
+/// `KernelCI1`: the Chebyshev start step `y = k · b`, one weighted 7-point
+/// sweep of `b` with no terms (`b` in, `y` out: [`stencil::INFO_APPLY`]'s
+/// traffic, 10 flops).
+pub const INFO_CI1: KernelInfo = KernelInfo::new("KernelCI1", 32, 10);
+/// `KernelCI2`: the Chebyshev sweep `w = k · y + c_b b + c_z z`, a weighted
+/// sweep of `y` plus two terms (8 B and 2 flops each over `KernelCI1`).
+pub const INFO_CI2: KernelInfo = KernelInfo::new("KernelCI2", 48, 14);
+/// `KernelCI2` as sweep 2 runs it, `w = k · y + c_b b`: its `z = b/θ`
+/// folds into the `b` term, so it reads no `z`.
+pub const INFO_CI2_NO_Z: KernelInfo = KernelInfo::new("KernelCI2", 40, 12);
 /// Plain local dot product (initial `ρ_0 = r̃ᵀ r_0` of Alg. 3 line 4).
 pub const INFO_DOT: KernelInfo = KernelInfo::new("KernelDot", 16, 2);
-/// Scaling kernel (`z = b/θ` half of `KernelCI1`; also RHS normalisation).
-pub const INFO_SCALE: KernelInfo = KernelInfo::new("KernelScale", 16, 1);
 /// `KernelBiCGS2F`: `KernelBiCGS2` fused with the follow-on dot
 /// `r̃ᵀ r` — the updated `r` never round-trips to memory between the
 /// axpy and the reduction (8 B/elem deduplicated: one `r` re-read).
@@ -75,12 +79,12 @@ pub const fn info_bicgs456(identity: bool) -> KernelInfo {
 /// (setup/restart path; replaces copy + axpy + dot at 24 B/elem extra).
 pub const INFO_NORM2AXPY: KernelInfo = KernelInfo::new("KernelNorm2Axpy", 32, 3);
 /// `KernelCI1f32`: the Chebyshev start step in single precision — the
-/// same sweep as `KernelCI1` at half the element width (40 B → 20 B).
-pub const INFO_CI1_F32: KernelInfo = KernelInfo::new("KernelCI1f32", 20, 12);
-/// `KernelCI2f32`: the single-precision Chebyshev sweep (56 B → 28 B).
-pub const INFO_CI2_F32: KernelInfo = KernelInfo::new("KernelCI2f32", 28, 16);
-/// Single-precision scaling kernel (16 B → 8 B).
-pub const INFO_SCALE_F32: KernelInfo = KernelInfo::new("KernelScaleF32", 8, 1);
+/// same sweep as `KernelCI1` at half the element width (32 B → 16 B).
+pub const INFO_CI1_F32: KernelInfo = KernelInfo::new("KernelCI1f32", 16, 10);
+/// `KernelCI2f32`: the single-precision Chebyshev sweep (48 B → 24 B).
+pub const INFO_CI2_F32: KernelInfo = KernelInfo::new("KernelCI2f32", 24, 14);
+/// [`INFO_CI2_NO_Z`] in single precision (40 B → 20 B).
+pub const INFO_CI2_NO_Z_F32: KernelInfo = KernelInfo::new("KernelCI2f32", 20, 12);
 /// Down-cast `f64 → f32` entry sweep of a single-precision Chebyshev
 /// iteration under an `f64` solve (8 B read + 4 B write per element, no
 /// flops booked).
@@ -515,27 +519,6 @@ pub fn cast<S: Scalar, E: Scalar, D: Device>(
     });
 }
 
-/// `out ← factor * src` over the interior, `src` sliced to each row's
-/// window.
-pub fn scale<T: Scalar, D: Device>(
-    dev: &D,
-    info: KernelInfo,
-    grid: &BlockGrid,
-    out: &mut Field<T>,
-    src: &Field<T>,
-    factor: T,
-) {
-    let map = grid.interior_map();
-    let ss = src.as_slice();
-    dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-        let b = map.row_offset(j, k);
-        let n = row.len();
-        for (v, &sv) in row.iter_mut().zip(&ss[b..b + n]) {
-            *v = factor * sv;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,18 +599,6 @@ mod tests {
         let n2 = norm2_local(&dev, INFO_DOT, &grid, &a);
         let expect: f64 = (0..27).map(|i| (i * i) as f64).sum();
         assert_eq!(n2, expect);
-    }
-
-    #[test]
-    fn scale_writes_out_of_place() {
-        let (dev, grid) = setup();
-        let src = field_iota(&dev, &grid, 1.0);
-        let mut out = Field::zeros(&dev, &grid);
-        scale(&dev, INFO_SCALE, &grid, &mut out, &src, -2.0);
-        let oi = out.interior_to_host(&grid);
-        for (i, v) in oi.iter().enumerate() {
-            assert_eq!(*v, -2.0 * i as f64);
-        }
     }
 
     #[test]
@@ -925,9 +896,16 @@ mod tests {
     fn f32_info_constants_halve_sweep_traffic() {
         assert_eq!(INFO_CI1_F32.bytes_per_elem * 2, INFO_CI1.bytes_per_elem);
         assert_eq!(INFO_CI2_F32.bytes_per_elem * 2, INFO_CI2.bytes_per_elem);
-        assert_eq!(INFO_SCALE_F32.bytes_per_elem * 2, INFO_SCALE.bytes_per_elem);
+        assert_eq!(
+            INFO_CI2_NO_Z_F32.bytes_per_elem * 2,
+            INFO_CI2_NO_Z.bytes_per_elem
+        );
         assert_eq!(INFO_CI1_F32.flops_per_elem, INFO_CI1.flops_per_elem);
         assert_eq!(INFO_CI2_F32.flops_per_elem, INFO_CI2.flops_per_elem);
+        assert_eq!(
+            INFO_CI2_NO_Z_F32.flops_per_elem,
+            INFO_CI2_NO_Z.flops_per_elem
+        );
     }
 
     #[test]
@@ -1161,26 +1139,6 @@ mod tests {
                 }
             });
         }
-
-        pub(super) fn scale<T: Scalar, D: Device>(
-            dev: &D,
-            info: KernelInfo,
-            grid: &BlockGrid,
-            out: &mut Field<T>,
-            src: &Field<T>,
-            factor: T,
-        ) {
-            let map = grid.interior_map();
-            let ss = src.as_slice();
-            let base0 = map.base;
-            let (sy, sz) = (map.sy, map.sz);
-            dev.launch_rows(info, map, out.as_mut_slice(), |j, k, row| {
-                let b = base0 + j * sy + k * sz;
-                for (i, v) in row.iter_mut().enumerate() {
-                    *v = factor * ss[b + i];
-                }
-            });
-        }
     }
 
     mod windows {
@@ -1316,11 +1274,6 @@ mod tests {
                 axpy3_inplace(dev, INFO_BICGS6, grid, &mut got[l], x, w, a, b);
                 oracle::axpy3_inplace(dev, INFO_BICGS6, grid, &mut want[l], x, w, a, b);
                 assert_fields(&got, &want, &one("axpy3_inplace"));
-
-                let (mut got, mut want) = (lanes(13), lanes(13));
-                scale(dev, INFO_SCALE, grid, &mut got[l], x, a);
-                oracle::scale(dev, INFO_SCALE, grid, &mut want[l], x, a);
-                assert_fields(&got, &want, &one("scale"));
 
                 let (mut got, mut want) = ([poisoned::<f32>(grid, seed)], [poisoned(grid, seed)]);
                 cast(dev, INFO_CAST_DOWN, grid, &mut got[0], x);

@@ -54,13 +54,23 @@ pub(crate) fn world<R: Send>(
     seed: u64,
     body: impl Fn(&RankCtx<f64, Serial, ThreadComm<f64>>, &[f64]) -> R + Sync,
 ) -> Vec<R> {
+    world_on(|| Serial::new(Recorder::disabled()), decomp, seed, body)
+}
+
+/// [`world`] with each rank's device made by `dev`.
+pub(crate) fn world_on<D: Device, R: Send>(
+    dev: impl Fn() -> D + Sync,
+    decomp: [usize; 3],
+    seed: u64,
+    body: impl Fn(&RankCtx<f64, D, ThreadComm<f64>>, &[f64]) -> R + Sync,
+) -> Vec<R> {
     let mut g = GlobalGrid::dirichlet([8, 8, 8], [0.15; 3], [0.0; 3]);
     g.bc = paper_bcs();
     let b_host = rng_values(g.unknowns(), seed);
     let decomp = Decomp::new(decomp);
     run_ranks::<f64, _, _>(decomp.ranks(), ReduceOrder::RankOrder, |comm| {
         let grid = BlockGrid::new(g.clone(), decomp, comm.rank());
-        let ctx = RankCtx::new(Serial::new(Recorder::disabled()), comm, grid);
+        let ctx = RankCtx::new(dev(), comm, grid);
         body(&ctx, &scatter(&ctx.grid, &b_host))
     })
 }
@@ -84,12 +94,14 @@ pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Sequential Chebyshev oracle for every schedule of
 /// [`crate::ChebyshevIteration`] — whole sweeps, z-plane wavefronts:
-/// Algorithm 4 sweep for sweep at element width `E`, each
-/// sweep one monolithic `apply_combine` into a field of its own after a
+/// Algorithm 4 sweep for sweep at element width `E`, with the recurrence
+/// folded into the stencil weights as production folds it, each sweep
+/// one monolithic `apply_combine` into a field of its own after a
 /// blocking ghost `refresh` of its input (exchange → BCs for a
 /// communicating iteration, the restricted BCs for a comm-free one).
-/// Returns every sweep's field in order, `z = b/θ` first: entry `i ≥ 1`
-/// is sweep `i`'s output, with the ghosts the next sweep read.
+/// Returns every sweep's field in order, the zero start `x₀` first:
+/// entry `i ≥ 1` is sweep `i`'s output, with the ghosts the next sweep
+/// read.
 pub(crate) fn chebyshev_sync_oracle<E, T, D, C>(
     ctx: &RankCtx<T, D, C>,
     (theta, delta, sigma): (f64, f64, f64),
@@ -105,30 +117,32 @@ where
 {
     let (dev, grid, info) = (&ctx.dev, &ctx.grid, stencil::INFO_APPLY);
     let field = || Field::<E>::zeros(dev, grid);
+    let weights = |ca: f64, cu: f64| ctx.lap.combine_weights(ca, cu).map(E::from_f64);
     let mut rho_old = 1.0 / sigma;
     let mut rho = 1.0 / (2.0 * sigma - rho_old);
     refresh(&mut b);
-    let mut z = field();
-    crate::kernels::scale(dev, info, grid, &mut z, &b, E::from_f64(1.0 / theta));
-    let c1 = E::from_f64(4.0 * rho / delta);
-    let ca = E::from_f64(-2.0 * rho / (delta * theta));
+    let k = weights(-2.0 * rho / (delta * theta), 4.0 * rho / delta);
     let mut y = field();
     ctx.lap
-        .apply_combine(dev, info, &Part::Whole, &b, &mut y, ca, [(&b, c1)]);
-    let mut outs = vec![z, y];
+        .apply_combine(dev, info, &Part::Whole, &b, &mut y, k, []);
+    let mut outs = vec![field(), y];
     for i in 2..=iterations {
         rho_old = rho;
         rho = 1.0 / (2.0 * sigma - rho_old);
-        let ca = E::from_f64(-2.0 * rho / delta);
-        let cy = E::from_f64(2.0 * sigma * rho);
-        let cb = E::from_f64(2.0 * rho / delta);
-        let cz = E::from_f64(-rho * rho_old);
+        let k = weights(-2.0 * rho / delta, 2.0 * sigma * rho);
+        let (cb, cz) = (2.0 * rho / delta, -rho * rho_old);
         refresh(&mut outs[i - 1]);
         let (y, z) = (&outs[i - 1], &outs[i - 2]);
         let mut w = field();
-        let terms = [(y, cy), (&b, cb), (z, cz)];
-        ctx.lap
-            .apply_combine(dev, info, &Part::Whole, y, &mut w, ca, terms);
+        let part = &Part::Whole;
+        if i == 2 {
+            // z = b/θ folds into the b term
+            let terms = [(&b, E::from_f64(cb + cz / theta))];
+            ctx.lap.apply_combine(dev, info, part, y, &mut w, k, terms);
+        } else {
+            let terms = [(&b, E::from_f64(cb)), (z, E::from_f64(cz))];
+            ctx.lap.apply_combine(dev, info, part, y, &mut w, k, terms);
+        }
         outs.push(w);
     }
     outs

@@ -65,12 +65,11 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/krylov/src/kernels.rs", "dot2"),
     ("crates/krylov/src/kernels.rs", "diff_norm2"),
     ("crates/krylov/src/kernels.rs", "norm2_local"),
-    ("crates/krylov/src/kernels.rs", "scale"),
     ("crates/krylov/src/kernels.rs", "cast"),
     // Chebyshev preconditioner inner loop (either sweep width).
     ("crates/krylov/src/cheby.rs", "solve"),
     ("crates/krylov/src/cheby.rs", "sweeps"),
-    ("crates/krylov/src/cheby.rs", "infos"),
+    ("crates/krylov/src/cheby.rs", "info"),
     ("crates/krylov/src/cheby.rs", "rotation"),
     ("crates/krylov/src/cheby.rs", "refresh"),
     ("crates/krylov/src/cheby.rs", "sweep"),

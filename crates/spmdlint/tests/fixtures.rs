@@ -63,7 +63,7 @@ fn spmd002_divergence_fires_at_the_collective_line() {
 #[test]
 fn spmd003_hotalloc_fires_only_in_registered_functions() {
     // Analyzed as the real kernels.rs path so the fixture's
-    // `axpy_inplace`/`dot`/`scale` land on the hot registry.
+    // `axpy_inplace`/`dot`/`cast` land on the hot registry.
     assert_exact("spmd003_hotalloc.rs", "crates/krylov/src/kernels.rs");
 }
 

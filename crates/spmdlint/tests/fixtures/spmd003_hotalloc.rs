@@ -25,7 +25,7 @@ pub fn unregistered_helper_may_allocate(n: usize) -> Vec<f64> {
     out
 }
 
-pub fn scale(x: &mut [f64], a: f64) {
+pub fn cast(x: &mut [f64], a: f64) {
     // LINT: alloc-ok(fixture: one-off diagnostic path)
     let label = format!("scale by {a}");
     for xi in x.iter_mut() {

@@ -65,12 +65,13 @@ fn avx2_detected() -> bool {
 
 impl<T: Scalar> RowCore<T> {
     /// The stencil rows of one run of `map`: for each row `(j, row,
-    /// rows)` of `run`, `row[i] = ca · (A u)[b + i] + Σₜ cₜ fₜ[b + i]`
-    /// with `b = map.row_offset(j, run.k)` its padded offset in `u`, the
-    /// terms `(fₜ, cₜ)` (whole padded arrays) added in order, then
+    /// rows)` of `run`, `row[i] = s[b + i] + Σₜ cₜ fₜ[b + i]` with
+    /// `b = map.row_offset(j, run.k)` its padded offset in `u`, the terms
+    /// `(fₜ, cₜ)` (whole padded arrays) added in order, then
     /// `post(j, b, row, rows)` — where a fused sweep folds the row's dot
-    /// terms, `rows` the row of each further output of the launch. Without `SCALED` the stencil value enters unscaled and `ca`
-    /// is unused.
+    /// terms, `rows` the row of each further output of the launch. The
+    /// stencil value `s` is `(A u)` without `WEIGHTED` (`k` unused), and
+    /// with it the weighted 7-point sum of [`RowCore::stencil_row`].
     ///
     /// One portable body ([`RowCore::stencil_run_portable`]) compiled
     /// twice: as is (SSE2 on x86-64) and inside a function with AVX2
@@ -80,12 +81,12 @@ impl<T: Scalar> RowCore<T> {
     /// `a * b + c`, so both arms do the same roundings in the same order
     /// and agree bit for bit.
     #[inline(always)]
-    fn stencil_run<const SCALED: bool, const N: usize, const M: usize>(
+    fn stencil_run<const WEIGHTED: bool, const N: usize, const M: usize>(
         &self,
         us: &[T],
         map: &RowMap,
         run: Run<'_, T, M>,
-        ca: T,
+        k: [T; 4],
         terms: [(&[T], T); N],
         post: impl FnMut(usize, usize, &mut [T], [&mut [T]; M]),
     ) {
@@ -94,24 +95,26 @@ impl<T: Scalar> RowCore<T> {
             // SAFETY: `avx2` is only set by `avx2_detected`, i.e. after
             // `is_x86_feature_detected!("avx2")` returned true on this
             // machine, so every instruction of the AVX2 arm is supported.
-            return unsafe { self.stencil_run_avx2::<SCALED, N, M>(us, map, run, ca, terms, post) };
+            return unsafe {
+                self.stencil_run_avx2::<WEIGHTED, N, M>(us, map, run, k, terms, post)
+            };
         }
-        self.stencil_run_portable::<SCALED, N, M>(us, map, run, ca, terms, post);
+        self.stencil_run_portable::<WEIGHTED, N, M>(us, map, run, k, terms, post);
     }
 
     /// [`RowCore::stencil_run_portable`] compiled with AVX2 enabled.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[target_feature(enable = "avx2")]
-    fn stencil_run_avx2<const SCALED: bool, const N: usize, const M: usize>(
+    fn stencil_run_avx2<const WEIGHTED: bool, const N: usize, const M: usize>(
         &self,
         us: &[T],
         map: &RowMap,
         run: Run<'_, T, M>,
-        ca: T,
+        k: [T; 4],
         terms: [(&[T], T); N],
         post: impl FnMut(usize, usize, &mut [T], [&mut [T]; M]),
     ) {
-        self.stencil_run_portable::<SCALED, N, M>(us, map, run, ca, terms, post);
+        self.stencil_run_portable::<WEIGHTED, N, M>(us, map, run, k, terms, post);
     }
 
     /// The row loop of a run.
@@ -123,12 +126,12 @@ impl<T: Scalar> RowCore<T> {
     /// of one length at one offset, whose checks the compiler folds into
     /// one per row.
     #[inline(always)]
-    fn stencil_run_portable<'u, const SCALED: bool, const N: usize, const M: usize>(
+    fn stencil_run_portable<'u, const WEIGHTED: bool, const N: usize, const M: usize>(
         &self,
         us: &'u [T],
         map: &RowMap,
         run: Run<'_, T, M>,
-        ca: T,
+        k: [T; 4],
         terms: [(&'u [T], T); N],
         mut post: impl FnMut(usize, usize, &mut [T], [&mut [T]; M]),
     ) {
@@ -152,7 +155,7 @@ impl<T: Scalar> RowCore<T> {
                 win(zm),
                 win(zp),
             ];
-            self.stencil_row::<SCALED, N>(u, row, ca, fs, o);
+            self.stencil_row::<WEIGHTED, N>(u, row, k, fs, o);
             post(j, b0 + o, row, rows);
         }
     }
@@ -163,12 +166,17 @@ impl<T: Scalar> RowCore<T> {
     /// to one length, so the loop over them is unit-stride with no index
     /// check or branch left in it — what lets the compiler vectorise it
     /// without a scalar tail.
+    ///
+    /// Without `WEIGHTED` the stencil value is the operator's
+    /// `Σₐ cₐ (2 u − u₋ₐ − u₊ₐ)`; with it, the weighted sum
+    /// `k_c u + k_x (u₋ₓ + u₊ₓ) + k_y (u₋ᵧ + u₊ᵧ) + k_z (u₋_z + u₊_z)` of
+    /// `k = [k_c, k_x, k_y, k_z]` ([`Laplacian::combine_weights`]).
     #[inline(always)]
-    fn stencil_row<const SCALED: bool, const N: usize>(
+    fn stencil_row<const WEIGHTED: bool, const N: usize>(
         &self,
         [uc, xm, xp, ym, yp, zm, zp]: [&[T]; 7],
         row: &mut [T],
-        ca: T,
+        [kc, kx, ky, kz]: [T; 4],
         terms: [(&[T], T); N],
         o: usize,
     ) {
@@ -179,10 +187,13 @@ impl<T: Scalar> RowCore<T> {
         let two = T::from_f64(2.0);
         for i in 0..n {
             let c = uc[i];
-            let au = cx * (two * c - xm[i] - xp[i])
-                + cy * (two * c - ym[i] - yp[i])
-                + cz * (two * c - zm[i] - zp[i]);
-            let mut v = if SCALED { ca * au } else { au };
+            let mut v = if WEIGHTED {
+                kc * c + kx * (xm[i] + xp[i]) + ky * (ym[i] + yp[i]) + kz * (zm[i] + zp[i])
+            } else {
+                cx * (two * c - xm[i] - xp[i])
+                    + cy * (two * c - ym[i] - yp[i])
+                    + cz * (two * c - zm[i] - zp[i])
+            };
             for (f, coef) in &ws {
                 v += *coef * f[i];
             }
@@ -276,7 +287,7 @@ impl Laplacian {
         u: &Field<T>,
         w: &mut Field<T>,
     ) {
-        self.sweep::<T, D, false, 0>(dev, info, part, u, w, T::ZERO, []);
+        self.sweep::<T, D, false, 0>(dev, info, part, u, w, [T::ZERO; 4], []);
     }
 
     /// `w = A u` over the window of all of this subdomain's interface
@@ -304,14 +315,17 @@ impl Laplacian {
         self.apply_part(dev, info, &Part::Shell(faces), u, w);
     }
 
-    /// Fused affine stencil sweep: `out = ca * (A u) + sum_i c_i * f_i`
-    /// over `part` of the interior; the number of extra fields is part of
-    /// the type, so the term loop unrolls at compile time.
+    /// Weighted 7-point sweep over `part` of the interior, with
+    /// `k = [k_c, k_x, k_y, k_z]`: `out = k_c u + k_x (u₋ₓ + u₊ₓ) +
+    /// k_y (u₋ᵧ + u₊ᵧ) + k_z (u₋_z + u₊_z) + Σₜ cₜ fₜ`. The number of extra
+    /// fields is part of the type, so the term loop unrolls at compile time.
     ///
-    /// This is the shape of the Chebyshev kernels of Algorithm 4:
-    /// `KernelCI1` is `y = c1*b + ca*(A b)` and `KernelCI2` is
-    /// `w = c1*y + c2*b + c3*z + ca*(A y)` — one stencil sweep each, no
-    /// reductions (the iteration is reduction-free by construction).
+    /// This is the shape of the Chebyshev kernels of Algorithm 4, whose
+    /// `ca · (A u) + cu · u` part is one set of weights
+    /// ([`Laplacian::combine_weights`]): `KernelCI1` is a weighted sweep of
+    /// `b` with no terms, `KernelCI2` a weighted sweep of `y` plus `b` and
+    /// `z` terms — one stencil sweep each, no reductions (the iteration is
+    /// reduction-free by construction).
     #[allow(clippy::too_many_arguments)]
     pub fn apply_combine<T: Scalar, D: Device, const N: usize>(
         &self,
@@ -320,10 +334,25 @@ impl Laplacian {
         part: &Part,
         u: &Field<T>,
         out: &mut Field<T>,
-        ca: T,
+        k: [T; 4],
         terms: [(&Field<T>, T); N],
     ) {
-        self.sweep::<T, D, true, N>(dev, info, part, u, out, ca, terms);
+        self.sweep::<T, D, true, N>(dev, info, part, u, out, k, terms);
+    }
+
+    /// The weights `[k_c, k_x, k_y, k_z]` that make the stencil part of
+    /// [`Laplacian::apply_combine`] `ca · (A u) + cu · u`, in host `f64`:
+    /// `k_c = cu + 2 ca Σₐ cₐ` and `k_a = −ca cₐ` for the axis
+    /// coefficients `cₐ = 1/hₐ²`. The caller rounds them to the sweep
+    /// width once.
+    pub fn combine_weights(&self, ca: f64, cu: f64) -> [f64; 4] {
+        let c = self.grid.global.h.map(|h| 1.0 / (h * h));
+        [
+            cu + 2.0 * ca * (c[0] + c[1] + c[2]),
+            -ca * c[0],
+            -ca * c[1],
+            -ca * c[2],
+        ]
     }
 
     /// `f(map)` for the row maps of `part`, in sweep order.
@@ -343,18 +372,19 @@ impl Laplacian {
         }
     }
 
-    /// `out = ca · (A u) + Σₜ cₜ fₜ` (`ca` unused without `SCALED`) over
-    /// `part`: the one body of every plain and combine sweep, a launch
+    /// `out = s + Σₜ cₜ fₜ` over `part`, with `s` the weighted sum of `k`
+    /// ([`Laplacian::apply_combine`]), or `A u` without `WEIGHTED` (`k`
+    /// unused): the one body of every plain and combine sweep, a launch
     /// per row map of the part.
     #[allow(clippy::too_many_arguments)]
-    fn sweep<T: Scalar, D: Device, const SCALED: bool, const N: usize>(
+    fn sweep<T: Scalar, D: Device, const WEIGHTED: bool, const N: usize>(
         &self,
         dev: &D,
         info: KernelInfo,
         part: &Part,
         u: &Field<T>,
         out: &mut Field<T>,
-        ca: T,
+        k: [T; 4],
         terms: [(&Field<T>, T); N],
     ) {
         let core = self.row_core::<T>();
@@ -364,7 +394,7 @@ impl Laplacian {
             dev.on_stencil_read(info.name, map, us);
             let lanes = &mut [out.as_mut_slice()];
             dev.launch_runs(info, map, lanes, [], &mut [[]], |_, run, _| {
-                core.stencil_run::<SCALED, N, 0>(us, &map, run, ca, fs, |_, _, _, _| {});
+                core.stencil_run::<WEIGHTED, N, 0>(us, &map, run, k, fs, |_, _, _, _| {});
             });
         });
     }
@@ -427,7 +457,7 @@ impl Laplacian {
         let [nx, ny, nz] = self.grid.local_n;
         dev.launch_runs(info, map, outs, [], accs, |s, run, acc| {
             let k = run.k;
-            core.stencil_run::<false, 0, 0>(us[s], &map, run, T::ZERO, [], |j, b, row, []| {
+            core.stencil_run::<false, 0, 0>(us[s], &map, run, [T::ZERO; 4], [], |j, b, row, []| {
                 let mid = row_has_deep_middle(nx, ny, nz, j, k);
                 let t = terms(s, b, nx);
                 *acc = add_partials(*acc, fold_row_edge_last_n(nx, mid, |i| t(i, row[i])));
@@ -756,16 +786,17 @@ mod tests {
         let f1 = Field::from_interior(&dev, &grid, &f1v);
         let f2 = Field::from_interior(&dev, &grid, &f2v);
         let mut out = Field::zeros(&dev, &grid);
-        let (ca, c1, c2) = (0.25, -1.5, 2.0);
+        let (ca, cu, c1, c2) = (0.25, 0.75, -1.5, 2.0);
         let terms = [(&f1, c1), (&f2, c2)];
-        lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut out, ca, terms);
+        let k = lap.combine_weights(ca, cu);
+        lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut out, k, terms);
         // reference: separate apply then axpys
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
         let aui = au.interior_to_host(&grid);
         let got = out.interior_to_host(&grid);
         for i in 0..n {
-            let expect = ca * aui[i] + c1 * f1v[i] + c2 * f2v[i];
+            let expect = ca * aui[i] + cu * uv[i] + c1 * f1v[i] + c2 * f2v[i];
             assert!(
                 (got[i] - expect).abs() < 1e-13 * expect.abs().max(1.0),
                 "{i}"
@@ -782,13 +813,16 @@ mod tests {
         let mut u = Field::from_interior(&dev, &grid, &uv);
         apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
         let mut out = Field::zeros(&dev, &grid);
-        lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut out, -1.0, []);
+        let k = lap.combine_weights(-1.0, 0.0);
+        lap.apply_combine(&dev, INFO_APPLY, &Part::Whole, &u, &mut out, k, []);
         let mut au = Field::zeros(&dev, &grid);
         lap.apply(&dev, INFO_APPLY, &u, &mut au);
         let a = out.interior_to_host(&grid);
         let b = au.interior_to_host(&grid);
+        // the weights of −A round differently from the operator's own
+        // grouping, so the two agree to rounding, not bit for bit
         for i in 0..27 {
-            assert_eq!(a[i], -b[i]);
+            assert!((a[i] + b[i]).abs() < 1e-13 * b[i].abs().max(1.0), "{i}");
         }
     }
 
@@ -842,12 +876,13 @@ mod tests {
 
     /// The indexed scalar body the row core replaced, kept as the oracle:
     /// per-element `us[c ± s]` indexing and a runtime-length term loop
-    /// over the interior rows, no device, no windows.
+    /// over the interior rows, no device, no windows. The stencil value
+    /// is the weighted sum of `weights`, or `A u` without them.
     fn oracle_combine<T: Scalar>(
         lap: &Laplacian,
         u: &Field<T>,
         out: &mut Field<T>,
-        ca: T,
+        weights: Option<[T; 4]>,
         terms: &[(&Field<T>, T)],
     ) {
         let map = lap.grid().interior_map();
@@ -864,10 +899,19 @@ mod tests {
                 let b = map.row_offset(j, k);
                 for c in b..b + map.len {
                     let uc = us[c];
-                    let au = cx * (two * uc - us[c - 1] - us[c + 1])
-                        + cy * (two * uc - us[c - sy] - us[c + sy])
-                        + cz * (two * uc - us[c - sz] - us[c + sz]);
-                    let mut v = ca * au;
+                    let mut v = match weights {
+                        Some([kc, kx, ky, kz]) => {
+                            kc * uc
+                                + kx * (us[c - 1] + us[c + 1])
+                                + ky * (us[c - sy] + us[c + sy])
+                                + kz * (us[c - sz] + us[c + sz])
+                        }
+                        None => {
+                            cx * (two * uc - us[c - 1] - us[c + 1])
+                                + cy * (two * uc - us[c - sy] - us[c + sy])
+                                + cz * (two * uc - us[c - sz] - us[c + sz])
+                        }
+                    };
                     for (f, coeff) in terms {
                         v += *coeff * f.as_slice()[c];
                     }
@@ -911,14 +955,14 @@ mod tests {
     ) {
         let grid = lap.grid();
         let coef = [1.75, -0.375, 0.0625].map(T::from_f64);
-        let ca = T::from_f64(-0.3125);
+        let k = [2.8125, -0.3125, 0.625, -1.5].map(T::from_f64);
         let terms: [(&Field<T>, T); N] = std::array::from_fn(|i| (&fields[i + 1], coef[i]));
         let mut want = random_padded::<T, D>(dev, grid, 99);
         let (mut mono, mut split, mut planes) = (want.clone(), want.clone(), want.clone());
-        oracle_combine(lap, &fields[0], &mut want, ca, &terms);
+        oracle_combine(lap, &fields[0], &mut want, Some(k), &terms);
         let faces = grid.interface_mask();
         let combine = |part: &Part, out: &mut Field<T>| {
-            lap.apply_combine(dev, INFO_APPLY, part, &fields[0], out, ca, terms);
+            lap.apply_combine(dev, INFO_APPLY, part, &fields[0], out, k, terms);
         };
         combine(&Part::Whole, &mut mono);
         combine(&Part::Window(faces), &mut split);
@@ -954,12 +998,12 @@ mod tests {
         check_combine::<T, D, 2>(dev, &lap, &fields, what);
         check_combine::<T, D, 3>(dev, &lap, &fields, what);
 
-        // the plain and dot-fused sweeps write the same field: 1 * (A u)
+        // the plain and dot-fused sweeps write the same field: A u
         let [u, r, g, _] = &fields;
         let (rs, gs) = (r.as_slice(), g.as_slice());
         let mut want = random_padded::<T, D>(dev, grid, 99);
         let mut got: [Field<T>; 4] = std::array::from_fn(|_| want.clone());
-        oracle_combine(&lap, u, &mut want, T::ONE, &[]);
+        oracle_combine(&lap, u, &mut want, None, &[]);
         let [plain, split, dot1, dot3] = &mut got;
         lap.apply(dev, INFO_APPLY, u, plain);
         lap.apply_interior(dev, INFO_APPLY, u, split);
@@ -1164,9 +1208,9 @@ mod tests {
                 }
                 let mut split = out.clone();
                 let terms = [(&u, 0.5), (&f1, -2.0)];
-                let faces = grid.interface_mask();
+                let (faces, k) = (grid.interface_mask(), lap.combine_weights(0.25, 0.0));
                 let combine = |part: &Part, out: &mut Field<f64>| {
-                    lap.apply_combine(&dev, INFO_APPLY, part, &u, out, 0.25, terms);
+                    lap.apply_combine(&dev, INFO_APPLY, part, &u, out, k, terms);
                 };
                 combine(&Part::Whole, &mut out);
                 combine(&Part::Window(faces), &mut split);
