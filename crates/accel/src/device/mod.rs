@@ -40,102 +40,6 @@ use crate::events::{KernelInfo, Recorder};
 use crate::index::{RowMap, Run};
 use crate::scalar::{add_partials, Scalar};
 
-/// Description of a split-phase halo exchange in flight, for sanitizer
-/// hooks (see [`Device::on_exchange_begin`]).
-///
-/// While an exchange is pending, the ghost planes named by `faces` belong
-/// to the exchange: `finish` will overwrite them with received data, so a
-/// kernel writing them in the window races with the unpack. A correctness
-/// wrapper (the `check` crate's `Checked<D>`) records these windows and
-/// flags offending launches; the production back-ends ignore them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExchangeHazard {
-    /// Address of the first element of the field's padded allocation.
-    pub base: usize,
-    /// Size of one element in bytes.
-    pub elem_bytes: usize,
-    /// Padded dims of the field (x fastest).
-    pub padded: [usize; 3],
-    /// Bit `axis * 2 + side` is set when that ghost plane is in flight
-    /// (interface faces only; physical-boundary ghosts stay writable).
-    pub faces: u8,
-}
-
-impl ExchangeHazard {
-    /// `true` if the plane at (`axis`, `side`) is part of this hazard.
-    pub const fn face_in_flight(&self, axis: usize, side: usize) -> bool {
-        self.faces & (1 << (axis * 2 + side)) != 0
-    }
-
-    /// Total padded elements covered by the field.
-    pub const fn len(&self) -> usize {
-        self.padded[0] * self.padded[1] * self.padded[2]
-    }
-
-    /// `true` if the field has no elements.
-    pub const fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// If the padded linear index `lin` names a cell the in-flight
-    /// exchange will overwrite at `finish`, return the `(axis, side)` of
-    /// its ghost plane.
-    ///
-    /// The unpack kernels fill only the *interior cross-section* of each
-    /// ghost plane (edges and corners of the padded box are never
-    /// received), so a cell counts as hazardous only when its remaining
-    /// two coordinates are strictly inside the padded extent.
-    pub fn hit(&self, lin: usize) -> Option<(usize, usize)> {
-        let [pnx, pny, pnz] = self.padded;
-        let i = lin % pnx;
-        let j = (lin / pnx) % pny;
-        let k = lin / (pnx * pny);
-        let coord = [i, j, k];
-        let last = [pnx - 1, pny - 1, pnz - 1];
-        for axis in 0..3 {
-            for side in 0..2 {
-                if !self.face_in_flight(axis, side) {
-                    continue;
-                }
-                let plane = if side == 0 { 0 } else { last[axis] };
-                if coord[axis] != plane {
-                    continue;
-                }
-                let interior = (0..3)
-                    .filter(|&a| a != axis)
-                    .all(|a| coord[a] >= 1 && coord[a] < last[a]);
-                if interior {
-                    return Some((axis, side));
-                }
-            }
-        }
-        None
-    }
-
-    /// First cell of `map` whose 7-point stencil reads a cell the
-    /// in-flight exchange will overwrite, as `(cell, axis, side)`. `map`
-    /// indexes a field of this hazard's padded dims.
-    pub fn stencil_hit(&self, map: &RowMap) -> Option<(usize, usize, usize)> {
-        let strides = [1, self.padded[0], self.padded[0] * self.padded[1]];
-        for r in 0..map.rows() {
-            let (j, k) = map.row_jk(r);
-            let off = map.row_offset(j, k);
-            for cell in off..off + map.len {
-                let neighbours = strides
-                    .iter()
-                    .flat_map(|&s| [cell.checked_sub(s), Some(cell + s)])
-                    .flatten();
-                for n in neighbours.filter(|&n| n < self.len()) {
-                    if let Some((axis, side)) = self.hit(n) {
-                        return Some((cell, axis, side));
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
 /// Which back-end a device is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeviceKind {
@@ -313,24 +217,6 @@ pub trait Device: Clone + Send + Sync + 'static {
             }
         });
     }
-
-    /// Sanitizer hook: a split-phase halo exchange borrowed the ghost
-    /// planes described by `hazard` (called by `HaloExchange::begin` after
-    /// all sends and receives are posted). Production back-ends ignore it;
-    /// the `check` crate's `Checked<D>` wrapper records the window.
-    fn on_exchange_begin(&self, _hazard: ExchangeHazard) {}
-
-    /// Sanitizer hook: the pending exchange for `hazard` is being
-    /// completed (called by `HaloExchange::finish` before any ghost plane
-    /// is unpacked). Default no-op.
-    fn on_exchange_finish(&self, _hazard: ExchangeHazard) {}
-
-    /// Sanitizer hook: the next launch reads, from `input`, the 7-point
-    /// neighbourhood of every cell of `map` (called by the stencil sweeps
-    /// before they launch). A sweep that runs inside a split-phase
-    /// exchange window may read physical ghosts but no ghost the exchange
-    /// still owns; `Checked<D>` flags one that does. Default no-op.
-    fn on_stencil_read<T: Scalar>(&self, _kernel: &'static str, _map: RowMap, _input: &[T]) {}
 }
 
 /// Shared precondition check of [`Device::launch_runs`]: `map` must
@@ -476,30 +362,6 @@ impl Device for AnyDevice {
             Self::SimGpu(d) => d.launch_reduce(info, ny, nz, f),
         }
     }
-
-    fn on_exchange_begin(&self, hazard: ExchangeHazard) {
-        match self {
-            Self::Serial(d) => d.on_exchange_begin(hazard),
-            Self::Threads(d) => d.on_exchange_begin(hazard),
-            Self::SimGpu(d) => d.on_exchange_begin(hazard),
-        }
-    }
-
-    fn on_exchange_finish(&self, hazard: ExchangeHazard) {
-        match self {
-            Self::Serial(d) => d.on_exchange_finish(hazard),
-            Self::Threads(d) => d.on_exchange_finish(hazard),
-            Self::SimGpu(d) => d.on_exchange_finish(hazard),
-        }
-    }
-
-    fn on_stencil_read<T: Scalar>(&self, kernel: &'static str, map: RowMap, input: &[T]) {
-        match self {
-            Self::Serial(d) => d.on_stencil_read(kernel, map, input),
-            Self::Threads(d) => d.on_stencil_read(kernel, map, input),
-            Self::SimGpu(d) => d.on_stencil_read(kernel, map, input),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -531,33 +393,6 @@ mod tests {
         ));
         assert!(AnyDevice::from_spec("cuda", r()).is_err());
         assert!(AnyDevice::from_spec("threads:x", r()).is_err());
-    }
-
-    #[test]
-    fn exchange_hazard_hit_identifies_in_flight_planes() {
-        // 4x3x3 padded field with the x-low and y-high planes in flight
-        let h = ExchangeHazard {
-            base: 0,
-            elem_bytes: 8,
-            padded: [4, 3, 3],
-            faces: (1 << 0) | (1 << 3),
-        };
-        assert!(h.face_in_flight(0, 0));
-        assert!(h.face_in_flight(1, 1));
-        assert!(!h.face_in_flight(0, 1));
-        assert_eq!(h.len(), 36);
-        assert!(!h.is_empty());
-        // (0, 1, 1) sits on the x-low plane
-        assert_eq!(h.hit(16), Some((0, 0)));
-        // (1, 2, 1) sits on the y-high plane
-        assert_eq!(h.hit(21), Some((1, 1)));
-        // (1, 1, 1) is interior
-        assert_eq!(h.hit(17), None);
-        // (3, 1, 1) is the x-high plane, which is NOT in flight
-        assert_eq!(h.hit(19), None);
-        // (0, 0, 1) is an edge cell of the x-low plane: the unpack never
-        // writes plane edges, so it is not hazardous
-        assert_eq!(h.hit(12), None);
     }
 
     #[test]

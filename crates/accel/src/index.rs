@@ -9,9 +9,10 @@
 //! are disjoint and in bounds, which is what lets the back-ends hand each
 //! worker an exclusive `&mut [T]` without data races.
 //!
-//! A sweep split around a halo exchange (the stencil probes' split
-//! sweep; every solver sweep runs after its exchange) is divided in two by
-//! [`RowMap::halo_window`] and [`RowMap::halo_shell`]: a *window* that
+//! A sweep split around a halo exchange is divided in two by
+//! [`RowMap::halo_window`] and [`RowMap::halo_shell`]. Only the benchmark's
+//! split-sweep probe and tests run one: every solver sweep runs after a
+//! blocking `exchange`/`exchange_lanes`. The split gives a *window* that
 //! peels only the faces in flight and is sized by the message, swept
 //! while the exchange runs, and a *shell* — the window's peeled cells,
 //! then every remaining plane as full rows — swept after it. One
@@ -132,7 +133,7 @@ impl RowMap {
 
     /// Row map for the *window* of a split-phase sweep: the cells swept
     /// while a halo exchange of the faces in `in_flight` (bit
-    /// `axis * 2 + side`, as in `ExchangeHazard::faces`) is in flight.
+    /// `axis * 2 + side`) is in flight.
     ///
     /// No window cell has an in-flight ghost as a stencil neighbour: the
     /// cell layer next to each in-flight face is peeled. Every other
@@ -385,10 +386,9 @@ impl<'a, T> RunRows<'a, T> {
 /// The row maps of a [`RowMap::halo_shell`] decomposition, stored inline.
 ///
 /// The shell is at most six pieces, so the container is a fixed array
-/// plus a count — `halo_shell` is called once per shell sweep inside the
-/// solver hot loop, and returning a `Vec` here would break the
-/// steady-state zero-allocation guarantee the solve audits enforce.
-/// Dereferences to a slice; iterating by value yields `RowMap`s.
+/// plus a count, and `halo_shell` allocates nothing. Only the split-sweep
+/// probes and tests call it. Dereferences to a slice; iterating by value
+/// yields `RowMap`s.
 #[derive(Clone, Copy, Debug)]
 pub struct ShellMaps {
     maps: [RowMap; 6],
@@ -550,14 +550,34 @@ mod tests {
         let hits = coverage(e, window.into_iter().chain(shell));
         let expect = coverage(e, [RowMap::halo_interior(e)]);
         assert_eq!(hits, expect, "{e:?} mask {in_flight:#08b}: not a tiling");
-        let hazard = crate::ExchangeHazard {
-            base: 0,
-            elem_bytes: 8,
-            padded: [e.nx + 2, e.ny + 2, e.nz + 2],
-            faces: in_flight,
-        };
         if let Some(w) = window {
-            assert_eq!(hazard.stencil_hit(&w), None, "{e:?} mask {in_flight:#08b}");
+            assert_window_reads_no_in_flight_ghost(e, in_flight, w);
+        }
+    }
+
+    /// No cell of the window box `w` has a ghost of an in-flight face as a
+    /// 7-point neighbour: along each in-flight axis side, the box keeps one
+    /// cell layer away from that ghost plane.
+    fn assert_window_reads_no_in_flight_ghost(e: Extent3, in_flight: u8, w: RowMap) {
+        let (pnx, pny) = (e.nx + 2, e.ny + 2);
+        assert_eq!((w.sy, w.sz), (pnx, pnx * pny), "window is not a box");
+        // the box in padded coordinates: [lo, lo + n) per axis
+        let lo = [w.base % pnx, (w.base / pnx) % pny, w.base / (pnx * pny)];
+        let n = [w.len, w.ny, w.nz];
+        let ghost_hi = [e.nx + 1, e.ny + 1, e.nz + 1];
+        for axis in 0..3 {
+            if in_flight & (1 << (axis * 2)) != 0 {
+                assert!(
+                    lo[axis] >= 2,
+                    "{e:?} mask {in_flight:#08b}: window reads the low ghost of axis {axis}"
+                );
+            }
+            if in_flight & (1 << (axis * 2 + 1)) != 0 {
+                assert!(
+                    lo[axis] + n[axis] < ghost_hi[axis],
+                    "{e:?} mask {in_flight:#08b}: window reads the high ghost of axis {axis}"
+                );
+            }
         }
     }
 

@@ -201,8 +201,7 @@ impl BlockGrid {
     /// The interface faces of this subdomain as a bit set: bit
     /// `axis * 2 + side` is set when that face borders a neighbour rank.
     /// These are the faces a halo exchange has in flight (the layout of
-    /// `accel::ExchangeHazard::faces` and of the `in_flight` argument of
-    /// `accel::RowMap::halo_window`).
+    /// the `in_flight` argument of `accel::RowMap::halo_window`).
     pub fn interface_mask(&self) -> u8 {
         let mut faces = 0u8;
         for axis in 0..3 {

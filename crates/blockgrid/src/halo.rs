@@ -4,7 +4,7 @@ use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Mutex;
 
-use accel::{Device, Event, ExchangeHazard, KernelInfo, RowMap, Scalar};
+use accel::{Device, Event, KernelInfo, RowMap, Scalar};
 use comm::{Communicator, RecvRequest, Tag};
 
 use crate::field::Field;
@@ -36,7 +36,8 @@ pub const INFO_HALO_UNPACK_F32: KernelInfo = KernelInfo::new("KernelHaloUnpackF3
 /// [`HaloExchange::finish`] are the same exchange of one field cut in
 /// two — `begin` packs and posts everything, `finish` completes the
 /// receives and fills the ghost layers — and book the same events as
-/// `exchange`.
+/// `exchange`; no solver calls them, they are kept for the benchmark's
+/// split-phase probe.
 ///
 /// A field as wide as the wire packs straight into the message buffer.
 /// A narrower one (`f32` faces on an `f64` communicator) is packed into
@@ -67,7 +68,8 @@ impl<T: Scalar> Clone for HaloExchange<T> {
 /// Token for a split-phase exchange of `E` fields in flight: the posted
 /// receives plus the traffic bookkeeping `finish` will record. The
 /// element type makes "finish with the width you began with" a
-/// compile-time check.
+/// compile-time check. Only [`HaloExchange::begin`] hands one out, which
+/// is kept for the benchmark's split-phase probe.
 #[must_use = "a begun halo exchange must be completed with finish()"]
 #[derive(Debug)]
 pub struct PendingExchange<E: Scalar> {
@@ -316,16 +318,10 @@ impl<T: Scalar> HaloExchange<T> {
         }
     }
 
-    /// The sanitizer-hook description of the in-flight ghost planes of
-    /// the padded field `us`: every interface face, identified by the
-    /// buffer's base address.
-    fn hazard<E: Scalar>(&self, us: &[E]) -> ExchangeHazard {
-        assert_eq!(us.len(), self.grid.padded_len(), "field shape mismatch");
-        ExchangeHazard {
-            base: us.as_ptr() as usize,
-            elem_bytes: E::BYTES,
-            padded: self.grid.padded(),
-            faces: self.grid.interface_mask(),
+    /// Every lane must be a padded field of this grid.
+    fn assert_shape(&self, lens: impl Iterator<Item = usize>) {
+        for len in lens {
+            assert_eq!(len, self.grid.padded_len(), "field shape mismatch");
         }
     }
 
@@ -337,6 +333,7 @@ impl<T: Scalar> HaloExchange<T> {
         comm: &C,
         lanes: &[F],
     ) -> PendingExchange<E> {
+        self.assert_shape(lanes.iter().map(|lane| lane.len()));
         let nl = lanes.len();
         let faces = self.grid.interface_mask();
         let in_flight = |axis: usize, side: usize| {
@@ -378,11 +375,6 @@ impl<T: Scalar> HaloExchange<T> {
                 }
             }
         }
-        // From here until `finish`, every lane's interface ghost planes
-        // belong to the exchange; tell any sanitizing device wrapper.
-        for lane in lanes {
-            dev.on_exchange_begin(self.hazard::<E>(lane));
-        }
         PendingExchange {
             recvs,
             msgs,
@@ -403,13 +395,9 @@ impl<T: Scalar> HaloExchange<T> {
         pending: PendingExchange<E>,
         lanes: &mut [&mut [E]],
     ) {
+        self.assert_shape(lanes.iter().map(|lane| lane.len()));
         let k = per_word::<E, T>();
         let [_, info] = pack_infos::<E>();
-        // The exchange is being completed: the ghost planes return to the
-        // caller before any unpack kernel writes them.
-        for lane in lanes.iter() {
-            dev.on_exchange_finish(self.hazard::<E>(lane));
-        }
         for (axis, slots) in pending.recvs.iter().enumerate() {
             let flen = self.face_len(axis);
             for (side, slot) in slots.iter().enumerate() {
@@ -439,7 +427,9 @@ impl<T: Scalar> HaloExchange<T> {
     /// The caller may now run any kernel that reads no interface ghost
     /// (the stencil over [`accel::RowMap::halo_window`], say), then must
     /// call [`HaloExchange::finish`] with the same field to complete the
-    /// exchange before the ghosts are consumed.
+    /// exchange before the ghosts are consumed. Kept for the benchmark's
+    /// split-phase probe; every solver exchange is
+    /// [`HaloExchange::exchange`] or [`HaloExchange::exchange_lanes`].
     pub fn begin<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
@@ -451,6 +441,7 @@ impl<T: Scalar> HaloExchange<T> {
 
     /// Complete a split-phase exchange of `field`
     /// ([`HaloExchange::begin`]) and fill its interface ghost layers.
+    /// Kept for the benchmark's split-phase probe, like `begin`.
     pub fn finish<E: Scalar, D: Device, C: Communicator<T>>(
         &self,
         dev: &D,
@@ -932,6 +923,40 @@ mod tests {
         let mut field = make_lane_field::<f64>(&dev, &grid, 0);
         let comm = comm::SelfComm::<f32>::default();
         HaloExchange::new(&grid).exchange(&dev, &comm, &mut field);
+    }
+
+    /// A field of a `[4,4,4]` single-rank grid and a halo exchange for a
+    /// `[4,4,5]` one: the field is one plane short of the exchange's grid.
+    fn field_of_another_grid(dev: &Serial) -> (HaloExchange<f64>, Field<f64>) {
+        let grid = |n| {
+            BlockGrid::new(
+                GlobalGrid::dirichlet(n, [0.1; 3], [0.0; 3]),
+                Decomp::single(),
+                0,
+            )
+        };
+        let field = make_lane_field::<f64>(dev, &grid([4, 4, 4]), 0);
+        (HaloExchange::new(&grid([4, 4, 5])), field)
+    }
+
+    #[test]
+    #[should_panic(expected = "field shape mismatch")]
+    fn field_shape_mismatch_panics_in_exchange_lanes() {
+        let dev = Serial::new(Recorder::disabled());
+        let (halo, mut short) = field_of_another_grid(&dev);
+        // a padded field of the exchange's own [4,4,5] grid
+        let mut good = vec![0.0; 6 * 6 * 7];
+        let comm = comm::SelfComm::<f64>::default();
+        halo.exchange_lanes(&dev, &comm, &mut [&mut good[..], short.as_mut_slice()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "field shape mismatch")]
+    fn field_shape_mismatch_panics_in_begin() {
+        let dev = Serial::new(Recorder::disabled());
+        let (halo, field) = field_of_another_grid(&dev);
+        let comm = comm::SelfComm::<f64>::default();
+        let _pending = halo.begin(&dev, &comm, &field);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   bitwise-identical passthrough to any back-end, but shadow-tracks
 //!   every launch: the `RowMap` is audited exhaustively (bounds,
 //!   cross-row aliasing), the output is snapshot-diffed to catch writes
-//!   that escaped the row slice, launches into ghost planes borrowed by
-//!   an in-flight halo exchange are flagged, and (opt-in) two-canary
-//!   shadow replays detect outputs that depend on uninitialised data.
+//!   that escaped the row slice, and (opt-in) two-canary shadow replays
+//!   detect outputs that depend on uninitialised data.
 //! * [`VerifiedComm`] — a protocol-verifying [`comm::Communicator`]
 //!   wrapper. Blocked receives poll, so the world diagnoses its own
 //!   deadlocks with a wait-for graph (rank, tag, undelivered channels,

@@ -34,32 +34,6 @@ pub enum Violation {
         /// Linear index of the first out-of-map element that changed.
         cell: usize,
     },
-    /// The launch targets a ghost-plane cell that a split-phase halo
-    /// exchange is about to overwrite (`begin` called, `finish` not yet).
-    InFlightGhostWrite {
-        /// Offending kernel name.
-        kernel: &'static str,
-        /// Linear index (within the exchanged field) of the cell.
-        cell: usize,
-        /// Ghost-plane axis (0 = x, 1 = y, 2 = z).
-        axis: usize,
-        /// Ghost-plane side (0 = low, 1 = high).
-        side: usize,
-    },
-    /// A stencil sweep reads a ghost-plane cell that a split-phase halo
-    /// exchange has not delivered yet (`begin` called, `finish` not yet):
-    /// the value is stale.
-    InFlightGhostRead {
-        /// Offending kernel name.
-        kernel: &'static str,
-        /// Linear index (within the exchanged field) of the swept cell
-        /// whose stencil reaches the ghost.
-        cell: usize,
-        /// Ghost-plane axis (0 = x, 1 = y, 2 = z).
-        axis: usize,
-        /// Ghost-plane side (0 = low, 1 = high).
-        side: usize,
-    },
     /// The kernel's output depends on a tracked-fresh element that was
     /// never written: a read of uninitialised memory.
     ReadBeforeInit {
@@ -69,26 +43,16 @@ pub enum Violation {
         /// the two shadow canaries.
         cell: usize,
     },
-    /// `on_exchange_finish` arrived for a field with no matching
-    /// `on_exchange_begin` (or a second `begin` for the same field).
-    UnbalancedExchange {
-        /// What went wrong.
-        detail: String,
-    },
 }
 
 impl Violation {
-    /// The kernel this violation is attributed to (empty for exchange
-    /// bookkeeping errors, which have no kernel).
+    /// The kernel this violation is attributed to.
     pub fn kernel(&self) -> &'static str {
         match self {
             Self::MapOutOfBounds { kernel, .. }
             | Self::RowAliasing { kernel, .. }
             | Self::OutOfMapWrite { kernel, .. }
-            | Self::InFlightGhostWrite { kernel, .. }
-            | Self::InFlightGhostRead { kernel, .. }
             | Self::ReadBeforeInit { kernel, .. } => kernel,
-            Self::UnbalancedExchange { .. } => "",
         }
     }
 }
@@ -116,37 +80,12 @@ impl fmt::Display for Violation {
                  but is not covered by the RowMap — a write escaped its row \
                  slice"
             ),
-            Self::InFlightGhostWrite {
-                kernel,
-                cell,
-                axis,
-                side,
-            } => write!(
-                f,
-                "kernel `{kernel}`: element {cell} lies on the (axis {axis}, \
-                 side {side}) ghost plane of a field whose halo exchange is \
-                 still in flight (begin() without finish())"
-            ),
-            Self::InFlightGhostRead {
-                kernel,
-                cell,
-                axis,
-                side,
-            } => write!(
-                f,
-                "kernel `{kernel}`: the stencil at element {cell} reads the \
-                 (axis {axis}, side {side}) ghost plane of a field whose halo \
-                 exchange is still in flight (begin() without finish())"
-            ),
             Self::ReadBeforeInit { kernel, cell } => write!(
                 f,
                 "kernel `{kernel}`: output element {cell} depends on \
                  uninitialised input (two shadow canaries produced different \
                  results)"
             ),
-            Self::UnbalancedExchange { detail } => {
-                write!(f, "unbalanced halo exchange: {detail}")
-            }
         }
     }
 }

@@ -3,9 +3,7 @@
 use std::mem::size_of;
 use std::sync::{Arc, Mutex};
 
-use accel::{
-    Device, DeviceKind, ExchangeHazard, KernelInfo, Recorder, RowMap, Run, Scalar, Serial,
-};
+use accel::{Device, DeviceKind, KernelInfo, Recorder, RowMap, Run, Scalar, Serial};
 
 use crate::report::{Policy, Report, Violation};
 
@@ -21,7 +19,6 @@ struct FreshRegion {
 struct State {
     policy: Policy,
     report: Report,
-    hazards: Mutex<Vec<ExchangeHazard>>,
     fresh: Mutex<Vec<FreshRegion>>,
 }
 
@@ -38,16 +35,6 @@ struct State {
 ///   launch and diffed after it: any element that changed but is not
 ///   mapped was written through an escape hatch (a raw pointer, an
 ///   aliased capture) and is flagged ([`Violation::OutOfMapWrite`]).
-/// * **Exchange hazard** — while a split-phase halo exchange is in
-///   flight (between [`Device::on_exchange_begin`] and
-///   [`Device::on_exchange_finish`], wired up by
-///   `blockgrid::HaloExchange`), launching a kernel whose map covers an
-///   in-flight interface ghost plane races with the unpack and is
-///   flagged ([`Violation::InFlightGhostWrite`]).
-/// * **Stale ghost read** — a stencil sweep announces the field it
-///   reads ([`Device::on_stencil_read`]); inside an exchange window it
-///   may read physical ghosts but no cell of a ghost plane the exchange
-///   still owns ([`Violation::InFlightGhostRead`]).
 /// * **Read-before-init** (opt-in via [`Checked::track_fresh`]) — the
 ///   kernel is first replayed on two shadow copies of the output whose
 ///   never-written elements hold different canary values; any divergence
@@ -76,7 +63,6 @@ impl<D: Device> Checked<D> {
             state: Arc::new(State {
                 policy,
                 report: Report::new(),
-                hazards: Mutex::new(Vec::new()),
                 fresh: Mutex::new(Vec::new()),
             }),
         }
@@ -108,11 +94,9 @@ impl<D: Device> Checked<D> {
             });
     }
 
-    /// Panic if any violation was recorded (or a halo exchange is still
-    /// open). Call at the end of a [`Policy::Record`] run.
+    /// Panic if any violation was recorded. Call at the end of a
+    /// [`Policy::Record`] run.
     pub fn assert_clean(&self) {
-        let open = self.state.hazards.lock().expect("hazard lock").len();
-        assert_eq!(open, 0, "{open} halo exchange(s) begun but never finished");
         let violations = self.state.report.snapshot();
         assert!(
             violations.is_empty(),
@@ -159,42 +143,6 @@ impl<D: Device> Checked<D> {
             }
         }
         Some(mapped)
-    }
-
-    /// Flag mapped elements that lie on an in-flight interface ghost
-    /// plane of any active exchange hazard.
-    fn audit_hazards<T: Scalar>(&self, kernel: &'static str, out: &[T], mapped: &[bool]) {
-        let hazards = self.state.hazards.lock().expect("hazard lock");
-        if hazards.is_empty() {
-            return;
-        }
-        let out_lo = out.as_ptr() as usize;
-        let out_hi = out_lo + size_of_val(out);
-        for h in hazards.iter() {
-            let h_hi = h.base + h.len() * h.elem_bytes;
-            if out_lo >= h_hi || h.base >= out_hi {
-                continue;
-            }
-            for (cell, &m) in mapped.iter().enumerate() {
-                if !m {
-                    continue;
-                }
-                let addr = out_lo + cell * size_of::<T>();
-                if addr < h.base || addr >= h_hi {
-                    continue;
-                }
-                let lin = (addr - h.base) / h.elem_bytes;
-                if let Some((axis, side)) = h.hit(lin) {
-                    self.flag(Violation::InFlightGhostWrite {
-                        kernel,
-                        cell,
-                        axis,
-                        side,
-                    });
-                    return;
-                }
-            }
-        }
     }
 
     /// Cells of `out` that lie in a tracked fresh region and have never
@@ -385,7 +333,6 @@ impl<D: Device> Device for Checked<D> {
                 accs.fill([T::ZERO; NR]);
                 return;
             };
-            self.audit_hazards(info.name, buf, &cells);
             mapped.push(cells);
         }
         self.audit_fresh_reads(info, map, lanes, read_only(&outs), &mapped, &f);
@@ -427,61 +374,6 @@ impl<D: Device> Device for Checked<D> {
     {
         // Pure reductions have no output buffer to audit.
         self.inner.launch_reduce(info, ny, nz, f)
-    }
-
-    fn on_exchange_begin(&self, hazard: ExchangeHazard) {
-        {
-            let mut hazards = self.state.hazards.lock().expect("hazard lock");
-            if hazards.iter().any(|h| h.base == hazard.base) {
-                self.flag(Violation::UnbalancedExchange {
-                    detail: format!(
-                        "begin() for the field at {:#x} while a previous exchange \
-                         of the same field is still in flight",
-                        hazard.base
-                    ),
-                });
-            }
-            hazards.push(hazard);
-        }
-        self.inner.on_exchange_begin(hazard);
-    }
-
-    fn on_exchange_finish(&self, hazard: ExchangeHazard) {
-        {
-            let mut hazards = self.state.hazards.lock().expect("hazard lock");
-            match hazards.iter().position(|h| h.base == hazard.base) {
-                Some(i) => {
-                    hazards.remove(i);
-                }
-                None => self.flag(Violation::UnbalancedExchange {
-                    detail: format!(
-                        "finish() for the field at {:#x} with no exchange in flight",
-                        hazard.base
-                    ),
-                }),
-            }
-        }
-        self.inner.on_exchange_finish(hazard);
-    }
-
-    fn on_stencil_read<T: Scalar>(&self, kernel: &'static str, map: RowMap, input: &[T]) {
-        let base = input.as_ptr() as usize;
-        let hit = {
-            let hazards = self.state.hazards.lock().expect("hazard lock");
-            hazards
-                .iter()
-                .filter(|h| h.base == base)
-                .find_map(|h| h.stencil_hit(&map))
-        };
-        if let Some((cell, axis, side)) = hit {
-            self.flag(Violation::InFlightGhostRead {
-                kernel,
-                cell,
-                axis,
-                side,
-            });
-        }
-        self.inner.on_stencil_read(kernel, map, input);
     }
 }
 
@@ -638,32 +530,5 @@ mod tests {
             },
         );
         assert!(out.iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "no exchange in flight")]
-    fn unbalanced_finish_is_flagged() {
-        let dev = serial();
-        dev.on_exchange_finish(ExchangeHazard {
-            base: 0x1000,
-            elem_bytes: 8,
-            padded: [3, 3, 3],
-            faces: 1,
-        });
-    }
-
-    #[test]
-    fn assert_clean_reports_open_exchange() {
-        let dev = serial();
-        dev.on_exchange_begin(ExchangeHazard {
-            base: 0x1000,
-            elem_bytes: 8,
-            padded: [3, 3, 3],
-            faces: 1,
-        });
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dev.assert_clean()))
-            .expect_err("must flag the open exchange");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("never finished"), "{msg}");
     }
 }

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use accel::{Recorder, Scalar};
-use comm::{CommStats, Communicator, RecvRequest, ReduceOp, ReduceRequest, Tag, ThreadComm};
+use comm::{CommStats, Communicator, RecvRequest, ReduceOp, Tag, ThreadComm};
 
 /// What one rank is doing right now, as seen by the verifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,9 +59,6 @@ pub(crate) struct VerifierShared {
     /// Global collective log, indexed by each rank's local call count.
     collectives: Mutex<Vec<CollectiveRecord>>,
     coll_counts: Mutex<Vec<u64>>,
-    /// Outstanding split-phase reductions per rank (begun with
-    /// `iall_reduce` but not yet completed with `reduce_finish`).
-    ireduce_outstanding: Mutex<Vec<u64>>,
     /// Everything the verifier has diagnosed, for the runner's report.
     pub(crate) violations: Mutex<Vec<String>>,
     deadlock_reported: AtomicBool,
@@ -80,7 +77,6 @@ impl VerifierShared {
             posted: Mutex::new(HashMap::new()),
             collectives: Mutex::new(Vec::new()),
             coll_counts: Mutex::new(vec![0; size]),
-            ireduce_outstanding: Mutex::new(vec![0; size]),
             violations: Mutex::new(Vec::new()),
             deadlock_reported: AtomicBool::new(false),
             window,
@@ -367,72 +363,6 @@ impl<T: Scalar> Communicator<T> for VerifiedComm<T> {
         RecvRequest { src, tag }
     }
 
-    fn iall_reduce(&self, vals: &[T], op: ReduceOp) -> ReduceRequest<T> {
-        self.audit_collective("iall_reduce", Some(op), vals.len());
-        let me = self.rank();
-        {
-            let mut outstanding = self
-                .shared
-                .ireduce_outstanding
-                .lock()
-                .expect("ireduce lock");
-            if outstanding[me] > 0 {
-                let msg = format!(
-                    "rank {me} began a second iall_reduce while one was still \
-                     outstanding (complete it with reduce_finish first)"
-                );
-                drop(outstanding);
-                self.shared.record_violation(msg.clone());
-                self.inner.poison();
-                panic!("comm-verifier: {msg}");
-            }
-            outstanding[me] += 1;
-        }
-        // The begin phase only blocks on the previous round draining, but
-        // it *can* block — expose that to the deadlock detector.
-        self.shared.set_state(
-            me,
-            RankState::BlockedCollective {
-                kind: "iall_reduce",
-            },
-        );
-        let req = self.inner.iall_reduce(vals, op);
-        self.shared.set_state(me, RankState::Running);
-        self.shared.bump_progress();
-        req
-    }
-
-    fn reduce_finish(&self, req: ReduceRequest<T>, out: &mut [T]) {
-        let me = self.rank();
-        {
-            let mut outstanding = self
-                .shared
-                .ireduce_outstanding
-                .lock()
-                .expect("ireduce lock");
-            if outstanding[me] == 0 {
-                let msg = format!(
-                    "rank {me} called reduce_finish with no outstanding \
-                     iall_reduce (the request was not begun on this rank)"
-                );
-                drop(outstanding);
-                self.shared.record_violation(msg.clone());
-                self.inner.poison();
-                panic!("comm-verifier: {msg}");
-            }
-            outstanding[me] -= 1;
-        }
-        self.shared.set_state(
-            me,
-            RankState::BlockedCollective {
-                kind: "reduce_finish",
-            },
-        );
-        self.inner.reduce_finish(req, out);
-        self.shared.set_state(me, RankState::Running);
-        self.shared.bump_progress();
-    }
-
     fn wait(&self, req: RecvRequest) -> Vec<T> {
         {
             let mut posted = self.shared.posted.lock().expect("posted lock");
@@ -486,15 +416,6 @@ pub(crate) fn teardown_report(shared: &VerifierShared) -> Vec<String> {
             "dropped request: rank {rank} posted {n} irecv(src={src}, \
              tag={tag}) that were never completed with wait"
         ));
-    }
-    let outstanding = shared.ireduce_outstanding.lock().expect("ireduce lock");
-    for (rank, &n) in outstanding.iter().enumerate() {
-        if n > 0 {
-            findings.push(format!(
-                "dropped reduction: rank {rank} began {n} iall_reduce that \
-                 were never completed with reduce_finish"
-            ));
-        }
     }
     let counts = shared.coll_counts.lock().expect("counts lock");
     let min = counts.iter().min().copied().unwrap_or(0);

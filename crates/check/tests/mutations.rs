@@ -252,74 +252,6 @@ fn seeded_dropped_wait_is_reported() {
     );
 }
 
-/// Mutation 4: a split sweep whose window reaches one cell into an
-/// in-flight face — by a widened map, or by an operator that believes
-/// the subdomain has no neighbour. Both read a ghost the exchange has
-/// not delivered; the exchange-hazard hooks must name the kernel and the
-/// face. The production window, and any sweep after `finish`, stay clean.
-#[test]
-fn seeded_window_into_an_in_flight_face_is_caught() {
-    use check::{Policy, Violation};
-    use stencil::{apply_physical_bcs, Laplacian, INFO_APPLY};
-
-    let ns = [2, 1, 1];
-    let reports = try_run_ranks_checked::<f64, _, _>(2, CheckConfig::default(), move |comm| {
-        let dev = Checked::with_policy(Serial::new(Recorder::disabled()), Policy::Record);
-        let global = GlobalGrid::dirichlet([10, 5, 6], [0.1; 3], [0.0; 3]);
-        let grid = BlockGrid::new(global, Decomp::new(ns), comm.rank());
-        let alone = BlockGrid::new(
-            GlobalGrid::dirichlet(grid.local_n, [0.1; 3], [0.0; 3]),
-            Decomp::single(),
-            0,
-        );
-        let mut u = Field::from_interior(&dev, &grid, &vec![1.0; 5 * 5 * 6]);
-        let mut w = Field::zeros(&dev, &grid);
-        let halo = HaloExchange::new(&grid);
-        let lap = Laplacian::new(&grid);
-        let window = RowMap::halo_window(grid.interior(), grid.interface_mask()).expect("window");
-        // one more cell per row, toward this rank's interface x face
-        let widened = RowMap {
-            base: window.base - comm.rank(),
-            len: window.len + 1,
-            ..window
-        };
-
-        let pending = halo.begin(&dev, &comm, &u);
-        apply_physical_bcs(&grid, &mut u, &Recorder::disabled(), false);
-        lap.apply_interior(&dev, INFO_APPLY, &u, &mut w);
-        let clean_in_flight = dev.report().snapshot();
-        dev.on_stencil_read("KernelWidenedWindow", widened, u.as_slice());
-        Laplacian::new(&alone).apply_interior(&dev, INFO_APPLY, &u, &mut w);
-        let caught = dev.report().snapshot();
-        halo.finish(&dev, &comm, pending, &mut u);
-        lap.apply_shell(&dev, INFO_APPLY, &u, &mut w);
-        dev.on_stencil_read("KernelWidenedWindow", widened, u.as_slice());
-        (clean_in_flight, caught, dev.report().snapshot().len())
-    })
-    .expect("the communication itself is correct");
-    for (rank, (clean_in_flight, caught, total)) in reports.into_iter().enumerate() {
-        assert!(
-            clean_in_flight.is_empty(),
-            "rank {rank}: the production window: {clean_in_flight:?}"
-        );
-        let side = 1 - rank;
-        assert_eq!(caught.len(), 2, "rank {rank}: {caught:?}");
-        assert_eq!(total, 2, "rank {rank}: a sweep after finish() is legal");
-        for (v, kernel) in caught.iter().zip(["KernelWidenedWindow", INFO_APPLY.name]) {
-            assert!(
-                matches!(v, Violation::InFlightGhostRead { kernel: k, axis: 0, side: s, .. }
-                    if *k == kernel && *s == side),
-                "rank {rank}: {v}"
-            );
-            let text = v.to_string();
-            assert!(
-                text.contains(kernel) && text.contains("still in flight"),
-                "{text}"
-            );
-        }
-    }
-}
-
 /// Mutually-blocked receives with no message in flight: the pure
 /// deadlock, found by the polling detector without any watchdog.
 #[test]

@@ -38,7 +38,4 @@ mod types;
 pub use runner::{run_ranks, run_ranks_recorded};
 pub use self_comm::SelfComm;
 pub use thread_comm::{Poisoner, ThreadComm};
-pub use types::{
-    CommStats, Communicator, RecvRequest, ReduceOp, ReduceOrder, ReduceRequest, Tag,
-    MAX_REDUCE_SCALARS,
-};
+pub use types::{CommStats, Communicator, RecvRequest, ReduceOp, ReduceOrder, ReduceRequest, Tag};

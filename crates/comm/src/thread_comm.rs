@@ -311,6 +311,43 @@ impl<T: Scalar> ThreadComm<T> {
         let generation = self.collective_begin(vals, op);
         self.collective_finish(generation, vals);
     }
+
+    /// Begin a split-phase reduction (`MPI_Iallreduce`): contribute `vals`
+    /// to the collective and return a completion handle without waiting
+    /// for the other ranks. The fold topology is the world's
+    /// [`ReduceOrder`], as in [`Communicator::all_reduce`], so a
+    /// split-phase reduction of the same values is bitwise-identical to
+    /// the blocking call. At most one may be outstanding per rank.
+    ///
+    /// No solver reduction runs split: every one is a blocking
+    /// `all_reduce`. This pair is kept for the benchmark's split-phase
+    /// reduction probe.
+    pub fn iall_reduce(&self, vals: &[T], op: ReduceOp) -> ReduceRequest {
+        self.stats.allreduces.fetch_add(1, Ordering::Relaxed);
+        self.recorder.record(Event::AllReduce {
+            elems: vals.len() as u32,
+            bytes: (vals.len() * T::BYTES) as u64,
+        });
+        let generation = self.collective_begin(vals, op);
+        ReduceRequest {
+            len: vals.len(),
+            op,
+            generation,
+        }
+    }
+
+    /// Complete a begun split-phase reduction (`MPI_Wait` on the
+    /// [`ThreadComm::iall_reduce`] handle), copying the reduced values —
+    /// identical on every rank — into `out`, whose length must equal the
+    /// request's `len`.
+    pub fn reduce_finish(&self, req: ReduceRequest, out: &mut [T]) {
+        assert_eq!(
+            out.len(),
+            req.len,
+            "reduce_finish output buffer does not match the request length"
+        );
+        self.collective_finish(req.generation, out);
+    }
 }
 
 impl<T: Scalar> Communicator<T> for ThreadComm<T> {
@@ -363,33 +400,6 @@ impl<T: Scalar> Communicator<T> for ThreadComm<T> {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn iall_reduce(&self, vals: &[T], op: ReduceOp) -> ReduceRequest<T> {
-        self.stats.allreduces.fetch_add(1, Ordering::Relaxed);
-        self.recorder.record(Event::AllReduce {
-            elems: vals.len() as u32,
-            bytes: (vals.len() * T::BYTES) as u64,
-        });
-        let generation = self.collective_begin(vals, op);
-        ReduceRequest {
-            len: vals.len(),
-            op,
-            generation,
-            resolved: None,
-        }
-    }
-
-    fn reduce_finish(&self, req: ReduceRequest<T>, out: &mut [T]) {
-        assert_eq!(
-            out.len(),
-            req.len,
-            "reduce_finish output buffer does not match the request length"
-        );
-        match req.resolved {
-            Some(resolved) => out.copy_from_slice(&resolved[..req.len]),
-            None => self.collective_finish(req.generation, out),
-        }
     }
 }
 

@@ -87,38 +87,25 @@ pub struct RecvRequest {
     pub tag: Tag,
 }
 
-/// Capacity ceiling for one split-phase reduction, in scalars.
+/// A begun split-phase reduction (the `MPI_Iallreduce` request object)
+/// of a [`ThreadComm`](crate::ThreadComm).
 ///
-/// Bounding the payload lets every layer stage a split-phase reduction
-/// in fixed stack/inline storage, so posting one allocates nothing. The
-/// solver posts none: its batched dot-product groups — up to three
-/// scalars per lane in M1, four in M2, for up to 32 lanes — travel in
-/// blocking [`Communicator::all_reduce`] calls, which take any length.
-pub const MAX_REDUCE_SCALARS: usize = 64;
-
-/// A begun split-phase reduction (the `MPI_Iallreduce` request object).
-///
-/// The contribution is made at begin time ([`Communicator::iall_reduce`]);
-/// the reduced values are only available after
-/// [`Communicator::reduce_finish`]. Between the two calls the caller is
-/// free to compute — that window is what hides the reduction latency.
+/// The contribution is made at begin time
+/// ([`ThreadComm::iall_reduce`](crate::ThreadComm::iall_reduce)); the
+/// reduced values are only available after
+/// [`ThreadComm::reduce_finish`](crate::ThreadComm::reduce_finish).
 /// Exactly one split-phase reduction may be outstanding per rank (the
 /// collective engine is a single shared slot, like a communicator-wide
 /// `MPI_Iallreduce` without multiplexing).
 #[derive(Clone, Debug)]
 #[must_use = "a begun reduction must be completed with reduce_finish"]
-pub struct ReduceRequest<T: Scalar> {
-    /// Number of reduced elements (at most [`MAX_REDUCE_SCALARS`]).
+pub struct ReduceRequest {
+    /// Number of reduced elements.
     pub len: usize,
     /// Reduction operator applied element-wise.
     pub op: ReduceOp,
-    /// Collective-engine generation the contribution entered
-    /// (`ThreadComm` bookkeeping; 0 for resolve-at-begin communicators).
+    /// Collective-engine generation the contribution entered.
     pub(crate) generation: u64,
-    /// Pre-resolved result (first `len` slots) for communicators that
-    /// complete the reduction at begin time (`SelfComm`, the blocking
-    /// default). Inline storage: resolving must not touch the heap.
-    pub(crate) resolved: Option<[T; MAX_REDUCE_SCALARS]>,
 }
 
 /// The message-passing interface the solver is written against.
@@ -172,47 +159,6 @@ pub trait Communicator<T: Scalar>: Send + Sync + 'static {
     fn wait_all(&self, reqs: Vec<RecvRequest>) -> Vec<Vec<T>> {
         reqs.into_iter().map(|r| self.wait(r)).collect()
     }
-
-    /// Begin a split-phase reduction (`MPI_Iallreduce`): contribute `vals`
-    /// to the collective and return a completion handle without waiting
-    /// for the other ranks. The fold topology (RankOrder vs Arrival) is
-    /// the communicator's configured [`ReduceOrder`], identical to
-    /// [`Communicator::all_reduce`] — so a split-phase reduction of the
-    /// same values is bitwise-identical to the blocking call.
-    ///
-    /// At most one split-phase reduction may be outstanding per rank and
-    /// `vals.len()` must not exceed [`MAX_REDUCE_SCALARS`] — the bounded
-    /// payload is what lets every implementation run the steady state
-    /// without heap allocation. The default implementation completes at
-    /// begin time (blocking).
-    #[must_use = "a begun reduction must be completed with reduce_finish"]
-    fn iall_reduce(&self, vals: &[T], op: ReduceOp) -> ReduceRequest<T> {
-        let mut buf = [T::ZERO; MAX_REDUCE_SCALARS];
-        buf[..vals.len()].copy_from_slice(vals);
-        self.all_reduce(&mut buf[..vals.len()], op);
-        ReduceRequest {
-            len: vals.len(),
-            op,
-            generation: 0,
-            resolved: Some(buf),
-        }
-    }
-
-    /// Complete a begun split-phase reduction (`MPI_Wait` on the
-    /// [`iall_reduce`](Communicator::iall_reduce) handle), copying the
-    /// reduced values — identical on every rank — into `out`, whose
-    /// length must equal the request's `len`.
-    fn reduce_finish(&self, req: ReduceRequest<T>, out: &mut [T]) {
-        assert_eq!(
-            out.len(),
-            req.len,
-            "reduce_finish output buffer does not match the request length"
-        );
-        let resolved = req
-            .resolved
-            .expect("reduce_finish on a request this communicator did not begin");
-        out.copy_from_slice(&resolved[..req.len]);
-    }
 }
 
 /// Blanket impl so `Arc<C>` is usable wherever a communicator is expected.
@@ -240,12 +186,6 @@ impl<T: Scalar, C: Communicator<T>> Communicator<T> for Arc<C> {
     }
     fn recorder(&self) -> &Recorder {
         (**self).recorder()
-    }
-    fn iall_reduce(&self, vals: &[T], op: ReduceOp) -> ReduceRequest<T> {
-        (**self).iall_reduce(vals, op)
-    }
-    fn reduce_finish(&self, req: ReduceRequest<T>, out: &mut [T]) {
-        (**self).reduce_finish(req, out)
     }
 }
 

@@ -1829,8 +1829,8 @@ mod batch_tests {
 
     /// Width costs what the docs say and no more: 18 lanes (72 M2
     /// scalars) and 22 lanes with tokens (66 M1 scalars once lanes lag),
-    /// both past [`comm::MAX_REDUCE_SCALARS`], still ship two reductions
-    /// per iteration; one lane past [`MAX_LANES`] runs as a second group.
+    /// both past 64 scalars, still ship two reductions per iteration; one
+    /// lane past [`MAX_LANES`] runs as a second group.
     #[test]
     fn wide_batches_pay_the_documented_message_bill() {
         batch_ships_its_longest_lanes_bill([2, 1, 1], 18, false);

@@ -22,7 +22,7 @@ use crate::tree::{FnItem, Tree};
 use crate::{Finding, SrcInfo};
 
 /// Names whose *call* is a collective: all ranks must reach it together.
-const COLLECTIVES: &[&str] = &["all_reduce", "iall_reduce", "reduce_finish", "barrier"];
+const COLLECTIVES: &[&str] = &["all_reduce", "barrier"];
 
 /// Collectives that need a halo-ish receiver to count (`begin`, `finish`
 /// and `exchange` are too generic otherwise).
@@ -363,7 +363,8 @@ fn collective_at(items: &[Tree], at: usize) -> Option<&str> {
     None
 }
 
-/// Same receiver heuristic as SPMD001: `ctx.halo.begin(…)`.
+/// A halo-ish receiver chain: `ctx.halo.begin(…)`,
+/// `self.exchange.exchange(…)`.
 fn receiver_is_halo(items: &[Tree], at: usize) -> bool {
     let mut j = at.wrapping_sub(1);
     while j > 0 {

@@ -109,7 +109,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/blockgrid/src/halo.rs", "unpack_face"),
     ("crates/blockgrid/src/halo.rs", "acquire"),
     ("crates/blockgrid/src/halo.rs", "recycle"),
-    ("crates/blockgrid/src/halo.rs", "hazard"),
+    ("crates/blockgrid/src/halo.rs", "assert_shape"),
     ("crates/blockgrid/src/halo.rs", "begin_impl"),
     ("crates/blockgrid/src/halo.rs", "finish_impl"),
     ("crates/blockgrid/src/halo.rs", "begin"),

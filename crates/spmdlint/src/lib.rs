@@ -6,21 +6,20 @@
 //!
 //! | code | pass | contract |
 //! |------|------|----------|
-//! | `SPMD001` | [`split_phase`] | every split-phase begin reaches its finish on every path |
 //! | `SPMD002` | [`divergence`]  | no collective under a rank-dependent branch |
 //! | `SPMD003` | [`hotalloc`]    | registered hot functions stay allocation-free |
 //! | `SPMD004` | [`hygiene`]     | no panics/unwraps/indexing on the serve request path |
 //! | `SPMD005` | [`hygiene`]     | `unsafe` allowlist + `// SAFETY:` comments |
-//! | `SPMD006` | [`split_phase`] | split-phase handle types are `#[must_use]` |
+//! | `SPMD006` | [`must_use`]    | request and handle types are `#[must_use]` |
 //! | `SPMD007` | [`hygiene`]     | library crates opt into `missing_docs` |
 //!
 //! The analyzer is dependency-free and control-flow-*approximate*: it
 //! interprets token trees, not typed HIR. False positives are silenced
 //! in place with `// LINT: <marker>(<reason>)` annotations
-//! (`split-phase-ok`, `collective-uniform`, `alloc-ok`, `panic-ok`) that
-//! double as reviewer-facing justification comments. The name-matched
-//! registries behind SPMD001, SPMD003 and SPMD006 are audited too: an
-//! entry that no longer names a `fn`/type is a finding of its own code.
+//! (`collective-uniform`, `alloc-ok`, `panic-ok`) that double as
+//! justification comments for the reader. The name-matched registries
+//! behind SPMD003 and SPMD006 are audited too: an entry that no longer
+//! names a `fn`/type is a finding of its own code.
 //! `cargo xtask lint` drives [`run_workspace`] and gates CI on zero
 //! findings.
 
@@ -30,16 +29,15 @@ pub mod divergence;
 pub mod hotalloc;
 pub mod hygiene;
 pub mod lexer;
-pub mod split_phase;
+pub mod must_use;
 pub mod tree;
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// One lint finding with a stable code and exact source anchor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable code, e.g. `SPMD001`.
+    /// Stable code, e.g. `SPMD002`.
     pub code: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -94,16 +92,10 @@ impl SrcInfo<'_> {
     }
 }
 
-/// Run SPMD001–SPMD005 on a single file's source text. `rel` selects
+/// Run SPMD002–SPMD005 on a single file's source text. `rel` selects
 /// the per-path registries (hot functions, serve request paths, unsafe
 /// allowlist), so tests can analyze fixture content under any path.
 pub fn analyze_source(rel: &str, text: &str) -> Vec<Finding> {
-    analyze(rel, text).0
-}
-
-/// [`analyze_source`], plus the names of the file's non-test `fn`s —
-/// the workspace run audits its name-matched registries against them.
-fn analyze(rel: &str, text: &str) -> (Vec<Finding>, Vec<String>) {
     let mut findings = Vec::new();
     let stripped = lexer::strip_comments_and_strings(text);
     let toks = lexer::tokenize(&stripped);
@@ -119,17 +111,11 @@ fn analyze(rel: &str, text: &str) -> (Vec<Finding>, Vec<String>) {
         rel,
         lines: text.lines().collect(),
     };
-    split_phase::check(&src, &fns, &mut findings);
     divergence::check(&src, &fns, &mut findings);
     hotalloc::check(&src, &fns, &mut findings);
     hygiene::check(&src, &fns, &mut findings);
     hygiene::audit_unsafe(rel, text, &mut findings);
-    let defined = fns
-        .into_iter()
-        .filter(|f| !f.is_test)
-        .map(|f| f.name)
-        .collect();
-    (findings, defined)
+    findings
 }
 
 /// Run every pass over the workspace rooted at `root`.
@@ -141,7 +127,6 @@ pub fn run_workspace(root: &Path) -> Report {
     files.sort();
 
     let mut findings = Vec::new();
-    let mut defined = BTreeSet::new();
     let mut scanned = 0usize;
     for path in &files {
         let rel = rel_path(root, path);
@@ -152,11 +137,7 @@ pub fn run_workspace(root: &Path) -> Report {
         }
         scanned += 1;
         match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let (found, fns) = analyze(&rel, &text);
-                findings.extend(found);
-                defined.extend(fns);
-            }
+            Ok(text) => findings.extend(analyze_source(&rel, &text)),
             Err(e) => findings.push(Finding {
                 code: "SPMD000",
                 path: rel,
@@ -165,9 +146,8 @@ pub fn run_workspace(root: &Path) -> Report {
             }),
         }
     }
-    split_phase::audit_registry(&defined, &mut findings);
     hotalloc::audit_registry_files(root, &mut findings);
-    split_phase::audit_must_use(root, &mut findings);
+    must_use::audit_must_use(root, &mut findings);
     hygiene::audit_missing_docs(root, &mut findings);
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.code).cmp(&(b.path.as_str(), b.line, b.code)));

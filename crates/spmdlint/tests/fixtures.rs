@@ -51,11 +51,6 @@ fn assert_exact(name: &str, rel: &str) {
 }
 
 #[test]
-fn spmd001_split_phase_fires_at_the_begin_line() {
-    assert_exact("spmd001_split_phase.rs", "crates/krylov/src/fixture.rs");
-}
-
-#[test]
 fn spmd002_divergence_fires_at_the_collective_line() {
     assert_exact("spmd002_divergence.rs", "crates/comm/src/fixture.rs");
 }

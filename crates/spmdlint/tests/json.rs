@@ -11,7 +11,7 @@ fn report_round_trips_through_serde_json() {
         files_scanned: 3,
         findings: vec![
             Finding {
-                code: "SPMD001",
+                code: "SPMD002",
                 path: "crates/a/src/lib.rs".to_string(),
                 line: 42,
                 message: nasty.to_string(),
@@ -41,7 +41,7 @@ fn report_round_trips_through_serde_json() {
     assert_eq!(findings.len(), 2);
 
     let f0 = &findings[0];
-    assert_eq!(f0.get("code").and_then(|c| c.as_str()), Some("SPMD001"));
+    assert_eq!(f0.get("code").and_then(|c| c.as_str()), Some("SPMD002"));
     assert_eq!(
         f0.get("path").and_then(|p| p.as_str()),
         Some("crates/a/src/lib.rs")

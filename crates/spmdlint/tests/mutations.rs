@@ -201,17 +201,7 @@ fn renamed_hot_function_is_caught_spmd003() {
 
 #[test]
 fn registry_entries_without_a_definition_are_findings() {
-    // Split-phase classes match call sites by method name; a name no fn
-    // in the workspace carries can no longer be paired.
-    let defined: std::collections::BTreeSet<String> = ["iall_reduce", "reduce_finish", "begin"]
-        .map(String::from)
-        .into();
-    let mut found = Vec::new();
-    spmdlint::split_phase::audit_registry(&defined, &mut found);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].code == "SPMD001" && found[0].message.contains("`finish`"));
-
-    // ... and a hot-registry file that no longer exists is reported once.
+    // A hot-registry file that no longer exists is reported once.
     let mut found = Vec::new();
     spmdlint::hotalloc::audit_registry_files(&repo_root().join("crates/spmdlint"), &mut found);
     assert!(
@@ -263,7 +253,7 @@ fn stripped_must_use_is_caught_spmd006() {
 
     std::fs::write(&file, "pub struct ReduceRequest<T: Scalar> {}\n").unwrap();
     let mut findings = Vec::new();
-    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
+    spmdlint::must_use::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
@@ -277,7 +267,7 @@ fn stripped_must_use_is_caught_spmd006() {
     )
     .unwrap();
     let mut findings = Vec::new();
-    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
+    spmdlint::must_use::audit_must_use(&dir, &mut findings);
     assert!(
         !findings
             .iter()
@@ -297,7 +287,7 @@ fn stripped_generic_halo_must_use_is_caught_spmd006() {
 
     std::fs::write(&file, "pub struct PendingExchange<E: Scalar> {}\n").unwrap();
     let mut findings = Vec::new();
-    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
+    spmdlint::must_use::audit_must_use(&dir, &mut findings);
     assert!(
         findings
             .iter()
@@ -312,7 +302,7 @@ fn stripped_generic_halo_must_use_is_caught_spmd006() {
     )
     .unwrap();
     let mut findings = Vec::new();
-    spmdlint::split_phase::audit_must_use(&dir, &mut findings);
+    spmdlint::must_use::audit_must_use(&dir, &mut findings);
     assert!(
         !findings
             .iter()

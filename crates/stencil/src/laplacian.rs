@@ -391,7 +391,6 @@ impl Laplacian {
         let us = u.as_slice();
         let fs = terms.map(|(f, c)| (f.as_slice(), c));
         self.for_each_map(part, |map| {
-            dev.on_stencil_read(info.name, map, us);
             let lanes = &mut [out.as_mut_slice()];
             dev.launch_runs(info, map, lanes, [], &mut [[]], |_, run, _| {
                 core.stencil_run::<WEIGHTED, N, 0>(us, &map, run, k, fs, |_, _, _, _| {});
@@ -451,9 +450,6 @@ impl Laplacian {
         assert_eq!(us.len(), outs.len(), "lane count mismatch");
         let core = self.row_core::<T>();
         let map = self.grid.interior_map();
-        for u in us {
-            dev.on_stencil_read(info.name, map, u);
-        }
         let [nx, ny, nz] = self.grid.local_n;
         dev.launch_runs(info, map, outs, [], accs, |s, run, acc| {
             let k = run.k;

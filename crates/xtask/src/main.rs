@@ -1,9 +1,9 @@
 //! Repository automation — the static correctness pass.
 //!
 //! `cargo xtask lint` is a thin driver over the [`spmdlint`] analyzer:
-//! it runs every pass (SPMD001–SPMD007: split-phase pairing, collective
-//! divergence, hot-path allocation, serve panic hygiene, unsafe
-//! allowlist, `#[must_use]` registry, missing-docs opt-in) across the
+//! it runs every pass (SPMD002–SPMD007: collective divergence, hot-path
+//! allocation, serve panic hygiene, unsafe allowlist, `#[must_use]`
+//! registry, missing-docs opt-in) across the
 //! workspace and exits non-zero when anything is found, so CI can gate
 //! on it.
 //!
